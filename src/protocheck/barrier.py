@@ -20,13 +20,13 @@ from typing import Optional
 
 from .engine import ProtocolModel, TransitionRule
 from .state import (
-    BarrierProcessState,
-    MessageKind,
+    Message,
+    MessageKindBase,
+    Queue,
     SystemState,
-    barrier_in,
-    barrier_out,
     peek,
     receive_message,
+    render_queue,
     replace_process,
     send_message,
 )
@@ -43,6 +43,51 @@ RELEASE_ON_BARRIER_IN = "release_on_barrier_in"
 MUTATIONS = (RELEASE_ON_BARRIER_IN,)
 
 
+class MessageKind(MessageKindBase):
+    BARRIER_IN = ("bi", 0)
+    BARRIER_OUT = ("bo", 0)
+
+
+_BARRIER_IN = Message(MessageKind.BARRIER_IN)
+_BARRIER_OUT = Message(MessageKind.BARRIER_OUT)
+
+
+def barrier_in() -> Message:
+    return _BARRIER_IN
+
+
+def barrier_out() -> Message:
+    return _BARRIER_OUT
+
+
+@dataclass(frozen=True, slots=True)
+class BarrierProcessState:
+    """Barrier-model process: three bits plus the input queue."""
+
+    client_barrier_in: int = 0
+    client_barrier_out: int = 0
+    holding_barrier_in: int = 0
+    queue: Queue = ()
+
+    def __post_init__(self):
+        for bit in (self.client_barrier_in, self.client_barrier_out,
+                    self.holding_barrier_in):
+            if bit not in (0, 1):
+                raise ValueError("barrier process fields are bits")
+        if self.holding_barrier_in and self.client_barrier_in:
+            # a held entry token is forwarded the moment the client asks
+            raise ValueError("cannot hold barrier_in after the client request")
+        if self.client_barrier_out and not self.client_barrier_in:
+            raise ValueError("client released before it reached the barrier")
+
+    def render(self) -> str:
+        """`(in,out,holding,[queue])`, e.g. `(1,0,0,[bo])`."""
+        return (
+            f"({self.client_barrier_in},{self.client_barrier_out},"
+            f"{self.holding_barrier_in},{render_queue(self.queue)})"
+        )
+
+
 @dataclass(frozen=True)
 class BarrierConfig:
     n: int
@@ -54,7 +99,8 @@ class BarrierConfig:
         if self.n < 1:
             raise ValueError("process count must be at least 1")
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown barrier variant {self.variant!r}")
+            raise ValueError(f"unknown barrier variant {self.variant!r}; "
+                             f"choose from {', '.join(VARIANTS)}")
         if self.mutation is not None and self.mutation not in MUTATIONS:
             raise ValueError(f"unknown mutation {self.mutation!r}")
         if self.queue_capacity is not None and self.queue_capacity < 1:

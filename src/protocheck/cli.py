@@ -16,20 +16,15 @@ overflow, 3 usage error or unwritable output.
 import argparse
 import json
 import sys
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 from typing import Optional
 
 from .barrier import BarrierConfig, barrier_model
-from .engine import (
-    ExplorationResult,
-    ExploreConfig,
-    ProtocolModel,
-    Verdict,
-    explore,
-    reconstruct_trace,
-)
+from .engine import ExplorationResult, ExploreConfig, Verdict, explore, reconstruct_trace
 from .ring import RingConfig, ring_model
-from .state import BarrierProcessState, Message, MessageKind, SystemState, UNSET
+from .state import ModelError, SystemState, render_state
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -44,7 +39,17 @@ _VERDICT_EXIT = {
     Verdict.LIMIT_EXCEEDED: EXIT_LIMIT,
 }
 
-_DEFAULT_VARIANT = {"barrier": "leader_last", "ring": "ordered"}
+# Every protocol the CLI knows: name -> (config class, model factory). A
+# config class is a dataclass with fields `n`, `variant` and `queue_capacity`
+# plus any of its own; its field defaults are the CLI defaults.
+MODELS = {
+    "barrier": (BarrierConfig, barrier_model),
+    "ring": (RingConfig, ring_model),
+}
+
+# Config fields the trace header always records (`n` as `size`); the header
+# adds every other config field that is set, and replay reads them back.
+_ALWAYS_IN_HEADER = ("n", "variant", "queue_capacity")
 
 STATS_COLUMNS = (
     "problem",
@@ -67,70 +72,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_MSG_SHORT = {
-    MessageKind.BARRIER_IN: "bi",
-    MessageKind.BARRIER_OUT: "bo",
-    MessageKind.REQ_INSERT: "req",
-    MessageKind.INSERT_ACK: "ack",
-    MessageKind.NEW_RHS: "rhs",
-}
-
-
-def render_message(m: Message) -> str:
-    if m.payload:
-        return _MSG_SHORT[m.kind] + "(" + ",".join(map(str, m.payload)) + ")"
-    return _MSG_SHORT[m.kind]
-
-
-def _render_neighbor(rank: int) -> str:
-    return "-" if rank == UNSET else str(rank)
-
-
-def render_state(state: SystemState) -> str:
-    """Compact one-line rendering used in traces and graph node labels."""
-    parts = []
-    for proc in state.processes:
-        msgs = " ".join(render_message(m) for m in proc.queue)
-        if isinstance(proc, BarrierProcessState):
-            parts.append(
-                f"({proc.client_barrier_in},{proc.client_barrier_out},"
-                f"{proc.holding_barrier_in},[{msgs}])"
-            )
-        else:
-            status = {"outside": "out", "inserting": "ins", "in_ring": "ring"}[
-                proc.status.value
-            ]
-            parts.append(
-                f"({status},{_render_neighbor(proc.lhs)}/"
-                f"{_render_neighbor(proc.rhs)},[{msgs}])"
-            )
-    return " ".join(parts)
+def _json_field(proc, name: str):
+    value = getattr(proc, name)
+    if name == "queue":
+        return [m.render() for m in value]
+    return value.value if isinstance(value, Enum) else value
 
 
 def state_to_json(state: SystemState) -> dict:
-    """Structured rendering for the machine-readable trace."""
-    procs = []
-    for proc in state.processes:
-        queue = [render_message(m) for m in proc.queue]
-        if isinstance(proc, BarrierProcessState):
-            procs.append(
-                {
-                    "client_barrier_in": proc.client_barrier_in,
-                    "client_barrier_out": proc.client_barrier_out,
-                    "holding_barrier_in": proc.holding_barrier_in,
-                    "queue": queue,
-                }
-            )
-        else:
-            procs.append(
-                {
-                    "status": proc.status.value,
-                    "lhs": proc.lhs,
-                    "rhs": proc.rhs,
-                    "queue": queue,
-                }
-            )
-    return {"processes": procs}
+    """Structured rendering for the machine-readable trace: each process as
+    its dataclass fields, enums by value and the queue as rendered messages."""
+    return {"processes": [
+        {f.name: _json_field(proc, f.name) for f in fields(proc)}
+        for proc in state.processes
+    ]}
 
 
 def _write_text(path, text: str) -> None:
@@ -200,21 +155,23 @@ def write_trace(path, result: ExplorationResult, header: dict) -> None:
     _write_text(str(path) + ".json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _build_model(model_name: str, size: int, variant: str,
-                 queue_capacity: Optional[int], mutation: Optional[str],
-                 entry: int = 0) -> ProtocolModel:
+def _registry_entry(model_name: str):
+    if model_name not in MODELS:
+        raise UsageError(f"unknown model {model_name!r}")
+    return MODELS[model_name]
+
+
+def _build_model(model_name: str, options: dict):
+    """(config, model) for `options`, a map from config field to value in
+    which None leaves the config class's default."""
+    config_class, build = _registry_entry(model_name)
+    options = {k: v for k, v in options.items() if v is not None}
+    unknown = sorted(options.keys() - {f.name for f in fields(config_class)})
+    if unknown:
+        raise UsageError(f"the {model_name} model takes no {unknown[0]}")
     try:
-        if model_name == "barrier":
-            return barrier_model(
-                BarrierConfig(n=size, variant=variant,
-                              queue_capacity=queue_capacity, mutation=mutation)
-            )
-        if mutation is not None:
-            raise ValueError("mutations are only defined for the barrier model")
-        return ring_model(
-            RingConfig(n=size, variant=variant, entry=entry,
-                       queue_capacity=queue_capacity)
-        )
+        cfg = config_class(**options)
+        return cfg, build(cfg)
     except ValueError as err:
         raise UsageError(str(err))
 
@@ -222,9 +179,13 @@ def _build_model(model_name: str, size: int, variant: str,
 def _cmd_run(args) -> int:
     if args.max_states < 1 or args.max_seconds <= 0:
         raise UsageError("limits must be positive")
-    variant = args.variant or _DEFAULT_VARIANT[args.model]
-    model = _build_model(args.model, args.size, variant, args.queue_capacity,
-                         args.mutation)
+    cfg, model = _build_model(args.model, {
+        "n": args.size,
+        "variant": args.variant,
+        "queue_capacity": args.queue_capacity,
+        "mutation": args.mutation,
+    })
+    variant = cfg.variant
     config = ExploreConfig(
         search_order=args.search,
         max_states=args.max_states,
@@ -254,10 +215,10 @@ def _cmd_run(args) -> int:
         "variant": variant,
         "queue_capacity": result.states[0].queue_capacity,
     }
-    if args.model == "ring":
-        header["entry"] = 0
-    if args.mutation is not None:
-        header["mutation"] = args.mutation
+    header.update(
+        (f.name, getattr(cfg, f.name)) for f in fields(cfg)
+        if f.name not in _ALWAYS_IN_HEADER and getattr(cfg, f.name) is not None
+    )
     if args.stats is not None:
         write_stats(args.stats, result, args.model, method_config, args.size)
     if args.trace is not None:
@@ -278,9 +239,10 @@ def _cmd_replay(args) -> int:
     except (OSError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read trace {args.trace}: {err}")
     try:
-        model = _build_model(doc["model"], doc["size"], doc["variant"],
-                             doc["queue_capacity"], doc.get("mutation"),
-                             entry=doc.get("entry") or 0)
+        options = {f.name: doc.get(f.name) for f in fields(_registry_entry(doc["model"])[0])}
+        options.update(n=doc["size"], variant=doc["variant"],
+                       queue_capacity=doc["queue_capacity"])
+        _, model = _build_model(doc["model"], options)
         steps = doc["steps"]
     except (KeyError, TypeError) as err:
         raise UsageError(f"malformed trace {args.trace}: {err}")
@@ -306,7 +268,11 @@ def _cmd_replay(args) -> int:
         if not rule.enabled(state, pid):
             print(f"replay mismatch at step {i}: {rule.name} not enabled at pid {pid}")
             return EXIT_VIOLATION
-        state = rule.apply(state, pid)
+        try:
+            state = rule.apply(state, pid)
+        except (ModelError, ValueError) as err:
+            print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")
+            return EXIT_VIOLATION
         if state_to_json(state) != step.get("state"):
             print(f"replay mismatch at step {i}: "
                   f"successor state differs from the recorded one")
@@ -320,17 +286,18 @@ def _build_parser() -> _Parser:
                      description="explicit-state checker for message-passing protocols")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = ", ".join(f"{name} {config_class.variant}"
+                         for name, (config_class, _) in MODELS.items())
     run = sub.add_parser("run", help="explore a model and report the verdict")
-    run.add_argument("--model", required=True, choices=["barrier", "ring"])
+    run.add_argument("--model", required=True, choices=list(MODELS))
     run.add_argument("--size", required=True, type=int, help="process count N")
-    run.add_argument("--variant",
-                     help="barrier: leader_last|leader_first; ring: ordered|unordered")
+    run.add_argument("--variant", help=f"protocol variant (default: {defaults})")
     run.add_argument("--search", choices=["bfs", "dfs"], default="bfs")
     run.add_argument("--max-states", type=int, default=10_000_000)
     run.add_argument("--max-seconds", type=float, default=600.0)
     run.add_argument("--queue-capacity", type=int,
                      help="override the default per-process bound of N+2")
-    run.add_argument("--mutation", help="seeded bug token (barrier only)")
+    run.add_argument("--mutation", help="seeded bug token, for models that define one")
     run.add_argument("--trace", help="write counterexample trace here")
     run.add_argument("--graph", help="write DOT state graph here")
     run.add_argument("--stats", help="write tab-separated statistics here")

@@ -238,8 +238,3 @@ def reconstruct_trace(result: ExplorationResult, target: int) -> list[TraceStep]
     steps.reverse()
     return steps
 
-
-def stats_report(result: ExplorationResult) -> RunStats:
-    """The run's accumulated statistics (identical across repeated runs,
-    except for the elapsed-time field)."""
-    return result.stats

@@ -19,27 +19,92 @@ pending, neighbor pointers inverse of each other, one cycle through all.
 """
 
 from dataclasses import dataclass, replace
+from enum import Enum
 from functools import partial
 from typing import Optional
 
 from .engine import ProtocolModel, TransitionRule
 from .state import (
-    MessageKind,
-    RingProcessState,
-    RingStatus,
+    Message,
+    MessageKindBase,
+    Queue,
     SystemState,
-    insert_ack,
-    new_rhs,
     peek,
     receive_message,
+    render_queue,
     replace_process,
-    req_insert,
     send_message,
 )
 
 ORDERED = "ordered"
 UNORDERED = "unordered"
 VARIANTS = (ORDERED, UNORDERED)
+
+# Neighbor sentinel for processes that have not joined the ring yet.
+# Deliberately outside [0, N) so it can never collide with a real rank.
+UNSET = -1
+
+
+class MessageKind(MessageKindBase):
+    """req_insert carries the requester's rank, new_rhs the new right-neighbor
+    rank, insert_ack the joiner's (lhs, rhs) pair."""
+
+    REQ_INSERT = ("req", 1)
+    INSERT_ACK = ("ack", 2)
+    NEW_RHS = ("rhs", 1)
+
+
+def req_insert(requester: int) -> Message:
+    return Message(MessageKind.REQ_INSERT, (requester,))
+
+
+def insert_ack(lhs: int, rhs: int) -> Message:
+    return Message(MessageKind.INSERT_ACK, (lhs, rhs))
+
+
+def new_rhs(neighbor: int) -> Message:
+    return Message(MessageKind.NEW_RHS, (neighbor,))
+
+
+class RingStatus(Enum):
+    OUTSIDE = "outside"
+    INSERTING = "inserting"
+    IN_RING = "in_ring"
+
+
+_STATUS_CODE = {
+    RingStatus.OUTSIDE: "out",
+    RingStatus.INSERTING: "ins",
+    RingStatus.IN_RING: "ring",
+}
+
+
+def _render_neighbor(rank: int) -> str:
+    return "-" if rank == UNSET else str(rank)
+
+
+@dataclass(frozen=True, slots=True)
+class RingProcessState:
+    """Ring-model process: membership status, both neighbors, input queue."""
+
+    status: RingStatus = RingStatus.OUTSIDE
+    lhs: int = UNSET
+    rhs: int = UNSET
+    queue: Queue = ()
+
+    def __post_init__(self):
+        if self.status is RingStatus.OUTSIDE and (
+            self.lhs != UNSET or self.rhs != UNSET
+        ):
+            raise ValueError("a process outside the ring has no neighbors")
+
+    def render(self) -> str:
+        """`(status,lhs/rhs,[queue])` with `-` for an unset neighbor, e.g.
+        `(ins,-/-,[ack(0,0)])`."""
+        return (
+            f"({_STATUS_CODE[self.status]},{_render_neighbor(self.lhs)}/"
+            f"{_render_neighbor(self.rhs)},{render_queue(self.queue)})"
+        )
 
 
 @dataclass(frozen=True)
@@ -53,7 +118,8 @@ class RingConfig:
         if self.n < 1:
             raise ValueError("process count must be at least 1")
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown ring variant {self.variant!r}")
+            raise ValueError(f"unknown ring variant {self.variant!r}; "
+                             f"choose from {', '.join(VARIANTS)}")
         if not 0 <= self.entry < self.n:
             raise ValueError("entry process id out of range")
         if self.queue_capacity is not None and self.queue_capacity < 1:
@@ -75,10 +141,6 @@ def ring_initial_state(cfg: RingConfig) -> SystemState:
         else:
             procs.append(RingProcessState())
     return SystemState(processes=tuple(procs), queue_capacity=cfg.capacity)
-
-
-def _head(state: SystemState, pid: int):
-    return peek(state, pid)
 
 
 def begin_insert_enabled(
@@ -106,7 +168,7 @@ def rule_begin_insert(state: SystemState, pid: int, entry: int = 0) -> SystemSta
 def req_insert_enabled(state: SystemState, pid: int, entry: int = 0) -> bool:
     if pid != entry:
         return False
-    head = _head(state, pid)
+    head = peek(state, pid)
     return head is not None and head.kind is MessageKind.REQ_INSERT
 
 
@@ -118,7 +180,7 @@ def rule_handle_req_insert(state: SystemState, pid: int) -> SystemState:
     Uniform even when L is the entry itself (singleton ring): the repoint
     message then sits in the entry's own queue until handled.
     """
-    head = _head(state, pid)
+    head = peek(state, pid)
     joiner = head.payload[0]
     old_lhs = state.processes[pid].lhs
     out = receive_message(state, pid)
@@ -128,13 +190,13 @@ def rule_handle_req_insert(state: SystemState, pid: int) -> SystemState:
 
 
 def new_rhs_enabled(state: SystemState, pid: int) -> bool:
-    head = _head(state, pid)
+    head = peek(state, pid)
     return head is not None and head.kind is MessageKind.NEW_RHS
 
 
 def rule_handle_new_rhs(state: SystemState, pid: int) -> SystemState:
     """Repoint the right-hand side; the old link is dropped by overwrite."""
-    head = _head(state, pid)
+    head = peek(state, pid)
     out = receive_message(state, pid)
     return replace_process(out, pid, replace(out.processes[pid], rhs=head.payload[0]))
 
@@ -142,13 +204,13 @@ def rule_handle_new_rhs(state: SystemState, pid: int) -> SystemState:
 def insert_ack_enabled(state: SystemState, pid: int) -> bool:
     if state.processes[pid].status is not RingStatus.INSERTING:
         return False
-    head = _head(state, pid)
+    head = peek(state, pid)
     return head is not None and head.kind is MessageKind.INSERT_ACK
 
 
 def rule_handle_insert_ack(state: SystemState, pid: int) -> SystemState:
     """The joiner adopts its neighbor pair and is in the ring."""
-    head = _head(state, pid)
+    head = peek(state, pid)
     lhs, rhs = head.payload
     out = receive_message(state, pid)
     return replace_process(

@@ -1,18 +1,17 @@
-"""Immutable protocol state: messages, FIFO input queues, process records.
+"""Immutable protocol state: messages, FIFO input queues, system states.
 
 Every value here is frozen. State edits return new objects and never touch
 their inputs, so states can be shared freely between the search engine, the
-visited set, and reconstructed traces. The canonical byte encoding defined at
-the bottom is what the engine uses to deduplicate states.
+visited set, and reconstructed traces.
+
+Nothing here knows a protocol. A protocol module declares its message kinds
+as a `MessageKindBase` subclass and its process state as a frozen dataclass with
+a `queue` field and a `render()` method. That one rendering serves as trace
+text, graph label and, encoded, as the engine's visited-set key.
 """
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Union
-
-# Neighbor sentinel for processes that have not joined the ring yet.
-# Deliberately outside [0, N) so it can never collide with a real rank.
-UNSET = -1
 
 
 class ModelError(Exception):
@@ -31,126 +30,51 @@ class EmptyQueueError(ModelError):
     """Receive from an empty queue. Always a broken transition-rule guard."""
 
 
-class MessageKind(Enum):
-    BARRIER_IN = "barrier_in"
-    BARRIER_OUT = "barrier_out"
-    REQ_INSERT = "req_insert"
-    INSERT_ACK = "insert_ack"
-    NEW_RHS = "new_rhs"
+class MessageKindBase(Enum):
+    """Base of a protocol's message kinds, declared as `NAME = (code, arity)`.
 
-
-_PAYLOAD_ARITY = {
-    MessageKind.BARRIER_IN: 0,
-    MessageKind.BARRIER_OUT: 0,
-    MessageKind.REQ_INSERT: 1,
-    MessageKind.INSERT_ACK: 2,
-    MessageKind.NEW_RHS: 1,
-}
-
-_KIND_CODE = {
-    MessageKind.BARRIER_IN: "bi",
-    MessageKind.BARRIER_OUT: "bo",
-    MessageKind.REQ_INSERT: "ri",
-    MessageKind.INSERT_ACK: "ia",
-    MessageKind.NEW_RHS: "nr",
-}
-
-
-@dataclass(frozen=True)
-class Message:
-    """Tagged value traveling in a process input queue.
-
-    The payload arity is fixed per kind: barrier tokens carry nothing,
-    req_insert carries the requester's rank, new_rhs the new right-neighbor
-    rank, insert_ack the joiner's (lhs, rhs) pair.
+    The short code names the kind in every rendering, so codes must be
+    distinct within a protocol and free of the characters `()[], `. The arity
+    is the fixed number of process ids the kind carries.
     """
 
-    kind: MessageKind
+    def __init__(self, code: str, arity: int):
+        self.code = code
+        self.arity = arity
+
+
+@dataclass(frozen=True, slots=True)
+class Message:
+    """Tagged value traveling in a process input queue."""
+
+    kind: MessageKindBase
     payload: tuple[int, ...] = ()
 
     def __post_init__(self):
-        want = _PAYLOAD_ARITY[self.kind]
+        want = self.kind.arity
         if len(self.payload) != want:
             raise ValueError(
-                f"{self.kind.value} carries {want} id(s), got {len(self.payload)}"
+                f"{self.kind.name.lower()} carries {want} id(s), got {len(self.payload)}"
             )
 
-
-_BARRIER_IN = Message(MessageKind.BARRIER_IN)
-_BARRIER_OUT = Message(MessageKind.BARRIER_OUT)
-
-
-def barrier_in() -> Message:
-    return _BARRIER_IN
-
-
-def barrier_out() -> Message:
-    return _BARRIER_OUT
-
-
-def req_insert(requester: int) -> Message:
-    return Message(MessageKind.REQ_INSERT, (requester,))
-
-
-def insert_ack(lhs: int, rhs: int) -> Message:
-    return Message(MessageKind.INSERT_ACK, (lhs, rhs))
-
-
-def new_rhs(neighbor: int) -> Message:
-    return Message(MessageKind.NEW_RHS, (neighbor,))
+    def render(self) -> str:
+        if self.payload:
+            return self.kind.code + "(" + ",".join(map(str, self.payload)) + ")"
+        return self.kind.code
 
 
 # A FIFO input queue: head at index 0, sends append at the tail.
 Queue = tuple[Message, ...]
 
 
-@dataclass(frozen=True)
-class BarrierProcessState:
-    """Barrier-model process: three bits plus the input queue."""
-
-    client_barrier_in: int = 0
-    client_barrier_out: int = 0
-    holding_barrier_in: int = 0
-    queue: Queue = ()
-
-    def __post_init__(self):
-        for bit in (self.client_barrier_in, self.client_barrier_out,
-                    self.holding_barrier_in):
-            if bit not in (0, 1):
-                raise ValueError("barrier process fields are bits")
-        if self.holding_barrier_in and self.client_barrier_in:
-            # a held entry token is forwarded the moment the client asks
-            raise ValueError("cannot hold barrier_in after the client request")
-        if self.client_barrier_out and not self.client_barrier_in:
-            raise ValueError("client released before it reached the barrier")
+def render_queue(queue: Queue) -> str:
+    """`[m1 m2 ...]`, head first."""
+    if not queue:  # most queues, and the cheapest case to render
+        return "[]"
+    return "[" + " ".join([m.render() for m in queue]) + "]"
 
 
-class RingStatus(Enum):
-    OUTSIDE = "outside"
-    INSERTING = "inserting"
-    IN_RING = "in_ring"
-
-
-@dataclass(frozen=True)
-class RingProcessState:
-    """Ring-model process: membership status, both neighbors, input queue."""
-
-    status: RingStatus = RingStatus.OUTSIDE
-    lhs: int = UNSET
-    rhs: int = UNSET
-    queue: Queue = ()
-
-    def __post_init__(self):
-        if self.status is RingStatus.OUTSIDE and (
-            self.lhs != UNSET or self.rhs != UNSET
-        ):
-            raise ValueError("a process outside the ring has no neighbors")
-
-
-ProcessState = Union[BarrierProcessState, RingProcessState]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemState:
     """Ordered vector of per-process states; the unit of exploration.
 
@@ -158,7 +82,7 @@ class SystemState:
     are the same protocol variant.
     """
 
-    processes: tuple[ProcessState, ...]
+    processes: tuple
     queue_capacity: int
 
     def __post_init__(self):
@@ -171,7 +95,7 @@ class SystemState:
             raise ValueError("all processes must be the same protocol variant")
 
 
-def replace_process(state: SystemState, pid: int, proc: ProcessState) -> SystemState:
+def replace_process(state: SystemState, pid: int, proc) -> SystemState:
     """New state with process `pid` swapped out; everything else shared."""
     procs = state.processes
     return replace(state, processes=procs[:pid] + (proc,) + procs[pid + 1:])
@@ -211,27 +135,18 @@ def peek(state: SystemState, pid: int) -> Message | None:
     return queue[0] if queue else None
 
 
-def _encode_message(m: Message) -> str:
-    if m.payload:
-        return _KIND_CODE[m.kind] + "." + ".".join(map(str, m.payload))
-    return _KIND_CODE[m.kind]
-
-
-def _encode_process(p: ProcessState) -> str:
-    msgs = ",".join(_encode_message(m) for m in p.queue)
-    if isinstance(p, BarrierProcessState):
-        return (
-            f"{p.client_barrier_in},{p.client_barrier_out},"
-            f"{p.holding_barrier_in}:{msgs}"
-        )
-    return f"{p.status.value[0]},{p.lhs},{p.rhs}:{msgs}"
+def render_state(state: SystemState) -> str:
+    """Compact one-line rendering: the process renderings joined by spaces."""
+    return " ".join([p.render() for p in state.processes])
 
 
 def canonical_encode(state: SystemState) -> bytes:
-    """Deterministic byte encoding, injective on structurally distinct states.
+    """The visited-set key: the state's rendering as ASCII bytes.
 
-    Field separators never occur inside field renderings, so the encoding
-    parses back uniquely: encode(a) == encode(b) iff a == b. Used as the
-    visited-set key by the engine.
+    Injective on the states of one run (their queue capacity is fixed and
+    left out) when each process rendering is injective and self-delimiting.
+    A rendering that closes its parentheses right after its `render_queue`
+    part is: no message rendering contains a bracket, so the joined
+    rendering parses back uniquely and encode(a) == encode(b) iff a == b.
     """
-    return ";".join(_encode_process(p) for p in state.processes).encode("ascii")
+    return render_state(state).encode("ascii")

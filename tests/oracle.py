@@ -10,7 +10,9 @@ construction. Slow on purpose; only run at desk scale.
 import sys
 from itertools import permutations
 
-from protocheck.state import BarrierProcessState, RingProcessState, RingStatus, SystemState
+from protocheck.barrier import BarrierProcessState
+from protocheck.ring import RingProcessState, RingStatus
+from protocheck.state import SystemState
 
 sys.setrecursionlimit(200_000)
 

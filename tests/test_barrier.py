@@ -3,12 +3,15 @@ import pytest
 import oracle
 from protocheck.barrier import (
     BarrierConfig,
+    BarrierProcessState,
     LEADER_FIRST,
     LEADER_LAST,
     RELEASE_ON_BARRIER_IN,
+    barrier_in,
     barrier_initial_state,
     barrier_invariant,
     barrier_model,
+    barrier_out,
     barrier_postcondition,
     client_request_enabled,
     next_rank,
@@ -18,13 +21,7 @@ from protocheck.barrier import (
     rule_client_request,
 )
 from protocheck.engine import explore, reconstruct_trace
-from protocheck.state import (
-    BarrierProcessState,
-    SystemState,
-    barrier_in,
-    barrier_out,
-    canonical_encode,
-)
+from protocheck.state import SystemState, canonical_encode
 
 
 def B(ci=0, co=0, h=0, q=()):

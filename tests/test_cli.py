@@ -1,12 +1,23 @@
 import json
 import re
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import pytest
 
 from protocheck import cli
 from protocheck.barrier import BarrierConfig, barrier_model
-from protocheck.engine import explore
+from protocheck.engine import ProtocolModel, TransitionRule, explore
 from protocheck.ring import RingConfig, ring_model
+from protocheck.state import (
+    Message,
+    MessageKindBase,
+    SystemState,
+    receive_message,
+    render_queue,
+    replace_process,
+    send_message,
+)
 
 NODE_RE = re.compile(r"^\s*s\d+ \[label=", re.M)
 EDGE_RE = re.compile(r"^\s*s\d+ -> s\d+ \[label=", re.M)
@@ -144,6 +155,29 @@ class TestReplay:
         path.write_text(json.dumps(doc))
         assert run_cli("replay", str(path)) == 1
 
+    def _overflow_trace(self, tmp_path):
+        trace = tmp_path / "o.txt"
+        assert run_cli("run", "--model", "ring", "--size", "3", "--variant", "unordered",
+                       "--queue-capacity", "1", "--trace", str(trace)) == 2
+        return tmp_path / "o.txt.json"
+
+    def test_unknown_model_is_a_usage_error(self, tmp_path, capsys):
+        path = self._overflow_trace(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["model"], doc["variant"] = "nosuch", "ordered"
+        path.write_text(json.dumps(doc))
+        assert run_cli("replay", str(path)) == 3
+        assert "nosuch" in capsys.readouterr().err
+
+    def test_failing_step_is_a_mismatch(self, tmp_path, capsys):
+        path = self._overflow_trace(tmp_path)
+        doc = json.loads(path.read_text())
+        # a second join request overflows the entry's queue of capacity 1
+        doc["steps"].append(dict(doc["steps"][-1], step=2, pid=2))
+        path.write_text(json.dumps(doc))
+        assert run_cli("replay", str(path)) == 1
+        assert "replay mismatch at step 2" in capsys.readouterr().out
+
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": "barrier"}))
@@ -197,3 +231,50 @@ def test_render_state_is_compact():
     assert cli.render_state(state) == "(0,0,0,[]) (0,0,0,[])"
     ring = ring_model(RingConfig(n=2)).initial_states[0]
     assert cli.render_state(ring) == "(ring,0/0,[]) (out,-/-,[])"
+
+
+class _Toy(MessageKindBase):
+    TICK = ("t", 0)
+
+
+@dataclass(frozen=True, slots=True)
+class _ToyProcess:
+    sent: int = 0
+    queue: tuple = ()
+
+    def render(self):
+        return f"({self.sent},{render_queue(self.queue)})"
+
+
+@dataclass(frozen=True)
+class _ToyConfig:
+    n: int
+    variant: str = "plain"
+    queue_capacity: Optional[int] = None
+
+
+def _toy_model(cfg):
+    def send(state, pid):
+        out = replace_process(state, pid, replace(state.processes[pid], sent=1))
+        return send_message(out, (pid + 1) % cfg.n, Message(_Toy.TICK))
+
+    initial = SystemState(tuple(_ToyProcess() for _ in range(cfg.n)), cfg.queue_capacity or 2)
+    return ProtocolModel(
+        name="toy", process_count=cfg.n, initial_states=(initial,),
+        rules=(TransitionRule("send", lambda s, pid: not s.processes[pid].sent, send),
+               TransitionRule("receive", lambda s, pid: bool(s.processes[pid].queue),
+                              receive_message)),
+        # seeded violation: two ticks are in flight once both processes sent
+        invariant=lambda s: sum(len(p.queue) for p in s.processes) < 2,
+        terminal_postcondition=lambda s: True,
+    )
+
+
+def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, _toy_model))
+    trace = tmp_path / "t.txt"
+    assert run_cli("run", "--model", "toy", "--size", "2", "--trace", str(trace)) == 1
+    assert "model=toy size=2 variant=plain" in capsys.readouterr().out
+    assert trace.read_text().splitlines()[-1].endswith("(1,[t]) (1,[t])")
+    assert run_cli("replay", f"{trace}.json") == 0
+    assert "replay OK: 2 steps verified" in capsys.readouterr().out

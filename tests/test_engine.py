@@ -5,6 +5,7 @@ import pytest
 import oracle
 from protocheck.barrier import (
     BarrierConfig,
+    BarrierProcessState,
     LEADER_FIRST,
     LEADER_LAST,
     RELEASE_ON_BARRIER_IN,
@@ -17,11 +18,9 @@ from protocheck.engine import (
     Verdict,
     explore,
     reconstruct_trace,
-    stats_report,
 )
 from protocheck.ring import ORDERED, RingConfig, UNORDERED, ring_model
 from protocheck.state import (
-    BarrierProcessState,
     EmptyQueueError,
     SystemState,
     canonical_encode,
@@ -193,8 +192,8 @@ def test_accounting_holds_on_violation_runs():
 
 def test_stats_deterministic_across_runs():
     model = ring_model(RingConfig(n=4, variant=UNORDERED))
-    a = stats_report(explore(model))
-    b = stats_report(explore(model))
+    a = explore(model).stats
+    b = explore(model).stats
     assert dataclasses.replace(a, elapsed=0.0) == dataclasses.replace(b, elapsed=0.0)
     assert a.peak_memory_estimate > 0
 

@@ -7,9 +7,15 @@ from protocheck.engine import explore, reconstruct_trace
 from protocheck.ring import (
     ORDERED,
     RingConfig,
+    MessageKind,
+    RingProcessState,
+    RingStatus,
     UNORDERED,
     begin_insert_enabled,
+    insert_ack,
     insert_ack_enabled,
+    new_rhs,
+    req_insert,
     req_insert_enabled,
     req_insert_only_at_entry,
     ring_initial_state,
@@ -20,17 +26,7 @@ from protocheck.ring import (
     rule_handle_new_rhs,
     rule_handle_req_insert,
 )
-from protocheck.state import (
-    MessageKind,
-    RingProcessState,
-    RingStatus,
-    SystemState,
-    canonical_encode,
-    insert_ack,
-    new_rhs,
-    peek,
-    req_insert,
-)
+from protocheck.state import SystemState, canonical_encode, peek
 
 OUT = RingStatus.OUTSIDE
 INS = RingStatus.INSERTING

@@ -1,27 +1,36 @@
+from dataclasses import replace
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from protocheck.barrier import BarrierConfig, barrier_model
-from protocheck.state import (
+from protocheck import barrier, ring
+from protocheck.barrier import (
+    BarrierConfig,
     BarrierProcessState,
-    EmptyQueueError,
-    Message,
-    MessageKind,
-    QueueOverflowError,
+    barrier_in,
+    barrier_model,
+    barrier_out,
+)
+from protocheck.ring import (
+    UNSET,
     RingProcessState,
     RingStatus,
-    SystemState,
-    UNSET,
-    barrier_in,
-    barrier_out,
-    canonical_encode,
     insert_ack,
     new_rhs,
+    req_insert,
+)
+from protocheck.state import (
+    EmptyQueueError,
+    Message,
+    QueueOverflowError,
+    SystemState,
+    canonical_encode,
     peek,
     receive_message,
-    req_insert,
+    replace_process,
     send_message,
 )
 
@@ -47,11 +56,11 @@ class TestMessage:
     @pytest.mark.parametrize(
         "kind,payload",
         [
-            (MessageKind.BARRIER_IN, (1,)),
-            (MessageKind.REQ_INSERT, ()),
-            (MessageKind.REQ_INSERT, (1, 2)),
-            (MessageKind.INSERT_ACK, (1,)),
-            (MessageKind.NEW_RHS, (1, 2)),
+            (barrier.MessageKind.BARRIER_IN, (1,)),
+            (ring.MessageKind.REQ_INSERT, ()),
+            (ring.MessageKind.REQ_INSERT, (1, 2)),
+            (ring.MessageKind.INSERT_ACK, (1,)),
+            (ring.MessageKind.NEW_RHS, (1, 2)),
         ],
     )
     def test_wrong_arity_rejected(self, kind, payload):
@@ -208,3 +217,48 @@ class TestCanonicalEncode:
             sys_state(ring0, capacity=1)
         )
         assert UNSET not in range(0, 8)
+
+    def test_ring_statuses_encode_distinctly(self):
+        # a joiner awaiting its ack and an unlinked ring member differ
+        inserting = sys_state(RingProcessState(RingStatus.INSERTING), capacity=1)
+        in_ring = sys_state(RingProcessState(RingStatus.IN_RING), capacity=1)
+        assert inserting != in_ring
+        assert canonical_encode(inserting) != canonical_encode(in_ring)
+
+
+def _constructible(cls, field_values):
+    """The instances of `cls` whose constructor accepts `field_values`."""
+    out = []
+    for values in field_values:
+        try:
+            out.append(cls(*values))
+        except ValueError:
+            pass
+    return out
+
+
+def _system_states(procs):
+    proc = st.builds(lambda p, q: replace(p, queue=tuple(q)),
+                     st.sampled_from(procs), st.lists(_messages, max_size=3))
+    return st.lists(proc, min_size=1, max_size=3).map(lambda ps: sys_state(*ps))
+
+
+_PROCESS_POOLS = (
+    _constructible(BarrierProcessState, product((0, 1), repeat=3)),
+    _constructible(RingProcessState, product(RingStatus, (UNSET, 0, 1), (UNSET, 0, 1))),
+)
+
+
+@given(st.data())
+def test_key_is_injective_on_constructible_states(data):
+    # States of one run share their queue capacity, which the key leaves out.
+    pool = data.draw(st.sampled_from(_PROCESS_POOLS))
+    states = data.draw(st.lists(_system_states(pool), min_size=1, max_size=4))
+    # besides the drawn states, every state one process edit away from the first
+    first = states[0]
+    for pid, proc in enumerate(first.processes):
+        states += [replace_process(first, pid, replace(p, queue=proc.queue)) for p in pool]
+    keys = [canonical_encode(s) for s in states]
+    for a, key_a in zip(states, keys):
+        for b, key_b in zip(states, keys):
+            assert (key_a == key_b) == (a == b)
