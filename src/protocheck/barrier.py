@@ -14,9 +14,9 @@ The invariant: nobody is released until everyone has arrived. The
 postcondition at termination: everybody was released and nothing is pending.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import ProtocolModel, TransitionRule
 from .state import (
@@ -60,8 +60,7 @@ def barrier_out() -> Message:
     return _BARRIER_OUT
 
 
-@dataclass(frozen=True, slots=True)
-class BarrierProcessState:
+class BarrierProcessState(NamedTuple):
     """Barrier-model process: three bits plus the input queue."""
 
     client_barrier_in: int = 0
@@ -69,9 +68,9 @@ class BarrierProcessState:
     holding_barrier_in: int = 0
     queue: Queue = ()
 
-    def __post_init__(self):
-        for bit in (self.client_barrier_in, self.client_barrier_out,
-                    self.holding_barrier_in):
+    def check(self) -> None:
+        """Raise ValueError unless the bits are bits and mutually consistent."""
+        for bit in self[:3]:
             if bit not in (0, 1):
                 raise ValueError("barrier process fields are bits")
         if self.holding_barrier_in and self.client_barrier_in:
@@ -123,17 +122,13 @@ def barrier_initial_state(cfg: BarrierConfig) -> SystemState:
     )
 
 
-def _cli_in(state: SystemState, pid: int) -> int:
-    return state.processes[pid].client_barrier_in
-
-
 def _head_kind(state: SystemState, pid: int) -> Optional[MessageKind]:
     head = peek(state, pid)
     return head.kind if head is not None else None
 
 
 def client_request_enabled(state: SystemState, pid: int) -> bool:
-    return _cli_in(state, pid) == 0
+    return state.processes[pid].client_barrier_in == 0
 
 
 def rule_client_request(state: SystemState, pid: int) -> SystemState:
@@ -145,14 +140,14 @@ def rule_client_request(state: SystemState, pid: int) -> SystemState:
     n = len(state.processes)
     proc = state.processes[pid]
     if pid == LEADER:
-        out = replace_process(state, pid, replace(proc, client_barrier_in=1))
+        out = replace_process(state, pid, proc._replace(client_barrier_in=1))
         return send_message(out, next_rank(pid, n), barrier_in())
     if proc.holding_barrier_in:
         out = replace_process(
-            state, pid, replace(proc, client_barrier_in=1, holding_barrier_in=0)
+            state, pid, proc._replace(client_barrier_in=1, holding_barrier_in=0)
         )
         return send_message(out, next_rank(pid, n), barrier_in())
-    return replace_process(state, pid, replace(proc, client_barrier_in=1))
+    return replace_process(state, pid, proc._replace(client_barrier_in=1))
 
 
 def barrier_in_nonleader_enabled(state: SystemState, pid: int) -> bool:
@@ -169,9 +164,9 @@ def rule_barrier_in_nonleader(
     proc = out.processes[pid]
     if proc.client_barrier_in:
         if release_on_forward:  # seeded bug, see RELEASE_ON_BARRIER_IN
-            out = replace_process(out, pid, replace(proc, client_barrier_out=1))
+            out = replace_process(out, pid, proc._replace(client_barrier_out=1))
         return send_message(out, next_rank(pid, n), barrier_in())
-    return replace_process(out, pid, replace(proc, holding_barrier_in=1))
+    return replace_process(out, pid, proc._replace(holding_barrier_in=1))
 
 
 def barrier_in_leader_enabled(state: SystemState, pid: int) -> bool:
@@ -188,7 +183,7 @@ def rule_barrier_in_leader(
     out = send_message(out, next_rank(pid, n), barrier_out())
     if variant == LEADER_FIRST:
         proc = out.processes[pid]
-        out = replace_process(out, pid, replace(proc, client_barrier_out=1))
+        out = replace_process(out, pid, proc._replace(client_barrier_out=1))
     return out
 
 
@@ -206,10 +201,10 @@ def rule_barrier_out(
     out = receive_message(state, pid)
     proc = out.processes[pid]
     if pid != LEADER:
-        out = replace_process(out, pid, replace(proc, client_barrier_out=1))
+        out = replace_process(out, pid, proc._replace(client_barrier_out=1))
         return send_message(out, next_rank(pid, n), barrier_out())
     if variant == LEADER_LAST:
-        return replace_process(out, pid, replace(proc, client_barrier_out=1))
+        return replace_process(out, pid, proc._replace(client_barrier_out=1))
     return out
 
 

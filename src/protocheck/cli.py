@@ -24,7 +24,7 @@ from typing import Optional
 from .barrier import BarrierConfig, barrier_model
 from .engine import ExplorationResult, ExploreConfig, Verdict, explore, reconstruct_trace
 from .ring import RingConfig, ring_model
-from .state import ModelError, SystemState, render_state
+from .state import ModelError, SystemState, check_state, render_state
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -72,8 +72,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _json_field(proc, name: str):
-    value = getattr(proc, name)
+def _json_field(name: str, value):
     if name == "queue":
         return [m.render() for m in value]
     return value.value if isinstance(value, Enum) else value
@@ -81,9 +80,9 @@ def _json_field(proc, name: str):
 
 def state_to_json(state: SystemState) -> dict:
     """Structured rendering for the machine-readable trace: each process as
-    its dataclass fields, enums by value and the queue as rendered messages."""
+    its fields, enums by value and the queue as rendered messages."""
     return {"processes": [
-        {f.name: _json_field(proc, f.name) for f in fields(proc)}
+        {name: _json_field(name, value) for name, value in proc._asdict().items()}
         for proc in state.processes
     ]}
 
@@ -270,6 +269,7 @@ def _cmd_replay(args) -> int:
             return EXIT_VIOLATION
         try:
             state = rule.apply(state, pid)
+            check_state(state)
         except (ModelError, ValueError) as err:
             print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")
             return EXIT_VIOLATION

@@ -2,9 +2,9 @@
 
 The search derives every state reachable from the initial states through the
 model's guarded transition rules, deduplicating by canonical encoding. Each
-newly stored state is checked against the model invariant the moment it is
-generated; once the frontier empties (the fixed point), every terminal state
-is checked against the postcondition. Exploration is sequential and fully
+newly stored state is checked for well-formedness and against the model
+invariant the moment it is generated; each terminal state is checked against
+the postcondition the moment it is popped. Exploration is sequential and fully
 deterministic, so all counts are reproducible run to run.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .state import QueueOverflowError, SystemState, canonical_encode
+from .state import QueueOverflowError, SystemState, canonical_encode, check_state
 
 
 class Verdict(Enum):
@@ -115,9 +115,10 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     (and therefore the statistics) but never the reachable set. Under BFS a
     violating witness is found at minimal distance from an initial state.
 
-    The search stops at the first invariant violation, at a limit, or at the
-    fixed point. Queue overflow inside a rule is reported as its own verdict;
-    any other exception out of a rule is a modeling bug and propagates.
+    The search stops at the first invariant or postcondition violation, at a
+    limit, or at the fixed point. Queue overflow inside a rule is reported as
+    its own verdict; any other exception out of a rule, or an ill-formed
+    state (`check_state`), is a modeling bug and propagates.
     """
     cfg = config or ExploreConfig()
     if cfg.search_order not in ("bfs", "dfs"):
@@ -159,6 +160,7 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
 
     def store(s: SystemState, enc: bytes, parent: Optional[tuple[int, str, int]]) -> int:
         assert enc not in visited  # store-once
+        check_state(s)
         sid = len(states)
         states.append(s)
         parents.append(parent)
@@ -210,10 +212,8 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
                     return finish(Verdict.INVARIANT_VIOLATED, witness=tid)
         if not fired:
             terminal.append(sid)
-
-    for tid in terminal:
-        if not model.terminal_postcondition(states[tid]):
-            return finish(Verdict.POSTCONDITION_VIOLATED, witness=tid)
+            if not model.terminal_postcondition(state):
+                return finish(Verdict.POSTCONDITION_VIOLATED, witness=sid)
     return finish(Verdict.VERIFIED)
 
 

@@ -18,10 +18,10 @@ so correctness is checked at terminal states: everyone in the ring, nothing
 pending, neighbor pointers inverse of each other, one cycle through all.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import ProtocolModel, TransitionRule
 from .state import (
@@ -83,8 +83,7 @@ def _render_neighbor(rank: int) -> str:
     return "-" if rank == UNSET else str(rank)
 
 
-@dataclass(frozen=True, slots=True)
-class RingProcessState:
+class RingProcessState(NamedTuple):
     """Ring-model process: membership status, both neighbors, input queue."""
 
     status: RingStatus = RingStatus.OUTSIDE
@@ -92,10 +91,9 @@ class RingProcessState:
     rhs: int = UNSET
     queue: Queue = ()
 
-    def __post_init__(self):
-        if self.status is RingStatus.OUTSIDE and (
-            self.lhs != UNSET or self.rhs != UNSET
-        ):
+    def check(self) -> None:
+        """Raise ValueError if a process outside the ring has a neighbor."""
+        if self.status is RingStatus.OUTSIDE and (self.lhs, self.rhs) != (UNSET, UNSET):
             raise ValueError("a process outside the ring has no neighbors")
 
     def render(self) -> str:
@@ -161,7 +159,7 @@ def begin_insert_enabled(
 def rule_begin_insert(state: SystemState, pid: int, entry: int = 0) -> SystemState:
     """An outside process starts joining: mark it and ask the entry."""
     proc = state.processes[pid]
-    out = replace_process(state, pid, replace(proc, status=RingStatus.INSERTING))
+    out = replace_process(state, pid, proc._replace(status=RingStatus.INSERTING))
     return send_message(out, entry, req_insert(pid))
 
 
@@ -184,7 +182,7 @@ def rule_handle_req_insert(state: SystemState, pid: int) -> SystemState:
     joiner = head.payload[0]
     old_lhs = state.processes[pid].lhs
     out = receive_message(state, pid)
-    out = replace_process(out, pid, replace(out.processes[pid], lhs=joiner))
+    out = replace_process(out, pid, out.processes[pid]._replace(lhs=joiner))
     out = send_message(out, joiner, insert_ack(old_lhs, pid))
     return send_message(out, old_lhs, new_rhs(joiner))
 
@@ -198,7 +196,7 @@ def rule_handle_new_rhs(state: SystemState, pid: int) -> SystemState:
     """Repoint the right-hand side; the old link is dropped by overwrite."""
     head = peek(state, pid)
     out = receive_message(state, pid)
-    return replace_process(out, pid, replace(out.processes[pid], rhs=head.payload[0]))
+    return replace_process(out, pid, out.processes[pid]._replace(rhs=head.payload[0]))
 
 
 def insert_ack_enabled(state: SystemState, pid: int) -> bool:
@@ -213,11 +211,8 @@ def rule_handle_insert_ack(state: SystemState, pid: int) -> SystemState:
     head = peek(state, pid)
     lhs, rhs = head.payload
     out = receive_message(state, pid)
-    return replace_process(
-        out,
-        pid,
-        replace(out.processes[pid], status=RingStatus.IN_RING, lhs=lhs, rhs=rhs),
-    )
+    proc = out.processes[pid]._replace(status=RingStatus.IN_RING, lhs=lhs, rhs=rhs)
+    return replace_process(out, pid, proc)
 
 
 def req_insert_only_at_entry(state: SystemState, entry: int = 0) -> bool:

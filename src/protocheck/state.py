@@ -1,17 +1,19 @@
 """Immutable protocol state: messages, FIFO input queues, system states.
 
-Every value here is frozen. State edits return new objects and never touch
+Every value here is a tuple. State edits return new tuples and never touch
 their inputs, so states can be shared freely between the search engine, the
-visited set, and reconstructed traces.
+visited set, and reconstructed traces. Construction checks nothing;
+`check_state` checks a whole state once, where it enters the search.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
-as a `MessageKindBase` subclass and its process state as a frozen dataclass with
-a `queue` field and a `render()` method. That one rendering serves as trace
-text, graph label and, encoded, as the engine's visited-set key.
+as a `MessageKindBase` subclass and its process state as a NamedTuple with
+a `queue` field, a `render()` method and a `check()` method. That one
+rendering serves as trace text, graph label and, encoded, as the engine's
+visited-set key; `check()` raises ValueError for an ill-formed process.
 """
 
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 
 class ModelError(Exception):
@@ -43,19 +45,11 @@ class MessageKindBase(Enum):
         self.arity = arity
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """Tagged value traveling in a process input queue."""
 
     kind: MessageKindBase
     payload: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        want = self.kind.arity
-        if len(self.payload) != want:
-            raise ValueError(
-                f"{self.kind.name.lower()} carries {want} id(s), got {len(self.payload)}"
-            )
 
     def render(self) -> str:
         if self.payload:
@@ -74,8 +68,7 @@ def render_queue(queue: Queue) -> str:
     return "[" + " ".join([m.render() for m in queue]) + "]"
 
 
-@dataclass(frozen=True, slots=True)
-class SystemState:
+class SystemState(NamedTuple):
     """Ordered vector of per-process states; the unit of exploration.
 
     The process count is fixed for the lifetime of a run and all processes
@@ -85,20 +78,31 @@ class SystemState:
     processes: tuple
     queue_capacity: int
 
-    def __post_init__(self):
-        if not self.processes:
-            raise ValueError("a system needs at least one process")
-        if self.queue_capacity < 1:
-            raise ValueError("queue capacity must be positive")
-        first = type(self.processes[0])
-        if any(type(p) is not first for p in self.processes):
+
+def check_state(state: SystemState) -> None:
+    """Raise ValueError unless `state` is well formed: at least one process,
+    a positive queue capacity, one process type, every message carrying its
+    kind's arity, and every process passing its own `check()`."""
+    if not state.processes:
+        raise ValueError("a system needs at least one process")
+    if state.queue_capacity < 1:
+        raise ValueError("queue capacity must be positive")
+    first = type(state.processes[0])
+    for proc in state.processes:
+        if type(proc) is not first:
             raise ValueError("all processes must be the same protocol variant")
+        for kind, payload in proc.queue:
+            if len(payload) != kind.arity:
+                raise ValueError(
+                    f"{kind.name.lower()} carries {kind.arity} id(s), got {len(payload)}"
+                )
+        proc.check()
 
 
 def replace_process(state: SystemState, pid: int, proc) -> SystemState:
     """New state with process `pid` swapped out; everything else shared."""
     procs = state.processes
-    return replace(state, processes=procs[:pid] + (proc,) + procs[pid + 1:])
+    return SystemState(procs[:pid] + (proc,) + procs[pid + 1:], state.queue_capacity)
 
 
 def send_message(state: SystemState, to: int, message: Message) -> SystemState:
@@ -118,7 +122,7 @@ def send_message(state: SystemState, to: int, message: Message) -> SystemState:
         raise QueueOverflowError(
             f"queue of process {to} is at capacity {state.queue_capacity}"
         )
-    return replace_process(state, to, replace(proc, queue=proc.queue + (message,)))
+    return replace_process(state, to, proc._replace(queue=proc.queue + (message,)))
 
 
 def receive_message(state: SystemState, pid: int) -> SystemState:
@@ -126,7 +130,7 @@ def receive_message(state: SystemState, pid: int) -> SystemState:
     proc = state.processes[pid]
     if not proc.queue:
         raise EmptyQueueError(f"process {pid}: receive on an empty queue")
-    return replace_process(state, pid, replace(proc, queue=proc.queue[1:]))
+    return replace_process(state, pid, proc._replace(queue=proc.queue[1:]))
 
 
 def peek(state: SystemState, pid: int) -> Message | None:

@@ -1,7 +1,7 @@
 import json
 import re
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -178,6 +178,26 @@ class TestReplay:
         assert run_cli("replay", str(path)) == 1
         assert "replay mismatch at step 2" in capsys.readouterr().out
 
+    def test_ill_formed_step_is_a_mismatch(self, tmp_path, monkeypatch, capsys):
+        path = self._violation_trace(tmp_path)
+
+        def build(cfg):
+            # client_request releases the client instead of recording its request
+            def release(s, pid):
+                return replace_process(
+                    s, pid, s.processes[pid]._replace(client_barrier_out=1))
+
+            model = barrier_model(cfg)
+            request = model.rule_named("client_request")
+            return replace(model, rules=(
+                TransitionRule(request.name, request.enabled, release),) + model.rules[1:])
+
+        monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
+        assert run_cli("replay", str(path)) == 1
+        out = capsys.readouterr().out
+        assert "replay mismatch at step 1: client_request at pid 0 fails" in out
+        assert "client released before it reached the barrier" in out
+
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": "barrier"}))
@@ -237,13 +257,16 @@ class _Toy(MessageKindBase):
     TICK = ("t", 0)
 
 
-@dataclass(frozen=True, slots=True)
-class _ToyProcess:
+class _ToyProcess(NamedTuple):
     sent: int = 0
     queue: tuple = ()
 
     def render(self):
         return f"({self.sent},{render_queue(self.queue)})"
+
+    def check(self):
+        if self.sent not in (0, 1):
+            raise ValueError("sent is a bit")
 
 
 @dataclass(frozen=True)
@@ -255,7 +278,7 @@ class _ToyConfig:
 
 def _toy_model(cfg):
     def send(state, pid):
-        out = replace_process(state, pid, replace(state.processes[pid], sent=1))
+        out = replace_process(state, pid, state.processes[pid]._replace(sent=1))
         return send_message(out, (pid + 1) % cfg.n, Message(_Toy.TICK))
 
     initial = SystemState(tuple(_ToyProcess() for _ in range(cfg.n)), cfg.queue_capacity or 2)

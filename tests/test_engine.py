@@ -25,6 +25,7 @@ from protocheck.state import (
     SystemState,
     canonical_encode,
     receive_message,
+    replace_process,
 )
 
 
@@ -141,6 +142,27 @@ class TestExplore:
         # the first failing terminal in traversal order is the one reported
         assert result.witness == result.terminal_states[0]
 
+    def test_postcondition_violation_survives_a_later_limit(self):
+        # DFS pops a terminal early; the state limit is hit before the
+        # frontier empties, and the violation found first is still reported
+        model = ring_model(RingConfig(n=4, variant=UNORDERED))
+        strict = dataclasses.replace(model, terminal_postcondition=lambda s: False)
+        result = explore(strict, ExploreConfig(search_order="dfs", max_states=28))
+        assert result.verdict is Verdict.POSTCONDITION_VIOLATED
+        assert result.terminal_states == [result.witness]
+
+    def test_ill_formed_successor_aborts_the_run(self):
+        # a rule that releases a client which never asked builds a state
+        # the barrier process's check() rejects
+        def release(s, pid):
+            return replace_process(s, pid, s.processes[pid]._replace(client_barrier_out=1))
+
+        model = barrier_model(BarrierConfig(n=2))
+        broken = dataclasses.replace(model, rules=(TransitionRule(
+            "release", lambda s, pid: not s.processes[pid].client_barrier_out, release),))
+        with pytest.raises(ValueError):
+            explore(broken)
+
 
 @pytest.mark.parametrize("label,model", small_models())
 class TestSearchProperties:
@@ -236,6 +258,18 @@ class TestTrace:
         result = explore(barrier_model(BarrierConfig(n=1)))
         with pytest.raises(KeyError):
             reconstruct_trace(result, 99)
+
+
+@pytest.mark.parametrize("model", [
+    barrier_model(BarrierConfig(n=3, variant=LEADER_LAST)),
+    barrier_model(BarrierConfig(n=3, variant=LEADER_FIRST)),
+    ring_model(RingConfig(n=3, variant=ORDERED)),
+    ring_model(RingConfig(n=3, variant=UNORDERED)),
+])
+def test_every_rule_fires(model):
+    # a rule that never fires is vacuous: the model says less than it seems to
+    edges = explore(model, ExploreConfig(record_edges=True)).edges
+    assert {rule for _, rule, _, _ in edges} == {rule.name for rule in model.rules}
 
 
 def test_edges_recorded_only_on_request():

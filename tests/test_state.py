@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -28,6 +27,7 @@ from protocheck.state import (
     QueueOverflowError,
     SystemState,
     canonical_encode,
+    check_state,
     peek,
     receive_message,
     replace_process,
@@ -65,26 +65,26 @@ class TestMessage:
     )
     def test_wrong_arity_rejected(self, kind, payload):
         with pytest.raises(ValueError):
-            Message(kind, payload)
+            check_state(sys_state(B(q=[Message(kind, payload)])))
 
 
 class TestProcessStateInvariants:
     def test_holding_requires_no_client_request(self):
         with pytest.raises(ValueError):
-            BarrierProcessState(client_barrier_in=1, holding_barrier_in=1)
+            BarrierProcessState(client_barrier_in=1, holding_barrier_in=1).check()
 
     def test_release_requires_request(self):
         with pytest.raises(ValueError):
-            BarrierProcessState(client_barrier_out=1)
+            BarrierProcessState(client_barrier_out=1).check()
 
     def test_outside_process_has_no_neighbors(self):
         with pytest.raises(ValueError):
-            RingProcessState(status=RingStatus.OUTSIDE, lhs=0, rhs=0)
-        RingProcessState(status=RingStatus.IN_RING, lhs=0, rhs=0)  # fine
+            RingProcessState(status=RingStatus.OUTSIDE, lhs=0, rhs=0).check()
+        RingProcessState(status=RingStatus.IN_RING, lhs=0, rhs=0).check()  # fine
 
     def test_mixed_protocol_variants_rejected(self):
         with pytest.raises(ValueError):
-            sys_state(B(), RingProcessState())
+            check_state(sys_state(B(), RingProcessState()))
 
 
 class TestSend:
@@ -227,18 +227,20 @@ class TestCanonicalEncode:
 
 
 def _constructible(cls, field_values):
-    """The instances of `cls` whose constructor accepts `field_values`."""
+    """The instances of `cls` built from `field_values` that pass `check()`."""
     out = []
     for values in field_values:
+        proc = cls(*values)
         try:
-            out.append(cls(*values))
+            proc.check()
         except ValueError:
-            pass
+            continue
+        out.append(proc)
     return out
 
 
 def _system_states(procs):
-    proc = st.builds(lambda p, q: replace(p, queue=tuple(q)),
+    proc = st.builds(lambda p, q: p._replace(queue=tuple(q)),
                      st.sampled_from(procs), st.lists(_messages, max_size=3))
     return st.lists(proc, min_size=1, max_size=3).map(lambda ps: sys_state(*ps))
 
@@ -257,7 +259,7 @@ def test_key_is_injective_on_constructible_states(data):
     # besides the drawn states, every state one process edit away from the first
     first = states[0]
     for pid, proc in enumerate(first.processes):
-        states += [replace_process(first, pid, replace(p, queue=proc.queue)) for p in pool]
+        states += [replace_process(first, pid, p._replace(queue=proc.queue)) for p in pool]
     keys = [canonical_encode(s) for s in states]
     for a, key_a in zip(states, keys):
         for b, key_b in zip(states, keys):
