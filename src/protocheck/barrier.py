@@ -24,7 +24,6 @@ from .state import (
     MessageKindBase,
     Queue,
     SystemState,
-    peek,
     receive_message,
     render_queue,
     replace_process,
@@ -71,7 +70,8 @@ class BarrierProcessState(NamedTuple):
     def check(self) -> None:
         """Raise ValueError unless the bits are bits and mutually consistent."""
         for bit in self[:3]:
-            if bit not in (0, 1):
+            # an int, never a bool: True == 1 would merge two visited keys
+            if type(bit) is not int or bit not in (0, 1):
                 raise ValueError("barrier process fields are bits")
         if self.holding_barrier_in and self.client_barrier_in:
             # a held entry token is forwarded the moment the client asks
@@ -122,11 +122,6 @@ def barrier_initial_state(cfg: BarrierConfig) -> SystemState:
     )
 
 
-def _head_kind(state: SystemState, pid: int) -> Optional[MessageKind]:
-    head = peek(state, pid)
-    return head.kind if head is not None else None
-
-
 def client_request_enabled(state: SystemState, pid: int) -> bool:
     return state.processes[pid].client_barrier_in == 0
 
@@ -151,7 +146,8 @@ def rule_client_request(state: SystemState, pid: int) -> SystemState:
 
 
 def barrier_in_nonleader_enabled(state: SystemState, pid: int) -> bool:
-    return pid != LEADER and _head_kind(state, pid) is MessageKind.BARRIER_IN
+    queue = state.processes[pid].queue
+    return pid != LEADER and bool(queue) and queue[0].kind is MessageKind.BARRIER_IN
 
 
 def rule_barrier_in_nonleader(
@@ -170,7 +166,8 @@ def rule_barrier_in_nonleader(
 
 
 def barrier_in_leader_enabled(state: SystemState, pid: int) -> bool:
-    return pid == LEADER and _head_kind(state, pid) is MessageKind.BARRIER_IN
+    queue = state.processes[pid].queue
+    return pid == LEADER and bool(queue) and queue[0].kind is MessageKind.BARRIER_IN
 
 
 def rule_barrier_in_leader(
@@ -188,7 +185,8 @@ def rule_barrier_in_leader(
 
 
 def barrier_out_enabled(state: SystemState, pid: int) -> bool:
-    return _head_kind(state, pid) is MessageKind.BARRIER_OUT
+    queue = state.processes[pid].queue
+    return bool(queue) and queue[0].kind is MessageKind.BARRIER_OUT
 
 
 def rule_barrier_out(

@@ -1,7 +1,8 @@
 """Exhaustive reachability search over a protocol model.
 
 The search derives every state reachable from the initial states through the
-model's guarded transition rules, deduplicating by canonical encoding. Each
+model's guarded transition rules, deduplicating by the tuple of process
+states (`canonical_encode`); no state is rendered during a search. Each
 newly stored state is checked for well-formedness and against the model
 invariant the moment it is generated; each terminal state is checked against
 the postcondition the moment it is popped. Exploration is sequential and fully
@@ -58,6 +59,9 @@ class ProtocolModel:
 
 @dataclass
 class RunStats:
+    """Counts and timing of one run. `peak_memory_estimate` is a rough figure
+    in bytes, a fixed cost per stored state, not a measurement."""
+
     states_stored: int = 0
     states_matched: int = 0
     transitions_fired: int = 0
@@ -78,7 +82,7 @@ class ExploreConfig:
 Edge = tuple[int, str, int, int]
 
 # Rough per-stored-state bookkeeping cost (dict slot, list slots, object
-# headers) added on top of the encoding bytes for the memory estimate.
+# headers), the whole memory estimate; the states themselves are left out.
 _STATE_OVERHEAD = 112
 
 
@@ -134,7 +138,7 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     states: list[SystemState] = []
     parents: list[Optional[tuple[int, str, int]]] = []
     depths: list[int] = []
-    visited: dict[bytes, int] = {}
+    visited: dict[tuple, int] = {}
     terminal: list[int] = []
     edges: Optional[list[Edge]] = [] if cfg.record_edges else None
     frontier: deque[int] = deque()
@@ -143,9 +147,7 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     def finish(verdict: Verdict, witness: Optional[int] = None) -> ExplorationResult:
         stats.states_stored = len(states)
         stats.elapsed = time.perf_counter() - start
-        stats.peak_memory_estimate = (
-            sum(map(len, visited)) + _STATE_OVERHEAD * len(states)
-        )
+        stats.peak_memory_estimate = _STATE_OVERHEAD * len(states)
         return ExplorationResult(
             verdict=verdict,
             stats=stats,
@@ -158,56 +160,61 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
             edges=edges,
         )
 
-    def store(s: SystemState, enc: bytes, parent: Optional[tuple[int, str, int]]) -> int:
-        assert enc not in visited  # store-once
+    def store(s: SystemState, key: tuple, parent: Optional[tuple[int, str, int]]) -> int:
+        assert key not in visited  # store-once
         check_state(s)
         sid = len(states)
         states.append(s)
         parents.append(parent)
         depths.append(0 if parent is None else depths[parent[0]] + 1)
-        visited[enc] = sid
+        visited[key] = sid
         return sid
 
     for init in model.initial_states:
-        enc = canonical_encode(init)
-        if enc in visited:
+        key = canonical_encode(init)
+        if key in visited:
             continue
-        sid = store(init, enc, None)
+        sid = store(init, key, None)
         initial_count = len(states)
         frontier.append(sid)
         if not model.invariant(init):
             return finish(Verdict.INVARIANT_VIOLATED, witness=sid)
 
+    # looked up once here, not once per (state, rule, pid) in the loop
+    rules = [(rule.name, rule.enabled, rule.apply) for rule in model.rules]
+    pids = range(model.process_count)
+    pop = frontier.popleft if cfg.search_order == "bfs" else frontier.pop
+    lookup = visited.get
     while frontier:
         if time.perf_counter() - start > cfg.max_seconds:
             return finish(Verdict.LIMIT_EXCEEDED)
         if len(frontier) > stats.max_frontier:
             stats.max_frontier = len(frontier)
-        sid = frontier.popleft() if cfg.search_order == "bfs" else frontier.pop()
+        sid = pop()
         state = states[sid]
         fired = False
-        for rule in model.rules:
-            for pid in range(model.process_count):
-                if not rule.enabled(state, pid):
+        for name, enabled, apply in rules:
+            for pid in pids:
+                if not enabled(state, pid):
                     continue
                 fired = True
                 try:
-                    succ = rule.apply(state, pid)
+                    succ = apply(state, pid)
                 except QueueOverflowError:
                     return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
-                enc = canonical_encode(succ)
-                tid = visited.get(enc)
+                key = canonical_encode(succ)
+                tid = lookup(key)
                 fresh = tid is None
                 if fresh:
                     if len(states) >= cfg.max_states:
                         return finish(Verdict.LIMIT_EXCEEDED)
-                    tid = store(succ, enc, (sid, rule.name, pid))
+                    tid = store(succ, key, (sid, name, pid))
                     frontier.append(tid)
                 else:
                     stats.states_matched += 1
                 stats.transitions_fired += 1
                 if edges is not None:
-                    edges.append((sid, rule.name, pid, tid))
+                    edges.append((sid, name, pid, tid))
                 if fresh and not model.invariant(succ):
                     return finish(Verdict.INVARIANT_VIOLATED, witness=tid)
         if not fired:

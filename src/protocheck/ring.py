@@ -67,6 +67,8 @@ def new_rhs(neighbor: int) -> Message:
 
 
 class RingStatus(Enum):
+    __hash__ = object.__hash__  # identity, as for MessageKindBase
+
     OUTSIDE = "outside"
     INSERTING = "inserting"
     IN_RING = "in_ring"
@@ -166,8 +168,8 @@ def rule_begin_insert(state: SystemState, pid: int, entry: int = 0) -> SystemSta
 def req_insert_enabled(state: SystemState, pid: int, entry: int = 0) -> bool:
     if pid != entry:
         return False
-    head = peek(state, pid)
-    return head is not None and head.kind is MessageKind.REQ_INSERT
+    queue = state.processes[pid].queue
+    return bool(queue) and queue[0].kind is MessageKind.REQ_INSERT
 
 
 def rule_handle_req_insert(state: SystemState, pid: int) -> SystemState:
@@ -188,8 +190,8 @@ def rule_handle_req_insert(state: SystemState, pid: int) -> SystemState:
 
 
 def new_rhs_enabled(state: SystemState, pid: int) -> bool:
-    head = peek(state, pid)
-    return head is not None and head.kind is MessageKind.NEW_RHS
+    queue = state.processes[pid].queue
+    return bool(queue) and queue[0].kind is MessageKind.NEW_RHS
 
 
 def rule_handle_new_rhs(state: SystemState, pid: int) -> SystemState:
@@ -200,10 +202,10 @@ def rule_handle_new_rhs(state: SystemState, pid: int) -> SystemState:
 
 
 def insert_ack_enabled(state: SystemState, pid: int) -> bool:
-    if state.processes[pid].status is not RingStatus.INSERTING:
+    proc = state.processes[pid]
+    if proc.status is not RingStatus.INSERTING:
         return False
-    head = peek(state, pid)
-    return head is not None and head.kind is MessageKind.INSERT_ACK
+    return bool(proc.queue) and proc.queue[0].kind is MessageKind.INSERT_ACK
 
 
 def rule_handle_insert_ack(state: SystemState, pid: int) -> SystemState:

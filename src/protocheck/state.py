@@ -7,9 +7,11 @@ visited set, and reconstructed traces. Construction checks nothing;
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple with
-a `queue` field, a `render()` method and a `check()` method. That one
-rendering serves as trace text, graph label and, encoded, as the engine's
-visited-set key; `check()` raises ValueError for an ill-formed process.
+a `queue` field, a `render()` method and a `check()` method. The engine keys
+its visited set by the tuple of process states itself (`canonical_encode`),
+so every process field must be hashable and compare by value; `render()`
+serves trace, DOT and JSON text only and is never called during a search.
+`check()` raises ValueError for an ill-formed process.
 """
 
 from enum import Enum
@@ -39,6 +41,10 @@ class MessageKindBase(Enum):
     distinct within a protocol and free of the characters `()[], `. The arity
     is the fixed number of process ids the kind carries.
     """
+
+    # Members are singletons compared by identity; hash them the same way
+    # instead of by Enum's Python-level hash of the member name.
+    __hash__ = object.__hash__
 
     def __init__(self, code: str, arity: int):
         self.code = code
@@ -144,13 +150,13 @@ def render_state(state: SystemState) -> str:
     return " ".join([p.render() for p in state.processes])
 
 
-def canonical_encode(state: SystemState) -> bytes:
-    """The visited-set key: the state's rendering as ASCII bytes.
+def canonical_encode(state: SystemState) -> tuple:
+    """The visited-set key: the state's tuple of process states.
 
-    Injective on the states of one run (their queue capacity is fixed and
-    left out) when each process rendering is injective and self-delimiting.
-    A rendering that closes its parentheses right after its `render_queue`
-    part is: no message rendering contains a bracket, so the joined
-    rendering parses back uniquely and encode(a) == encode(b) iff a == b.
+    Two states of one run have equal keys exactly when they are equal: their
+    queue capacity is fixed and left out, and every process field compares
+    by value. That needs one type per field, which each process's `check()`
+    enforces where the type alone would not (barrier bits are `int`, never
+    `bool`, since `True == 1` but the two render differently).
     """
-    return render_state(state).encode("ascii")
+    return state.processes

@@ -19,7 +19,7 @@ from protocheck.engine import (
     explore,
     reconstruct_trace,
 )
-from protocheck.ring import ORDERED, RingConfig, UNORDERED, ring_model
+from protocheck.ring import ORDERED, RingConfig, RingProcessState, UNORDERED, ring_model
 from protocheck.state import (
     EmptyQueueError,
     SystemState,
@@ -193,6 +193,40 @@ class TestSearchProperties:
         assert stored_set(bfs) == stored_set(dfs)
         assert bfs.stats.states_stored == dfs.stats.states_stored
         assert bfs.stats.states_matched == dfs.stats.states_matched
+
+
+@pytest.mark.parametrize("model", [
+    barrier_model(BarrierConfig(n=4)),
+    ring_model(RingConfig(n=4, variant=UNORDERED)),
+])
+def test_search_never_renders(model, monkeypatch):
+    # the visited key is the state itself; rendering is for output only
+    def refuse(self):
+        raise AssertionError("a state was rendered during the search")
+
+    for cls in (BarrierProcessState, RingProcessState):
+        monkeypatch.setattr(cls, "render", refuse)
+    result = explore(model)
+    assert result.verdict is Verdict.VERIFIED
+    assert set(result.states) == set(oracle.enumerate_reachable(model))
+
+
+# The benchmark's workloads (perfbench/workloads.json), pinned here so that a
+# count drift fails the tests without running the benchmark.
+@pytest.mark.parametrize("model,search_order,counts", [
+    (barrier_model(BarrierConfig(n=12, variant=LEADER_LAST)), "bfs",
+     (8203, 40962, 49164, 1, 1579)),
+    (ring_model(RingConfig(n=5, variant=UNORDERED)), "bfs",
+     (6489, 12268, 18756, 24, 899)),
+    (barrier_model(BarrierConfig(n=12, variant=LEADER_FIRST)), "dfs",
+     (8203, 40962, 49164, 1, 67)),
+], ids=["barrier-n12", "ring-unordered-n5", "barrier-n12-leader-first-dfs"])
+def test_benchmark_workload_counts(model, search_order, counts):
+    result = explore(model, ExploreConfig(search_order=search_order))
+    st = result.stats
+    assert result.verdict is Verdict.VERIFIED
+    assert (st.states_stored, st.states_matched, st.transitions_fired,
+            len(result.terminal_states), st.max_frontier) == counts
 
 
 @pytest.mark.parametrize("model", [

@@ -77,6 +77,14 @@ class TestProcessStateInvariants:
         with pytest.raises(ValueError):
             BarrierProcessState(client_barrier_out=1).check()
 
+    @pytest.mark.parametrize("proc", [B(True, 0, 0), B(1, True, 0), B(0, 0, True)],
+                             ids=["in", "out", "holding"])
+    def test_barrier_bits_are_ints_not_bools(self, proc):
+        # well formed with 1 for True; but True == 1 would merge visited keys
+        check_state(sys_state(B(*(int(bit) for bit in proc[:3]))))
+        with pytest.raises(ValueError):
+            check_state(sys_state(proc))
+
     def test_outside_process_has_no_neighbors(self):
         with pytest.raises(ValueError):
             RingProcessState(status=RingStatus.OUTSIDE, lhs=0, rhs=0).check()
