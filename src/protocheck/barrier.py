@@ -23,7 +23,7 @@ from .state import (
     Message,
     MessageKindBase,
     Queue,
-    SystemState,
+    State,
     receive_message,
     render_queue,
     replace_process,
@@ -114,26 +114,23 @@ def next_rank(pid: int, n: int) -> int:
     return (pid + 1) % n
 
 
-def barrier_initial_state(cfg: BarrierConfig) -> SystemState:
+def barrier_initial_state(cfg: BarrierConfig) -> State:
     """All bits zero, all queues empty."""
-    return SystemState(
-        processes=tuple(BarrierProcessState() for _ in range(cfg.n)),
-        queue_capacity=cfg.capacity,
-    )
+    return (BarrierProcessState(),) * cfg.n
 
 
-def client_request_enabled(state: SystemState, pid: int) -> bool:
-    return state.processes[pid].client_barrier_in == 0
+def client_request_enabled(state: State, pid: int) -> bool:
+    return state[pid].client_barrier_in == 0
 
 
-def rule_client_request(state: SystemState, pid: int) -> SystemState:
+def rule_client_request(state: State, pid: int) -> State:
     """The client asks for the barrier (spontaneous, handled exactly once).
 
     The leader's request launches barrier_in to its right-hand side. A
     non-leader that was holding the token forwards it now.
     """
-    n = len(state.processes)
-    proc = state.processes[pid]
+    n = len(state)
+    proc = state[pid]
     if pid == LEADER:
         out = replace_process(state, pid, proc._replace(client_barrier_in=1))
         return send_message(out, next_rank(pid, n), barrier_in())
@@ -145,19 +142,19 @@ def rule_client_request(state: SystemState, pid: int) -> SystemState:
     return replace_process(state, pid, proc._replace(client_barrier_in=1))
 
 
-def barrier_in_nonleader_enabled(state: SystemState, pid: int) -> bool:
-    queue = state.processes[pid].queue
+def barrier_in_nonleader_enabled(state: State, pid: int) -> bool:
+    queue = state[pid].queue
     return pid != LEADER and bool(queue) and queue[0].kind is MessageKind.BARRIER_IN
 
 
 def rule_barrier_in_nonleader(
-    state: SystemState, pid: int, release_on_forward: bool = False
-) -> SystemState:
+    state: State, pid: int, release_on_forward: bool = False
+) -> State:
     """Non-leader handles barrier_in: forward if its client already asked,
     otherwise hold it."""
-    n = len(state.processes)
+    n = len(state)
     out = receive_message(state, pid)
-    proc = out.processes[pid]
+    proc = out[pid]
     if proc.client_barrier_in:
         if release_on_forward:  # seeded bug, see RELEASE_ON_BARRIER_IN
             out = replace_process(out, pid, proc._replace(client_barrier_out=1))
@@ -165,39 +162,39 @@ def rule_barrier_in_nonleader(
     return replace_process(out, pid, proc._replace(holding_barrier_in=1))
 
 
-def barrier_in_leader_enabled(state: SystemState, pid: int) -> bool:
-    queue = state.processes[pid].queue
+def barrier_in_leader_enabled(state: State, pid: int) -> bool:
+    queue = state[pid].queue
     return pid == LEADER and bool(queue) and queue[0].kind is MessageKind.BARRIER_IN
 
 
 def rule_barrier_in_leader(
-    state: SystemState, pid: int, variant: str = LEADER_LAST
-) -> SystemState:
+    state: State, pid: int, variant: str = LEADER_LAST
+) -> State:
     """barrier_in returned to the leader: everyone arrived, start the release
     round. Under leader_first the leader's own client goes through now."""
-    n = len(state.processes)
+    n = len(state)
     out = receive_message(state, pid)
     out = send_message(out, next_rank(pid, n), barrier_out())
     if variant == LEADER_FIRST:
-        proc = out.processes[pid]
+        proc = out[pid]
         out = replace_process(out, pid, proc._replace(client_barrier_out=1))
     return out
 
 
-def barrier_out_enabled(state: SystemState, pid: int) -> bool:
-    queue = state.processes[pid].queue
+def barrier_out_enabled(state: State, pid: int) -> bool:
+    queue = state[pid].queue
     return bool(queue) and queue[0].kind is MessageKind.BARRIER_OUT
 
 
 def rule_barrier_out(
-    state: SystemState, pid: int, variant: str = LEADER_LAST
-) -> SystemState:
+    state: State, pid: int, variant: str = LEADER_LAST
+) -> State:
     """Handle barrier_out: a non-leader releases its client and forwards the
     token; the leader consumes it (releasing its client only under
     leader_last, where it is the last to do so)."""
-    n = len(state.processes)
+    n = len(state)
     out = receive_message(state, pid)
-    proc = out.processes[pid]
+    proc = out[pid]
     if pid != LEADER:
         out = replace_process(out, pid, proc._replace(client_barrier_out=1))
         return send_message(out, next_rank(pid, n), barrier_out())
@@ -206,18 +203,18 @@ def rule_barrier_out(
     return out
 
 
-def barrier_invariant(state: SystemState) -> bool:
+def barrier_invariant(state: State) -> bool:
     """No client released until every client has reached the barrier."""
-    if any(p.client_barrier_out for p in state.processes):
-        return all(p.client_barrier_in for p in state.processes)
+    if any(p.client_barrier_out for p in state):
+        return all(p.client_barrier_in for p in state)
     return True
 
 
-def barrier_postcondition(state: SystemState) -> bool:
+def barrier_postcondition(state: State) -> bool:
     """Terminal states must have released everyone, with nothing pending."""
     return all(
         p.client_barrier_out == 1 and p.holding_barrier_in == 0 and not p.queue
-        for p in state.processes
+        for p in state
     )
 
 
@@ -243,7 +240,7 @@ def barrier_model(cfg: BarrierConfig) -> ProtocolModel:
     )
     return ProtocolModel(
         name="barrier",
-        process_count=cfg.n,
+        queue_capacity=cfg.capacity,
         initial_states=(barrier_initial_state(cfg),),
         rules=rules,
         invariant=barrier_invariant,

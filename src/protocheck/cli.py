@@ -24,7 +24,7 @@ from typing import Optional
 from .barrier import BarrierConfig, barrier_model
 from .engine import ExplorationResult, ExploreConfig, Verdict, explore, reconstruct_trace
 from .ring import RingConfig, ring_model
-from .state import ModelError, SystemState, check_state, render_state
+from .state import ModelError, State, check_state, render_state
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -78,12 +78,12 @@ def _json_field(name: str, value):
     return value.value if isinstance(value, Enum) else value
 
 
-def state_to_json(state: SystemState) -> dict:
+def state_to_json(state: State) -> dict:
     """Structured rendering for the machine-readable trace: each process as
     its fields, enums by value and the queue as rendered messages."""
     return {"processes": [
         {name: _json_field(name, value) for name, value in proc._asdict().items()}
-        for proc in state.processes
+        for proc in state
     ]}
 
 
@@ -212,7 +212,7 @@ def _cmd_run(args) -> int:
         "model": args.model,
         "size": args.size,
         "variant": variant,
-        "queue_capacity": result.states[0].queue_capacity,
+        "queue_capacity": model.queue_capacity,
     }
     header.update(
         (f.name, getattr(cfg, f.name)) for f in fields(cfg)
@@ -261,7 +261,7 @@ def _cmd_replay(args) -> int:
             print(f"replay mismatch at step {i}: unknown rule {step.get('rule')!r}")
             return EXIT_VIOLATION
         pid = step.get("pid")
-        if not isinstance(pid, int) or not 0 <= pid < model.process_count:
+        if not isinstance(pid, int) or not 0 <= pid < len(state):
             print(f"replay mismatch at step {i}: bad pid {pid!r}")
             return EXIT_VIOLATION
         if not rule.enabled(state, pid):
@@ -269,7 +269,7 @@ def _cmd_replay(args) -> int:
             return EXIT_VIOLATION
         try:
             state = rule.apply(state, pid)
-            check_state(state)
+            check_state(state, model.queue_capacity)
         except (ModelError, ValueError) as err:
             print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")
             return EXIT_VIOLATION

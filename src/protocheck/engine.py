@@ -1,12 +1,13 @@
 """Exhaustive reachability search over a protocol model.
 
 The search derives every state reachable from the initial states through the
-model's guarded transition rules, deduplicating by the tuple of process
-states (`canonical_encode`); no state is rendered during a search. Each
-newly stored state is checked for well-formedness and against the model
-invariant the moment it is generated; each terminal state is checked against
-the postcondition the moment it is popped. Exploration is sequential and fully
-deterministic, so all counts are reproducible run to run.
+model's guarded transition rules, deduplicating by the state itself (the
+tuple of process states); no state is rendered during a search. Each new
+state is checked for well-formedness and the model's queue bound
+(`check_state`) and against the invariant the moment it is generated; each
+terminal state is checked against the postcondition the moment it is popped.
+Exploration is sequential and fully deterministic, so all counts are
+reproducible run to run.
 """
 
 import time
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .state import QueueOverflowError, SystemState, canonical_encode, check_state
+from .state import QueueOverflowError, State, canonical_encode, check_state
 
 
 class Verdict(Enum):
@@ -35,20 +36,24 @@ class TransitionRule:
     """
 
     name: str
-    enabled: Callable[[SystemState, int], bool]
-    apply: Callable[[SystemState, int], SystemState]
+    enabled: Callable[[State, int], bool]
+    apply: Callable[[State, int], State]
 
 
 @dataclass(frozen=True)
 class ProtocolModel:
-    """A protocol as a transition system plus its correctness properties."""
+    """A protocol as a transition system plus its correctness properties.
+
+    `queue_capacity` bounds every process's input queue in every state; a
+    state over it ends the search with a queue-overflow verdict.
+    """
 
     name: str
-    process_count: int
-    initial_states: tuple[SystemState, ...]
+    queue_capacity: int
+    initial_states: tuple[State, ...]
     rules: tuple[TransitionRule, ...]
-    invariant: Callable[[SystemState], bool]
-    terminal_postcondition: Callable[[SystemState], bool]
+    invariant: Callable[[State], bool]
+    terminal_postcondition: Callable[[State], bool]
 
     def rule_named(self, name: str) -> TransitionRule:
         for rule in self.rules:
@@ -92,7 +97,7 @@ class ExplorationResult:
     stats: RunStats
     witness: Optional[int]
     terminal_states: list[int]
-    states: list[SystemState]
+    states: list[State]
     parents: list[Optional[tuple[int, str, int]]]
     depths: list[int]
     initial_count: int
@@ -108,7 +113,7 @@ class TraceStep:
 
     rule: Optional[str]
     pid: Optional[int]
-    state: SystemState
+    state: State
 
 
 def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> ExplorationResult:
@@ -120,25 +125,30 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     violating witness is found at minimal distance from an initial state.
 
     The search stops at the first invariant or postcondition violation, at a
-    limit, or at the fixed point. Queue overflow inside a rule is reported as
-    its own verdict; any other exception out of a rule, or an ill-formed
-    state (`check_state`), is a modeling bug and propagates.
+    limit, or at the fixed point. A new successor over the queue bound is
+    reported as its own verdict, with the state it was generated from as
+    witness; any exception out of a rule, or an ill-formed state
+    (`check_state`, initial states included), is a modeling bug and
+    propagates.
     """
     cfg = config or ExploreConfig()
     if cfg.search_order not in ("bfs", "dfs"):
         raise ValueError(f"unknown search order {cfg.search_order!r}")
     if cfg.max_states < 1 or cfg.max_seconds <= 0:
         raise ValueError("limits must be positive")
-    for init in model.initial_states:
-        if len(init.processes) != model.process_count:
-            raise ValueError("initial state size does not match process count")
+    if model.queue_capacity < 1:
+        raise ValueError("queue capacity must be positive")
+    sizes = {len(init) for init in model.initial_states}
+    if len(sizes) > 1:
+        raise ValueError("initial states differ in process count")
+    capacity = model.queue_capacity
 
     start = time.perf_counter()
     stats = RunStats()
-    states: list[SystemState] = []
+    states: list[State] = []
     parents: list[Optional[tuple[int, str, int]]] = []
     depths: list[int] = []
-    visited: dict[tuple, int] = {}
+    visited: dict[State, int] = {}
     terminal: list[int] = []
     edges: Optional[list[Edge]] = [] if cfg.record_edges else None
     frontier: deque[int] = deque()
@@ -160,31 +170,29 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
             edges=edges,
         )
 
-    def store(s: SystemState, key: tuple, parent: Optional[tuple[int, str, int]]) -> int:
-        assert key not in visited  # store-once
-        check_state(s)
-        sid = len(states)
+    # `visited` maps each state to its id. The caller reserves a new state's
+    # id there with one setdefault before `store`, so each is stored once.
+    def store(s: State, parent: Optional[tuple[int, str, int]]) -> None:
         states.append(s)
         parents.append(parent)
         depths.append(0 if parent is None else depths[parent[0]] + 1)
-        visited[key] = sid
-        return sid
+        frontier.append(len(states) - 1)
 
     for init in model.initial_states:
-        key = canonical_encode(init)
-        if key in visited:
+        sid = len(states)
+        if visited.setdefault(canonical_encode(init), sid) != sid:
             continue
-        sid = store(init, key, None)
+        check_state(init, capacity)
+        store(init, None)
         initial_count = len(states)
-        frontier.append(sid)
         if not model.invariant(init):
             return finish(Verdict.INVARIANT_VIOLATED, witness=sid)
 
     # looked up once here, not once per (state, rule, pid) in the loop
     rules = [(rule.name, rule.enabled, rule.apply) for rule in model.rules]
-    pids = range(model.process_count)
+    pids = range(max(sizes, default=0))
     pop = frontier.popleft if cfg.search_order == "bfs" else frontier.pop
-    lookup = visited.get
+    reserve = visited.setdefault
     while frontier:
         if time.perf_counter() - start > cfg.max_seconds:
             return finish(Verdict.LIMIT_EXCEEDED)
@@ -198,18 +206,18 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
                 if not enabled(state, pid):
                     continue
                 fired = True
-                try:
-                    succ = apply(state, pid)
-                except QueueOverflowError:
-                    return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
-                key = canonical_encode(succ)
-                tid = lookup(key)
-                fresh = tid is None
+                succ = apply(state, pid)
+                fresh_id = len(states)
+                tid = reserve(canonical_encode(succ), fresh_id)
+                fresh = tid == fresh_id
                 if fresh:
-                    if len(states) >= cfg.max_states:
+                    try:
+                        check_state(succ, capacity)
+                    except QueueOverflowError:
+                        return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
+                    if fresh_id >= cfg.max_states:
                         return finish(Verdict.LIMIT_EXCEEDED)
-                    tid = store(succ, key, (sid, name, pid))
-                    frontier.append(tid)
+                    store(succ, (sid, name, pid))
                 else:
                     stats.states_matched += 1
                 stats.transitions_fired += 1

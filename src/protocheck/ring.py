@@ -28,8 +28,7 @@ from .state import (
     Message,
     MessageKindBase,
     Queue,
-    SystemState,
-    peek,
+    State,
     receive_message,
     render_queue,
     replace_process,
@@ -130,7 +129,7 @@ class RingConfig:
         return self.queue_capacity if self.queue_capacity is not None else self.n + 2
 
 
-def ring_initial_state(cfg: RingConfig) -> SystemState:
+def ring_initial_state(cfg: RingConfig) -> State:
     """The entry process alone in the ring, self-looped; everyone else out."""
     procs = []
     for pid in range(cfg.n):
@@ -140,39 +139,39 @@ def ring_initial_state(cfg: RingConfig) -> SystemState:
             )
         else:
             procs.append(RingProcessState())
-    return SystemState(processes=tuple(procs), queue_capacity=cfg.capacity)
+    return tuple(procs)
 
 
 def begin_insert_enabled(
-    state: SystemState, pid: int, entry: int = 0, ordered: bool = True
+    state: State, pid: int, entry: int = 0, ordered: bool = True
 ) -> bool:
-    if state.processes[pid].status is not RingStatus.OUTSIDE:
+    if state[pid].status is not RingStatus.OUTSIDE:
         return False
     if not ordered:
         return True
     # ordered gate: every lower-ranked process (entry aside) is already in
     return all(
-        state.processes[i].status is RingStatus.IN_RING
+        state[i].status is RingStatus.IN_RING
         for i in range(pid)
         if i != entry
     )
 
 
-def rule_begin_insert(state: SystemState, pid: int, entry: int = 0) -> SystemState:
+def rule_begin_insert(state: State, pid: int, entry: int = 0) -> State:
     """An outside process starts joining: mark it and ask the entry."""
-    proc = state.processes[pid]
+    proc = state[pid]
     out = replace_process(state, pid, proc._replace(status=RingStatus.INSERTING))
     return send_message(out, entry, req_insert(pid))
 
 
-def req_insert_enabled(state: SystemState, pid: int, entry: int = 0) -> bool:
+def req_insert_enabled(state: State, pid: int, entry: int = 0) -> bool:
     if pid != entry:
         return False
-    queue = state.processes[pid].queue
+    queue = state[pid].queue
     return bool(queue) and queue[0].kind is MessageKind.REQ_INSERT
 
 
-def rule_handle_req_insert(state: SystemState, pid: int) -> SystemState:
+def rule_handle_req_insert(state: State, pid: int) -> State:
     """Entry splices the requester in on its left side.
 
     Old left neighbor L keeps its links for now; the requester gets
@@ -180,46 +179,44 @@ def rule_handle_req_insert(state: SystemState, pid: int) -> SystemState:
     Uniform even when L is the entry itself (singleton ring): the repoint
     message then sits in the entry's own queue until handled.
     """
-    head = peek(state, pid)
-    joiner = head.payload[0]
-    old_lhs = state.processes[pid].lhs
+    (joiner,) = state[pid].queue[0].payload
+    old_lhs = state[pid].lhs
     out = receive_message(state, pid)
-    out = replace_process(out, pid, out.processes[pid]._replace(lhs=joiner))
+    out = replace_process(out, pid, out[pid]._replace(lhs=joiner))
     out = send_message(out, joiner, insert_ack(old_lhs, pid))
     return send_message(out, old_lhs, new_rhs(joiner))
 
 
-def new_rhs_enabled(state: SystemState, pid: int) -> bool:
-    queue = state.processes[pid].queue
+def new_rhs_enabled(state: State, pid: int) -> bool:
+    queue = state[pid].queue
     return bool(queue) and queue[0].kind is MessageKind.NEW_RHS
 
 
-def rule_handle_new_rhs(state: SystemState, pid: int) -> SystemState:
+def rule_handle_new_rhs(state: State, pid: int) -> State:
     """Repoint the right-hand side; the old link is dropped by overwrite."""
-    head = peek(state, pid)
+    (rhs,) = state[pid].queue[0].payload
     out = receive_message(state, pid)
-    return replace_process(out, pid, out.processes[pid]._replace(rhs=head.payload[0]))
+    return replace_process(out, pid, out[pid]._replace(rhs=rhs))
 
 
-def insert_ack_enabled(state: SystemState, pid: int) -> bool:
-    proc = state.processes[pid]
+def insert_ack_enabled(state: State, pid: int) -> bool:
+    proc = state[pid]
     if proc.status is not RingStatus.INSERTING:
         return False
     return bool(proc.queue) and proc.queue[0].kind is MessageKind.INSERT_ACK
 
 
-def rule_handle_insert_ack(state: SystemState, pid: int) -> SystemState:
+def rule_handle_insert_ack(state: State, pid: int) -> State:
     """The joiner adopts its neighbor pair and is in the ring."""
-    head = peek(state, pid)
-    lhs, rhs = head.payload
+    lhs, rhs = state[pid].queue[0].payload
     out = receive_message(state, pid)
-    proc = out.processes[pid]._replace(status=RingStatus.IN_RING, lhs=lhs, rhs=rhs)
+    proc = out[pid]._replace(status=RingStatus.IN_RING, lhs=lhs, rhs=rhs)
     return replace_process(out, pid, proc)
 
 
-def req_insert_only_at_entry(state: SystemState, entry: int = 0) -> bool:
+def req_insert_only_at_entry(state: State, entry: int = 0) -> bool:
     """Join requests are addressed to the entry and appear nowhere else."""
-    for pid, proc in enumerate(state.processes):
+    for pid, proc in enumerate(state):
         if pid == entry:
             continue
         if any(m.kind is MessageKind.REQ_INSERT for m in proc.queue):
@@ -227,17 +224,17 @@ def req_insert_only_at_entry(state: SystemState, entry: int = 0) -> bool:
     return True
 
 
-def ring_postcondition(state: SystemState) -> bool:
+def ring_postcondition(state: State) -> bool:
     """Everyone in the ring, queues drained, neighbor maps mutually inverse,
     and the right-hand successor map one cycle through all processes."""
-    n = len(state.processes)
-    for proc in state.processes:
+    n = len(state)
+    for proc in state:
         if proc.status is not RingStatus.IN_RING or proc.queue:
             return False
         if not (0 <= proc.lhs < n and 0 <= proc.rhs < n):
             return False
-    for pid, proc in enumerate(state.processes):
-        if state.processes[proc.rhs].lhs != pid:
+    for pid, proc in enumerate(state):
+        if state[proc.rhs].lhs != pid:
             return False
     seen = set()
     cur = 0
@@ -245,7 +242,7 @@ def ring_postcondition(state: SystemState) -> bool:
         if cur in seen:
             return False
         seen.add(cur)
-        cur = state.processes[cur].rhs
+        cur = state[cur].rhs
     return cur == 0 and len(seen) == n
 
 
@@ -266,7 +263,7 @@ def ring_model(cfg: RingConfig) -> ProtocolModel:
     )
     return ProtocolModel(
         name="ring",
-        process_count=cfg.n,
+        queue_capacity=cfg.capacity,
         initial_states=(ring_initial_state(cfg),),
         rules=rules,
         invariant=partial(req_insert_only_at_entry, entry=cfg.entry),

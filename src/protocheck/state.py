@@ -1,17 +1,19 @@
 """Immutable protocol state: messages, FIFO input queues, system states.
 
-Every value here is a tuple. State edits return new tuples and never touch
-their inputs, so states can be shared freely between the search engine, the
-visited set, and reconstructed traces. Construction checks nothing;
-`check_state` checks a whole state once, where it enters the search.
+A system state is the plain tuple of its process states, one per pid. Every
+value here is a tuple. State edits return new tuples and never touch their
+inputs, so states can be shared freely between the search engine, the
+visited set, and reconstructed traces. Construction checks nothing, not
+even the queue bound; `check_state` checks a whole state, bound included,
+once where it enters the search.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple with
 a `queue` field, a `render()` method and a `check()` method. The engine keys
-its visited set by the tuple of process states itself (`canonical_encode`),
-so every process field must be hashable and compare by value; `render()`
-serves trace, DOT and JSON text only and is never called during a search.
-`check()` raises ValueError for an ill-formed process.
+its visited set by the state itself, so every process field must be
+hashable and compare by value; `render()` serves trace, DOT and JSON text
+only and is never called during a search. `check()` raises ValueError for
+an ill-formed process.
 """
 
 from enum import Enum
@@ -23,7 +25,7 @@ class ModelError(Exception):
 
 
 class QueueOverflowError(ModelError):
-    """A send would exceed the receiver's queue capacity.
+    """A queue holds more messages than the model's queue capacity.
 
     The engine surfaces this as its own verdict: it means the model's
     capacity bound is too small. Messages are never silently dropped.
@@ -74,89 +76,80 @@ def render_queue(queue: Queue) -> str:
     return "[" + " ".join([m.render() for m in queue]) + "]"
 
 
-class SystemState(NamedTuple):
-    """Ordered vector of per-process states; the unit of exploration.
-
-    The process count is fixed for the lifetime of a run and all processes
-    are the same protocol variant.
-    """
-
-    processes: tuple
-    queue_capacity: int
+# A system state: one process state per pid, all of one protocol variant.
+State = tuple
 
 
-def check_state(state: SystemState) -> None:
+def check_state(state: State, queue_capacity: int) -> None:
     """Raise ValueError unless `state` is well formed: at least one process,
-    a positive queue capacity, one process type, every message carrying its
-    kind's arity, and every process passing its own `check()`."""
-    if not state.processes:
+    one process type, every message carrying its kind's arity of process
+    ids in range, and every process passing its own `check()`. Raise
+    QueueOverflowError if a queue holds more than `queue_capacity` messages.
+
+    This is the only place the queue bound is enforced: sends never check
+    it, so the engine checks each new state and replay each step.
+    """
+    if not state:
         raise ValueError("a system needs at least one process")
-    if state.queue_capacity < 1:
-        raise ValueError("queue capacity must be positive")
-    first = type(state.processes[0])
-    for proc in state.processes:
+    n = len(state)
+    first = type(state[0])
+    for pid, proc in enumerate(state):
         if type(proc) is not first:
             raise ValueError("all processes must be the same protocol variant")
+        if len(proc.queue) > queue_capacity:
+            raise QueueOverflowError(
+                f"queue of process {pid} is over capacity {queue_capacity}"
+            )
         for kind, payload in proc.queue:
             if len(payload) != kind.arity:
                 raise ValueError(
                     f"{kind.name.lower()} carries {kind.arity} id(s), got {len(payload)}"
                 )
+            for rank in payload:
+                if not 0 <= rank < n:
+                    raise ValueError(f"payload id {rank} out of range for {n} processes")
         proc.check()
 
 
-def replace_process(state: SystemState, pid: int, proc) -> SystemState:
+def replace_process(state: State, pid: int, proc) -> State:
     """New state with process `pid` swapped out; everything else shared."""
-    procs = state.processes
-    return SystemState(procs[:pid] + (proc,) + procs[pid + 1:], state.queue_capacity)
+    return state[:pid] + (proc,) + state[pid + 1:]
 
 
-def send_message(state: SystemState, to: int, message: Message) -> SystemState:
+def send_message(state: State, to: int, message: Message) -> State:
     """Append `message` at the tail of process `to`'s input queue.
 
-    Raises QueueOverflowError when the queue is at capacity and ValueError
-    when `to` or a payload rank is out of range.
+    Raises ValueError when `to` is out of range, since a negative target
+    would silently index another process. The queue bound and payload ranges
+    are `check_state`'s to check.
     """
-    n = len(state.processes)
-    if not 0 <= to < n:
-        raise ValueError(f"send target {to} out of range for {n} processes")
-    for rank in message.payload:
-        if not 0 <= rank < n:
-            raise ValueError(f"payload id {rank} out of range for {n} processes")
-    proc = state.processes[to]
-    if len(proc.queue) >= state.queue_capacity:
-        raise QueueOverflowError(
-            f"queue of process {to} is at capacity {state.queue_capacity}"
-        )
+    if not 0 <= to < len(state):
+        raise ValueError(f"send target {to} out of range for {len(state)} processes")
+    proc = state[to]
     return replace_process(state, to, proc._replace(queue=proc.queue + (message,)))
 
 
-def receive_message(state: SystemState, pid: int) -> SystemState:
+def receive_message(state: State, pid: int) -> State:
     """Remove the head of process `pid`'s queue, preserving FIFO order."""
-    proc = state.processes[pid]
+    proc = state[pid]
     if not proc.queue:
         raise EmptyQueueError(f"process {pid}: receive on an empty queue")
     return replace_process(state, pid, proc._replace(queue=proc.queue[1:]))
 
 
-def peek(state: SystemState, pid: int) -> Message | None:
-    """Head of process `pid`'s queue without removing it; None if empty."""
-    queue = state.processes[pid].queue
-    return queue[0] if queue else None
-
-
-def render_state(state: SystemState) -> str:
+def render_state(state: State) -> str:
     """Compact one-line rendering: the process renderings joined by spaces."""
-    return " ".join([p.render() for p in state.processes])
+    return " ".join([p.render() for p in state])
 
 
-def canonical_encode(state: SystemState) -> tuple:
-    """The visited-set key: the state's tuple of process states.
+def canonical_encode(state: State) -> State:
+    """The visited-set key: the identity, as the state is its own key.
 
-    Two states of one run have equal keys exactly when they are equal: their
-    queue capacity is fixed and left out, and every process field compares
-    by value. That needs one type per field, which each process's `check()`
-    enforces where the type alone would not (barrier bits are `int`, never
-    `bool`, since `True == 1` but the two render differently).
+    Two states are equal exactly when every process field compares equal.
+    That needs one type per field, which each process's `check()` enforces
+    where the type alone would not (barrier bits are `int`, never `bool`,
+    since `True == 1` but the two render differently). The engine still
+    calls this once per initial state and per fired transition, so it stays
+    as the hook a benchmark can wrap to time the key layer.
     """
-    return state.processes
+    return state

@@ -12,7 +12,6 @@ from itertools import permutations
 
 from protocheck.barrier import BarrierProcessState
 from protocheck.ring import RingProcessState, RingStatus
-from protocheck.state import SystemState
 
 sys.setrecursionlimit(200_000)
 
@@ -20,7 +19,7 @@ sys.setrecursionlimit(200_000)
 def snapshot(state):
     """Plain-tuple image of a state; injective with respect to structure."""
     procs = []
-    for p in state.processes:
+    for p in state:
         queue = tuple((m.kind.value, m.payload) for m in p.queue)
         if isinstance(p, BarrierProcessState):
             procs.append(("b", p.client_barrier_in, p.client_barrier_out,
@@ -33,7 +32,7 @@ def snapshot(state):
 def successors(model, state):
     out = []
     for rule in model.rules:
-        for pid in range(model.process_count):
+        for pid in range(len(state)):
             if rule.enabled(state, pid):
                 out.append((rule.name, pid, rule.apply(state, pid)))
     return out
@@ -116,7 +115,7 @@ def min_violation_depth(model, max_depth):
     return None
 
 
-def expected_ring_terminals(n, entry=0, capacity=None):
+def expected_ring_terminals(n, entry=0):
     """Every terminal topology the insertion protocol can produce.
 
     The final ring order equals the order the entry processed the join
@@ -124,7 +123,6 @@ def expected_ring_terminals(n, entry=0, capacity=None):
     the last points back at the entry. One topology per permutation of the
     non-entry processes, (n-1)! in total.
     """
-    capacity = capacity if capacity is not None else n + 2
     others = [pid for pid in range(n) if pid != entry]
     expected = []
     for perm in permutations(others):
@@ -135,5 +133,5 @@ def expected_ring_terminals(n, entry=0, capacity=None):
             RingProcessState(status=RingStatus.IN_RING, lhs=lhs[pid], rhs=rhs[pid])
             for pid in range(n)
         )
-        expected.append(SystemState(processes=procs, queue_capacity=capacity))
+        expected.append(procs)
     return expected

@@ -73,8 +73,8 @@ def test_criterion_2_barrier_verification_at_scale():
             assert result.verdict is Verdict.VERIFIED
             # verdict soundness, re-checked post hoc on every stored state
             for state in result.states:
-                assert not any(p.client_barrier_out for p in state.processes) or all(
-                    p.client_barrier_in for p in state.processes
+                assert not any(p.client_barrier_out for p in state) or all(
+                    p.client_barrier_in for p in state
                 )
             assert len(result.terminal_states) == 1
             assert barrier_postcondition(result.states[result.terminal_states[0]])

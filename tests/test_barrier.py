@@ -21,15 +21,15 @@ from protocheck.barrier import (
     rule_client_request,
 )
 from protocheck.engine import explore, reconstruct_trace
-from protocheck.state import SystemState, canonical_encode
+from protocheck.state import canonical_encode
 
 
 def B(ci=0, co=0, h=0, q=()):
     return BarrierProcessState(ci, co, h, tuple(q))
 
 
-def sys_state(*procs, capacity=8):
-    return SystemState(processes=tuple(procs), queue_capacity=capacity)
+def sys_state(*procs):
+    return procs
 
 
 def test_config_validation():
@@ -46,11 +46,12 @@ def test_config_validation():
 class TestInitialState:
     def test_n3_all_zero(self):
         s = barrier_initial_state(BarrierConfig(n=3))
-        assert s == sys_state(B(), B(), B(), capacity=5)
+        assert s == sys_state(B(), B(), B())
+        assert barrier_model(BarrierConfig(n=3)).queue_capacity == 5
 
     def test_n1(self):
         s = barrier_initial_state(BarrierConfig(n=1))
-        assert s.processes == (B(),)
+        assert s == (B(),)
 
     def test_encoding_deterministic_across_builds(self):
         a = barrier_initial_state(BarrierConfig(n=5))
@@ -62,26 +63,26 @@ class TestClientRequest:
     def test_leader_emits_token(self):
         s = barrier_initial_state(BarrierConfig(n=3))
         out = rule_client_request(s, 0)
-        assert out.processes[0] == B(1, 0, 0)
-        assert out.processes[1].queue == (barrier_in(),)
-        assert out.processes[2].queue == ()
+        assert out[0] == B(1, 0, 0)
+        assert out[1].queue == (barrier_in(),)
+        assert out[2].queue == ()
 
     def test_holder_forwards_on_request(self):
         s = sys_state(B(1, 0, 0), B(0, 0, 1), B())
         out = rule_client_request(s, 1)
-        assert out.processes[1] == B(1, 0, 0)
-        assert out.processes[2].queue == (barrier_in(),)
+        assert out[1] == B(1, 0, 0)
+        assert out[2].queue == (barrier_in(),)
 
     def test_nonholder_just_sets_the_bit(self):
         s = barrier_initial_state(BarrierConfig(n=3))
         out = rule_client_request(s, 2)
-        assert out.processes[2] == B(1, 0, 0)
-        assert all(p.queue == () for p in out.processes)
+        assert out[2] == B(1, 0, 0)
+        assert all(p.queue == () for p in out)
 
     def test_singleton_leader_sends_to_itself(self):
         s = barrier_initial_state(BarrierConfig(n=1))
         out = rule_client_request(s, 0)
-        assert out.processes[0] == B(1, 0, 0, [barrier_in()])
+        assert out[0] == B(1, 0, 0, [barrier_in()])
 
     def test_guard_is_handled_exactly_once(self):
         s = barrier_initial_state(BarrierConfig(n=2))
@@ -93,45 +94,45 @@ class TestBarrierInNonleader:
     def test_forwards_when_client_already_asked(self):
         s = sys_state(B(1, 0, 0), B(1, 0, 0, [barrier_in()]), B())
         out = rule_barrier_in_nonleader(s, 1)
-        assert out.processes[1].queue == ()
-        assert out.processes[2].queue == (barrier_in(),)
+        assert out[1].queue == ()
+        assert out[2].queue == (barrier_in(),)
 
     def test_holds_when_client_has_not_asked(self):
         s = sys_state(B(1, 0, 0), B(0, 0, 0, [barrier_in()]), B())
         out = rule_barrier_in_nonleader(s, 1)
-        assert out.processes[1] == B(0, 0, 1)
-        assert out.processes[2].queue == ()
+        assert out[1] == B(0, 0, 1)
+        assert out[2].queue == ()
 
     def test_forward_wraps_back_to_leader(self):
         s = sys_state(B(1, 0, 0), B(1, 0, 0), B(1, 0, 0, [barrier_in()]))
         out = rule_barrier_in_nonleader(s, 2)
-        assert out.processes[0].queue == (barrier_in(),)
+        assert out[0].queue == (barrier_in(),)
         assert next_rank(2, 3) == 0
 
     def test_seeded_bug_releases_on_forward(self):
         s = sys_state(B(1, 0, 0), B(1, 0, 0, [barrier_in()]), B())
         out = rule_barrier_in_nonleader(s, 1, release_on_forward=True)
-        assert out.processes[1].client_barrier_out == 1
-        assert out.processes[2].queue == (barrier_in(),)
+        assert out[1].client_barrier_out == 1
+        assert out[2].queue == (barrier_in(),)
 
 
 class TestBarrierInLeader:
     def test_leader_last_starts_release_round(self):
         s = sys_state(B(1, 0, 0, [barrier_in()]), B(1, 0, 0), B(1, 0, 0))
         out = rule_barrier_in_leader(s, 0, variant=LEADER_LAST)
-        assert out.processes[0] == B(1, 0, 0)
-        assert out.processes[1].queue == (barrier_out(),)
+        assert out[0] == B(1, 0, 0)
+        assert out[1].queue == (barrier_out(),)
 
     def test_leader_first_also_releases_its_client(self):
         s = sys_state(B(1, 0, 0, [barrier_in()]), B(1, 0, 0), B(1, 0, 0))
         out = rule_barrier_in_leader(s, 0, variant=LEADER_FIRST)
-        assert out.processes[0] == B(1, 1, 0)
-        assert out.processes[1].queue == (barrier_out(),)
+        assert out[0] == B(1, 1, 0)
+        assert out[1].queue == (barrier_out(),)
 
     def test_singleton_sends_release_to_itself(self):
         s = sys_state(B(1, 0, 0, [barrier_in()]))
         out = rule_barrier_in_leader(s, 0, variant=LEADER_LAST)
-        assert out.processes[0] == B(1, 0, 0, [barrier_out()])
+        assert out[0] == B(1, 0, 0, [barrier_out()])
 
 
 class TestBarrierOut:
@@ -144,8 +145,8 @@ class TestBarrierOut:
     def test_nonleader_releases_and_forwards(self):
         s = sys_state(B(1, 0, 0), B(1, 0, 0, [barrier_out()]), B(1, 0, 0))
         out = rule_barrier_out(s, 1, variant=LEADER_LAST)
-        assert out.processes[1] == B(1, 1, 0)
-        assert out.processes[2].queue == (barrier_out(),)
+        assert out[1] == B(1, 1, 0)
+        assert out[2].queue == (barrier_out(),)
 
     def test_leader_first_consumes_without_change(self):
         s = sys_state(B(1, 1, 0, [barrier_out()]), B(1, 1, 0), B(1, 1, 0))
@@ -155,7 +156,7 @@ class TestBarrierOut:
     def test_singleton_consumes_own_release(self):
         s = sys_state(B(1, 0, 0, [barrier_out()]))
         out = rule_barrier_out(s, 0, variant=LEADER_LAST)
-        assert out.processes[0] == B(1, 1, 0)
+        assert out[0] == B(1, 1, 0)
 
 
 class TestInvariant:
@@ -193,7 +194,7 @@ def test_unique_all_released_terminal(n, variant):
     assert result.verdict.value == "verified"
     assert len(result.terminal_states) == 1
     terminal = result.states[result.terminal_states[0]]
-    assert all(p == B(1, 1, 0) for p in terminal.processes)
+    assert all(p == B(1, 1, 0) for p in terminal)
 
 
 @pytest.mark.parametrize("variant", [LEADER_LAST, LEADER_FIRST])
@@ -202,11 +203,11 @@ def test_single_token_circulates(variant):
     # at most one release token ever exists
     model = barrier_model(BarrierConfig(n=3, variant=variant))
     for state in oracle.enumerate_reachable(model):
-        queued = [m for p in state.processes for m in p.queue]
+        queued = [m for p in state for m in p.queue]
         n_in = sum(m == barrier_in() for m in queued)
         n_out = sum(m == barrier_out() for m in queued)
-        holding = sum(p.holding_barrier_in for p in state.processes)
-        not_emitted = 1 if state.processes[0].client_barrier_in == 0 else 0
+        holding = sum(p.holding_barrier_in for p in state)
+        not_emitted = 1 if state[0].client_barrier_in == 0 else 0
         assert n_in + holding + not_emitted <= 1
         assert n_out <= 1
 
@@ -216,7 +217,7 @@ def test_client_bits_monotone_along_traces():
     for sid in range(len(result.states)):
         trace = reconstruct_trace(result, sid)
         for before, after in zip(trace, trace[1:]):
-            for p, q in zip(before.state.processes, after.state.processes):
+            for p, q in zip(before.state, after.state):
                 assert q.client_barrier_in >= p.client_barrier_in
                 assert q.client_barrier_out >= p.client_barrier_out
 
@@ -224,8 +225,8 @@ def test_client_bits_monotone_along_traces():
 def test_leader_last_really_is_last():
     model = barrier_model(BarrierConfig(n=4, variant=LEADER_LAST))
     for state in oracle.enumerate_reachable(model):
-        if state.processes[0].client_barrier_out:
-            assert all(p.client_barrier_out for p in state.processes)
+        if state[0].client_barrier_out:
+            assert all(p.client_barrier_out for p in state)
 
 
 def test_mutated_model_breaks_the_invariant():

@@ -12,7 +12,6 @@ from protocheck.ring import RingConfig, ring_model
 from protocheck.state import (
     Message,
     MessageKindBase,
-    SystemState,
     receive_message,
     render_queue,
     replace_process,
@@ -185,7 +184,7 @@ class TestReplay:
             # client_request releases the client instead of recording its request
             def release(s, pid):
                 return replace_process(
-                    s, pid, s.processes[pid]._replace(client_barrier_out=1))
+                    s, pid, s[pid]._replace(client_barrier_out=1))
 
             model = barrier_model(cfg)
             request = model.rule_named("client_request")
@@ -278,17 +277,17 @@ class _ToyConfig:
 
 def _toy_model(cfg):
     def send(state, pid):
-        out = replace_process(state, pid, state.processes[pid]._replace(sent=1))
+        out = replace_process(state, pid, state[pid]._replace(sent=1))
         return send_message(out, (pid + 1) % cfg.n, Message(_Toy.TICK))
 
-    initial = SystemState(tuple(_ToyProcess() for _ in range(cfg.n)), cfg.queue_capacity or 2)
+    initial = (_ToyProcess(),) * cfg.n
     return ProtocolModel(
-        name="toy", process_count=cfg.n, initial_states=(initial,),
-        rules=(TransitionRule("send", lambda s, pid: not s.processes[pid].sent, send),
-               TransitionRule("receive", lambda s, pid: bool(s.processes[pid].queue),
+        name="toy", queue_capacity=cfg.queue_capacity or 2, initial_states=(initial,),
+        rules=(TransitionRule("send", lambda s, pid: not s[pid].sent, send),
+               TransitionRule("receive", lambda s, pid: bool(s[pid].queue),
                               receive_message)),
         # seeded violation: two ticks are in flight once both processes sent
-        invariant=lambda s: sum(len(p.queue) for p in s.processes) < 2,
+        invariant=lambda s: sum(len(p.queue) for p in s) < 2,
         terminal_postcondition=lambda s: True,
     )
 

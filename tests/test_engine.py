@@ -22,7 +22,6 @@ from protocheck.engine import (
 from protocheck.ring import ORDERED, RingConfig, RingProcessState, UNORDERED, ring_model
 from protocheck.state import (
     EmptyQueueError,
-    SystemState,
     canonical_encode,
     receive_message,
     replace_process,
@@ -93,6 +92,18 @@ class TestExplore:
         assert result.witness is not None
         check_accounting(result)
 
+    @pytest.mark.parametrize("search_order,witness", [("bfs", 1), ("dfs", 2)])
+    def test_queue_overflow_precedes_the_state_limit(self, search_order, witness):
+        # the successor over the bound would be the fourth state stored; the
+        # overflow is still reported, from the same source state as unlimited
+        model = ring_model(RingConfig(n=3, variant=UNORDERED, queue_capacity=1))
+        unlimited = explore(model, ExploreConfig(search_order=search_order))
+        limited = explore(model, ExploreConfig(search_order=search_order, max_states=3))
+        for result in (unlimited, limited):
+            assert result.verdict is Verdict.QUEUE_OVERFLOW
+            assert result.witness == witness
+            assert result.stats.states_stored == 3
+
     def test_state_limit(self):
         result = explore(barrier_model(BarrierConfig(n=3)),
                          ExploreConfig(max_states=5))
@@ -116,7 +127,8 @@ class TestExplore:
 
     def test_mismatched_initial_state_rejected(self):
         model = barrier_model(BarrierConfig(n=2))
-        wrong = dataclasses.replace(model, process_count=3)
+        other = barrier_model(BarrierConfig(n=3)).initial_states
+        wrong = dataclasses.replace(model, initial_states=model.initial_states + other)
         with pytest.raises(ValueError):
             explore(wrong)
 
@@ -124,8 +136,8 @@ class TestExplore:
         # a rule whose guard lies gets its EmptyQueueError propagated
         broken = ProtocolModel(
             name="broken",
-            process_count=1,
-            initial_states=(SystemState((BarrierProcessState(),), queue_capacity=2),),
+            queue_capacity=2,
+            initial_states=((BarrierProcessState(),),),
             rules=(TransitionRule("consume", lambda s, pid: True,
                                   lambda s, pid: receive_message(s, pid)),),
             invariant=lambda s: True,
@@ -155,11 +167,11 @@ class TestExplore:
         # a rule that releases a client which never asked builds a state
         # the barrier process's check() rejects
         def release(s, pid):
-            return replace_process(s, pid, s.processes[pid]._replace(client_barrier_out=1))
+            return replace_process(s, pid, s[pid]._replace(client_barrier_out=1))
 
         model = barrier_model(BarrierConfig(n=2))
         broken = dataclasses.replace(model, rules=(TransitionRule(
-            "release", lambda s, pid: not s.processes[pid].client_barrier_out, release),))
+            "release", lambda s, pid: not s[pid].client_barrier_out, release),))
         with pytest.raises(ValueError):
             explore(broken)
 

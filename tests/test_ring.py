@@ -26,7 +26,7 @@ from protocheck.ring import (
     rule_handle_new_rhs,
     rule_handle_req_insert,
 )
-from protocheck.state import SystemState, canonical_encode, peek
+from protocheck.state import canonical_encode
 
 OUT = RingStatus.OUTSIDE
 INS = RingStatus.INSERTING
@@ -37,8 +37,8 @@ def R(status=OUT, lhs=-1, rhs=-1, q=()):
     return RingProcessState(status, lhs, rhs, tuple(q))
 
 
-def sys_state(*procs, capacity=8):
-    return SystemState(processes=tuple(procs), queue_capacity=capacity)
+def sys_state(*procs):
+    return procs
 
 
 def test_config_validation():
@@ -55,7 +55,7 @@ class TestInitialState:
     def test_singleton_is_already_a_valid_ring(self):
         cfg = RingConfig(n=1)
         state = ring_initial_state(cfg)
-        assert state.processes == (R(RING, 0, 0),)
+        assert state == (R(RING, 0, 0),)
         assert ring_postcondition(state)
         result = explore(ring_model(cfg))
         assert result.verdict.value == "verified"
@@ -63,7 +63,7 @@ class TestInitialState:
 
     def test_entry_self_looped_others_outside(self):
         state = ring_initial_state(RingConfig(n=3))
-        assert state.processes == (R(RING, 0, 0), R(), R())
+        assert state == (R(RING, 0, 0), R(), R())
 
     def test_encoding_deterministic_across_builds(self):
         a = ring_initial_state(RingConfig(n=4, variant=UNORDERED))
@@ -87,8 +87,8 @@ class TestBeginInsert:
     def test_marks_joiner_and_asks_the_entry(self):
         state = ring_initial_state(RingConfig(n=3))
         out = rule_begin_insert(state, 1, entry=0)
-        assert out.processes[1].status is INS
-        assert out.processes[0].queue == (req_insert(1),)
+        assert out[1].status is INS
+        assert out[0].queue == (req_insert(1),)
 
 
 class TestHandleReqInsert:
@@ -97,16 +97,16 @@ class TestHandleReqInsert:
         # roles, so the repoint message goes to its own queue
         state = sys_state(R(RING, 0, 0, [req_insert(1)]), R(INS))
         out = rule_handle_req_insert(state, 0)
-        assert out.processes[0] == R(RING, 1, 0, [new_rhs(1)])
-        assert out.processes[1] == R(INS, q=[insert_ack(0, 0)])
+        assert out[0] == R(RING, 1, 0, [new_rhs(1)])
+        assert out[1] == R(INS, q=[insert_ack(0, 0)])
 
     def test_second_splice_targets_old_left_neighbor(self):
         # ring of 0 and 1 settled; 2 asks; hand-traced expected state
         state = sys_state(R(RING, 1, 1, [req_insert(2)]), R(RING, 0, 0), R(INS))
         out = rule_handle_req_insert(state, 0)
-        assert out.processes[0] == R(RING, 2, 1)
-        assert out.processes[1] == R(RING, 0, 0, [new_rhs(2)])
-        assert out.processes[2] == R(INS, q=[insert_ack(1, 0)])
+        assert out[0] == R(RING, 2, 1)
+        assert out[1] == R(RING, 0, 0, [new_rhs(2)])
+        assert out[2] == R(INS, q=[insert_ack(1, 0)])
 
     def test_guard_refuses_non_entry_processes(self):
         state = sys_state(R(RING, 0, 0), R(INS, q=[req_insert(2)]), R(INS))
@@ -117,31 +117,31 @@ class TestHandleNewRhs:
     def test_repoints_right_neighbor(self):
         state = sys_state(R(RING, 1, 0, [new_rhs(1)]), R(INS, q=[insert_ack(0, 0)]))
         out = rule_handle_new_rhs(state, 0)
-        assert out.processes[0] == R(RING, 1, 1)
+        assert out[0] == R(RING, 1, 1)
 
     def test_only_the_head_is_handled(self):
         state = sys_state(R(RING, 1, 1, [new_rhs(2), req_insert(1)]), R(), R())
         out = rule_handle_new_rhs(state, 0)
-        assert out.processes[0].rhs == 2
-        assert peek(out, 0) == req_insert(1)
+        assert out[0].rhs == 2
+        assert out[0].queue[0] == req_insert(1)
 
     def test_old_link_dropped_by_overwrite(self):
         state = sys_state(R(RING, 0, 1, [new_rhs(2)]), R(RING, 0, 0), R(INS))
         out = rule_handle_new_rhs(state, 0)
-        assert out.processes[0].rhs == 2  # previous value gone
+        assert out[0].rhs == 2  # previous value gone
 
 
 class TestHandleInsertAck:
     def test_joiner_adopts_neighbors_and_joins(self):
         state = sys_state(R(RING, 1, 0, [new_rhs(1)]), R(INS, q=[insert_ack(0, 0)]))
         out = rule_handle_insert_ack(state, 1)
-        assert out.processes[1] == R(RING, 0, 0)
+        assert out[1] == R(RING, 0, 0)
 
     def test_second_joiner(self):
         state = sys_state(R(RING, 2, 1), R(RING, 0, 0, [new_rhs(2)]),
                           R(INS, q=[insert_ack(1, 0)]))
         out = rule_handle_insert_ack(state, 2)
-        assert out.processes[2] == R(RING, 1, 0)
+        assert out[2] == R(RING, 1, 0)
 
     def test_guard_requires_inserting_status(self):
         state = sys_state(R(RING, 0, 0, [insert_ack(0, 0)]), R())
@@ -184,7 +184,7 @@ def test_ordered_single_final_topology(n):
         assert result.stats.states_stored == ORDERED_STORED[n]
     terminal = result.states[result.terminal_states[0]]
     # rank order around the ring: 0 -> 1 -> ... -> n-1 -> 0
-    assert [terminal.processes[pid].rhs for pid in range(n)] == [
+    assert [terminal[pid].rhs for pid in range(n)] == [
         (pid + 1) % n for pid in range(n)
     ]
 
@@ -219,7 +219,7 @@ def test_join_requests_only_ever_at_the_entry():
 def test_acks_only_ever_at_inserting_processes():
     model = ring_model(RingConfig(n=4, variant=UNORDERED))
     for state in oracle.enumerate_reachable(model):
-        for proc in state.processes:
+        for proc in state:
             if any(m.kind is MessageKind.INSERT_ACK for m in proc.queue):
                 assert proc.status is INS
 
@@ -230,8 +230,8 @@ def test_neighbor_consistency_is_transient_not_invariant():
     result = explore(ring_model(RingConfig(n=2)))
     def consistent(state):
         return all(
-            p.rhs != -1 and state.processes[p.rhs].lhs == pid
-            for pid, p in enumerate(state.processes)
+            p.rhs != -1 and state[p.rhs].lhs == pid
+            for pid, p in enumerate(state)
         )
     assert any(not consistent(s) for s in result.states)
     for tid in result.terminal_states:
@@ -244,7 +244,7 @@ def test_status_monotone_along_traces():
     for sid in range(len(result.states)):
         trace = reconstruct_trace(result, sid)
         for before, after in zip(trace, trace[1:]):
-            for p, q in zip(before.state.processes, after.state.processes):
+            for p, q in zip(before.state, after.state):
                 assert rank[q.status] >= rank[p.status]
 
 

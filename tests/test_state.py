@@ -25,10 +25,8 @@ from protocheck.state import (
     EmptyQueueError,
     Message,
     QueueOverflowError,
-    SystemState,
     canonical_encode,
     check_state,
-    peek,
     receive_message,
     replace_process,
     send_message,
@@ -39,8 +37,11 @@ def B(ci=0, co=0, h=0, q=()):
     return BarrierProcessState(ci, co, h, tuple(q))
 
 
-def sys_state(*procs, capacity=8):
-    return SystemState(processes=tuple(procs), queue_capacity=capacity)
+def sys_state(*procs):
+    return procs
+
+
+CAPACITY = 8
 
 
 class TestMessage:
@@ -65,7 +66,7 @@ class TestMessage:
     )
     def test_wrong_arity_rejected(self, kind, payload):
         with pytest.raises(ValueError):
-            check_state(sys_state(B(q=[Message(kind, payload)])))
+            check_state(sys_state(B(q=[Message(kind, payload)])), CAPACITY)
 
 
 class TestProcessStateInvariants:
@@ -81,9 +82,9 @@ class TestProcessStateInvariants:
                              ids=["in", "out", "holding"])
     def test_barrier_bits_are_ints_not_bools(self, proc):
         # well formed with 1 for True; but True == 1 would merge visited keys
-        check_state(sys_state(B(*(int(bit) for bit in proc[:3]))))
+        check_state(sys_state(B(*(int(bit) for bit in proc[:3]))), CAPACITY)
         with pytest.raises(ValueError):
-            check_state(sys_state(proc))
+            check_state(sys_state(proc), CAPACITY)
 
     def test_outside_process_has_no_neighbors(self):
         with pytest.raises(ValueError):
@@ -92,16 +93,16 @@ class TestProcessStateInvariants:
 
     def test_mixed_protocol_variants_rejected(self):
         with pytest.raises(ValueError):
-            check_state(sys_state(B(), RingProcessState()))
+            check_state(sys_state(B(), RingProcessState()), CAPACITY)
 
 
 class TestSend:
     def test_appends_to_target_tail_only(self):
         s = sys_state(B(), B(), B())
         out = send_message(s, 1, barrier_in())
-        assert out.processes[1].queue == (barrier_in(),)
-        assert out.processes[0].queue == ()
-        assert out.processes[2].queue == ()
+        assert out[1].queue == (barrier_in(),)
+        assert out[0].queue == ()
+        assert out[2].queue == ()
 
     def test_delivery_into_release_round(self):
         # delivering barrier_out to process 0 of (1,0,0,[]) (1,1,0,[]) (1,1,0,[])
@@ -115,9 +116,12 @@ class TestSend:
         assert s == sys_state(B(), B())
 
     def test_full_queue_overflows(self):
-        s = sys_state(B(q=[barrier_in()]), capacity=1)
+        # a queue at the bound is well formed; a send past it goes through,
+        # and the state it builds fails the bound check
+        s = sys_state(B(), B(q=[barrier_in(), barrier_out()]))
+        check_state(s, 2)
         with pytest.raises(QueueOverflowError):
-            send_message(s, 0, barrier_in())
+            check_state(send_message(s, 1, barrier_in()), 2)
 
     def test_target_out_of_range(self):
         s = sys_state(B(), B())
@@ -125,9 +129,11 @@ class TestSend:
             send_message(s, 2, barrier_in())
 
     def test_payload_id_out_of_range(self):
-        s = sys_state(B(), B())
-        with pytest.raises(ValueError):
-            send_message(s, 0, req_insert(5))
+        s = sys_state(RingProcessState(), RingProcessState())
+        check_state(send_message(s, 0, req_insert(1)), CAPACITY)
+        for rank in (2, -1):
+            with pytest.raises(ValueError):
+                check_state(send_message(s, 0, req_insert(rank)), CAPACITY)
 
 
 class TestReceive:
@@ -140,7 +146,7 @@ class TestReceive:
         a, b, c = req_insert(0), new_rhs(1), insert_ack(0, 1)
         s = sys_state(B(q=[a, b, c]), B())
         out = receive_message(s, 0)
-        assert out.processes[0].queue == (b, c)
+        assert out[0].queue == (b, c)
 
     def test_empty_queue_is_an_error(self):
         s = sys_state(B())
@@ -151,20 +157,6 @@ class TestReceive:
         s = sys_state(B(q=[barrier_in()]))
         receive_message(s, 0)
         assert s == sys_state(B(q=[barrier_in()]))
-
-
-class TestPeek:
-    def test_head_without_removal(self):
-        s = sys_state(B(q=[barrier_out()]))
-        assert peek(s, 0) == barrier_out()
-        assert s.processes[0].queue == (barrier_out(),)
-
-    def test_empty_queue_peeks_none(self):
-        assert peek(sys_state(B()), 0) is None
-
-    def test_peek_sees_the_fifo_head(self):
-        s = sys_state(B(q=[barrier_in(), barrier_out()]))
-        assert peek(s, 0) == barrier_in()
 
 
 _messages = st.one_of(
@@ -179,17 +171,21 @@ _messages = st.one_of(
 @given(st.lists(_messages, max_size=12))
 def test_fifo_property(msgs):
     # whatever is sent to one process comes back out in send order
-    s = sys_state(B(), B(), capacity=max(len(msgs), 1))
+    s = sys_state(B(), B())
     for m in msgs:
         s = send_message(s, 0, m)
     received = []
-    while peek(s, 0) is not None:
-        received.append(peek(s, 0))
+    while s[0].queue:
+        received.append(s[0].queue[0])
         s = receive_message(s, 0)
     assert received == msgs
 
 
 class TestCanonicalEncode:
+    def test_the_state_is_its_own_key(self):
+        s = sys_state(B(1, 0, 0, [barrier_in()]), B())
+        assert canonical_encode(s) is s
+
     def test_deterministic(self):
         s = sys_state(B(1, 0, 0, [barrier_in()]), B())
         assert canonical_encode(s) == canonical_encode(s)
@@ -205,7 +201,7 @@ class TestCanonicalEncode:
         assert canonical_encode(a) != canonical_encode(b)
 
     def test_distinguishes_payloads(self):
-        a = sys_state(RingProcessState(), RingProcessState(), capacity=4)
+        a = sys_state(RingProcessState(), RingProcessState())
         assert canonical_encode(send_message(a, 0, req_insert(0))) != canonical_encode(
             send_message(a, 0, req_insert(1))
         )
@@ -221,15 +217,13 @@ class TestCanonicalEncode:
     def test_ring_neighbor_sentinel_encodes_distinctly(self):
         out = RingProcessState()
         ring0 = RingProcessState(status=RingStatus.IN_RING, lhs=0, rhs=0)
-        assert canonical_encode(sys_state(out, capacity=1)) != canonical_encode(
-            sys_state(ring0, capacity=1)
-        )
+        assert canonical_encode(sys_state(out)) != canonical_encode(sys_state(ring0))
         assert UNSET not in range(0, 8)
 
     def test_ring_statuses_encode_distinctly(self):
         # a joiner awaiting its ack and an unlinked ring member differ
-        inserting = sys_state(RingProcessState(RingStatus.INSERTING), capacity=1)
-        in_ring = sys_state(RingProcessState(RingStatus.IN_RING), capacity=1)
+        inserting = sys_state(RingProcessState(RingStatus.INSERTING))
+        in_ring = sys_state(RingProcessState(RingStatus.IN_RING))
         assert inserting != in_ring
         assert canonical_encode(inserting) != canonical_encode(in_ring)
 
@@ -261,12 +255,11 @@ _PROCESS_POOLS = (
 
 @given(st.data())
 def test_key_is_injective_on_constructible_states(data):
-    # States of one run share their queue capacity, which the key leaves out.
     pool = data.draw(st.sampled_from(_PROCESS_POOLS))
     states = data.draw(st.lists(_system_states(pool), min_size=1, max_size=4))
     # besides the drawn states, every state one process edit away from the first
     first = states[0]
-    for pid, proc in enumerate(first.processes):
+    for pid, proc in enumerate(first):
         states += [replace_process(first, pid, p._replace(queue=proc.queue)) for p in pool]
     keys = [canonical_encode(s) for s in states]
     for a, key_a in zip(states, keys):
