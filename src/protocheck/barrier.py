@@ -131,15 +131,12 @@ def rule_client_request(state: State, pid: int) -> State:
     """
     n = len(state)
     proc = state[pid]
-    if pid == LEADER:
-        out = replace_process(state, pid, proc._replace(client_barrier_in=1))
+    # the holding bit clears either way (the leader never holds the token)
+    out = replace_process(state, pid, BarrierProcessState(
+        1, proc.client_barrier_out, 0, proc.queue))
+    if pid == LEADER or proc.holding_barrier_in:
         return send_message(out, next_rank(pid, n), barrier_in())
-    if proc.holding_barrier_in:
-        out = replace_process(
-            state, pid, proc._replace(client_barrier_in=1, holding_barrier_in=0)
-        )
-        return send_message(out, next_rank(pid, n), barrier_in())
-    return replace_process(state, pid, proc._replace(client_barrier_in=1))
+    return out
 
 
 def barrier_in_nonleader_enabled(state: State, pid: int) -> bool:
@@ -157,9 +154,11 @@ def rule_barrier_in_nonleader(
     proc = out[pid]
     if proc.client_barrier_in:
         if release_on_forward:  # seeded bug, see RELEASE_ON_BARRIER_IN
-            out = replace_process(out, pid, proc._replace(client_barrier_out=1))
+            out = replace_process(out, pid, BarrierProcessState(
+                proc.client_barrier_in, 1, proc.holding_barrier_in, proc.queue))
         return send_message(out, next_rank(pid, n), barrier_in())
-    return replace_process(out, pid, proc._replace(holding_barrier_in=1))
+    return replace_process(out, pid, BarrierProcessState(
+        proc.client_barrier_in, proc.client_barrier_out, 1, proc.queue))
 
 
 def barrier_in_leader_enabled(state: State, pid: int) -> bool:
@@ -177,7 +176,8 @@ def rule_barrier_in_leader(
     out = send_message(out, next_rank(pid, n), barrier_out())
     if variant == LEADER_FIRST:
         proc = out[pid]
-        out = replace_process(out, pid, proc._replace(client_barrier_out=1))
+        out = replace_process(out, pid, BarrierProcessState(
+            proc.client_barrier_in, 1, proc.holding_barrier_in, proc.queue))
     return out
 
 
@@ -195,11 +195,12 @@ def rule_barrier_out(
     n = len(state)
     out = receive_message(state, pid)
     proc = out[pid]
+    if pid == LEADER and variant != LEADER_LAST:
+        return out
+    out = replace_process(out, pid, BarrierProcessState(
+        proc.client_barrier_in, 1, proc.holding_barrier_in, proc.queue))
     if pid != LEADER:
-        out = replace_process(out, pid, proc._replace(client_barrier_out=1))
         return send_message(out, next_rank(pid, n), barrier_out())
-    if variant == LEADER_LAST:
-        return replace_process(out, pid, proc._replace(client_barrier_out=1))
     return out
 
 

@@ -5,7 +5,8 @@ Outputs, all optional and all deterministic for a given configuration:
             time (s), memory (MB), states stored, states matched)
   --trace   counterexample trace when a property is violated: human-readable
             lines at the given path, plus a machine-readable JSON twin at
-            <path>.json that the `replay` subcommand verifies step by step
+            <path>.json that the `replay` subcommand verifies step by step,
+            and then checks that its last state witnesses the verdict
   --graph   DOT rendering of the stored-state graph, one node per stored
             state and one edge per fired transition
 
@@ -24,7 +25,7 @@ from typing import Optional
 from .barrier import BarrierConfig, barrier_model
 from .engine import ExplorationResult, ExploreConfig, Verdict, explore, reconstruct_trace
 from .ring import RingConfig, ring_model
-from .state import ModelError, State, check_state, render_state
+from .state import ModelError, QueueOverflowError, State, check_state, render_state
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -46,6 +47,10 @@ MODELS = {
     "barrier": (BarrierConfig, barrier_model),
     "ring": (RingConfig, ring_model),
 }
+
+# The verdicts a trace can witness; replay confirms each on the last state.
+_WITNESSED = (Verdict.INVARIANT_VIOLATED.value, Verdict.POSTCONDITION_VIOLATED.value,
+              Verdict.QUEUE_OVERFLOW.value)
 
 # Config fields the trace header always records (`n` as `size`); the header
 # adds every other config field that is set, and replay reads them back.
@@ -243,12 +248,15 @@ def _cmd_replay(args) -> int:
                        queue_capacity=doc["queue_capacity"])
         _, model = _build_model(doc["model"], options)
         steps = doc["steps"]
+        verdict = doc["verdict"]
     except (KeyError, TypeError) as err:
         raise UsageError(f"malformed trace {args.trace}: {err}")
     if not isinstance(steps, list) or not steps or not all(
         isinstance(s, dict) for s in steps
     ):
         raise UsageError(f"malformed trace {args.trace}: bad step list")
+    if verdict not in _WITNESSED:
+        raise UsageError(f"malformed trace {args.trace}: no witness for verdict {verdict!r}")
 
     state = model.initial_states[0]
     if steps[0].get("rule") is not None or steps[0].get("state") != state_to_json(state):
@@ -277,8 +285,35 @@ def _cmd_replay(args) -> int:
             print(f"replay mismatch at step {i}: "
                   f"successor state differs from the recorded one")
             return EXIT_VIOLATION
-    print(f"replay OK: {len(steps) - 1} steps verified")
+    try:
+        witnessed = _witnesses(model, state, verdict)
+    except (ModelError, ValueError) as err:
+        print(f"replay mismatch: a successor of the last state fails: {err}")
+        return EXIT_VIOLATION
+    if not witnessed:
+        print(f"replay mismatch: the last state does not witness {verdict}")
+        return EXIT_VIOLATION
+    print(f"replay OK: {len(steps) - 1} steps verified, {verdict} confirmed")
     return EXIT_VERIFIED
+
+
+def _witnesses(model, state: State, verdict: str) -> bool:
+    """Whether `state`, the last of a trace, witnesses `verdict`, as
+    `explore` decides it: an invariant violation is the state itself; a
+    postcondition violation a terminal state; a queue overflow a state with
+    an enabled move to a state over the queue bound."""
+    if verdict == Verdict.INVARIANT_VIOLATED.value:
+        return not model.invariant(state)
+    moves = [(rule, pid) for rule in model.rules for pid in range(len(state))
+             if rule.enabled(state, pid)]
+    if verdict == Verdict.POSTCONDITION_VIOLATED.value:
+        return not moves and not model.terminal_postcondition(state)
+    for rule, pid in moves:
+        try:
+            check_state(rule.apply(state, pid), model.queue_capacity)
+        except QueueOverflowError:
+            return True
+    return False
 
 
 def _build_parser() -> _Parser:

@@ -4,8 +4,10 @@ The search derives every state reachable from the initial states through the
 model's guarded transition rules, deduplicating by the state itself (the
 tuple of process states); no state is rendered during a search. Each new
 state is checked for well-formedness and the model's queue bound
-(`check_state`) and against the invariant the moment it is generated; each
-terminal state is checked against the postcondition the moment it is popped.
+(`check_state`) and against the invariant the moment it is generated; an
+initial state is checked whole, a successor only in the processes its rule
+changed, as the state it came from passed the same check. Each terminal
+state is checked against the postcondition the moment it is popped.
 Exploration is sequential and fully deterministic, so all counts are
 reproducible run to run.
 """
@@ -138,6 +140,8 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
         raise ValueError("limits must be positive")
     if model.queue_capacity < 1:
         raise ValueError("queue capacity must be positive")
+    if not model.initial_states:
+        raise ValueError("a model needs at least one initial state")
     sizes = {len(init) for init in model.initial_states}
     if len(sizes) > 1:
         raise ValueError("initial states differ in process count")
@@ -190,7 +194,7 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
 
     # looked up once here, not once per (state, rule, pid) in the loop
     rules = [(rule.name, rule.enabled, rule.apply) for rule in model.rules]
-    pids = range(max(sizes, default=0))
+    pids = range(len(model.initial_states[0]))
     pop = frontier.popleft if cfg.search_order == "bfs" else frontier.pop
     reserve = visited.setdefault
     while frontier:
@@ -212,7 +216,7 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
                 fresh = tid == fresh_id
                 if fresh:
                     try:
-                        check_state(succ, capacity)
+                        check_state(succ, capacity, state)
                     except QueueOverflowError:
                         return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
                     if fresh_id >= cfg.max_states:

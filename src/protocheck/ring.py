@@ -160,7 +160,8 @@ def begin_insert_enabled(
 def rule_begin_insert(state: State, pid: int, entry: int = 0) -> State:
     """An outside process starts joining: mark it and ask the entry."""
     proc = state[pid]
-    out = replace_process(state, pid, proc._replace(status=RingStatus.INSERTING))
+    out = replace_process(state, pid, RingProcessState(
+        RingStatus.INSERTING, proc.lhs, proc.rhs, proc.queue))
     return send_message(out, entry, req_insert(pid))
 
 
@@ -182,7 +183,9 @@ def rule_handle_req_insert(state: State, pid: int) -> State:
     (joiner,) = state[pid].queue[0].payload
     old_lhs = state[pid].lhs
     out = receive_message(state, pid)
-    out = replace_process(out, pid, out[pid]._replace(lhs=joiner))
+    proc = out[pid]
+    out = replace_process(out, pid, RingProcessState(
+        proc.status, joiner, proc.rhs, proc.queue))
     out = send_message(out, joiner, insert_ack(old_lhs, pid))
     return send_message(out, old_lhs, new_rhs(joiner))
 
@@ -196,7 +199,9 @@ def rule_handle_new_rhs(state: State, pid: int) -> State:
     """Repoint the right-hand side; the old link is dropped by overwrite."""
     (rhs,) = state[pid].queue[0].payload
     out = receive_message(state, pid)
-    return replace_process(out, pid, out[pid]._replace(rhs=rhs))
+    proc = out[pid]
+    return replace_process(out, pid, RingProcessState(
+        proc.status, proc.lhs, rhs, proc.queue))
 
 
 def insert_ack_enabled(state: State, pid: int) -> bool:
@@ -210,17 +215,17 @@ def rule_handle_insert_ack(state: State, pid: int) -> State:
     """The joiner adopts its neighbor pair and is in the ring."""
     lhs, rhs = state[pid].queue[0].payload
     out = receive_message(state, pid)
-    proc = out[pid]._replace(status=RingStatus.IN_RING, lhs=lhs, rhs=rhs)
-    return replace_process(out, pid, proc)
+    return replace_process(out, pid, RingProcessState(
+        RingStatus.IN_RING, lhs, rhs, out[pid].queue))
 
 
 def req_insert_only_at_entry(state: State, entry: int = 0) -> bool:
     """Join requests are addressed to the entry and appear nowhere else."""
     for pid, proc in enumerate(state):
-        if pid == entry:
-            continue
-        if any(m.kind is MessageKind.REQ_INSERT for m in proc.queue):
-            return False
+        if proc.queue and pid != entry:  # most queues are empty
+            for message in proc.queue:
+                if message.kind is MessageKind.REQ_INSERT:
+                    return False
     return True
 
 

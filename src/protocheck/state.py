@@ -3,15 +3,16 @@
 A system state is the plain tuple of its process states, one per pid. Every
 value here is a tuple. State edits return new tuples and never touch their
 inputs, so states can be shared freely between the search engine, the
-visited set, and reconstructed traces. Construction checks nothing, not
-even the queue bound; `check_state` checks a whole state, bound included,
-once where it enters the search.
+visited set, and reconstructed traces; an edit shares every process it does
+not change, by identity. Construction checks nothing, not even the queue
+bound; `check_state` checks a state, bound included, once where it enters
+the search, and then only the processes a transition changed.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
-as a `MessageKindBase` subclass and its process state as a NamedTuple with
-a `queue` field, a `render()` method and a `check()` method. The engine keys
-its visited set by the state itself, so every process field must be
-hashable and compare by value; `render()` serves trace, DOT and JSON text
+as a `MessageKindBase` subclass and its process state as a NamedTuple whose
+last field is `queue`, with a `render()` method and a `check()` method. The
+engine keys its visited set by the state itself, so every process field must
+be hashable and compare by value; `render()` serves trace, DOT and JSON text
 only and is never called during a search. `check()` raises ValueError for
 an ill-formed process.
 """
@@ -80,20 +81,37 @@ def render_queue(queue: Queue) -> str:
 State = tuple
 
 
-def check_state(state: State, queue_capacity: int) -> None:
+def check_state(state: State, queue_capacity: int, parent: State = ()) -> None:
     """Raise ValueError unless `state` is well formed: at least one process,
-    one process type, every message carrying its kind's arity of process
-    ids in range, and every process passing its own `check()`. Raise
-    QueueOverflowError if a queue holds more than `queue_capacity` messages.
+    one process type whose last field is `queue`, every message carrying its
+    kind's arity of process ids in range, and every process passing its own
+    `check()`. Raise QueueOverflowError if a queue holds more than
+    `queue_capacity` messages.
+
+    With `parent`, a state already checked with the same capacity that
+    `state` was derived from, check only the processes that are not
+    `parent`'s own objects, after requiring the same process count: what a
+    shared process passed it still passes, since a process is checked
+    against nothing but the type, the capacity and the process count.
 
     This is the only place the queue bound is enforced: sends never check
     it, so the engine checks each new state and replay each step.
     """
-    if not state:
-        raise ValueError("a system needs at least one process")
     n = len(state)
-    first = type(state[0])
-    for pid, proc in enumerate(state):
+    if parent:
+        if n != len(parent):
+            raise ValueError(f"a rule changed the process count from {len(parent)} to {n}")
+        first = type(parent[0])
+        pids = [pid for pid in range(n) if state[pid] is not parent[pid]]
+    else:
+        if not state:
+            raise ValueError("a system needs at least one process")
+        first = type(state[0])
+        if getattr(first, "_fields", ())[-1:] != ("queue",):
+            raise ValueError(f"the last field of {first.__name__} must be queue")
+        pids = range(n)
+    for pid in pids:
+        proc = state[pid]
         if type(proc) is not first:
             raise ValueError("all processes must be the same protocol variant")
         if len(proc.queue) > queue_capacity:
@@ -126,7 +144,8 @@ def send_message(state: State, to: int, message: Message) -> State:
     if not 0 <= to < len(state):
         raise ValueError(f"send target {to} out of range for {len(state)} processes")
     proc = state[to]
-    return replace_process(state, to, proc._replace(queue=proc.queue + (message,)))
+    # `queue` is the last field, so the rebuilt process copies the rest as is
+    return replace_process(state, to, proc._make(proc[:-1] + (proc.queue + (message,),)))
 
 
 def receive_message(state: State, pid: int) -> State:
@@ -134,7 +153,7 @@ def receive_message(state: State, pid: int) -> State:
     proc = state[pid]
     if not proc.queue:
         raise EmptyQueueError(f"process {pid}: receive on an empty queue")
-    return replace_process(state, pid, proc._replace(queue=proc.queue[1:]))
+    return replace_process(state, pid, proc._make(proc[:-1] + (proc.queue[1:],)))
 
 
 def render_state(state: State) -> str:

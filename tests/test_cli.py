@@ -154,11 +154,50 @@ class TestReplay:
         path.write_text(json.dumps(doc))
         assert run_cli("replay", str(path)) == 1
 
+    def test_truncated_trace_is_a_mismatch(self, tmp_path, capsys):
+        # every kept step replays, but the last state violates no invariant
+        path = self._violation_trace(tmp_path)
+        doc = json.loads(path.read_text())
+        del doc["steps"][-1]
+        path.write_text(json.dumps(doc))
+        assert run_cli("replay", str(path)) == 1
+        out = capsys.readouterr().out
+        assert "replay mismatch: the last state does not witness invariant_violated" in out
+
     def _overflow_trace(self, tmp_path):
         trace = tmp_path / "o.txt"
         assert run_cli("run", "--model", "ring", "--size", "3", "--variant", "unordered",
                        "--queue-capacity", "1", "--trace", str(trace)) == 2
         return tmp_path / "o.txt.json"
+
+    def test_overflow_trace_replays(self, tmp_path, capsys):
+        assert run_cli("replay", str(self._overflow_trace(tmp_path))) == 0
+        assert "queue_overflow confirmed" in capsys.readouterr().out
+
+    def test_postcondition_trace_replays(self, tmp_path, monkeypatch, capsys):
+        def build(cfg):
+            return replace(barrier_model(cfg), terminal_postcondition=lambda s: False)
+
+        monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
+        trace = tmp_path / "p.txt"
+        assert run_cli("run", "--model", "barrier", "--size", "2",
+                       "--trace", str(trace)) == 1
+        assert run_cli("replay", f"{trace}.json") == 0
+        assert "postcondition_violated confirmed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verdict,code", [
+        ("postcondition_violated", 1),  # the last state has enabled moves
+        ("queue_overflow", 1),  # none of them overflows
+        ("verified", 3),  # no trace witnesses these
+        ("limit_exceeded", 3),
+        ("nonsense", 3),
+    ])
+    def test_recorded_verdict_is_confirmed(self, tmp_path, verdict, code):
+        path = self._violation_trace(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["verdict"] = verdict
+        path.write_text(json.dumps(doc))
+        assert run_cli("replay", str(path)) == code
 
     def test_unknown_model_is_a_usage_error(self, tmp_path, capsys):
         path = self._overflow_trace(tmp_path)

@@ -132,6 +132,19 @@ class TestExplore:
         with pytest.raises(ValueError):
             explore(wrong)
 
+    def test_model_without_initial_states_rejected(self):
+        # nothing explored is nothing verified
+        empty = ProtocolModel("empty", 1, (), (), lambda s: True, lambda s: True)
+        with pytest.raises(ValueError):
+            explore(empty)
+
+    def test_rule_that_drops_a_process_aborts_the_run(self):
+        model = barrier_model(BarrierConfig(n=2))
+        shrink = dataclasses.replace(model, rules=(TransitionRule(
+            "shrink", lambda s, pid: len(s) == 2, lambda s, pid: s[:1]),))
+        with pytest.raises(ValueError, match="process count"):
+            explore(shrink)
+
     def test_broken_guard_aborts_the_run(self):
         # a rule whose guard lies gets its EmptyQueueError propagated
         broken = ProtocolModel(
@@ -218,6 +231,23 @@ def test_search_never_renders(model, monkeypatch):
 
     for cls in (BarrierProcessState, RingProcessState):
         monkeypatch.setattr(cls, "render", refuse)
+    result = explore(model)
+    assert result.verdict is Verdict.VERIFIED
+    assert set(result.states) == set(oracle.enumerate_reachable(model))
+
+
+@pytest.mark.parametrize("model", [
+    barrier_model(BarrierConfig(n=4)),
+    ring_model(RingConfig(n=4, variant=UNORDERED)),
+])
+def test_search_never_calls_replace(model, monkeypatch):
+    # rules and state edits build each process with its constructor or
+    # `_make`; the Python-level `_replace` stays off the hot path
+    def refuse(self, **fields):
+        raise AssertionError("a process was built with _replace")
+
+    for cls in (BarrierProcessState, RingProcessState):
+        monkeypatch.setattr(cls, "_replace", refuse)
     result = explore(model)
     assert result.verdict is Verdict.VERIFIED
     assert set(result.states) == set(oracle.enumerate_reachable(model))

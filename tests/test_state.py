@@ -1,7 +1,8 @@
 from itertools import product
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -69,6 +70,14 @@ class TestMessage:
             check_state(sys_state(B(q=[Message(kind, payload)])), CAPACITY)
 
 
+class _QueueFirst(NamedTuple):
+    queue: tuple = ()
+    bit: int = 0
+
+    def check(self):
+        pass
+
+
 class TestProcessStateInvariants:
     def test_holding_requires_no_client_request(self):
         with pytest.raises(ValueError):
@@ -94,6 +103,11 @@ class TestProcessStateInvariants:
     def test_mixed_protocol_variants_rejected(self):
         with pytest.raises(ValueError):
             check_state(sys_state(B(), RingProcessState()), CAPACITY)
+
+    def test_queue_is_the_last_field(self):
+        # state edits rebuild a process as its other fields plus a new queue
+        with pytest.raises(ValueError, match="last field"):
+            check_state(sys_state(_QueueFirst()), CAPACITY)
 
 
 class TestSend:
@@ -265,3 +279,46 @@ def test_key_is_injective_on_constructible_states(data):
     for a, key_a in zip(states, keys):
         for b, key_b in zip(states, keys):
             assert (key_a == key_b) == (a == b)
+
+
+# Processes as a rule might build them, well formed or not: bits that are
+# bools, every status and neighbor, any message kind with any payload (wrong
+# arities, ids out of range) and queues up to one message over the bound.
+# Half the draws come from the well-formed pools, so that a well-formed edit
+# often precedes an ill-formed one.
+_EDIT_POOLS = (
+    [BarrierProcessState(*bits) for bits in product((0, 1, False, True), repeat=3)],
+    [RingProcessState(*v) for v in product(RingStatus, (UNSET, 0, 1, 3), (UNSET, 0, 1))],
+)
+_any_messages = st.one_of(_messages, st.builds(
+    Message,
+    st.sampled_from(list(barrier.MessageKind) + list(ring.MessageKind)),
+    st.lists(st.integers(-1, 3), max_size=3).map(tuple),
+))
+
+
+def _outcome(*args):
+    """The type of the error `check_state(*args)` raises, or None."""
+    try:
+        check_state(*args)
+    except (ValueError, QueueOverflowError) as err:
+        return type(err)
+    return None
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_delta_check_agrees_with_the_full_check(data):
+    capacity = 3
+    which = data.draw(st.sampled_from((0, 1)))
+    parent = data.draw(_system_states(_PROCESS_POOLS[which]))
+    assume(_outcome(parent, capacity) is None)
+    succ = list(parent)
+    edited = data.draw(st.sets(st.integers(0, len(parent) - 1), min_size=1, max_size=2))
+    for pid in edited:
+        proc = data.draw(st.sampled_from(_PROCESS_POOLS[which])
+                         | st.sampled_from(_EDIT_POOLS[which]))
+        queue = data.draw(st.lists(_any_messages, max_size=capacity + 1))
+        succ[pid] = proc._make(proc[:-1] + (tuple(queue),))
+    succ = tuple(succ)
+    assert _outcome(succ, capacity, parent) is _outcome(succ, capacity)
