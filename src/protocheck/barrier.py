@@ -95,6 +95,8 @@ class BarrierConfig:
     mutation: Optional[str] = None
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.capacity) is not int:
+            raise ValueError("process count and queue capacity must be ints")
         if self.n < 1:
             raise ValueError("process count must be at least 1")
         if self.variant not in VARIANTS:

@@ -1,12 +1,16 @@
 """Batch front end: pick a model, explore it, render the results.
 
+It only parses input, builds objects and prints results: the engine alone
+decides a verdict and whether a search config (`ExploreConfig`) is valid.
+
 Outputs, all optional and all deterministic for a given configuration:
   --stats   tab-separated statistics row (problem, method-config, model size,
             time (s), memory (MB), states stored, states matched)
   --trace   counterexample trace when a property is violated: human-readable
             lines at the given path, plus a machine-readable JSON twin at
             <path>.json that the `replay` subcommand verifies step by step,
-            and then checks that its last state witnesses the verdict
+            checking each step as `explore` checks a successor, and then
+            confirms its verdict by running `explore` from the last state
   --graph   DOT rendering of the stored-state graph, one node per stored
             state and one edge per fired transition
 
@@ -17,7 +21,7 @@ overflow, 3 usage error or unwritable output.
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -25,7 +29,7 @@ from typing import Optional
 from .barrier import BarrierConfig, barrier_model
 from .engine import ExplorationResult, ExploreConfig, Verdict, explore, reconstruct_trace
 from .ring import RingConfig, ring_model
-from .state import ModelError, QueueOverflowError, State, check_state, render_state
+from .state import ModelError, State, check_state, render_state
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -48,7 +52,7 @@ MODELS = {
     "ring": (RingConfig, ring_model),
 }
 
-# The verdicts a trace can witness; replay confirms each on the last state.
+# The verdicts a trace can witness, each at its last state.
 _WITNESSED = (Verdict.INVARIANT_VIOLATED.value, Verdict.POSTCONDITION_VIOLATED.value,
               Verdict.QUEUE_OVERFLOW.value)
 
@@ -181,8 +185,11 @@ def _build_model(model_name: str, options: dict):
 
 
 def _cmd_run(args) -> int:
-    if args.max_states < 1 or args.max_seconds <= 0:
-        raise UsageError("limits must be positive")
+    try:
+        config = ExploreConfig(args.search, args.max_states, args.max_seconds,
+                               record_edges=args.graph is not None)
+    except ValueError as err:
+        raise UsageError(str(err))
     cfg, model = _build_model(args.model, {
         "n": args.size,
         "variant": args.variant,
@@ -190,12 +197,6 @@ def _cmd_run(args) -> int:
         "mutation": args.mutation,
     })
     variant = cfg.variant
-    config = ExploreConfig(
-        search_order=args.search,
-        max_states=args.max_states,
-        max_seconds=args.max_seconds,
-        record_edges=args.graph is not None,
-    )
     result = explore(model, config)
     st = result.stats
 
@@ -259,6 +260,11 @@ def _cmd_replay(args) -> int:
         raise UsageError(f"malformed trace {args.trace}: no witness for verdict {verdict!r}")
 
     state = model.initial_states[0]
+    try:
+        check_state(state, model.queue_capacity)
+    except (ModelError, ValueError) as err:
+        print(f"replay mismatch at step 0: the model's initial state fails: {err}")
+        return EXIT_VIOLATION
     if steps[0].get("rule") is not None or steps[0].get("state") != state_to_json(state):
         print("replay mismatch at step 0: not the model's initial state")
         return EXIT_VIOLATION
@@ -269,15 +275,15 @@ def _cmd_replay(args) -> int:
             print(f"replay mismatch at step {i}: unknown rule {step.get('rule')!r}")
             return EXIT_VIOLATION
         pid = step.get("pid")
-        if not isinstance(pid, int) or not 0 <= pid < len(state):
+        if type(pid) is not int or not 0 <= pid < len(state):
             print(f"replay mismatch at step {i}: bad pid {pid!r}")
             return EXIT_VIOLATION
         if not rule.enabled(state, pid):
             print(f"replay mismatch at step {i}: {rule.name} not enabled at pid {pid}")
             return EXIT_VIOLATION
         try:
-            state = rule.apply(state, pid)
-            check_state(state, model.queue_capacity)
+            prev, state = state, rule.apply(state, pid)
+            check_state(state, model.queue_capacity, prev)
         except (ModelError, ValueError) as err:
             print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")
             return EXIT_VIOLATION
@@ -285,35 +291,21 @@ def _cmd_replay(args) -> int:
             print(f"replay mismatch at step {i}: "
                   f"successor state differs from the recorded one")
             return EXIT_VIOLATION
+    # The last state witnesses the verdict exactly when `explore` from there
+    # reports it at that state (witness 0). Its moves store at most rules x
+    # processes new states, so the limit never cuts them short but bounds the
+    # probe's work; a verdict at any deeper state is no witness.
+    probe = ExploreConfig(max_states=1 + len(model.rules) * len(state))
     try:
-        witnessed = _witnesses(model, state, verdict)
+        found = explore(replace(model, initial_states=(state,)), probe)
     except (ModelError, ValueError) as err:
         print(f"replay mismatch: a successor of the last state fails: {err}")
         return EXIT_VIOLATION
-    if not witnessed:
+    if found.verdict.value != verdict or found.witness != 0:
         print(f"replay mismatch: the last state does not witness {verdict}")
         return EXIT_VIOLATION
     print(f"replay OK: {len(steps) - 1} steps verified, {verdict} confirmed")
     return EXIT_VERIFIED
-
-
-def _witnesses(model, state: State, verdict: str) -> bool:
-    """Whether `state`, the last of a trace, witnesses `verdict`, as
-    `explore` decides it: an invariant violation is the state itself; a
-    postcondition violation a terminal state; a queue overflow a state with
-    an enabled move to a state over the queue bound."""
-    if verdict == Verdict.INVARIANT_VIOLATED.value:
-        return not model.invariant(state)
-    moves = [(rule, pid) for rule in model.rules for pid in range(len(state))
-             if rule.enabled(state, pid)]
-    if verdict == Verdict.POSTCONDITION_VIOLATED.value:
-        return not moves and not model.terminal_postcondition(state)
-    for rule, pid in moves:
-        try:
-            check_state(rule.apply(state, pid), model.queue_capacity)
-        except QueueOverflowError:
-            return True
-    return False
 
 
 def _build_parser() -> _Parser:
@@ -348,8 +340,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
-            if args.size < 1:
-                raise UsageError("--size must be at least 1")
             return _cmd_run(args)
         return _cmd_replay(args)
     except UsageError as err:

@@ -79,10 +79,18 @@ class RunStats:
 
 @dataclass(frozen=True)
 class ExploreConfig:
+    """Search order and limits, checked when built (a NaN limit fails)."""
+
     search_order: str = "bfs"  # "bfs" or "dfs"
     max_states: int = 10_000_000
     max_seconds: float = 600.0
     record_edges: bool = False
+
+    def __post_init__(self):
+        if self.search_order not in ("bfs", "dfs"):
+            raise ValueError(f"unknown search order {self.search_order!r}")
+        if not (self.max_states >= 1 and self.max_seconds > 0):
+            raise ValueError("limits must be positive")
 
 
 # One fired transition: (source id, rule name, pid, target id).
@@ -131,13 +139,9 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     reported as its own verdict, with the state it was generated from as
     witness; any exception out of a rule, or an ill-formed state
     (`check_state`, initial states included), is a modeling bug and
-    propagates.
+    propagates. `replay` confirms a trace's verdict with this search too.
     """
     cfg = config or ExploreConfig()
-    if cfg.search_order not in ("bfs", "dfs"):
-        raise ValueError(f"unknown search order {cfg.search_order!r}")
-    if cfg.max_states < 1 or cfg.max_seconds <= 0:
-        raise ValueError("limits must be positive")
     if model.queue_capacity < 1:
         raise ValueError("queue capacity must be positive")
     if not model.initial_states:

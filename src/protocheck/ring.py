@@ -114,6 +114,8 @@ class RingConfig:
     queue_capacity: Optional[int] = None
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.n, self.entry, self.capacity)):
+            raise ValueError("process count, entry and queue capacity must be ints")
         if self.n < 1:
             raise ValueError("process count must be at least 1")
         if self.variant not in VARIANTS:

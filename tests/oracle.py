@@ -38,6 +38,20 @@ def successors(model, state):
     return out
 
 
+def witnesses(model, state, verdict):
+    """Whether `state`, the last of a trace, witnesses `verdict`: an invariant
+    violation is the state itself, a postcondition violation a terminal
+    state, and a queue overflow a state with a move to a state in which some
+    queue holds more than the model's queue capacity."""
+    if verdict == "invariant_violated":
+        return not model.invariant(state)
+    succs = successors(model, state)
+    if verdict == "postcondition_violated":
+        return not succs and not model.terminal_postcondition(state)
+    assert verdict == "queue_overflow", verdict
+    return any(len(p.queue) > model.queue_capacity for _, _, succ in succs for p in succ)
+
+
 def enumerate_reachable(model):
     """All reachable states, by naive recursion with a linear-scan visited list."""
     states = []

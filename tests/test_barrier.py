@@ -43,6 +43,18 @@ def test_config_validation():
     assert BarrierConfig(n=3, queue_capacity=1).capacity == 1
 
 
+@pytest.mark.parametrize("options", [
+    {"n": True},  # True == 1 would build a one-process model
+    {"n": 3.0},
+    {"n": "3"},
+    {"n": 3, "queue_capacity": True},
+    {"n": 3, "queue_capacity": 1.5},
+])
+def test_config_rejects_non_int_sizes(options):
+    with pytest.raises(ValueError, match="must be ints"):
+        BarrierConfig(**options)
+
+
 class TestInitialState:
     def test_n3_all_zero(self):
         s = barrier_initial_state(BarrierConfig(n=3))

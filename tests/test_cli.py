@@ -1,12 +1,14 @@
 import json
 import re
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import pytest
 
+import oracle
 from protocheck import cli
-from protocheck.barrier import BarrierConfig, barrier_model
+from protocheck.barrier import BarrierConfig, BarrierProcessState, barrier_model
 from protocheck.engine import ProtocolModel, TransitionRule, explore
 from protocheck.ring import RingConfig, ring_model
 from protocheck.state import (
@@ -117,6 +119,12 @@ class TestUsageErrors:
                        "--max-states", "0") == 3
         assert run_cli("run", "--model", "barrier", "--size", "2",
                        "--max-seconds", "0") == 3
+
+    def test_nan_time_limit(self, capsys):
+        # NaN compares false against everything, so it used to mean no limit
+        assert run_cli("run", "--model", "barrier", "--size", "2",
+                       "--max-seconds", "nan") == 3
+        assert "limits must be positive" in capsys.readouterr().err
 
     def test_unwritable_output_names_the_path(self, capsys):
         code = run_cli("run", "--model", "barrier", "--size", "2",
@@ -236,6 +244,40 @@ class TestReplay:
         assert "replay mismatch at step 1: client_request at pid 0 fails" in out
         assert "client released before it reached the barrier" in out
 
+    def test_bool_pid_is_a_mismatch(self, tmp_path, capsys):
+        # True == 1, so a bool pid used to replay as pid 1
+        path = self._violation_trace(tmp_path)
+        doc = json.loads(path.read_text())
+        assert doc["steps"][2]["pid"] == 1
+        doc["steps"][2]["pid"] = True
+        path.write_text(json.dumps(doc))
+        assert run_cli("replay", str(path)) == 1
+        assert "replay mismatch at step 2: bad pid True" in capsys.readouterr().out
+
+    def test_bool_capacity_in_header_is_a_usage_error(self, tmp_path, capsys):
+        path = self._overflow_trace(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["queue_capacity"] = True  # True == 1 used to replay OK
+        path.write_text(json.dumps(doc))
+        assert run_cli("replay", str(path)) == 3
+        assert "must be ints" in capsys.readouterr().err
+
+    def test_ill_formed_initial_state_is_a_mismatch_at_step_0(
+            self, tmp_path, monkeypatch, capsys):
+        path = self._violation_trace(tmp_path)
+
+        def build(cfg):
+            # bools: equal to the recorded zeros, but not bits to check()
+            model = barrier_model(cfg)
+            initial = (BarrierProcessState(False, False, False),) * cfg.n
+            return replace(model, initial_states=(initial,))
+
+        monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
+        assert run_cli("replay", str(path)) == 1
+        out = capsys.readouterr().out
+        assert "replay mismatch at step 0: " in out
+        assert "barrier process fields are bits" in out
+
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": "barrier"}))
@@ -339,3 +381,61 @@ def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys):
     assert trace.read_text().splitlines()[-1].endswith("(1,[t]) (1,[t])")
     assert run_cli("replay", f"{trace}.json") == 0
     assert "replay OK: 2 steps verified" in capsys.readouterr().out
+
+
+def _never_postcondition(build):
+    def forced(cfg):
+        return replace(build(cfg), terminal_postcondition=lambda s: False)
+    return forced
+
+
+# Runs whose traces cover all three witnessed verdicts: the seeded mutation
+# (invariant), capacity 1 (overflow) and a postcondition that always fails.
+_PROBE_RUNS = [
+    *[(family, n, variant, extra)
+      for family in ("barrier", "barrier_never_post")
+      for n in range(1, 5) for variant in ("leader_last", "leader_first")
+      for extra in ([], ["--mutation", "release_on_barrier_in"], ["--queue-capacity", "1"])],
+    *[(family, n, variant, extra)
+      for family in ("ring", "ring_never_post")
+      for n in range(1, 5) for variant in ("ordered", "unordered")
+      for extra in ([], ["--queue-capacity", "1"])],
+]
+_VERDICTS = ("invariant_violated", "postcondition_violated", "queue_overflow")
+
+
+@pytest.mark.parametrize("search", ["bfs", "dfs"])
+def test_replay_confirms_verdicts_as_the_oracle_does(tmp_path, monkeypatch, capsys, search):
+    """Every prefix of every trace, with every witnessed verdict: replay
+    confirms the verdict exactly when the oracle says the prefix's last
+    state witnesses it."""
+    for family in ("barrier", "ring"):
+        config_class, build = cli.MODELS[family]
+        monkeypatch.setitem(cli.MODELS, f"{family}_never_post",
+                            (config_class, _never_postcondition(build)))
+    confirmed = dict.fromkeys(_VERDICTS, 0)
+    refuted = dict.fromkeys(_VERDICTS, 0)
+    trace = tmp_path / "t.txt"
+    for name, n, variant, extra in _PROBE_RUNS:
+        if run_cli("run", "--model", name, "--size", str(n), "--variant", variant,
+                   "--search", search, "--trace", str(trace), *extra) == 0:
+            continue  # verified: no trace
+        doc = json.loads(Path(f"{trace}.json").read_text())
+        config_class, build = cli.MODELS[name]
+        options = {"mutation": doc["mutation"]} if "mutation" in doc else {}
+        model = build(config_class(n=n, variant=variant,
+                                   queue_capacity=doc["queue_capacity"], **options))
+        state = model.initial_states[0]
+        for k, step in enumerate(doc["steps"]):
+            if k:
+                state = model.rule_named(step["rule"]).apply(state, step["pid"])
+            for verdict in _VERDICTS:
+                expected = oracle.witnesses(model, state, verdict)
+                probe = tmp_path / "p.json"
+                probe.write_text(json.dumps(dict(doc, steps=doc["steps"][:k + 1],
+                                                 verdict=verdict)))
+                capsys.readouterr()
+                assert run_cli("replay", str(probe)) == (0 if expected else 1), (
+                    name, n, variant, extra, k, verdict, capsys.readouterr().out)
+                (confirmed if expected else refuted)[verdict] += 1
+    assert all(confirmed.values()) and all(refuted.values()), (confirmed, refuted)

@@ -125,6 +125,18 @@ class TestExplore:
         with pytest.raises(ValueError):
             explore(model, ExploreConfig(max_seconds=0))
 
+    @pytest.mark.parametrize("options", [
+        {"search_order": "sideways"},
+        {"max_states": 0},
+        {"max_seconds": 0},
+        {"max_seconds": -1.0},
+        {"max_seconds": float("nan")},  # would compare false: no time limit
+        {"max_states": float("nan")},
+    ])
+    def test_config_checks_itself(self, options):
+        with pytest.raises(ValueError):
+            ExploreConfig(**options)
+
     def test_mismatched_initial_state_rejected(self):
         model = barrier_model(BarrierConfig(n=2))
         other = barrier_model(BarrierConfig(n=3)).initial_states

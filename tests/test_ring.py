@@ -51,6 +51,19 @@ def test_config_validation():
     assert RingConfig(n=4).capacity == 6
 
 
+@pytest.mark.parametrize("options", [
+    {"n": True},
+    {"n": 3.0},
+    {"n": 3, "entry": 1.5},  # would reach send_message as a float target
+    {"n": 3, "entry": True},
+    {"n": 3, "queue_capacity": True},
+    {"n": 3, "queue_capacity": 2.0},
+])
+def test_config_rejects_non_int_sizes(options):
+    with pytest.raises(ValueError, match="must be ints"):
+        RingConfig(**options)
+
+
 class TestInitialState:
     def test_singleton_is_already_a_valid_ring(self):
         cfg = RingConfig(n=1)
