@@ -12,7 +12,7 @@ Outputs, all optional and all deterministic for a given configuration:
             checking each step as `explore` checks a successor, and then
             confirms its verdict by running `explore` from the last state
   --graph   DOT rendering of the stored-state graph, one node per stored
-            state and one edge per fired transition
+            state and one edge per fired transition, written line by line
 
 Exit status: 0 verified, 1 property violated, 2 limit exceeded or queue
 overflow, 3 usage error or unwritable output.
@@ -21,8 +21,10 @@ overflow, 3 usage error or unwritable output.
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import fields, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -96,29 +98,31 @@ def state_to_json(state: State) -> dict:
     ]}
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to `path` one after another, as the iterable yields
+    them; an `OSError` is a usage error naming the path."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.writelines(chunks)
     except OSError as err:
         raise UsageError(f"cannot write {path}: {err}")
 
 
 def export_state_graph(result: ExplorationResult, path) -> None:
-    """Write the stored-state graph in DOT form.
+    """Write the stored-state graph in DOT form, streamed line by line.
 
-    One node per stored state (ordered by state id), one edge per fired
-    transition labeled with the rule name and pid. Needs a run made with
-    edge retention enabled.
+    One node per stored state (ordered by state id), then one edge per fired
+    transition in firing order, labeled with the rule name and pid. Each line
+    is written as it is made, so the text is never held whole in memory.
+    Needs a run made with edge retention enabled.
     """
     if result.edges is None:
         raise ValueError("state-graph export needs a run with record_edges enabled")
-    lines = ["digraph reachable {"]
-    for sid, state in enumerate(result.states):
-        lines.append(f'  s{sid} [label="s{sid}: {render_state(state)}"];')
-    for src, rule, pid, dst in result.edges:
-        lines.append(f'  s{src} -> s{dst} [label="{rule} @{pid}"];')
-    lines.append("}")
-    _write_text(path, "\n".join(lines) + "\n")
+    nodes = (f'  s{sid} [label="s{sid}: {render_state(state)}"];\n'
+             for sid, state in enumerate(result.states))
+    edges = (f'  s{src} -> s{dst} [label="{rule} @{pid}"];\n'
+             for src, rule, pid, dst in result.edges)
+    _write_text(path, chain(["digraph reachable {\n"], nodes, edges, ["}\n"]))
 
 
 def write_stats(path, result: ExplorationResult, problem: str, method_config: str,
@@ -133,7 +137,7 @@ def write_stats(path, result: ExplorationResult, problem: str, method_config: st
         str(st.states_stored),
         str(st.states_matched),
     )
-    _write_text(path, "\t".join(STATS_COLUMNS) + "\n" + "\t".join(row) + "\n")
+    _write_text(path, ["\t".join(STATS_COLUMNS) + "\n", "\t".join(row) + "\n"])
 
 
 def write_trace(path, result: ExplorationResult, header: dict) -> None:
@@ -156,11 +160,11 @@ def write_trace(path, result: ExplorationResult, header: dict) -> None:
                 "state": state_to_json(step.state),
             }
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, (line + "\n" for line in lines))
     doc = dict(header)
     doc["verdict"] = result.verdict.value
     doc["steps"] = json_steps
-    _write_text(str(path) + ".json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(str(path) + ".json", [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
 def _registry_entry(model_name: str):

@@ -13,7 +13,9 @@ reproducible run to run.
 """
 
 import time
+from array import array
 from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -93,8 +95,37 @@ class ExploreConfig:
             raise ValueError("limits must be positive")
 
 
-# One fired transition: (source id, rule name, pid, target id).
+# One fired transition as `ExplorationResult.edges` yields it: (source id,
+# rule name, pid, target id). The log itself keeps the rule's index, packed.
 Edge = tuple[int, str, int, int]
+
+
+class _EdgeLog(Sequence):
+    """The fired transitions of a search in firing order, read-only, each
+    read as an `Edge`.
+
+    Packed as four ids per transition (source id, rule index, pid, target id)
+    in one `array('q')`, 32 bytes each; 64-bit entries hold any id a search
+    can store. A rule index is turned back into its name on reading.
+    """
+
+    def __init__(self, rule_names: tuple[str, ...], ids: array):
+        self._rule_names = rule_names
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids) // 4
+
+    def __getitem__(self, index: int) -> Edge:
+        k = 4 * range(len(self))[index]
+        ids = self._ids
+        return ids[k], self._rule_names[ids[k + 1]], ids[k + 2], ids[k + 3]
+
+    def __iter__(self) -> Iterator[Edge]:
+        # zip draws from its arguments in order, four ids per edge
+        ids = iter(self._ids)
+        return zip(ids, map(self._rule_names.__getitem__, ids), ids, ids)
+
 
 # Rough per-stored-state bookkeeping cost (dict slot, list slots, object
 # headers), the whole memory estimate; the states themselves are left out.
@@ -103,15 +134,27 @@ _STATE_OVERHEAD = 112
 
 @dataclass
 class ExplorationResult:
+    """What a search found, indexed by state id (the order of storing).
+
+    `parents` packs three ids per stored state in one `array('q')`: the id
+    of the state it was first generated from, the index in `rule_names` of
+    the rule that generated it, and the pid; all three are -1 for an initial
+    state. `depths` holds each state's distance from an initial state along
+    that parent chain. `edges` is None unless the search was asked to record
+    edges; then it is every fired transition, in firing order, as a read-only
+    sequence of `Edge` tuples read from a packed log.
+    """
+
     verdict: Verdict
     stats: RunStats
     witness: Optional[int]
     terminal_states: list[int]
     states: list[State]
-    parents: list[Optional[tuple[int, str, int]]]
-    depths: list[int]
+    parents: array
+    depths: array
+    rule_names: tuple[str, ...]
     initial_count: int
-    edges: Optional[list[Edge]] = None
+    edges: Optional[Sequence[Edge]] = None
 
 
 @dataclass(frozen=True)
@@ -153,16 +196,22 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
 
     start = time.perf_counter()
     stats = RunStats()
+    rule_names = tuple(rule.name for rule in model.rules)
     states: list[State] = []
-    parents: list[Optional[tuple[int, str, int]]] = []
-    depths: list[int] = []
+    parents = array("q")
+    depths = array("q")
     visited: dict[State, int] = {}
     terminal: list[int] = []
-    edges: Optional[list[Edge]] = [] if cfg.record_edges else None
+    edges = array("q") if cfg.record_edges else None
+    # the edges fired from the state being expanded, moved into `edges` as a
+    # batch: one list append per edge is much cheaper than four array appends
+    fired_edges: list[int] = []
     frontier: deque[int] = deque()
     initial_count = 0
 
     def finish(verdict: Verdict, witness: Optional[int] = None) -> ExplorationResult:
+        if fired_edges:
+            edges.fromlist(fired_edges)
         stats.states_stored = len(states)
         stats.elapsed = time.perf_counter() - start
         stats.peak_memory_estimate = _STATE_OVERHEAD * len(states)
@@ -174,16 +223,17 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
             states=states,
             parents=parents,
             depths=depths,
+            rule_names=rule_names,
             initial_count=initial_count,
-            edges=edges,
+            edges=None if edges is None else _EdgeLog(rule_names, edges),
         )
 
     # `visited` maps each state to its id. The caller reserves a new state's
     # id there with one setdefault before `store`, so each is stored once.
-    def store(s: State, parent: Optional[tuple[int, str, int]]) -> None:
+    def store(s: State, parent_id: int, rule: int, pid: int) -> None:
         states.append(s)
-        parents.append(parent)
-        depths.append(0 if parent is None else depths[parent[0]] + 1)
+        parents.extend((parent_id, rule, pid))
+        depths.append(0 if parent_id < 0 else depths[parent_id] + 1)
         frontier.append(len(states) - 1)
 
     for init in model.initial_states:
@@ -191,13 +241,13 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
         if visited.setdefault(canonical_encode(init), sid) != sid:
             continue
         check_state(init, capacity)
-        store(init, None)
+        store(init, -1, -1, -1)
         initial_count = len(states)
         if not model.invariant(init):
             return finish(Verdict.INVARIANT_VIOLATED, witness=sid)
 
     # looked up once here, not once per (state, rule, pid) in the loop
-    rules = [(rule.name, rule.enabled, rule.apply) for rule in model.rules]
+    rules = [(r, rule.enabled, rule.apply) for r, rule in enumerate(model.rules)]
     pids = range(len(model.initial_states[0]))
     pop = frontier.popleft if cfg.search_order == "bfs" else frontier.pop
     reserve = visited.setdefault
@@ -209,7 +259,7 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
         sid = pop()
         state = states[sid]
         fired = False
-        for name, enabled, apply in rules:
+        for r, enabled, apply in rules:
             for pid in pids:
                 if not enabled(state, pid):
                     continue
@@ -225,14 +275,17 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
                         return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
                     if fresh_id >= cfg.max_states:
                         return finish(Verdict.LIMIT_EXCEEDED)
-                    store(succ, (sid, name, pid))
+                    store(succ, sid, r, pid)
                 else:
                     stats.states_matched += 1
                 stats.transitions_fired += 1
                 if edges is not None:
-                    edges.append((sid, name, pid, tid))
+                    fired_edges += (sid, r, pid, tid)
                 if fresh and not model.invariant(succ):
                     return finish(Verdict.INVARIANT_VIOLATED, witness=tid)
+        if fired_edges:
+            edges.fromlist(fired_edges)
+            fired_edges.clear()
         if not fired:
             terminal.append(sid)
             if not model.terminal_postcondition(state):
@@ -248,15 +301,15 @@ def reconstruct_trace(result: ExplorationResult, target: int) -> list[TraceStep]
     """
     if not 0 <= target < len(result.states):
         raise KeyError(f"unknown state id {target}")
+    parents = result.parents
     steps: list[TraceStep] = []
     sid = target
     while True:
-        parent = result.parents[sid]
-        if parent is None:
+        parent_id, rule, pid = parents[3 * sid:3 * sid + 3]
+        if parent_id < 0:
             steps.append(TraceStep(None, None, result.states[sid]))
             break
-        parent_id, rule_name, pid = parent
-        steps.append(TraceStep(rule_name, pid, result.states[sid]))
+        steps.append(TraceStep(result.rule_names[rule], pid, result.states[sid]))
         sid = parent_id
     steps.reverse()
     return steps

@@ -126,11 +126,18 @@ class TestUsageErrors:
                        "--max-seconds", "nan") == 3
         assert "limits must be positive" in capsys.readouterr().err
 
-    def test_unwritable_output_names_the_path(self, capsys):
-        code = run_cli("run", "--model", "barrier", "--size", "2",
-                       "--stats", "/nonexistent-dir/stats.tsv")
+    @pytest.mark.parametrize("option, path", [
+        ("--stats", "/nonexistent-dir/stats.tsv"),
+        ("--graph", "/nonexistent-dir/graph.dot"),
+        ("--graph", "{tmp}"),  # an existing directory
+    ], ids=["stats", "graph-missing-dir", "graph-is-dir"])
+    def test_unwritable_output_names_the_path(self, option, path, tmp_path, capsys):
+        path = path.format(tmp=tmp_path)
+        code = run_cli("run", "--model", "barrier", "--size", "2", option, path)
         assert code == 3
-        assert "/nonexistent-dir/stats.tsv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert path in err
+        assert "Traceback" not in err
 
     def test_replay_missing_file(self):
         assert run_cli("replay", "/nonexistent-dir/trace.json") == 3

@@ -29,6 +29,12 @@ RUNS = {
          "--queue-capacity", "1"],
         ("trace",),
     ),
+    # fully explored, so the graph holds every stored state and fired transition
+    "ring_unordered_n3_dfs": (
+        0,
+        ["--model", "ring", "--size", "3", "--variant", "unordered", "--search", "dfs"],
+        ("graph", "stats"),
+    ),
 }
 
 _SUFFIX = {"trace": ".txt", "graph": ".dot", "stats": ".tsv"}
