@@ -16,9 +16,9 @@ postcondition at termination: everybody was released and nothing is pending.
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional
 
-from .engine import ProtocolModel, TransitionRule
+from .engine import ModelConfig, ProtocolModel, TransitionRule
 from .state import (
     Message,
     MessageKindBase,
@@ -34,7 +34,6 @@ LEADER = 0
 
 LEADER_LAST = "leader_last"
 LEADER_FIRST = "leader_first"
-VARIANTS = (LEADER_LAST, LEADER_FIRST)
 
 # Seeded bug for exercising counterexample machinery: a non-leader releases
 # its client already when forwarding barrier_in, before everyone arrived.
@@ -88,28 +87,16 @@ class BarrierProcessState(NamedTuple):
 
 
 @dataclass(frozen=True)
-class BarrierConfig:
-    n: int
+class BarrierConfig(ModelConfig):
+    VARIANTS: ClassVar[tuple[str, ...]] = (LEADER_LAST, LEADER_FIRST)
+
     variant: str = LEADER_LAST
-    queue_capacity: Optional[int] = None
     mutation: Optional[str] = None
 
     def __post_init__(self):
-        if type(self.n) is not int or type(self.capacity) is not int:
-            raise ValueError("process count and queue capacity must be ints")
-        if self.n < 1:
-            raise ValueError("process count must be at least 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown barrier variant {self.variant!r}; "
-                             f"choose from {', '.join(VARIANTS)}")
+        super().__post_init__()
         if self.mutation is not None and self.mutation not in MUTATIONS:
             raise ValueError(f"unknown mutation {self.mutation!r}")
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ValueError("queue capacity must be positive")
-
-    @property
-    def capacity(self) -> int:
-        return self.queue_capacity if self.queue_capacity is not None else self.n + 2
 
 
 def next_rank(pid: int, n: int) -> int:
@@ -242,9 +229,8 @@ def barrier_model(cfg: BarrierConfig) -> ProtocolModel:
         ),
     )
     return ProtocolModel(
-        name="barrier",
         queue_capacity=cfg.capacity,
-        initial_states=(barrier_initial_state(cfg),),
+        initial_state=barrier_initial_state(cfg),
         rules=rules,
         invariant=barrier_invariant,
         terminal_postcondition=barrier_postcondition,

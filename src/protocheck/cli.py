@@ -29,7 +29,8 @@ from pathlib import Path
 from typing import Optional
 
 from .barrier import BarrierConfig, barrier_model
-from .engine import ExplorationResult, ExploreConfig, Verdict, explore, reconstruct_trace
+from .engine import (ExplorationResult, ExploreConfig, ModelConfig, Verdict, explore,
+                     reconstruct_trace)
 from .ring import RingConfig, ring_model
 from .state import ModelError, State, check_state, render_state
 
@@ -47,8 +48,8 @@ _VERDICT_EXIT = {
 }
 
 # Every protocol the CLI knows: name -> (config class, model factory). A
-# config class is a dataclass with fields `n`, `variant` and `queue_capacity`
-# plus any of its own; its field defaults are the CLI defaults.
+# config class is a `ModelConfig` subclass; its field defaults are the CLI
+# defaults, and the factory builds a `ProtocolModel` from one of its configs.
 MODELS = {
     "barrier": (BarrierConfig, barrier_model),
     "ring": (RingConfig, ring_model),
@@ -59,8 +60,8 @@ _WITNESSED = (Verdict.INVARIANT_VIOLATED.value, Verdict.POSTCONDITION_VIOLATED.v
               Verdict.QUEUE_OVERFLOW.value)
 
 # Config fields the trace header always records (`n` as `size`); the header
-# adds every other config field that is set, and replay reads them back.
-_ALWAYS_IN_HEADER = ("n", "variant", "queue_capacity")
+# adds every other config field that is set, and replay passes them all back.
+_ALWAYS_IN_HEADER = tuple(f.name for f in fields(ModelConfig))
 
 STATS_COLUMNS = (
     "problem",
@@ -175,7 +176,7 @@ def _registry_entry(model_name: str):
 
 def _build_model(model_name: str, options: dict):
     """(config, model) for `options`, a map from config field to value in
-    which None leaves the config class's default."""
+    which None leaves the default; a bad config or size is a usage error."""
     config_class, build = _registry_entry(model_name)
     options = {k: v for k, v in options.items() if v is not None}
     unknown = sorted(options.keys() - {f.name for f in fields(config_class)})
@@ -186,6 +187,8 @@ def _build_model(model_name: str, options: dict):
         return cfg, build(cfg)
     except ValueError as err:
         raise UsageError(str(err))
+    except MemoryError:
+        raise UsageError(f"out of memory for a {model_name} model of size {options['n']}")
 
 
 def _cmd_run(args) -> int:
@@ -248,12 +251,15 @@ def _cmd_replay(args) -> int:
     except (OSError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read trace {args.trace}: {err}")
     try:
-        options = {f.name: doc.get(f.name) for f in fields(_registry_entry(doc["model"])[0])}
+        model_name, steps, verdict = doc["model"], doc["steps"], doc["verdict"]
+        # every other header key must name a config field (`n` is `size`);
+        # `variant` and `queue_capacity` are always there
+        options = {k: doc[k] for k in doc.keys() - {"model", "size", "steps", "verdict"}}
+        if "n" in options:
+            raise UsageError(f"malformed trace {args.trace}: unexpected key 'n'")
         options.update(n=doc["size"], variant=doc["variant"],
                        queue_capacity=doc["queue_capacity"])
-        _, model = _build_model(doc["model"], options)
-        steps = doc["steps"]
-        verdict = doc["verdict"]
+        _, model = _build_model(model_name, options)
     except (KeyError, TypeError) as err:
         raise UsageError(f"malformed trace {args.trace}: {err}")
     if not isinstance(steps, list) or not steps or not all(
@@ -263,7 +269,7 @@ def _cmd_replay(args) -> int:
     if verdict not in _WITNESSED:
         raise UsageError(f"malformed trace {args.trace}: no witness for verdict {verdict!r}")
 
-    state = model.initial_states[0]
+    state = model.initial_state
     try:
         check_state(state, model.queue_capacity)
     except (ModelError, ValueError) as err:
@@ -301,7 +307,7 @@ def _cmd_replay(args) -> int:
     # probe's work; a verdict at any deeper state is no witness.
     probe = ExploreConfig(max_states=1 + len(model.rules) * len(state))
     try:
-        found = explore(replace(model, initial_states=(state,)), probe)
+        found = explore(replace(model, initial_state=state), probe)
     except (ModelError, ValueError) as err:
         print(f"replay mismatch: a successor of the last state fails: {err}")
         return EXIT_VIOLATION

@@ -1,10 +1,10 @@
 """Exhaustive reachability search over a protocol model.
 
-The search derives every state reachable from the initial states through the
+The search derives every state reachable from the initial state through the
 model's guarded transition rules, deduplicating by the state itself (the
 tuple of process states); no state is rendered during a search. Each new
 state is checked for well-formedness and the model's queue bound
-(`check_state`) and against the invariant the moment it is generated; an
+(`check_state`) and against the invariant the moment it is generated; the
 initial state is checked whole, a successor only in the processes its rule
 changed, as the state it came from passed the same check. Each terminal
 state is checked against the postcondition the moment it is popped.
@@ -18,7 +18,7 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from .state import QueueOverflowError, State, canonical_encode, check_state
 
@@ -45,16 +45,46 @@ class TransitionRule:
 
 
 @dataclass(frozen=True)
+class ModelConfig:
+    """The options every protocol takes, checked when built. A protocol's
+    config subclasses it: it sets `VARIANTS`, defaults `variant`, and adds
+    its own fields, with defaults, checked in a `__post_init__` that calls
+    this one. Field defaults are the CLI defaults."""
+
+    VARIANTS: ClassVar[tuple[str, ...]] = ()
+
+    n: int
+    variant: str
+    queue_capacity: Optional[int] = None
+
+    def __post_init__(self):
+        if type(self.n) is not int or type(self.capacity) is not int:
+            raise ValueError("process count and queue capacity must be ints")
+        if self.n < 1:
+            raise ValueError("process count must be at least 1")
+        if self.variant not in self.VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; "
+                             f"choose from {', '.join(self.VARIANTS)}")
+        if self.capacity < 1:
+            raise ValueError("queue capacity must be positive")
+
+    @property
+    def capacity(self) -> int:
+        """The bound on every process's input queue: N+2 unless set."""
+        return self.n + 2 if self.queue_capacity is None else self.queue_capacity
+
+
+@dataclass(frozen=True)
 class ProtocolModel:
     """A protocol as a transition system plus its correctness properties.
 
-    `queue_capacity` bounds every process's input queue in every state; a
-    state over it ends the search with a queue-overflow verdict.
+    The search starts from `initial_state`. `queue_capacity` bounds every
+    process's input queue in every state; a state over it ends the search
+    with a queue-overflow verdict.
     """
 
-    name: str
     queue_capacity: int
-    initial_states: tuple[State, ...]
+    initial_state: State
     rules: tuple[TransitionRule, ...]
     invariant: Callable[[State], bool]
     terminal_postcondition: Callable[[State], bool]
@@ -81,7 +111,8 @@ class RunStats:
 
 @dataclass(frozen=True)
 class ExploreConfig:
-    """Search order and limits, checked when built (a NaN limit fails)."""
+    """Search order and limits, checked when built: an `int` state limit and
+    an `int` or `float` time limit (never a `bool`), both positive, not NaN."""
 
     search_order: str = "bfs"  # "bfs" or "dfs"
     max_states: int = 10_000_000
@@ -91,6 +122,8 @@ class ExploreConfig:
     def __post_init__(self):
         if self.search_order not in ("bfs", "dfs"):
             raise ValueError(f"unknown search order {self.search_order!r}")
+        if type(self.max_states) is not int or type(self.max_seconds) not in (int, float):
+            raise ValueError("max_states must be an int and max_seconds a number")
         if not (self.max_states >= 1 and self.max_seconds > 0):
             raise ValueError("limits must be positive")
 
@@ -138,11 +171,12 @@ class ExplorationResult:
 
     `parents` packs three ids per stored state in one `array('q')`: the id
     of the state it was first generated from, the index in `rule_names` of
-    the rule that generated it, and the pid; all three are -1 for an initial
-    state. `depths` holds each state's distance from an initial state along
-    that parent chain. `edges` is None unless the search was asked to record
-    edges; then it is every fired transition, in firing order, as a read-only
-    sequence of `Edge` tuples read from a packed log.
+    the rule that generated it, and the pid; all three are -1 for the initial
+    state, id 0. `depths` holds each state's distance from the initial state
+    along that parent chain, the shortest distance only under BFS. `edges` is
+    None unless the search was asked to record edges; then it is every fired
+    transition, in firing order, as a read-only sequence of `Edge` tuples read
+    from a packed log. `initial_count` is always 1.
     """
 
     verdict: Verdict
@@ -161,7 +195,7 @@ class ExplorationResult:
 class TraceStep:
     """One trace entry: the rule and pid that produced `state`.
 
-    The first step of a trace carries no rule (its state is an initial one).
+    The first step of a trace carries no rule (its state is the initial one).
     """
 
     rule: Optional[str]
@@ -175,23 +209,18 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     Successors of each stored state are generated by iterating rules in
     declaration order and pids in ascending order; this fixes the traversal
     (and therefore the statistics) but never the reachable set. Under BFS a
-    violating witness is found at minimal distance from an initial state.
+    violating witness is found at minimal distance from the initial state.
 
     The search stops at the first invariant or postcondition violation, at a
     limit, or at the fixed point. A new successor over the queue bound is
     reported as its own verdict, with the state it was generated from as
     witness; any exception out of a rule, or an ill-formed state
-    (`check_state`, initial states included), is a modeling bug and
+    (`check_state`, the initial state included), is a modeling bug and
     propagates. `replay` confirms a trace's verdict with this search too.
     """
     cfg = config or ExploreConfig()
     if model.queue_capacity < 1:
         raise ValueError("queue capacity must be positive")
-    if not model.initial_states:
-        raise ValueError("a model needs at least one initial state")
-    sizes = {len(init) for init in model.initial_states}
-    if len(sizes) > 1:
-        raise ValueError("initial states differ in process count")
     capacity = model.queue_capacity
 
     start = time.perf_counter()
@@ -207,7 +236,6 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     # batch: one list append per edge is much cheaper than four array appends
     fired_edges: list[int] = []
     frontier: deque[int] = deque()
-    initial_count = 0
 
     def finish(verdict: Verdict, witness: Optional[int] = None) -> ExplorationResult:
         if fired_edges:
@@ -224,7 +252,7 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
             parents=parents,
             depths=depths,
             rule_names=rule_names,
-            initial_count=initial_count,
+            initial_count=1,
             edges=None if edges is None else _EdgeLog(rule_names, edges),
         )
 
@@ -236,19 +264,16 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
         depths.append(0 if parent_id < 0 else depths[parent_id] + 1)
         frontier.append(len(states) - 1)
 
-    for init in model.initial_states:
-        sid = len(states)
-        if visited.setdefault(canonical_encode(init), sid) != sid:
-            continue
-        check_state(init, capacity)
-        store(init, -1, -1, -1)
-        initial_count = len(states)
-        if not model.invariant(init):
-            return finish(Verdict.INVARIANT_VIOLATED, witness=sid)
+    init = model.initial_state
+    check_state(init, capacity)
+    visited[canonical_encode(init)] = 0
+    store(init, -1, -1, -1)
+    if not model.invariant(init):
+        return finish(Verdict.INVARIANT_VIOLATED, witness=0)
 
     # looked up once here, not once per (state, rule, pid) in the loop
     rules = [(r, rule.enabled, rule.apply) for r, rule in enumerate(model.rules)]
-    pids = range(len(model.initial_states[0]))
+    pids = range(len(init))
     pop = frontier.popleft if cfg.search_order == "bfs" else frontier.pop
     reserve = visited.setdefault
     while frontier:
@@ -294,10 +319,10 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
 
 
 def reconstruct_trace(result: ExplorationResult, target: int) -> list[TraceStep]:
-    """Path of states from an initial state to `target`, via the parent map.
+    """Path of states from the initial state to `target`, via the parent map.
 
     Each step's state equals the named rule applied at the named pid to the
-    previous step's state; the first step is an initial state with no rule.
+    previous step's state; the first step is the initial state, with no rule.
     """
     if not 0 <= target < len(result.states):
         raise KeyError(f"unknown state id {target}")

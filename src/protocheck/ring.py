@@ -21,9 +21,9 @@ pending, neighbor pointers inverse of each other, one cycle through all.
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import ClassVar, NamedTuple
 
-from .engine import ProtocolModel, TransitionRule
+from .engine import ModelConfig, ProtocolModel, TransitionRule
 from .state import (
     Message,
     MessageKindBase,
@@ -37,7 +37,6 @@ from .state import (
 
 ORDERED = "ordered"
 UNORDERED = "unordered"
-VARIANTS = (ORDERED, UNORDERED)
 
 # Neighbor sentinel for processes that have not joined the ring yet.
 # Deliberately outside [0, N) so it can never collide with a real rank.
@@ -107,40 +106,22 @@ class RingProcessState(NamedTuple):
 
 
 @dataclass(frozen=True)
-class RingConfig:
-    n: int
+class RingConfig(ModelConfig):
+    VARIANTS: ClassVar[tuple[str, ...]] = (ORDERED, UNORDERED)
+
     variant: str = ORDERED
     entry: int = 0
-    queue_capacity: Optional[int] = None
 
     def __post_init__(self):
-        if any(type(v) is not int for v in (self.n, self.entry, self.capacity)):
-            raise ValueError("process count, entry and queue capacity must be ints")
-        if self.n < 1:
-            raise ValueError("process count must be at least 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown ring variant {self.variant!r}; "
-                             f"choose from {', '.join(VARIANTS)}")
-        if not 0 <= self.entry < self.n:
-            raise ValueError("entry process id out of range")
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ValueError("queue capacity must be positive")
-
-    @property
-    def capacity(self) -> int:
-        return self.queue_capacity if self.queue_capacity is not None else self.n + 2
+        super().__post_init__()
+        if type(self.entry) is not int or not 0 <= self.entry < self.n:
+            raise ValueError(f"entry {self.entry!r}: pids must be ints below {self.n}")
 
 
 def ring_initial_state(cfg: RingConfig) -> State:
     """The entry process alone in the ring, self-looped; everyone else out."""
-    procs = []
-    for pid in range(cfg.n):
-        if pid == cfg.entry:
-            procs.append(
-                RingProcessState(status=RingStatus.IN_RING, lhs=cfg.entry, rhs=cfg.entry)
-            )
-        else:
-            procs.append(RingProcessState())
+    procs = [RingProcessState()] * cfg.n
+    procs[cfg.entry] = RingProcessState(RingStatus.IN_RING, cfg.entry, cfg.entry)
     return tuple(procs)
 
 
@@ -269,9 +250,8 @@ def ring_model(cfg: RingConfig) -> ProtocolModel:
         TransitionRule("handle_insert_ack", insert_ack_enabled, rule_handle_insert_ack),
     )
     return ProtocolModel(
-        name="ring",
         queue_capacity=cfg.capacity,
-        initial_states=(ring_initial_state(cfg),),
+        initial_state=ring_initial_state(cfg),
         rules=rules,
         invariant=partial(req_insert_only_at_entry, entry=cfg.entry),
         terminal_postcondition=ring_postcondition,

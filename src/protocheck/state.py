@@ -168,7 +168,7 @@ def canonical_encode(state: State) -> State:
     That needs one type per field, which each process's `check()` enforces
     where the type alone would not (barrier bits are `int`, never `bool`,
     since `True == 1` but the two render differently). The engine still
-    calls this once per initial state and per fired transition, so it stays
+    calls this on the initial state and per fired transition, so it stays
     as the hook a benchmark can wrap to time the key layer.
     """
     return state

@@ -72,8 +72,7 @@ def enumerate_reachable(model):
         for _, _, succ in successors(model, state):
             visit(succ)
 
-    for init in model.initial_states:
-        visit(init)
+    visit(model.initial_state)
     return states
 
 
@@ -83,7 +82,7 @@ def terminal_states(model, states=None):
 
 
 def depth_map(model):
-    """(states, depths): shortest distance from an initial state, computed by
+    """(states, depths): shortest distance from the initial state, computed by
     relaxing all edges until nothing changes."""
     states = enumerate_reachable(model)
     snaps = [snapshot(s) for s in states]
@@ -97,8 +96,7 @@ def depth_map(model):
 
     inf = float("inf")
     depths = [inf] * len(states)
-    for init in model.initial_states:
-        depths[index_of(init)] = 0
+    depths[index_of(model.initial_state)] = 0
     changed = True
     while changed:
         changed = False
@@ -124,7 +122,7 @@ def min_violation_depth(model, max_depth):
                    for _, _, succ in successors(model, state))
 
     for depth in range(max_depth + 1):
-        if any(violates_after(init, depth) for init in model.initial_states):
+        if violates_after(model.initial_state, depth):
             return depth
     return None
 

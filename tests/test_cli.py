@@ -2,14 +2,14 @@ import json
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import ClassVar, NamedTuple
 
 import pytest
 
 import oracle
 from protocheck import cli
 from protocheck.barrier import BarrierConfig, BarrierProcessState, barrier_model
-from protocheck.engine import ProtocolModel, TransitionRule, explore
+from protocheck.engine import ModelConfig, ProtocolModel, TransitionRule, explore
 from protocheck.ring import RingConfig, ring_model
 from protocheck.state import (
     Message,
@@ -142,6 +142,15 @@ class TestUsageErrors:
     def test_replay_missing_file(self):
         assert run_cli("replay", "/nonexistent-dir/trace.json") == 3
 
+    # 2**62 processes: the initial state's allocation fails before it touches
+    # memory (a size near a machine's memory could succeed and exhaust it)
+    @pytest.mark.parametrize("model", ["barrier", "ring"])
+    def test_unallocatable_size_is_a_usage_error(self, model, capsys):
+        assert run_cli("run", "--model", model, "--size", str(2**62)) == 3
+        err = capsys.readouterr().err
+        assert f"out of memory for a {model} model of size {2**62}" in err
+        assert "Traceback" not in err
+
 
 class TestReplay:
     def _violation_trace(self, tmp_path):
@@ -269,6 +278,39 @@ class TestReplay:
         assert run_cli("replay", str(path)) == 3
         assert "must be ints" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("entry", 0, "the barrier model takes no entry"),  # used to replay OK
+        ("n", 3, "unexpected key 'n'"),  # the size is recorded as `size`
+    ])
+    def test_header_key_the_config_does_not_take_is_a_usage_error(
+            self, tmp_path, capsys, key, value, message):
+        path = self._violation_trace(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        assert run_cli("replay", str(path)) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["variant", "queue_capacity"])
+    def test_header_needs_variant_and_capacity(self, tmp_path, key):
+        path = self._violation_trace(tmp_path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        assert run_cli("replay", str(path)) == 3
+
+    @pytest.mark.parametrize("trace", ["_violation_trace", "_overflow_trace"])
+    def test_unallocatable_size_in_header_is_a_usage_error(self, tmp_path, capsys, trace):
+        path = getattr(self, trace)(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["size"] = 2**62  # see TestUsageErrors.test_unallocatable_size_is_a_usage_error
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("replay", str(path)) == 3
+        err = capsys.readouterr().err
+        assert f"out of memory for a {doc['model']} model of size {2**62}" in err
+        assert "Traceback" not in err
+
     def test_ill_formed_initial_state_is_a_mismatch_at_step_0(
             self, tmp_path, monkeypatch, capsys):
         path = self._violation_trace(tmp_path)
@@ -277,7 +319,7 @@ class TestReplay:
             # bools: equal to the recorded zeros, but not bits to check()
             model = barrier_model(cfg)
             initial = (BarrierProcessState(False, False, False),) * cfg.n
-            return replace(model, initial_states=(initial,))
+            return replace(model, initial_state=initial)
 
         monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
         assert run_cli("replay", str(path)) == 1
@@ -334,9 +376,9 @@ def test_export_requires_edge_retention(tmp_path):
 
 
 def test_render_state_is_compact():
-    state = barrier_model(BarrierConfig(n=2)).initial_states[0]
+    state = barrier_model(BarrierConfig(n=2)).initial_state
     assert cli.render_state(state) == "(0,0,0,[]) (0,0,0,[])"
-    ring = ring_model(RingConfig(n=2)).initial_states[0]
+    ring = ring_model(RingConfig(n=2)).initial_state
     assert cli.render_state(ring) == "(ring,0/0,[]) (out,-/-,[])"
 
 
@@ -357,10 +399,10 @@ class _ToyProcess(NamedTuple):
 
 
 @dataclass(frozen=True)
-class _ToyConfig:
-    n: int
+class _ToyConfig(ModelConfig):
+    VARIANTS: ClassVar[tuple[str, ...]] = ("plain",)
+
     variant: str = "plain"
-    queue_capacity: Optional[int] = None
 
 
 def _toy_model(cfg):
@@ -370,7 +412,7 @@ def _toy_model(cfg):
 
     initial = (_ToyProcess(),) * cfg.n
     return ProtocolModel(
-        name="toy", queue_capacity=cfg.queue_capacity or 2, initial_states=(initial,),
+        queue_capacity=cfg.capacity, initial_state=initial,
         rules=(TransitionRule("send", lambda s, pid: not s[pid].sent, send),
                TransitionRule("receive", lambda s, pid: bool(s[pid].queue),
                               receive_message)),
@@ -378,6 +420,15 @@ def _toy_model(cfg):
         invariant=lambda s: sum(len(p.queue) for p in s) < 2,
         terminal_postcondition=lambda s: True,
     )
+
+
+@pytest.mark.parametrize("name", sorted(cli.MODELS))
+def test_every_registered_config_is_a_model_config(name):
+    config_class, _ = cli.MODELS[name]
+    assert issubclass(config_class, ModelConfig)
+    assert config_class.variant in config_class.VARIANTS
+    assert config_class(n=3).capacity == 5  # N+2 by default
+    assert config_class(n=3, queue_capacity=1).capacity == 1
 
 
 def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys):
@@ -432,7 +483,7 @@ def test_replay_confirms_verdicts_as_the_oracle_does(tmp_path, monkeypatch, caps
         options = {"mutation": doc["mutation"]} if "mutation" in doc else {}
         model = build(config_class(n=n, variant=variant,
                                    queue_capacity=doc["queue_capacity"], **options))
-        state = model.initial_states[0]
+        state = model.initial_state
         for k, step in enumerate(doc["steps"]):
             if k:
                 state = model.rule_named(step["rule"]).apply(state, step["pid"])

@@ -68,15 +68,6 @@ class TestExplore:
         assert result.stats.states_stored == len(enumerated) == 18
         assert stored_set(result) == {canonical_encode(s) for s in enumerated}
 
-    def test_initial_states_are_stored_once(self):
-        model = barrier_model(BarrierConfig(n=2))
-        doubled = dataclasses.replace(
-            model, initial_states=model.initial_states * 2
-        )
-        result = explore(doubled)
-        assert result.initial_count == 1
-        assert result.stats.states_stored == 9
-
     def test_seeded_bug_found_at_minimal_depth(self):
         model = barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN))
         result = explore(model)
@@ -132,21 +123,19 @@ class TestExplore:
         {"max_seconds": -1.0},
         {"max_seconds": float("nan")},  # would compare false: no time limit
         {"max_states": float("nan")},
+        {"max_states": "5"},  # used to raise TypeError
+        {"max_states": True},  # True == 1 used to be accepted
+        {"max_states": 2.5},
+        {"max_seconds": "5"},
+        {"max_seconds": True},
     ])
     def test_config_checks_itself(self, options):
         with pytest.raises(ValueError):
             ExploreConfig(**options)
 
-    def test_mismatched_initial_state_rejected(self):
-        model = barrier_model(BarrierConfig(n=2))
-        other = barrier_model(BarrierConfig(n=3)).initial_states
-        wrong = dataclasses.replace(model, initial_states=model.initial_states + other)
-        with pytest.raises(ValueError):
-            explore(wrong)
-
     def test_model_without_initial_states_rejected(self):
-        # nothing explored is nothing verified
-        empty = ProtocolModel("empty", 1, (), (), lambda s: True, lambda s: True)
+        # an initial state of no processes: nothing explored is nothing verified
+        empty = ProtocolModel(1, (), (), lambda s: True, lambda s: True)
         with pytest.raises(ValueError):
             explore(empty)
 
@@ -160,9 +149,8 @@ class TestExplore:
     def test_broken_guard_aborts_the_run(self):
         # a rule whose guard lies gets its EmptyQueueError propagated
         broken = ProtocolModel(
-            name="broken",
             queue_capacity=2,
-            initial_states=((BarrierProcessState(),),),
+            initial_state=(BarrierProcessState(),),
             rules=(TransitionRule("consume", lambda s, pid: True,
                                   lambda s, pid: receive_message(s, pid)),),
             invariant=lambda s: True,
@@ -322,7 +310,7 @@ class TestTrace:
         for sid in range(len(result.states)):
             trace = reconstruct_trace(result, sid)
             state = trace[0].state
-            assert state == model.initial_states[0]
+            assert state == model.initial_state
             for step in trace[1:]:
                 rule = model.rule_named(step.rule)
                 assert rule.enabled(state, step.pid)

@@ -72,6 +72,14 @@ def test_outputs_match_golden_bytes(name, tmp_path):
         assert files[file_name] == (GOLDEN / file_name).read_bytes(), file_name
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.txt.json")))
+def test_committed_traces_replay(name, capsys):
+    # traces an older commit wrote must stay replayable: the header keys and
+    # the JSON state form are a file format
+    assert cli.main(["replay", str(GOLDEN / name)]) == 0
+    assert "confirmed" in capsys.readouterr().out
+
+
 if __name__ == "__main__":
     import tempfile
 
