@@ -1,12 +1,6 @@
-"""Explicit-state model checker for asynchronous message-passing protocols."""
+"""Explicit-state model checker for asynchronous message-passing protocols.
+The root names only the protocol-free core; protocols live in their modules."""
 
-from .barrier import (
-    BarrierConfig,
-    BarrierProcessState,
-    barrier_in,
-    barrier_model,
-    barrier_out,
-)
 from .engine import (
     ExplorationResult,
     ExploreConfig,
@@ -18,16 +12,6 @@ from .engine import (
     Verdict,
     explore,
     reconstruct_trace,
-)
-from .ring import (
-    UNSET,
-    RingConfig,
-    RingProcessState,
-    RingStatus,
-    insert_ack,
-    new_rhs,
-    req_insert,
-    ring_model,
 )
 from .state import (
     EmptyQueueError,
@@ -43,8 +27,6 @@ from .state import (
 )
 
 __all__ = [
-    "BarrierConfig",
-    "BarrierProcessState",
     "EmptyQueueError",
     "ExplorationResult",
     "ExploreConfig",
@@ -54,26 +36,15 @@ __all__ = [
     "ModelError",
     "ProtocolModel",
     "QueueOverflowError",
-    "RingConfig",
-    "RingProcessState",
-    "RingStatus",
     "RunStats",
     "TraceStep",
     "TransitionRule",
-    "UNSET",
     "Verdict",
-    "barrier_in",
-    "barrier_model",
-    "barrier_out",
     "canonical_encode",
     "check_state",
     "explore",
-    "insert_ack",
-    "new_rhs",
     "receive_message",
     "reconstruct_trace",
     "replace_process",
-    "req_insert",
-    "ring_model",
     "send_message",
 ]

@@ -59,10 +59,6 @@ MODELS = {
 _WITNESSED = (Verdict.INVARIANT_VIOLATED.value, Verdict.POSTCONDITION_VIOLATED.value,
               Verdict.QUEUE_OVERFLOW.value)
 
-# Config fields the trace header always records (`n` as `size`); the header
-# adds every other config field that is set, and replay passes them all back.
-_ALWAYS_IN_HEADER = tuple(f.name for f in fields(ModelConfig))
-
 STATS_COLUMNS = (
     "problem",
     "method-config",
@@ -168,17 +164,36 @@ def write_trace(path, result: ExplorationResult, header: dict) -> None:
     _write_text(str(path) + ".json", [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
-def _registry_entry(model_name: str):
-    if model_name not in MODELS:
-        raise UsageError(f"unknown model {model_name!r}")
-    return MODELS[model_name]
+def encode_header(model_name: str, cfg: ModelConfig) -> dict:
+    """`run`'s trace header for `cfg`: the model, then each config field not
+    None in field order, `n` as `size` and `queue_capacity` as the bound."""
+    header = {"model": model_name}
+    for f in fields(cfg):
+        value = cfg.capacity if f.name == "queue_capacity" else getattr(cfg, f.name)
+        if value is not None:
+            header["size" if f.name == "n" else f.name] = value
+    return header
+
+
+def decode_header(doc: dict) -> tuple[str, dict]:
+    """`encode_header` inverted: (model, config options) from a trace document.
+    A key `n`, no `size`/`variant`/`queue_capacity`, or a null is a ValueError."""
+    header = {k: v for k, v in doc.items() if k not in ("model", "steps", "verdict")}
+    if "n" in header:
+        raise ValueError("unexpected key 'n'")
+    unset = [k for k in ("size", "variant", "queue_capacity", *header)
+             if header.get(k) is None]
+    if unset:
+        raise ValueError(f"no value for {unset[0]!r}")
+    return doc["model"], {"n" if k == "size" else k: v for k, v in header.items()}
 
 
 def _build_model(model_name: str, options: dict):
-    """(config, model) for `options`, a map from config field to value in
-    which None leaves the default; a bad config or size is a usage error."""
-    config_class, build = _registry_entry(model_name)
-    options = {k: v for k, v in options.items() if v is not None}
+    """(config, model) for `options`, a map from config field to value taken
+    verbatim; a bad model name, config or size is a usage error."""
+    if model_name not in MODELS:
+        raise UsageError(f"unknown model {model_name!r}")
+    config_class, build = MODELS[model_name]
     unknown = sorted(options.keys() - {f.name for f in fields(config_class)})
     if unknown:
         raise UsageError(f"the {model_name} model takes no {unknown[0]}")
@@ -187,7 +202,7 @@ def _build_model(model_name: str, options: dict):
         return cfg, build(cfg)
     except ValueError as err:
         raise UsageError(str(err))
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise UsageError(f"out of memory for a {model_name} model of size {options['n']}")
 
 
@@ -197,17 +212,13 @@ def _cmd_run(args) -> int:
                                record_edges=args.graph is not None)
     except ValueError as err:
         raise UsageError(str(err))
-    cfg, model = _build_model(args.model, {
-        "n": args.size,
-        "variant": args.variant,
-        "queue_capacity": args.queue_capacity,
-        "mutation": args.mutation,
-    })
-    variant = cfg.variant
+    flags = {"n": args.size, "variant": args.variant,
+             "queue_capacity": args.queue_capacity, "mutation": args.mutation}
+    cfg, model = _build_model(args.model, {k: v for k, v in flags.items() if v is not None})
     result = explore(model, config)
     st = result.stats
 
-    print(f"model={args.model} size={args.size} variant={variant} search={args.search}"
+    print(f"model={args.model} size={args.size} variant={cfg.variant} search={args.search}"
           + (f" mutation={args.mutation}" if args.mutation else ""))
     print(f"verdict: {result.verdict.value}")
     print(f"states stored: {st.states_stored}  states matched: {st.states_matched}  "
@@ -218,24 +229,14 @@ def _cmd_run(args) -> int:
         print(f"witness: state {result.witness} at depth "
               f"{result.depths[result.witness]}")
 
-    method_config = f"{args.search} {variant}" + (
+    method_config = f"{args.search} {cfg.variant}" + (
         f" {args.mutation}" if args.mutation else ""
-    )
-    header = {
-        "model": args.model,
-        "size": args.size,
-        "variant": variant,
-        "queue_capacity": model.queue_capacity,
-    }
-    header.update(
-        (f.name, getattr(cfg, f.name)) for f in fields(cfg)
-        if f.name not in _ALWAYS_IN_HEADER and getattr(cfg, f.name) is not None
     )
     if args.stats is not None:
         write_stats(args.stats, result, args.model, method_config, args.size)
     if args.trace is not None:
         if result.witness is not None:
-            write_trace(args.trace, result, header)
+            write_trace(args.trace, result, encode_header(args.model, cfg))
             print(f"trace written to {args.trace} (replayable: {args.trace}.json)")
         else:
             print("no trace written: run produced no witness")
@@ -251,16 +252,10 @@ def _cmd_replay(args) -> int:
     except (OSError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read trace {args.trace}: {err}")
     try:
-        model_name, steps, verdict = doc["model"], doc["steps"], doc["verdict"]
-        # every other header key must name a config field (`n` is `size`);
-        # `variant` and `queue_capacity` are always there
-        options = {k: doc[k] for k in doc.keys() - {"model", "size", "steps", "verdict"}}
-        if "n" in options:
-            raise UsageError(f"malformed trace {args.trace}: unexpected key 'n'")
-        options.update(n=doc["size"], variant=doc["variant"],
-                       queue_capacity=doc["queue_capacity"])
+        steps, verdict = doc["steps"], doc["verdict"]
+        model_name, options = decode_header(doc)
         _, model = _build_model(model_name, options)
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"malformed trace {args.trace}: {err}")
     if not isinstance(steps, list) or not steps or not all(
         isinstance(s, dict) for s in steps

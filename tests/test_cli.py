@@ -143,13 +143,15 @@ class TestUsageErrors:
         assert run_cli("replay", "/nonexistent-dir/trace.json") == 3
 
     # 2**62 processes: the initial state's allocation fails before it touches
-    # memory (a size near a machine's memory could succeed and exhaust it)
+    # memory (a size near a machine's memory could succeed and exhaust it);
+    # 2**63 does not even fit a sequence length (OverflowError)
     @pytest.mark.parametrize("model", ["barrier", "ring"])
     def test_unallocatable_size_is_a_usage_error(self, model, capsys):
-        assert run_cli("run", "--model", model, "--size", str(2**62)) == 3
-        err = capsys.readouterr().err
-        assert f"out of memory for a {model} model of size {2**62}" in err
-        assert "Traceback" not in err
+        for size in (2**62, 2**63):
+            assert run_cli("run", "--model", model, "--size", str(size)) == 3
+            err = capsys.readouterr().err
+            assert f"out of memory for a {model} model of size {size}" in err
+            assert "Traceback" not in err
 
 
 class TestReplay:
@@ -299,17 +301,43 @@ class TestReplay:
         path.write_text(json.dumps(doc))
         assert run_cli("replay", str(path)) == 3
 
+    @pytest.mark.parametrize("key", ["variant", "queue_capacity", "mutation"])
+    def test_null_header_value_is_a_usage_error(self, tmp_path, capsys, key):
+        # a null used to leave the default: with a null variant this
+        # leader_first trace replayed OK against leader_last
+        trace = tmp_path / "t.txt"
+        assert run_cli("run", "--model", "barrier", "--size", "3",
+                       "--variant", "leader_first", "--mutation", "release_on_barrier_in",
+                       "--trace", str(trace)) == 1
+        path = tmp_path / "t.txt.json"
+        doc = json.loads(path.read_text())
+        doc[key] = None
+        path.write_text(json.dumps(doc))
+        assert run_cli("replay", str(path)) == 3
+        assert f"malformed trace {path}: no value for {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trace, cfg", [
+        ("_violation_trace", BarrierConfig(n=3, mutation="release_on_barrier_in")),
+        ("_overflow_trace", RingConfig(n=3, variant="unordered", queue_capacity=1)),
+    ])
+    def test_run_writes_the_encoded_header(self, tmp_path, trace, cfg):
+        doc = json.loads(getattr(self, trace)(tmp_path).read_text())
+        del doc["steps"], doc["verdict"]
+        assert doc == cli.encode_header(doc["model"], cfg)
+
     @pytest.mark.parametrize("trace", ["_violation_trace", "_overflow_trace"])
     def test_unallocatable_size_in_header_is_a_usage_error(self, tmp_path, capsys, trace):
         path = getattr(self, trace)(tmp_path)
         doc = json.loads(path.read_text())
-        doc["size"] = 2**62  # see TestUsageErrors.test_unallocatable_size_is_a_usage_error
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run_cli("replay", str(path)) == 3
-        err = capsys.readouterr().err
-        assert f"out of memory for a {doc['model']} model of size {2**62}" in err
-        assert "Traceback" not in err
+        # see TestUsageErrors.test_unallocatable_size_is_a_usage_error
+        for size in (2**62, 2**63):
+            doc["size"] = size
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run_cli("replay", str(path)) == 3
+            err = capsys.readouterr().err
+            assert f"out of memory for a {doc['model']} model of size {size}" in err
+            assert "Traceback" not in err
 
     def test_ill_formed_initial_state_is_a_mismatch_at_step_0(
             self, tmp_path, monkeypatch, capsys):
@@ -429,6 +457,27 @@ def test_every_registered_config_is_a_model_config(name):
     assert config_class.variant in config_class.VARIANTS
     assert config_class(n=3).capacity == 5  # N+2 by default
     assert config_class(n=3, queue_capacity=1).capacity == 1
+
+
+# Each registered config at its defaults, then with every field set: an
+# explicit capacity, barrier's mutation and ring's entry (no flag sets it).
+_HEADER_CONFIGS = [
+    *[(name, config_class(n=3)) for name, (config_class, _) in sorted(cli.MODELS.items())],
+    ("barrier", BarrierConfig(n=3, variant="leader_first", queue_capacity=1,
+                              mutation="release_on_barrier_in")),
+    ("ring", RingConfig(n=3, variant="unordered", queue_capacity=1, entry=1)),
+]
+
+
+@pytest.mark.parametrize("name, cfg", _HEADER_CONFIGS)
+def test_trace_header_decodes_to_the_config_it_encodes(name, cfg):
+    header = json.loads(json.dumps(cli.encode_header(name, cfg)))
+    decoded_name, options = cli.decode_header(header)
+    decoded = cli.MODELS[name][0](**options)
+    assert decoded_name == name
+    # the header records the queue bound, not whether it was the default
+    assert decoded == replace(cfg, queue_capacity=cfg.capacity)
+    assert cli.encode_header(name, decoded) == header
 
 
 def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys):

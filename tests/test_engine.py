@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 import oracle
+import protocheck
 from protocheck.barrier import (
     BarrierConfig,
     BarrierProcessState,
@@ -359,3 +360,10 @@ def test_edges_recorded_only_on_request():
         assert rule.enabled(result.states[src], pid)
         assert canonical_encode(rule.apply(result.states[src], pid)) == \
             canonical_encode(result.states[dst])
+
+
+def test_package_root_names_only_the_protocol_free_core():
+    # protocols are imported from their own modules, never from the root
+    for name in protocheck.__all__:
+        module = getattr(protocheck, name).__module__
+        assert module in ("protocheck.engine", "protocheck.state"), (name, module)
