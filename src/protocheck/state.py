@@ -15,10 +15,15 @@ engine keys its visited set by the state itself, so every process field must
 be hashable and compare by value; `render()` serves trace, DOT and JSON text
 only and is never called during a search. `check()` raises ValueError for
 an ill-formed process.
+
+A protocol's rule is a state-level guard plus a pure local step from
+(process, pid) to the new process and the messages it sends. `memoized_apply`
+makes the step the apply the engine calls, memoized per (pid, process) for
+the model's lifetime, so a step may read only its own process.
 """
 
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 class ModelError(Exception):
@@ -148,12 +153,67 @@ def send_message(state: State, to: int, message: Message) -> State:
     return replace_process(state, to, proc._make(proc[:-1] + (proc.queue + (message,),)))
 
 
+def receive(proc, pid: int) -> tuple[Message, Queue]:
+    """The head of process `pid`'s queue and the rest of it, in FIFO order.
+    An empty queue raises EmptyQueueError: the consuming rule's guard lied."""
+    if not proc.queue:
+        raise EmptyQueueError(f"process {pid}: receive on an empty queue")
+    return proc.queue[0], proc.queue[1:]
+
+
 def receive_message(state: State, pid: int) -> State:
     """Remove the head of process `pid`'s queue, preserving FIFO order."""
     proc = state[pid]
-    if not proc.queue:
-        raise EmptyQueueError(f"process {pid}: receive on an empty queue")
-    return replace_process(state, pid, proc._make(proc[:-1] + (proc.queue[1:],)))
+    return replace_process(state, pid, proc._make(proc[:-1] + (receive(proc, pid)[1],)))
+
+
+def memoized_apply(step: Callable) -> Callable[[State, int], State]:
+    """The state-level apply of a rule whose local step `step(proc, pid)`
+    gives process `pid`'s new state and its sends, `((target, message), ...)`,
+    appended in order. Each effect is kept per (pid, process) for the apply's
+    lifetime once its targets pass a range check (ValueError keeps nothing),
+    and each append per (target process, message), so equal processes are
+    one object. `__wrapped__` is `step`, for `apply_uncached`."""
+    effects: dict = {}
+    appends: dict = {}
+
+    def apply(state: State, pid: int) -> State:
+        proc = state[pid]
+        effect = effects.get((pid, proc))
+        if effect is None:
+            effect = step(proc, pid)
+            for to, _ in effect[1]:
+                if not 0 <= to < len(state):
+                    raise ValueError(
+                        f"send target {to} out of range for {len(state)} processes")
+            effects[pid, proc] = effect
+        procs = list(state)
+        procs[pid], sends = effect
+        for to, message in sends:
+            target = procs[to]
+            appended = appends.get((target, message))
+            if appended is None:
+                appended = appends[target, message] = target._make(
+                    target[:-1] + (target.queue + (message,),))
+            procs[to] = appended
+        return tuple(procs)
+
+    apply.__wrapped__ = step
+    return apply
+
+
+def apply_uncached(apply: Callable[[State, int], State], state: State, pid: int) -> State:
+    """`apply(state, pid)` computed afresh: a `memoized_apply`'s step with
+    the successor rebuilt by plain state edits, any other apply as it is, so
+    that a check made through here audits the memo instead of sharing it."""
+    step = getattr(apply, "__wrapped__", None)
+    if step is None:
+        return apply(state, pid)
+    proc, sends = step(state[pid], pid)
+    out = replace_process(state, pid, proc)
+    for to, message in sends:
+        out = send_message(out, to, message)
+    return out
 
 
 def render_state(state: State) -> str:

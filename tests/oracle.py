@@ -1,6 +1,7 @@
 """Independent brute-force machinery used to cross-check the search engine.
 
-Everything here deliberately avoids the engine: reachability is naive
+Everything here deliberately avoids the engine and the rules' memoized
+applies, stepping each rule's local step itself: reachability is naive
 recursion over a linear-scan visited list, shortest depths come from
 relaxation to a fixed point, minimal violation depths from exhaustive path
 enumeration, and expected ring topologies from direct combinatorial
@@ -29,12 +30,26 @@ def snapshot(state):
     return tuple(procs)
 
 
+def apply_step(rule, state, pid):
+    """The successor from the rule's own uncached local step, never its
+    memoized `apply`: the new process at `pid`, then each message sent
+    appended to its target's queue, with the queue as the last field."""
+    new_proc, sends = rule.apply.__wrapped__(state[pid], pid)
+    procs = list(state)
+    procs[pid] = new_proc
+    for to, message in sends:
+        assert 0 <= to < len(procs), to
+        target = procs[to]
+        procs[to] = type(target)(*target[:-1], target.queue + (message,))
+    return tuple(procs)
+
+
 def successors(model, state):
     out = []
     for rule in model.rules:
         for pid in range(len(state)):
             if rule.enabled(state, pid):
-                out.append((rule.name, pid, rule.apply(state, pid)))
+                out.append((rule.name, pid, apply_step(rule, state, pid)))
     return out
 
 

@@ -15,10 +15,6 @@ from protocheck.barrier import (
     barrier_postcondition,
     client_request_enabled,
     next_rank,
-    rule_barrier_in_leader,
-    rule_barrier_in_nonleader,
-    rule_barrier_out,
-    rule_client_request,
 )
 from protocheck.engine import explore, reconstruct_trace
 from protocheck.state import canonical_encode
@@ -30,6 +26,11 @@ def B(ci=0, co=0, h=0, q=()):
 
 def sys_state(*procs):
     return procs
+
+
+def fire(rule, s, pid, **options):
+    """`rule` applied at `pid` in a model of `s`'s size built with `options`."""
+    return barrier_model(BarrierConfig(n=len(s), **options)).rule_named(rule).apply(s, pid)
 
 
 def test_config_validation():
@@ -74,56 +75,56 @@ class TestInitialState:
 class TestClientRequest:
     def test_leader_emits_token(self):
         s = barrier_initial_state(BarrierConfig(n=3))
-        out = rule_client_request(s, 0)
+        out = fire("client_request", s, 0)
         assert out[0] == B(1, 0, 0)
         assert out[1].queue == (barrier_in(),)
         assert out[2].queue == ()
 
     def test_holder_forwards_on_request(self):
         s = sys_state(B(1, 0, 0), B(0, 0, 1), B())
-        out = rule_client_request(s, 1)
+        out = fire("client_request", s, 1)
         assert out[1] == B(1, 0, 0)
         assert out[2].queue == (barrier_in(),)
 
     def test_nonholder_just_sets_the_bit(self):
         s = barrier_initial_state(BarrierConfig(n=3))
-        out = rule_client_request(s, 2)
+        out = fire("client_request", s, 2)
         assert out[2] == B(1, 0, 0)
         assert all(p.queue == () for p in out)
 
     def test_singleton_leader_sends_to_itself(self):
         s = barrier_initial_state(BarrierConfig(n=1))
-        out = rule_client_request(s, 0)
+        out = fire("client_request", s, 0)
         assert out[0] == B(1, 0, 0, [barrier_in()])
 
     def test_guard_is_handled_exactly_once(self):
         s = barrier_initial_state(BarrierConfig(n=2))
         assert client_request_enabled(s, 0)
-        assert not client_request_enabled(rule_client_request(s, 0), 0)
+        assert not client_request_enabled(fire("client_request", s, 0), 0)
 
 
 class TestBarrierInNonleader:
     def test_forwards_when_client_already_asked(self):
         s = sys_state(B(1, 0, 0), B(1, 0, 0, [barrier_in()]), B())
-        out = rule_barrier_in_nonleader(s, 1)
+        out = fire("barrier_in_nonleader", s, 1)
         assert out[1].queue == ()
         assert out[2].queue == (barrier_in(),)
 
     def test_holds_when_client_has_not_asked(self):
         s = sys_state(B(1, 0, 0), B(0, 0, 0, [barrier_in()]), B())
-        out = rule_barrier_in_nonleader(s, 1)
+        out = fire("barrier_in_nonleader", s, 1)
         assert out[1] == B(0, 0, 1)
         assert out[2].queue == ()
 
     def test_forward_wraps_back_to_leader(self):
         s = sys_state(B(1, 0, 0), B(1, 0, 0), B(1, 0, 0, [barrier_in()]))
-        out = rule_barrier_in_nonleader(s, 2)
+        out = fire("barrier_in_nonleader", s, 2)
         assert out[0].queue == (barrier_in(),)
         assert next_rank(2, 3) == 0
 
     def test_seeded_bug_releases_on_forward(self):
         s = sys_state(B(1, 0, 0), B(1, 0, 0, [barrier_in()]), B())
-        out = rule_barrier_in_nonleader(s, 1, release_on_forward=True)
+        out = fire("barrier_in_nonleader", s, 1, mutation=RELEASE_ON_BARRIER_IN)
         assert out[1].client_barrier_out == 1
         assert out[2].queue == (barrier_in(),)
 
@@ -131,19 +132,19 @@ class TestBarrierInNonleader:
 class TestBarrierInLeader:
     def test_leader_last_starts_release_round(self):
         s = sys_state(B(1, 0, 0, [barrier_in()]), B(1, 0, 0), B(1, 0, 0))
-        out = rule_barrier_in_leader(s, 0, variant=LEADER_LAST)
+        out = fire("barrier_in_leader", s, 0, variant=LEADER_LAST)
         assert out[0] == B(1, 0, 0)
         assert out[1].queue == (barrier_out(),)
 
     def test_leader_first_also_releases_its_client(self):
         s = sys_state(B(1, 0, 0, [barrier_in()]), B(1, 0, 0), B(1, 0, 0))
-        out = rule_barrier_in_leader(s, 0, variant=LEADER_FIRST)
+        out = fire("barrier_in_leader", s, 0, variant=LEADER_FIRST)
         assert out[0] == B(1, 1, 0)
         assert out[1].queue == (barrier_out(),)
 
     def test_singleton_sends_release_to_itself(self):
         s = sys_state(B(1, 0, 0, [barrier_in()]))
-        out = rule_barrier_in_leader(s, 0, variant=LEADER_LAST)
+        out = fire("barrier_in_leader", s, 0, variant=LEADER_LAST)
         assert out[0] == B(1, 0, 0, [barrier_out()])
 
 
@@ -151,23 +152,23 @@ class TestBarrierOut:
     def test_leader_last_final_release(self):
         # the closing move of a full n=3 round: the leader is released last
         s = sys_state(B(1, 0, 0, [barrier_out()]), B(1, 1, 0), B(1, 1, 0))
-        out = rule_barrier_out(s, 0, variant=LEADER_LAST)
+        out = fire("barrier_out", s, 0, variant=LEADER_LAST)
         assert out == sys_state(B(1, 1, 0), B(1, 1, 0), B(1, 1, 0))
 
     def test_nonleader_releases_and_forwards(self):
         s = sys_state(B(1, 0, 0), B(1, 0, 0, [barrier_out()]), B(1, 0, 0))
-        out = rule_barrier_out(s, 1, variant=LEADER_LAST)
+        out = fire("barrier_out", s, 1, variant=LEADER_LAST)
         assert out[1] == B(1, 1, 0)
         assert out[2].queue == (barrier_out(),)
 
     def test_leader_first_consumes_without_change(self):
         s = sys_state(B(1, 1, 0, [barrier_out()]), B(1, 1, 0), B(1, 1, 0))
-        out = rule_barrier_out(s, 0, variant=LEADER_FIRST)
+        out = fire("barrier_out", s, 0, variant=LEADER_FIRST)
         assert out == sys_state(B(1, 1, 0), B(1, 1, 0), B(1, 1, 0))
 
     def test_singleton_consumes_own_release(self):
         s = sys_state(B(1, 0, 0, [barrier_out()]))
-        out = rule_barrier_out(s, 0, variant=LEADER_LAST)
+        out = fire("barrier_out", s, 0, variant=LEADER_LAST)
         assert out[0] == B(1, 1, 0)
 
 

@@ -21,10 +21,6 @@ from protocheck.ring import (
     ring_initial_state,
     ring_model,
     ring_postcondition,
-    rule_begin_insert,
-    rule_handle_insert_ack,
-    rule_handle_new_rhs,
-    rule_handle_req_insert,
 )
 from protocheck.state import canonical_encode
 
@@ -39,6 +35,11 @@ def R(status=OUT, lhs=-1, rhs=-1, q=()):
 
 def sys_state(*procs):
     return procs
+
+
+def fire(rule, state, pid, **options):
+    """`rule` applied at `pid` in a model of `state`'s size built with `options`."""
+    return ring_model(RingConfig(n=len(state), **options)).rule_named(rule).apply(state, pid)
 
 
 def test_config_validation():
@@ -99,7 +100,7 @@ class TestBeginInsert:
 
     def test_marks_joiner_and_asks_the_entry(self):
         state = ring_initial_state(RingConfig(n=3))
-        out = rule_begin_insert(state, 1, entry=0)
+        out = fire("begin_insert", state, 1, entry=0)
         assert out[1].status is INS
         assert out[0].queue == (req_insert(1),)
 
@@ -109,14 +110,14 @@ class TestHandleReqInsert:
         # entry alone in the ring: it plays both the left and the right
         # roles, so the repoint message goes to its own queue
         state = sys_state(R(RING, 0, 0, [req_insert(1)]), R(INS))
-        out = rule_handle_req_insert(state, 0)
+        out = fire("handle_req_insert", state, 0)
         assert out[0] == R(RING, 1, 0, [new_rhs(1)])
         assert out[1] == R(INS, q=[insert_ack(0, 0)])
 
     def test_second_splice_targets_old_left_neighbor(self):
         # ring of 0 and 1 settled; 2 asks; hand-traced expected state
         state = sys_state(R(RING, 1, 1, [req_insert(2)]), R(RING, 0, 0), R(INS))
-        out = rule_handle_req_insert(state, 0)
+        out = fire("handle_req_insert", state, 0)
         assert out[0] == R(RING, 2, 1)
         assert out[1] == R(RING, 0, 0, [new_rhs(2)])
         assert out[2] == R(INS, q=[insert_ack(1, 0)])
@@ -129,31 +130,31 @@ class TestHandleReqInsert:
 class TestHandleNewRhs:
     def test_repoints_right_neighbor(self):
         state = sys_state(R(RING, 1, 0, [new_rhs(1)]), R(INS, q=[insert_ack(0, 0)]))
-        out = rule_handle_new_rhs(state, 0)
+        out = fire("handle_new_rhs", state, 0)
         assert out[0] == R(RING, 1, 1)
 
     def test_only_the_head_is_handled(self):
         state = sys_state(R(RING, 1, 1, [new_rhs(2), req_insert(1)]), R(), R())
-        out = rule_handle_new_rhs(state, 0)
+        out = fire("handle_new_rhs", state, 0)
         assert out[0].rhs == 2
         assert out[0].queue[0] == req_insert(1)
 
     def test_old_link_dropped_by_overwrite(self):
         state = sys_state(R(RING, 0, 1, [new_rhs(2)]), R(RING, 0, 0), R(INS))
-        out = rule_handle_new_rhs(state, 0)
+        out = fire("handle_new_rhs", state, 0)
         assert out[0].rhs == 2  # previous value gone
 
 
 class TestHandleInsertAck:
     def test_joiner_adopts_neighbors_and_joins(self):
         state = sys_state(R(RING, 1, 0, [new_rhs(1)]), R(INS, q=[insert_ack(0, 0)]))
-        out = rule_handle_insert_ack(state, 1)
+        out = fire("handle_insert_ack", state, 1)
         assert out[1] == R(RING, 0, 0)
 
     def test_second_joiner(self):
         state = sys_state(R(RING, 2, 1), R(RING, 0, 0, [new_rhs(2)]),
                           R(INS, q=[insert_ack(1, 0)]))
-        out = rule_handle_insert_ack(state, 2)
+        out = fire("handle_insert_ack", state, 2)
         assert out[2] == R(RING, 1, 0)
 
     def test_guard_requires_inserting_status(self):
