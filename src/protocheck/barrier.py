@@ -42,6 +42,7 @@ class MessageKind(MessageKindBase):
 
 _BARRIER_IN = Message(MessageKind.BARRIER_IN)
 _BARRIER_OUT = Message(MessageKind.BARRIER_OUT)
+_IN, _OUT = MessageKind.BARRIER_IN, MessageKind.BARRIER_OUT  # cheap for guards to read
 
 
 def barrier_in() -> Message:
@@ -121,7 +122,7 @@ def rule_client_request(proc: BarrierProcessState, pid: int, n: int):
 
 def barrier_in_nonleader_enabled(state: State, pid: int) -> bool:
     queue = state[pid].queue
-    return pid != LEADER and bool(queue) and queue[0].kind is MessageKind.BARRIER_IN
+    return pid != LEADER and bool(queue) and queue[0].kind is _IN
 
 
 def rule_barrier_in_nonleader(proc: BarrierProcessState, pid: int, n: int,
@@ -141,7 +142,7 @@ def rule_barrier_in_nonleader(proc: BarrierProcessState, pid: int, n: int,
 
 def barrier_in_leader_enabled(state: State, pid: int) -> bool:
     queue = state[pid].queue
-    return pid == LEADER and bool(queue) and queue[0].kind is MessageKind.BARRIER_IN
+    return pid == LEADER and bool(queue) and queue[0].kind is _IN
 
 
 def rule_barrier_in_leader(proc: BarrierProcessState, pid: int, n: int,
@@ -157,7 +158,7 @@ def rule_barrier_in_leader(proc: BarrierProcessState, pid: int, n: int,
 
 def barrier_out_enabled(state: State, pid: int) -> bool:
     queue = state[pid].queue
-    return bool(queue) and queue[0].kind is MessageKind.BARRIER_OUT
+    return bool(queue) and queue[0].kind is _OUT
 
 
 def rule_barrier_out(proc: BarrierProcessState, pid: int, n: int,

@@ -6,8 +6,9 @@ tuple of process states); no state is rendered during a search. Each new
 state is checked for well-formedness and the model's queue bound
 (`check_state`) and against the invariant the moment it is generated; the
 initial state is checked whole, a successor only in the processes its rule
-changed, as the state it came from passed the same check. Each terminal
-state is checked against the postcondition the moment it is popped.
+changed, as the state it came from passed the same check, and each process
+object once per search. Each terminal state is checked against the
+postcondition the moment it is popped.
 Exploration is sequential and fully deterministic, so all counts are
 reproducible run to run.
 """
@@ -39,7 +40,8 @@ class TransitionRule:
     and must be deterministic; both are pure. A protocol's rule is a
     state-level guard plus a pure local step memoized per (pid, process) for
     the model's lifetime (`state.memoized_apply`), so a step may read only
-    its own process.
+    its own process. Guards run stored x N times a search, so bind config in
+    closures, not keyword partials, and compare with module-level Enum aliases.
     """
 
     name: str
@@ -138,7 +140,7 @@ Edge = tuple[int, str, int, int]
 
 class _EdgeLog(Sequence):
     """The fired transitions of a search in firing order, read-only, each
-    read as an `Edge`.
+    read as an `Edge`; a slice reads as a list of them.
 
     Packed as four ids per transition (source id, rule index, pid, target id)
     in one `array('q')`, 32 bytes each; 64-bit entries hold any id a search
@@ -152,7 +154,9 @@ class _EdgeLog(Sequence):
     def __len__(self) -> int:
         return len(self._ids) // 4
 
-    def __getitem__(self, index: int) -> Edge:
+    def __getitem__(self, index: int | slice) -> Edge | list[Edge]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
         k = 4 * range(len(self))[index]
         ids = self._ids
         return ids[k], self._rule_names[ids[k + 1]], ids[k + 2], ids[k + 3]
@@ -227,7 +231,6 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     capacity = model.queue_capacity
 
     start = time.perf_counter()
-    stats = RunStats()
     rule_names = tuple(rule.name for rule in model.rules)
     states: list[State] = []
     parents = array("q")
@@ -239,16 +242,18 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     # batch: one list append per edge is much cheaper than four array appends
     fired_edges: list[int] = []
     frontier: deque[int] = deque()
+    matched = max_frontier = 0  # each fired transition stores or matches a state
+    checked: dict[int, object] = {}  # `check_state`'s memo for this search
 
     def finish(verdict: Verdict, witness: Optional[int] = None) -> ExplorationResult:
         if fired_edges:
             edges.fromlist(fired_edges)
-        stats.states_stored = len(states)
-        stats.elapsed = time.perf_counter() - start
-        stats.peak_memory_estimate = _STATE_OVERHEAD * len(states)
         return ExplorationResult(
             verdict=verdict,
-            stats=stats,
+            stats=RunStats(states_stored=len(states), states_matched=matched,
+                           transitions_fired=len(states) - 1 + matched,
+                           max_frontier=max_frontier, elapsed=time.perf_counter() - start,
+                           peak_memory_estimate=_STATE_OVERHEAD * len(states)),
             witness=witness,
             terminal_states=terminal,
             states=states,
@@ -268,7 +273,7 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
         frontier.append(len(states) - 1)
 
     init = model.initial_state
-    check_state(init, capacity)
+    check_state(init, capacity, checked=checked)
     visited[canonical_encode(init)] = 0
     store(init, -1, -1, -1)
     if not model.invariant(init):
@@ -282,8 +287,8 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     while frontier:
         if time.perf_counter() - start > cfg.max_seconds:
             return finish(Verdict.LIMIT_EXCEEDED)
-        if len(frontier) > stats.max_frontier:
-            stats.max_frontier = len(frontier)
+        if len(frontier) > max_frontier:
+            max_frontier = len(frontier)
         sid = pop()
         state = states[sid]
         fired = False
@@ -298,15 +303,14 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
                 fresh = tid == fresh_id
                 if fresh:
                     try:
-                        check_state(succ, capacity, state)
+                        check_state(succ, capacity, state, checked)
                     except QueueOverflowError:
                         return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
                     if fresh_id >= cfg.max_states:
                         return finish(Verdict.LIMIT_EXCEEDED)
                     store(succ, sid, r, pid)
                 else:
-                    stats.states_matched += 1
-                stats.transitions_fired += 1
+                    matched += 1
                 if edges is not None:
                     fired_edges += (sid, r, pid, tid)
                 if fresh and not model.invariant(succ):

@@ -66,6 +66,11 @@ class RingStatus(Enum):
     IN_RING = "in_ring"
 
 
+# Guards run stored x rules x N times a search, so they compare against
+# module-level aliases: an Enum member lookup costs a dozen global lookups.
+_OUTSIDE, _IN_RING, _INSERTING = RingStatus.OUTSIDE, RingStatus.IN_RING, RingStatus.INSERTING
+_REQ, _RHS, _ACK = MessageKind.REQ_INSERT, MessageKind.NEW_RHS, MessageKind.INSERT_ACK
+
 _STATUS_CODE = {
     RingStatus.OUTSIDE: "out",
     RingStatus.INSERTING: "ins",
@@ -87,7 +92,7 @@ class RingProcessState(NamedTuple):
 
     def check(self) -> None:
         """Raise ValueError if a process outside the ring has a neighbor."""
-        if self.status is RingStatus.OUTSIDE and (self.lhs, self.rhs) != (UNSET, UNSET):
+        if self.status is _OUTSIDE and (self.lhs, self.rhs) != (UNSET, UNSET):
             raise ValueError("a process outside the ring has no neighbors")
 
     def render(self) -> str:
@@ -119,19 +124,17 @@ def ring_initial_state(cfg: RingConfig) -> State:
     return tuple(procs)
 
 
-def begin_insert_enabled(
-    state: State, pid: int, entry: int = 0, ordered: bool = True
-) -> bool:
-    if state[pid].status is not RingStatus.OUTSIDE:
-        return False
-    if not ordered:
-        return True
-    # ordered gate: every lower-ranked process (entry aside) is already in
-    return all(
-        state[i].status is RingStatus.IN_RING
-        for i in range(pid)
-        if i != entry
-    )
+def _begin_insert_guard(entry: int, ordered: bool):
+    def enabled(state: State, pid: int) -> bool:
+        # the ordered gate: every lower-ranked process (entry aside) is in
+        return state[pid].status is _OUTSIDE and (not ordered or all(
+            state[i].status is _IN_RING for i in range(pid) if i != entry))
+    return enabled
+
+
+def begin_insert_enabled(state: State, pid: int, entry: int = 0,
+                         ordered: bool = True) -> bool:
+    return _begin_insert_guard(entry, ordered)(state, pid)
 
 
 def rule_begin_insert(proc: RingProcessState, pid: int, entry: int = 0):
@@ -140,11 +143,17 @@ def rule_begin_insert(proc: RingProcessState, pid: int, entry: int = 0):
             ((entry, req_insert(pid)),))
 
 
+def _req_insert_guard(entry: int):
+    def enabled(state: State, pid: int) -> bool:
+        if pid != entry:
+            return False
+        queue = state[pid].queue
+        return bool(queue) and queue[0].kind is _REQ
+    return enabled
+
+
 def req_insert_enabled(state: State, pid: int, entry: int = 0) -> bool:
-    if pid != entry:
-        return False
-    queue = state[pid].queue
-    return bool(queue) and queue[0].kind is MessageKind.REQ_INSERT
+    return _req_insert_guard(entry)(state, pid)
 
 
 def rule_handle_req_insert(proc: RingProcessState, pid: int):
@@ -163,7 +172,7 @@ def rule_handle_req_insert(proc: RingProcessState, pid: int):
 
 def new_rhs_enabled(state: State, pid: int) -> bool:
     queue = state[pid].queue
-    return bool(queue) and queue[0].kind is MessageKind.NEW_RHS
+    return bool(queue) and queue[0].kind is _RHS
 
 
 def rule_handle_new_rhs(proc: RingProcessState, pid: int):
@@ -175,9 +184,9 @@ def rule_handle_new_rhs(proc: RingProcessState, pid: int):
 
 def insert_ack_enabled(state: State, pid: int) -> bool:
     proc = state[pid]
-    if proc.status is not RingStatus.INSERTING:
+    if proc.status is not _INSERTING:
         return False
-    return bool(proc.queue) and proc.queue[0].kind is MessageKind.INSERT_ACK
+    return bool(proc.queue) and proc.queue[0].kind is _ACK
 
 
 def rule_handle_insert_ack(proc: RingProcessState, pid: int):
@@ -192,7 +201,7 @@ def req_insert_only_at_entry(state: State, entry: int = 0) -> bool:
     for pid, proc in enumerate(state):
         if proc.queue and pid != entry:  # most queues are empty
             for message in proc.queue:
-                if message.kind is MessageKind.REQ_INSERT:
+                if message.kind is _REQ:
                     return False
     return True
 
@@ -221,11 +230,9 @@ def ring_postcondition(state: State) -> bool:
 
 def ring_model(cfg: RingConfig) -> ProtocolModel:
     rules = (
-        TransitionRule("begin_insert",
-                       partial(begin_insert_enabled, entry=cfg.entry,
-                               ordered=cfg.variant == ORDERED),
+        TransitionRule("begin_insert", _begin_insert_guard(cfg.entry, cfg.variant == ORDERED),
                        memoized_apply(partial(rule_begin_insert, entry=cfg.entry))),
-        TransitionRule("handle_req_insert", partial(req_insert_enabled, entry=cfg.entry),
+        TransitionRule("handle_req_insert", _req_insert_guard(cfg.entry),
                        memoized_apply(rule_handle_req_insert)),
         TransitionRule("handle_new_rhs", new_rhs_enabled,
                        memoized_apply(rule_handle_new_rhs)),
@@ -236,6 +243,6 @@ def ring_model(cfg: RingConfig) -> ProtocolModel:
         queue_capacity=cfg.capacity,
         initial_state=ring_initial_state(cfg),
         rules=rules,
-        invariant=partial(req_insert_only_at_entry, entry=cfg.entry),
+        invariant=lambda state: req_insert_only_at_entry(state, cfg.entry),
         terminal_postcondition=ring_postcondition,
     )

@@ -5,8 +5,8 @@ value here is a tuple. State edits return new tuples and never touch their
 inputs, so states can be shared freely between the search engine, the
 visited set, and reconstructed traces; an edit shares every process it does
 not change, by identity. Construction checks nothing, not even the queue
-bound; `check_state` checks a state, bound included, once where it enters
-the search, and then only the processes a transition changed.
+bound; `check_state` checks all of it, each process object once per
+search.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple whose
@@ -23,7 +23,7 @@ the model's lifetime, so a step may read only its own process.
 """
 
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 
 class ModelError(Exception):
@@ -86,7 +86,8 @@ def render_queue(queue: Queue) -> str:
 State = tuple
 
 
-def check_state(state: State, queue_capacity: int, parent: State = ()) -> None:
+def check_state(state: State, queue_capacity: int, parent: State = (),
+                checked: Optional[dict] = None) -> None:
     """Raise ValueError unless `state` is well formed: at least one process,
     one process type whose last field is `queue`, every message carrying its
     kind's arity of process ids in range, and every process passing its own
@@ -97,7 +98,11 @@ def check_state(state: State, queue_capacity: int, parent: State = ()) -> None:
     `state` was derived from, check only the processes that are not
     `parent`'s own objects, after requiring the same process count: what a
     shared process passed it still passes, since a process is checked
-    against nothing but the type, the capacity and the process count.
+    against nothing but the type, the capacity and the process count. With
+    `checked`, a memo (`id` -> the object, held so its id is never reused)
+    that `explore` keeps per search, skip each process found there and add
+    each one that passes, so each process object is checked once per search;
+    by identity, never by value, since `True == 1`.
 
     This is the only place the queue bound is enforced: sends never check
     it, so the engine checks each new state and replay each step.
@@ -115,8 +120,11 @@ def check_state(state: State, queue_capacity: int, parent: State = ()) -> None:
         if getattr(first, "_fields", ())[-1:] != ("queue",):
             raise ValueError(f"the last field of {first.__name__} must be queue")
         pids = range(n)
+    checked = {} if checked is None else checked
     for pid in pids:
         proc = state[pid]
+        if id(proc) in checked:
+            continue
         if type(proc) is not first:
             raise ValueError("all processes must be the same protocol variant")
         if len(proc.queue) > queue_capacity:
@@ -132,6 +140,7 @@ def check_state(state: State, queue_capacity: int, parent: State = ()) -> None:
                 if not 0 <= rank < n:
                     raise ValueError(f"payload id {rank} out of range for {n} processes")
         proc.check()
+        checked[id(proc)] = proc
 
 
 def replace_process(state: State, pid: int, proc) -> State:

@@ -1,0 +1,148 @@
+"""What the search loop calls, and how often.
+
+The call counts are the benchmark's contract (perfbench/run.py checks them
+on its traced rounds): per verified search, guards run stored x rules x N
+times, applies once per fired transition, the invariant once per stored
+state and the visited-set key once per fired transition plus the initial
+state. Pinned here so that a break fails the tests, not only the benchmark.
+Only the well-formedness check runs less often: each process object is
+checked once per search, by identity.
+"""
+
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from protocheck import engine
+from protocheck.barrier import (
+    LEADER_FIRST,
+    LEADER_LAST,
+    RELEASE_ON_BARRIER_IN,
+    BarrierConfig,
+    BarrierProcessState,
+    barrier_model,
+)
+from protocheck.engine import (ExploreConfig, ProtocolModel, TransitionRule, Verdict,
+                               explore)
+from protocheck.ring import ORDERED, UNORDERED, RingConfig, ring_model
+from protocheck.state import check_state
+
+
+def _counted(fn, calls, key):
+    def wrapper(*args):
+        calls[key] += 1
+        return fn(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("model", [
+    barrier_model(BarrierConfig(n=6, variant=LEADER_LAST)),
+    barrier_model(BarrierConfig(n=6, variant=LEADER_FIRST)),
+    ring_model(RingConfig(n=4, variant=ORDERED)),
+    ring_model(RingConfig(n=4, variant=UNORDERED)),
+], ids=["barrier-leader_last-6", "barrier-leader_first-6", "ring-ordered-4",
+        "ring-unordered-4"])
+def test_call_counts_are_fixed_by_the_search(model, monkeypatch):
+    plain = explore(model).stats
+    calls = Counter()
+    counted = replace(
+        model,
+        rules=tuple(TransitionRule(rule.name, _counted(rule.enabled, calls, "guard"),
+                                   _counted(rule.apply, calls, "apply"))
+                    for rule in model.rules),
+        invariant=_counted(model.invariant, calls, "invariant"),
+    )
+    monkeypatch.setattr(engine, "canonical_encode",
+                        _counted(engine.canonical_encode, calls, "encode"))
+    result = explore(counted)
+    st = result.stats
+    assert result.verdict is Verdict.VERIFIED
+    assert replace(st, elapsed=0.0) == replace(plain, elapsed=0.0)
+    n = len(model.initial_state)
+    assert calls == {
+        "guard": st.states_stored * len(model.rules) * n,
+        "apply": st.transitions_fired,
+        "invariant": st.states_stored,
+        "encode": st.transitions_fired + 1,
+    }
+
+
+def test_each_process_object_is_checked_once_per_search(monkeypatch):
+    model = barrier_model(BarrierConfig(n=8))
+    checked = []  # holding each object keeps its id from being reused
+    real_check = BarrierProcessState.check
+
+    def check(self):
+        checked.append(self)
+        return real_check(self)
+
+    monkeypatch.setattr(BarrierProcessState, "check", check)
+    result = explore(model)
+    assert result.verdict is Verdict.VERIFIED
+    ids = Counter(map(id, checked))
+    assert max(ids.values()) == 1
+    # and none is skipped: every process of every stored state was checked
+    assert {id(proc) for state in result.states for proc in state} <= ids.keys()
+    assert len(checked) < result.stats.states_stored
+
+
+def test_the_memo_is_keyed_by_identity_not_value():
+    # (True, 0, 0, ()) equals (1, 0, 0, ()), which passed its check first
+    # in the same search; the bool bit must still be caught
+    def enabled(s, pid):  # pid 0 asks first, then pid 1
+        return s[pid].client_barrier_in == 0 and s[0].client_barrier_in == pid
+
+    def ask(s, pid):
+        if pid == 0:
+            return BarrierProcessState(1, 0, 0, ()), s[1]
+        return s[0], BarrierProcessState(True, 0, 0, ())
+
+    model = ProtocolModel(
+        queue_capacity=2,
+        initial_state=(BarrierProcessState(),) * 2,
+        rules=(TransitionRule("ask", enabled, ask),),
+        invariant=lambda s: True,
+        terminal_postcondition=lambda s: True,
+    )
+    with pytest.raises(ValueError, match="bits"):
+        explore(model)
+
+
+def test_check_state_adds_what_passes_and_skips_what_its_memo_holds():
+    one, zero = BarrierProcessState(1, 0, 0, ()), BarrierProcessState()
+    memo = {}
+    check_state((one, zero), 2, checked=memo)
+    assert memo == {id(one): one, id(zero): zero}
+    with pytest.raises(ValueError, match="bits"):
+        check_state((one, BarrierProcessState(True, 0, 0, ())), 2, checked=memo)
+    bad = BarrierProcessState(0, 1, 0, ())  # released before it asked
+    memo[id(bad)] = bad
+    check_state((one, bad), 2, checked=memo)  # trusted: the memo holds it
+
+
+def test_the_memo_does_not_outlive_its_search():
+    # the rules' memos hand the second search the very process objects the
+    # first one checked at a larger capacity; the bound must still hold
+    model = ring_model(RingConfig(n=3, variant=UNORDERED))
+    assert explore(model).verdict is Verdict.VERIFIED
+    tight = replace(model, queue_capacity=1)
+    assert explore(tight).verdict is Verdict.QUEUE_OVERFLOW
+    assert explore(model).verdict is Verdict.VERIFIED
+
+
+@pytest.mark.parametrize("model,config,verdict", [
+    (barrier_model(BarrierConfig(n=3)), ExploreConfig(), Verdict.VERIFIED),
+    (barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN)), ExploreConfig(),
+     Verdict.INVARIANT_VIOLATED),
+    (replace(barrier_model(BarrierConfig(n=2)), terminal_postcondition=lambda s: False),
+     ExploreConfig(search_order="dfs"), Verdict.POSTCONDITION_VIOLATED),
+    (ring_model(RingConfig(n=3, variant=UNORDERED, queue_capacity=1)), ExploreConfig(),
+     Verdict.QUEUE_OVERFLOW),
+    (barrier_model(BarrierConfig(n=4)), ExploreConfig(max_states=10), Verdict.LIMIT_EXCEEDED),
+], ids=["verified", "invariant", "postcondition", "overflow", "state-limit"])
+def test_fired_count_matches_the_edge_log_on_every_exit(model, config, verdict):
+    # the search counts only matches; it derives fired = stored - 1 + matched
+    result = explore(model, replace(config, record_edges=True))
+    assert result.verdict is verdict
+    assert result.stats.transitions_fired == len(result.edges) > 0

@@ -56,6 +56,16 @@ def test_edge_log_indexes_as_it_iterates(graph_run):
         edges[len(edges)]
 
 
+@pytest.mark.parametrize("index", [
+    slice(1, 3), slice(-5, None), slice(None, -2040), slice(3, 40, 7),
+    slice(None, None, -97), slice(10, 10), slice(5, 2), slice(-3000, 3000),
+], ids=repr)
+def test_edge_log_slices_as_a_list(graph_run, index):
+    edges = graph_run.edges
+    assert edges[index] == list(edges)[index]
+    assert all(type(edge) is tuple and len(edge) == 4 for edge in edges[index])
+
+
 def test_graph_export_streams(graph_run, tmp_path):
     # joining the DOT text first took about four times the file's size
     path = tmp_path / "g.dot"
