@@ -11,8 +11,8 @@ Outputs, all optional and all deterministic for a given configuration:
             <path>.json that the `replay` subcommand verifies step by step,
             checking each step as `explore` checks a successor, and then
             confirms its verdict by running `explore` from the last state
-  --graph   DOT rendering of the stored-state graph, one node per stored
-            state and one edge per fired transition, written line by line
+  --graph   DOT state graph: a node per stored state, an edge per fired
+            transition; streamed, each distinct process rendered once per export
 
 Exit status: 0 verified, 1 property violated, 2 limit exceeded or queue
 overflow, 3 usage error or unwritable output.
@@ -98,17 +98,26 @@ def _write_text(path, chunks: Iterable[str]) -> None:
         raise UsageError(f"cannot write {path}: {err}")
 
 
+class _RenderMemo(dict):
+    """process -> its `render()`, made on the first lookup; keyed by value."""
+
+    def __missing__(self, proc) -> str:
+        text = self[proc] = proc.render()
+        return text
+
+
 def export_state_graph(result: ExplorationResult, path) -> None:
     """Write the stored-state graph in DOT form, streamed line by line.
 
     One node per stored state (ordered by state id), then one edge per fired
-    transition in firing order, labeled with the rule name and pid. Each line
-    is written as it is made, so the text is never held whole in memory.
-    Needs a run made with edge retention enabled.
+    transition in firing order, labeled with the rule name and pid. Lines are
+    written as made, never held whole, and each distinct process is rendered
+    once per call. Needs a run made with edge retention enabled.
     """
     if result.edges is None:
         raise ValueError("state-graph export needs a run with record_edges enabled")
-    nodes = (f'  s{sid} [label="s{sid}: {render_state(state)}"];\n'
+    text = _RenderMemo().__getitem__
+    nodes = (f'  s{sid} [label="s{sid}: {render_state(state, text)}"];\n'
              for sid, state in enumerate(result.states))
     edges = (f'  s{src} -> s{dst} [label="{rule} @{pid}"];\n'
              for src, rule, pid, dst in result.edges)

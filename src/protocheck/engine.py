@@ -117,7 +117,8 @@ class RunStats:
 @dataclass(frozen=True)
 class ExploreConfig:
     """Search order and limits, checked when built: an `int` state limit and
-    an `int` or `float` time limit (never a `bool`), both positive, not NaN."""
+    an `int` or `float` time limit (never a `bool`), both positive, not NaN,
+    and a `bool` edge switch."""
 
     search_order: str = "bfs"  # "bfs" or "dfs"
     max_states: int = 10_000_000
@@ -131,6 +132,8 @@ class ExploreConfig:
             raise ValueError("max_states must be an int and max_seconds a number")
         if not (self.max_states >= 1 and self.max_seconds > 0):
             raise ValueError("limits must be positive")
+        if type(self.record_edges) is not bool:
+            raise ValueError("record_edges must be a bool")
 
 
 # One fired transition as `ExplorationResult.edges` yields it: (source id,

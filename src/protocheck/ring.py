@@ -91,7 +91,10 @@ class RingProcessState(NamedTuple):
     queue: Queue = ()
 
     def check(self) -> None:
-        """Raise ValueError if a process outside the ring has a neighbor."""
+        """Raise ValueError unless both neighbors are ints (a bool would merge
+        visited keys, as True == 1) and a process outside the ring has none."""
+        if type(self.lhs) is not int or type(self.rhs) is not int:
+            raise ValueError("ring neighbors are ints")
         if self.status is _OUTSIDE and (self.lhs, self.rhs) != (UNSET, UNSET):
             raise ValueError("a process outside the ring has no neighbors")
 

@@ -23,6 +23,7 @@ the model's lifetime, so a step may read only its own process.
 """
 
 from enum import Enum
+from operator import methodcaller
 from typing import Callable, NamedTuple, Optional
 
 
@@ -90,9 +91,9 @@ def check_state(state: State, queue_capacity: int, parent: State = (),
                 checked: Optional[dict] = None) -> None:
     """Raise ValueError unless `state` is well formed: at least one process,
     one process type whose last field is `queue`, every message carrying its
-    kind's arity of process ids in range, and every process passing its own
-    `check()`. Raise QueueOverflowError if a queue holds more than
-    `queue_capacity` messages.
+    kind's arity of process ids (`int`s in range, never `bool`s), and every
+    process passing its own `check()`. Raise QueueOverflowError if a queue
+    holds more than `queue_capacity` messages.
 
     With `parent`, a state already checked with the same capacity that
     `state` was derived from, check only the processes that are not
@@ -128,17 +129,15 @@ def check_state(state: State, queue_capacity: int, parent: State = (),
         if type(proc) is not first:
             raise ValueError("all processes must be the same protocol variant")
         if len(proc.queue) > queue_capacity:
-            raise QueueOverflowError(
-                f"queue of process {pid} is over capacity {queue_capacity}"
-            )
+            raise QueueOverflowError(f"queue of process {pid} is over capacity "
+                                     f"{queue_capacity}")
         for kind, payload in proc.queue:
             if len(payload) != kind.arity:
-                raise ValueError(
-                    f"{kind.name.lower()} carries {kind.arity} id(s), got {len(payload)}"
-                )
+                raise ValueError(f"{kind.name.lower()} carries {kind.arity} id(s), "
+                                 f"got {len(payload)}")
             for rank in payload:
-                if not 0 <= rank < n:
-                    raise ValueError(f"payload id {rank} out of range for {n} processes")
+                if type(rank) is not int or not 0 <= rank < n:
+                    raise ValueError(f"payload id {rank!r} is not an int in [0, {n})")
         proc.check()
         checked[id(proc)] = proc
 
@@ -225,19 +224,20 @@ def apply_uncached(apply: Callable[[State, int], State], state: State, pid: int)
     return out
 
 
-def render_state(state: State) -> str:
-    """Compact one-line rendering: the process renderings joined by spaces."""
-    return " ".join([p.render() for p in state])
+def render_state(state: State, text: Callable[[object], str] = methodcaller("render")) -> str:
+    """Compact one-line rendering, for trace lines and DOT nodes alike: each
+    process's `text(proc)`, by default its `render()`, joined by spaces."""
+    return " ".join(map(text, state))
 
 
 def canonical_encode(state: State) -> State:
     """The visited-set key: the identity, as the state is its own key.
 
     Two states are equal exactly when every process field compares equal.
-    That needs one type per field, which each process's `check()` enforces
-    where the type alone would not (barrier bits are `int`, never `bool`,
-    since `True == 1` but the two render differently). The engine still
-    calls this on the initial state and per fired transition, so it stays
-    as the hook a benchmark can wrap to time the key layer.
+    That needs one type per field, which `check_state` enforces where the
+    type alone would not: barrier bits, ring neighbors and payload ids are
+    `int`, never `bool`, as `True == 1` but the two render differently. The
+    engine calls this on the initial state and per fired transition, as the
+    hook a benchmark can wrap to time the key layer.
     """
     return state

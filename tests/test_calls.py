@@ -25,7 +25,8 @@ from protocheck.barrier import (
 )
 from protocheck.engine import (ExploreConfig, ProtocolModel, TransitionRule, Verdict,
                                explore)
-from protocheck.ring import ORDERED, UNORDERED, RingConfig, ring_model
+from protocheck.ring import (ORDERED, UNORDERED, RingConfig, RingProcessState, RingStatus,
+                             req_insert, ring_model)
 from protocheck.state import check_state
 
 
@@ -106,6 +107,30 @@ def test_the_memo_is_keyed_by_identity_not_value():
         terminal_postcondition=lambda s: True,
     )
     with pytest.raises(ValueError, match="bits"):
+        explore(model)
+
+
+@pytest.mark.parametrize("twin", [
+    lambda v: RingProcessState(RingStatus.IN_RING, v, 0),
+    lambda v: RingProcessState(RingStatus.IN_RING, 0, v),
+    lambda v: RingProcessState(queue=(req_insert(v),)),
+], ids=["lhs", "rhs", "payload"])
+def test_a_bool_is_caught_after_its_int_twin_passed(twin):
+    # pid 0 builds the process with 1, then pid 1 its equal twin with True
+    def enabled(s, pid):
+        return s[pid] == RingProcessState() and (s[0] == RingProcessState()) == (pid == 0)
+
+    def build(s, pid):
+        return (twin(1), s[1]) if pid == 0 else (s[0], twin(True))
+
+    model = ProtocolModel(
+        queue_capacity=2,
+        initial_state=(RingProcessState(),) * 2,
+        rules=(TransitionRule("build", enabled, build),),
+        invariant=lambda s: True,
+        terminal_postcondition=lambda s: True,
+    )
+    with pytest.raises(ValueError, match="int"):
         explore(model)
 
 

@@ -129,6 +129,9 @@ class TestExplore:
         {"max_states": 2.5},
         {"max_seconds": "5"},
         {"max_seconds": True},
+        {"record_edges": "no"},  # a truthy string used to record edges
+        {"record_edges": 1},
+        {"record_edges": None},
     ])
     def test_config_checks_itself(self, options):
         with pytest.raises(ValueError):

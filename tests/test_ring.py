@@ -65,6 +65,14 @@ def test_config_rejects_non_int_sizes(options):
         RingConfig(**options)
 
 
+@pytest.mark.parametrize("lhs,rhs", [(True, 0), (0, True), (False, False), (1.0, 0)])
+def test_neighbors_are_ints_never_bools(lhs, rhs):
+    # (ring,True/0,[]) equals (ring,1/0,[]), so the two would share one visited key
+    R(RING, 1, 0).check()
+    with pytest.raises(ValueError, match="ints"):
+        R(RING, lhs, rhs).check()
+
+
 class TestInitialState:
     def test_singleton_is_already_a_valid_ring(self):
         cfg = RingConfig(n=1)

@@ -149,6 +149,13 @@ class TestSend:
             with pytest.raises(ValueError):
                 check_state(send_message(s, 0, req_insert(rank)), CAPACITY)
 
+    @pytest.mark.parametrize("rank", [True, False, 1.0])
+    def test_payload_id_is_an_int_never_a_bool(self, rank):
+        # req(True) equals req(1), so the two would share one visited key
+        s = sys_state(RingProcessState(), RingProcessState())
+        with pytest.raises(ValueError, match="not an int"):
+            check_state(send_message(s, 0, req_insert(rank)), CAPACITY)
+
 
 class TestReceive:
     def test_removes_head_only(self):
