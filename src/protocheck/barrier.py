@@ -16,7 +16,7 @@ postcondition at termination: everybody was released and nothing is pending.
 
 from dataclasses import dataclass
 from functools import partial
-from typing import ClassVar, NamedTuple, Optional
+from typing import ClassVar, NamedTuple
 
 from .engine import ModelConfig, ProtocolModel, TransitionRule
 from .state import (Message, MessageKindBase, Queue, State, memoized_apply, receive,
@@ -32,7 +32,6 @@ LEADER_FIRST = "leader_first"
 # Seeded bug for exercising counterexample machinery: a non-leader releases
 # its client already when forwarding barrier_in, before everyone arrived.
 RELEASE_ON_BARRIER_IN = "release_on_barrier_in"
-MUTATIONS = (RELEASE_ON_BARRIER_IN,)
 
 
 class MessageKind(MessageKindBase):
@@ -40,17 +39,9 @@ class MessageKind(MessageKindBase):
     BARRIER_OUT = ("bo", 0)
 
 
-_BARRIER_IN = Message(MessageKind.BARRIER_IN)
-_BARRIER_OUT = Message(MessageKind.BARRIER_OUT)
+BARRIER_IN = Message(MessageKind.BARRIER_IN)
+BARRIER_OUT = Message(MessageKind.BARRIER_OUT)
 _IN, _OUT = MessageKind.BARRIER_IN, MessageKind.BARRIER_OUT  # cheap for guards to read
-
-
-def barrier_in() -> Message:
-    return _BARRIER_IN
-
-
-def barrier_out() -> Message:
-    return _BARRIER_OUT
 
 
 class BarrierProcessState(NamedTuple):
@@ -61,7 +52,7 @@ class BarrierProcessState(NamedTuple):
     holding_barrier_in: int = 0
     queue: Queue = ()
 
-    def check(self) -> None:
+    def check(self, n: int) -> None:
         """Raise ValueError unless the bits are bits and mutually consistent."""
         for bit in self[:3]:
             # an int, never a bool: True == 1 would merge two visited keys
@@ -84,14 +75,9 @@ class BarrierProcessState(NamedTuple):
 @dataclass(frozen=True)
 class BarrierConfig(ModelConfig):
     VARIANTS: ClassVar[tuple[str, ...]] = (LEADER_LAST, LEADER_FIRST)
+    MUTATIONS: ClassVar[tuple[str, ...]] = (RELEASE_ON_BARRIER_IN,)
 
     variant: str = LEADER_LAST
-    mutation: Optional[str] = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.mutation is not None and self.mutation not in MUTATIONS:
-            raise ValueError(f"unknown mutation {self.mutation!r}")
 
 
 def next_rank(pid: int, n: int) -> int:
@@ -116,7 +102,7 @@ def rule_client_request(proc: BarrierProcessState, pid: int, n: int):
     # the holding bit clears either way (the leader never holds the token)
     out = BarrierProcessState(1, proc.client_barrier_out, 0, proc.queue)
     if pid == LEADER or proc.holding_barrier_in:
-        return out, ((next_rank(pid, n), _BARRIER_IN),)
+        return out, ((next_rank(pid, n), BARRIER_IN),)
     return out, ()
 
 
@@ -126,7 +112,7 @@ def barrier_in_nonleader_enabled(state: State, pid: int) -> bool:
 
 
 def rule_barrier_in_nonleader(proc: BarrierProcessState, pid: int, n: int,
-                              release_on_forward: bool = False):
+                              release_on_forward: bool):
     """Non-leader handles barrier_in: forward if its client already asked,
     otherwise hold it."""
     _, queue = receive(proc, pid)
@@ -135,7 +121,7 @@ def rule_barrier_in_nonleader(proc: BarrierProcessState, pid: int, n: int,
         released = 1 if release_on_forward else proc.client_barrier_out
         return (BarrierProcessState(proc.client_barrier_in, released,
                                     proc.holding_barrier_in, queue),
-                ((next_rank(pid, n), _BARRIER_IN),))
+                ((next_rank(pid, n), BARRIER_IN),))
     return BarrierProcessState(
         proc.client_barrier_in, proc.client_barrier_out, 1, queue), ()
 
@@ -146,14 +132,14 @@ def barrier_in_leader_enabled(state: State, pid: int) -> bool:
 
 
 def rule_barrier_in_leader(proc: BarrierProcessState, pid: int, n: int,
-                           variant: str = LEADER_LAST):
+                           variant: str):
     """barrier_in returned to the leader: everyone arrived, start the release
     round. Under leader_first the leader's own client goes through now."""
     _, queue = receive(proc, pid)
     released = 1 if variant == LEADER_FIRST else proc.client_barrier_out
     return (BarrierProcessState(proc.client_barrier_in, released,
                                 proc.holding_barrier_in, queue),
-            ((next_rank(pid, n), _BARRIER_OUT),))
+            ((next_rank(pid, n), BARRIER_OUT),))
 
 
 def barrier_out_enabled(state: State, pid: int) -> bool:
@@ -162,7 +148,7 @@ def barrier_out_enabled(state: State, pid: int) -> bool:
 
 
 def rule_barrier_out(proc: BarrierProcessState, pid: int, n: int,
-                     variant: str = LEADER_LAST):
+                     variant: str):
     """Handle barrier_out: a non-leader releases its client and forwards the
     token; the leader consumes it (releasing its client only under
     leader_last, where it is the last to do so)."""
@@ -172,7 +158,7 @@ def rule_barrier_out(proc: BarrierProcessState, pid: int, n: int,
         return BarrierProcessState(
             proc.client_barrier_in, released, proc.holding_barrier_in, queue), ()
     return (BarrierProcessState(proc.client_barrier_in, 1, proc.holding_barrier_in, queue),
-            ((next_rank(pid, n), _BARRIER_OUT),))
+            ((next_rank(pid, n), BARRIER_OUT),))
 
 
 def barrier_invariant(state: State) -> bool:

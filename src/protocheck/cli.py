@@ -197,9 +197,10 @@ def _build_model(model_name: str, options: dict):
 
 
 def _cmd_run(args) -> int:
+    search = {"search_order": args.search, "max_states": args.max_states,
+              "max_seconds": args.max_seconds, "record_edges": args.graph is not None}
     try:
-        config = ExploreConfig(args.search, args.max_states, args.max_seconds,
-                               record_edges=args.graph is not None)
+        config = ExploreConfig(**{k: v for k, v in search.items() if v is not None})
     except ValueError as err:
         raise UsageError(str(err))
     flags = {"n": args.size, "variant": args.variant,
@@ -208,7 +209,7 @@ def _cmd_run(args) -> int:
     result = explore(model, config)
     st = result.stats
 
-    print(f"model={args.model} size={args.size} variant={cfg.variant} search={args.search}"
+    print(f"model={args.model} size={cfg.n} variant={cfg.variant} search={config.search_order}"
           + (f" mutation={args.mutation}" if args.mutation else ""))
     print(f"verdict: {result.verdict.value}")
     print(f"states stored: {st.states_stored}  states matched: {st.states_matched}  "
@@ -219,7 +220,7 @@ def _cmd_run(args) -> int:
         print(f"witness: state {result.witness} at depth "
               f"{result.depths[result.witness]}")
 
-    method_config = f"{args.search} {cfg.variant}" + (
+    method_config = f"{config.search_order} {cfg.variant}" + (
         f" {args.mutation}" if args.mutation else ""
     )
     if args.stats is not None:
@@ -314,12 +315,13 @@ def _build_parser() -> _Parser:
     run.add_argument("--model", required=True, choices=list(MODELS))
     run.add_argument("--size", required=True, type=int, help="process count N")
     run.add_argument("--variant", help=f"protocol variant (default: {defaults})")
-    run.add_argument("--search", choices=["bfs", "dfs"], default="bfs")
-    run.add_argument("--max-states", type=int, default=10_000_000)
-    run.add_argument("--max-seconds", type=float, default=600.0)
+    run.add_argument("--search", choices=["bfs", "dfs"])
+    run.add_argument("--max-states", type=int)
+    run.add_argument("--max-seconds", type=float)
     run.add_argument("--queue-capacity", type=int,
                      help="override the default per-process bound of N+2")
-    run.add_argument("--mutation", help="seeded bug token, for models that define one")
+    run.add_argument("--mutation", help="seeded bug token: " + ", ".join(
+        f"{name} {m}" for name, (cls, _) in MODELS.items() for m in cls.MUTATIONS))
     run.add_argument("--trace", help="write counterexample trace here")
     run.add_argument("--graph", help="write DOT state graph here")
     run.add_argument("--stats", help="write tab-separated statistics here")

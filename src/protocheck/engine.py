@@ -52,15 +52,17 @@ class TransitionRule:
 @dataclass(frozen=True)
 class ModelConfig:
     """The options every protocol takes, checked when built. A protocol's
-    config subclasses it: it sets `VARIANTS`, defaults `variant`, and adds
-    its own fields, with defaults, checked in a `__post_init__` that calls
-    this one. Field defaults are the CLI defaults."""
+    config subclasses it: it sets `VARIANTS` and `MUTATIONS` (its seeded bugs),
+    defaults `variant`, and adds its own fields, with defaults, checked in a
+    `__post_init__` that calls this one. Field defaults are the CLI defaults."""
 
     VARIANTS: ClassVar[tuple[str, ...]] = ()
+    MUTATIONS: ClassVar[tuple[str, ...]] = ()
 
     n: int
     variant: str
     queue_capacity: Optional[int] = None
+    mutation: Optional[str] = None
 
     def __post_init__(self):
         if type(self.n) is not int or type(self.capacity) is not int:
@@ -72,6 +74,8 @@ class ModelConfig:
                              f"choose from {', '.join(self.VARIANTS)}")
         if self.capacity < 1:
             raise ValueError("queue capacity must be positive")
+        if self.mutation is not None and self.mutation not in self.MUTATIONS:
+            raise ValueError(f"unknown mutation {self.mutation!r}")
 
     @property
     def capacity(self) -> int:

@@ -90,11 +90,13 @@ class RingProcessState(NamedTuple):
     rhs: int = UNSET
     queue: Queue = ()
 
-    def check(self) -> None:
+    def check(self, n: int) -> None:
         """Raise ValueError unless both neighbors are ints (a bool would merge
-        visited keys, as True == 1) and a process outside the ring has none."""
-        if type(self.lhs) is not int or type(self.rhs) is not int:
-            raise ValueError("ring neighbors are ints")
+        visited keys, as True == 1), each UNSET or a pid below `n`, and a
+        process outside the ring has none."""
+        for rank in (self.lhs, self.rhs):
+            if type(rank) is not int or not (rank == UNSET or 0 <= rank < n):
+                raise ValueError(f"ring neighbors are ints in [0, {n}) or unset, got {rank!r}")
         if self.status is _OUTSIDE and (self.lhs, self.rhs) != (UNSET, UNSET):
             raise ValueError("a process outside the ring has no neighbors")
 
@@ -135,12 +137,7 @@ def _begin_insert_guard(entry: int, ordered: bool):
     return enabled
 
 
-def begin_insert_enabled(state: State, pid: int, entry: int = 0,
-                         ordered: bool = True) -> bool:
-    return _begin_insert_guard(entry, ordered)(state, pid)
-
-
-def rule_begin_insert(proc: RingProcessState, pid: int, entry: int = 0):
+def rule_begin_insert(proc: RingProcessState, pid: int, entry: int):
     """An outside process starts joining: mark it and ask the entry."""
     return (RingProcessState(RingStatus.INSERTING, proc.lhs, proc.rhs, proc.queue),
             ((entry, req_insert(pid)),))
@@ -153,10 +150,6 @@ def _req_insert_guard(entry: int):
         queue = state[pid].queue
         return bool(queue) and queue[0].kind is _REQ
     return enabled
-
-
-def req_insert_enabled(state: State, pid: int, entry: int = 0) -> bool:
-    return _req_insert_guard(entry)(state, pid)
 
 
 def rule_handle_req_insert(proc: RingProcessState, pid: int):
@@ -199,7 +192,7 @@ def rule_handle_insert_ack(proc: RingProcessState, pid: int):
     return RingProcessState(RingStatus.IN_RING, lhs, rhs, queue), ()
 
 
-def req_insert_only_at_entry(state: State, entry: int = 0) -> bool:
+def req_insert_only_at_entry(state: State, entry: int) -> bool:
     """Join requests are addressed to the entry and appear nowhere else."""
     for pid, proc in enumerate(state):
         if proc.queue and pid != entry:  # most queues are empty

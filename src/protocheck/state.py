@@ -10,11 +10,11 @@ search.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple whose
-last field is `queue`, with a `render()` method and a `check()` method. The
+last field is `queue`, with a `render()` method and a `check(n)` method. The
 engine keys its visited set by the state itself, so every process field must
 be hashable and compare by value; `render()` serves trace, DOT and JSON text
-only and is never called during a search. `check()` raises ValueError for
-an ill-formed process.
+only and is never called during a search. `check(n)` raises ValueError for
+an ill-formed process in a system of `n` processes.
 
 A protocol's rule is a state-level guard plus a pure local step from
 (process, pid) to the new process and the messages it sends. `memoized_apply`
@@ -92,8 +92,8 @@ def check_state(state: State, queue_capacity: int, parent: State = (),
     """Raise ValueError unless `state` is well formed: at least one process,
     one process type whose last field is `queue`, every message carrying its
     kind's arity of process ids (`int`s in range, never `bool`s), and every
-    process passing its own `check()`. Raise QueueOverflowError if a queue
-    holds more than `queue_capacity` messages.
+    process passing its own `check(n)`, `n` the process count. Raise
+    QueueOverflowError if a queue holds more than `queue_capacity` messages.
 
     With `parent`, a state already checked with the same capacity that
     `state` was derived from, check only the processes that are not
@@ -138,7 +138,7 @@ def check_state(state: State, queue_capacity: int, parent: State = (),
             for rank in payload:
                 if type(rank) is not int or not 0 <= rank < n:
                     raise ValueError(f"payload id {rank!r} is not an int in [0, {n})")
-        proc.check()
+        proc.check(n)
         checked[id(proc)] = proc
 
 

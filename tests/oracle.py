@@ -9,24 +9,24 @@ construction. Slow on purpose; only run at desk scale.
 """
 
 import sys
+from enum import Enum
 from itertools import permutations
 
-from protocheck.barrier import BarrierProcessState
 from protocheck.ring import RingProcessState, RingStatus
 
 sys.setrecursionlimit(200_000)
 
 
 def snapshot(state):
-    """Plain-tuple image of a state; injective with respect to structure."""
+    """Plain-tuple image of a state; injective with respect to structure.
+    Each process is its class name, then its fields with Enum members by
+    value, then its queue as (kind value, payload) pairs; no protocol is
+    named, so any process NamedTuple with `queue` last has an image."""
     procs = []
     for p in state:
+        fields = tuple(v.value if isinstance(v, Enum) else v for v in p[:-1])
         queue = tuple((m.kind.value, m.payload) for m in p.queue)
-        if isinstance(p, BarrierProcessState):
-            procs.append(("b", p.client_barrier_in, p.client_barrier_out,
-                          p.holding_barrier_in, queue))
-        else:
-            procs.append(("r", p.status.value, p.lhs, p.rhs, queue))
+        procs.append((type(p).__name__, *fields, queue))
     return tuple(procs)
 
 

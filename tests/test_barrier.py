@@ -2,16 +2,16 @@ import pytest
 
 import oracle
 from protocheck.barrier import (
+    BARRIER_IN,
+    BARRIER_OUT,
     BarrierConfig,
     BarrierProcessState,
     LEADER_FIRST,
     LEADER_LAST,
     RELEASE_ON_BARRIER_IN,
-    barrier_in,
     barrier_initial_state,
     barrier_invariant,
     barrier_model,
-    barrier_out,
     barrier_postcondition,
     client_request_enabled,
     next_rank,
@@ -77,14 +77,14 @@ class TestClientRequest:
         s = barrier_initial_state(BarrierConfig(n=3))
         out = fire("client_request", s, 0)
         assert out[0] == B(1, 0, 0)
-        assert out[1].queue == (barrier_in(),)
+        assert out[1].queue == (BARRIER_IN,)
         assert out[2].queue == ()
 
     def test_holder_forwards_on_request(self):
         s = sys_state(B(1, 0, 0), B(0, 0, 1), B())
         out = fire("client_request", s, 1)
         assert out[1] == B(1, 0, 0)
-        assert out[2].queue == (barrier_in(),)
+        assert out[2].queue == (BARRIER_IN,)
 
     def test_nonholder_just_sets_the_bit(self):
         s = barrier_initial_state(BarrierConfig(n=3))
@@ -95,7 +95,7 @@ class TestClientRequest:
     def test_singleton_leader_sends_to_itself(self):
         s = barrier_initial_state(BarrierConfig(n=1))
         out = fire("client_request", s, 0)
-        assert out[0] == B(1, 0, 0, [barrier_in()])
+        assert out[0] == B(1, 0, 0, [BARRIER_IN])
 
     def test_guard_is_handled_exactly_once(self):
         s = barrier_initial_state(BarrierConfig(n=2))
@@ -105,69 +105,69 @@ class TestClientRequest:
 
 class TestBarrierInNonleader:
     def test_forwards_when_client_already_asked(self):
-        s = sys_state(B(1, 0, 0), B(1, 0, 0, [barrier_in()]), B())
+        s = sys_state(B(1, 0, 0), B(1, 0, 0, [BARRIER_IN]), B())
         out = fire("barrier_in_nonleader", s, 1)
         assert out[1].queue == ()
-        assert out[2].queue == (barrier_in(),)
+        assert out[2].queue == (BARRIER_IN,)
 
     def test_holds_when_client_has_not_asked(self):
-        s = sys_state(B(1, 0, 0), B(0, 0, 0, [barrier_in()]), B())
+        s = sys_state(B(1, 0, 0), B(0, 0, 0, [BARRIER_IN]), B())
         out = fire("barrier_in_nonleader", s, 1)
         assert out[1] == B(0, 0, 1)
         assert out[2].queue == ()
 
     def test_forward_wraps_back_to_leader(self):
-        s = sys_state(B(1, 0, 0), B(1, 0, 0), B(1, 0, 0, [barrier_in()]))
+        s = sys_state(B(1, 0, 0), B(1, 0, 0), B(1, 0, 0, [BARRIER_IN]))
         out = fire("barrier_in_nonleader", s, 2)
-        assert out[0].queue == (barrier_in(),)
+        assert out[0].queue == (BARRIER_IN,)
         assert next_rank(2, 3) == 0
 
     def test_seeded_bug_releases_on_forward(self):
-        s = sys_state(B(1, 0, 0), B(1, 0, 0, [barrier_in()]), B())
+        s = sys_state(B(1, 0, 0), B(1, 0, 0, [BARRIER_IN]), B())
         out = fire("barrier_in_nonleader", s, 1, mutation=RELEASE_ON_BARRIER_IN)
         assert out[1].client_barrier_out == 1
-        assert out[2].queue == (barrier_in(),)
+        assert out[2].queue == (BARRIER_IN,)
 
 
 class TestBarrierInLeader:
     def test_leader_last_starts_release_round(self):
-        s = sys_state(B(1, 0, 0, [barrier_in()]), B(1, 0, 0), B(1, 0, 0))
+        s = sys_state(B(1, 0, 0, [BARRIER_IN]), B(1, 0, 0), B(1, 0, 0))
         out = fire("barrier_in_leader", s, 0, variant=LEADER_LAST)
         assert out[0] == B(1, 0, 0)
-        assert out[1].queue == (barrier_out(),)
+        assert out[1].queue == (BARRIER_OUT,)
 
     def test_leader_first_also_releases_its_client(self):
-        s = sys_state(B(1, 0, 0, [barrier_in()]), B(1, 0, 0), B(1, 0, 0))
+        s = sys_state(B(1, 0, 0, [BARRIER_IN]), B(1, 0, 0), B(1, 0, 0))
         out = fire("barrier_in_leader", s, 0, variant=LEADER_FIRST)
         assert out[0] == B(1, 1, 0)
-        assert out[1].queue == (barrier_out(),)
+        assert out[1].queue == (BARRIER_OUT,)
 
     def test_singleton_sends_release_to_itself(self):
-        s = sys_state(B(1, 0, 0, [barrier_in()]))
+        s = sys_state(B(1, 0, 0, [BARRIER_IN]))
         out = fire("barrier_in_leader", s, 0, variant=LEADER_LAST)
-        assert out[0] == B(1, 0, 0, [barrier_out()])
+        assert out[0] == B(1, 0, 0, [BARRIER_OUT])
 
 
 class TestBarrierOut:
     def test_leader_last_final_release(self):
         # the closing move of a full n=3 round: the leader is released last
-        s = sys_state(B(1, 0, 0, [barrier_out()]), B(1, 1, 0), B(1, 1, 0))
+        s = sys_state(B(1, 0, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
         out = fire("barrier_out", s, 0, variant=LEADER_LAST)
         assert out == sys_state(B(1, 1, 0), B(1, 1, 0), B(1, 1, 0))
 
     def test_nonleader_releases_and_forwards(self):
-        s = sys_state(B(1, 0, 0), B(1, 0, 0, [barrier_out()]), B(1, 0, 0))
+        s = sys_state(B(1, 0, 0), B(1, 0, 0, [BARRIER_OUT]), B(1, 0, 0))
         out = fire("barrier_out", s, 1, variant=LEADER_LAST)
         assert out[1] == B(1, 1, 0)
-        assert out[2].queue == (barrier_out(),)
+        assert out[2].queue == (BARRIER_OUT,)
 
     def test_leader_first_consumes_without_change(self):
-        s = sys_state(B(1, 1, 0, [barrier_out()]), B(1, 1, 0), B(1, 1, 0))
+        s = sys_state(B(1, 1, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
         out = fire("barrier_out", s, 0, variant=LEADER_FIRST)
         assert out == sys_state(B(1, 1, 0), B(1, 1, 0), B(1, 1, 0))
 
     def test_singleton_consumes_own_release(self):
-        s = sys_state(B(1, 0, 0, [barrier_out()]))
+        s = sys_state(B(1, 0, 0, [BARRIER_OUT]))
         out = fire("barrier_out", s, 0, variant=LEADER_LAST)
         assert out[0] == B(1, 1, 0)
 
@@ -190,7 +190,7 @@ class TestPostcondition:
 
     def test_pending_message_fails(self):
         assert not barrier_postcondition(
-            sys_state(B(1, 1, 0, [barrier_out()]), B(1, 1, 0), B(1, 1, 0))
+            sys_state(B(1, 1, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
         )
 
     def test_terminals_of_leader_first_n5(self):
@@ -217,8 +217,8 @@ def test_single_token_circulates(variant):
     model = barrier_model(BarrierConfig(n=3, variant=variant))
     for state in oracle.enumerate_reachable(model):
         queued = [m for p in state for m in p.queue]
-        n_in = sum(m == barrier_in() for m in queued)
-        n_out = sum(m == barrier_out() for m in queued)
+        n_in = sum(m == BARRIER_IN for m in queued)
+        n_out = sum(m == BARRIER_OUT for m in queued)
         holding = sum(p.holding_barrier_in for p in state)
         not_emitted = 1 if state[0].client_barrier_in == 0 else 0
         assert n_in + holding + not_emitted <= 1

@@ -74,9 +74,9 @@ def test_each_process_object_is_checked_once_per_search(monkeypatch):
     checked = []  # holding each object keeps its id from being reused
     real_check = BarrierProcessState.check
 
-    def check(self):
+    def check(self, n):
         checked.append(self)
-        return real_check(self)
+        return real_check(self, n)
 
     monkeypatch.setattr(BarrierProcessState, "check", check)
     result = explore(model)

@@ -9,7 +9,8 @@ import pytest
 import oracle
 from protocheck import cli
 from protocheck.barrier import BarrierConfig, BarrierProcessState, barrier_model
-from protocheck.engine import ModelConfig, ProtocolModel, TransitionRule, explore
+from protocheck.engine import (ExploreConfig, ModelConfig, ProtocolModel, TransitionRule,
+                               explore)
 from protocheck.ring import RingConfig, ring_model
 from protocheck.state import (
     Message,
@@ -94,6 +95,29 @@ class TestRun:
                        "--variant", "unordered", "--search", "dfs") == 0
 
 
+def test_unset_search_flags_take_the_explore_config_defaults(monkeypatch):
+    seen = []
+
+    def spy(model, config):
+        seen.append(config)
+        return explore(model, config)
+
+    monkeypatch.setattr(cli, "explore", spy)
+    assert run_cli("run", "--model", "barrier", "--size", "2") == 0
+    assert run_cli("run", "--model", "barrier", "--size", "2", "--search", "dfs",
+                   "--max-states", "50", "--max-seconds", "5") == 0
+    assert seen == [ExploreConfig(), ExploreConfig("dfs", 50, 5.0)]
+
+
+def test_run_help_lists_each_models_mutations(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("run", "--help")
+    out = capsys.readouterr().out
+    assert "barrier release_on_barrier_in" in out
+    assert all(m in out for config_class, _ in cli.MODELS.values()
+               for m in config_class.MUTATIONS)
+
+
 class TestUsageErrors:
     def test_size_zero(self, capsys):
         assert run_cli("run", "--model", "barrier", "--size", "0") == 3
@@ -103,9 +127,11 @@ class TestUsageErrors:
         assert run_cli("run", "--model", "ring", "--size", "3",
                        "--variant", "leader_last") == 3
 
-    def test_mutation_on_ring(self):
+    def test_mutation_on_ring(self, capsys):
+        # ring declares no MUTATIONS, so its inherited `mutation` takes only None
         assert run_cli("run", "--model", "ring", "--size", "3",
                        "--mutation", "release_on_barrier_in") == 3
+        assert "unknown mutation 'release_on_barrier_in'" in capsys.readouterr().err
 
     def test_unknown_mutation(self):
         assert run_cli("run", "--model", "barrier", "--size", "3",
@@ -421,7 +447,7 @@ class _ToyProcess(NamedTuple):
     def render(self):
         return f"({self.sent},{render_queue(self.queue)})"
 
-    def check(self):
+    def check(self, n):
         if self.sent not in (0, 1):
             raise ValueError("sent is a bit")
 

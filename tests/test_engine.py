@@ -192,6 +192,17 @@ class TestExplore:
         with pytest.raises(ValueError):
             explore(broken)
 
+    def test_out_of_range_neighbor_aborts_the_run(self):
+        # a joiner that links itself to a process one past the last
+        def overshoot(s, pid):
+            return replace_process(s, pid, s[pid]._replace(lhs=len(s)))
+
+        model = ring_model(RingConfig(n=2))
+        broken = dataclasses.replace(model, rules=(TransitionRule(
+            "overshoot", lambda s, pid: s[pid].lhs != len(s), overshoot),))
+        with pytest.raises(ValueError, match=r"ints in \[0, 2\) or unset, got 2"):
+            explore(broken)
+
 
 @pytest.mark.parametrize("label,model", small_models())
 class TestSearchProperties:

@@ -9,7 +9,6 @@ import pytest
 import oracle
 from protocheck import cli
 from protocheck.barrier import (
-    MUTATIONS,
     BarrierConfig,
     BarrierProcessState,
     barrier_model,
@@ -30,7 +29,7 @@ from protocheck.state import EmptyQueueError, apply_uncached, memoized_apply
 def _models():
     for n in range(1, 6):
         for variant in BarrierConfig.VARIANTS:
-            for mutation in (None, *MUTATIONS):
+            for mutation in (None, *BarrierConfig.MUTATIONS):
                 yield f"barrier-{variant}-{mutation}-{n}", barrier_model(
                     BarrierConfig(n=n, variant=variant, mutation=mutation))
         for variant in (ORDERED, UNORDERED):

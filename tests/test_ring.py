@@ -11,18 +11,16 @@ from protocheck.ring import (
     RingProcessState,
     RingStatus,
     UNORDERED,
-    begin_insert_enabled,
     insert_ack,
     insert_ack_enabled,
     new_rhs,
     req_insert,
-    req_insert_enabled,
     req_insert_only_at_entry,
     ring_initial_state,
     ring_model,
     ring_postcondition,
 )
-from protocheck.state import canonical_encode
+from protocheck.state import canonical_encode, check_state
 
 OUT = RingStatus.OUTSIDE
 INS = RingStatus.INSERTING
@@ -49,6 +47,9 @@ def test_config_validation():
         RingConfig(n=3, variant="diagonal")
     with pytest.raises(ValueError):
         RingConfig(n=3, entry=3)
+    assert RingConfig.MUTATIONS == ()
+    with pytest.raises(ValueError, match="unknown mutation"):
+        RingConfig(n=3, mutation="release_on_barrier_in")
     assert RingConfig(n=4).capacity == 6
 
 
@@ -68,9 +69,22 @@ def test_config_rejects_non_int_sizes(options):
 @pytest.mark.parametrize("lhs,rhs", [(True, 0), (0, True), (False, False), (1.0, 0)])
 def test_neighbors_are_ints_never_bools(lhs, rhs):
     # (ring,True/0,[]) equals (ring,1/0,[]), so the two would share one visited key
-    R(RING, 1, 0).check()
+    R(RING, 1, 0).check(2)
     with pytest.raises(ValueError, match="ints"):
-        R(RING, lhs, rhs).check()
+        R(RING, lhs, rhs).check(2)
+
+
+@pytest.mark.parametrize("lhs,rhs", [(99, 0), (0, -5), (2, 1), (1, -2)])
+def test_neighbors_are_pids_or_unset(lhs, rhs):
+    # well typed, but naming a process that does not exist among N=2
+    with pytest.raises(ValueError, match="ints"):
+        R(RING, lhs, rhs).check(2)
+
+
+def test_check_state_range_checks_neighbors():
+    with pytest.raises(ValueError, match=r"ints in \[0, 2\)"):
+        check_state((R(RING, 99, 0), R(RING, 0, -5)), 5)
+    check_state((R(RING, 0, 0), R()), 5)  # the outsider's neighbors are UNSET
 
 
 class TestInitialState:
@@ -93,18 +107,21 @@ class TestInitialState:
         assert canonical_encode(a) == canonical_encode(b)
 
 
+def guard(rule, **options):
+    """The `enabled` of `rule` in a ring model built with `options`."""
+    return ring_model(RingConfig(**options)).rule_named(rule).enabled
+
+
 class TestBeginInsert:
     def test_unordered_any_outsider_may_start(self):
         state = ring_initial_state(RingConfig(n=3, variant=UNORDERED))
-        enabled = [pid for pid in range(3)
-                   if begin_insert_enabled(state, pid, entry=0, ordered=False)]
-        assert enabled == [1, 2]
+        enabled = guard("begin_insert", n=3, variant=UNORDERED)
+        assert [pid for pid in range(3) if enabled(state, pid)] == [1, 2]
 
     def test_ordered_only_the_lowest_waiting_rank(self):
         state = ring_initial_state(RingConfig(n=3, variant=ORDERED))
-        enabled = [pid for pid in range(3)
-                   if begin_insert_enabled(state, pid, entry=0, ordered=True)]
-        assert enabled == [1]
+        enabled = guard("begin_insert", n=3, variant=ORDERED)
+        assert [pid for pid in range(3) if enabled(state, pid)] == [1]
 
     def test_marks_joiner_and_asks_the_entry(self):
         state = ring_initial_state(RingConfig(n=3))
@@ -132,7 +149,7 @@ class TestHandleReqInsert:
 
     def test_guard_refuses_non_entry_processes(self):
         state = sys_state(R(RING, 0, 0), R(INS, q=[req_insert(2)]), R(INS))
-        assert not req_insert_enabled(state, 1, entry=0)
+        assert not guard("handle_req_insert", n=3)(state, 1)
 
 
 class TestHandleNewRhs:

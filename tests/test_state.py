@@ -9,10 +9,10 @@ import oracle
 from protocheck import barrier, ring
 from protocheck.barrier import (
     BarrierConfig,
+    BARRIER_IN,
+    BARRIER_OUT,
     BarrierProcessState,
-    barrier_in,
     barrier_model,
-    barrier_out,
 )
 from protocheck.ring import (
     UNSET,
@@ -47,8 +47,8 @@ CAPACITY = 8
 
 class TestMessage:
     def test_barrier_tokens_carry_nothing(self):
-        assert barrier_in().payload == ()
-        assert barrier_out().payload == ()
+        assert BARRIER_IN.payload == ()
+        assert BARRIER_OUT.payload == ()
 
     def test_payload_arity_per_kind(self):
         assert req_insert(2).payload == (2,)
@@ -74,18 +74,18 @@ class _QueueFirst(NamedTuple):
     queue: tuple = ()
     bit: int = 0
 
-    def check(self):
+    def check(self, n):
         pass
 
 
 class TestProcessStateInvariants:
     def test_holding_requires_no_client_request(self):
         with pytest.raises(ValueError):
-            BarrierProcessState(client_barrier_in=1, holding_barrier_in=1).check()
+            BarrierProcessState(client_barrier_in=1, holding_barrier_in=1).check(1)
 
     def test_release_requires_request(self):
         with pytest.raises(ValueError):
-            BarrierProcessState(client_barrier_out=1).check()
+            BarrierProcessState(client_barrier_out=1).check(1)
 
     @pytest.mark.parametrize("proc", [B(True, 0, 0), B(1, True, 0), B(0, 0, True)],
                              ids=["in", "out", "holding"])
@@ -97,8 +97,8 @@ class TestProcessStateInvariants:
 
     def test_outside_process_has_no_neighbors(self):
         with pytest.raises(ValueError):
-            RingProcessState(status=RingStatus.OUTSIDE, lhs=0, rhs=0).check()
-        RingProcessState(status=RingStatus.IN_RING, lhs=0, rhs=0).check()  # fine
+            RingProcessState(status=RingStatus.OUTSIDE, lhs=0, rhs=0).check(1)
+        RingProcessState(status=RingStatus.IN_RING, lhs=0, rhs=0).check(1)  # fine
 
     def test_mixed_protocol_variants_rejected(self):
         with pytest.raises(ValueError):
@@ -113,34 +113,34 @@ class TestProcessStateInvariants:
 class TestSend:
     def test_appends_to_target_tail_only(self):
         s = sys_state(B(), B(), B())
-        out = send_message(s, 1, barrier_in())
-        assert out[1].queue == (barrier_in(),)
+        out = send_message(s, 1, BARRIER_IN)
+        assert out[1].queue == (BARRIER_IN,)
         assert out[0].queue == ()
         assert out[2].queue == ()
 
     def test_delivery_into_release_round(self):
         # delivering barrier_out to process 0 of (1,0,0,[]) (1,1,0,[]) (1,1,0,[])
         s = sys_state(B(1, 0, 0), B(1, 1, 0), B(1, 1, 0))
-        out = send_message(s, 0, barrier_out())
-        assert out == sys_state(B(1, 0, 0, [barrier_out()]), B(1, 1, 0), B(1, 1, 0))
+        out = send_message(s, 0, BARRIER_OUT)
+        assert out == sys_state(B(1, 0, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
 
     def test_send_is_pure(self):
         s = sys_state(B(), B())
-        send_message(s, 0, barrier_in())
+        send_message(s, 0, BARRIER_IN)
         assert s == sys_state(B(), B())
 
     def test_full_queue_overflows(self):
         # a queue at the bound is well formed; a send past it goes through,
         # and the state it builds fails the bound check
-        s = sys_state(B(), B(q=[barrier_in(), barrier_out()]))
+        s = sys_state(B(), B(q=[BARRIER_IN, BARRIER_OUT]))
         check_state(s, 2)
         with pytest.raises(QueueOverflowError):
-            check_state(send_message(s, 1, barrier_in()), 2)
+            check_state(send_message(s, 1, BARRIER_IN), 2)
 
     def test_target_out_of_range(self):
         s = sys_state(B(), B())
         with pytest.raises(ValueError):
-            send_message(s, 2, barrier_in())
+            send_message(s, 2, BARRIER_IN)
 
     def test_payload_id_out_of_range(self):
         s = sys_state(RingProcessState(), RingProcessState())
@@ -159,7 +159,7 @@ class TestSend:
 
 class TestReceive:
     def test_removes_head_only(self):
-        s = sys_state(B(1, 0, 0, [barrier_out()]), B(1, 1, 0), B(1, 1, 0))
+        s = sys_state(B(1, 0, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
         out = receive_message(s, 0)
         assert out == sys_state(B(1, 0, 0), B(1, 1, 0), B(1, 1, 0))
 
@@ -175,14 +175,14 @@ class TestReceive:
             receive_message(s, 0)
 
     def test_receive_is_pure(self):
-        s = sys_state(B(q=[barrier_in()]))
+        s = sys_state(B(q=[BARRIER_IN]))
         receive_message(s, 0)
-        assert s == sys_state(B(q=[barrier_in()]))
+        assert s == sys_state(B(q=[BARRIER_IN]))
 
 
 _messages = st.one_of(
-    st.just(barrier_in()),
-    st.just(barrier_out()),
+    st.just(BARRIER_IN),
+    st.just(BARRIER_OUT),
     st.builds(req_insert, st.integers(0, 1)),
     st.builds(new_rhs, st.integers(0, 1)),
     st.builds(insert_ack, st.integers(0, 1), st.integers(0, 1)),
@@ -204,21 +204,21 @@ def test_fifo_property(msgs):
 
 class TestCanonicalEncode:
     def test_the_state_is_its_own_key(self):
-        s = sys_state(B(1, 0, 0, [barrier_in()]), B())
+        s = sys_state(B(1, 0, 0, [BARRIER_IN]), B())
         assert canonical_encode(s) is s
 
     def test_deterministic(self):
-        s = sys_state(B(1, 0, 0, [barrier_in()]), B())
+        s = sys_state(B(1, 0, 0, [BARRIER_IN]), B())
         assert canonical_encode(s) == canonical_encode(s)
 
     def test_stable_across_rebuilds(self):
-        a = sys_state(B(1, 1, 0), B(0, 0, 1, [barrier_out()]))
-        b = sys_state(B(1, 1, 0), B(0, 0, 1, [barrier_out()]))
+        a = sys_state(B(1, 1, 0), B(0, 0, 1, [BARRIER_OUT]))
+        b = sys_state(B(1, 1, 0), B(0, 0, 1, [BARRIER_OUT]))
         assert canonical_encode(a) == canonical_encode(b)
 
     def test_distinguishes_queue_order(self):
-        a = sys_state(B(q=[barrier_in(), barrier_out()]))
-        b = sys_state(B(q=[barrier_out(), barrier_in()]))
+        a = sys_state(B(q=[BARRIER_IN, BARRIER_OUT]))
+        b = sys_state(B(q=[BARRIER_OUT, BARRIER_IN]))
         assert canonical_encode(a) != canonical_encode(b)
 
     def test_distinguishes_payloads(self):
@@ -250,12 +250,13 @@ class TestCanonicalEncode:
 
 
 def _constructible(cls, field_values):
-    """The instances of `cls` built from `field_values` that pass `check()`."""
+    """The instances of `cls` built from `field_values` that pass `check(3)`,
+    3 being the most processes `_system_states` draws."""
     out = []
     for values in field_values:
         proc = cls(*values)
         try:
-            proc.check()
+            proc.check(3)
         except ValueError:
             continue
         out.append(proc)
