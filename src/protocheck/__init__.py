@@ -20,9 +20,9 @@ from .state import (
     ModelError,
     QueueOverflowError,
     canonical_encode,
-    check_state,
     memoized_apply,
     receive,
+    state_checker,
 )
 
 __all__ = [
@@ -40,9 +40,9 @@ __all__ = [
     "TransitionRule",
     "Verdict",
     "canonical_encode",
-    "check_state",
     "explore",
     "memoized_apply",
     "receive",
     "reconstruct_trace",
+    "state_checker",
 ]

@@ -32,7 +32,7 @@ from .barrier import BarrierConfig, barrier_model
 from .engine import (ExplorationResult, ExploreConfig, ModelConfig, Verdict, explore,
                      reconstruct_trace)
 from .ring import RingConfig, ring_model
-from .state import ModelError, State, apply_uncached, check_state, render_state
+from .state import ModelError, State, apply_uncached, render_state, state_checker
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -240,7 +240,7 @@ def _cmd_run(args) -> int:
 def _cmd_replay(args) -> int:
     try:
         doc = json.loads(Path(args.trace).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise UsageError(f"cannot read trace {args.trace}: {err}")
     try:
         steps, verdict = doc["steps"], doc["verdict"]
@@ -257,7 +257,8 @@ def _cmd_replay(args) -> int:
 
     state = model.initial_state
     try:
-        check_state(state, model.queue_capacity)
+        check = state_checker(state, model.queue_capacity)
+        check(state)
     except (ModelError, ValueError) as err:
         print(f"replay mismatch at step 0: the model's initial state fails: {err}")
         return EXIT_VIOLATION
@@ -278,8 +279,8 @@ def _cmd_replay(args) -> int:
             print(f"replay mismatch at step {i}: {rule.name} not enabled at pid {pid}")
             return EXIT_VIOLATION
         try:
-            prev, state = state, apply_uncached(rule.apply, state, pid)
-            check_state(state, model.queue_capacity, prev)
+            state = apply_uncached(rule.apply, state, pid)
+            check(state)
         except (ModelError, ValueError) as err:
             print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")
             return EXIT_VIOLATION

@@ -3,11 +3,10 @@
 The search derives every state reachable from the initial state through the
 model's guarded transition rules, deduplicating by the state itself (the
 tuple of process states); no state is rendered during a search. Each new
-state is checked for well-formedness and the model's queue bound
-(`check_state`) and against the invariant the moment it is generated; the
-initial state is checked whole, a successor only in the processes its rule
-changed, as the state it came from passed the same check, and each process
-object once per search. Each terminal state is checked against the
+state is checked the moment it is generated: for well-formedness and the
+model's queue bound by the search's one `state_checker`, which pins the
+process count and type from the initial state and checks each process object
+once, then against the invariant. Each terminal state is checked against the
 postcondition the moment it is popped.
 Exploration is sequential and fully deterministic, so all counts are
 reproducible run to run.
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Optional
 
-from .state import QueueOverflowError, State, canonical_encode, check_state
+from .state import QueueOverflowError, State, canonical_encode, state_checker
 
 
 class Verdict(Enum):
@@ -229,13 +228,10 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     limit, or at the fixed point. A new successor over the queue bound is
     reported as its own verdict, with the state it was generated from as
     witness; any exception out of a rule, or an ill-formed state
-    (`check_state`, the initial state included), is a modeling bug and
+    (`state_checker`, the initial state included), is a modeling bug and
     propagates. `replay` confirms a trace's verdict with this search too.
     """
     cfg = config or ExploreConfig()
-    if model.queue_capacity < 1:
-        raise ValueError("queue capacity must be positive")
-    capacity = model.queue_capacity
 
     start = time.perf_counter()
     rule_names = tuple(rule.name for rule in model.rules)
@@ -250,7 +246,6 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     fired_edges: list[int] = []
     frontier: deque[int] = deque()
     matched = max_frontier = 0  # each fired transition stores or matches a state
-    checked: dict[int, object] = {}  # `check_state`'s memo for this search
 
     def finish(verdict: Verdict, witness: Optional[int] = None) -> ExplorationResult:
         if fired_edges:
@@ -280,7 +275,8 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
         frontier.append(len(states) - 1)
 
     init = model.initial_state
-    check_state(init, capacity, checked=checked)
+    check = state_checker(init, model.queue_capacity)
+    check(init)
     visited[canonical_encode(init)] = 0
     store(init, -1, -1, -1)
     if not model.invariant(init):
@@ -310,7 +306,7 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
                 fresh = tid == fresh_id
                 if fresh:
                     try:
-                        check_state(succ, capacity, state, checked)
+                        check(succ)
                     except QueueOverflowError:
                         return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
                     if fresh_id >= cfg.max_states:

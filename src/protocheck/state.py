@@ -5,8 +5,8 @@ value here is a tuple. State edits return new tuples and never touch their
 inputs, so states can be shared freely between the search engine, the
 visited set, and reconstructed traces; an edit shares every process it does
 not change, by identity. Construction checks nothing, not even the queue
-bound; `check_state` checks all of it, each process object once per
-search.
+bound; a search's one `state_checker` checks all of it, each process
+object once.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple whose
@@ -24,7 +24,7 @@ the model's lifetime, so a step may read only its own process.
 
 from enum import Enum
 from operator import methodcaller
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 
 class ModelError(Exception):
@@ -87,59 +87,52 @@ def render_queue(queue: Queue) -> str:
 State = tuple
 
 
-def check_state(state: State, queue_capacity: int, parent: State = (),
-                checked: Optional[dict] = None) -> None:
-    """Raise ValueError unless `state` is well formed: at least one process,
-    one process type whose last field is `queue`, every message carrying its
-    kind's arity of process ids (`int`s in range, never `bool`s), and every
-    process passing its own `check(n)`, `n` the process count. Raise
-    QueueOverflowError if a queue holds more than `queue_capacity` messages.
+def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None]:
+    """The well-formedness check of one search from `initial`, which needs a
+    capacity of at least 1 and a first process whose type's last field is
+    `queue` (else ValueError) and pins `n = len(initial)` and that type.
 
-    With `parent`, a state already checked with the same capacity that
-    `state` was derived from, check only the processes that are not
-    `parent`'s own objects, after requiring the same process count: what a
-    shared process passed it still passes, since a process is checked
-    against nothing but the type, the capacity and the process count. With
-    `checked`, a memo (`id` -> the object, held so its id is never reused)
-    that `explore` keeps per search, skip each process found there and add
-    each one that passes, so each process object is checked once per search;
-    by identity, never by value, since `True == 1`.
-
-    This is the only place the queue bound is enforced: sends never check
-    it, so the engine checks each new state and replay each step.
+    `check(state)` raises ValueError unless `state` has `n` processes of the
+    pinned type, every message carrying its kind's arity of process ids
+    (`int`s in range, never `bool`s) and every process passing `check(n)`;
+    QueueOverflowError if a queue holds more than `queue_capacity` messages,
+    the only place that bound is enforced. A process is checked against
+    nothing but the type, the capacity and `n`, so `check` checks each object
+    once: a memo (`id` -> the object, held so its id is never reused) keeps
+    each that passed; by identity, never by value, since `True == 1`.
     """
-    n = len(state)
-    if parent:
-        if n != len(parent):
-            raise ValueError(f"a rule changed the process count from {len(parent)} to {n}")
-        first = type(parent[0])
-        pids = [pid for pid in range(n) if state[pid] is not parent[pid]]
-    else:
-        if not state:
-            raise ValueError("a system needs at least one process")
-        first = type(state[0])
-        if getattr(first, "_fields", ())[-1:] != ("queue",):
-            raise ValueError(f"the last field of {first.__name__} must be queue")
-        pids = range(n)
-    checked = {} if checked is None else checked
-    for pid in pids:
-        proc = state[pid]
-        if id(proc) in checked:
-            continue
-        if type(proc) is not first:
-            raise ValueError("all processes must be the same protocol variant")
-        if len(proc.queue) > queue_capacity:
-            raise QueueOverflowError(f"queue of process {pid} is over capacity "
-                                     f"{queue_capacity}")
-        for kind, payload in proc.queue:
-            if len(payload) != kind.arity:
-                raise ValueError(f"{kind.name.lower()} carries {kind.arity} id(s), "
-                                 f"got {len(payload)}")
-            for rank in payload:
-                if type(rank) is not int or not 0 <= rank < n:
-                    raise ValueError(f"payload id {rank!r} is not an int in [0, {n})")
-        proc.check(n)
-        checked[id(proc)] = proc
+    if queue_capacity < 1:
+        raise ValueError("queue capacity must be positive")
+    if not initial:
+        raise ValueError("a system needs at least one process")
+    first = type(initial[0])
+    if getattr(first, "_fields", ())[-1:] != ("queue",):
+        raise ValueError(f"the last field of {first.__name__} must be queue")
+    n = len(initial)
+    checked: dict[int, object] = {}
+
+    def check(state: State) -> None:
+        if len(state) != n:
+            raise ValueError(f"a rule changed the process count from {n} to {len(state)}")
+        for pid, proc in enumerate(state):
+            if id(proc) in checked:
+                continue
+            if type(proc) is not first:
+                raise ValueError("all processes must be the same protocol variant")
+            if len(proc.queue) > queue_capacity:
+                raise QueueOverflowError(f"queue of process {pid} is over capacity "
+                                         f"{queue_capacity}")
+            for kind, payload in proc.queue:
+                if len(payload) != kind.arity:
+                    raise ValueError(f"{kind.name.lower()} carries {kind.arity} id(s), "
+                                     f"got {len(payload)}")
+                for rank in payload:
+                    if type(rank) is not int or not 0 <= rank < n:
+                        raise ValueError(f"payload id {rank!r} is not an int in [0, {n})")
+            proc.check(n)
+            checked[id(proc)] = proc
+
+    return check
 
 
 def replace_process(state: State, pid: int, proc) -> State:
@@ -152,7 +145,7 @@ def send_message(state: State, to: int, message: Message) -> State:
 
     Raises ValueError when `to` is out of range, since a negative target
     would silently index another process. The queue bound and payload ranges
-    are `check_state`'s to check.
+    are `state_checker`'s to check.
     """
     if not 0 <= to < len(state):
         raise ValueError(f"send target {to} out of range for {len(state)} processes")
@@ -211,17 +204,11 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
 
 
 def apply_uncached(apply: Callable[[State, int], State], state: State, pid: int) -> State:
-    """`apply(state, pid)` computed afresh: a `memoized_apply`'s step with
-    the successor rebuilt by plain state edits, any other apply as it is, so
-    that a check made through here audits the memo instead of sharing it."""
+    """`apply(state, pid)` computed afresh: a `memoized_apply`'s step through
+    a new, empty `memoized_apply`, so a check made through here reuses no
+    effect; any other apply as it is."""
     step = getattr(apply, "__wrapped__", None)
-    if step is None:
-        return apply(state, pid)
-    proc, sends = step(state[pid], pid)
-    out = replace_process(state, pid, proc)
-    for to, message in sends:
-        out = send_message(out, to, message)
-    return out
+    return apply(state, pid) if step is None else memoized_apply(step)(state, pid)
 
 
 def render_state(state: State, text: Callable[[object], str] = methodcaller("render")) -> str:
@@ -234,10 +221,10 @@ def canonical_encode(state: State) -> State:
     """The visited-set key: the identity, as the state is its own key.
 
     Two states are equal exactly when every process field compares equal.
-    That needs one type per field, which `check_state` enforces where the
-    type alone would not: barrier bits, ring neighbors and payload ids are
-    `int`, never `bool`, as `True == 1` but the two render differently. The
-    engine calls this on the initial state and per fired transition, as the
-    hook a benchmark can wrap to time the key layer.
+    That needs one type per field, which a search's `state_checker` enforces
+    where the type alone would not: barrier bits, ring neighbors and payload
+    ids are `int`, never `bool`, as `True == 1` but the two render
+    differently. The engine calls this on the initial state and per fired
+    transition, as the hook a benchmark can wrap to time the key layer.
     """
     return state

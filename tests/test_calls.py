@@ -27,7 +27,7 @@ from protocheck.engine import (ExploreConfig, ProtocolModel, TransitionRule, Ver
                                explore)
 from protocheck.ring import (ORDERED, UNORDERED, RingConfig, RingProcessState, RingStatus,
                              req_insert, ring_model)
-from protocheck.state import check_state
+from protocheck.state import state_checker
 
 
 def _counted(fn, calls, key):
@@ -134,16 +134,20 @@ def test_a_bool_is_caught_after_its_int_twin_passed(twin):
         explore(model)
 
 
-def test_check_state_adds_what_passes_and_skips_what_its_memo_holds():
+def test_the_checker_adds_what_passes_and_skips_what_it_passed(monkeypatch):
     one, zero = BarrierProcessState(1, 0, 0, ()), BarrierProcessState()
-    memo = {}
-    check_state((one, zero), 2, checked=memo)
-    assert memo == {id(one): one, id(zero): zero}
-    with pytest.raises(ValueError, match="bits"):
-        check_state((one, BarrierProcessState(True, 0, 0, ())), 2, checked=memo)
-    bad = BarrierProcessState(0, 1, 0, ())  # released before it asked
-    memo[id(bad)] = bad
-    check_state((one, bad), 2, checked=memo)  # trusted: the memo holds it
+    check = state_checker((one, zero), 2)
+    check((one, zero))
+    twin = BarrierProcessState(True, 0, 0, ())
+    for _ in range(2):  # what fails is not kept
+        with pytest.raises(ValueError, match="bits"):
+            check((one, twin))
+    calls = []
+    monkeypatch.setattr(BarrierProcessState, "check", lambda self, n: calls.append(self))
+    fresh = BarrierProcessState()
+    check((one, zero))
+    check((one, fresh))
+    assert calls == [fresh]  # `one` and `zero` are trusted: they passed
 
 
 def test_the_memo_does_not_outlive_its_search():

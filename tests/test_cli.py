@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar, NamedTuple
@@ -385,6 +388,30 @@ class TestReplay:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": "barrier"}))
         assert run_cli("replay", str(path)) == 3
+
+    @pytest.mark.parametrize("content", [
+        b'{"model": "barrier\xff"}',  # not UTF-8
+        b'{"model": "barrier", "size": 1' + b"0" * 5000 + b"}",  # past int's digit limit
+    ], ids=["not-utf8", "huge-int"])
+    def test_unreadable_trace_is_a_usage_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert run_cli("replay", str(path)) == 3
+        assert "cannot read trace" in capsys.readouterr().err
+
+    def test_deeply_nested_trace_is_a_usage_error(self, tmp_path):
+        # parsed in a new interpreter: oracle.py raises this process's
+        # recursion limit, so a parse this deep here could overflow the C stack
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "protocheck", "replay", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 3
+        assert "cannot read trace" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_malformed_step_list(self, tmp_path):
         path = self._violation_trace(tmp_path)

@@ -143,6 +143,21 @@ class TestExplore:
         with pytest.raises(ValueError):
             explore(empty)
 
+    def test_capacity_below_one_rejected(self):
+        model = ProtocolModel(0, (BarrierProcessState(),), (), lambda s: True, lambda s: True)
+        with pytest.raises(ValueError, match="queue capacity must be positive"):
+            explore(model)
+
+    def test_rule_that_swaps_in_another_process_type_aborts_the_run(self):
+        # pid 1 is the initial state's own, already passed object; only the
+        # type pinned from the initial state catches the new pid 0
+        model = barrier_model(BarrierConfig(n=2))
+        swap = dataclasses.replace(model, rules=(TransitionRule(
+            "swap", lambda s, pid: pid == 0 and type(s[0]) is BarrierProcessState,
+            lambda s, pid: (RingProcessState(),) + s[1:]),))
+        with pytest.raises(ValueError, match="same protocol variant"):
+            explore(swap)
+
     def test_rule_that_drops_a_process_aborts_the_run(self):
         model = barrier_model(BarrierConfig(n=2))
         shrink = dataclasses.replace(model, rules=(TransitionRule(

@@ -1,6 +1,7 @@
 """The memoized rule applies: each agrees with the rule's uncached local step,
 hands back one object per equal (pid, process), keeps nothing for a step
-that fails, and leaves a second search on the same model unchanged."""
+that fails, and leaves a second search on the same model unchanged; the
+uncached apply reuses no effect."""
 
 from dataclasses import replace
 
@@ -78,6 +79,21 @@ def test_consuming_step_on_an_empty_queue_raises(model, rule, state, pid):
             apply(state, pid)
     with pytest.raises(EmptyQueueError):
         apply_uncached(apply, state, pid)
+
+
+def test_apply_uncached_never_reuses_an_effect():
+    calls = []
+
+    def step(proc, pid):
+        calls.append(pid)
+        return proc._replace(status=RingStatus.INSERTING), ()
+
+    apply = memoized_apply(step)
+    state = (RingProcessState(),) * 2
+    assert apply(state, 0) == apply(state, 0)
+    assert calls == [0]
+    assert apply_uncached(apply, state, 0) == apply_uncached(apply, state, 0) == apply(state, 0)
+    assert calls == [0, 0, 0]
 
 
 @pytest.mark.parametrize("target", [-1, 3])

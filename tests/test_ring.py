@@ -20,7 +20,7 @@ from protocheck.ring import (
     ring_model,
     ring_postcondition,
 )
-from protocheck.state import canonical_encode, check_state
+from protocheck.state import canonical_encode, state_checker
 
 OUT = RingStatus.OUTSIDE
 INS = RingStatus.INSERTING
@@ -81,10 +81,12 @@ def test_neighbors_are_pids_or_unset(lhs, rhs):
         R(RING, lhs, rhs).check(2)
 
 
-def test_check_state_range_checks_neighbors():
+def test_the_state_checker_range_checks_neighbors():
+    state = (R(RING, 99, 0), R(RING, 0, -5))
     with pytest.raises(ValueError, match=r"ints in \[0, 2\)"):
-        check_state((R(RING, 99, 0), R(RING, 0, -5)), 5)
-    check_state((R(RING, 0, 0), R()), 5)  # the outsider's neighbors are UNSET
+        state_checker(state, 5)(state)
+    state = (R(RING, 0, 0), R())
+    state_checker(state, 5)(state)  # the outsider's neighbors are UNSET
 
 
 class TestInitialState:

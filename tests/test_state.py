@@ -27,10 +27,10 @@ from protocheck.state import (
     Message,
     QueueOverflowError,
     canonical_encode,
-    check_state,
     receive_message,
     replace_process,
     send_message,
+    state_checker,
 )
 
 
@@ -40,6 +40,11 @@ def B(ci=0, co=0, h=0, q=()):
 
 def sys_state(*procs):
     return procs
+
+
+def check_once(state, capacity):
+    """A one-shot check: a new checker from `state`, run on `state`."""
+    state_checker(state, capacity)(state)
 
 
 CAPACITY = 8
@@ -67,7 +72,7 @@ class TestMessage:
     )
     def test_wrong_arity_rejected(self, kind, payload):
         with pytest.raises(ValueError):
-            check_state(sys_state(B(q=[Message(kind, payload)])), CAPACITY)
+            check_once(sys_state(B(q=[Message(kind, payload)])), CAPACITY)
 
 
 class _QueueFirst(NamedTuple):
@@ -91,9 +96,9 @@ class TestProcessStateInvariants:
                              ids=["in", "out", "holding"])
     def test_barrier_bits_are_ints_not_bools(self, proc):
         # well formed with 1 for True; but True == 1 would merge visited keys
-        check_state(sys_state(B(*(int(bit) for bit in proc[:3]))), CAPACITY)
+        check_once(sys_state(B(*(int(bit) for bit in proc[:3]))), CAPACITY)
         with pytest.raises(ValueError):
-            check_state(sys_state(proc), CAPACITY)
+            check_once(sys_state(proc), CAPACITY)
 
     def test_outside_process_has_no_neighbors(self):
         with pytest.raises(ValueError):
@@ -102,12 +107,17 @@ class TestProcessStateInvariants:
 
     def test_mixed_protocol_variants_rejected(self):
         with pytest.raises(ValueError):
-            check_state(sys_state(B(), RingProcessState()), CAPACITY)
+            check_once(sys_state(B(), RingProcessState()), CAPACITY)
+
+    def test_process_count_is_pinned_by_the_initial_state(self):
+        check = state_checker(sys_state(B(), B()), CAPACITY)
+        with pytest.raises(ValueError, match="process count"):
+            check(sys_state(B()))
 
     def test_queue_is_the_last_field(self):
         # state edits rebuild a process as its other fields plus a new queue
         with pytest.raises(ValueError, match="last field"):
-            check_state(sys_state(_QueueFirst()), CAPACITY)
+            check_once(sys_state(_QueueFirst()), CAPACITY)
 
 
 class TestSend:
@@ -133,9 +143,9 @@ class TestSend:
         # a queue at the bound is well formed; a send past it goes through,
         # and the state it builds fails the bound check
         s = sys_state(B(), B(q=[BARRIER_IN, BARRIER_OUT]))
-        check_state(s, 2)
+        check_once(s, 2)
         with pytest.raises(QueueOverflowError):
-            check_state(send_message(s, 1, BARRIER_IN), 2)
+            check_once(send_message(s, 1, BARRIER_IN), 2)
 
     def test_target_out_of_range(self):
         s = sys_state(B(), B())
@@ -144,17 +154,17 @@ class TestSend:
 
     def test_payload_id_out_of_range(self):
         s = sys_state(RingProcessState(), RingProcessState())
-        check_state(send_message(s, 0, req_insert(1)), CAPACITY)
+        check_once(send_message(s, 0, req_insert(1)), CAPACITY)
         for rank in (2, -1):
             with pytest.raises(ValueError):
-                check_state(send_message(s, 0, req_insert(rank)), CAPACITY)
+                check_once(send_message(s, 0, req_insert(rank)), CAPACITY)
 
     @pytest.mark.parametrize("rank", [True, False, 1.0])
     def test_payload_id_is_an_int_never_a_bool(self, rank):
         # req(True) equals req(1), so the two would share one visited key
         s = sys_state(RingProcessState(), RingProcessState())
         with pytest.raises(ValueError, match="not an int"):
-            check_state(send_message(s, 0, req_insert(rank)), CAPACITY)
+            check_once(send_message(s, 0, req_insert(rank)), CAPACITY)
 
 
 class TestReceive:
@@ -305,10 +315,10 @@ _any_messages = st.one_of(_messages, st.builds(
 ))
 
 
-def _outcome(*args):
-    """The type of the error `check_state(*args)` raises, or None."""
+def _outcome(check, state):
+    """The type of the error `check(state)` raises, or None."""
     try:
-        check_state(*args)
+        check(state)
     except (ValueError, QueueOverflowError) as err:
         return type(err)
     return None
@@ -316,11 +326,13 @@ def _outcome(*args):
 
 @settings(max_examples=300)
 @given(st.data())
-def test_delta_check_agrees_with_the_full_check(data):
+def test_a_warm_checker_agrees_with_a_fresh_one(data):
+    # a checker that has passed the parent skips the processes it shares
     capacity = 3
     which = data.draw(st.sampled_from((0, 1)))
     parent = data.draw(_system_states(_PROCESS_POOLS[which]))
-    assume(_outcome(parent, capacity) is None)
+    warm = state_checker(parent, capacity)
+    assume(_outcome(warm, parent) is None)
     succ = list(parent)
     edited = data.draw(st.sets(st.integers(0, len(parent) - 1), min_size=1, max_size=2))
     for pid in edited:
@@ -329,4 +341,4 @@ def test_delta_check_agrees_with_the_full_check(data):
         queue = data.draw(st.lists(_any_messages, max_size=capacity + 1))
         succ[pid] = proc._make(proc[:-1] + (tuple(queue),))
     succ = tuple(succ)
-    assert _outcome(succ, capacity, parent) is _outcome(succ, capacity)
+    assert _outcome(warm, succ) is _outcome(state_checker(parent, capacity), succ)
