@@ -16,6 +16,7 @@ postcondition at termination: everybody was released and nothing is pending.
 
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import ClassVar, NamedTuple
 
 from .engine import ModelConfig, ProtocolModel, TransitionRule
@@ -108,7 +109,7 @@ def rule_client_request(proc: BarrierProcessState, pid: int, n: int):
 
 def barrier_in_nonleader_enabled(state: State, pid: int) -> bool:
     queue = state[pid].queue
-    return pid != LEADER and bool(queue) and queue[0].kind is _IN
+    return queue != () and queue[0].kind is _IN and pid != LEADER
 
 
 def rule_barrier_in_nonleader(proc: BarrierProcessState, pid: int, n: int,
@@ -127,8 +128,10 @@ def rule_barrier_in_nonleader(proc: BarrierProcessState, pid: int, n: int,
 
 
 def barrier_in_leader_enabled(state: State, pid: int) -> bool:
+    if pid != LEADER:
+        return False
     queue = state[pid].queue
-    return pid == LEADER and bool(queue) and queue[0].kind is _IN
+    return queue != () and queue[0].kind is _IN
 
 
 def rule_barrier_in_leader(proc: BarrierProcessState, pid: int, n: int,
@@ -144,7 +147,7 @@ def rule_barrier_in_leader(proc: BarrierProcessState, pid: int, n: int,
 
 def barrier_out_enabled(state: State, pid: int) -> bool:
     queue = state[pid].queue
-    return bool(queue) and queue[0].kind is _OUT
+    return queue != () and queue[0].kind is _OUT
 
 
 def rule_barrier_out(proc: BarrierProcessState, pid: int, n: int,
@@ -161,11 +164,12 @@ def rule_barrier_out(proc: BarrierProcessState, pid: int, n: int,
             ((next_rank(pid, n), BARRIER_OUT),))
 
 
+_released, _arrived = attrgetter("client_barrier_out"), attrgetter("client_barrier_in")
+
+
 def barrier_invariant(state: State) -> bool:
     """No client released until every client has reached the barrier."""
-    if any(p.client_barrier_out for p in state):
-        return all(p.client_barrier_in for p in state)
-    return True
+    return not any(map(_released, state)) or all(map(_arrived, state))
 
 
 def barrier_postcondition(state: State) -> bool:

@@ -39,8 +39,11 @@ class TransitionRule:
     and must be deterministic; both are pure. A protocol's rule is a
     state-level guard plus a pure local step memoized per (pid, process) for
     the model's lifetime (`state.memoized_apply`), so a step may read only
-    its own process. Guards run stored x N times a search, so bind config in
-    closures, not keyword partials, and compare with module-level Enum aliases.
+    its own process. Guards run stored x rules x N times a search and the
+    invariant once per stored state, so: bind config in closures, not keyword
+    partials; compare with module-level Enum aliases; call no builtin such as
+    `bool()`; put the test most often false first; and write a check over all
+    processes as `any`/`all` over `map`, not over a generator.
     """
 
     name: str
@@ -235,16 +238,18 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
 
     start = time.perf_counter()
     rule_names = tuple(rule.name for rule in model.rules)
-    states: list[State] = []
-    parents = array("q")
-    depths = array("q")
+    init = model.initial_state
+    # the initial state is stored as id 0, with no parent, at depth 0
+    states: list[State] = [init]
+    parents = array("q", (-1, -1, -1))
+    depths = array("q", (0,))
     visited: dict[State, int] = {}
     terminal: list[int] = []
     edges = array("q") if cfg.record_edges else None
     # the edges fired from the state being expanded, moved into `edges` as a
     # batch: one list append per edge is much cheaper than four array appends
     fired_edges: list[int] = []
-    frontier: deque[int] = deque()
+    frontier: deque[int] = deque((0,))
     matched = max_frontier = 0  # each fired transition stores or matches a state
 
     def finish(verdict: Verdict, witness: Optional[int] = None) -> ExplorationResult:
@@ -266,34 +271,31 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
             edges=None if edges is None else _EdgeLog(rule_names, edges),
         )
 
-    # `visited` maps each state to its id. The caller reserves a new state's
-    # id there with one setdefault before `store`, so each is stored once.
-    def store(s: State, parent_id: int, rule: int, pid: int) -> None:
-        states.append(s)
-        parents.extend((parent_id, rule, pid))
-        depths.append(0 if parent_id < 0 else depths[parent_id] + 1)
-        frontier.append(len(states) - 1)
-
-    init = model.initial_state
+    # `visited` maps each state to its id, reserved with one setdefault, so
+    # each state is stored once. The key is read from the module per call, not
+    # at import, so a wrapper set on `canonical_encode` sees every call.
+    encode, invariant = canonical_encode, model.invariant
     check = state_checker(init, model.queue_capacity)
     check(init)
-    visited[canonical_encode(init)] = 0
-    store(init, -1, -1, -1)
-    if not model.invariant(init):
+    visited[encode(init)] = 0
+    if not invariant(init):
         return finish(Verdict.INVARIANT_VIOLATED, witness=0)
 
     # looked up once here, not once per (state, rule, pid) in the loop
     rules = [(r, rule.enabled, rule.apply) for r, rule in enumerate(model.rules)]
     pids = range(len(init))
     pop = frontier.popleft if cfg.search_order == "bfs" else frontier.pop
-    reserve = visited.setdefault
+    reserve, push = visited.setdefault, frontier.append
+    add_state, add_parent, add_depth = states.append, parents.extend, depths.append
+    max_states, max_seconds, clock = cfg.max_states, cfg.max_seconds, time.perf_counter
     while frontier:
-        if time.perf_counter() - start > cfg.max_seconds:
+        if clock() - start > max_seconds:
             return finish(Verdict.LIMIT_EXCEEDED)
         if len(frontier) > max_frontier:
             max_frontier = len(frontier)
         sid = pop()
         state = states[sid]
+        depth = depths[sid] + 1
         fired = False
         for r, enabled, apply in rules:
             for pid in pids:
@@ -302,21 +304,24 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
                 fired = True
                 succ = apply(state, pid)
                 fresh_id = len(states)
-                tid = reserve(canonical_encode(succ), fresh_id)
+                tid = reserve(encode(succ), fresh_id)
                 fresh = tid == fresh_id
                 if fresh:
                     try:
                         check(succ)
                     except QueueOverflowError:
                         return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
-                    if fresh_id >= cfg.max_states:
+                    if fresh_id >= max_states:
                         return finish(Verdict.LIMIT_EXCEEDED)
-                    store(succ, sid, r, pid)
+                    add_state(succ)
+                    add_parent((sid, r, pid))
+                    add_depth(depth)
+                    push(fresh_id)
                 else:
                     matched += 1
                 if edges is not None:
                     fired_edges += (sid, r, pid, tid)
-                if fresh and not model.invariant(succ):
+                if fresh and not invariant(succ):
                     return finish(Verdict.INVARIANT_VIOLATED, witness=tid)
         if fired_edges:
             edges.fromlist(fired_edges)

@@ -66,8 +66,8 @@ class RingStatus(Enum):
     IN_RING = "in_ring"
 
 
-# Guards run stored x rules x N times a search, so they compare against
-# module-level aliases: an Enum member lookup costs a dozen global lookups.
+# Guards compare against module-level aliases (see `engine.TransitionRule`):
+# an Enum member lookup costs a dozen global lookups.
 _OUTSIDE, _IN_RING, _INSERTING = RingStatus.OUTSIDE, RingStatus.IN_RING, RingStatus.INSERTING
 _REQ, _RHS, _ACK = MessageKind.REQ_INSERT, MessageKind.NEW_RHS, MessageKind.INSERT_ACK
 

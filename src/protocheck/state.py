@@ -96,10 +96,12 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
     pinned type, every message carrying its kind's arity of process ids
     (`int`s in range, never `bool`s) and every process passing `check(n)`;
     QueueOverflowError if a queue holds more than `queue_capacity` messages,
-    the only place that bound is enforced. A process is checked against
-    nothing but the type, the capacity and `n`, so `check` checks each object
-    once: a memo (`id` -> the object, held so its id is never reused) keeps
-    each that passed; by identity, never by value, since `True == 1`.
+    the only place that bound is enforced. Either error names the pid of the
+    first process that fails. A process is checked against nothing but the
+    type, the capacity and `n`, so `check` checks each object once: a memo
+    (`id` -> the object, held so its id is never reused) keeps each that
+    passed; by identity, never by value, since `True == 1`. Most states hold
+    no new process, so one C-level pass over the ids comes first.
     """
     if queue_capacity < 1:
         raise ValueError("queue capacity must be positive")
@@ -110,26 +112,34 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
         raise ValueError(f"the last field of {first.__name__} must be queue")
     n = len(initial)
     checked: dict[int, object] = {}
+    known = checked.__contains__
 
     def check(state: State) -> None:
         if len(state) != n:
             raise ValueError(f"a rule changed the process count from {n} to {len(state)}")
+        if all(map(known, map(id, state))):
+            return
         for pid, proc in enumerate(state):
             if id(proc) in checked:
                 continue
             if type(proc) is not first:
-                raise ValueError("all processes must be the same protocol variant")
+                raise ValueError(f"process {pid}: all processes must be the same "
+                                 "protocol variant")
             if len(proc.queue) > queue_capacity:
                 raise QueueOverflowError(f"queue of process {pid} is over capacity "
                                          f"{queue_capacity}")
             for kind, payload in proc.queue:
                 if len(payload) != kind.arity:
-                    raise ValueError(f"{kind.name.lower()} carries {kind.arity} id(s), "
-                                     f"got {len(payload)}")
+                    raise ValueError(f"process {pid}: {kind.name.lower()} carries "
+                                     f"{kind.arity} id(s), got {len(payload)}")
                 for rank in payload:
                     if type(rank) is not int or not 0 <= rank < n:
-                        raise ValueError(f"payload id {rank!r} is not an int in [0, {n})")
-            proc.check(n)
+                        raise ValueError(f"process {pid}: payload id {rank!r} is not an int "
+                                         f"in [0, {n})")
+            try:
+                proc.check(n)
+            except ValueError as err:
+                raise ValueError(f"process {pid}: {err}") from None
             checked[id(proc)] = proc
 
     return check

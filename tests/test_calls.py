@@ -16,6 +16,8 @@ import pytest
 
 from protocheck import engine
 from protocheck.barrier import (
+    BARRIER_IN,
+    BARRIER_OUT,
     LEADER_FIRST,
     LEADER_LAST,
     RELEASE_ON_BARRIER_IN,
@@ -27,7 +29,7 @@ from protocheck.engine import (ExploreConfig, ProtocolModel, TransitionRule, Ver
                                explore)
 from protocheck.ring import (ORDERED, UNORDERED, RingConfig, RingProcessState, RingStatus,
                              req_insert, ring_model)
-from protocheck.state import state_checker
+from protocheck.state import QueueOverflowError, state_checker
 
 
 def _counted(fn, calls, key):
@@ -148,6 +150,24 @@ def test_the_checker_adds_what_passes_and_skips_what_it_passed(monkeypatch):
     check((one, zero))
     check((one, fresh))
     assert calls == [fresh]  # `one` and `zero` are trusted: they passed
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("new,error,match", [
+    (BarrierProcessState(queue=(BARRIER_IN,) * 3), QueueOverflowError, "queue of process {k} "),
+    (BarrierProcessState(0, 1, 0, ()), ValueError, "process {k}: client released"),
+    (BarrierProcessState(queue=(BARRIER_IN._replace(payload=(0,)),)), ValueError,
+     "process {k}: barrier_in carries 0"),
+], ids=["over-capacity", "ill-formed", "bad-arity"])
+def test_a_new_process_among_passed_ones_is_caught_at_its_pid(k, new, error, match):
+    # every other process is one the checker passed, so its one-pass memo
+    # test fails on `new` alone and the per-process loop must name pid k
+    state = (BarrierProcessState(), BarrierProcessState(1, 0, 0, ()),
+             BarrierProcessState(queue=(BARRIER_OUT,)), BarrierProcessState(0, 0, 1, ()))
+    check = state_checker(state, 2)
+    check(state)
+    with pytest.raises(error, match=match.format(k=k)):
+        check(state[:k] + (new,) + state[k + 1:])
 
 
 def test_the_memo_does_not_outlive_its_search():
