@@ -39,11 +39,12 @@ class TransitionRule:
     and must be deterministic; both are pure. A protocol's rule is a
     state-level guard plus a pure local step memoized per (pid, process) for
     the model's lifetime (`state.memoized_apply`), so a step may read only
-    its own process. Guards run stored x rules x N times a search and the
-    invariant once per stored state, so: bind config in closures, not keyword
-    partials; compare with module-level Enum aliases; call no builtin such as
-    `bool()`; put the test most often false first; and write a check over all
-    processes as `any`/`all` over `map`, not over a generator.
+    its own process. Guards run stored x rules x N times a search, so bind
+    config in closures, not keyword partials, and compare with module-level
+    Enum aliases. On barrier, guards with no `bool()` call and their most
+    often false test first, and an invariant written as `any`/`all` over
+    `map` rather than over a generator, measured faster; ring's guards
+    rewritten the same way did not (0.98x).
     """
 
     name: str

@@ -100,8 +100,7 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
     first process that fails. A process is checked against nothing but the
     type, the capacity and `n`, so `check` checks each object once: a memo
     (`id` -> the object, held so its id is never reused) keeps each that
-    passed; by identity, never by value, since `True == 1`. Most states hold
-    no new process, so one C-level pass over the ids comes first.
+    passed; by identity, never by value, since `True == 1`.
     """
     if queue_capacity < 1:
         raise ValueError("queue capacity must be positive")
@@ -112,13 +111,10 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
         raise ValueError(f"the last field of {first.__name__} must be queue")
     n = len(initial)
     checked: dict[int, object] = {}
-    known = checked.__contains__
 
     def check(state: State) -> None:
         if len(state) != n:
             raise ValueError(f"a rule changed the process count from {n} to {len(state)}")
-        if all(map(known, map(id, state))):
-            return
         for pid, proc in enumerate(state):
             if id(proc) in checked:
                 continue
@@ -139,7 +135,7 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
             try:
                 proc.check(n)
             except ValueError as err:
-                raise ValueError(f"process {pid}: {err}") from None
+                raise ValueError(f"process {pid}: {err}") from err
             checked[id(proc)] = proc
 
     return check
