@@ -54,11 +54,9 @@ class BarrierProcessState(NamedTuple):
     queue: Queue = ()
 
     def check(self, n: int) -> None:
-        """Raise ValueError unless the bits are bits and mutually consistent."""
-        for bit in self[:3]:
-            # an int, never a bool: True == 1 would merge two visited keys
-            if type(bit) is not int or bit not in (0, 1):
-                raise ValueError("barrier process fields are bits")
+        """Raise ValueError unless the bits are 0 or 1 and mutually consistent."""
+        if not {*self[:3]} <= {0, 1}:
+            raise ValueError("barrier process fields are bits")
         if self.holding_barrier_in and self.client_barrier_in:
             # a held entry token is forwarded the moment the client asks
             raise ValueError("cannot hold barrier_in after the client request")

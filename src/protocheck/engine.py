@@ -3,13 +3,10 @@
 The search derives every state reachable from the initial state through the
 model's guarded transition rules, deduplicating by the state itself (the
 tuple of process states); no state is rendered during a search. Each new
-state is checked the moment it is generated: for well-formedness and the
-model's queue bound by the search's one `state_checker`, which pins the
-process count and type from the initial state and checks each process object
-once, then against the invariant. Each terminal state is checked against the
-postcondition the moment it is popped.
-Exploration is sequential and fully deterministic, so all counts are
-reproducible run to run.
+state is checked the moment it is generated, by the search's one
+`state_checker` and then against the invariant; each terminal state against
+the postcondition the moment it is popped. Exploration is sequential and
+fully deterministic, so all counts are reproducible run to run.
 """
 
 import time
@@ -36,15 +33,13 @@ class TransitionRule:
     """A guarded successor function, parameterized by process id.
 
     `apply` must only be invoked on (state, pid) pairs where `enabled` holds,
-    and must be deterministic; both are pure. A protocol's rule is a
-    state-level guard plus a pure local step memoized per (pid, process) for
-    the model's lifetime (`state.memoized_apply`), so a step may read only
-    its own process. Guards run stored x rules x N times a search, so bind
-    config in closures, not keyword partials, and compare with module-level
-    Enum aliases. On barrier, guards with no `bool()` call and their most
-    often false test first, and an invariant written as `any`/`all` over
-    `map` rather than over a generator, measured faster; ring's guards
-    rewritten the same way did not (0.98x).
+    and must be deterministic; both are pure. A protocol's `apply` is a local
+    step made state-level by `state.memoized_apply`. Guards run stored x rules
+    x N times a search, so bind config in closures, not keyword partials, and
+    compare with module-level Enum aliases. On barrier, guards with no
+    `bool()` call and their most often false test first, and an invariant of
+    `any`/`all` over `map`, not a generator, measured faster; on ring such
+    rewrites measured within noise.
     """
 
     name: str

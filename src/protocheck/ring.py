@@ -91,11 +91,10 @@ class RingProcessState(NamedTuple):
     queue: Queue = ()
 
     def check(self, n: int) -> None:
-        """Raise ValueError unless both neighbors are ints (a bool would merge
-        visited keys, as True == 1), each UNSET or a pid below `n`, and a
-        process outside the ring has none."""
+        """Raise ValueError unless both neighbors are UNSET or a pid below
+        `n`, and a process outside the ring has none."""
         for rank in (self.lhs, self.rhs):
-            if type(rank) is not int or not (rank == UNSET or 0 <= rank < n):
+            if not (rank == UNSET or 0 <= rank < n):
                 raise ValueError(f"ring neighbors are ints in [0, {n}) or unset, got {rank!r}")
         if self.status is _OUTSIDE and (self.lhs, self.rhs) != (UNSET, UNSET):
             raise ValueError("a process outside the ring has no neighbors")
@@ -192,36 +191,32 @@ def rule_handle_insert_ack(proc: RingProcessState, pid: int):
     return RingProcessState(RingStatus.IN_RING, lhs, rhs, queue), ()
 
 
-def req_insert_only_at_entry(state: State, entry: int) -> bool:
-    """Join requests are addressed to the entry and appear nowhere else."""
-    for pid, proc in enumerate(state):
-        if proc.queue and pid != entry:  # most queues are empty
-            for message in proc.queue:
-                if message.kind is _REQ:
-                    return False
-    return True
+def _req_insert_only_at_entry(entry: int):
+    def invariant(state: State) -> bool:
+        """Join requests are addressed to the entry and appear nowhere else."""
+        for pid, proc in enumerate(state):
+            if proc.queue and pid != entry:  # most queues are empty
+                for message in proc.queue:
+                    if message.kind is _REQ:
+                        return False
+        return True
+    return invariant
 
 
 def ring_postcondition(state: State) -> bool:
     """Everyone in the ring, queues drained, neighbor maps mutually inverse,
     and the right-hand successor map one cycle through all processes."""
     n = len(state)
-    for proc in state:
-        if proc.status is not RingStatus.IN_RING or proc.queue:
-            return False
-        if not (0 <= proc.lhs < n and 0 <= proc.rhs < n):
-            return False
     for pid, proc in enumerate(state):
-        if state[proc.rhs].lhs != pid:
+        if (proc.status is not _IN_RING or proc.queue or not 0 <= proc.rhs < n
+                or state[proc.rhs].lhs != pid):
             return False
-    seen = set()
-    cur = 0
-    for _ in range(n):
-        if cur in seen:
-            return False
-        seen.add(cur)
-        cur = state[cur].rhs
-    return cur == 0 and len(seen) == n
+    # lhs inverts rhs, so rhs is a permutation and each lhs a pid: one cycle
+    # through all n exactly when the walk from 0 first returns after n steps
+    steps, cur = 1, state[0].rhs
+    while cur != 0:
+        steps, cur = steps + 1, state[cur].rhs
+    return steps == n
 
 
 def ring_model(cfg: RingConfig) -> ProtocolModel:
@@ -239,6 +234,6 @@ def ring_model(cfg: RingConfig) -> ProtocolModel:
         queue_capacity=cfg.capacity,
         initial_state=ring_initial_state(cfg),
         rules=rules,
-        invariant=lambda state: req_insert_only_at_entry(state, cfg.entry),
+        invariant=_req_insert_only_at_entry(cfg.entry),
         terminal_postcondition=ring_postcondition,
     )

@@ -12,14 +12,13 @@ Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple whose
 last field is `queue`, with a `render()` method and a `check(n)` method. The
 engine keys its visited set by the state itself, so every process field must
-be hashable and compare by value; `render()` serves trace, DOT and JSON text
-only and is never called during a search. `check(n)` raises ValueError for
-an ill-formed process in a system of `n` processes.
+be hashable, compare by value and have a default of the one type it may
+hold; `render()` serves trace, DOT and JSON text only and is never called
+during a search. `check(n)` raises ValueError for an ill-formed process in a
+system of `n` processes.
 
-A protocol's rule is a state-level guard plus a pure local step from
-(process, pid) to the new process and the messages it sends. `memoized_apply`
-makes the step the apply the engine calls, memoized per (pid, process) for
-the model's lifetime, so a step may read only its own process.
+A protocol's rule is a state-level guard plus a pure local step, which
+`memoized_apply` makes the rule's apply.
 """
 
 from enum import Enum
@@ -87,20 +86,29 @@ def render_queue(queue: Queue) -> str:
 State = tuple
 
 
+def _check_like(pid: int, proc, like) -> None:
+    """Raise ValueError unless process `pid` has `like`'s class and field types."""
+    if type(proc) is not type(like):
+        raise ValueError(f"process {pid}: all processes must be the same protocol variant")
+    for name, value, expected in zip(proc._fields, proc, like):
+        if type(value) is not type(expected):
+            raise ValueError(f"process {pid}: {name} must be of type "
+                             f"{type(expected).__name__}, got {value!r}")
+
+
 def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None]:
-    """The well-formedness check of one search from `initial`, which needs a
+    """The well-formedness check of one search from `initial`. It needs a
     capacity of at least 1 and a first process whose type's last field is
-    `queue` (else ValueError) and pins `n = len(initial)` and that type.
+    `queue` and whose fields all have defaults (else ValueError), and pins
+    `n = len(initial)`, that type and its defaults' field types.
 
     `check(state)` raises ValueError unless `state` has `n` processes of the
-    pinned type, every message carrying its kind's arity of process ids
-    (`int`s in range, never `bool`s) and every process passing `check(n)`;
-    QueueOverflowError if a queue holds more than `queue_capacity` messages,
-    the only place that bound is enforced. Either error names the pid of the
-    first process that fails. A process is checked against nothing but the
-    type, the capacity and `n`, so `check` checks each object once: a memo
-    (`id` -> the object, held so its id is never reused) keeps each that
-    passed; by identity, never by value, since `True == 1`.
+    pinned types, each message with its kind's arity of `int` ids below `n`,
+    and each process passing `check(n)`; QueueOverflowError for a queue over
+    `queue_capacity`, the only place that bound is enforced. Either error
+    names the first failing pid. `check` checks each process object once: a
+    memo keyed by `id` (holding the object, so its id is never reused) keeps
+    each that passed; by identity, not value, since `True == 1`.
     """
     if queue_capacity < 1:
         raise ValueError("queue capacity must be positive")
@@ -109,6 +117,9 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
     first = type(initial[0])
     if getattr(first, "_fields", ())[-1:] != ("queue",):
         raise ValueError(f"the last field of {first.__name__} must be queue")
+    if len(first._field_defaults) != len(first._fields):
+        raise ValueError(f"every field of {first.__name__} needs a default")
+    pinned = first()
     n = len(initial)
     checked: dict[int, object] = {}
 
@@ -118,9 +129,7 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
         for pid, proc in enumerate(state):
             if id(proc) in checked:
                 continue
-            if type(proc) is not first:
-                raise ValueError(f"process {pid}: all processes must be the same "
-                                 "protocol variant")
+            _check_like(pid, proc, pinned)
             if len(proc.queue) > queue_capacity:
                 raise QueueOverflowError(f"queue of process {pid} is over capacity "
                                          f"{queue_capacity}")
@@ -147,12 +156,9 @@ def replace_process(state: State, pid: int, proc) -> State:
 
 
 def send_message(state: State, to: int, message: Message) -> State:
-    """Append `message` at the tail of process `to`'s input queue.
-
-    Raises ValueError when `to` is out of range, since a negative target
-    would silently index another process. The queue bound and payload ranges
-    are `state_checker`'s to check.
-    """
+    """Append `message` at the tail of process `to`'s input queue. A target
+    out of range is a ValueError, as a negative one would index another
+    process; the queue bound and payloads are `state_checker`'s to check."""
     if not 0 <= to < len(state):
         raise ValueError(f"send target {to} out of range for {len(state)} processes")
     proc = state[to]
@@ -178,9 +184,12 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
     """The state-level apply of a rule whose local step `step(proc, pid)`
     gives process `pid`'s new state and its sends, `((target, message), ...)`,
     appended in order. Each effect is kept per (pid, process) for the apply's
-    lifetime once its targets pass a range check (ValueError keeps nothing),
-    and each append per (target process, message), so equal processes are
-    one object. `__wrapped__` is `step`, for `apply_uncached`."""
+    lifetime once its new process keeps the class and field types of the one
+    it replaces and its sends have targets in range and `int` payload ids
+    (else ValueError, keeping nothing), so a matched successor is as well
+    typed as its stored twin. Each append is kept per (target process,
+    message). Sharing is per effect and per append, not per equal value.
+    `__wrapped__` is `step`, for `apply_uncached`."""
     effects: dict = {}
     appends: dict = {}
 
@@ -189,10 +198,14 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
         effect = effects.get((pid, proc))
         if effect is None:
             effect = step(proc, pid)
-            for to, _ in effect[1]:
+            _check_like(pid, effect[0], proc)
+            for to, message in effect[1]:
                 if not 0 <= to < len(state):
                     raise ValueError(
                         f"send target {to} out of range for {len(state)} processes")
+                for rank in message.payload:
+                    if type(rank) is not int:
+                        raise ValueError(f"process {pid}: sent payload id {rank!r} is not an int")
             effects[pid, proc] = effect
         procs = list(state)
         procs[pid], sends = effect
@@ -226,11 +239,10 @@ def render_state(state: State, text: Callable[[object], str] = methodcaller("ren
 def canonical_encode(state: State) -> State:
     """The visited-set key: the identity, as the state is its own key.
 
-    Two states are equal exactly when every process field compares equal.
-    That needs one type per field, which a search's `state_checker` enforces
-    where the type alone would not: barrier bits, ring neighbors and payload
-    ids are `int`, never `bool`, as `True == 1` but the two render
-    differently. The engine calls this on the initial state and per fired
+    Equal states are the same state only with one type per field, as
+    `True == 1` and `1.0 == 1` render differently: its default's type, which
+    `state_checker` enforces on every stored state and `memoized_apply` on
+    every effect. The engine calls this on the initial state and per fired
     transition, as the hook a benchmark can wrap to time the key layer.
     """
     return state

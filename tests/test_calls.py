@@ -108,16 +108,16 @@ def test_the_memo_is_keyed_by_identity_not_value():
         invariant=lambda s: True,
         terminal_postcondition=lambda s: True,
     )
-    with pytest.raises(ValueError, match="bits"):
+    with pytest.raises(ValueError, match="process 1: client_barrier_in must be of type int"):
         explore(model)
 
 
-@pytest.mark.parametrize("twin", [
-    lambda v: RingProcessState(RingStatus.IN_RING, v, 0),
-    lambda v: RingProcessState(RingStatus.IN_RING, 0, v),
-    lambda v: RingProcessState(queue=(req_insert(v),)),
+@pytest.mark.parametrize("twin,match", [
+    (lambda v: RingProcessState(RingStatus.IN_RING, v, 0), "process 1: lhs must be of type int"),
+    (lambda v: RingProcessState(RingStatus.IN_RING, 0, v), "process 1: rhs must be of type int"),
+    (lambda v: RingProcessState(queue=(req_insert(v),)), "process 1: payload id True is not"),
 ], ids=["lhs", "rhs", "payload"])
-def test_a_bool_is_caught_after_its_int_twin_passed(twin):
+def test_a_bool_is_caught_after_its_int_twin_passed(twin, match):
     # pid 0 builds the process with 1, then pid 1 its equal twin with True
     def enabled(s, pid):
         return s[pid] == RingProcessState() and (s[0] == RingProcessState()) == (pid == 0)
@@ -132,7 +132,7 @@ def test_a_bool_is_caught_after_its_int_twin_passed(twin):
         invariant=lambda s: True,
         terminal_postcondition=lambda s: True,
     )
-    with pytest.raises(ValueError, match="int"):
+    with pytest.raises(ValueError, match=match):
         explore(model)
 
 
@@ -142,7 +142,7 @@ def test_the_checker_adds_what_passes_and_skips_what_it_passed(monkeypatch):
     check((one, zero))
     twin = BarrierProcessState(True, 0, 0, ())
     for _ in range(2):  # what fails is not kept
-        with pytest.raises(ValueError, match="bits"):
+        with pytest.raises(ValueError, match="process 1: client_barrier_in must be of type int"):
             check((one, twin))
     calls = []
     monkeypatch.setattr(BarrierProcessState, "check", lambda self, n: calls.append(self))

@@ -18,6 +18,7 @@ from protocheck.ring import RingConfig, ring_model
 from protocheck.state import (
     Message,
     MessageKindBase,
+    memoized_apply,
     receive_message,
     render_queue,
     replace_process,
@@ -373,7 +374,7 @@ class TestReplay:
         path = self._violation_trace(tmp_path)
 
         def build(cfg):
-            # bools: equal to the recorded zeros, but not bits to check()
+            # bools: equal to the recorded zeros, but not the ints the defaults pin
             model = barrier_model(cfg)
             initial = (BarrierProcessState(False, False, False),) * cfg.n
             return replace(model, initial_state=initial)
@@ -382,7 +383,7 @@ class TestReplay:
         assert run_cli("replay", str(path)) == 1
         out = capsys.readouterr().out
         assert "replay mismatch at step 0: " in out
-        assert "barrier process fields are bits" in out
+        assert "process 0: client_barrier_in must be of type int, got False" in out
 
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -541,6 +542,23 @@ def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys):
     assert trace.read_text().splitlines()[-1].endswith("(1,[t]) (1,[t])")
     assert run_cli("replay", f"{trace}.json") == 0
     assert "replay OK: 2 steps verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("send", [
+    lambda s, pid: replace_process(s, pid, s[pid]._replace(sent=True)),
+    memoized_apply(lambda proc, pid: (proc._replace(sent=True), ())),
+], ids=["hand-written", "memoized"])
+def test_a_registered_protocol_gets_its_field_types_checked(monkeypatch, send):
+    # `_ToyProcess.check` tests no type; the engine still pins `sent` to its
+    # default's, so True is rejected in the state it stores or in the effect
+    def build(cfg):
+        rule = TransitionRule("send", lambda s, pid: not s[pid].sent, send)
+        return replace(_toy_model(cfg), rules=(rule,))
+
+    monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, build))
+    config_class, factory = cli.MODELS["toy"]
+    with pytest.raises(ValueError, match="process 0: sent must be of type int, got True"):
+        explore(factory(config_class(n=2)))
 
 
 def _never_postcondition(build):

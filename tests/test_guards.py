@@ -1,12 +1,13 @@
-"""Every guard and invariant against a plain reference predicate.
+"""Every guard, invariant and postcondition against a plain reference predicate.
 
-Guards and invariants are written for speed (see `engine.TransitionRule`),
+Guards and properties are written for speed (see `engine.TransitionRule`),
 and `tests/oracle.py` calls the model's own guards, so a rewrite that flips
 a truth value would go unseen there. The predicates below restate each body
 plainly. The reachable states are walked through these predicates and each
 rule's uncached step, never through the guards under test, and at every
-state and pid each guard and invariant must return a `bool` equal to its
-predicate's.
+state and pid each guard, the invariant and the postcondition must return a
+`bool` equal to its predicate's; the postcondition at every reachable state,
+not only the terminal ones.
 """
 
 from collections import deque
@@ -40,7 +41,13 @@ def barrier_reference(cfg):
                 return all(q.client_barrier_in for q in s)
         return True
 
-    return guards, invariant
+    def postcondition(s):
+        for p in s:
+            if p.client_barrier_out != 1 or p.holding_barrier_in != 0 or len(p.queue) > 0:
+                return False
+        return True
+
+    return guards, invariant, postcondition
 
 
 def ring_reference(cfg):
@@ -66,7 +73,23 @@ def ring_reference(cfg):
         return not any(m.kind is RingKind.REQ_INSERT
                        for pid, p in enumerate(s) if pid != cfg.entry for m in p.queue)
 
-    return guards, invariant
+    def postcondition(s):
+        n = len(s)
+        if any(p.status is not RingStatus.IN_RING or p.queue for p in s):
+            return False
+        pids = list(range(n))
+        if sorted(p.lhs for p in s) != pids or sorted(p.rhs for p in s) != pids:
+            return False
+        if any(s[s[pid].rhs].lhs != pid for pid in range(n)):
+            return False
+        # follow rhs from 0 until a pid repeats: a single cycle visits all n
+        visited, pid = [], 0
+        while pid not in visited:
+            visited.append(pid)
+            pid = s[pid].rhs
+        return pid == 0 and len(visited) == n
+
+    return guards, invariant, postcondition
 
 
 def _configs():
@@ -77,7 +100,7 @@ def _configs():
                 yield f"barrier-{variant}-{mutation}-{n}", barrier_model, barrier_reference, cfg
     for n in range(1, 5):
         for variant in (ORDERED, UNORDERED):
-            for entry in sorted({0, n - 1}):
+            for entry in sorted({0, min(1, n - 1), n - 1}):
                 cfg = RingConfig(n=n, variant=variant, entry=entry)
                 yield f"ring-{variant}-entry{entry}-{n}", ring_model, ring_reference, cfg
 
@@ -89,7 +112,7 @@ CASES = list(_configs())
                          ids=[case[0] for case in CASES])
 def test_guards_and_invariant_match_their_reference(build, reference, cfg):
     model = build(cfg)
-    guards, invariant = reference(cfg)
+    guards, invariant, postcondition = reference(cfg)
     assert [rule.name for rule in model.rules] == list(guards)
     seen = {model.initial_state}
     todo = deque(seen)
@@ -97,6 +120,8 @@ def test_guards_and_invariant_match_their_reference(build, reference, cfg):
         state = todo.popleft()
         verdict = model.invariant(state)
         assert type(verdict) is bool and verdict == invariant(state), state
+        verdict = model.terminal_postcondition(state)
+        assert type(verdict) is bool and verdict == postcondition(state), state
         for rule in model.rules:
             for pid in range(len(state)):
                 expected = guards[rule.name](state, pid)

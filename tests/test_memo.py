@@ -1,6 +1,7 @@
 """The memoized rule applies: each agrees with the rule's uncached local step,
 hands back one object per equal (pid, process), keeps nothing for a step
-that fails, and leaves a second search on the same model unchanged; the
+that fails, rejects an effect that would type a field or payload id unlike
+its default, and leaves a second search on the same model unchanged; the
 uncached apply reuses no effect."""
 
 from dataclasses import replace
@@ -14,7 +15,7 @@ from protocheck.barrier import (
     BarrierProcessState,
     barrier_model,
 )
-from protocheck.engine import ExploreConfig, explore
+from protocheck.engine import ExploreConfig, ProtocolModel, TransitionRule, explore
 from protocheck.ring import (
     ORDERED,
     UNORDERED,
@@ -104,6 +105,33 @@ def test_out_of_range_send_target_keeps_no_effect(target):
     for _ in range(2):
         with pytest.raises(ValueError, match="out of range"):
             apply(state, 0)
+
+
+@pytest.mark.parametrize("values", [(1, True), (True, 1)], ids=["int-first", "bool-first"])
+@pytest.mark.parametrize("initial, effect, match", [
+    ((BarrierProcessState(),) * 2, lambda proc, v: (proc._replace(client_barrier_in=v), ()),
+     "process 0: client_barrier_in must be of type int, got True"),
+    ((RingProcessState(),) * 2, lambda proc, v: (proc, ((1, req_insert(v)),)),
+     "process 0: sent payload id True is not an int"),
+], ids=["field", "payload"])
+def test_a_bool_effect_fails_in_either_rule_order(values, initial, effect, match):
+    # two rules fire at pid 0 of the initial state, one building its effect
+    # with 1 and one with True; the successors are equal, so whichever comes
+    # second is matched against the first and never reaches the state checker
+    def enabled(s, pid):
+        return pid == 0 and s == initial
+
+    model = ProtocolModel(
+        queue_capacity=2,
+        initial_state=initial,
+        rules=tuple(TransitionRule(str(v), enabled,
+                                   memoized_apply(lambda proc, pid, v=v: effect(proc, v)))
+                    for v in values),
+        invariant=lambda s: True,
+        terminal_postcondition=lambda s: True,
+    )
+    with pytest.raises(ValueError, match=match):
+        explore(model)
 
 
 def test_ring_splice_to_an_unset_neighbor_is_out_of_range():

@@ -15,7 +15,6 @@ from protocheck.ring import (
     insert_ack_enabled,
     new_rhs,
     req_insert,
-    req_insert_only_at_entry,
     ring_initial_state,
     ring_model,
     ring_postcondition,
@@ -68,10 +67,12 @@ def test_config_rejects_non_int_sizes(options):
 
 @pytest.mark.parametrize("lhs,rhs", [(True, 0), (0, True), (False, False), (1.0, 0)])
 def test_neighbors_are_ints_never_bools(lhs, rhs):
-    # (ring,True/0,[]) equals (ring,1/0,[]), so the two would share one visited key
-    R(RING, 1, 0).check(2)
-    with pytest.raises(ValueError, match="ints"):
-        R(RING, lhs, rhs).check(2)
+    # (ring,True/0,[]) equals (ring,1/0,[]), so the two would share one visited key;
+    # the checker pins each field to its default's type, int for both neighbors
+    state_checker((R(RING, 1, 0),) * 2, 5)((R(RING, 1, 0),) * 2)
+    field = "lhs" if type(lhs) is not int else "rhs"
+    with pytest.raises(ValueError, match=f"process 1: {field} must be of type int"):
+        state_checker((R(RING, 1, 0),) * 2, 5)((R(RING, 1, 0), R(RING, lhs, rhs)))
 
 
 @pytest.mark.parametrize("lhs,rhs", [(99, 0), (0, -5), (2, 1), (1, -2)])
@@ -210,6 +211,11 @@ class TestPostcondition:
         state = sys_state(R(RING, 1, 1), R(RING, 1, 0))
         assert not ring_postcondition(state)
 
+    def test_unset_left_neighbor_fails(self):
+        # every rhs is a pid, but pid 1's right-hand side points back at no one
+        state = sys_state(R(RING, -1, 1), R(RING, 0, 0))
+        assert not ring_postcondition(state)
+
 
 # stored-state counts frozen from the brute-force enumerator
 ORDERED_STORED = {2: 6, 3: 12, 4: 22}
@@ -254,7 +260,7 @@ def test_join_requests_only_ever_at_the_entry():
     for n in (3, 4):
         model = ring_model(RingConfig(n=n, variant=UNORDERED))
         for state in oracle.enumerate_reachable(model):
-            assert req_insert_only_at_entry(state, entry=0)
+            assert model.invariant(state)
 
 
 def test_acks_only_ever_at_inserting_processes():
