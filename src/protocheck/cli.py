@@ -24,7 +24,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import fields, replace
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional
 
@@ -89,11 +89,16 @@ def state_to_json(state: State) -> dict:
 
 
 def _write_text(path, chunks: Iterable[str]) -> None:
-    """Write `chunks` to `path` one after another, as the iterable yields
-    them; an `OSError` is a usage error naming the path."""
+    """Write `chunks` to `path` in order, 32 joined to a block, each block
+    passed straight to the file's byte buffer: memory is bounded by a block,
+    not by the text. An `OSError` is a usage error naming the path."""
+    chunks = iter(chunks)
     try:
         with open(path, "w") as out:
-            out.writelines(chunks)
+            out.reconfigure(write_through=True)  # else the text layer holds 8 KB more
+            # an empty batch ends the stream; an empty joined block may not
+            while block := list(islice(chunks, 32)):
+                out.write("".join(block))
     except OSError as err:
         raise UsageError(f"cannot write {path}: {err}")
 
@@ -107,12 +112,13 @@ class _RenderMemo(dict):
 
 
 def export_state_graph(result: ExplorationResult, path) -> None:
-    """Write the stored-state graph in DOT form, streamed line by line.
+    """Write the stored-state graph in DOT form, streamed in blocks of lines.
 
     One node per stored state (ordered by state id), then one edge per fired
     transition in firing order, labeled with the rule name and pid. Lines are
-    written as made, never held whole, and each distinct process is rendered
-    once per call. Needs a run made with edge retention enabled.
+    made as `_write_text` takes them, 32 to a block, never held whole; each
+    distinct process is rendered once per call. Needs a run made with edge
+    retention enabled.
     """
     if result.edges is None:
         raise ValueError("state-graph export needs a run with record_edges enabled")

@@ -12,7 +12,7 @@ fully deterministic, so all counts are reproducible run to run.
 import time
 from array import array
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Optional
@@ -143,9 +143,9 @@ class ExploreConfig:
 Edge = tuple[int, str, int, int]
 
 
-class _EdgeLog(Sequence):
-    """The fired transitions of a search in firing order, read-only, each
-    read as an `Edge`; a slice reads as a list of them.
+class _EdgeLog:
+    """The fired transitions of a search in firing order, read-only: its
+    length is the fired count, and iterating it yields each one as an `Edge`.
 
     Packed as four ids per transition (source id, rule index, pid, target id)
     in one `array('q')`, 32 bytes each; 64-bit entries hold any id a search
@@ -158,13 +158,6 @@ class _EdgeLog(Sequence):
 
     def __len__(self) -> int:
         return len(self._ids) // 4
-
-    def __getitem__(self, index: int | slice) -> Edge | list[Edge]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        k = 4 * range(len(self))[index]
-        ids = self._ids
-        return ids[k], self._rule_names[ids[k + 1]], ids[k + 2], ids[k + 3]
 
     def __iter__(self) -> Iterator[Edge]:
         # zip draws from its arguments in order, four ids per edge
@@ -187,8 +180,8 @@ class ExplorationResult:
     state, id 0. `depths` holds each state's distance from the initial state
     along that parent chain, the shortest distance only under BFS. `edges` is
     None unless the search was asked to record edges; then it is every fired
-    transition, in firing order, as a read-only sequence of `Edge` tuples read
-    from a packed log. `initial_count` is always 1.
+    transition, in firing order: a packed log with a length that iterates as
+    `Edge` tuples, not indexed. `initial_count` is always 1.
     """
 
     verdict: Verdict
@@ -200,7 +193,7 @@ class ExplorationResult:
     depths: array
     rule_names: tuple[str, ...]
     initial_count: int
-    edges: Optional[Sequence[Edge]] = None
+    edges: Optional[_EdgeLog] = None
 
 
 @dataclass(frozen=True)
@@ -285,10 +278,10 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     add_state, add_parent, add_depth = states.append, parents.extend, depths.append
     max_states, max_seconds, clock = cfg.max_states, cfg.max_seconds, time.perf_counter
     while frontier:
-        if clock() - start > max_seconds:
-            return finish(Verdict.LIMIT_EXCEEDED)
         if len(frontier) > max_frontier:
             max_frontier = len(frontier)
+        if clock() - start > max_seconds:
+            return finish(Verdict.LIMIT_EXCEEDED)
         sid = pop()
         state = states[sid]
         depth = depths[sid] + 1

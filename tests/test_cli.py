@@ -113,6 +113,17 @@ def test_unset_search_flags_take_the_explore_config_defaults(monkeypatch):
     assert seen == [ExploreConfig(), ExploreConfig("dfs", 50, 5.0)]
 
 
+@pytest.mark.parametrize("chunks", [
+    [f"line {i}\n" for i in range(count)] for count in (0, 1, 31, 32, 33, 65)
+] + [["a\n"] * 32 + [""] * 40 + ["b\n"] * 5],
+    ids=["0", "1", "31", "32", "33", "65", "40-empty-in-the-middle"])
+def test_write_text_writes_every_chunk_across_blocks(chunks, tmp_path):
+    # chunks go out 32 to a block; a block of only empty ones must not end it
+    path = tmp_path / "out.txt"
+    cli._write_text(path, (chunk for chunk in chunks))
+    assert path.read_text() == "".join(chunks)
+
+
 def test_run_help_lists_each_models_mutations(capsys):
     with pytest.raises(SystemExit):
         run_cli("run", "--help")

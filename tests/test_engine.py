@@ -107,6 +107,8 @@ class TestExplore:
         result = explore(barrier_model(BarrierConfig(n=3)),
                          ExploreConfig(max_seconds=1e-9))
         assert result.verdict is Verdict.LIMIT_EXCEEDED
+        # stopped at the first pop, with the initial state in the frontier
+        assert (result.stats.max_frontier, result.stats.states_stored) == (1, 1)
 
     def test_config_validation(self):
         model = barrier_model(BarrierConfig(n=1))

@@ -2,7 +2,9 @@
 
 Sizes are traced Python allocations (`tracemalloc`) on barrier N=8 (519
 stored states, 2056 fired transitions), so they do not depend on the
-allocator or the interpreter's own footprint.
+allocator or the interpreter's own footprint. They do vary by Python version
+and by warm-up: run alone, in a cold process, this file reads its highest
+peaks (the graph export's is highest on 3.10), so it must pass run alone too.
 """
 
 import gc
@@ -46,24 +48,12 @@ def test_edge_log_is_packed():
     assert (with_edges - without) / fired < 48
 
 
-def test_edge_log_indexes_as_it_iterates(graph_run):
+def test_edge_log_iterates_to_its_length(graph_run):
     edges = graph_run.edges
     listed = list(edges)
     assert len(listed) == len(edges) == 2056
-    assert [edges[i] for i in range(len(edges))] == listed
-    assert edges[-1] == listed[-1]
-    with pytest.raises(IndexError):
-        edges[len(edges)]
-
-
-@pytest.mark.parametrize("index", [
-    slice(1, 3), slice(-5, None), slice(None, -2040), slice(3, 40, 7),
-    slice(None, None, -97), slice(10, 10), slice(5, 2), slice(-3000, 3000),
-], ids=repr)
-def test_edge_log_slices_as_a_list(graph_run, index):
-    edges = graph_run.edges
-    assert edges[index] == list(edges)[index]
-    assert all(type(edge) is tuple and len(edge) == 4 for edge in edges[index])
+    assert list(edges) == listed  # each iteration reads the log afresh
+    assert all(type(edge) is tuple and len(edge) == 4 for edge in listed)
 
 
 def test_graph_export_streams(graph_run, tmp_path):
