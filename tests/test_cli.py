@@ -40,6 +40,16 @@ class TestRun:
         assert "verdict: verified" in out
         assert "states stored: 18" in out
 
+    @pytest.mark.parametrize("limit", [("--max-seconds", "1e-300"), ("--max-states", "1")],
+                             ids=["time", "states"])
+    def test_a_stop_at_the_first_pop_counts_the_initial_state(self, limit, capsys):
+        # either limit stops before state 0 is expanded, with it in the frontier
+        assert run_cli("run", "--model", "barrier", "--size", "3", *limit) == 2
+        out = capsys.readouterr().out
+        assert "verdict: limit_exceeded" in out
+        assert ("states stored: 1  states matched: 0  transitions: 0  peak frontier: 1"
+                in out)
+
     def test_stats_file_columns(self, tmp_path):
         stats = tmp_path / "stats.tsv"
         assert run_cli("run", "--model", "barrier", "--size", "3",
