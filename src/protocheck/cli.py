@@ -32,7 +32,7 @@ from .barrier import BarrierConfig, barrier_model
 from .engine import (ExplorationResult, ExploreConfig, ModelConfig, Verdict, explore,
                      reconstruct_trace)
 from .ring import RingConfig, ring_model
-from .state import ModelError, State, apply_uncached, render_state, state_checker
+from .state import ModelError, State, render_state, state_checker
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -285,7 +285,9 @@ def _cmd_replay(args) -> int:
             print(f"replay mismatch at step {i}: {rule.name} not enabled at pid {pid}")
             return EXIT_VIOLATION
         try:
-            state = apply_uncached(rule.apply, state, pid)
+            # the model is built for this replay: its memos hold only this
+            # trace's effects, each computed by the step and checked
+            state = rule.apply(state, pid)
             check(state)
         except (ModelError, ValueError) as err:
             print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")

@@ -1,12 +1,14 @@
 """Immutable protocol state: messages, FIFO input queues, system states.
 
 A system state is the plain tuple of its process states, one per pid. Every
-value here is a tuple. State edits return new tuples and never touch their
-inputs, so states can be shared freely between the search engine, the
-visited set, and reconstructed traces; an edit shares every process it does
-not change, by identity. Construction checks nothing, not even the queue
-bound; a search's one `state_checker` checks all of it, each process
-object once.
+value here is a tuple, never changed once built, so states can be shared
+freely between the search engine, the visited set, and reconstructed traces.
+Successors are made by `memoized_apply`, which shares every process a rule
+does not change, by identity. Construction checks nothing, not even the
+queue bound; a search's one `state_checker` checks all of it, each process
+object once. No successor is built with the state edits `replace_process`,
+`send_message` and `receive_message`; they stay only as the names the
+benchmark in `perfbench/` wraps on the protocol modules.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple whose
@@ -189,7 +191,7 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
     (else ValueError, keeping nothing), so a matched successor is as well
     typed as its stored twin. Each append is kept per (target process,
     message). Sharing is per effect and per append, not per equal value.
-    `__wrapped__` is `step`, for `apply_uncached`."""
+    `__wrapped__` is `step`, for a reference applier such as `tests/oracle.py`."""
     effects: dict = {}
     appends: dict = {}
 
@@ -220,14 +222,6 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
 
     apply.__wrapped__ = step
     return apply
-
-
-def apply_uncached(apply: Callable[[State, int], State], state: State, pid: int) -> State:
-    """`apply(state, pid)` computed afresh: a `memoized_apply`'s step through
-    a new, empty `memoized_apply`, so a check made through here reuses no
-    effect; any other apply as it is."""
-    step = getattr(apply, "__wrapped__", None)
-    return apply(state, pid) if step is None else memoized_apply(step)(state, pid)
 
 
 def render_state(state: State, text: Callable[[object], str] = methodcaller("render")) -> str:

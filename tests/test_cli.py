@@ -13,17 +13,9 @@ import oracle
 from protocheck import cli
 from protocheck.barrier import BarrierConfig, BarrierProcessState, barrier_model
 from protocheck.engine import (ExploreConfig, ModelConfig, ProtocolModel, TransitionRule,
-                               explore)
+                               Verdict, explore)
 from protocheck.ring import RingConfig, ring_model
-from protocheck.state import (
-    Message,
-    MessageKindBase,
-    memoized_apply,
-    receive_message,
-    render_queue,
-    replace_process,
-    send_message,
-)
+from protocheck.state import Message, MessageKindBase, memoized_apply, receive, render_queue
 
 NODE_RE = re.compile(r"^\s*s\d+ \[label=", re.M)
 EDGE_RE = re.compile(r"^\s*s\d+ -> s\d+ \[label=", re.M)
@@ -298,10 +290,7 @@ class TestReplay:
 
         def build(cfg):
             # client_request releases the client instead of recording its request
-            def release(s, pid):
-                return replace_process(
-                    s, pid, s[pid]._replace(client_barrier_out=1))
-
+            release = memoized_apply(lambda proc, pid: (proc._replace(client_barrier_out=1), ()))
             model = barrier_model(cfg)
             request = model.rule_named("client_request")
             return replace(model, rules=(
@@ -509,16 +498,18 @@ class _ToyConfig(ModelConfig):
 
 
 def _toy_model(cfg):
-    def send(state, pid):
-        out = replace_process(state, pid, state[pid]._replace(sent=1))
-        return send_message(out, (pid + 1) % cfg.n, Message(_Toy.TICK))
+    def send(proc, pid):
+        return proc._replace(sent=1), (((pid + 1) % cfg.n, Message(_Toy.TICK)),)
+
+    def consume(proc, pid):
+        return proc._replace(queue=receive(proc, pid)[1]), ()
 
     initial = (_ToyProcess(),) * cfg.n
     return ProtocolModel(
         queue_capacity=cfg.capacity, initial_state=initial,
-        rules=(TransitionRule("send", lambda s, pid: not s[pid].sent, send),
+        rules=(TransitionRule("send", lambda s, pid: not s[pid].sent, memoized_apply(send)),
                TransitionRule("receive", lambda s, pid: bool(s[pid].queue),
-                              receive_message)),
+                              memoized_apply(consume))),
         # seeded violation: two ticks are in flight once both processes sent
         invariant=lambda s: sum(len(p.queue) for p in s) < 2,
         terminal_postcondition=lambda s: True,
@@ -565,8 +556,38 @@ def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys):
     assert "replay OK: 2 steps verified" in capsys.readouterr().out
 
 
+def _toy_without_invariant(cfg):
+    return replace(_toy_model(cfg), invariant=lambda s: True)
+
+
+@pytest.mark.parametrize("n, count", [(1, 3), (2, 9), (3, 27)])
+def test_a_registered_step_protocol_agrees_with_the_oracle(tmp_path, monkeypatch, capsys,
+                                                          n, count):
+    # the toy's rules are local steps, so the oracle applies them itself
+    model = _toy_without_invariant(_ToyConfig(n=n))
+    reachable = oracle.enumerate_reachable(model)
+    snapshots = {oracle.snapshot(s) for s in reachable}
+    assert len(snapshots) == count
+    for search in ("bfs", "dfs"):
+        result = explore(model, ExploreConfig(search_order=search))
+        assert result.verdict is Verdict.VERIFIED
+        assert result.stats.states_stored == count
+        assert {oracle.snapshot(s) for s in result.states} == snapshots
+    # every stored state is expanded, so each of its oracle moves is fired once
+    fired = sum(len(oracle.successors(model, s)) for s in reachable)
+    monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, _toy_without_invariant))
+    graph = tmp_path / "g.dot"
+    assert run_cli("run", "--model", "toy", "--size", str(n), "--search", "dfs",
+                   "--graph", str(graph)) == 0
+    out = capsys.readouterr().out
+    assert f"states stored: {count} " in out and f"transitions: {fired} " in out
+    text = graph.read_text()
+    assert len(NODE_RE.findall(text)) == count
+    assert len(EDGE_RE.findall(text)) == fired
+
+
 @pytest.mark.parametrize("send", [
-    lambda s, pid: replace_process(s, pid, s[pid]._replace(sent=True)),
+    lambda s, pid: s[:pid] + (s[pid]._replace(sent=True),) + s[pid + 1:],
     memoized_apply(lambda proc, pid: (proc._replace(sent=True), ())),
 ], ids=["hand-written", "memoized"])
 def test_a_registered_protocol_gets_its_field_types_checked(monkeypatch, send):

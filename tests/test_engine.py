@@ -21,12 +21,7 @@ from protocheck.engine import (
     reconstruct_trace,
 )
 from protocheck.ring import ORDERED, RingConfig, RingProcessState, UNORDERED, ring_model
-from protocheck.state import (
-    EmptyQueueError,
-    canonical_encode,
-    receive_message,
-    replace_process,
-)
+from protocheck.state import EmptyQueueError, canonical_encode, memoized_apply, receive
 
 
 def small_models():
@@ -172,8 +167,8 @@ class TestExplore:
         broken = ProtocolModel(
             queue_capacity=2,
             initial_state=(BarrierProcessState(),),
-            rules=(TransitionRule("consume", lambda s, pid: True,
-                                  lambda s, pid: receive_message(s, pid)),),
+            rules=(TransitionRule("consume", lambda s, pid: True, memoized_apply(
+                lambda proc, pid: (proc._replace(queue=receive(proc, pid)[1]), ()))),),
             invariant=lambda s: True,
             terminal_postcondition=lambda s: True,
         )
@@ -200,9 +195,7 @@ class TestExplore:
     def test_ill_formed_successor_aborts_the_run(self):
         # a rule that releases a client which never asked builds a state
         # the barrier process's check() rejects
-        def release(s, pid):
-            return replace_process(s, pid, s[pid]._replace(client_barrier_out=1))
-
+        release = memoized_apply(lambda proc, pid: (proc._replace(client_barrier_out=1), ()))
         model = barrier_model(BarrierConfig(n=2))
         broken = dataclasses.replace(model, rules=(TransitionRule(
             "release", lambda s, pid: not s[pid].client_barrier_out, release),))
@@ -210,10 +203,8 @@ class TestExplore:
             explore(broken)
 
     def test_out_of_range_neighbor_aborts_the_run(self):
-        # a joiner that links itself to a process one past the last
-        def overshoot(s, pid):
-            return replace_process(s, pid, s[pid]._replace(lhs=len(s)))
-
+        # a joiner that links itself to a process one past the last of two
+        overshoot = memoized_apply(lambda proc, pid: (proc._replace(lhs=2), ()))
         model = ring_model(RingConfig(n=2))
         broken = dataclasses.replace(model, rules=(TransitionRule(
             "overshoot", lambda s, pid: s[pid].lhs != len(s), overshoot),))

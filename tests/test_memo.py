@@ -1,8 +1,7 @@
 """The memoized rule applies: each agrees with the rule's uncached local step,
 hands back one object per equal (pid, process), keeps nothing for a step
 that fails, rejects an effect that would type a field or payload id unlike
-its default, and leaves a second search on the same model unchanged; the
-uncached apply reuses no effect."""
+its default, and leaves a second search on the same model unchanged."""
 
 from dataclasses import replace
 
@@ -25,7 +24,7 @@ from protocheck.ring import (
     req_insert,
     ring_model,
 )
-from protocheck.state import EmptyQueueError, apply_uncached, memoized_apply
+from protocheck.state import EmptyQueueError, memoized_apply
 
 
 def _models():
@@ -50,7 +49,6 @@ def test_memoized_apply_agrees_with_the_uncached_step(label, model):
         state = states[src]
         succ = rule.apply(state, pid)
         assert succ == oracle.apply_step(rule, state, pid) == states[dst]
-        assert apply_uncached(rule.apply, state, pid) == succ
         # equal (pid, process) pairs give back the one new process object
         kept = new_procs.setdefault((name, pid, state[pid]), succ[pid])
         assert kept is succ[pid]
@@ -78,23 +76,6 @@ def test_consuming_step_on_an_empty_queue_raises(model, rule, state, pid):
     for _ in range(2):
         with pytest.raises(EmptyQueueError):
             apply(state, pid)
-    with pytest.raises(EmptyQueueError):
-        apply_uncached(apply, state, pid)
-
-
-def test_apply_uncached_never_reuses_an_effect():
-    calls = []
-
-    def step(proc, pid):
-        calls.append(pid)
-        return proc._replace(status=RingStatus.INSERTING), ()
-
-    apply = memoized_apply(step)
-    state = (RingProcessState(),) * 2
-    assert apply(state, 0) == apply(state, 0)
-    assert calls == [0]
-    assert apply_uncached(apply, state, 0) == apply_uncached(apply, state, 0) == apply(state, 0)
-    assert calls == [0, 0, 0]
 
 
 @pytest.mark.parametrize("target", [-1, 3])

@@ -55,7 +55,7 @@ def test_config_validation():
 @pytest.mark.parametrize("options", [
     {"n": True},
     {"n": 3.0},
-    {"n": 3, "entry": 1.5},  # would reach send_message as a float target
+    {"n": 3, "entry": 1.5},  # would be a float send target
     {"n": 3, "entry": True},
     {"n": 3, "queue_capacity": True},
     {"n": 3, "queue_capacity": 2.0},
