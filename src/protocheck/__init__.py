@@ -19,7 +19,6 @@ from .state import (
     MessageKindBase,
     ModelError,
     QueueOverflowError,
-    canonical_encode,
     memoized_apply,
     receive,
     state_checker,
@@ -39,7 +38,6 @@ __all__ = [
     "TraceStep",
     "TransitionRule",
     "Verdict",
-    "canonical_encode",
     "explore",
     "memoized_apply",
     "receive",

@@ -261,6 +261,16 @@ def _cmd_replay(args) -> int:
     if verdict not in _WITNESSED:
         raise UsageError(f"malformed trace {args.trace}: no witness for verdict {verdict!r}")
 
+    # the writer numbers each step by its position, and the initial state
+    # is reached by no process
+    for i, step in enumerate(steps):
+        number = step.get("step")
+        if type(number) is not int or number != i:
+            print(f"replay mismatch at step {i}: numbered {number!r}")
+            return EXIT_VIOLATION
+    if steps[0].get("pid") is not None:
+        print(f"replay mismatch at step 0: the initial state has pid {steps[0]['pid']!r}")
+        return EXIT_VIOLATION
     state = model.initial_state
     try:
         check = state_checker(state, model.queue_capacity)

@@ -23,7 +23,8 @@ from protocheck.barrier import (
 )
 from protocheck.engine import ExploreConfig, Verdict, explore
 from protocheck.ring import ORDERED, RingConfig, UNORDERED, ring_model
-from protocheck.state import canonical_encode
+from test_engine import small_models
+from test_golden import _mask_timing
 
 TIME_BUDGET_S = 600.0
 MEMORY_BUDGET_BYTES = 4 * 1024**3
@@ -39,30 +40,15 @@ def gate(label):
     print(f"{label}: PASS")
 
 
-def oracle_scale_instances():
-    instances = []
-    for variant in (LEADER_LAST, LEADER_FIRST):
-        for n in (1, 2, 3):
-            instances.append(barrier_model(BarrierConfig(n=n, variant=variant)))
-    for variant in (ORDERED, UNORDERED):
-        for n in (2, 3, 4):
-            instances.append(ring_model(RingConfig(n=n, variant=variant)))
-    return instances
-
-
-def stored_set(result):
-    return {canonical_encode(s) for s in result.states}
-
-
 def test_criterion_1_oracle_equivalence():
     with gate("criterion 1: stored sets match the brute-force enumerator"):
         start = time.perf_counter()
-        for model in oracle_scale_instances():
+        for _, model in small_models():
             result = explore(model)
             enumerated = oracle.enumerate_reachable(model)
             assert result.verdict is Verdict.VERIFIED
             assert result.stats.states_stored == len(enumerated)
-            assert stored_set(result) == {canonical_encode(s) for s in enumerated}
+            assert set(result.states) == set(enumerated)
         assert time.perf_counter() - start < 10.0
 
 
@@ -95,9 +81,8 @@ def test_criterion_3_ring_verification_and_topology_counts():
             result = explore(ring_model(RingConfig(n=n, variant=UNORDERED)))
             assert result.verdict is Verdict.VERIFIED
             assert len(result.terminal_states) == math.factorial(n - 1)
-            got = {canonical_encode(result.states[t]) for t in result.terminal_states}
-            expected = {canonical_encode(s) for s in oracle.expected_ring_terminals(n)}
-            assert got == expected
+            got = {result.states[t] for t in result.terminal_states}
+            assert got == set(oracle.expected_ring_terminals(n))
             assert result.stats.elapsed < TIME_BUDGET_S
             assert result.stats.peak_memory_estimate < MEMORY_BUDGET_BYTES
 
@@ -115,11 +100,6 @@ def test_criterion_4_counterexample_soundness(tmp_path):
         steps = json.loads(machine.read_text())["steps"]
         model = barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN))
         assert len(steps) - 1 == oracle.min_violation_depth(model, 6) == 3
-
-
-def _strip_timing_columns(text):
-    return [[c for i, c in enumerate(line.split("\t")) if i not in (3, 4)]
-            for line in text.splitlines()]
 
 
 def test_criterion_5_determinism(tmp_path):
@@ -144,20 +124,20 @@ def test_criterion_5_determinism(tmp_path):
         assert (a / "trace.txt").read_bytes() == (b / "trace.txt").read_bytes()
         assert (a / "trace.txt.json").read_bytes() == (b / "trace.txt.json").read_bytes()
         for stats in ("stats.tsv", "mutation-stats.tsv"):
-            assert _strip_timing_columns((a / stats).read_text()) == \
-                _strip_timing_columns((b / stats).read_text())
+            assert _mask_timing((a / stats).read_text()) == \
+                _mask_timing((b / stats).read_text())
 
 
 def test_criterion_6_accounting_and_search_order_invariance():
     with gate("criterion 6: accounting identity, BFS set == DFS set"):
-        for model in oracle_scale_instances():
+        for _, model in small_models():
             bfs = explore(model)
             dfs = explore(model, ExploreConfig(search_order="dfs"))
             for result in (bfs, dfs):
                 st = result.stats
                 assert st.transitions_fired == \
                     st.states_stored - result.initial_count + st.states_matched
-            assert stored_set(bfs) == stored_set(dfs)
+            assert set(bfs.states) == set(dfs.states)
         # the identity also holds on runs cut short by violations
         mutated = explore(barrier_model(BarrierConfig(n=3,
                                                       mutation=RELEASE_ON_BARRIER_IN)))

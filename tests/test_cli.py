@@ -25,6 +25,57 @@ def run_cli(*args):
     return cli.main(list(args))
 
 
+def run_child(*args):
+    """`python *args` in a new interpreter, with this checkout's `src` first
+    on PYTHONPATH: the finished process, its output captured as text."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+# The north-star instances: their counts anchor every change to the search.
+# In barrier N=14 and ring unordered N=6 the rules' memos grow to thousands
+# of entries; ring ordered N=7 exercises the bounded `ordered` gate.
+@pytest.mark.parametrize("argv, line", [
+    (["--model", "barrier", "--size", "10"],
+     "states stored: 2057  states matched: 8194  transitions: 10250  peak frontier: 429"),
+    (["--model", "ring", "--size", "7", "--variant", "ordered"],
+     "states stored: 162  states matched: 278  transitions: 439  peak frontier: 24"),
+    (["--model", "barrier", "--size", "14"],
+     "states stored: 32781  states matched: 196610  transitions: 229390  peak frontier: 5895"),
+    (["--model", "ring", "--size", "6", "--variant", "unordered"],
+     "states stored: 99946  states matched: 251845  transitions: 351790  peak frontier: 12986"),
+], ids=["barrier-n10", "ring-ordered-n7", "barrier-n14", "ring-unordered-n6"])
+def test_north_star_instance_prints_its_pinned_counts(argv, line, capsys):
+    assert run_cli("run", *argv) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_barrier_n10_dfs_graph_has_a_line_per_state_and_transition(tmp_path):
+    # stored states share their process objects, each rendered once per export
+    graph = tmp_path / "b10.dot"
+    assert run_cli("run", "--model", "barrier", "--size", "10", "--search", "dfs",
+                   "--graph", str(graph)) == 0
+    text = graph.read_text()
+    assert len(EDGE_RE.findall(text)) == 10250
+    assert len(NODE_RE.findall(text)) == 2057
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--model", "barrier", "--size", "3", "--mutation", "release_on_barrier_in"], 1),
+    (["--model", "ring", "--size", "3", "--variant", "unordered", "--queue-capacity", "1"], 2),
+], ids=["violation", "overflow"])
+def test_entry_point_exits_with_the_verdict_and_its_trace_replays(argv, code, tmp_path):
+    # `python -m protocheck` runs __main__.py, which no in-process test imports
+    trace = tmp_path / "t.txt"
+    done = run_child("-m", "protocheck", "run", *argv, "--trace", str(trace))
+    assert done.returncode == code, done.stderr
+    done = run_child("-m", "protocheck", "replay", f"{trace}.json")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "confirmed" in done.stdout
+
+
 class TestRun:
     def test_verified_barrier(self, capsys):
         assert run_cli("run", "--model", "barrier", "--size", "3") == 0
@@ -312,6 +363,25 @@ class TestReplay:
         assert run_cli("replay", str(path)) == 1
         assert "replay mismatch at step 2: bad pid True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("number", [99, True], ids=["99", "true"])
+    def test_misnumbered_step_is_a_mismatch(self, tmp_path, capsys, number):
+        # the writer numbers each step by its position; True == 1 is no number
+        path = self._violation_trace(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["steps"][1]["step"] = number
+        path.write_text(json.dumps(doc))
+        assert run_cli("replay", str(path)) == 1
+        assert f"replay mismatch at step 1: numbered {number!r}" in capsys.readouterr().out
+
+    def test_pid_on_the_initial_state_is_a_mismatch(self, tmp_path, capsys):
+        path = self._violation_trace(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["steps"][0]["pid"] = 7
+        path.write_text(json.dumps(doc))
+        assert run_cli("replay", str(path)) == 1
+        assert ("replay mismatch at step 0: the initial state has pid 7"
+                in capsys.readouterr().out)
+
     def test_bool_capacity_in_header_is_a_usage_error(self, tmp_path, capsys):
         path = self._overflow_trace(tmp_path)
         doc = json.loads(path.read_text())
@@ -415,11 +485,7 @@ class TestReplay:
         # recursion limit, so a parse this deep here could overflow the C stack
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "protocheck", "replay", str(path)],
-                              capture_output=True, text=True, env=env)
+        done = run_child("-m", "protocheck", "replay", str(path))
         assert done.returncode == 3
         assert "cannot read trace" in done.stderr
         assert "Traceback" not in done.stderr
@@ -430,35 +496,6 @@ class TestReplay:
         doc["steps"] = ["not a step"]
         path.write_text(json.dumps(doc))
         assert run_cli("replay", str(path)) == 3
-
-
-def _strip_timing(stats_text):
-    rows = []
-    for line in stats_text.splitlines():
-        cells = line.split("\t")
-        rows.append([c for i, c in enumerate(cells) if i not in (3, 4)])
-    return rows
-
-
-class TestDeterminism:
-    def test_identical_runs_produce_identical_outputs(self, tmp_path):
-        outputs = []
-        for name in ("a", "b"):
-            d = tmp_path / name
-            d.mkdir()
-            code = run_cli("run", "--model", "barrier", "--size", "3",
-                           "--mutation", "release_on_barrier_in",
-                           "--trace", str(d / "trace.txt"),
-                           "--graph", str(d / "graph.dot"),
-                           "--stats", str(d / "stats.tsv"))
-            assert code == 1
-            outputs.append(d)
-        a, b = outputs
-        assert (a / "trace.txt").read_bytes() == (b / "trace.txt").read_bytes()
-        assert (a / "trace.txt.json").read_bytes() == (b / "trace.txt.json").read_bytes()
-        assert (a / "graph.dot").read_bytes() == (b / "graph.dot").read_bytes()
-        assert _strip_timing((a / "stats.tsv").read_text()) == \
-            _strip_timing((b / "stats.tsv").read_text())
 
 
 def test_export_requires_edge_retention(tmp_path):

@@ -21,7 +21,7 @@ from protocheck.engine import (
     reconstruct_trace,
 )
 from protocheck.ring import ORDERED, RingConfig, RingProcessState, UNORDERED, ring_model
-from protocheck.state import EmptyQueueError, canonical_encode, memoized_apply, receive
+from protocheck.state import EmptyQueueError, memoized_apply, receive
 
 
 def small_models():
@@ -35,10 +35,6 @@ def small_models():
             models.append((f"ring-{variant}-{n}",
                            ring_model(RingConfig(n=n, variant=variant))))
     return models
-
-
-def stored_set(result):
-    return {canonical_encode(s) for s in result.states}
 
 
 def check_accounting(result):
@@ -62,7 +58,7 @@ class TestExplore:
         result = explore(model)
         enumerated = oracle.enumerate_reachable(model)
         assert result.stats.states_stored == len(enumerated) == 18
-        assert stored_set(result) == {canonical_encode(s) for s in enumerated}
+        assert set(result.states) == set(enumerated)
 
     def test_seeded_bug_found_at_minimal_depth(self):
         model = barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN))
@@ -218,11 +214,11 @@ class TestSearchProperties:
         result = explore(model)
         enumerated = oracle.enumerate_reachable(model)
         assert result.stats.states_stored == len(enumerated)
-        assert stored_set(result) == {canonical_encode(s) for s in enumerated}
+        assert set(result.states) == set(enumerated)
 
     def test_store_once(self, label, model):
         result = explore(model)
-        assert len(stored_set(result)) == result.stats.states_stored
+        assert len(set(result.states)) == result.stats.states_stored
 
     def test_verified_means_no_violation_anywhere(self, label, model):
         result = explore(model)
@@ -238,7 +234,7 @@ class TestSearchProperties:
     def test_bfs_and_dfs_store_the_same_set(self, label, model):
         bfs = explore(model)
         dfs = explore(model, ExploreConfig(search_order="dfs"))
-        assert stored_set(bfs) == stored_set(dfs)
+        assert set(bfs.states) == set(dfs.states)
         assert bfs.stats.states_stored == dfs.stats.states_stored
         assert bfs.stats.states_matched == dfs.stats.states_matched
 
@@ -301,9 +297,9 @@ def test_benchmark_workload_counts(model, search_order, counts):
 def test_bfs_depths_are_shortest_paths(model):
     result = explore(model)
     states, depths = oracle.depth_map(model)
-    expected = {canonical_encode(s): d for s, d in zip(states, depths)}
+    expected = dict(zip(states, depths))
     for sid, state in enumerate(result.states):
-        assert result.depths[sid] == expected[canonical_encode(state)]
+        assert result.depths[sid] == expected[state]
 
 
 def test_accounting_holds_on_violation_runs():
@@ -380,8 +376,7 @@ def test_edges_recorded_only_on_request():
     for src, rule_name, pid, dst in result.edges:
         rule = model.rule_named(rule_name)
         assert rule.enabled(result.states[src], pid)
-        assert canonical_encode(rule.apply(result.states[src], pid)) == \
-            canonical_encode(result.states[dst])
+        assert rule.apply(result.states[src], pid) == result.states[dst]
 
 
 def test_package_root_names_only_the_protocol_free_core():

@@ -3,20 +3,26 @@
 Sizes are traced Python allocations (`tracemalloc`) on barrier N=8 (519
 stored states, 2056 fired transitions), so they do not depend on the
 allocator or the interpreter's own footprint. They do vary by Python version
-and by warm-up: run alone, in a cold process, this file reads its highest
-peaks (the graph export's is highest on 3.10), so it must pass run alone too.
+and by warm-up: a cold process reads the highest peaks (the graph export's
+is highest on 3.10), so the figures are taken in a new interpreter, which
+runs this file as a script and prints them as JSON.
 """
 
 import gc
+import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from protocheck import cli
 from protocheck.barrier import BarrierConfig, barrier_model
 from protocheck.engine import ExploreConfig, explore
+from test_cli import run_child
 
 MODEL = barrier_model(BarrierConfig(n=8))
+GRAPH_RUN = ExploreConfig(search_order="dfs", record_edges=True)
 
 
 def _retained(config):
@@ -34,31 +40,11 @@ def _retained(config):
         tracemalloc.stop()
 
 
-@pytest.fixture(scope="module")
-def graph_run():
-    return explore(MODEL, ExploreConfig(search_order="dfs", record_edges=True))
-
-
-def test_edge_log_is_packed():
-    # a tuple per edge cost about 82 B; four packed ids cost 32 B plus slack
+def measure(path):
+    """The figures the tests check, taken in this process; the graph goes to `path`."""
     plain, without = _retained(ExploreConfig())
     logged, with_edges = _retained(ExploreConfig(record_edges=True))
-    fired = logged.stats.transitions_fired
-    assert (plain.stats.states_stored, fired) == (519, 2056)
-    assert (with_edges - without) / fired < 48
-
-
-def test_edge_log_iterates_to_its_length(graph_run):
-    edges = graph_run.edges
-    listed = list(edges)
-    assert len(listed) == len(edges) == 2056
-    assert list(edges) == listed  # each iteration reads the log afresh
-    assert all(type(edge) is tuple and len(edge) == 4 for edge in listed)
-
-
-def test_graph_export_streams(graph_run, tmp_path):
-    # joining the DOT text first took about four times the file's size
-    path = tmp_path / "g.dot"
+    graph_run = explore(MODEL, GRAPH_RUN)
     gc.collect()
     tracemalloc.start()
     try:
@@ -66,7 +52,39 @@ def test_graph_export_streams(graph_run, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = path.stat().st_size
     text = path.read_text()
-    assert (text.count(" -> "), text.count(" [label=")) == (2056, 519 + 2056)
-    assert peak < size / 4
+    return {"stored": plain.stats.states_stored, "fired": logged.stats.transitions_fired,
+            "edge_log_bytes": with_edges - without, "export_peak": peak,
+            "size": path.stat().st_size,
+            "edge_lines": text.count(" -> "), "labels": text.count(" [label=")}
+
+
+@pytest.fixture(scope="module")
+def cold(tmp_path_factory):
+    done = run_child(__file__, str(tmp_path_factory.mktemp("cold") / "g.dot"))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_edge_log_is_packed(cold):
+    # a tuple per edge cost about 82 B; four packed ids cost 32 B plus slack
+    assert (cold["stored"], cold["fired"]) == (519, 2056)
+    assert cold["edge_log_bytes"] / cold["fired"] < 48
+
+
+def test_edge_log_iterates_to_its_length():
+    edges = explore(MODEL, GRAPH_RUN).edges
+    listed = list(edges)
+    assert len(listed) == len(edges) == 2056
+    assert list(edges) == listed  # each iteration reads the log afresh
+    assert all(type(edge) is tuple and len(edge) == 4 for edge in listed)
+
+
+def test_graph_export_streams(cold):
+    # joining the DOT text first took about four times the file's size
+    assert (cold["edge_lines"], cold["labels"]) == (2056, 519 + 2056)
+    assert cold["export_peak"] < cold["size"] / 4
+
+
+if __name__ == "__main__":
+    print(json.dumps(measure(Path(sys.argv[1]))))
