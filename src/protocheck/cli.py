@@ -12,7 +12,7 @@ Outputs, all optional and all deterministic for a given configuration:
             checking each step as `explore` checks a successor, and then
             confirms its verdict by running `explore` from the last state
   --graph   DOT state graph: a node per stored state, an edge per fired
-            transition; streamed, each distinct process rendered once per export
+            transition as the search's `observe` hook logs it; streamed
 
 Exit status: 0 verified, 1 property violated, 2 limit exceeded or queue
 overflow, 3 usage error or unwritable output.
@@ -21,6 +21,7 @@ overflow, 3 usage error or unwritable output.
 import argparse
 import json
 import sys
+from array import array
 from collections.abc import Iterable
 from dataclasses import fields, replace
 from enum import Enum
@@ -111,23 +112,23 @@ class _RenderMemo(dict):
         return text
 
 
-def export_state_graph(result: ExplorationResult, path) -> None:
+def export_state_graph(result: ExplorationResult, edges: Iterable[int], path) -> None:
     """Write the stored-state graph in DOT form, streamed in blocks of lines.
 
     One node per stored state (ordered by state id), then one edge per fired
-    transition in firing order, labeled with the rule name and pid. Lines are
-    made as `_write_text` takes them, 32 to a block, never held whole; each
-    distinct process is rendered once per call. Needs a run made with edge
-    retention enabled.
+    transition in firing order, labeled with the rule name and pid. `edges`
+    holds four ids per transition (source id, rule index, pid, target id), as
+    the search's `ExploreConfig.observe` batches them. Lines are made as
+    `_write_text` takes them, 32 to a block, never held whole; each distinct
+    process is rendered once per call.
     """
-    if result.edges is None:
-        raise ValueError("state-graph export needs a run with record_edges enabled")
     text = _RenderMemo().__getitem__
     nodes = (f'  s{sid} [label="s{sid}: {render_state(state, text)}"];\n'
              for sid, state in enumerate(result.states))
-    edges = (f'  s{src} -> s{dst} [label="{rule} @{pid}"];\n'
-             for src, rule, pid, dst in result.edges)
-    _write_text(path, chain(["digraph reachable {\n"], nodes, edges, ["}\n"]))
+    ids = iter(edges)  # zip draws from its arguments in order, four ids per edge
+    lines = (f'  s{src} -> s{dst} [label="{rule} @{pid}"];\n' for src, rule, pid, dst
+             in zip(ids, map(result.rule_names.__getitem__, ids), ids, ids))
+    _write_text(path, chain(["digraph reachable {\n"], nodes, lines, ["}\n"]))
 
 
 def write_stats(path, result: ExplorationResult, problem: str, method_config: str,
@@ -203,8 +204,10 @@ def _build_model(model_name: str, options: dict):
 
 
 def _cmd_run(args) -> int:
+    edges = array("q")  # 64-bit ids hold any id a search can store
     search = {"search_order": args.search, "max_states": args.max_states,
-              "max_seconds": args.max_seconds, "record_edges": args.graph is not None}
+              "max_seconds": args.max_seconds,
+              "observe": None if args.graph is None else edges.fromlist}
     try:
         config = ExploreConfig(**{k: v for k, v in search.items() if v is not None})
     except ValueError as err:
@@ -238,7 +241,7 @@ def _cmd_run(args) -> int:
         else:
             print("no trace written: run produced no witness")
     if args.graph is not None:
-        export_state_graph(result, args.graph)
+        export_state_graph(result, edges, args.graph)
         print(f"state graph written to {args.graph}")
     return _VERDICT_EXIT[result.verdict]
 

@@ -12,7 +12,6 @@ fully deterministic, so all counts are reproducible run to run.
 import time
 from array import array
 from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Optional
@@ -96,6 +95,11 @@ class ProtocolModel:
     invariant: Callable[[State], bool]
     terminal_postcondition: Callable[[State], bool]
 
+    def __post_init__(self):
+        names = [rule.name for rule in self.rules]  # a trace names its rules
+        if len(set(names)) < len(names):
+            raise ValueError(f"two rules are named {max(names, key=names.count)!r}")
+
     def rule_named(self, name: str) -> TransitionRule:
         for rule in self.rules:
             if rule.name == name:
@@ -118,14 +122,20 @@ class RunStats:
 
 @dataclass(frozen=True)
 class ExploreConfig:
-    """Search order and limits, checked when built: an `int` state limit and
-    an `int` or `float` time limit (never a `bool`), both positive, not NaN,
-    and a `bool` edge switch."""
+    """Search order, limits and observer, checked when built: an `int` state
+    limit and an `int` or `float` time limit (never a `bool`), both positive,
+    not NaN, and a callable `observe` or None.
+
+    `observe` is passed the ids (source, rule index, pid, target) of the
+    transitions each expanded state fires, flat and in firing order, once per
+    state that fires any; a search stopped mid-state passes the part fired.
+    The list is reused: an observer copies what it keeps (`array.fromlist`).
+    """
 
     search_order: str = "bfs"  # "bfs" or "dfs"
     max_states: int = 10_000_000
     max_seconds: float = 600.0
-    record_edges: bool = False
+    observe: Optional[Callable[[list[int]], None]] = None
 
     def __post_init__(self):
         if self.search_order not in ("bfs", "dfs"):
@@ -134,35 +144,8 @@ class ExploreConfig:
             raise ValueError("max_states must be an int and max_seconds a number")
         if not (self.max_states >= 1 and self.max_seconds > 0):
             raise ValueError("limits must be positive")
-        if type(self.record_edges) is not bool:
-            raise ValueError("record_edges must be a bool")
-
-
-# One fired transition as `ExplorationResult.edges` yields it: (source id,
-# rule name, pid, target id). The log itself keeps the rule's index, packed.
-Edge = tuple[int, str, int, int]
-
-
-class _EdgeLog:
-    """The fired transitions of a search in firing order, read-only: its
-    length is the fired count, and iterating it yields each one as an `Edge`.
-
-    Packed as four ids per transition (source id, rule index, pid, target id)
-    in one `array('q')`, 32 bytes each; 64-bit entries hold any id a search
-    can store. A rule index is turned back into its name on reading.
-    """
-
-    def __init__(self, rule_names: tuple[str, ...], ids: array):
-        self._rule_names = rule_names
-        self._ids = ids
-
-    def __len__(self) -> int:
-        return len(self._ids) // 4
-
-    def __iter__(self) -> Iterator[Edge]:
-        # zip draws from its arguments in order, four ids per edge
-        ids = iter(self._ids)
-        return zip(ids, map(self._rule_names.__getitem__, ids), ids, ids)
+        if self.observe is not None and not callable(self.observe):
+            raise ValueError("observe must be callable")
 
 
 # Rough per-stored-state bookkeeping cost (dict slot, list slots, object
@@ -178,10 +161,8 @@ class ExplorationResult:
     of the state it was first generated from, the index in `rule_names` of
     the rule that generated it, and the pid; all three are -1 for the initial
     state, id 0. `depths` holds each state's distance from the initial state
-    along that parent chain, the shortest distance only under BFS. `edges` is
-    None unless the search was asked to record edges; then it is every fired
-    transition, in firing order: a packed log with a length that iterates as
-    `Edge` tuples, not indexed. `initial_count` is always 1.
+    along that parent chain, the shortest distance only under BFS. Fired
+    transitions go only to `ExploreConfig.observe`. `initial_count` is always 1.
     """
 
     verdict: Verdict
@@ -193,7 +174,6 @@ class ExplorationResult:
     depths: array
     rule_names: tuple[str, ...]
     initial_count: int
-    edges: Optional[_EdgeLog] = None
 
 
 @dataclass(frozen=True)
@@ -234,16 +214,16 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     depths = array("q", (0,))
     visited: dict[State, int] = {}
     terminal: list[int] = []
-    edges = array("q") if cfg.record_edges else None
-    # the edges fired from the state being expanded, moved into `edges` as a
-    # batch: one list append per edge is much cheaper than four array appends
+    observe = cfg.observe
+    # the edges fired from the state being expanded, passed to `observe` as a
+    # batch: one list append per edge is much cheaper than a call per edge
     fired_edges: list[int] = []
     frontier: deque[int] = deque((0,))
     matched = max_frontier = 0  # each fired transition stores or matches a state
 
     def finish(verdict: Verdict, witness: Optional[int] = None) -> ExplorationResult:
         if fired_edges:
-            edges.fromlist(fired_edges)
+            observe(fired_edges)
         return ExplorationResult(
             verdict=verdict,
             stats=RunStats(states_stored=len(states), states_matched=matched,
@@ -257,7 +237,6 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
             depths=depths,
             rule_names=rule_names,
             initial_count=1,
-            edges=None if edges is None else _EdgeLog(rule_names, edges),
         )
 
     # `visited` maps each state to its id, reserved with one setdefault, so
@@ -308,12 +287,12 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
                     push(fresh_id)
                 else:
                     matched += 1
-                if edges is not None:
+                if observe is not None:
                     fired_edges += (sid, r, pid, tid)
                 if fresh and not invariant(succ):
                     return finish(Verdict.INVARIANT_VIOLATED, witness=tid)
         if fired_edges:
-            edges.fromlist(fired_edges)
+            observe(fired_edges)
             fired_edges.clear()
         if not fired:
             terminal.append(sid)

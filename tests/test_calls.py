@@ -30,6 +30,7 @@ from protocheck.engine import (ExploreConfig, ProtocolModel, TransitionRule, Ver
 from protocheck.ring import (ORDERED, UNORDERED, RingConfig, RingProcessState, RingStatus,
                              req_insert, ring_model)
 from protocheck.state import QueueOverflowError, state_checker
+from test_engine import explore_logged
 
 
 def _counted(fn, calls, key):
@@ -192,6 +193,6 @@ def test_the_memo_does_not_outlive_its_search():
 ], ids=["verified", "invariant", "postcondition", "overflow", "state-limit"])
 def test_fired_count_matches_the_edge_log_on_every_exit(model, config, verdict):
     # the search counts only matches; it derives fired = stored - 1 + matched
-    result = explore(model, replace(config, record_edges=True))
+    result, _, edges = explore_logged(model, config)
     assert result.verdict is verdict
-    assert result.stats.transitions_fired == len(result.edges) > 0
+    assert result.stats.transitions_fired == len(edges) > 0

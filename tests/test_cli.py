@@ -498,10 +498,19 @@ class TestReplay:
         assert run_cli("replay", str(path)) == 3
 
 
-def test_export_requires_edge_retention(tmp_path):
-    result = explore(barrier_model(BarrierConfig(n=1)))  # no record_edges
-    with pytest.raises(ValueError):
-        cli.export_state_graph(result, tmp_path / "g.dot")
+def test_rules_sharing_a_name_are_a_usage_error(monkeypatch, capsys):
+    # `replay` finds a trace's rules by name: this model's witness would fail
+    # at its third step, where the first rule named `step` is not enabled
+    def build(cfg):
+        model = barrier_model(cfg)
+        renamed = {"client_request", "barrier_in_nonleader"}
+        return replace(model, rules=tuple(replace(r, name="step") if r.name in renamed else r
+                                          for r in model.rules))
+
+    monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
+    assert run_cli("run", "--model", "barrier", "--size", "3",
+                   "--mutation", "release_on_barrier_in") == 3
+    assert "two rules are named 'step'" in capsys.readouterr().err
 
 
 def test_render_state_is_compact():

@@ -1,4 +1,5 @@
 import dataclasses
+from array import array
 
 import pytest
 
@@ -22,6 +23,16 @@ from protocheck.engine import (
 )
 from protocheck.ring import ORDERED, RingConfig, RingProcessState, UNORDERED, ring_model
 from protocheck.state import EmptyQueueError, memoized_apply, receive
+
+
+def explore_logged(model, config=ExploreConfig()):
+    """(result, log, edges) of a search whose observer is `log.fromlist`:
+    the packed ids it logged, and each edge as (source, rule name, pid,
+    target), in firing order."""
+    log = array("q")
+    result = explore(model, dataclasses.replace(config, observe=log.fromlist))
+    ids = iter(log)
+    return result, log, list(zip(ids, map(result.rule_names.__getitem__, ids), ids, ids))
 
 
 def small_models():
@@ -122,9 +133,9 @@ class TestExplore:
         {"max_states": 2.5},
         {"max_seconds": "5"},
         {"max_seconds": True},
-        {"record_edges": "no"},  # a truthy string used to record edges
-        {"record_edges": 1},
-        {"record_edges": None},
+        {"observe": "no"},  # not callable: would fail only once a state fires
+        {"observe": 1},
+        {"observe": True},
     ])
     def test_config_checks_itself(self, options):
         with pytest.raises(ValueError):
@@ -363,20 +374,52 @@ class TestTrace:
 ])
 def test_every_rule_fires(model):
     # a rule that never fires is vacuous: the model says less than it seems to
-    edges = explore(model, ExploreConfig(record_edges=True)).edges
+    _, _, edges = explore_logged(model)
     assert {rule for _, rule, _, _ in edges} == {rule.name for rule in model.rules}
 
 
 def test_edges_recorded_only_on_request():
     model = barrier_model(BarrierConfig(n=2))
-    assert explore(model).edges is None
-    result = explore(model, ExploreConfig(record_edges=True))
-    assert result.edges is not None
-    assert len(result.edges) == result.stats.transitions_fired
-    for src, rule_name, pid, dst in result.edges:
+    assert ExploreConfig().observe is None
+    assert "edges" not in {f.name for f in dataclasses.fields(explore(model))}
+    result, log, edges = explore_logged(model)
+    assert len(log) == 4 * len(edges) == 4 * result.stats.transitions_fired
+    for src, rule_name, pid, dst in edges:
         rule = model.rule_named(rule_name)
         assert rule.enabled(result.states[src], pid)
         assert rule.apply(result.states[src], pid) == result.states[dst]
+
+
+@pytest.mark.parametrize("order", ["bfs", "dfs"])
+@pytest.mark.parametrize("model", [
+    *(barrier_model(BarrierConfig(n=n, variant=v)) for v in (LEADER_LAST, LEADER_FIRST)
+      for n in (1, 2, 3, 4)),
+    *(ring_model(RingConfig(n=n, variant=v)) for v in (ORDERED, UNORDERED) for n in (2, 3, 4)),
+])
+def test_the_observer_sees_one_batch_per_state_that_fires(model, order):
+    batches = []
+    result = explore(model, ExploreConfig(order, observe=lambda ids: batches.append(list(ids))))
+    assert result.verdict is Verdict.VERIFIED
+    sources = []
+    for batch in batches:
+        assert batch and len(batch) % 4 == 0
+        assert set(batch[::4]) == {batch[0]}  # all from the state being expanded
+        sources.append(batch[0])
+    # each stored state is expanded once: it fires a batch or is terminal
+    assert sorted(sources + result.terminal_states) == list(range(len(result.states)))
+    assert sum(map(len, batches)) == 4 * result.stats.transitions_fired
+    if order == "bfs":
+        assert sources == sorted(sources)
+
+
+def test_rules_sharing_a_name_are_rejected():
+    # a trace names its rules: with two named alike, a witness would not replay
+    model = barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN))
+    renamed = {"client_request", "barrier_in_nonleader"}
+    rules = tuple(dataclasses.replace(r, name="step") if r.name in renamed else r
+                  for r in model.rules)
+    with pytest.raises(ValueError, match="'step'"):
+        dataclasses.replace(model, rules=rules)
 
 
 def test_package_root_names_only_the_protocol_free_core():

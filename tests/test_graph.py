@@ -13,24 +13,26 @@ import pytest
 from protocheck import cli
 from protocheck.barrier import (LEADER_FIRST, LEADER_LAST, RELEASE_ON_BARRIER_IN,
                                 BarrierConfig, BarrierProcessState, barrier_model)
-from protocheck.engine import ExploreConfig, Verdict, explore
+from protocheck.engine import ExploreConfig, Verdict
 from protocheck.ring import ORDERED, UNORDERED, RingConfig, ring_model
+from test_engine import explore_logged
 
 
-def reference_dot(result) -> str:
-    """The DOT text with no memo: each node's processes rendered afresh."""
+def reference_dot(result, edges) -> str:
+    """The DOT text with no memo: each node's processes rendered afresh, and
+    each edge from its decoded (source, rule name, pid, target) tuple."""
     lines = ["digraph reachable {\n"]
     for sid, state in enumerate(result.states):
         label = " ".join(p.render() for p in state)
         lines.append(f'  s{sid} [label="s{sid}: {label}"];\n')
-    for src, rule, pid, dst in result.edges:
+    for src, rule, pid, dst in edges:
         lines.append(f'  s{src} -> s{dst} [label="{rule} @{pid}"];\n')
     lines.append("}\n")
     return "".join(lines)
 
 
 def _run(model, order):
-    return explore(model, ExploreConfig(search_order=order, record_edges=True))
+    return explore_logged(model, ExploreConfig(search_order=order))
 
 
 MODELS = (
@@ -47,10 +49,10 @@ MODELS = (
 @pytest.mark.parametrize("order", ["bfs", "dfs"])
 @pytest.mark.parametrize("model", [m for _, m in MODELS], ids=[name for name, _ in MODELS])
 def test_export_matches_the_reference_writer(model, order, tmp_path):
-    result = _run(model, order)
+    result, log, edges = _run(model, order)
     path = tmp_path / "g.dot"
-    cli.export_state_graph(result, path)
-    assert path.read_bytes() == reference_dot(result).encode()
+    cli.export_state_graph(result, log, path)
+    assert path.read_bytes() == reference_dot(result, edges).encode()
 
 
 @pytest.mark.parametrize("order", ["bfs", "dfs"])
@@ -58,22 +60,23 @@ def test_the_mutation_runs_are_cut_short(order):
     # so the comparison above covers runs that stop at a violation
     for n in range(3, 7):
         model = barrier_model(BarrierConfig(n=n, mutation=RELEASE_ON_BARRIER_IN))
-        assert _run(model, order).verdict is Verdict.INVARIANT_VIOLATED
+        assert _run(model, order)[0].verdict is Verdict.INVARIANT_VIOLATED
 
 
 @pytest.mark.parametrize("limit", [1, 2, 40])
 def test_export_matches_the_reference_writer_at_a_state_limit(limit, tmp_path):
     model = ring_model(RingConfig(n=4, variant=UNORDERED))
-    result = explore(model, ExploreConfig("dfs", max_states=limit, record_edges=True))
+    result, log, edges = explore_logged(model, ExploreConfig("dfs", max_states=limit))
     assert result.verdict is Verdict.LIMIT_EXCEEDED
     path = tmp_path / "g.dot"
-    cli.export_state_graph(result, path)
-    assert path.read_bytes() == reference_dot(result).encode()
+    cli.export_state_graph(result, log, path)
+    assert path.read_bytes() == reference_dot(result, edges).encode()
 
 
 @pytest.fixture
 def graph_run():
-    return _run(barrier_model(BarrierConfig(n=6, variant=LEADER_FIRST)), "dfs")
+    """(result, log) of a DFS search, ready to export."""
+    return _run(barrier_model(BarrierConfig(n=6, variant=LEADER_FIRST)), "dfs")[:2]
 
 
 @pytest.fixture
@@ -91,14 +94,15 @@ def renders(monkeypatch):
 
 
 def test_each_distinct_process_is_rendered_once_per_export(graph_run, renders, tmp_path):
-    distinct = {proc for state in graph_run.states for proc in state}
-    cli.export_state_graph(graph_run, tmp_path / "a.dot")
+    result, log = graph_run
+    distinct = {proc for state in result.states for proc in state}
+    cli.export_state_graph(result, log, tmp_path / "a.dot")
     assert renders.keys() == distinct
     assert set(renders.values()) == {1}
     # stored states share their processes: far fewer renders than slots
-    assert len(distinct) < len(graph_run.states)
+    assert len(distinct) < len(result.states)
     # a second export renders afresh, into a memo of its own, to the same bytes
-    cli.export_state_graph(graph_run, tmp_path / "b.dot")
+    cli.export_state_graph(result, log, tmp_path / "b.dot")
     assert set(renders.values()) == {2}
     assert (tmp_path / "a.dot").read_bytes() == (tmp_path / "b.dot").read_bytes()
 
@@ -113,8 +117,9 @@ def test_each_node_is_labeled_through_render_state(graph_run, monkeypatch, tmp_p
         return render_state(state, *args)
 
     monkeypatch.setattr(cli, "render_state", counted)
-    cli.export_state_graph(graph_run, tmp_path / "g.dot")
-    assert calls == graph_run.states
+    result, log = graph_run
+    cli.export_state_graph(result, log, tmp_path / "g.dot")
+    assert calls == result.states
 
 
 def test_the_memo_does_not_outlive_the_export(graph_run, monkeypatch, tmp_path):
@@ -126,6 +131,6 @@ def test_the_memo_does_not_outlive_the_export(graph_run, monkeypatch, tmp_path):
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(cli, "_RenderMemo", Spy)
-    cli.export_state_graph(graph_run, tmp_path / "g.dot")
+    cli.export_state_graph(*graph_run, tmp_path / "g.dot")
     assert len(made) == 1
     assert made[0]() is None  # freed on return, with no collection needed

@@ -25,6 +25,7 @@ from protocheck.ring import (
     ring_model,
 )
 from protocheck.state import EmptyQueueError, memoized_apply
+from test_engine import explore_logged
 
 
 def _models():
@@ -41,10 +42,10 @@ def _models():
 
 @pytest.mark.parametrize("label, model", list(_models()))
 def test_memoized_apply_agrees_with_the_uncached_step(label, model):
-    result = explore(model, ExploreConfig(record_edges=True))
+    result, _, edges = explore_logged(model)
     states = result.states
     new_procs = {}
-    for src, name, pid, dst in result.edges:
+    for src, name, pid, dst in edges:
         rule = model.rule_named(name)
         state = states[src]
         succ = rule.apply(state, pid)
@@ -52,8 +53,8 @@ def test_memoized_apply_agrees_with_the_uncached_step(label, model):
         # equal (pid, process) pairs give back the one new process object
         kept = new_procs.setdefault((name, pid, state[pid]), succ[pid])
         assert kept is succ[pid]
-    if len(result.edges) > 4:
-        assert len(new_procs) < len(result.edges)  # the memo was hit
+    if len(edges) > 4:
+        assert len(new_procs) < len(edges)  # the memo was hit
 
 
 # One state per consuming rule whose queue at `pid` is empty, as if its guard lied.
@@ -133,11 +134,11 @@ def test_ring_splice_to_an_unset_neighbor_is_out_of_range():
 ])
 def test_warm_memo_search_repeats_the_cold_one(build, search, tmp_path):
     model = build()
-    config = ExploreConfig(search_order=search, record_edges=True)
+    config = ExploreConfig(search_order=search)
     runs = []
     for k in range(2):
-        result = explore(model, config)
-        cli.export_state_graph(result, tmp_path / f"{k}.dot")
+        result, log, _ = explore_logged(model, config)
+        cli.export_state_graph(result, log, tmp_path / f"{k}.dot")
         runs.append((replace(result.stats, elapsed=0.0), result.parents, result.depths,
                      result.terminal_states, (tmp_path / f"{k}.dot").read_bytes()))
     assert runs[0] == runs[1]

@@ -1,4 +1,5 @@
-"""The packed edge log, and memory guards for it and the graph writer.
+"""Memory guards for the packed edge log a `--graph` run keeps and for the
+graph writer.
 
 Sizes are traced Python allocations (`tracemalloc`) on barrier N=8 (519
 stored states, 2056 fired transitions), so they do not depend on the
@@ -12,6 +13,7 @@ import gc
 import json
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -20,41 +22,43 @@ from protocheck import cli
 from protocheck.barrier import BarrierConfig, barrier_model
 from protocheck.engine import ExploreConfig, explore
 from test_cli import run_child
+from test_engine import explore_logged
 
 MODEL = barrier_model(BarrierConfig(n=8))
-GRAPH_RUN = ExploreConfig(search_order="dfs", record_edges=True)
 
 
-def _retained(config):
-    """(result, bytes still allocated by the search while its result lives).
+def _retained(observed):
+    """(result, log, bytes still allocated by the search while both live):
+    a fresh log per search, fed by `observe` if `observed`, else left empty.
 
     A first search warms the rules' memos, which live as long as the model,
     so that neither measured search counts them."""
-    explore(MODEL, config)
+    explore(MODEL)
     gc.collect()  # empties the free lists, which would hide reused blocks
     tracemalloc.start()
     try:
-        result = explore(MODEL, config)
-        return result, tracemalloc.get_traced_memory()[0]
+        log = array("q")
+        result = explore(MODEL, ExploreConfig(observe=log.fromlist if observed else None))
+        return result, log, tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
 
 
 def measure(path):
     """The figures the tests check, taken in this process; the graph goes to `path`."""
-    plain, without = _retained(ExploreConfig())
-    logged, with_edges = _retained(ExploreConfig(record_edges=True))
-    graph_run = explore(MODEL, GRAPH_RUN)
+    plain, _, without = _retained(False)
+    logged, log, with_edges = _retained(True)
+    graph_run, graph_log, _ = explore_logged(MODEL, ExploreConfig(search_order="dfs"))
     gc.collect()
     tracemalloc.start()
     try:
-        cli.export_state_graph(graph_run, path)
+        cli.export_state_graph(graph_run, graph_log, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     text = path.read_text()
     return {"stored": plain.stats.states_stored, "fired": logged.stats.transitions_fired,
-            "edge_log_bytes": with_edges - without, "export_peak": peak,
+            "logged_ids": len(log), "edge_log_bytes": with_edges - without, "export_peak": peak,
             "size": path.stat().st_size,
             "edge_lines": text.count(" -> "), "labels": text.count(" [label=")}
 
@@ -68,16 +72,8 @@ def cold(tmp_path_factory):
 
 def test_edge_log_is_packed(cold):
     # a tuple per edge cost about 82 B; four packed ids cost 32 B plus slack
-    assert (cold["stored"], cold["fired"]) == (519, 2056)
+    assert (cold["stored"], cold["fired"], cold["logged_ids"]) == (519, 2056, 4 * 2056)
     assert cold["edge_log_bytes"] / cold["fired"] < 48
-
-
-def test_edge_log_iterates_to_its_length():
-    edges = explore(MODEL, GRAPH_RUN).edges
-    listed = list(edges)
-    assert len(listed) == len(edges) == 2056
-    assert list(edges) == listed  # each iteration reads the log afresh
-    assert all(type(edge) is tuple and len(edge) == 4 for edge in listed)
 
 
 def test_graph_export_streams(cold):
