@@ -30,8 +30,8 @@ from pathlib import Path
 from typing import Optional
 
 from .barrier import BarrierConfig, barrier_model
-from .engine import (ExplorationResult, ExploreConfig, ModelConfig, Verdict, explore,
-                     reconstruct_trace)
+from .engine import (ExplorationResult, ExploreConfig, ModelConfig, TraceStep, Verdict,
+                     explore, reconstruct_trace)
 from .ring import RingConfig, ring_model
 from .state import ModelError, State, render_state, state_checker
 
@@ -140,24 +140,25 @@ def write_stats(path, result: ExplorationResult, problem: str, method_config: st
     _write_text(path, ["\t".join(STATS_COLUMNS) + "\n", "\t".join(row) + "\n"])
 
 
-def write_trace(path, result: ExplorationResult, header: dict) -> None:
-    """Human-readable trace at `path`, machine-readable twin at `path`.json."""
-    steps = reconstruct_trace(result, result.witness)
+def _step_record(i: int, rule: Optional[str], pid: Optional[int], state: State) -> dict:
+    """Step `i` of a JSON trace: `state` reached by `rule` at `pid`."""
+    return {"step": i, "rule": rule, "pid": pid, "state": state_to_json(state)}
+
+
+def write_trace(path, steps: list[TraceStep], verdict: Verdict, header: dict) -> None:
+    """Human-readable trace of the witness path `steps` at `path`,
+    machine-readable twin at `path`.json."""
     lines = [
         "# counterexample trace",
         "# " + " ".join(f"{k}={v}" for k, v in header.items()),
-        f"# verdict={result.verdict.value}",
+        f"# verdict={verdict.value}",
     ]
-    json_steps = []
     for i, step in enumerate(steps):
         applied = "<initial>" if step.rule is None else f"{step.rule} @{step.pid}"
         lines.append(f"step {i:<3d} {applied:<28s} {render_state(step.state)}")
-        json_steps.append({"step": i, "rule": step.rule, "pid": step.pid,
-                           "state": state_to_json(step.state)})
     _write_text(path, (line + "\n" for line in lines))
-    doc = dict(header)
-    doc["verdict"] = result.verdict.value
-    doc["steps"] = json_steps
+    doc = dict(header, verdict=verdict.value, steps=[
+        _step_record(i, step.rule, step.pid, step.state) for i, step in enumerate(steps)])
     _write_text(str(path) + ".json", [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
@@ -172,17 +173,22 @@ def encode_header(model_name: str, cfg: ModelConfig) -> dict:
     return header
 
 
-def decode_header(doc: dict) -> tuple[str, dict]:
-    """`encode_header` inverted: (model, config options) from a trace document.
-    A key `n`, no `size`/`variant`/`queue_capacity`, or a null is a ValueError."""
-    header = {k: v for k, v in doc.items() if k not in ("model", "steps", "verdict")}
-    if "n" in header:
-        raise ValueError("unexpected key 'n'")
-    unset = [k for k in ("size", "variant", "queue_capacity", *header)
-             if header.get(k) is None]
-    if unset:
-        raise ValueError(f"no value for {unset[0]!r}")
-    return doc["model"], {"n" if k == "size" else k: v for k, v in header.items()}
+def decode_header(header: dict) -> tuple[str, dict]:
+    """(model, config options) from a trace header, `size` read as `n`.
+    Only `encode_header` of the config built from them checks the header."""
+    options = {k: v for k, v in header.items() if k not in ("model", "size")}
+    return header["model"], dict(options, n=header["size"])
+
+
+def _first_difference(recorded: dict, expected: dict) -> Optional[str]:
+    """The first key, in sorted order, that one dict lacks or whose values
+    differ as canonical JSON text (so `true`, `1` and `1.0` all differ)."""
+    for key in sorted(recorded.keys() | expected.keys()):
+        if key not in recorded or key not in expected or (
+                json.dumps(recorded[key], sort_keys=True)
+                != json.dumps(expected[key], sort_keys=True)):
+            return key
+    return None
 
 
 def _build_model(model_name: str, options: dict):
@@ -225,9 +231,9 @@ def _cmd_run(args) -> int:
           f"transitions: {st.transitions_fired}  peak frontier: {st.max_frontier}")
     print(f"elapsed: {st.elapsed:.3f} s  memory estimate: "
           f"{st.peak_memory_estimate / 1e6:.3f} MB")
-    if result.witness is not None:
-        print(f"witness: state {result.witness} at depth "
-              f"{result.depths[result.witness]}")
+    steps = None if result.witness is None else reconstruct_trace(result, result.witness)
+    if steps is not None:
+        print(f"witness: state {result.witness} at depth {len(steps) - 1}")
 
     method_config = f"{config.search_order} {cfg.variant}" + (
         f" {args.mutation}" if args.mutation else ""
@@ -235,8 +241,8 @@ def _cmd_run(args) -> int:
     if args.stats is not None:
         write_stats(args.stats, result, args.model, method_config, args.size)
     if args.trace is not None:
-        if result.witness is not None:
-            write_trace(args.trace, result, encode_header(args.model, cfg))
+        if steps is not None:
+            write_trace(args.trace, steps, result.verdict, encode_header(args.model, cfg))
             print(f"trace written to {args.trace} (replayable: {args.trace}.json)")
         else:
             print("no trace written: run produced no witness")
@@ -253,10 +259,15 @@ def _cmd_replay(args) -> int:
         raise UsageError(f"cannot read trace {args.trace}: {err}")
     try:
         steps, verdict = doc["steps"], doc["verdict"]
-        model_name, options = decode_header(doc)
-        _, model = _build_model(model_name, options)
+        header = {k: v for k, v in doc.items() if k not in ("steps", "verdict")}
+        model_name, options = decode_header(header)
+        cfg, model = _build_model(model_name, options)
     except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"malformed trace {args.trace}: {err}")
+    key = _first_difference(header, encode_header(model_name, cfg))
+    if key is not None:
+        raise UsageError(f"malformed trace {args.trace}: header key {key!r} "
+                         f"is not what run writes for its config")
     if not isinstance(steps, list) or not steps or not all(
         isinstance(s, dict) for s in steps
     ):
@@ -264,16 +275,6 @@ def _cmd_replay(args) -> int:
     if verdict not in _WITNESSED:
         raise UsageError(f"malformed trace {args.trace}: no witness for verdict {verdict!r}")
 
-    # the writer numbers each step by its position, and the initial state
-    # is reached by no process
-    for i, step in enumerate(steps):
-        number = step.get("step")
-        if type(number) is not int or number != i:
-            print(f"replay mismatch at step {i}: numbered {number!r}")
-            return EXIT_VIOLATION
-    if steps[0].get("pid") is not None:
-        print(f"replay mismatch at step 0: the initial state has pid {steps[0]['pid']!r}")
-        return EXIT_VIOLATION
     state = model.initial_state
     try:
         check = state_checker(state, model.queue_capacity)
@@ -281,33 +282,32 @@ def _cmd_replay(args) -> int:
     except (ModelError, ValueError) as err:
         print(f"replay mismatch at step 0: the model's initial state fails: {err}")
         return EXIT_VIOLATION
-    if steps[0].get("rule") is not None or steps[0].get("state") != state_to_json(state):
-        print("replay mismatch at step 0: not the model's initial state")
-        return EXIT_VIOLATION
-    for i, step in enumerate(steps[1:], start=1):
-        try:
-            rule = model.rule_named(step.get("rule"))
-        except KeyError:
-            print(f"replay mismatch at step {i}: unknown rule {step.get('rule')!r}")
-            return EXIT_VIOLATION
-        pid = step.get("pid")
-        if type(pid) is not int or not 0 <= pid < len(state):
-            print(f"replay mismatch at step {i}: bad pid {pid!r}")
-            return EXIT_VIOLATION
-        if not rule.enabled(state, pid):
-            print(f"replay mismatch at step {i}: {rule.name} not enabled at pid {pid}")
-            return EXIT_VIOLATION
-        try:
-            # the model is built for this replay: its memos hold only this
-            # trace's effects, each computed by the step and checked
-            state = rule.apply(state, pid)
-            check(state)
-        except (ModelError, ValueError) as err:
-            print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")
-            return EXIT_VIOLATION
-        if state_to_json(state) != step.get("state"):
-            print(f"replay mismatch at step {i}: "
-                  f"successor state differs from the recorded one")
+    rule_name = pid = None  # the initial state is reached by no rule
+    for i, step in enumerate(steps):
+        if i:
+            try:
+                rule = model.rule_named(step.get("rule"))
+            except KeyError:
+                print(f"replay mismatch at step {i}: unknown rule {step.get('rule')!r}")
+                return EXIT_VIOLATION
+            rule_name, pid = rule.name, step.get("pid")
+            if type(pid) is not int or not 0 <= pid < len(state):
+                print(f"replay mismatch at step {i}: bad pid {pid!r}")
+                return EXIT_VIOLATION
+            if not rule.enabled(state, pid):
+                print(f"replay mismatch at step {i}: {rule.name} not enabled at pid {pid}")
+                return EXIT_VIOLATION
+            try:
+                # the model is built for this replay: its memos hold only this
+                # trace's effects, each computed by the step and checked
+                state = rule.apply(state, pid)
+                check(state)
+            except (ModelError, ValueError) as err:
+                print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")
+                return EXIT_VIOLATION
+        key = _first_difference(step, _step_record(i, rule_name, pid, state))
+        if key is not None:
+            print(f"replay mismatch at step {i}: recorded {key!r} is not the replayed one")
             return EXIT_VIOLATION
     # The last state witnesses the verdict exactly when `explore` from there
     # reports it at that state (witness 0). Its moves store at most rules x

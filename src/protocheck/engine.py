@@ -160,9 +160,9 @@ class ExplorationResult:
     `parents` packs three ids per stored state in one `array('q')`: the id
     of the state it was first generated from, the index in `rule_names` of
     the rule that generated it, and the pid; all three are -1 for the initial
-    state, id 0. `depths` holds each state's distance from the initial state
-    along that parent chain, the shortest distance only under BFS. Fired
-    transitions go only to `ExploreConfig.observe`. `initial_count` is always 1.
+    state, id 0. A state's depth is the length of its parent chain, the
+    shortest distance only under BFS. Fired transitions go only to
+    `ExploreConfig.observe`. `initial_count` is always 1.
     """
 
     verdict: Verdict
@@ -171,7 +171,6 @@ class ExplorationResult:
     terminal_states: list[int]
     states: list[State]
     parents: array
-    depths: array
     rule_names: tuple[str, ...]
     initial_count: int
 
@@ -208,10 +207,9 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     start = time.perf_counter()
     rule_names = tuple(rule.name for rule in model.rules)
     init = model.initial_state
-    # the initial state is stored as id 0, with no parent, at depth 0
+    # the initial state is stored as id 0, with no parent
     states: list[State] = [init]
     parents = array("q", (-1, -1, -1))
-    depths = array("q", (0,))
     visited: dict[State, int] = {}
     terminal: list[int] = []
     observe = cfg.observe
@@ -234,7 +232,6 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
             terminal_states=terminal,
             states=states,
             parents=parents,
-            depths=depths,
             rule_names=rule_names,
             initial_count=1,
         )
@@ -254,7 +251,7 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     pids = range(len(init))
     pop = frontier.popleft if cfg.search_order == "bfs" else frontier.pop
     reserve, push = visited.setdefault, frontier.append
-    add_state, add_parent, add_depth = states.append, parents.extend, depths.append
+    add_state, add_parent = states.append, parents.extend
     max_states, max_seconds, clock = cfg.max_states, cfg.max_seconds, time.perf_counter
     while frontier:
         if len(frontier) > max_frontier:
@@ -263,7 +260,6 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
             return finish(Verdict.LIMIT_EXCEEDED)
         sid = pop()
         state = states[sid]
-        depth = depths[sid] + 1
         fired = False
         for r, enabled, apply in rules:
             for pid in pids:
@@ -283,7 +279,6 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
                         return finish(Verdict.LIMIT_EXCEEDED)
                     add_state(succ)
                     add_parent((sid, r, pid))
-                    add_depth(depth)
                     push(fresh_id)
                 else:
                     matched += 1

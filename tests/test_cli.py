@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -74,6 +75,20 @@ def test_entry_point_exits_with_the_verdict_and_its_trace_replays(argv, code, tm
     done = run_child("-m", "protocheck", "replay", f"{trace}.json")
     assert done.returncode == 0, done.stdout + done.stderr
     assert "confirmed" in done.stdout
+
+
+def test_installed_command_is_cli_main():
+    # the `protocheck` command an install makes; no test installs the package
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"protocheck": "protocheck.cli:main"}
+    module, _, name = scripts["protocheck"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is cli.main and callable(entry)
 
 
 class TestRun:
@@ -353,78 +368,53 @@ class TestReplay:
         assert "replay mismatch at step 1: client_request at pid 0 fails" in out
         assert "client released before it reached the barrier" in out
 
-    def test_bool_pid_is_a_mismatch(self, tmp_path, capsys):
-        # True == 1, so a bool pid used to replay as pid 1
-        path = self._violation_trace(tmp_path)
+    # Each edit to a written trace, the exit code replay gives for it and what
+    # its message names. Replay accepts exactly the document `run` writes for
+    # the decoded config: a header edit is a usage error, a step edit a mismatch.
+    @pytest.mark.parametrize("trace, edit, code, named", [
+        # `true` and `1.0` each equal an int in Python but are not one
+        ("_violation_trace", lambda doc: doc["steps"][2].update(pid=True), 1,
+         "replay mismatch at step 2: bad pid True"),
+        ("_violation_trace", lambda doc: doc["steps"][1].update(step=99), 1,
+         "replay mismatch at step 1: recorded 'step'"),
+        ("_violation_trace", lambda doc: doc["steps"][1].update(step=True), 1,
+         "replay mismatch at step 1: recorded 'step'"),
+        ("_violation_trace", lambda doc: doc["steps"][0].update(pid=7), 1,
+         "replay mismatch at step 0: recorded 'pid'"),
+        ("_violation_trace", lambda doc: doc["steps"][1]["state"]["processes"][0].update(
+            client_barrier_in=True), 1, "replay mismatch at step 1: recorded 'state'"),
+        ("_violation_trace", lambda doc: doc["steps"][1]["state"]["processes"][0].update(
+            client_barrier_in=1.0), 1, "replay mismatch at step 1: recorded 'state'"),
+        ("_violation_trace", lambda doc: doc["steps"][1].update(extra=0), 1,
+         "replay mismatch at step 1: recorded 'extra'"),
+        ("_overflow_trace", lambda doc: doc.update(queue_capacity=True), 3, "must be ints"),
+        ("_violation_trace", lambda doc: doc.update(entry=0), 3,
+         "the barrier model takes no entry"),
+        ("_violation_trace", lambda doc: doc.update(n=3), 3, "header key 'n'"),
+        ("_violation_trace", lambda doc: doc.pop("size"), 3, "'size'"),
+        ("_violation_trace", lambda doc: doc.pop("variant"), 3, "header key 'variant'"),
+        ("_violation_trace", lambda doc: doc.pop("queue_capacity"), 3,
+         "header key 'queue_capacity'"),
+        ("_overflow_trace", lambda doc: doc.pop("entry"), 3, "header key 'entry'"),
+        # a null never means "the default"
+        ("_violation_trace", lambda doc: doc.update(variant=None), 3, "unknown variant None"),
+        ("_violation_trace", lambda doc: doc.update(queue_capacity=None), 3,
+         "header key 'queue_capacity'"),
+        ("_violation_trace", lambda doc: doc.update(mutation=None), 3,
+         "header key 'mutation'"),
+    ], ids=["bool-pid", "step-99", "step-true", "pid-on-step-0", "state-true", "state-float",
+            "extra-step-key", "bool-capacity", "barrier-entry", "header-n", "no-size",
+            "no-variant", "no-capacity", "no-ring-entry", "null-variant", "null-capacity",
+            "null-mutation"])
+    def test_edited_trace_is_rejected(self, tmp_path, capsys, trace, edit, code, named):
+        path = getattr(self, trace)(tmp_path)
         doc = json.loads(path.read_text())
-        assert doc["steps"][2]["pid"] == 1
-        doc["steps"][2]["pid"] = True
+        edit(doc)
         path.write_text(json.dumps(doc))
-        assert run_cli("replay", str(path)) == 1
-        assert "replay mismatch at step 2: bad pid True" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("number", [99, True], ids=["99", "true"])
-    def test_misnumbered_step_is_a_mismatch(self, tmp_path, capsys, number):
-        # the writer numbers each step by its position; True == 1 is no number
-        path = self._violation_trace(tmp_path)
-        doc = json.loads(path.read_text())
-        doc["steps"][1]["step"] = number
-        path.write_text(json.dumps(doc))
-        assert run_cli("replay", str(path)) == 1
-        assert f"replay mismatch at step 1: numbered {number!r}" in capsys.readouterr().out
-
-    def test_pid_on_the_initial_state_is_a_mismatch(self, tmp_path, capsys):
-        path = self._violation_trace(tmp_path)
-        doc = json.loads(path.read_text())
-        doc["steps"][0]["pid"] = 7
-        path.write_text(json.dumps(doc))
-        assert run_cli("replay", str(path)) == 1
-        assert ("replay mismatch at step 0: the initial state has pid 7"
-                in capsys.readouterr().out)
-
-    def test_bool_capacity_in_header_is_a_usage_error(self, tmp_path, capsys):
-        path = self._overflow_trace(tmp_path)
-        doc = json.loads(path.read_text())
-        doc["queue_capacity"] = True  # True == 1 used to replay OK
-        path.write_text(json.dumps(doc))
-        assert run_cli("replay", str(path)) == 3
-        assert "must be ints" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("entry", 0, "the barrier model takes no entry"),  # used to replay OK
-        ("n", 3, "unexpected key 'n'"),  # the size is recorded as `size`
-    ])
-    def test_header_key_the_config_does_not_take_is_a_usage_error(
-            self, tmp_path, capsys, key, value, message):
-        path = self._violation_trace(tmp_path)
-        doc = json.loads(path.read_text())
-        doc[key] = value
-        path.write_text(json.dumps(doc))
-        assert run_cli("replay", str(path)) == 3
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key", ["variant", "queue_capacity"])
-    def test_header_needs_variant_and_capacity(self, tmp_path, key):
-        path = self._violation_trace(tmp_path)
-        doc = json.loads(path.read_text())
-        del doc[key]
-        path.write_text(json.dumps(doc))
-        assert run_cli("replay", str(path)) == 3
-
-    @pytest.mark.parametrize("key", ["variant", "queue_capacity", "mutation"])
-    def test_null_header_value_is_a_usage_error(self, tmp_path, capsys, key):
-        # a null used to leave the default: with a null variant this
-        # leader_first trace replayed OK against leader_last
-        trace = tmp_path / "t.txt"
-        assert run_cli("run", "--model", "barrier", "--size", "3",
-                       "--variant", "leader_first", "--mutation", "release_on_barrier_in",
-                       "--trace", str(trace)) == 1
-        path = tmp_path / "t.txt.json"
-        doc = json.loads(path.read_text())
-        doc[key] = None
-        path.write_text(json.dumps(doc))
-        assert run_cli("replay", str(path)) == 3
-        assert f"malformed trace {path}: no value for {key!r}" in capsys.readouterr().err
+        capsys.readouterr()
+        assert run_cli("replay", str(path)) == code
+        captured = capsys.readouterr()
+        assert named in (captured.out if code == 1 else captured.err)
 
     @pytest.mark.parametrize("trace, cfg", [
         ("_violation_trace", BarrierConfig(n=3, mutation="release_on_barrier_in")),

@@ -77,7 +77,8 @@ class TestExplore:
         assert result.verdict is Verdict.INVARIANT_VIOLATED
         assert result.witness is not None
         # exhaustive path enumeration confirms no shorter violation exists
-        assert result.depths[result.witness] == oracle.min_violation_depth(model, 6) == 3
+        path = reconstruct_trace(result, result.witness)
+        assert len(path) - 1 == oracle.min_violation_depth(model, 6) == 3
 
     def test_queue_overflow_is_a_verdict(self):
         model = ring_model(RingConfig(n=3, variant=UNORDERED, queue_capacity=1))
@@ -310,7 +311,7 @@ def test_bfs_depths_are_shortest_paths(model):
     states, depths = oracle.depth_map(model)
     expected = dict(zip(states, depths))
     for sid, state in enumerate(result.states):
-        assert result.depths[sid] == expected[state]
+        assert len(reconstruct_trace(result, sid)) - 1 == expected[state]
 
 
 def test_accounting_holds_on_violation_runs():
@@ -347,7 +348,6 @@ class TestTrace:
                 state = rule.apply(state, step.pid)
                 assert state == step.state
             assert state == result.states[sid]
-            assert len(trace) - 1 == result.depths[sid]
 
     def test_violation_trace_ends_in_the_violation(self):
         # n=3 is the smallest size where the seeded bug bites: at n=2 the

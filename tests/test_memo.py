@@ -139,6 +139,6 @@ def test_warm_memo_search_repeats_the_cold_one(build, search, tmp_path):
     for k in range(2):
         result, log, _ = explore_logged(model, config)
         cli.export_state_graph(result, log, tmp_path / f"{k}.dot")
-        runs.append((replace(result.stats, elapsed=0.0), result.parents, result.depths,
+        runs.append((replace(result.stats, elapsed=0.0), result.parents,
                      result.terminal_states, (tmp_path / f"{k}.dot").read_bytes()))
     assert runs[0] == runs[1]
