@@ -88,8 +88,8 @@ def barrier_initial_state(cfg: BarrierConfig) -> State:
     return (BarrierProcessState(),) * cfg.n
 
 
-def client_request_enabled(state: State, pid: int) -> bool:
-    return state[pid].client_barrier_in == 0
+def client_request_enabled(proc: BarrierProcessState, pid: int) -> bool:
+    return proc.client_barrier_in == 0
 
 
 def rule_client_request(proc: BarrierProcessState, pid: int, n: int):
@@ -105,8 +105,8 @@ def rule_client_request(proc: BarrierProcessState, pid: int, n: int):
     return out, ()
 
 
-def barrier_in_nonleader_enabled(state: State, pid: int) -> bool:
-    queue = state[pid].queue
+def barrier_in_nonleader_enabled(proc: BarrierProcessState, pid: int) -> bool:
+    queue = proc.queue
     return queue != () and queue[0].kind is _IN and pid != LEADER
 
 
@@ -125,10 +125,10 @@ def rule_barrier_in_nonleader(proc: BarrierProcessState, pid: int, n: int,
         proc.client_barrier_in, proc.client_barrier_out, 1, queue), ()
 
 
-def barrier_in_leader_enabled(state: State, pid: int) -> bool:
+def barrier_in_leader_enabled(proc: BarrierProcessState, pid: int) -> bool:
     if pid != LEADER:
         return False
-    queue = state[pid].queue
+    queue = proc.queue
     return queue != () and queue[0].kind is _IN
 
 
@@ -143,8 +143,8 @@ def rule_barrier_in_leader(proc: BarrierProcessState, pid: int, n: int,
             ((next_rank(pid, n), BARRIER_OUT),))
 
 
-def barrier_out_enabled(state: State, pid: int) -> bool:
-    queue = state[pid].queue
+def barrier_out_enabled(proc: BarrierProcessState, pid: int) -> bool:
+    queue = proc.queue
     return queue != () and queue[0].kind is _OUT
 
 

@@ -20,6 +20,8 @@ overflow, 3 usage error or unwritable output.
 
 import argparse
 import json
+import os
+import reprlib
 import sys
 from array import array
 from collections.abc import Iterable
@@ -195,18 +197,19 @@ def _build_model(model_name: str, options: dict):
     """(config, model) for `options`, a map from config field to value taken
     verbatim; a bad model name, config or size is a usage error."""
     if model_name not in MODELS:
-        raise UsageError(f"unknown model {model_name!r}")
+        raise UsageError(f"unknown model {reprlib.repr(model_name)}")
     config_class, build = MODELS[model_name]
     unknown = sorted(options.keys() - {f.name for f in fields(config_class)})
     if unknown:
-        raise UsageError(f"the {model_name} model takes no {unknown[0]}")
+        raise UsageError(f"the {model_name} model takes no {reprlib.repr(unknown[0])}")
     try:
         cfg = config_class(**options)
         return cfg, build(cfg)
     except ValueError as err:
         raise UsageError(str(err))
     except (MemoryError, OverflowError):
-        raise UsageError(f"out of memory for a {model_name} model of size {options['n']}")
+        raise UsageError(f"out of memory for a {model_name} model of size "
+                         f"{reprlib.repr(options['n'])}")
 
 
 def _cmd_run(args) -> int:
@@ -266,14 +269,15 @@ def _cmd_replay(args) -> int:
         raise UsageError(f"malformed trace {args.trace}: {err}")
     key = _first_difference(header, encode_header(model_name, cfg))
     if key is not None:
-        raise UsageError(f"malformed trace {args.trace}: header key {key!r} "
+        raise UsageError(f"malformed trace {args.trace}: header key {reprlib.repr(key)} "
                          f"is not what run writes for its config")
     if not isinstance(steps, list) or not steps or not all(
         isinstance(s, dict) for s in steps
     ):
         raise UsageError(f"malformed trace {args.trace}: bad step list")
     if verdict not in _WITNESSED:
-        raise UsageError(f"malformed trace {args.trace}: no witness for verdict {verdict!r}")
+        raise UsageError(f"malformed trace {args.trace}: no witness for verdict "
+                         f"{reprlib.repr(verdict)}")
 
     state = model.initial_state
     try:
@@ -288,13 +292,14 @@ def _cmd_replay(args) -> int:
             try:
                 rule = model.rule_named(step.get("rule"))
             except KeyError:
-                print(f"replay mismatch at step {i}: unknown rule {step.get('rule')!r}")
+                print(f"replay mismatch at step {i}: unknown rule "
+                      f"{reprlib.repr(step.get('rule'))}")
                 return EXIT_VIOLATION
             rule_name, pid = rule.name, step.get("pid")
             if type(pid) is not int or not 0 <= pid < len(state):
-                print(f"replay mismatch at step {i}: bad pid {pid!r}")
+                print(f"replay mismatch at step {i}: bad pid {reprlib.repr(pid)}")
                 return EXIT_VIOLATION
-            if not rule.enabled(state, pid):
+            if not rule.enabled_at(state, pid):
                 print(f"replay mismatch at step {i}: {rule.name} not enabled at pid {pid}")
                 return EXIT_VIOLATION
             try:
@@ -307,7 +312,8 @@ def _cmd_replay(args) -> int:
                 return EXIT_VIOLATION
         key = _first_difference(step, _step_record(i, rule_name, pid, state))
         if key is not None:
-            print(f"replay mismatch at step {i}: recorded {key!r} is not the replayed one")
+            print(f"replay mismatch at step {i}: recorded {reprlib.repr(key)} "
+                  f"is not the replayed one")
             return EXIT_VIOLATION
     # The last state witnesses the verdict exactly when `explore` from there
     # reports it at that state (witness 0). Its moves store at most rules x
@@ -358,11 +364,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_replay(args)
+        code = _cmd_run(args) if args.command == "run" else _cmd_replay(args)
+        sys.stdout.flush()  # a closed reader shows here, not in the exit flush
+        return code
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader has gone: stdout goes to devnull, so the exit flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write to stdout: its reader has closed it", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -9,12 +9,13 @@ the postcondition the moment it is popped. Exploration is sequential and
 fully deterministic, so all counts are reproducible run to run.
 """
 
+import reprlib
 import time
 from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, Optional
+from typing import Any, Callable, ClassVar, Optional
 
 from .state import QueueOverflowError, State, canonical_encode, state_checker
 
@@ -31,19 +32,24 @@ class Verdict(Enum):
 class TransitionRule:
     """A guarded successor function, parameterized by process id.
 
-    `apply` must only be invoked on (state, pid) pairs where `enabled` holds,
-    and must be deterministic; both are pure. A protocol's `apply` is a local
-    step made state-level by `state.memoized_apply`. Guards run stored x rules
-    x N times a search, so bind config in closures, not keyword partials, and
-    compare with module-level Enum aliases. On barrier, guards with no
-    `bool()` call and their most often false test first, and an invariant of
-    `any`/`all` over `map`, not a generator, measured faster; on ring such
-    rewrites measured within noise.
+    The guard `enabled(proc, pid)` reads only the process at `pid`; an
+    optional `gate(state, pid)`, tested where the guard holds, reads the
+    whole state (only ring `ordered`'s `begin_insert` has one). `apply` may
+    only be invoked where `enabled_at` holds; all three are pure and
+    deterministic. A protocol's `apply` is a local step made state-level by
+    `state.memoized_apply`. Guards run stored x rules x N times a search, so
+    bind config in closures and compare with module-level Enum aliases; on
+    barrier, putting the most often false test first measured faster.
     """
 
     name: str
-    enabled: Callable[[State, int], bool]
+    enabled: Callable[[Any, int], bool]
     apply: Callable[[State, int], State]
+    gate: Optional[Callable[[State, int], bool]] = None
+
+    def enabled_at(self, state: State, pid: int) -> bool:
+        """The guard, then the gate: whether the rule fires at `pid` in `state`."""
+        return self.enabled(state[pid], pid) and (self.gate is None or self.gate(state, pid))
 
 
 @dataclass(frozen=True)
@@ -67,12 +73,12 @@ class ModelConfig:
         if self.n < 1:
             raise ValueError("process count must be at least 1")
         if self.variant not in self.VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; "
+            raise ValueError(f"unknown variant {reprlib.repr(self.variant)}; "
                              f"choose from {', '.join(self.VARIANTS)}")
         if self.capacity < 1:
             raise ValueError("queue capacity must be positive")
         if self.mutation is not None and self.mutation not in self.MUTATIONS:
-            raise ValueError(f"unknown mutation {self.mutation!r}")
+            raise ValueError(f"unknown mutation {reprlib.repr(self.mutation)}")
 
     @property
     def capacity(self) -> int:
@@ -139,7 +145,7 @@ class ExploreConfig:
 
     def __post_init__(self):
         if self.search_order not in ("bfs", "dfs"):
-            raise ValueError(f"unknown search order {self.search_order!r}")
+            raise ValueError(f"unknown search order {reprlib.repr(self.search_order)}")
         if type(self.max_states) is not int or type(self.max_seconds) not in (int, float):
             raise ValueError("max_states must be an int and max_seconds a number")
         if not (self.max_states >= 1 and self.max_seconds > 0):
@@ -246,8 +252,8 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     if not invariant(init):
         return finish(Verdict.INVARIANT_VIOLATED, witness=0)
 
-    # looked up once here, not once per (state, rule, pid) in the loop
-    rules = [(r, rule.enabled, rule.apply) for r, rule in enumerate(model.rules)]
+    # looked up once here, not per (state, rule, pid); the loop inlines `enabled_at`
+    rules = [(r, rule.enabled, rule.gate, rule.apply) for r, rule in enumerate(model.rules)]
     pids = range(len(init))
     pop = frontier.popleft if cfg.search_order == "bfs" else frontier.pop
     reserve, push = visited.setdefault, frontier.append
@@ -261,9 +267,9 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
         sid = pop()
         state = states[sid]
         fired = False
-        for r, enabled, apply in rules:
+        for r, enabled, gate, apply in rules:
             for pid in pids:
-                if not enabled(state, pid):
+                if not enabled(state[pid], pid) or gate is not None and not gate(state, pid):
                     continue
                 fired = True
                 succ = apply(state, pid)

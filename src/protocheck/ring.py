@@ -18,6 +18,7 @@ so correctness is checked at terminal states: everyone in the ring, nothing
 pending, neighbor pointers inverse of each other, one cycle through all.
 """
 
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -118,7 +119,7 @@ class RingConfig(ModelConfig):
     def __post_init__(self):
         super().__post_init__()
         if type(self.entry) is not int or not 0 <= self.entry < self.n:
-            raise ValueError(f"entry {self.entry!r}: pids must be ints below {self.n}")
+            raise ValueError(f"entry {reprlib.repr(self.entry)}: pids must be ints below {self.n}")
 
 
 def ring_initial_state(cfg: RingConfig) -> State:
@@ -128,12 +129,15 @@ def ring_initial_state(cfg: RingConfig) -> State:
     return tuple(procs)
 
 
-def _begin_insert_guard(entry: int, ordered: bool):
-    def enabled(state: State, pid: int) -> bool:
-        # the ordered gate: every lower-ranked process (entry aside) is in
-        return state[pid].status is _OUTSIDE and (not ordered or all(
-            state[i].status is _IN_RING for i in range(pid) if i != entry))
-    return enabled
+def begin_insert_enabled(proc: RingProcessState, pid: int) -> bool:
+    return proc.status is _OUTSIDE
+
+
+def _ordered_gate(entry: int):
+    def gate(state: State, pid: int) -> bool:
+        """Joins go in rank order: every lower rank but the entry is in."""
+        return all(state[i].status is _IN_RING for i in range(pid) if i != entry)
+    return gate
 
 
 def rule_begin_insert(proc: RingProcessState, pid: int, entry: int):
@@ -143,10 +147,10 @@ def rule_begin_insert(proc: RingProcessState, pid: int, entry: int):
 
 
 def _req_insert_guard(entry: int):
-    def enabled(state: State, pid: int) -> bool:
+    def enabled(proc: RingProcessState, pid: int) -> bool:
         if pid != entry:
             return False
-        queue = state[pid].queue
+        queue = proc.queue
         return bool(queue) and queue[0].kind is _REQ
     return enabled
 
@@ -165,8 +169,8 @@ def rule_handle_req_insert(proc: RingProcessState, pid: int):
             ((joiner, insert_ack(proc.lhs, pid)), (proc.lhs, new_rhs(joiner))))
 
 
-def new_rhs_enabled(state: State, pid: int) -> bool:
-    queue = state[pid].queue
+def new_rhs_enabled(proc: RingProcessState, pid: int) -> bool:
+    queue = proc.queue
     return bool(queue) and queue[0].kind is _RHS
 
 
@@ -177,8 +181,7 @@ def rule_handle_new_rhs(proc: RingProcessState, pid: int):
     return RingProcessState(proc.status, proc.lhs, rhs, queue), ()
 
 
-def insert_ack_enabled(state: State, pid: int) -> bool:
-    proc = state[pid]
+def insert_ack_enabled(proc: RingProcessState, pid: int) -> bool:
     if proc.status is not _INSERTING:
         return False
     return bool(proc.queue) and proc.queue[0].kind is _ACK
@@ -221,8 +224,9 @@ def ring_postcondition(state: State) -> bool:
 
 def ring_model(cfg: RingConfig) -> ProtocolModel:
     rules = (
-        TransitionRule("begin_insert", _begin_insert_guard(cfg.entry, cfg.variant == ORDERED),
-                       memoized_apply(partial(rule_begin_insert, entry=cfg.entry))),
+        TransitionRule("begin_insert", begin_insert_enabled,
+                       memoized_apply(partial(rule_begin_insert, entry=cfg.entry)),
+                       _ordered_gate(cfg.entry) if cfg.variant == ORDERED else None),
         TransitionRule("handle_req_insert", _req_insert_guard(cfg.entry),
                        memoized_apply(rule_handle_req_insert)),
         TransitionRule("handle_new_rhs", new_rhs_enabled,

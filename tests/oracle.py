@@ -48,7 +48,7 @@ def successors(model, state):
     out = []
     for rule in model.rules:
         for pid in range(len(state)):
-            if rule.enabled(state, pid):
+            if rule.enabled_at(state, pid):  # the rule's own guard, then its gate
                 out.append((rule.name, pid, apply_step(rule, state, pid)))
     return out
 

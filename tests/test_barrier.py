@@ -98,8 +98,8 @@ class TestClientRequest:
 
     def test_guard_is_handled_exactly_once(self):
         s = barrier_initial_state(BarrierConfig(n=2))
-        assert client_request_enabled(s, 0)
-        assert not client_request_enabled(fire("client_request", s, 0), 0)
+        assert client_request_enabled(s[0], 0)
+        assert not client_request_enabled(fire("client_request", s, 0)[0], 0)
 
 
 class TestBarrierInNonleader:

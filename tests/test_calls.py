@@ -4,9 +4,10 @@ The call counts are the benchmark's contract (perfbench/run.py checks them
 on its traced rounds): per verified search, guards run stored x rules x N
 times, applies once per fired transition, the invariant once per stored
 state and the visited-set key once per fired transition plus the initial
-state. Pinned here so that a break fails the tests, not only the benchmark.
-Only the well-formedness check runs less often: each process object is
-checked once per search, by identity.
+state; a gate once per (stored state, pid) where its rule's guard holds.
+Pinned here so that a break fails the tests, not only the benchmark. Only
+the well-formedness check runs less often: each process object is checked
+once per search, by identity.
 """
 
 from collections import Counter
@@ -50,10 +51,12 @@ def _counted(fn, calls, key):
 def test_call_counts_are_fixed_by_the_search(model, monkeypatch):
     plain = explore(model).stats
     calls = Counter()
+    # `replace` keeps each rule's gate; a positional rebuild would drop it
     counted = replace(
         model,
-        rules=tuple(TransitionRule(rule.name, _counted(rule.enabled, calls, "guard"),
-                                   _counted(rule.apply, calls, "apply"))
+        rules=tuple(replace(rule, enabled=_counted(rule.enabled, calls, "guard"),
+                            apply=_counted(rule.apply, calls, "apply"),
+                            gate=rule.gate and _counted(rule.gate, calls, "gate"))
                     for rule in model.rules),
         invariant=_counted(model.invariant, calls, "invariant"),
     )
@@ -64,12 +67,17 @@ def test_call_counts_are_fixed_by_the_search(model, monkeypatch):
     assert result.verdict is Verdict.VERIFIED
     assert replace(st, elapsed=0.0) == replace(plain, elapsed=0.0)
     n = len(model.initial_state)
-    assert calls == {
+    gated = [rule for rule in model.rules if rule.gate is not None]
+    hits = sum(rule.enabled(state[pid], pid)
+               for rule in gated for state in result.states for pid in range(n))
+    assert (hits > 0) == bool(gated)  # only ring ordered has a gate
+    assert calls == Counter({
         "guard": st.states_stored * len(model.rules) * n,
+        "gate": hits,
         "apply": st.transitions_fired,
         "invariant": st.states_stored,
         "encode": st.transitions_fired + 1,
-    }
+    })
 
 
 def test_each_process_object_is_checked_once_per_search(monkeypatch):
@@ -94,8 +102,11 @@ def test_each_process_object_is_checked_once_per_search(monkeypatch):
 def test_the_memo_is_keyed_by_identity_not_value():
     # (True, 0, 0, ()) equals (1, 0, 0, ()), which passed its check first
     # in the same search; the bool bit must still be caught
-    def enabled(s, pid):  # pid 0 asks first, then pid 1
-        return s[pid].client_barrier_in == 0 and s[0].client_barrier_in == pid
+    def enabled(proc, pid):
+        return proc.client_barrier_in == 0
+
+    def gate(s, pid):  # pid 0 asks first, then pid 1
+        return s[0].client_barrier_in == pid
 
     def ask(s, pid):
         if pid == 0:
@@ -105,7 +116,7 @@ def test_the_memo_is_keyed_by_identity_not_value():
     model = ProtocolModel(
         queue_capacity=2,
         initial_state=(BarrierProcessState(),) * 2,
-        rules=(TransitionRule("ask", enabled, ask),),
+        rules=(TransitionRule("ask", enabled, ask, gate),),
         invariant=lambda s: True,
         terminal_postcondition=lambda s: True,
     )
@@ -120,8 +131,11 @@ def test_the_memo_is_keyed_by_identity_not_value():
 ], ids=["lhs", "rhs", "payload"])
 def test_a_bool_is_caught_after_its_int_twin_passed(twin, match):
     # pid 0 builds the process with 1, then pid 1 its equal twin with True
-    def enabled(s, pid):
-        return s[pid] == RingProcessState() and (s[0] == RingProcessState()) == (pid == 0)
+    def enabled(proc, pid):
+        return proc == RingProcessState()
+
+    def gate(s, pid):
+        return (s[0] == RingProcessState()) == (pid == 0)
 
     def build(s, pid):
         return (twin(1), s[1]) if pid == 0 else (s[0], twin(True))
@@ -129,7 +143,7 @@ def test_a_bool_is_caught_after_its_int_twin_passed(twin, match):
     model = ProtocolModel(
         queue_capacity=2,
         initial_state=(RingProcessState(),) * 2,
-        rules=(TransitionRule("build", enabled, build),),
+        rules=(TransitionRule("build", enabled, build, gate),),
         invariant=lambda s: True,
         terminal_postcondition=lambda s: True,
     )

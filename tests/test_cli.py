@@ -26,13 +26,15 @@ def run_cli(*args):
     return cli.main(list(args))
 
 
-def run_child(*args):
+def run_child(*args, stdout=subprocess.PIPE):
     """`python *args` in a new interpreter, with this checkout's `src` first
-    on PYTHONPATH: the finished process, its output captured as text."""
+    on PYTHONPATH: the finished process, its output captured as text, or its
+    stdout sent to `stdout` instead."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env)
 
 
 # The north-star instances: their counts anchor every change to the search.
@@ -75,6 +77,23 @@ def test_entry_point_exits_with_the_verdict_and_its_trace_replays(argv, code, tm
     done = run_child("-m", "protocheck", "replay", f"{trace}.json")
     assert done.returncode == 0, done.stdout + done.stderr
     assert "confirmed" in done.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_is_a_usage_error(unbuffered, monkeypatch):
+    # a verified model whose reader has gone: each write to the pipe fails,
+    # at the first print when unbuffered, else at the flush before exit
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = run_child("-m", "protocheck", "run", "--model", "barrier", "--size", "3",
+                         stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 3, done.stderr
+    assert "error: cannot write to stdout" in done.stderr
+    assert "Traceback" not in done.stderr and "Exception" not in done.stderr
 
 
 def test_installed_command_is_cli_main():
@@ -299,11 +318,18 @@ class TestReplay:
         out = capsys.readouterr().out
         assert "replay mismatch: the last state does not witness invariant_violated" in out
 
-    def _overflow_trace(self, tmp_path):
+    def _overflow_trace(self, tmp_path, search="bfs"):
         trace = tmp_path / "o.txt"
         assert run_cli("run", "--model", "ring", "--size", "3", "--variant", "unordered",
-                       "--queue-capacity", "1", "--trace", str(trace)) == 2
+                       "--queue-capacity", "1", "--search", search, "--trace", str(trace)) == 2
         return tmp_path / "o.txt.json"
+
+    def _dfs_overflow_trace(self, tmp_path):
+        path = self._overflow_trace(tmp_path, "dfs")
+        step = json.loads(path.read_text())["steps"][1]
+        # local to pid 2, but ring ordered's gate refuses it: pid 1 is not in
+        assert (step["rule"], step["pid"]) == ("begin_insert", 2)
+        return path
 
     def test_overflow_trace_replays(self, tmp_path, capsys):
         assert run_cli("replay", str(self._overflow_trace(tmp_path))) == 0
@@ -389,7 +415,7 @@ class TestReplay:
          "replay mismatch at step 1: recorded 'extra'"),
         ("_overflow_trace", lambda doc: doc.update(queue_capacity=True), 3, "must be ints"),
         ("_violation_trace", lambda doc: doc.update(entry=0), 3,
-         "the barrier model takes no entry"),
+         "the barrier model takes no 'entry'"),
         ("_violation_trace", lambda doc: doc.update(n=3), 3, "header key 'n'"),
         ("_violation_trace", lambda doc: doc.pop("size"), 3, "'size'"),
         ("_violation_trace", lambda doc: doc.pop("variant"), 3, "header key 'variant'"),
@@ -402,10 +428,23 @@ class TestReplay:
          "header key 'queue_capacity'"),
         ("_violation_trace", lambda doc: doc.update(mutation=None), 3,
          "header key 'mutation'"),
+        # a value or key from the trace is echoed shortened, a short one whole
+        ("_violation_trace", lambda doc: doc.update(variant="leader_lsat"), 3,
+         "unknown variant 'leader_lsat'; choose from leader_last, leader_first"),
+        ("_violation_trace", lambda doc: doc.update(variant="x" * 10**6), 3,
+         "unknown variant 'xxx"),
+        ("_violation_trace", lambda doc: doc["steps"][1].update(rule="x" * 10**6), 1,
+         "replay mismatch at step 1: unknown rule 'xxx"),
+        ("_violation_trace", lambda doc: doc.update({"x" * 10**6: 0}), 3,
+         "the barrier model takes no 'xxx"),
+        # the replayed guard holds, the gate does not: the witness is not ordered's
+        ("_dfs_overflow_trace", lambda doc: doc.update(variant="ordered"), 1,
+         "replay mismatch at step 1: begin_insert not enabled at pid 2"),
     ], ids=["bool-pid", "step-99", "step-true", "pid-on-step-0", "state-true", "state-float",
             "extra-step-key", "bool-capacity", "barrier-entry", "header-n", "no-size",
             "no-variant", "no-capacity", "no-ring-entry", "null-variant", "null-capacity",
-            "null-mutation"])
+            "null-mutation", "typo-variant", "huge-variant", "huge-rule", "huge-header-key",
+            "gate-refuses-step"])
     def test_edited_trace_is_rejected(self, tmp_path, capsys, trace, edit, code, named):
         path = getattr(self, trace)(tmp_path)
         doc = json.loads(path.read_text())
@@ -415,6 +454,7 @@ class TestReplay:
         assert run_cli("replay", str(path)) == code
         captured = capsys.readouterr()
         assert named in (captured.out if code == 1 else captured.err)
+        assert len(captured.out) + len(captured.err) < 1024
 
     @pytest.mark.parametrize("trace, cfg", [
         ("_violation_trace", BarrierConfig(n=3, mutation="release_on_barrier_in")),
@@ -543,8 +583,8 @@ def _toy_model(cfg):
     initial = (_ToyProcess(),) * cfg.n
     return ProtocolModel(
         queue_capacity=cfg.capacity, initial_state=initial,
-        rules=(TransitionRule("send", lambda s, pid: not s[pid].sent, memoized_apply(send)),
-               TransitionRule("receive", lambda s, pid: bool(s[pid].queue),
+        rules=(TransitionRule("send", lambda proc, pid: not proc.sent, memoized_apply(send)),
+               TransitionRule("receive", lambda proc, pid: bool(proc.queue),
                               memoized_apply(consume))),
         # seeded violation: two ticks are in flight once both processes sent
         invariant=lambda s: sum(len(p.queue) for p in s) < 2,
@@ -630,7 +670,7 @@ def test_a_registered_protocol_gets_its_field_types_checked(monkeypatch, send):
     # `_ToyProcess.check` tests no type; the engine still pins `sent` to its
     # default's, so True is rejected in the state it stores or in the effect
     def build(cfg):
-        rule = TransitionRule("send", lambda s, pid: not s[pid].sent, send)
+        rule = TransitionRule("send", lambda proc, pid: not proc.sent, send)
         return replace(_toy_model(cfg), rules=(rule,))
 
     monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, build))

@@ -158,7 +158,7 @@ class TestExplore:
         # type pinned from the initial state catches the new pid 0
         model = barrier_model(BarrierConfig(n=2))
         swap = dataclasses.replace(model, rules=(TransitionRule(
-            "swap", lambda s, pid: pid == 0 and type(s[0]) is BarrierProcessState,
+            "swap", lambda proc, pid: pid == 0 and type(proc) is BarrierProcessState,
             lambda s, pid: (RingProcessState(),) + s[1:]),))
         with pytest.raises(ValueError, match="same protocol variant"):
             explore(swap)
@@ -166,7 +166,7 @@ class TestExplore:
     def test_rule_that_drops_a_process_aborts_the_run(self):
         model = barrier_model(BarrierConfig(n=2))
         shrink = dataclasses.replace(model, rules=(TransitionRule(
-            "shrink", lambda s, pid: len(s) == 2, lambda s, pid: s[:1]),))
+            "shrink", lambda proc, pid: pid == 0, lambda s, pid: s[:1]),))
         with pytest.raises(ValueError, match="process count"):
             explore(shrink)
 
@@ -175,7 +175,7 @@ class TestExplore:
         broken = ProtocolModel(
             queue_capacity=2,
             initial_state=(BarrierProcessState(),),
-            rules=(TransitionRule("consume", lambda s, pid: True, memoized_apply(
+            rules=(TransitionRule("consume", lambda proc, pid: True, memoized_apply(
                 lambda proc, pid: (proc._replace(queue=receive(proc, pid)[1]), ()))),),
             invariant=lambda s: True,
             terminal_postcondition=lambda s: True,
@@ -206,7 +206,7 @@ class TestExplore:
         release = memoized_apply(lambda proc, pid: (proc._replace(client_barrier_out=1), ()))
         model = barrier_model(BarrierConfig(n=2))
         broken = dataclasses.replace(model, rules=(TransitionRule(
-            "release", lambda s, pid: not s[pid].client_barrier_out, release),))
+            "release", lambda proc, pid: not proc.client_barrier_out, release),))
         with pytest.raises(ValueError):
             explore(broken)
 
@@ -215,7 +215,7 @@ class TestExplore:
         overshoot = memoized_apply(lambda proc, pid: (proc._replace(lhs=2), ()))
         model = ring_model(RingConfig(n=2))
         broken = dataclasses.replace(model, rules=(TransitionRule(
-            "overshoot", lambda s, pid: s[pid].lhs != len(s), overshoot),))
+            "overshoot", lambda proc, pid: proc.lhs != 2, overshoot),))
         with pytest.raises(ValueError, match=r"ints in \[0, 2\) or unset, got 2"):
             explore(broken)
 
@@ -344,7 +344,7 @@ class TestTrace:
             assert state == model.initial_state
             for step in trace[1:]:
                 rule = model.rule_named(step.rule)
-                assert rule.enabled(state, step.pid)
+                assert rule.enabled_at(state, step.pid)
                 state = rule.apply(state, step.pid)
                 assert state == step.state
             assert state == result.states[sid]
@@ -386,7 +386,7 @@ def test_edges_recorded_only_on_request():
     assert len(log) == 4 * len(edges) == 4 * result.stats.transitions_fired
     for src, rule_name, pid, dst in edges:
         rule = model.rule_named(rule_name)
-        assert rule.enabled(result.states[src], pid)
+        assert rule.enabled_at(result.states[src], pid)
         assert rule.apply(result.states[src], pid) == result.states[dst]
 
 

@@ -1,13 +1,16 @@
-"""Every guard, invariant and postcondition against a plain reference predicate.
+"""Every guard, gate, invariant and postcondition against a plain reference
+predicate.
 
 Guards and properties are written for speed (see `engine.TransitionRule`),
 and `tests/oracle.py` calls the model's own guards, so a rewrite that flips
 a truth value would go unseen there. The predicates below restate each body
-plainly. The reachable states are walked through these predicates and each
-rule's uncached step, never through the guards under test, and at every
-state and pid each guard, the invariant and the postcondition must return a
-`bool` equal to its predicate's; the postcondition at every reachable state,
-not only the terminal ones.
+plainly: a local one per guard, on the process and pid, and one on the
+state per gate. The reachable states are walked through these predicates
+and each rule's uncached step, never through the guards under test, and at
+every state and pid each guard, each gate where its guard holds, the
+invariant and the postcondition must return a `bool` equal to its
+predicate's; the postcondition at every reachable state, not only the
+terminal ones.
 """
 
 from collections import deque
@@ -27,12 +30,10 @@ def _head_is(proc, kind):
 
 def barrier_reference(cfg):
     guards = {
-        "client_request": lambda s, pid: s[pid].client_barrier_in == 0,
-        "barrier_in_nonleader":
-            lambda s, pid: pid != 0 and _head_is(s[pid], BarrierKind.BARRIER_IN),
-        "barrier_in_leader":
-            lambda s, pid: pid == 0 and _head_is(s[pid], BarrierKind.BARRIER_IN),
-        "barrier_out": lambda s, pid: _head_is(s[pid], BarrierKind.BARRIER_OUT),
+        "client_request": lambda p, pid: p.client_barrier_in == 0,
+        "barrier_in_nonleader": lambda p, pid: pid != 0 and _head_is(p, BarrierKind.BARRIER_IN),
+        "barrier_in_leader": lambda p, pid: pid == 0 and _head_is(p, BarrierKind.BARRIER_IN),
+        "barrier_out": lambda p, pid: _head_is(p, BarrierKind.BARRIER_OUT),
     }
 
     def invariant(s):
@@ -47,27 +48,25 @@ def barrier_reference(cfg):
                 return False
         return True
 
-    return guards, invariant, postcondition
+    return guards, {}, invariant, postcondition
 
 
 def ring_reference(cfg):
-    def begin_insert(s, pid):
-        if s[pid].status is not RingStatus.OUTSIDE:
-            return False
-        if cfg.variant == ORDERED:
-            for i in range(pid):
-                if i != cfg.entry and s[i].status is not RingStatus.IN_RING:
-                    return False
+    def in_rank_order(s, pid):
+        for i in range(pid):
+            if i != cfg.entry and s[i].status is not RingStatus.IN_RING:
+                return False
         return True
 
     guards = {
-        "begin_insert": begin_insert,
+        "begin_insert": lambda p, pid: p.status is RingStatus.OUTSIDE,
         "handle_req_insert":
-            lambda s, pid: pid == cfg.entry and _head_is(s[pid], RingKind.REQ_INSERT),
-        "handle_new_rhs": lambda s, pid: _head_is(s[pid], RingKind.NEW_RHS),
-        "handle_insert_ack": lambda s, pid: (s[pid].status is RingStatus.INSERTING
-                                             and _head_is(s[pid], RingKind.INSERT_ACK)),
+            lambda p, pid: pid == cfg.entry and _head_is(p, RingKind.REQ_INSERT),
+        "handle_new_rhs": lambda p, pid: _head_is(p, RingKind.NEW_RHS),
+        "handle_insert_ack": lambda p, pid: (p.status is RingStatus.INSERTING
+                                             and _head_is(p, RingKind.INSERT_ACK)),
     }
+    gates = {"begin_insert": in_rank_order} if cfg.variant == ORDERED else {}
 
     def invariant(s):
         return not any(m.kind is RingKind.REQ_INSERT
@@ -89,7 +88,7 @@ def ring_reference(cfg):
             pid = s[pid].rhs
         return pid == 0 and len(visited) == n
 
-    return guards, invariant, postcondition
+    return guards, gates, invariant, postcondition
 
 
 def _configs():
@@ -112,8 +111,10 @@ CASES = list(_configs())
                          ids=[case[0] for case in CASES])
 def test_guards_and_invariant_match_their_reference(build, reference, cfg):
     model = build(cfg)
-    guards, invariant, postcondition = reference(cfg)
+    guards, gates, invariant, postcondition = reference(cfg)
     assert [rule.name for rule in model.rules] == list(guards)
+    # only ring ordered's begin_insert reads other processes
+    assert [rule.name for rule in model.rules if rule.gate is not None] == list(gates)
     seen = {model.initial_state}
     todo = deque(seen)
     while todo:
@@ -124,9 +125,14 @@ def test_guards_and_invariant_match_their_reference(build, reference, cfg):
         assert type(verdict) is bool and verdict == postcondition(state), state
         for rule in model.rules:
             for pid in range(len(state)):
-                expected = guards[rule.name](state, pid)
-                enabled = rule.enabled(state, pid)
-                assert type(enabled) is bool and enabled == expected, (rule.name, pid, state)
+                local = guards[rule.name](state[pid], pid)
+                enabled = rule.enabled(state[pid], pid)
+                assert type(enabled) is bool and enabled == local, (rule.name, pid, state)
+                expected = local and (rule.name not in gates or gates[rule.name](state, pid))
+                if local and rule.gate is not None:
+                    gate = rule.gate(state, pid)
+                    assert type(gate) is bool and gate == expected, (rule.name, pid, state)
+                assert rule.enabled_at(state, pid) is expected, (rule.name, pid, state)
                 if expected:
                     succ = oracle.apply_step(rule, state, pid)
                     if succ not in seen:

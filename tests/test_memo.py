@@ -100,14 +100,17 @@ def test_a_bool_effect_fails_in_either_rule_order(values, initial, effect, match
     # two rules fire at pid 0 of the initial state, one building its effect
     # with 1 and one with True; the successors are equal, so whichever comes
     # second is matched against the first and never reaches the state checker
-    def enabled(s, pid):
-        return pid == 0 and s == initial
+    def enabled(proc, pid):
+        return pid == 0
+
+    def gate(s, pid):
+        return s == initial
 
     model = ProtocolModel(
         queue_capacity=2,
         initial_state=initial,
         rules=tuple(TransitionRule(str(v), enabled,
-                                   memoized_apply(lambda proc, pid, v=v: effect(proc, v)))
+                                   memoized_apply(lambda proc, pid, v=v: effect(proc, v)), gate)
                     for v in values),
         invariant=lambda s: True,
         terminal_postcondition=lambda s: True,

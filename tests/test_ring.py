@@ -111,8 +111,9 @@ class TestInitialState:
 
 
 def guard(rule, **options):
-    """The `enabled` of `rule` in a ring model built with `options`."""
-    return ring_model(RingConfig(**options)).rule_named(rule).enabled
+    """The `enabled_at` of `rule` (guard, then gate) in a ring model built
+    with `options`."""
+    return ring_model(RingConfig(**options)).rule_named(rule).enabled_at
 
 
 class TestBeginInsert:
@@ -187,7 +188,7 @@ class TestHandleInsertAck:
 
     def test_guard_requires_inserting_status(self):
         state = sys_state(R(RING, 0, 0, [insert_ack(0, 0)]), R())
-        assert not insert_ack_enabled(state, 0)
+        assert not insert_ack_enabled(state[0], 0)
 
 
 class TestPostcondition:
