@@ -1,4 +1,4 @@
-"""Ring insertion model: processes join a ring at a designated entry process.
+"""Ring insertion model: processes join a ring through process 0, the entry.
 
 The entry process starts as a ring of one, its own left and right neighbor.
 A joiner announces itself with req_insert to the entry, which splices the
@@ -16,12 +16,13 @@ Only the message-passing half is modeled; connection plumbing is out of
 scope. Neighbor consistency is transiently violated mid-handshake by design,
 so correctness is checked at terminal states: everyone in the ring, nothing
 pending, neighbor pointers inverse of each other, one cycle through all.
+
+The entry is fixed: pids are otherwise symmetric, so another entry would
+only relabel the processes and give the same verdict and counts.
 """
 
-import reprlib
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import ClassVar, NamedTuple
 
 from .engine import ModelConfig, ProtocolModel, TransitionRule
@@ -29,6 +30,8 @@ from .state import (Message, MessageKindBase, Queue, State, memoized_apply, rece
                     render_queue)
 # Unused here: the benchmark harness wraps these state edits on this module by name.
 from .state import receive_message, replace_process, send_message  # noqa: F401
+
+ENTRY = 0
 
 ORDERED = "ordered"
 UNORDERED = "unordered"
@@ -114,18 +117,12 @@ class RingConfig(ModelConfig):
     VARIANTS: ClassVar[tuple[str, ...]] = (ORDERED, UNORDERED)
 
     variant: str = ORDERED
-    entry: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if type(self.entry) is not int or not 0 <= self.entry < self.n:
-            raise ValueError(f"entry {reprlib.repr(self.entry)}: pids must be ints below {self.n}")
 
 
 def ring_initial_state(cfg: RingConfig) -> State:
     """The entry process alone in the ring, self-looped; everyone else out."""
     procs = [RingProcessState()] * cfg.n
-    procs[cfg.entry] = RingProcessState(RingStatus.IN_RING, cfg.entry, cfg.entry)
+    procs[ENTRY] = RingProcessState(RingStatus.IN_RING, ENTRY, ENTRY)
     return tuple(procs)
 
 
@@ -133,26 +130,22 @@ def begin_insert_enabled(proc: RingProcessState, pid: int) -> bool:
     return proc.status is _OUTSIDE
 
 
-def _ordered_gate(entry: int):
-    def gate(state: State, pid: int) -> bool:
-        """Joins go in rank order: every lower rank but the entry is in."""
-        return all(state[i].status is _IN_RING for i in range(pid) if i != entry)
-    return gate
+def ordered_gate(state: State, pid: int) -> bool:
+    """Joins go in rank order: every lower rank but the entry is in."""
+    return all(state[i].status is _IN_RING for i in range(ENTRY + 1, pid))
 
 
-def rule_begin_insert(proc: RingProcessState, pid: int, entry: int):
+def rule_begin_insert(proc: RingProcessState, pid: int):
     """An outside process starts joining: mark it and ask the entry."""
     return (RingProcessState(RingStatus.INSERTING, proc.lhs, proc.rhs, proc.queue),
-            ((entry, req_insert(pid)),))
+            ((ENTRY, req_insert(pid)),))
 
 
-def _req_insert_guard(entry: int):
-    def enabled(proc: RingProcessState, pid: int) -> bool:
-        if pid != entry:
-            return False
-        queue = proc.queue
-        return bool(queue) and queue[0].kind is _REQ
-    return enabled
+def req_insert_enabled(proc: RingProcessState, pid: int) -> bool:
+    if pid != ENTRY:
+        return False
+    queue = proc.queue
+    return bool(queue) and queue[0].kind is _REQ
 
 
 def rule_handle_req_insert(proc: RingProcessState, pid: int):
@@ -194,16 +187,14 @@ def rule_handle_insert_ack(proc: RingProcessState, pid: int):
     return RingProcessState(RingStatus.IN_RING, lhs, rhs, queue), ()
 
 
-def _req_insert_only_at_entry(entry: int):
-    def invariant(state: State) -> bool:
-        """Join requests are addressed to the entry and appear nowhere else."""
-        for pid, proc in enumerate(state):
-            if proc.queue and pid != entry:  # most queues are empty
-                for message in proc.queue:
-                    if message.kind is _REQ:
-                        return False
-        return True
-    return invariant
+def ring_invariant(state: State) -> bool:
+    """Join requests are addressed to the entry and appear nowhere else."""
+    for pid, proc in enumerate(state):
+        if proc.queue and pid != ENTRY:  # most queues are empty
+            for message in proc.queue:
+                if message.kind is _REQ:
+                    return False
+    return True
 
 
 def ring_postcondition(state: State) -> bool:
@@ -224,10 +215,9 @@ def ring_postcondition(state: State) -> bool:
 
 def ring_model(cfg: RingConfig) -> ProtocolModel:
     rules = (
-        TransitionRule("begin_insert", begin_insert_enabled,
-                       memoized_apply(partial(rule_begin_insert, entry=cfg.entry)),
-                       _ordered_gate(cfg.entry) if cfg.variant == ORDERED else None),
-        TransitionRule("handle_req_insert", _req_insert_guard(cfg.entry),
+        TransitionRule("begin_insert", begin_insert_enabled, memoized_apply(rule_begin_insert),
+                       ordered_gate if cfg.variant == ORDERED else None),
+        TransitionRule("handle_req_insert", req_insert_enabled,
                        memoized_apply(rule_handle_req_insert)),
         TransitionRule("handle_new_rhs", new_rhs_enabled,
                        memoized_apply(rule_handle_new_rhs)),
@@ -238,6 +228,6 @@ def ring_model(cfg: RingConfig) -> ProtocolModel:
         queue_capacity=cfg.capacity,
         initial_state=ring_initial_state(cfg),
         rules=rules,
-        invariant=_req_insert_only_at_entry(cfg.entry),
+        invariant=ring_invariant,
         terminal_postcondition=ring_postcondition,
     )

@@ -142,18 +142,17 @@ def min_violation_depth(model, max_depth):
     return None
 
 
-def expected_ring_terminals(n, entry=0):
+def expected_ring_terminals(n):
     """Every terminal topology the insertion protocol can produce.
 
-    The final ring order equals the order the entry processed the join
-    requests: rhs(entry) is the first joiner, each joiner points at the next,
-    the last points back at the entry. One topology per permutation of the
-    non-entry processes, (n-1)! in total.
+    The final ring order equals the order the entry, process 0, processed
+    the join requests: rhs(0) is the first joiner, each joiner points at the
+    next, the last points back at 0. One topology per permutation of
+    processes 1 to n-1, (n-1)! in total.
     """
-    others = [pid for pid in range(n) if pid != entry]
     expected = []
-    for perm in permutations(others):
-        order = [entry, *perm]
+    for perm in permutations(range(1, n)):
+        order = [0, *perm]
         rhs = {order[i]: order[(i + 1) % n] for i in range(n)}
         lhs = {v: k for k, v in rhs.items()}
         procs = tuple(

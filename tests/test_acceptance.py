@@ -23,7 +23,7 @@ from protocheck.barrier import (
 )
 from protocheck.engine import ExploreConfig, Verdict, explore
 from protocheck.ring import ORDERED, RingConfig, UNORDERED, ring_model
-from test_engine import small_models
+from test_engine import instances
 from test_golden import _mask_timing
 
 TIME_BUDGET_S = 600.0
@@ -43,7 +43,8 @@ def gate(label):
 def test_criterion_1_oracle_equivalence():
     with gate("criterion 1: stored sets match the brute-force enumerator"):
         start = time.perf_counter()
-        for _, model in small_models():
+        for case in instances(3, 4):
+            _, model = case.values
             result = explore(model)
             enumerated = oracle.enumerate_reachable(model)
             assert result.verdict is Verdict.VERIFIED
@@ -130,7 +131,8 @@ def test_criterion_5_determinism(tmp_path):
 
 def test_criterion_6_accounting_and_search_order_invariance():
     with gate("criterion 6: accounting identity, BFS set == DFS set"):
-        for _, model in small_models():
+        for case in instances(3, 4):
+            _, model = case.values
             bfs = explore(model)
             dfs = explore(model, ExploreConfig(search_order="dfs"))
             for result in (bfs, dfs):

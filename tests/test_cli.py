@@ -421,7 +421,9 @@ class TestReplay:
         ("_violation_trace", lambda doc: doc.pop("variant"), 3, "header key 'variant'"),
         ("_violation_trace", lambda doc: doc.pop("queue_capacity"), 3,
          "header key 'queue_capacity'"),
-        ("_overflow_trace", lambda doc: doc.pop("entry"), 3, "header key 'entry'"),
+        # every ring trace written while the ring model took an entry
+        ("_overflow_trace", lambda doc: doc.update(entry=0), 3,
+         "the ring model takes no 'entry'"),
         # a null never means "the default"
         ("_violation_trace", lambda doc: doc.update(variant=None), 3, "unknown variant None"),
         ("_violation_trace", lambda doc: doc.update(queue_capacity=None), 3,
@@ -442,7 +444,7 @@ class TestReplay:
          "replay mismatch at step 1: begin_insert not enabled at pid 2"),
     ], ids=["bool-pid", "step-99", "step-true", "pid-on-step-0", "state-true", "state-float",
             "extra-step-key", "bool-capacity", "barrier-entry", "header-n", "no-size",
-            "no-variant", "no-capacity", "no-ring-entry", "null-variant", "null-capacity",
+            "no-variant", "no-capacity", "ring-entry", "null-variant", "null-capacity",
             "null-mutation", "typo-variant", "huge-variant", "huge-rule", "huge-header-key",
             "gate-refuses-step"])
     def test_edited_trace_is_rejected(self, tmp_path, capsys, trace, edit, code, named):
@@ -601,13 +603,13 @@ def test_every_registered_config_is_a_model_config(name):
     assert config_class(n=3, queue_capacity=1).capacity == 1
 
 
-# Each registered config at its defaults, then with every field set: an
-# explicit capacity, barrier's mutation and ring's entry (no flag sets it).
+# Each registered config at its defaults, then with every field set: a
+# variant other than the default, an explicit capacity and barrier's mutation.
 _HEADER_CONFIGS = [
     *[(name, config_class(n=3)) for name, (config_class, _) in sorted(cli.MODELS.items())],
     ("barrier", BarrierConfig(n=3, variant="leader_first", queue_capacity=1,
                               mutation="release_on_barrier_in")),
-    ("ring", RingConfig(n=3, variant="unordered", queue_capacity=1, entry=1)),
+    ("ring", RingConfig(n=3, variant="unordered", queue_capacity=1)),
 ]
 
 

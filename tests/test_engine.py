@@ -35,17 +35,21 @@ def explore_logged(model, config=ExploreConfig()):
     return result, log, list(zip(ids, map(result.rule_names.__getitem__, ids), ids, ids))
 
 
-def small_models():
-    models = []
-    for variant in (LEADER_LAST, LEADER_FIRST):
-        for n in (1, 2, 3):
-            models.append((f"barrier-{variant}-{n}",
-                           barrier_model(BarrierConfig(n=n, variant=variant))))
-    for variant in (ORDERED, UNORDERED):
-        for n in (2, 3, 4):
-            models.append((f"ring-{variant}-{n}",
-                           ring_model(RingConfig(n=n, variant=variant))))
-    return models
+def instances(barrier_n, ring_n, mutations=False):
+    """A list of `pytest.param(cfg, model)`, each with its id: barrier N=1 to
+    `barrier_n` and ring N=1 to `ring_n` in every variant, and, if
+    `mutations`, under each seeded bug too."""
+    models = {"barrier": (BarrierConfig, barrier_model, barrier_n),
+              "ring": (RingConfig, ring_model, ring_n)}
+    cases = []
+    for name, (config_class, build, largest) in models.items():
+        for n in range(1, largest + 1):
+            for variant in config_class.VARIANTS:
+                for mutation in (None, *config_class.MUTATIONS) if mutations else (None,):
+                    cfg = config_class(n=n, variant=variant, mutation=mutation)
+                    label = f"{name}-{variant}-{mutation}-{n}"
+                    cases.append(pytest.param(cfg, build(cfg), id=label))
+    return cases
 
 
 def check_accounting(result):
@@ -220,30 +224,30 @@ class TestExplore:
             explore(broken)
 
 
-@pytest.mark.parametrize("label,model", small_models())
+@pytest.mark.parametrize("cfg, model", instances(3, 4))
 class TestSearchProperties:
-    def test_matches_brute_force_enumeration(self, label, model):
+    def test_matches_brute_force_enumeration(self, cfg, model):
         result = explore(model)
         enumerated = oracle.enumerate_reachable(model)
         assert result.stats.states_stored == len(enumerated)
         assert set(result.states) == set(enumerated)
 
-    def test_store_once(self, label, model):
+    def test_store_once(self, cfg, model):
         result = explore(model)
         assert len(set(result.states)) == result.stats.states_stored
 
-    def test_verified_means_no_violation_anywhere(self, label, model):
+    def test_verified_means_no_violation_anywhere(self, cfg, model):
         result = explore(model)
         assert result.verdict is Verdict.VERIFIED
         assert all(model.invariant(s) for s in result.states)
         assert all(model.terminal_postcondition(result.states[t])
                    for t in result.terminal_states)
 
-    def test_accounting_identity(self, label, model):
+    def test_accounting_identity(self, cfg, model):
         check_accounting(explore(model))
         check_accounting(explore(model, ExploreConfig(search_order="dfs")))
 
-    def test_bfs_and_dfs_store_the_same_set(self, label, model):
+    def test_bfs_and_dfs_store_the_same_set(self, cfg, model):
         bfs = explore(model)
         dfs = explore(model, ExploreConfig(search_order="dfs"))
         assert set(bfs.states) == set(dfs.states)
@@ -391,12 +395,8 @@ def test_edges_recorded_only_on_request():
 
 
 @pytest.mark.parametrize("order", ["bfs", "dfs"])
-@pytest.mark.parametrize("model", [
-    *(barrier_model(BarrierConfig(n=n, variant=v)) for v in (LEADER_LAST, LEADER_FIRST)
-      for n in (1, 2, 3, 4)),
-    *(ring_model(RingConfig(n=n, variant=v)) for v in (ORDERED, UNORDERED) for n in (2, 3, 4)),
-])
-def test_the_observer_sees_one_batch_per_state_that_fires(model, order):
+@pytest.mark.parametrize("cfg, model", instances(4, 4))
+def test_the_observer_sees_one_batch_per_state_that_fires(cfg, model, order):
     batches = []
     result = explore(model, ExploreConfig(order, observe=lambda ids: batches.append(list(ids))))
     assert result.verdict is Verdict.VERIFIED

@@ -11,11 +11,11 @@ from collections import Counter
 import pytest
 
 from protocheck import cli
-from protocheck.barrier import (LEADER_FIRST, LEADER_LAST, RELEASE_ON_BARRIER_IN,
-                                BarrierConfig, BarrierProcessState, barrier_model)
+from protocheck.barrier import (LEADER_FIRST, RELEASE_ON_BARRIER_IN, BarrierConfig,
+                                BarrierProcessState, barrier_model)
 from protocheck.engine import ExploreConfig, Verdict
-from protocheck.ring import ORDERED, UNORDERED, RingConfig, ring_model
-from test_engine import explore_logged
+from protocheck.ring import UNORDERED, RingConfig, ring_model
+from test_engine import explore_logged, instances
 
 
 def reference_dot(result, edges) -> str:
@@ -35,20 +35,9 @@ def _run(model, order):
     return explore_logged(model, ExploreConfig(search_order=order))
 
 
-MODELS = (
-    [(f"barrier-{variant}-{n}", barrier_model(BarrierConfig(n=n, variant=variant)))
-     for variant in (LEADER_LAST, LEADER_FIRST) for n in range(1, 7)]
-    + [(f"barrier-{RELEASE_ON_BARRIER_IN}-{n}",
-        barrier_model(BarrierConfig(n=n, mutation=RELEASE_ON_BARRIER_IN)))
-       for n in range(1, 7)]
-    + [(f"ring-{variant}-{n}", ring_model(RingConfig(n=n, variant=variant)))
-       for variant in (ORDERED, UNORDERED) for n in range(1, 5)]
-)
-
-
 @pytest.mark.parametrize("order", ["bfs", "dfs"])
-@pytest.mark.parametrize("model", [m for _, m in MODELS], ids=[name for name, _ in MODELS])
-def test_export_matches_the_reference_writer(model, order, tmp_path):
+@pytest.mark.parametrize("cfg, model", instances(6, 4, mutations=True))
+def test_export_matches_the_reference_writer(cfg, model, order, tmp_path):
     result, log, edges = _run(model, order)
     path = tmp_path / "g.dot"
     cli.export_state_graph(result, log, path)

@@ -18,10 +18,9 @@ from collections import deque
 import pytest
 
 import oracle
-from protocheck.barrier import (LEADER_FIRST, LEADER_LAST, RELEASE_ON_BARRIER_IN,
-                                BarrierConfig, MessageKind as BarrierKind, barrier_model)
-from protocheck.ring import (ORDERED, UNORDERED, MessageKind as RingKind, RingConfig,
-                             RingStatus, ring_model)
+from protocheck.barrier import BarrierConfig, MessageKind as BarrierKind
+from protocheck.ring import ENTRY, ORDERED, MessageKind as RingKind, RingConfig, RingStatus
+from test_engine import instances
 
 
 def _head_is(proc, kind):
@@ -54,14 +53,14 @@ def barrier_reference(cfg):
 def ring_reference(cfg):
     def in_rank_order(s, pid):
         for i in range(pid):
-            if i != cfg.entry and s[i].status is not RingStatus.IN_RING:
+            if i != ENTRY and s[i].status is not RingStatus.IN_RING:
                 return False
         return True
 
     guards = {
         "begin_insert": lambda p, pid: p.status is RingStatus.OUTSIDE,
         "handle_req_insert":
-            lambda p, pid: pid == cfg.entry and _head_is(p, RingKind.REQ_INSERT),
+            lambda p, pid: pid == ENTRY and _head_is(p, RingKind.REQ_INSERT),
         "handle_new_rhs": lambda p, pid: _head_is(p, RingKind.NEW_RHS),
         "handle_insert_ack": lambda p, pid: (p.status is RingStatus.INSERTING
                                              and _head_is(p, RingKind.INSERT_ACK)),
@@ -70,7 +69,7 @@ def ring_reference(cfg):
 
     def invariant(s):
         return not any(m.kind is RingKind.REQ_INSERT
-                       for pid, p in enumerate(s) if pid != cfg.entry for m in p.queue)
+                       for pid, p in enumerate(s) if pid != ENTRY for m in p.queue)
 
     def postcondition(s):
         n = len(s)
@@ -91,27 +90,12 @@ def ring_reference(cfg):
     return guards, gates, invariant, postcondition
 
 
-def _configs():
-    for n in range(1, 6):
-        for variant in (LEADER_LAST, LEADER_FIRST):
-            for mutation in (None, RELEASE_ON_BARRIER_IN):
-                cfg = BarrierConfig(n=n, variant=variant, mutation=mutation)
-                yield f"barrier-{variant}-{mutation}-{n}", barrier_model, barrier_reference, cfg
-    for n in range(1, 5):
-        for variant in (ORDERED, UNORDERED):
-            for entry in sorted({0, min(1, n - 1), n - 1}):
-                cfg = RingConfig(n=n, variant=variant, entry=entry)
-                yield f"ring-{variant}-entry{entry}-{n}", ring_model, ring_reference, cfg
+REFERENCES = {BarrierConfig: barrier_reference, RingConfig: ring_reference}
 
 
-CASES = list(_configs())
-
-
-@pytest.mark.parametrize("build,reference,cfg", [case[1:] for case in CASES],
-                         ids=[case[0] for case in CASES])
-def test_guards_and_invariant_match_their_reference(build, reference, cfg):
-    model = build(cfg)
-    guards, gates, invariant, postcondition = reference(cfg)
+@pytest.mark.parametrize("cfg, model", instances(5, 4, mutations=True))
+def test_guards_and_invariant_match_their_reference(cfg, model):
+    guards, gates, invariant, postcondition = REFERENCES[type(cfg)](cfg)
     assert [rule.name for rule in model.rules] == list(guards)
     # only ring ordered's begin_insert reads other processes
     assert [rule.name for rule in model.rules if rule.gate is not None] == list(gates)

@@ -16,7 +16,6 @@ from protocheck.barrier import (
 )
 from protocheck.engine import ExploreConfig, ProtocolModel, TransitionRule, explore
 from protocheck.ring import (
-    ORDERED,
     UNORDERED,
     RingConfig,
     RingProcessState,
@@ -25,23 +24,11 @@ from protocheck.ring import (
     ring_model,
 )
 from protocheck.state import EmptyQueueError, memoized_apply
-from test_engine import explore_logged
+from test_engine import explore_logged, instances
 
 
-def _models():
-    for n in range(1, 6):
-        for variant in BarrierConfig.VARIANTS:
-            for mutation in (None, *BarrierConfig.MUTATIONS):
-                yield f"barrier-{variant}-{mutation}-{n}", barrier_model(
-                    BarrierConfig(n=n, variant=variant, mutation=mutation))
-        for variant in (ORDERED, UNORDERED):
-            for entry in range(n):
-                yield f"ring-{variant}-entry{entry}-{n}", ring_model(
-                    RingConfig(n=n, variant=variant, entry=entry))
-
-
-@pytest.mark.parametrize("label, model", list(_models()))
-def test_memoized_apply_agrees_with_the_uncached_step(label, model):
+@pytest.mark.parametrize("cfg, model", instances(5, 5, mutations=True))
+def test_memoized_apply_agrees_with_the_uncached_step(cfg, model):
     result, _, edges = explore_logged(model)
     states = result.states
     new_procs = {}
@@ -133,7 +120,7 @@ def test_ring_splice_to_an_unset_neighbor_is_out_of_range():
     (lambda: barrier_model(BarrierConfig(n=6)), "bfs"),
     (lambda: barrier_model(BarrierConfig(n=6, variant="leader_first")), "dfs"),
     (lambda: ring_model(RingConfig(n=4, variant=UNORDERED)), "bfs"),
-    (lambda: ring_model(RingConfig(n=4, variant=UNORDERED, entry=2)), "dfs"),
+    (lambda: ring_model(RingConfig(n=4, variant=UNORDERED)), "dfs"),
 ])
 def test_warm_memo_search_repeats_the_cold_one(build, search, tmp_path):
     model = build()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import oracle
 from protocheck.engine import explore, reconstruct_trace
 from protocheck.ring import (
+    ENTRY,
     ORDERED,
     RingConfig,
     MessageKind,
@@ -34,9 +36,9 @@ def sys_state(*procs):
     return procs
 
 
-def fire(rule, state, pid, **options):
-    """`rule` applied at `pid` in a model of `state`'s size built with `options`."""
-    return ring_model(RingConfig(n=len(state), **options)).rule_named(rule).apply(state, pid)
+def fire(rule, state, pid):
+    """`rule` applied at `pid` in a model of `state`'s size."""
+    return ring_model(RingConfig(n=len(state))).rule_named(rule).apply(state, pid)
 
 
 def test_config_validation():
@@ -44,19 +46,21 @@ def test_config_validation():
         RingConfig(n=0)
     with pytest.raises(ValueError):
         RingConfig(n=3, variant="diagonal")
-    with pytest.raises(ValueError):
-        RingConfig(n=3, entry=3)
     assert RingConfig.MUTATIONS == ()
     with pytest.raises(ValueError, match="unknown mutation"):
         RingConfig(n=3, mutation="release_on_barrier_in")
     assert RingConfig(n=4).capacity == 6
 
 
+def test_config_takes_no_entry():
+    # the entry is the constant ENTRY: asking for one fails loudly
+    with pytest.raises(TypeError, match="entry"):
+        RingConfig(n=3, entry=ENTRY)
+
+
 @pytest.mark.parametrize("options", [
     {"n": True},
     {"n": 3.0},
-    {"n": 3, "entry": 1.5},  # would be a float send target
-    {"n": 3, "entry": True},
     {"n": 3, "queue_capacity": True},
     {"n": 3, "queue_capacity": 2.0},
 ])
@@ -129,9 +133,20 @@ class TestBeginInsert:
 
     def test_marks_joiner_and_asks_the_entry(self):
         state = ring_initial_state(RingConfig(n=3))
-        out = fire("begin_insert", state, 1, entry=0)
+        out = fire("begin_insert", state, 1)
         assert out[1].status is INS
         assert out[0].queue == (req_insert(1),)
+
+
+@pytest.mark.parametrize("pid", range(4))
+def test_ordered_gate_waits_for_every_lower_rank_but_the_entry(pid):
+    # every status assignment of N=4: the gate reads only ranks strictly
+    # between the entry and `pid`
+    gate = ring_model(RingConfig(n=4, variant=ORDERED)).rule_named("begin_insert").gate
+    for statuses in itertools.product(RingStatus, repeat=4):
+        state = tuple(R(status) for status in statuses)
+        lower = [statuses[i] for i in range(pid) if i != ENTRY]
+        assert gate(state, pid) == all(status is RING for status in lower)
 
 
 class TestHandleReqInsert:
@@ -263,6 +278,14 @@ def test_join_requests_only_ever_at_the_entry():
             assert model.invariant(state)
 
 
+@pytest.mark.parametrize("pid", range(3))
+def test_invariant_refuses_a_join_request_queued_outside_the_entry(pid):
+    invariant = ring_model(RingConfig(n=3, variant=UNORDERED)).invariant
+    state = [R(RING, 0, 0), R(INS), R(INS)]
+    state[pid] = state[pid]._replace(queue=(new_rhs(1), req_insert(2)))
+    assert invariant(tuple(state)) is (pid == ENTRY)
+
+
 def test_acks_only_ever_at_inserting_processes():
     model = ring_model(RingConfig(n=4, variant=UNORDERED))
     for state in oracle.enumerate_reachable(model):
@@ -293,10 +316,3 @@ def test_status_monotone_along_traces():
         for before, after in zip(trace, trace[1:]):
             for p, q in zip(before.state, after.state):
                 assert rank[q.status] >= rank[p.status]
-
-
-def test_nonzero_entry_also_verifies():
-    result = explore(ring_model(RingConfig(n=3, variant=ORDERED, entry=1)))
-    assert result.verdict.value == "verified"
-    assert len(result.terminal_states) == 1
-    assert ring_postcondition(result.states[result.terminal_states[0]])
