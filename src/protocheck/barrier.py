@@ -14,10 +14,9 @@ The invariant: nobody is released until everyone has arrived. The
 postcondition at termination: everybody was released and nothing is pending.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from .engine import ModelConfig, ProtocolModel, TransitionRule
 from .state import (Message, MessageKindBase, Queue, State, memoized_apply, receive,
@@ -71,12 +70,9 @@ class BarrierProcessState(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
 class BarrierConfig(ModelConfig):
-    VARIANTS: ClassVar[tuple[str, ...]] = (LEADER_LAST, LEADER_FIRST)
-    MUTATIONS: ClassVar[tuple[str, ...]] = (RELEASE_ON_BARRIER_IN,)
-
-    variant: str = LEADER_LAST
+    VARIANTS = (LEADER_LAST, LEADER_FIRST)
+    MUTATIONS = (RELEASE_ON_BARRIER_IN,)
 
 
 def next_rank(pid: int, n: int) -> int:
@@ -85,7 +81,7 @@ def next_rank(pid: int, n: int) -> int:
 
 def barrier_initial_state(cfg: BarrierConfig) -> State:
     """All bits zero, all queues empty."""
-    return (BarrierProcessState(),) * cfg.n
+    return (BarrierProcessState(),) * cfg.size
 
 
 def client_request_enabled(proc: BarrierProcessState, pid: int) -> bool:
@@ -180,7 +176,7 @@ def barrier_postcondition(state: State) -> bool:
 
 def barrier_model(cfg: BarrierConfig) -> ProtocolModel:
     def local(rule, **options):
-        return memoized_apply(partial(rule, n=cfg.n, **options))
+        return memoized_apply(partial(rule, n=cfg.size, **options))
 
     release = cfg.mutation == RELEASE_ON_BARRIER_IN
     rules = (
@@ -193,7 +189,7 @@ def barrier_model(cfg: BarrierConfig) -> ProtocolModel:
                        local(rule_barrier_out, variant=cfg.variant)),
     )
     return ProtocolModel(
-        queue_capacity=cfg.capacity,
+        queue_capacity=cfg.queue_capacity,
         initial_state=barrier_initial_state(cfg),
         rules=rules,
         invariant=barrier_invariant,

@@ -51,8 +51,8 @@ _VERDICT_EXIT = {
 }
 
 # Every protocol the CLI knows: name -> (config class, model factory). A
-# config class is a `ModelConfig` subclass; its field defaults are the CLI
-# defaults, and the factory builds a `ProtocolModel` from one of its configs.
+# config class is a `ModelConfig` subclass, which resolves the CLI defaults,
+# and the factory builds a `ProtocolModel` from one of its configs.
 MODELS = {
     "barrier": (BarrierConfig, barrier_model),
     "ring": (RingConfig, ring_model),
@@ -79,12 +79,12 @@ class _Parser(argparse.ArgumentParser):
 def _json_field(name: str, value):
     if name == "queue":
         return [m.render() for m in value]
-    return value.value if isinstance(value, Enum) else value
+    return value.name.lower() if isinstance(value, Enum) else value
 
 
 def state_to_json(state: State) -> dict:
     """Structured rendering for the machine-readable trace: each process as
-    its fields, enums by value and the queue as rendered messages."""
+    its fields, enums by lower-case name and the queue as rendered messages."""
     return {"processes": [
         {name: _json_field(name, value) for name, value in proc._asdict().items()}
         for proc in state
@@ -166,20 +166,10 @@ def write_trace(path, steps: list[TraceStep], verdict: Verdict, header: dict) ->
 
 def encode_header(model_name: str, cfg: ModelConfig) -> dict:
     """`run`'s trace header for `cfg`: the model, then each config field not
-    None in field order, `n` as `size` and `queue_capacity` as the bound."""
-    header = {"model": model_name}
-    for f in fields(cfg):
-        value = cfg.capacity if f.name == "queue_capacity" else getattr(cfg, f.name)
-        if value is not None:
-            header["size" if f.name == "n" else f.name] = value
-    return header
-
-
-def decode_header(header: dict) -> tuple[str, dict]:
-    """(model, config options) from a trace header, `size` read as `n`.
-    Only `encode_header` of the config built from them checks the header."""
-    options = {k: v for k, v in header.items() if k not in ("model", "size")}
-    return header["model"], dict(options, n=header["size"])
+    None, in field order. Replay builds the config from the rest of a header
+    and accepts the header only if it is this one."""
+    values = ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+    return {"model": model_name, **{k: v for k, v in values if v is not None}}
 
 
 def _first_difference(recorded: dict, expected: dict) -> Optional[str]:
@@ -209,10 +199,18 @@ def _build_model(model_name: str, options: dict):
         raise UsageError(str(err))
     except (MemoryError, OverflowError):
         raise UsageError(f"out of memory for a {model_name} model of size "
-                         f"{reprlib.repr(options['n'])}")
+                         f"{reprlib.repr(options['size'])}")
 
 
 def _cmd_run(args) -> int:
+    twin = None if args.trace is None else args.trace + ".json"
+    seen: dict[str, str] = {}  # two outputs on one file would overwrite each other
+    for flag, path in (("--stats", args.stats), ("--trace", args.trace),
+                       ("--trace's .json twin", twin), ("--graph", args.graph)):
+        if path is not None:
+            other = seen.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise UsageError(f"{other} and {flag} both write {path}")
     edges = array("q")  # 64-bit ids hold any id a search can store
     search = {"search_order": args.search, "max_states": args.max_states,
               "max_seconds": args.max_seconds,
@@ -221,13 +219,13 @@ def _cmd_run(args) -> int:
         config = ExploreConfig(**{k: v for k, v in search.items() if v is not None})
     except ValueError as err:
         raise UsageError(str(err))
-    flags = {"n": args.size, "variant": args.variant,
-             "queue_capacity": args.queue_capacity, "mutation": args.mutation}
-    cfg, model = _build_model(args.model, {k: v for k, v in flags.items() if v is not None})
+    cfg, model = _build_model(args.model, {
+        "size": args.size, "variant": args.variant,
+        "queue_capacity": args.queue_capacity, "mutation": args.mutation})
     result = explore(model, config)
     st = result.stats
 
-    print(f"model={args.model} size={cfg.n} variant={cfg.variant} search={config.search_order}"
+    print(f"model={args.model} size={cfg.size} variant={cfg.variant} search={config.search_order}"
           + (f" mutation={args.mutation}" if args.mutation else ""))
     print(f"verdict: {result.verdict.value}")
     print(f"states stored: {st.states_stored}  states matched: {st.states_matched}  "
@@ -263,8 +261,8 @@ def _cmd_replay(args) -> int:
     try:
         steps, verdict = doc["steps"], doc["verdict"]
         header = {k: v for k, v in doc.items() if k not in ("steps", "verdict")}
-        model_name, options = decode_header(header)
-        cfg, model = _build_model(model_name, options)
+        model_name = header["model"]
+        cfg, model = _build_model(model_name, {k: v for k, v in header.items() if k != "model"})
     except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"malformed trace {args.trace}: {err}")
     key = _first_difference(header, encode_header(model_name, cfg))
@@ -337,7 +335,7 @@ def _build_parser() -> _Parser:
                      description="explicit-state checker for message-passing protocols")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = ", ".join(f"{name} {config_class.variant}"
+    defaults = ", ".join(f"{name} {config_class.VARIANTS[0]}"
                          for name, (config_class, _) in MODELS.items())
     run = sub.add_parser("run", help="explore a model and report the verdict")
     run.add_argument("--model", required=True, choices=list(MODELS))

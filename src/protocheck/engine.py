@@ -38,7 +38,7 @@ class TransitionRule:
     only be invoked where `enabled_at` holds; all three are pure and
     deterministic. A protocol's `apply` is a local step made state-level by
     `state.memoized_apply`. Guards run stored x rules x N times a search, so
-    bind config in closures and compare with module-level Enum aliases; on
+    they are plain functions that compare with module-level Enum aliases; on
     barrier, putting the most often false test first measured faster.
     """
 
@@ -54,36 +54,36 @@ class TransitionRule:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """The options every protocol takes, checked when built. A protocol's
-    config subclasses it: it sets `VARIANTS` and `MUTATIONS` (its seeded bugs),
-    defaults `variant`, and adds its own fields, with defaults, checked in a
-    `__post_init__` that calls this one. Field defaults are the CLI defaults."""
+    """The options every protocol takes, resolved and checked when built: an
+    unset `variant` is `VARIANTS[0]`, an unset `queue_capacity` `size + 2`.
+    Equal configs describe the same run; `dataclasses.replace(cfg, size=...)`
+    keeps `cfg`'s resolved queue bound. A protocol's config only sets
+    `VARIANTS`, the default first, and `MUTATIONS`, its seeded bugs."""
 
     VARIANTS: ClassVar[tuple[str, ...]] = ()
     MUTATIONS: ClassVar[tuple[str, ...]] = ()
 
-    n: int
-    variant: str
+    size: int
+    variant: Optional[str] = None
     queue_capacity: Optional[int] = None
     mutation: Optional[str] = None
 
     def __post_init__(self):
-        if type(self.n) is not int or type(self.capacity) is not int:
+        if self.variant is None and self.VARIANTS:
+            object.__setattr__(self, "variant", self.VARIANTS[0])
+        if self.queue_capacity is None and type(self.size) is int:
+            object.__setattr__(self, "queue_capacity", self.size + 2)
+        if type(self.size) is not int or type(self.queue_capacity) is not int:
             raise ValueError("process count and queue capacity must be ints")
-        if self.n < 1:
+        if self.size < 1:
             raise ValueError("process count must be at least 1")
         if self.variant not in self.VARIANTS:
             raise ValueError(f"unknown variant {reprlib.repr(self.variant)}; "
                              f"choose from {', '.join(self.VARIANTS)}")
-        if self.capacity < 1:
+        if self.queue_capacity < 1:
             raise ValueError("queue capacity must be positive")
         if self.mutation is not None and self.mutation not in self.MUTATIONS:
             raise ValueError(f"unknown mutation {reprlib.repr(self.mutation)}")
-
-    @property
-    def capacity(self) -> int:
-        """The bound on every process's input queue: N+2 unless set."""
-        return self.n + 2 if self.queue_capacity is None else self.queue_capacity
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,8 @@ The entry is fixed: pids are otherwise symmetric, so another entry would
 only relabel the processes and give the same verdict and counts.
 """
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from .engine import ModelConfig, ProtocolModel, TransitionRule
 from .state import (Message, MessageKindBase, Queue, State, memoized_apply, receive,
@@ -65,21 +64,16 @@ def new_rhs(neighbor: int) -> Message:
 class RingStatus(Enum):
     __hash__ = object.__hash__  # identity, as for MessageKindBase
 
-    OUTSIDE = "outside"
-    INSERTING = "inserting"
-    IN_RING = "in_ring"
+    # each value is the status's code in rendered text; JSON writes the name
+    OUTSIDE = "out"
+    INSERTING = "ins"
+    IN_RING = "ring"
 
 
 # Guards compare against module-level aliases (see `engine.TransitionRule`):
 # an Enum member lookup costs a dozen global lookups.
 _OUTSIDE, _IN_RING, _INSERTING = RingStatus.OUTSIDE, RingStatus.IN_RING, RingStatus.INSERTING
 _REQ, _RHS, _ACK = MessageKind.REQ_INSERT, MessageKind.NEW_RHS, MessageKind.INSERT_ACK
-
-_STATUS_CODE = {
-    RingStatus.OUTSIDE: "out",
-    RingStatus.INSERTING: "ins",
-    RingStatus.IN_RING: "ring",
-}
 
 
 def _render_neighbor(rank: int) -> str:
@@ -107,21 +101,18 @@ class RingProcessState(NamedTuple):
         """`(status,lhs/rhs,[queue])` with `-` for an unset neighbor, e.g.
         `(ins,-/-,[ack(0,0)])`."""
         return (
-            f"({_STATUS_CODE[self.status]},{_render_neighbor(self.lhs)}/"
+            f"({self.status.value},{_render_neighbor(self.lhs)}/"
             f"{_render_neighbor(self.rhs)},{render_queue(self.queue)})"
         )
 
 
-@dataclass(frozen=True)
 class RingConfig(ModelConfig):
-    VARIANTS: ClassVar[tuple[str, ...]] = (ORDERED, UNORDERED)
-
-    variant: str = ORDERED
+    VARIANTS = (ORDERED, UNORDERED)
 
 
 def ring_initial_state(cfg: RingConfig) -> State:
     """The entry process alone in the ring, self-looped; everyone else out."""
-    procs = [RingProcessState()] * cfg.n
+    procs = [RingProcessState()] * cfg.size
     procs[ENTRY] = RingProcessState(RingStatus.IN_RING, ENTRY, ENTRY)
     return tuple(procs)
 
@@ -225,7 +216,7 @@ def ring_model(cfg: RingConfig) -> ProtocolModel:
                        memoized_apply(rule_handle_insert_ack)),
     )
     return ProtocolModel(
-        queue_capacity=cfg.capacity,
+        queue_capacity=cfg.queue_capacity,
         initial_state=ring_initial_state(cfg),
         rules=rules,
         invariant=ring_invariant,

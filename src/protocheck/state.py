@@ -19,8 +19,8 @@ hold; `render()` serves trace, DOT and JSON text only and is never called
 during a search. `check(n)` raises ValueError for an ill-formed process in a
 system of `n` processes.
 
-A protocol's rule is a state-level guard plus a pure local step, which
-`memoized_apply` makes the rule's apply.
+A protocol's rule is a local guard, an optional gate on the whole state
+and a pure local step, which `memoized_apply` makes the rule's apply.
 """
 
 from enum import Enum

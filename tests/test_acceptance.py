@@ -56,7 +56,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_barrier_verification_at_scale():
     with gate("criterion 2: barrier verified for N=10, both variants"):
         for variant in (LEADER_LAST, LEADER_FIRST):
-            result = explore(barrier_model(BarrierConfig(n=10, variant=variant)))
+            result = explore(barrier_model(BarrierConfig(size=10, variant=variant)))
             assert result.verdict is Verdict.VERIFIED
             # verdict soundness, re-checked post hoc on every stored state
             for state in result.states:
@@ -72,14 +72,14 @@ def test_criterion_2_barrier_verification_at_scale():
 def test_criterion_3_ring_verification_and_topology_counts():
     with gate("criterion 3: ring verified (ordered N=7, unordered N=5), "
               "(N-1)! topologies"):
-        ordered = explore(ring_model(RingConfig(n=7, variant=ORDERED)))
+        ordered = explore(ring_model(RingConfig(size=7, variant=ORDERED)))
         assert ordered.verdict is Verdict.VERIFIED
         assert len(ordered.terminal_states) == 1
         assert ordered.stats.elapsed < TIME_BUDGET_S
         assert ordered.stats.peak_memory_estimate < MEMORY_BUDGET_BYTES
 
         for n in (2, 3, 4, 5):
-            result = explore(ring_model(RingConfig(n=n, variant=UNORDERED)))
+            result = explore(ring_model(RingConfig(size=n, variant=UNORDERED)))
             assert result.verdict is Verdict.VERIFIED
             assert len(result.terminal_states) == math.factorial(n - 1)
             got = {result.states[t] for t in result.terminal_states}
@@ -99,7 +99,7 @@ def test_criterion_4_counterexample_soundness(tmp_path):
         assert cli.main(["replay", str(machine)]) == 0
 
         steps = json.loads(machine.read_text())["steps"]
-        model = barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN))
+        model = barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN))
         assert len(steps) - 1 == oracle.min_violation_depth(model, 6) == 3
 
 
@@ -141,7 +141,7 @@ def test_criterion_6_accounting_and_search_order_invariance():
                     st.states_stored - result.initial_count + st.states_matched
             assert set(bfs.states) == set(dfs.states)
         # the identity also holds on runs cut short by violations
-        mutated = explore(barrier_model(BarrierConfig(n=3,
+        mutated = explore(barrier_model(BarrierConfig(size=3,
                                                       mutation=RELEASE_ON_BARRIER_IN)))
         st = mutated.stats
         assert st.transitions_fired == \

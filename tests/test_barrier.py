@@ -29,26 +29,28 @@ def sys_state(*procs):
 
 def fire(rule, s, pid, **options):
     """`rule` applied at `pid` in a model of `s`'s size built with `options`."""
-    return barrier_model(BarrierConfig(n=len(s), **options)).rule_named(rule).apply(s, pid)
+    return barrier_model(BarrierConfig(size=len(s), **options)).rule_named(rule).apply(s, pid)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        BarrierConfig(n=0)
+        BarrierConfig(size=0)
     with pytest.raises(ValueError):
-        BarrierConfig(n=3, variant="sideways")
+        BarrierConfig(size=3, variant="sideways")
     with pytest.raises(ValueError):
-        BarrierConfig(n=3, mutation="made_up")
-    assert BarrierConfig(n=3).capacity == 5
-    assert BarrierConfig(n=3, queue_capacity=1).capacity == 1
+        BarrierConfig(size=3, mutation="made_up")
+    with pytest.raises(ValueError, match="queue capacity must be positive"):
+        BarrierConfig(size=3, queue_capacity=0)
+    assert BarrierConfig(size=3) == BarrierConfig(size=3, variant="leader_last", queue_capacity=5)
+    assert BarrierConfig(size=3, queue_capacity=1).queue_capacity == 1
 
 
 @pytest.mark.parametrize("options", [
-    {"n": True},  # True == 1 would build a one-process model
-    {"n": 3.0},
-    {"n": "3"},
-    {"n": 3, "queue_capacity": True},
-    {"n": 3, "queue_capacity": 1.5},
+    {"size": True},  # True == 1 would build a one-process model
+    {"size": 3.0},
+    {"size": "3"},
+    {"size": 3, "queue_capacity": True},
+    {"size": 3, "queue_capacity": 1.5},
 ])
 def test_config_rejects_non_int_sizes(options):
     with pytest.raises(ValueError, match="must be ints"):
@@ -57,23 +59,23 @@ def test_config_rejects_non_int_sizes(options):
 
 class TestInitialState:
     def test_n3_all_zero(self):
-        s = barrier_initial_state(BarrierConfig(n=3))
+        s = barrier_initial_state(BarrierConfig(size=3))
         assert s == sys_state(B(), B(), B())
-        assert barrier_model(BarrierConfig(n=3)).queue_capacity == 5
+        assert barrier_model(BarrierConfig(size=3)).queue_capacity == 5
 
     def test_n1(self):
-        s = barrier_initial_state(BarrierConfig(n=1))
+        s = barrier_initial_state(BarrierConfig(size=1))
         assert s == (B(),)
 
     def test_encoding_deterministic_across_builds(self):
-        a = barrier_initial_state(BarrierConfig(n=5))
-        b = barrier_initial_state(BarrierConfig(n=5))
+        a = barrier_initial_state(BarrierConfig(size=5))
+        b = barrier_initial_state(BarrierConfig(size=5))
         assert a == b
 
 
 class TestClientRequest:
     def test_leader_emits_token(self):
-        s = barrier_initial_state(BarrierConfig(n=3))
+        s = barrier_initial_state(BarrierConfig(size=3))
         out = fire("client_request", s, 0)
         assert out[0] == B(1, 0, 0)
         assert out[1].queue == (BARRIER_IN,)
@@ -86,18 +88,18 @@ class TestClientRequest:
         assert out[2].queue == (BARRIER_IN,)
 
     def test_nonholder_just_sets_the_bit(self):
-        s = barrier_initial_state(BarrierConfig(n=3))
+        s = barrier_initial_state(BarrierConfig(size=3))
         out = fire("client_request", s, 2)
         assert out[2] == B(1, 0, 0)
         assert all(p.queue == () for p in out)
 
     def test_singleton_leader_sends_to_itself(self):
-        s = barrier_initial_state(BarrierConfig(n=1))
+        s = barrier_initial_state(BarrierConfig(size=1))
         out = fire("client_request", s, 0)
         assert out[0] == B(1, 0, 0, [BARRIER_IN])
 
     def test_guard_is_handled_exactly_once(self):
-        s = barrier_initial_state(BarrierConfig(n=2))
+        s = barrier_initial_state(BarrierConfig(size=2))
         assert client_request_enabled(s[0], 0)
         assert not client_request_enabled(fire("client_request", s, 0)[0], 0)
 
@@ -173,13 +175,13 @@ class TestBarrierOut:
 
 class TestInvariant:
     def test_initial_state_trivially_holds(self):
-        assert barrier_invariant(barrier_initial_state(BarrierConfig(n=3)))
+        assert barrier_invariant(barrier_initial_state(BarrierConfig(size=3)))
 
     def test_release_before_everyone_arrived_violates(self):
         assert not barrier_invariant(sys_state(B(1, 1, 0), B(0, 0, 0)))
 
     def test_holds_on_every_reachable_state(self):
-        for state in oracle.enumerate_reachable(barrier_model(BarrierConfig(n=3))):
+        for state in oracle.enumerate_reachable(barrier_model(BarrierConfig(size=3))):
             assert barrier_invariant(state)
 
 
@@ -193,7 +195,7 @@ class TestPostcondition:
         )
 
     def test_terminals_of_leader_first_n5(self):
-        result = explore(barrier_model(BarrierConfig(n=5, variant=LEADER_FIRST)))
+        result = explore(barrier_model(BarrierConfig(size=5, variant=LEADER_FIRST)))
         assert result.terminal_states
         for tid in result.terminal_states:
             assert barrier_postcondition(result.states[tid])
@@ -202,7 +204,7 @@ class TestPostcondition:
 @pytest.mark.parametrize("variant", [LEADER_LAST, LEADER_FIRST])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_unique_all_released_terminal(n, variant):
-    result = explore(barrier_model(BarrierConfig(n=n, variant=variant)))
+    result = explore(barrier_model(BarrierConfig(size=n, variant=variant)))
     assert result.verdict.value == "verified"
     assert len(result.terminal_states) == 1
     terminal = result.states[result.terminal_states[0]]
@@ -213,7 +215,7 @@ def test_unique_all_released_terminal(n, variant):
 def test_single_token_circulates(variant):
     # at most one collect token exists, counting the not-yet-emitted phase;
     # at most one release token ever exists
-    model = barrier_model(BarrierConfig(n=3, variant=variant))
+    model = barrier_model(BarrierConfig(size=3, variant=variant))
     for state in oracle.enumerate_reachable(model):
         queued = [m for p in state for m in p.queue]
         n_in = sum(m == BARRIER_IN for m in queued)
@@ -225,7 +227,7 @@ def test_single_token_circulates(variant):
 
 
 def test_client_bits_monotone_along_traces():
-    result = explore(barrier_model(BarrierConfig(n=3)))
+    result = explore(barrier_model(BarrierConfig(size=3)))
     for sid in range(len(result.states)):
         trace = reconstruct_trace(result, sid)
         for before, after in zip(trace, trace[1:]):
@@ -235,14 +237,14 @@ def test_client_bits_monotone_along_traces():
 
 
 def test_leader_last_really_is_last():
-    model = barrier_model(BarrierConfig(n=4, variant=LEADER_LAST))
+    model = barrier_model(BarrierConfig(size=4, variant=LEADER_LAST))
     for state in oracle.enumerate_reachable(model):
         if state[0].client_barrier_out:
             assert all(p.client_barrier_out for p in state)
 
 
 def test_mutated_model_breaks_the_invariant():
-    model = barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN))
+    model = barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN))
     result = explore(model)
     assert result.verdict.value == "invariant_violated"
     assert result.witness is not None

@@ -42,10 +42,10 @@ def _counted(fn, calls, key):
 
 
 @pytest.mark.parametrize("model", [
-    barrier_model(BarrierConfig(n=6, variant=LEADER_LAST)),
-    barrier_model(BarrierConfig(n=6, variant=LEADER_FIRST)),
-    ring_model(RingConfig(n=4, variant=ORDERED)),
-    ring_model(RingConfig(n=4, variant=UNORDERED)),
+    barrier_model(BarrierConfig(size=6, variant=LEADER_LAST)),
+    barrier_model(BarrierConfig(size=6, variant=LEADER_FIRST)),
+    ring_model(RingConfig(size=4, variant=ORDERED)),
+    ring_model(RingConfig(size=4, variant=UNORDERED)),
 ], ids=["barrier-leader_last-6", "barrier-leader_first-6", "ring-ordered-4",
         "ring-unordered-4"])
 def test_call_counts_are_fixed_by_the_search(model, monkeypatch):
@@ -81,7 +81,7 @@ def test_call_counts_are_fixed_by_the_search(model, monkeypatch):
 
 
 def test_each_process_object_is_checked_once_per_search(monkeypatch):
-    model = barrier_model(BarrierConfig(n=8))
+    model = barrier_model(BarrierConfig(size=8))
     checked = []  # holding each object keeps its id from being reused
     real_check = BarrierProcessState.check
 
@@ -188,7 +188,7 @@ def test_a_new_process_among_passed_ones_is_caught_at_its_pid(k, new, error, mat
 def test_the_memo_does_not_outlive_its_search():
     # the rules' memos hand the second search the very process objects the
     # first one checked at a larger capacity; the bound must still hold
-    model = ring_model(RingConfig(n=3, variant=UNORDERED))
+    model = ring_model(RingConfig(size=3, variant=UNORDERED))
     assert explore(model).verdict is Verdict.VERIFIED
     tight = replace(model, queue_capacity=1)
     assert explore(tight).verdict is Verdict.QUEUE_OVERFLOW
@@ -196,14 +196,14 @@ def test_the_memo_does_not_outlive_its_search():
 
 
 @pytest.mark.parametrize("model,config,verdict", [
-    (barrier_model(BarrierConfig(n=3)), ExploreConfig(), Verdict.VERIFIED),
-    (barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN)), ExploreConfig(),
+    (barrier_model(BarrierConfig(size=3)), ExploreConfig(), Verdict.VERIFIED),
+    (barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN)), ExploreConfig(),
      Verdict.INVARIANT_VIOLATED),
-    (replace(barrier_model(BarrierConfig(n=2)), terminal_postcondition=lambda s: False),
+    (replace(barrier_model(BarrierConfig(size=2)), terminal_postcondition=lambda s: False),
      ExploreConfig(search_order="dfs"), Verdict.POSTCONDITION_VIOLATED),
-    (ring_model(RingConfig(n=3, variant=UNORDERED, queue_capacity=1)), ExploreConfig(),
+    (ring_model(RingConfig(size=3, variant=UNORDERED, queue_capacity=1)), ExploreConfig(),
      Verdict.QUEUE_OVERFLOW),
-    (barrier_model(BarrierConfig(n=4)), ExploreConfig(max_states=10), Verdict.LIMIT_EXCEEDED),
+    (barrier_model(BarrierConfig(size=4)), ExploreConfig(max_states=10), Verdict.LIMIT_EXCEEDED),
 ], ids=["verified", "invariant", "postcondition", "overflow", "state-limit"])
 def test_fired_count_matches_the_edge_log_on_every_exit(model, config, verdict):
     # the search counts only matches; it derives fired = stored - 1 + matched

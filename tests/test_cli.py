@@ -4,9 +4,9 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import pytest
 
@@ -163,7 +163,7 @@ class TestRun:
         assert run_cli("run", "--model", "ring", "--size", "2",
                        "--variant", "ordered", "--graph", str(graph)) == 0
         text = graph.read_text()
-        expected = explore(ring_model(RingConfig(n=2, variant="ordered")))
+        expected = explore(ring_model(RingConfig(size=2, variant="ordered")))
         assert len(NODE_RE.findall(text)) == expected.stats.states_stored == 6
         assert len(EDGE_RE.findall(text)) == expected.stats.transitions_fired == 6
 
@@ -253,6 +253,28 @@ class TestUsageErrors:
         assert run_cli("run", "--model", "barrier", "--size", "2",
                        "--max-seconds", "nan") == 3
         assert "limits must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("capacity", ["0", "-1"])
+    def test_nonpositive_queue_capacity(self, capacity, capsys):
+        # refused by the config, before a search's checker would raise it
+        assert run_cli("run", "--model", "barrier", "--size", "3",
+                       "--queue-capacity", capacity) == 3
+        assert "queue capacity must be positive" in capsys.readouterr().err
+
+    # Outputs are written one after another, so two on one file would leave
+    # only the last; the run is refused before anything is written.
+    @pytest.mark.parametrize("outputs, flags", [
+        (["--trace", "s.txt", "--graph", "s.txt"], "--trace and --graph"),
+        (["--trace", "s2.txt", "--stats", "s2.txt.json"], "--stats and --trace's .json twin"),
+        (["--stats", "x", "--graph", "./x"], "--stats and --graph"),
+    ], ids=["trace-graph", "stats-trace-twin", "one-file-two-spellings"])
+    def test_outputs_sharing_a_file_are_a_usage_error(self, outputs, flags, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "--model", "barrier", "--size", "3",
+                       "--mutation", "release_on_barrier_in", *outputs) == 3
+        assert f"{flags} both write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("option, path", [
         ("--stats", "/nonexistent-dir/stats.tsv"),
@@ -377,6 +399,25 @@ class TestReplay:
         assert run_cli("replay", str(path)) == 1
         assert "replay mismatch at step 2" in capsys.readouterr().out
 
+    def test_failing_successor_of_the_last_state_is_a_mismatch(
+            self, tmp_path, monkeypatch, capsys):
+        path = self._overflow_trace(tmp_path)
+
+        def fail(state, pid):
+            raise ValueError("no successor here")
+
+        def build(cfg):
+            # no step names `fail`; put first, the probe search fires it
+            # before any move that overflows
+            model = ring_model(cfg)
+            rule = TransitionRule("fail", lambda proc, pid: True, fail)
+            return replace(model, rules=(rule,) + model.rules)
+
+        monkeypatch.setitem(cli.MODELS, "ring", (RingConfig, build))
+        assert run_cli("replay", str(path)) == 1
+        assert ("replay mismatch: a successor of the last state fails: no successor here"
+                in capsys.readouterr().out)
+
     def test_ill_formed_step_is_a_mismatch(self, tmp_path, monkeypatch, capsys):
         path = self._violation_trace(tmp_path)
 
@@ -416,7 +457,7 @@ class TestReplay:
         ("_overflow_trace", lambda doc: doc.update(queue_capacity=True), 3, "must be ints"),
         ("_violation_trace", lambda doc: doc.update(entry=0), 3,
          "the barrier model takes no 'entry'"),
-        ("_violation_trace", lambda doc: doc.update(n=3), 3, "header key 'n'"),
+        ("_violation_trace", lambda doc: doc.update(n=3), 3, "the barrier model takes no 'n'"),
         ("_violation_trace", lambda doc: doc.pop("size"), 3, "'size'"),
         ("_violation_trace", lambda doc: doc.pop("variant"), 3, "header key 'variant'"),
         ("_violation_trace", lambda doc: doc.pop("queue_capacity"), 3,
@@ -425,7 +466,7 @@ class TestReplay:
         ("_overflow_trace", lambda doc: doc.update(entry=0), 3,
          "the ring model takes no 'entry'"),
         # a null never means "the default"
-        ("_violation_trace", lambda doc: doc.update(variant=None), 3, "unknown variant None"),
+        ("_violation_trace", lambda doc: doc.update(variant=None), 3, "header key 'variant'"),
         ("_violation_trace", lambda doc: doc.update(queue_capacity=None), 3,
          "header key 'queue_capacity'"),
         ("_violation_trace", lambda doc: doc.update(mutation=None), 3,
@@ -459,8 +500,8 @@ class TestReplay:
         assert len(captured.out) + len(captured.err) < 1024
 
     @pytest.mark.parametrize("trace, cfg", [
-        ("_violation_trace", BarrierConfig(n=3, mutation="release_on_barrier_in")),
-        ("_overflow_trace", RingConfig(n=3, variant="unordered", queue_capacity=1)),
+        ("_violation_trace", BarrierConfig(size=3, mutation="release_on_barrier_in")),
+        ("_overflow_trace", RingConfig(size=3, variant="unordered", queue_capacity=1)),
     ])
     def test_run_writes_the_encoded_header(self, tmp_path, trace, cfg):
         doc = json.loads(getattr(self, trace)(tmp_path).read_text())
@@ -488,7 +529,7 @@ class TestReplay:
         def build(cfg):
             # bools: equal to the recorded zeros, but not the ints the defaults pin
             model = barrier_model(cfg)
-            initial = (BarrierProcessState(False, False, False),) * cfg.n
+            initial = (BarrierProcessState(False, False, False),) * cfg.size
             return replace(model, initial_state=initial)
 
         monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
@@ -546,9 +587,9 @@ def test_rules_sharing_a_name_are_a_usage_error(monkeypatch, capsys):
 
 
 def test_render_state_is_compact():
-    state = barrier_model(BarrierConfig(n=2)).initial_state
+    state = barrier_model(BarrierConfig(size=2)).initial_state
     assert cli.render_state(state) == "(0,0,0,[]) (0,0,0,[])"
-    ring = ring_model(RingConfig(n=2)).initial_state
+    ring = ring_model(RingConfig(size=2)).initial_state
     assert cli.render_state(ring) == "(ring,0/0,[]) (out,-/-,[])"
 
 
@@ -568,23 +609,20 @@ class _ToyProcess(NamedTuple):
             raise ValueError("sent is a bit")
 
 
-@dataclass(frozen=True)
 class _ToyConfig(ModelConfig):
-    VARIANTS: ClassVar[tuple[str, ...]] = ("plain",)
-
-    variant: str = "plain"
+    VARIANTS = ("plain",)
 
 
 def _toy_model(cfg):
     def send(proc, pid):
-        return proc._replace(sent=1), (((pid + 1) % cfg.n, Message(_Toy.TICK)),)
+        return proc._replace(sent=1), (((pid + 1) % cfg.size, Message(_Toy.TICK)),)
 
     def consume(proc, pid):
         return proc._replace(queue=receive(proc, pid)[1]), ()
 
-    initial = (_ToyProcess(),) * cfg.n
+    initial = (_ToyProcess(),) * cfg.size
     return ProtocolModel(
-        queue_capacity=cfg.capacity, initial_state=initial,
+        queue_capacity=cfg.queue_capacity, initial_state=initial,
         rules=(TransitionRule("send", lambda proc, pid: not proc.sent, memoized_apply(send)),
                TransitionRule("receive", lambda proc, pid: bool(proc.queue),
                               memoized_apply(consume))),
@@ -598,30 +636,38 @@ def _toy_model(cfg):
 def test_every_registered_config_is_a_model_config(name):
     config_class, _ = cli.MODELS[name]
     assert issubclass(config_class, ModelConfig)
-    assert config_class.variant in config_class.VARIANTS
-    assert config_class(n=3).capacity == 5  # N+2 by default
-    assert config_class(n=3, queue_capacity=1).capacity == 1
+    assert [f.name for f in fields(config_class)] == [f.name for f in fields(ModelConfig)] == [
+        "size", "variant", "queue_capacity", "mutation"]
+    # defaults are resolved when built: the first variant and a bound of N+2
+    assert config_class(size=3) == config_class(
+        size=3, variant=config_class.VARIANTS[0], queue_capacity=5)
+    assert config_class(size=3, queue_capacity=1).queue_capacity == 1
+    # an explicit bound, as every built config has, survives a new size
+    assert replace(config_class(size=3), size=4).queue_capacity == 5
+
+
+def test_a_config_class_without_variants_is_refused():
+    # `ModelConfig` declares none: there is no default to resolve to
+    with pytest.raises(ValueError, match="unknown variant None"):
+        ModelConfig(size=3)
 
 
 # Each registered config at its defaults, then with every field set: a
 # variant other than the default, an explicit capacity and barrier's mutation.
 _HEADER_CONFIGS = [
-    *[(name, config_class(n=3)) for name, (config_class, _) in sorted(cli.MODELS.items())],
-    ("barrier", BarrierConfig(n=3, variant="leader_first", queue_capacity=1,
+    *[(name, config_class(size=3)) for name, (config_class, _) in sorted(cli.MODELS.items())],
+    ("barrier", BarrierConfig(size=3, variant="leader_first", queue_capacity=1,
                               mutation="release_on_barrier_in")),
-    ("ring", RingConfig(n=3, variant="unordered", queue_capacity=1)),
+    ("ring", RingConfig(size=3, variant="unordered", queue_capacity=1)),
 ]
 
 
 @pytest.mark.parametrize("name, cfg", _HEADER_CONFIGS)
-def test_trace_header_decodes_to_the_config_it_encodes(name, cfg):
-    header = json.loads(json.dumps(cli.encode_header(name, cfg)))
-    decoded_name, options = cli.decode_header(header)
-    decoded = cli.MODELS[name][0](**options)
-    assert decoded_name == name
-    # the header records the queue bound, not whether it was the default
-    assert decoded == replace(cfg, queue_capacity=cfg.capacity)
-    assert cli.encode_header(name, decoded) == header
+def test_trace_header_builds_the_config_it_encodes(name, cfg):
+    options = json.loads(json.dumps(cli.encode_header(name, cfg)))
+    assert options.pop("model") == name
+    assert list(options) == [f.name for f in fields(cfg) if getattr(cfg, f.name) is not None]
+    assert cli.MODELS[name][0](**options) == cfg
 
 
 def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys):
@@ -642,7 +688,7 @@ def _toy_without_invariant(cfg):
 def test_a_registered_step_protocol_agrees_with_the_oracle(tmp_path, monkeypatch, capsys,
                                                           n, count):
     # the toy's rules are local steps, so the oracle applies them itself
-    model = _toy_without_invariant(_ToyConfig(n=n))
+    model = _toy_without_invariant(_ToyConfig(size=n))
     reachable = oracle.enumerate_reachable(model)
     snapshots = {oracle.snapshot(s) for s in reachable}
     assert len(snapshots) == count
@@ -678,7 +724,7 @@ def test_a_registered_protocol_gets_its_field_types_checked(monkeypatch, send):
     monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, build))
     config_class, factory = cli.MODELS["toy"]
     with pytest.raises(ValueError, match="process 0: sent must be of type int, got True"):
-        explore(factory(config_class(n=2)))
+        explore(factory(config_class(size=2)))
 
 
 def _never_postcondition(build):
@@ -721,7 +767,7 @@ def test_replay_confirms_verdicts_as_the_oracle_does(tmp_path, monkeypatch, caps
         doc = json.loads(Path(f"{trace}.json").read_text())
         config_class, build = cli.MODELS[name]
         options = {"mutation": doc["mutation"]} if "mutation" in doc else {}
-        model = build(config_class(n=n, variant=variant,
+        model = build(config_class(size=n, variant=variant,
                                    queue_capacity=doc["queue_capacity"], **options))
         state = model.initial_state
         for k, step in enumerate(doc["steps"]):

@@ -46,7 +46,7 @@ def instances(barrier_n, ring_n, mutations=False):
         for n in range(1, largest + 1):
             for variant in config_class.VARIANTS:
                 for mutation in (None, *config_class.MUTATIONS) if mutations else (None,):
-                    cfg = config_class(n=n, variant=variant, mutation=mutation)
+                    cfg = config_class(size=n, variant=variant, mutation=mutation)
                     label = f"{name}-{variant}-{mutation}-{n}"
                     cases.append(pytest.param(cfg, build(cfg), id=label))
     return cases
@@ -61,7 +61,7 @@ class TestExplore:
     def test_barrier_n1_hand_simulated(self):
         # initial; after the request and self-send; after the token is
         # consumed and the release self-sent; after the release: 4 states
-        result = explore(barrier_model(BarrierConfig(n=1)))
+        result = explore(barrier_model(BarrierConfig(size=1)))
         assert result.verdict is Verdict.VERIFIED
         assert result.stats.states_stored == 4
         assert result.stats.states_matched == 0
@@ -69,14 +69,14 @@ class TestExplore:
         assert result.terminal_states == [3]
 
     def test_barrier_n3_matches_enumerator(self):
-        model = barrier_model(BarrierConfig(n=3))
+        model = barrier_model(BarrierConfig(size=3))
         result = explore(model)
         enumerated = oracle.enumerate_reachable(model)
         assert result.stats.states_stored == len(enumerated) == 18
         assert set(result.states) == set(enumerated)
 
     def test_seeded_bug_found_at_minimal_depth(self):
-        model = barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN))
+        model = barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN))
         result = explore(model)
         assert result.verdict is Verdict.INVARIANT_VIOLATED
         assert result.witness is not None
@@ -85,7 +85,7 @@ class TestExplore:
         assert len(path) - 1 == oracle.min_violation_depth(model, 6) == 3
 
     def test_queue_overflow_is_a_verdict(self):
-        model = ring_model(RingConfig(n=3, variant=UNORDERED, queue_capacity=1))
+        model = ring_model(RingConfig(size=3, variant=UNORDERED, queue_capacity=1))
         result = explore(model)
         assert result.verdict is Verdict.QUEUE_OVERFLOW
         assert result.witness is not None
@@ -95,7 +95,7 @@ class TestExplore:
     def test_queue_overflow_precedes_the_state_limit(self, search_order, witness):
         # the successor over the bound would be the fourth state stored; the
         # overflow is still reported, from the same source state as unlimited
-        model = ring_model(RingConfig(n=3, variant=UNORDERED, queue_capacity=1))
+        model = ring_model(RingConfig(size=3, variant=UNORDERED, queue_capacity=1))
         unlimited = explore(model, ExploreConfig(search_order=search_order))
         limited = explore(model, ExploreConfig(search_order=search_order, max_states=3))
         for result in (unlimited, limited):
@@ -104,21 +104,21 @@ class TestExplore:
             assert result.stats.states_stored == 3
 
     def test_state_limit(self):
-        result = explore(barrier_model(BarrierConfig(n=3)),
+        result = explore(barrier_model(BarrierConfig(size=3)),
                          ExploreConfig(max_states=5))
         assert result.verdict is Verdict.LIMIT_EXCEEDED
         assert result.stats.states_stored == 5
         check_accounting(result)
 
     def test_time_limit(self):
-        result = explore(barrier_model(BarrierConfig(n=3)),
+        result = explore(barrier_model(BarrierConfig(size=3)),
                          ExploreConfig(max_seconds=1e-9))
         assert result.verdict is Verdict.LIMIT_EXCEEDED
         # stopped at the first pop, with the initial state in the frontier
         assert (result.stats.max_frontier, result.stats.states_stored) == (1, 1)
 
     def test_config_validation(self):
-        model = barrier_model(BarrierConfig(n=1))
+        model = barrier_model(BarrierConfig(size=1))
         with pytest.raises(ValueError):
             explore(model, ExploreConfig(search_order="sideways"))
         with pytest.raises(ValueError):
@@ -160,7 +160,7 @@ class TestExplore:
     def test_rule_that_swaps_in_another_process_type_aborts_the_run(self):
         # pid 1 is the initial state's own, already passed object; only the
         # type pinned from the initial state catches the new pid 0
-        model = barrier_model(BarrierConfig(n=2))
+        model = barrier_model(BarrierConfig(size=2))
         swap = dataclasses.replace(model, rules=(TransitionRule(
             "swap", lambda proc, pid: pid == 0 and type(proc) is BarrierProcessState,
             lambda s, pid: (RingProcessState(),) + s[1:]),))
@@ -168,7 +168,7 @@ class TestExplore:
             explore(swap)
 
     def test_rule_that_drops_a_process_aborts_the_run(self):
-        model = barrier_model(BarrierConfig(n=2))
+        model = barrier_model(BarrierConfig(size=2))
         shrink = dataclasses.replace(model, rules=(TransitionRule(
             "shrink", lambda proc, pid: pid == 0, lambda s, pid: s[:1]),))
         with pytest.raises(ValueError, match="process count"):
@@ -188,7 +188,7 @@ class TestExplore:
             explore(broken)
 
     def test_postcondition_violation_reported_at_terminal(self):
-        model = barrier_model(BarrierConfig(n=2))
+        model = barrier_model(BarrierConfig(size=2))
         strict = dataclasses.replace(model, terminal_postcondition=lambda s: False)
         result = explore(strict)
         assert result.verdict is Verdict.POSTCONDITION_VIOLATED
@@ -198,7 +198,7 @@ class TestExplore:
     def test_postcondition_violation_survives_a_later_limit(self):
         # DFS pops a terminal early; the state limit is hit before the
         # frontier empties, and the violation found first is still reported
-        model = ring_model(RingConfig(n=4, variant=UNORDERED))
+        model = ring_model(RingConfig(size=4, variant=UNORDERED))
         strict = dataclasses.replace(model, terminal_postcondition=lambda s: False)
         result = explore(strict, ExploreConfig(search_order="dfs", max_states=28))
         assert result.verdict is Verdict.POSTCONDITION_VIOLATED
@@ -208,7 +208,7 @@ class TestExplore:
         # a rule that releases a client which never asked builds a state
         # the barrier process's check() rejects
         release = memoized_apply(lambda proc, pid: (proc._replace(client_barrier_out=1), ()))
-        model = barrier_model(BarrierConfig(n=2))
+        model = barrier_model(BarrierConfig(size=2))
         broken = dataclasses.replace(model, rules=(TransitionRule(
             "release", lambda proc, pid: not proc.client_barrier_out, release),))
         with pytest.raises(ValueError):
@@ -217,7 +217,7 @@ class TestExplore:
     def test_out_of_range_neighbor_aborts_the_run(self):
         # a joiner that links itself to a process one past the last of two
         overshoot = memoized_apply(lambda proc, pid: (proc._replace(lhs=2), ()))
-        model = ring_model(RingConfig(n=2))
+        model = ring_model(RingConfig(size=2))
         broken = dataclasses.replace(model, rules=(TransitionRule(
             "overshoot", lambda proc, pid: proc.lhs != 2, overshoot),))
         with pytest.raises(ValueError, match=r"ints in \[0, 2\) or unset, got 2"):
@@ -256,8 +256,8 @@ class TestSearchProperties:
 
 
 @pytest.mark.parametrize("model", [
-    barrier_model(BarrierConfig(n=4)),
-    ring_model(RingConfig(n=4, variant=UNORDERED)),
+    barrier_model(BarrierConfig(size=4)),
+    ring_model(RingConfig(size=4, variant=UNORDERED)),
 ])
 def test_search_never_renders(model, monkeypatch):
     # the visited key is the state itself; rendering is for output only
@@ -272,8 +272,8 @@ def test_search_never_renders(model, monkeypatch):
 
 
 @pytest.mark.parametrize("model", [
-    barrier_model(BarrierConfig(n=4)),
-    ring_model(RingConfig(n=4, variant=UNORDERED)),
+    barrier_model(BarrierConfig(size=4)),
+    ring_model(RingConfig(size=4, variant=UNORDERED)),
 ])
 def test_search_never_calls_replace(model, monkeypatch):
     # rules and state edits build each process with its constructor or
@@ -291,11 +291,11 @@ def test_search_never_calls_replace(model, monkeypatch):
 # The benchmark's workloads (perfbench/workloads.json), pinned here so that a
 # count drift fails the tests without running the benchmark.
 @pytest.mark.parametrize("model,search_order,counts", [
-    (barrier_model(BarrierConfig(n=12, variant=LEADER_LAST)), "bfs",
+    (barrier_model(BarrierConfig(size=12, variant=LEADER_LAST)), "bfs",
      (8203, 40962, 49164, 1, 1579)),
-    (ring_model(RingConfig(n=5, variant=UNORDERED)), "bfs",
+    (ring_model(RingConfig(size=5, variant=UNORDERED)), "bfs",
      (6489, 12268, 18756, 24, 899)),
-    (barrier_model(BarrierConfig(n=12, variant=LEADER_FIRST)), "dfs",
+    (barrier_model(BarrierConfig(size=12, variant=LEADER_FIRST)), "dfs",
      (8203, 40962, 49164, 1, 67)),
 ], ids=["barrier-n12", "ring-unordered-n5", "barrier-n12-leader-first-dfs"])
 def test_benchmark_workload_counts(model, search_order, counts):
@@ -307,8 +307,8 @@ def test_benchmark_workload_counts(model, search_order, counts):
 
 
 @pytest.mark.parametrize("model", [
-    barrier_model(BarrierConfig(n=3)),
-    ring_model(RingConfig(n=3, variant=UNORDERED)),
+    barrier_model(BarrierConfig(size=3)),
+    ring_model(RingConfig(size=3, variant=UNORDERED)),
 ])
 def test_bfs_depths_are_shortest_paths(model):
     result = explore(model)
@@ -319,12 +319,12 @@ def test_bfs_depths_are_shortest_paths(model):
 
 
 def test_accounting_holds_on_violation_runs():
-    model = barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN))
+    model = barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN))
     check_accounting(explore(model))
 
 
 def test_stats_deterministic_across_runs():
-    model = ring_model(RingConfig(n=4, variant=UNORDERED))
+    model = ring_model(RingConfig(size=4, variant=UNORDERED))
     a = explore(model).stats
     b = explore(model).stats
     assert dataclasses.replace(a, elapsed=0.0) == dataclasses.replace(b, elapsed=0.0)
@@ -333,14 +333,14 @@ def test_stats_deterministic_across_runs():
 
 class TestTrace:
     def test_initial_state_gives_single_step(self):
-        result = explore(barrier_model(BarrierConfig(n=2)))
+        result = explore(barrier_model(BarrierConfig(size=2)))
         trace = reconstruct_trace(result, 0)
         assert len(trace) == 1
         assert trace[0].rule is None and trace[0].pid is None
         assert trace[0].state == result.states[0]
 
     def test_every_trace_replays_exactly(self):
-        model = barrier_model(BarrierConfig(n=3))
+        model = barrier_model(BarrierConfig(size=3))
         result = explore(model)
         for sid in range(len(result.states)):
             trace = reconstruct_trace(result, sid)
@@ -356,7 +356,7 @@ class TestTrace:
     def test_violation_trace_ends_in_the_violation(self):
         # n=3 is the smallest size where the seeded bug bites: at n=2 the
         # forwarding non-leader is always the last client to arrive anyway
-        model = barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN))
+        model = barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN))
         result = explore(model)
         assert result.verdict is Verdict.INVARIANT_VIOLATED
         trace = reconstruct_trace(result, result.witness)
@@ -365,16 +365,16 @@ class TestTrace:
             assert model.invariant(step.state)
 
     def test_unknown_state_id_rejected(self):
-        result = explore(barrier_model(BarrierConfig(n=1)))
+        result = explore(barrier_model(BarrierConfig(size=1)))
         with pytest.raises(KeyError):
             reconstruct_trace(result, 99)
 
 
 @pytest.mark.parametrize("model", [
-    barrier_model(BarrierConfig(n=3, variant=LEADER_LAST)),
-    barrier_model(BarrierConfig(n=3, variant=LEADER_FIRST)),
-    ring_model(RingConfig(n=3, variant=ORDERED)),
-    ring_model(RingConfig(n=3, variant=UNORDERED)),
+    barrier_model(BarrierConfig(size=3, variant=LEADER_LAST)),
+    barrier_model(BarrierConfig(size=3, variant=LEADER_FIRST)),
+    ring_model(RingConfig(size=3, variant=ORDERED)),
+    ring_model(RingConfig(size=3, variant=UNORDERED)),
 ])
 def test_every_rule_fires(model):
     # a rule that never fires is vacuous: the model says less than it seems to
@@ -383,7 +383,7 @@ def test_every_rule_fires(model):
 
 
 def test_edges_recorded_only_on_request():
-    model = barrier_model(BarrierConfig(n=2))
+    model = barrier_model(BarrierConfig(size=2))
     assert ExploreConfig().observe is None
     assert "edges" not in {f.name for f in dataclasses.fields(explore(model))}
     result, log, edges = explore_logged(model)
@@ -414,7 +414,7 @@ def test_the_observer_sees_one_batch_per_state_that_fires(cfg, model, order):
 
 def test_rules_sharing_a_name_are_rejected():
     # a trace names its rules: with two named alike, a witness would not replay
-    model = barrier_model(BarrierConfig(n=3, mutation=RELEASE_ON_BARRIER_IN))
+    model = barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN))
     renamed = {"client_request", "barrier_in_nonleader"}
     rules = tuple(dataclasses.replace(r, name="step") if r.name in renamed else r
                   for r in model.rules)

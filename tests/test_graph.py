@@ -48,13 +48,13 @@ def test_export_matches_the_reference_writer(cfg, model, order, tmp_path):
 def test_the_mutation_runs_are_cut_short(order):
     # so the comparison above covers runs that stop at a violation
     for n in range(3, 7):
-        model = barrier_model(BarrierConfig(n=n, mutation=RELEASE_ON_BARRIER_IN))
+        model = barrier_model(BarrierConfig(size=n, mutation=RELEASE_ON_BARRIER_IN))
         assert _run(model, order)[0].verdict is Verdict.INVARIANT_VIOLATED
 
 
 @pytest.mark.parametrize("limit", [1, 2, 40])
 def test_export_matches_the_reference_writer_at_a_state_limit(limit, tmp_path):
-    model = ring_model(RingConfig(n=4, variant=UNORDERED))
+    model = ring_model(RingConfig(size=4, variant=UNORDERED))
     result, log, edges = explore_logged(model, ExploreConfig("dfs", max_states=limit))
     assert result.verdict is Verdict.LIMIT_EXCEEDED
     path = tmp_path / "g.dot"
@@ -65,7 +65,7 @@ def test_export_matches_the_reference_writer_at_a_state_limit(limit, tmp_path):
 @pytest.fixture
 def graph_run():
     """(result, log) of a DFS search, ready to export."""
-    return _run(barrier_model(BarrierConfig(n=6, variant=LEADER_FIRST)), "dfs")[:2]
+    return _run(barrier_model(BarrierConfig(size=6, variant=LEADER_FIRST)), "dfs")[:2]
 
 
 @pytest.fixture

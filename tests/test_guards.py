@@ -122,4 +122,4 @@ def test_guards_and_invariant_match_their_reference(cfg, model):
                     if succ not in seen:
                         seen.add(succ)
                         todo.append(succ)
-    assert len(seen) > 1 or cfg.n == 1
+    assert len(seen) > 1 or cfg.size == 1

@@ -51,13 +51,13 @@ _IDLE_RING = (RingProcessState(RingStatus.IN_RING, 0, 0),
 
 
 @pytest.mark.parametrize("model, rule, state, pid", [
-    (barrier_model(BarrierConfig(n=3)), "barrier_in_nonleader", _IDLE_BARRIER, 1),
-    (barrier_model(BarrierConfig(n=3)), "barrier_in_leader", _IDLE_BARRIER, 0),
-    (barrier_model(BarrierConfig(n=3)), "barrier_out", _IDLE_BARRIER, 0),
-    (barrier_model(BarrierConfig(n=3)), "barrier_out", _IDLE_BARRIER, 1),
-    (ring_model(RingConfig(n=3)), "handle_req_insert", _IDLE_RING, 0),
-    (ring_model(RingConfig(n=3)), "handle_new_rhs", _IDLE_RING, 0),
-    (ring_model(RingConfig(n=3)), "handle_insert_ack", _IDLE_RING, 1),
+    (barrier_model(BarrierConfig(size=3)), "barrier_in_nonleader", _IDLE_BARRIER, 1),
+    (barrier_model(BarrierConfig(size=3)), "barrier_in_leader", _IDLE_BARRIER, 0),
+    (barrier_model(BarrierConfig(size=3)), "barrier_out", _IDLE_BARRIER, 0),
+    (barrier_model(BarrierConfig(size=3)), "barrier_out", _IDLE_BARRIER, 1),
+    (ring_model(RingConfig(size=3)), "handle_req_insert", _IDLE_RING, 0),
+    (ring_model(RingConfig(size=3)), "handle_new_rhs", _IDLE_RING, 0),
+    (ring_model(RingConfig(size=3)), "handle_insert_ack", _IDLE_RING, 1),
 ])
 def test_consuming_step_on_an_empty_queue_raises(model, rule, state, pid):
     apply = model.rule_named(rule).apply
@@ -110,17 +110,17 @@ def test_ring_splice_to_an_unset_neighbor_is_out_of_range():
     # an entry without a left neighbor would repoint process -1
     state = (RingProcessState(RingStatus.IN_RING, -1, 0, (req_insert(1),)),
              RingProcessState(RingStatus.INSERTING))
-    apply = ring_model(RingConfig(n=2)).rule_named("handle_req_insert").apply
+    apply = ring_model(RingConfig(size=2)).rule_named("handle_req_insert").apply
     for _ in range(2):
         with pytest.raises(ValueError, match="out of range"):
             apply(state, 0)
 
 
 @pytest.mark.parametrize("build, search", [
-    (lambda: barrier_model(BarrierConfig(n=6)), "bfs"),
-    (lambda: barrier_model(BarrierConfig(n=6, variant="leader_first")), "dfs"),
-    (lambda: ring_model(RingConfig(n=4, variant=UNORDERED)), "bfs"),
-    (lambda: ring_model(RingConfig(n=4, variant=UNORDERED)), "dfs"),
+    (lambda: barrier_model(BarrierConfig(size=6)), "bfs"),
+    (lambda: barrier_model(BarrierConfig(size=6, variant="leader_first")), "dfs"),
+    (lambda: ring_model(RingConfig(size=4, variant=UNORDERED)), "bfs"),
+    (lambda: ring_model(RingConfig(size=4, variant=UNORDERED)), "dfs"),
 ])
 def test_warm_memo_search_repeats_the_cold_one(build, search, tmp_path):
     model = build()

@@ -24,7 +24,7 @@ from protocheck.engine import ExploreConfig, explore
 from test_cli import run_child
 from test_engine import explore_logged
 
-MODEL = barrier_model(BarrierConfig(n=8))
+MODEL = barrier_model(BarrierConfig(size=8))
 
 
 def _retained(observed):

@@ -38,31 +38,31 @@ def sys_state(*procs):
 
 def fire(rule, state, pid):
     """`rule` applied at `pid` in a model of `state`'s size."""
-    return ring_model(RingConfig(n=len(state))).rule_named(rule).apply(state, pid)
+    return ring_model(RingConfig(size=len(state))).rule_named(rule).apply(state, pid)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RingConfig(n=0)
+        RingConfig(size=0)
     with pytest.raises(ValueError):
-        RingConfig(n=3, variant="diagonal")
+        RingConfig(size=3, variant="diagonal")
     assert RingConfig.MUTATIONS == ()
     with pytest.raises(ValueError, match="unknown mutation"):
-        RingConfig(n=3, mutation="release_on_barrier_in")
-    assert RingConfig(n=4).capacity == 6
+        RingConfig(size=3, mutation="release_on_barrier_in")
+    assert RingConfig(size=4).queue_capacity == 6
 
 
 def test_config_takes_no_entry():
     # the entry is the constant ENTRY: asking for one fails loudly
     with pytest.raises(TypeError, match="entry"):
-        RingConfig(n=3, entry=ENTRY)
+        RingConfig(size=3, entry=ENTRY)
 
 
 @pytest.mark.parametrize("options", [
-    {"n": True},
-    {"n": 3.0},
-    {"n": 3, "queue_capacity": True},
-    {"n": 3, "queue_capacity": 2.0},
+    {"size": True},
+    {"size": 3.0},
+    {"size": 3, "queue_capacity": True},
+    {"size": 3, "queue_capacity": 2.0},
 ])
 def test_config_rejects_non_int_sizes(options):
     with pytest.raises(ValueError, match="must be ints"):
@@ -96,7 +96,7 @@ def test_the_state_checker_range_checks_neighbors():
 
 class TestInitialState:
     def test_singleton_is_already_a_valid_ring(self):
-        cfg = RingConfig(n=1)
+        cfg = RingConfig(size=1)
         state = ring_initial_state(cfg)
         assert state == (R(RING, 0, 0),)
         assert ring_postcondition(state)
@@ -105,12 +105,12 @@ class TestInitialState:
         assert result.stats.states_stored == 1
 
     def test_entry_self_looped_others_outside(self):
-        state = ring_initial_state(RingConfig(n=3))
+        state = ring_initial_state(RingConfig(size=3))
         assert state == (R(RING, 0, 0), R(), R())
 
     def test_encoding_deterministic_across_builds(self):
-        a = ring_initial_state(RingConfig(n=4, variant=UNORDERED))
-        b = ring_initial_state(RingConfig(n=4, variant=UNORDERED))
+        a = ring_initial_state(RingConfig(size=4, variant=UNORDERED))
+        b = ring_initial_state(RingConfig(size=4, variant=UNORDERED))
         assert a == b
 
 
@@ -122,17 +122,17 @@ def guard(rule, **options):
 
 class TestBeginInsert:
     def test_unordered_any_outsider_may_start(self):
-        state = ring_initial_state(RingConfig(n=3, variant=UNORDERED))
-        enabled = guard("begin_insert", n=3, variant=UNORDERED)
+        state = ring_initial_state(RingConfig(size=3, variant=UNORDERED))
+        enabled = guard("begin_insert", size=3, variant=UNORDERED)
         assert [pid for pid in range(3) if enabled(state, pid)] == [1, 2]
 
     def test_ordered_only_the_lowest_waiting_rank(self):
-        state = ring_initial_state(RingConfig(n=3, variant=ORDERED))
-        enabled = guard("begin_insert", n=3, variant=ORDERED)
+        state = ring_initial_state(RingConfig(size=3, variant=ORDERED))
+        enabled = guard("begin_insert", size=3, variant=ORDERED)
         assert [pid for pid in range(3) if enabled(state, pid)] == [1]
 
     def test_marks_joiner_and_asks_the_entry(self):
-        state = ring_initial_state(RingConfig(n=3))
+        state = ring_initial_state(RingConfig(size=3))
         out = fire("begin_insert", state, 1)
         assert out[1].status is INS
         assert out[0].queue == (req_insert(1),)
@@ -142,7 +142,7 @@ class TestBeginInsert:
 def test_ordered_gate_waits_for_every_lower_rank_but_the_entry(pid):
     # every status assignment of N=4: the gate reads only ranks strictly
     # between the entry and `pid`
-    gate = ring_model(RingConfig(n=4, variant=ORDERED)).rule_named("begin_insert").gate
+    gate = ring_model(RingConfig(size=4, variant=ORDERED)).rule_named("begin_insert").gate
     for statuses in itertools.product(RingStatus, repeat=4):
         state = tuple(R(status) for status in statuses)
         lower = [statuses[i] for i in range(pid) if i != ENTRY]
@@ -168,7 +168,7 @@ class TestHandleReqInsert:
 
     def test_guard_refuses_non_entry_processes(self):
         state = sys_state(R(RING, 0, 0), R(INS, q=[req_insert(2)]), R(INS))
-        assert not guard("handle_req_insert", n=3)(state, 1)
+        assert not guard("handle_req_insert", size=3)(state, 1)
 
 
 class TestHandleNewRhs:
@@ -240,7 +240,7 @@ UNORDERED_STORED = {2: 6, 3: 49, 4: 508}
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_ordered_single_final_topology(n):
-    result = explore(ring_model(RingConfig(n=n, variant=ORDERED)))
+    result = explore(ring_model(RingConfig(size=n, variant=ORDERED)))
     assert result.verdict.value == "verified"
     assert len(result.terminal_states) == 1
     if n in ORDERED_STORED:
@@ -254,7 +254,7 @@ def test_ordered_single_final_topology(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_unordered_every_topology_reachable(n):
-    result = explore(ring_model(RingConfig(n=n, variant=UNORDERED)))
+    result = explore(ring_model(RingConfig(size=n, variant=UNORDERED)))
     assert result.verdict.value == "verified"
     assert result.stats.states_stored == UNORDERED_STORED[n]
     assert len(result.terminal_states) == math.factorial(n - 1)
@@ -265,7 +265,7 @@ def test_unordered_every_topology_reachable(n):
 @pytest.mark.parametrize("variant", [ORDERED, UNORDERED])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_all_terminals_are_valid_rings(n, variant):
-    result = explore(ring_model(RingConfig(n=n, variant=variant)))
+    result = explore(ring_model(RingConfig(size=n, variant=variant)))
     assert result.verdict.value == "verified"
     for tid in result.terminal_states:
         assert ring_postcondition(result.states[tid])
@@ -273,21 +273,21 @@ def test_all_terminals_are_valid_rings(n, variant):
 
 def test_join_requests_only_ever_at_the_entry():
     for n in (3, 4):
-        model = ring_model(RingConfig(n=n, variant=UNORDERED))
+        model = ring_model(RingConfig(size=n, variant=UNORDERED))
         for state in oracle.enumerate_reachable(model):
             assert model.invariant(state)
 
 
 @pytest.mark.parametrize("pid", range(3))
 def test_invariant_refuses_a_join_request_queued_outside_the_entry(pid):
-    invariant = ring_model(RingConfig(n=3, variant=UNORDERED)).invariant
+    invariant = ring_model(RingConfig(size=3, variant=UNORDERED)).invariant
     state = [R(RING, 0, 0), R(INS), R(INS)]
     state[pid] = state[pid]._replace(queue=(new_rhs(1), req_insert(2)))
     assert invariant(tuple(state)) is (pid == ENTRY)
 
 
 def test_acks_only_ever_at_inserting_processes():
-    model = ring_model(RingConfig(n=4, variant=UNORDERED))
+    model = ring_model(RingConfig(size=4, variant=UNORDERED))
     for state in oracle.enumerate_reachable(model):
         for proc in state:
             if any(m.kind is MessageKind.INSERT_ACK for m in proc.queue):
@@ -297,7 +297,7 @@ def test_acks_only_ever_at_inserting_processes():
 def test_neighbor_consistency_is_transient_not_invariant():
     # mid-handshake the entry already points at the joiner while the joiner
     # still points nowhere; only terminal states must be consistent
-    result = explore(ring_model(RingConfig(n=2)))
+    result = explore(ring_model(RingConfig(size=2)))
     def consistent(state):
         return all(
             p.rhs != -1 and state[p.rhs].lhs == pid
@@ -310,7 +310,7 @@ def test_neighbor_consistency_is_transient_not_invariant():
 
 def test_status_monotone_along_traces():
     rank = {OUT: 0, INS: 1, RING: 2}
-    result = explore(ring_model(RingConfig(n=3, variant=UNORDERED)))
+    result = explore(ring_model(RingConfig(size=3, variant=UNORDERED)))
     for sid in range(len(result.states)):
         trace = reconstruct_trace(result, sid)
         for before, after in zip(trace, trace[1:]):

@@ -83,7 +83,21 @@ class _QueueFirst(NamedTuple):
         pass
 
 
+class _NoDefault(NamedTuple):
+    bit: int
+    queue: tuple = ()
+
+    def check(self, n):
+        pass
+
+
 class TestProcessStateInvariants:
+    @pytest.mark.parametrize("bits", [(2, 0, 0), (1, 2, 0), (0, 0, 2)],
+                             ids=["in", "out", "holding"])
+    def test_barrier_fields_are_bits(self, bits):
+        with pytest.raises(ValueError, match="fields are bits"):
+            BarrierProcessState(*bits).check(1)
+
     def test_holding_requires_no_client_request(self):
         with pytest.raises(ValueError):
             BarrierProcessState(client_barrier_in=1, holding_barrier_in=1).check(1)
@@ -118,6 +132,11 @@ class TestProcessStateInvariants:
         # state edits rebuild a process as its other fields plus a new queue
         with pytest.raises(ValueError, match="last field"):
             check_once(sys_state(_QueueFirst()), CAPACITY)
+
+    def test_every_field_has_a_default(self):
+        # the defaults pin each field's type
+        with pytest.raises(ValueError, match="every field of _NoDefault needs a default"):
+            check_once(sys_state(_NoDefault(0)), CAPACITY)
 
 
 class TestSend:
@@ -240,7 +259,7 @@ class TestCanonicalEncode:
     def test_injective_on_reachable_barrier_n2(self):
         # exhaustive: every pair of structurally distinct reachable states
         # must encode differently (9 reachable states, enumerated brute force)
-        states = oracle.enumerate_reachable(barrier_model(BarrierConfig(n=2)))
+        states = oracle.enumerate_reachable(barrier_model(BarrierConfig(size=2)))
         assert len(states) == 9
         encodings = [canonical_encode(s) for s in states]
         assert len(set(encodings)) == len(states)
