@@ -14,8 +14,8 @@ Outputs, all optional and all deterministic for a given configuration:
   --graph   DOT state graph: a node per stored state, an edge per fired
             transition as the search's `observe` hook logs it; streamed
 
-Exit status: 0 verified, 1 property violated, 2 limit exceeded or queue
-overflow, 3 usage error or unwritable output.
+Exit status: 0 verified, 1 property violated, 2 limit exceeded, queue
+overflow or out of memory, 3 usage error or unwritable output.
 """
 
 import argparse
@@ -23,6 +23,7 @@ import json
 import os
 import reprlib
 import sys
+import time
 from array import array
 from collections.abc import Iterable
 from dataclasses import fields, replace
@@ -122,14 +123,17 @@ def export_state_graph(result: ExplorationResult, edges: Iterable[int], path) ->
     holds four ids per transition (source id, rule index, pid, target id), as
     the search's `ExploreConfig.observe` batches them. Lines are made as
     `_write_text` takes them, 32 to a block, never held whole; each distinct
-    process is rendered once per call.
+    process is rendered once per call, and each edge label once per (rule,
+    pid), before the first edge.
     """
     text = _RenderMemo().__getitem__
     nodes = (f'  s{sid} [label="s{sid}: {render_state(state, text)}"];\n'
              for sid, state in enumerate(result.states))
+    n = len(result.states[0])
+    tails = [f' [label="{rule} @{pid}"];\n' for rule in result.rule_names for pid in range(n)]
     ids = iter(edges)  # zip draws from its arguments in order, four ids per edge
-    lines = (f'  s{src} -> s{dst} [label="{rule} @{pid}"];\n' for src, rule, pid, dst
-             in zip(ids, map(result.rule_names.__getitem__, ids), ids, ids))
+    lines = (f'  s{src} -> s{dst}{tails[rule * n + pid]}'
+             for src, rule, pid, dst in zip(ids, ids, ids, ids))
     _write_text(path, chain(["digraph reachable {\n"], nodes, lines, ["}\n"]))
 
 
@@ -359,6 +363,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    started = time.perf_counter()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -375,6 +380,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.close(devnull)
         print("error: cannot write to stdout: its reader has closed it", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        pass  # leaving the handler drops the traceback, and the search's states with it
+    print(f"error: out of memory after {time.perf_counter() - started:.1f} s", file=sys.stderr)
+    return EXIT_LIMIT
 
 
 if __name__ == "__main__":

@@ -244,7 +244,9 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
 
     # `visited` maps each state to its id, reserved with one setdefault, so
     # each state is stored once. The key is read from the module per call, not
-    # at import, so a wrapper set on `canonical_encode` sees every call.
+    # at import, so a wrapper set on `canonical_encode` sees every call; it
+    # stays a `def` rather than `tuple`, which measured only 0.4% faster and
+    # would take a list successor, which as its own key fails as unhashable.
     encode, invariant = canonical_encode, model.invariant
     check = state_checker(init, model.queue_capacity)
     check(init)
@@ -252,13 +254,16 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     if not invariant(init):
         return finish(Verdict.INVARIANT_VIOLATED, witness=0)
 
-    # looked up once here, not per (state, rule, pid); the loop inlines `enabled_at`
+    # looked up once here, not per (state, rule, pid); the loop inlines `enabled_at`.
+    # The guards stay a Python loop: on 3.11, with guards written in Python,
+    # `map` or `itertools.compress` over them measured 25-35% slower.
     rules = [(r, rule.enabled, rule.gate, rule.apply) for r, rule in enumerate(model.rules)]
     pids = range(len(init))
     pop = frontier.popleft if cfg.search_order == "bfs" else frontier.pop
     reserve, push = visited.setdefault, frontier.append
     add_state, add_parent = states.append, parents.extend
     max_states, max_seconds, clock = cfg.max_states, cfg.max_seconds, time.perf_counter
+    fresh_id = 1  # the id the next new state gets: len(states), kept by hand
     while frontier:
         if len(frontier) > max_frontier:
             max_frontier = len(frontier)
@@ -273,24 +278,25 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
                     continue
                 fired = True
                 succ = apply(state, pid)
-                fresh_id = len(states)
                 tid = reserve(encode(succ), fresh_id)
-                fresh = tid == fresh_id
-                if fresh:
-                    try:
-                        check(succ)
-                    except QueueOverflowError:
-                        return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
-                    if fresh_id >= max_states:
-                        return finish(Verdict.LIMIT_EXCEEDED)
-                    add_state(succ)
-                    add_parent((sid, r, pid))
-                    push(fresh_id)
-                else:
+                if tid != fresh_id:  # most transitions match a stored state
                     matched += 1
+                    if observe is not None:
+                        fired_edges += (sid, r, pid, tid)
+                    continue
+                try:
+                    check(succ)
+                except QueueOverflowError:
+                    return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
+                if fresh_id >= max_states:
+                    return finish(Verdict.LIMIT_EXCEEDED)
+                add_state(succ)
+                add_parent((sid, r, pid))
+                push(fresh_id)
+                fresh_id += 1
                 if observe is not None:
                     fired_edges += (sid, r, pid, tid)
-                if fresh and not invariant(succ):
+                if not invariant(succ):
                     return finish(Verdict.INVARIANT_VIOLATED, witness=tid)
         if fired_edges:
             observe(fired_edges)

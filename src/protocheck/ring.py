@@ -19,6 +19,10 @@ pending, neighbor pointers inverse of each other, one cycle through all.
 
 The entry is fixed: pids are otherwise symmetric, so another entry would
 only relabel the processes and give the same verdict and counts.
+
+Counts, measured (not derived), as `tests/test_laws.py` checks: ordered
+stores 10 * 2**(N-3) + 2 states for N = 3-8; unordered ends in (N-1)!
+terminal states for N = 1-5, one per ring topology.
 """
 
 from enum import Enum

@@ -109,8 +109,8 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
     and each process passing `check(n)`; QueueOverflowError for a queue over
     `queue_capacity`, the only place that bound is enforced. Either error
     names the first failing pid. `check` checks each process object once: a
-    memo keyed by `id` (holding the object, so its id is never reused) keeps
-    each that passed; by identity, not value, since `True == 1`.
+    set keeps the `id` of each that passed (and a list holds the object, so
+    its id is never reused); by identity, not value, since `True == 1`.
     """
     if queue_capacity < 1:
         raise ValueError("queue capacity must be positive")
@@ -123,13 +123,16 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
         raise ValueError(f"every field of {first.__name__} needs a default")
     pinned = first()
     n = len(initial)
-    checked: dict[int, object] = {}
+    passed: set[int] = set()
+    held: list = []
 
     def check(state: State) -> None:
         if len(state) != n:
             raise ValueError(f"a rule changed the process count from {n} to {len(state)}")
+        if passed.issuperset(map(id, state)):  # most states: one test, no Python loop
+            return
         for pid, proc in enumerate(state):
-            if id(proc) in checked:
+            if id(proc) in passed:
                 continue
             _check_like(pid, proc, pinned)
             if len(proc.queue) > queue_capacity:
@@ -147,7 +150,8 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
                 proc.check(n)
             except ValueError as err:
                 raise ValueError(f"process {pid}: {err}") from err
-            checked[id(proc)] = proc
+            held.append(proc)
+            passed.add(id(proc))
 
     return check
 

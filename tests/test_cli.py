@@ -96,6 +96,35 @@ def test_a_closed_stdout_is_a_usage_error(unbuffered, monkeypatch):
     assert "Traceback" not in done.stderr and "Exception" not in done.stderr
 
 
+# Imports first, so that startup never meets the limit, then caps the address
+# space at 40 MB over what the interpreter has mapped: ring unordered N=7
+# needs far more. Exit 77 means the hard limit is too low to test here.
+_OUT_OF_MEMORY = """
+import resource, sys
+import protocheck.cli as cli
+with open("/proc/self/status") as status:
+    mapped = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+limit = (mapped + 40 * 1024) * 1024
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY and hard < limit:
+    sys.exit(77)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+sys.exit(cli.main(["run", "--model", "ring", "--size", "7", "--variant", "unordered"]))
+"""
+
+
+def test_running_out_of_memory_is_a_limit_not_a_traceback():
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc to read the mapped size from")
+    done = run_child("-c", _OUT_OF_MEMORY)
+    if done.returncode == 77:
+        pytest.skip("the hard address-space limit is too low")
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert re.fullmatch(r"error: out of memory after \d+\.\d s\n", done.stderr), done.stderr
+
+
 def test_installed_command_is_cli_main():
     # the `protocheck` command an install makes; no test installs the package
     try:

@@ -427,3 +427,80 @@ def test_package_root_names_only_the_protocol_free_core():
     for name in protocheck.__all__:
         module = getattr(protocheck, name).__module__
         assert module in ("protocheck.engine", "protocheck.state"), (name, module)
+
+
+def _stopped(model, config):
+    """(result, edges, source, moves, stop) of a search that stops mid-state:
+    the logged (source, rule index, pid, target) edges, the state id being
+    expanded when the search stopped, the (rule index, pid) moves enabled
+    there in firing order, and the index in `moves` of the last one applied,
+    as a spy on every apply saw it."""
+    last = []
+
+    def spied(r, apply):
+        def wrapper(state, pid):
+            last[:] = [state, r, pid]
+            return apply(state, pid)
+        return wrapper
+
+    spy = dataclasses.replace(model, rules=tuple(
+        dataclasses.replace(rule, apply=spied(r, rule.apply))
+        for r, rule in enumerate(model.rules)))
+    log = array("q")
+    result = explore(spy, dataclasses.replace(config, observe=log.fromlist))
+    ids = iter(log)
+    edges = list(zip(ids, ids, ids, ids))
+    assert len(edges) == result.stats.transitions_fired
+    state, r, pid = last
+    source = result.states.index(state)
+    moves = [(r, pid) for r, rule in enumerate(model.rules)
+             for pid in range(len(state)) if rule.enabled_at(state, pid)]
+    return result, edges, source, moves, moves.index((r, pid))
+
+
+def _tail_from(edges, source):
+    """The (rule index, pid) of the edges logged from `source`, which must
+    be the last ones logged."""
+    tail = [(r, pid) for src, r, pid, _ in edges if src == source]
+    assert all(src == source for src, *_ in edges[len(edges) - len(tail):])
+    return tail
+
+
+@pytest.mark.parametrize("order", ["bfs", "dfs"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_violation_passes_the_violating_edge_last(order, n):
+    model = barrier_model(BarrierConfig(size=n, mutation=RELEASE_ON_BARRIER_IN))
+    result, edges, source, moves, stop = _stopped(model, ExploreConfig(order))
+    assert result.verdict is Verdict.INVARIANT_VIOLATED
+    assert edges[-1][0] == source and edges[-1][3] == result.witness
+    assert _tail_from(edges, source) == moves[:stop + 1]
+
+
+@pytest.mark.parametrize("order", ["bfs", "dfs"])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_an_overflow_passes_the_edges_fired_before_the_overflowing_one(order, n, reverse):
+    model = ring_model(RingConfig(size=n, variant=UNORDERED, queue_capacity=1))
+    if reverse:  # the overflowing send is then not the first move of its state
+        model = dataclasses.replace(model, rules=model.rules[::-1])
+    result, edges, source, moves, stop = _stopped(model, ExploreConfig(order))
+    assert result.verdict is Verdict.QUEUE_OVERFLOW and result.witness == source
+    assert _tail_from(edges, source) == moves[:stop]
+    assert stop > 0 if reverse else stop == 0
+    # the edge not passed is the one whose successor is over the bound
+    r, pid = moves[stop]
+    succ = model.rules[r].apply(result.states[source], pid)
+    assert max(len(proc.queue) for proc in succ) > 1
+
+
+@pytest.mark.parametrize("order", ["bfs", "dfs"])
+@pytest.mark.parametrize("limit", [2, 7, 40])
+def test_a_state_limit_passes_no_edge_to_the_state_over_it(order, limit):
+    model = ring_model(RingConfig(size=4, variant=UNORDERED))
+    result, edges, source, moves, stop = _stopped(model, ExploreConfig(order, max_states=limit))
+    assert result.verdict is Verdict.LIMIT_EXCEEDED
+    assert result.stats.states_stored == limit
+    assert all(dst < limit for *_, dst in edges)
+    assert _tail_from(edges, source) == moves[:stop]
+    r, pid = moves[stop]
+    assert model.rules[r].apply(result.states[source], pid) not in result.states

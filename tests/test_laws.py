@@ -1,0 +1,59 @@
+"""Closed-form counts of the models' state spaces, as their docstrings state.
+
+The laws are measured, not derived from the engine's history: each was read
+off full searches and is checked here by fresh ones. They judge any rewrite
+of the search loop at every size they cover, not only the pinned ones.
+
+Run as a script, `python tests/test_laws.py N ...` checks the barrier laws
+at the given sizes through the library, for sizes too slow for tier-1.
+"""
+
+import sys
+from math import factorial
+
+import pytest
+
+from protocheck.barrier import BarrierConfig, barrier_model
+from protocheck.engine import Verdict, explore
+from protocheck.ring import ORDERED, UNORDERED, RingConfig, ring_model
+
+
+def barrier_counts(n: int) -> tuple[int, int]:
+    """(stored, matched) of barrier at size `n`, either variant."""
+    return 2 ** (n + 1) + n - 1, (n - 2) * 2 ** n + 2
+
+
+def check_barrier(n: int, variant: str) -> None:
+    result = explore(barrier_model(BarrierConfig(size=n, variant=variant)))
+    st = result.stats
+    assert result.verdict is Verdict.VERIFIED
+    assert (st.states_stored, st.states_matched) == barrier_counts(n), (n, variant)
+
+
+@pytest.mark.parametrize("variant", BarrierConfig.VARIANTS)
+@pytest.mark.parametrize("n", range(1, 11))
+def test_barrier_stores_and_matches_by_its_law(n, variant):
+    check_barrier(n, variant)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ring_ordered_stores_by_its_law(n):
+    result = explore(ring_model(RingConfig(size=n, variant=ORDERED)))
+    assert result.verdict is Verdict.VERIFIED
+    assert result.stats.states_stored == 10 * 2 ** (n - 3) + 2
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_ring_unordered_has_one_terminal_state_per_ring_order(n):
+    # the joiners enter the ring in any of (n - 1)! orders, each its own topology
+    result = explore(ring_model(RingConfig(size=n, variant=UNORDERED)))
+    assert result.verdict is Verdict.VERIFIED
+    assert len(result.terminal_states) == factorial(n - 1)
+
+
+if __name__ == "__main__":
+    for size in map(int, sys.argv[1:]):
+        for variant in BarrierConfig.VARIANTS:
+            check_barrier(size, variant)
+            stored, matched = barrier_counts(size)
+            print(f"barrier {variant} N={size}: {stored} stored, {matched} matched, as the law says")
