@@ -83,15 +83,6 @@ def _json_field(name: str, value):
     return value.name.lower() if isinstance(value, Enum) else value
 
 
-def state_to_json(state: State) -> dict:
-    """Structured rendering for the machine-readable trace: each process as
-    its fields, enums by lower-case name and the queue as rendered messages."""
-    return {"processes": [
-        {name: _json_field(name, value) for name, value in proc._asdict().items()}
-        for proc in state
-    ]}
-
-
 def _write_text(path, chunks: Iterable[str]) -> None:
     """Write `chunks` to `path` in order, 32 joined to a block, each block
     passed straight to the file's byte buffer: memory is bounded by a block,
@@ -147,8 +138,12 @@ def write_stats(path, result: ExplorationResult, problem: str, method_config: st
 
 
 def _step_record(i: int, rule: Optional[str], pid: Optional[int], state: State) -> dict:
-    """Step `i` of a JSON trace: `state` reached by `rule` at `pid`."""
-    return {"step": i, "rule": rule, "pid": pid, "state": state_to_json(state)}
+    """Step `i` of a JSON trace: `state` reached by `rule` at `pid`, each
+    process as its fields, enums by lower-case name and the queue as rendered
+    messages."""
+    return {"step": i, "rule": rule, "pid": pid, "state": {"processes": [
+        {name: _json_field(name, value) for name, value in proc._asdict().items()}
+        for proc in state]}}
 
 
 def write_trace(path, steps: list[TraceStep], verdict: Verdict, header: dict) -> None:
@@ -208,29 +203,32 @@ def _build_model(model_name: str, options: dict):
 
 def _cmd_run(args) -> int:
     twin = None if args.trace is None else args.trace + ".json"
-    seen: dict[str, str] = {}  # two outputs on one file would overwrite each other
+    # refused before the search, which would run for nothing: two outputs on
+    # one file (each would overwrite the other), a directory, a missing parent
+    seen: dict[str, str] = {}
     for flag, path in (("--stats", args.stats), ("--trace", args.trace),
                        ("--trace's .json twin", twin), ("--graph", args.graph)):
         if path is not None:
-            other = seen.setdefault(os.path.realpath(path), flag)
+            real = os.path.realpath(path)
+            other = seen.setdefault(real, flag)
             if other != flag:
                 raise UsageError(f"{other} and {flag} both write {path}")
+            if os.path.isdir(real) or not os.path.isdir(os.path.dirname(real)):
+                raise UsageError(f"cannot write {path}: it is a directory, or its parent is not")
     edges = array("q")  # 64-bit ids hold any id a search can store
-    search = {"search_order": args.search, "max_states": args.max_states,
-              "max_seconds": args.max_seconds,
-              "observe": None if args.graph is None else edges.fromlist}
     try:
-        config = ExploreConfig(**{k: v for k, v in search.items() if v is not None})
+        config = ExploreConfig(search=args.search, max_states=args.max_states,
+                               max_seconds=args.max_seconds,
+                               observe=None if args.graph is None else edges.fromlist)
     except ValueError as err:
         raise UsageError(str(err))
-    cfg, model = _build_model(args.model, {
-        "size": args.size, "variant": args.variant,
-        "queue_capacity": args.queue_capacity, "mutation": args.mutation})
+    cfg, model = _build_model(args.model, {f.name: getattr(args, f.name)
+                                           for f in fields(ModelConfig)})
     result = explore(model, config)
     st = result.stats
 
-    print(f"model={args.model} size={cfg.size} variant={cfg.variant} search={config.search_order}"
-          + (f" mutation={args.mutation}" if args.mutation else ""))
+    print(f"model={args.model} size={cfg.size} variant={cfg.variant} search={config.search}"
+          + (f" mutation={cfg.mutation}" if cfg.mutation else ""))
     print(f"verdict: {result.verdict.value}")
     print(f"states stored: {st.states_stored}  states matched: {st.states_matched}  "
           f"transitions: {st.transitions_fired}  peak frontier: {st.max_frontier}")
@@ -240,11 +238,9 @@ def _cmd_run(args) -> int:
     if steps is not None:
         print(f"witness: state {result.witness} at depth {len(steps) - 1}")
 
-    method_config = f"{config.search_order} {cfg.variant}" + (
-        f" {args.mutation}" if args.mutation else ""
-    )
     if args.stats is not None:
-        write_stats(args.stats, result, args.model, method_config, args.size)
+        method_config = " ".join(filter(None, (config.search, cfg.variant, cfg.mutation)))
+        write_stats(args.stats, result, args.model, method_config, cfg.size)
     if args.trace is not None:
         if steps is not None:
             write_trace(args.trace, steps, result.verdict, encode_header(args.model, cfg))
@@ -345,9 +341,10 @@ def _build_parser() -> _Parser:
     run.add_argument("--model", required=True, choices=list(MODELS))
     run.add_argument("--size", required=True, type=int, help="process count N")
     run.add_argument("--variant", help=f"protocol variant (default: {defaults})")
-    run.add_argument("--search", choices=["bfs", "dfs"])
-    run.add_argument("--max-states", type=int)
-    run.add_argument("--max-seconds", type=float)
+    default, shown = ExploreConfig(), "(default: %(default)s)"
+    run.add_argument("--search", choices=default.SEARCHES, default=default.search, help=shown)
+    run.add_argument("--max-states", type=int, default=default.max_states, help=shown)
+    run.add_argument("--max-seconds", type=float, default=default.max_seconds, help=shown)
     run.add_argument("--queue-capacity", type=int,
                      help="override the default per-process bound of N+2")
     run.add_argument("--mutation", help="seeded bug token: " + ", ".join(

@@ -128,9 +128,9 @@ class RunStats:
 
 @dataclass(frozen=True)
 class ExploreConfig:
-    """Search order, limits and observer, checked when built: an `int` state
-    limit and an `int` or `float` time limit (never a `bool`), both positive,
-    not NaN, and a callable `observe` or None.
+    """Search order, limits and observer, checked when built: a `search` of
+    `SEARCHES` (default first), an `int` state limit and an `int` or `float`
+    time limit (never a `bool`), both positive, not NaN, and `observe` callable or None.
 
     `observe` is passed the ids (source, rule index, pid, target) of the
     transitions each expanded state fires, flat and in firing order, once per
@@ -138,14 +138,16 @@ class ExploreConfig:
     The list is reused: an observer copies what it keeps (`array.fromlist`).
     """
 
-    search_order: str = "bfs"  # "bfs" or "dfs"
+    SEARCHES: ClassVar[tuple[str, ...]] = ("bfs", "dfs")
+    search: str = SEARCHES[0]
     max_states: int = 10_000_000
     max_seconds: float = 600.0
     observe: Optional[Callable[[list[int]], None]] = None
 
     def __post_init__(self):
-        if self.search_order not in ("bfs", "dfs"):
-            raise ValueError(f"unknown search order {reprlib.repr(self.search_order)}")
+        if self.search not in self.SEARCHES:
+            raise ValueError(f"unknown search order {reprlib.repr(self.search)}; "
+                             f"choose from {', '.join(self.SEARCHES)}")
         if type(self.max_states) is not int or type(self.max_seconds) not in (int, float):
             raise ValueError("max_states must be an int and max_seconds a number")
         if not (self.max_states >= 1 and self.max_seconds > 0):
@@ -178,7 +180,7 @@ class ExplorationResult:
     states: list[State]
     parents: array
     rule_names: tuple[str, ...]
-    initial_count: int
+    initial_count: int = 1
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ class TraceStep:
     state: State
 
 
-def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> ExplorationResult:
+def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> ExplorationResult:
     """Derive and store every reachable state of `model`.
 
     Successors of each stored state are generated by iterating rules in
@@ -208,8 +210,6 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     (`state_checker`, the initial state included), is a modeling bug and
     propagates. `replay` confirms a trace's verdict with this search too.
     """
-    cfg = config or ExploreConfig()
-
     start = time.perf_counter()
     rule_names = tuple(rule.name for rule in model.rules)
     init = model.initial_state
@@ -218,7 +218,7 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     parents = array("q", (-1, -1, -1))
     visited: dict[State, int] = {}
     terminal: list[int] = []
-    observe = cfg.observe
+    observe = config.observe
     # the edges fired from the state being expanded, passed to `observe` as a
     # batch: one list append per edge is much cheaper than a call per edge
     fired_edges: list[int] = []
@@ -239,7 +239,6 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
             states=states,
             parents=parents,
             rule_names=rule_names,
-            initial_count=1,
         )
 
     # `visited` maps each state to its id, reserved with one setdefault, so
@@ -259,10 +258,10 @@ def explore(model: ProtocolModel, config: ExploreConfig | None = None) -> Explor
     # `map` or `itertools.compress` over them measured 25-35% slower.
     rules = [(r, rule.enabled, rule.gate, rule.apply) for r, rule in enumerate(model.rules)]
     pids = range(len(init))
-    pop = frontier.popleft if cfg.search_order == "bfs" else frontier.pop
+    pop = frontier.popleft if config.search == "bfs" else frontier.pop
     reserve, push = visited.setdefault, frontier.append
     add_state, add_parent = states.append, parents.extend
-    max_states, max_seconds, clock = cfg.max_states, cfg.max_seconds, time.perf_counter
+    max_states, max_seconds, clock = config.max_states, config.max_seconds, time.perf_counter
     fresh_id = 1  # the id the next new state gets: len(states), kept by hand
     while frontier:
         if len(frontier) > max_frontier:

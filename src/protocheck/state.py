@@ -195,6 +195,7 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
     (else ValueError, keeping nothing), so a matched successor is as well
     typed as its stored twin. Each append is kept per (target process,
     message). Sharing is per effect and per append, not per equal value.
+    Value-keyed: id-keyed memos, and per-pid effect dicts, measured no faster.
     `__wrapped__` is `step`, for a reference applier such as `tests/oracle.py`."""
     effects: dict = {}
     appends: dict = {}

@@ -129,12 +129,12 @@ def test_criterion_5_determinism(tmp_path):
                 _mask_timing((b / stats).read_text())
 
 
-def test_criterion_6_accounting_and_search_order_invariance():
+def test_criterion_6_accounting_and_search_invariance():
     with gate("criterion 6: accounting identity, BFS set == DFS set"):
         for case in instances(3, 4):
             _, model = case.values
             bfs = explore(model)
-            dfs = explore(model, ExploreConfig(search_order="dfs"))
+            dfs = explore(model, ExploreConfig(search="dfs"))
             for result in (bfs, dfs):
                 st = result.stats
                 assert st.transitions_fired == \

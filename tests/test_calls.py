@@ -200,7 +200,7 @@ def test_the_memo_does_not_outlive_its_search():
     (barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN)), ExploreConfig(),
      Verdict.INVARIANT_VIOLATED),
     (replace(barrier_model(BarrierConfig(size=2)), terminal_postcondition=lambda s: False),
-     ExploreConfig(search_order="dfs"), Verdict.POSTCONDITION_VIOLATED),
+     ExploreConfig(search="dfs"), Verdict.POSTCONDITION_VIOLATED),
     (ring_model(RingConfig(size=3, variant=UNORDERED, queue_capacity=1)), ExploreConfig(),
      Verdict.QUEUE_OVERFLOW),
     (barrier_model(BarrierConfig(size=4)), ExploreConfig(max_states=10), Verdict.LIMIT_EXCEEDED),

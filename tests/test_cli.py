@@ -227,6 +227,10 @@ def test_unset_search_flags_take_the_explore_config_defaults(monkeypatch):
     assert run_cli("run", "--model", "barrier", "--size", "2", "--search", "dfs",
                    "--max-states", "50", "--max-seconds", "5") == 0
     assert seen == [ExploreConfig(), ExploreConfig("dfs", 50, 5.0)]
+    args = cli._build_parser().parse_args(["run", "--model", "barrier", "--size", "2"])
+    default = ExploreConfig()
+    assert (args.search, args.max_states, args.max_seconds) == (
+        default.search, default.max_states, default.max_seconds)
 
 
 @pytest.mark.parametrize("chunks", [
@@ -247,6 +251,11 @@ def test_run_help_lists_each_models_mutations(capsys):
     assert "barrier release_on_barrier_in" in out
     assert all(m in out for config_class, _ in cli.MODELS.values()
                for m in config_class.MUTATIONS)
+    # --search offers exactly ExploreConfig.SEARCHES, and each default is ExploreConfig's
+    assert "--search {" + ",".join(ExploreConfig.SEARCHES) + "}" in out
+    default = ExploreConfig()
+    for value in (default.search, default.max_states, default.max_seconds):
+        assert f"(default: {value})" in out
 
 
 class TestUsageErrors:
@@ -305,16 +314,27 @@ class TestUsageErrors:
         assert f"{flags} both write" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # Refused before the model is built: a search would run for nothing. The
+    # run is a violation, so --trace would be written.
     @pytest.mark.parametrize("option, path", [
         ("--stats", "/nonexistent-dir/stats.tsv"),
+        ("--stats", "{tmp}"),  # an existing directory
         ("--graph", "/nonexistent-dir/graph.dot"),
-        ("--graph", "{tmp}"),  # an existing directory
-    ], ids=["stats", "graph-missing-dir", "graph-is-dir"])
+        ("--graph", "{tmp}"),
+        ("--trace", "/nonexistent-dir/t.txt"),
+        ("--trace", "{tmp}"),
+        ("--trace", "{tmp}/twin.txt"),  # its .json twin is a directory
+        ("--trace", ""),  # names the working directory
+    ], ids=["stats", "stats-is-dir", "graph-missing-dir", "graph-is-dir",
+            "trace-missing-dir", "trace-is-dir", "trace-twin-is-dir", "trace-empty"])
     def test_unwritable_output_names_the_path(self, option, path, tmp_path, capsys):
+        (tmp_path / "twin.txt.json").mkdir()
         path = path.format(tmp=tmp_path)
-        code = run_cli("run", "--model", "barrier", "--size", "2", option, path)
+        code = run_cli("run", "--model", "barrier", "--size", "3",
+                       "--mutation", "release_on_barrier_in", option, path)
         assert code == 3
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert path in err
         assert "Traceback" not in err
 
@@ -722,7 +742,7 @@ def test_a_registered_step_protocol_agrees_with_the_oracle(tmp_path, monkeypatch
     snapshots = {oracle.snapshot(s) for s in reachable}
     assert len(snapshots) == count
     for search in ("bfs", "dfs"):
-        result = explore(model, ExploreConfig(search_order=search))
+        result = explore(model, ExploreConfig(search=search))
         assert result.verdict is Verdict.VERIFIED
         assert result.stats.states_stored == count
         assert {oracle.snapshot(s) for s in result.states} == snapshots

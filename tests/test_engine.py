@@ -91,13 +91,13 @@ class TestExplore:
         assert result.witness is not None
         check_accounting(result)
 
-    @pytest.mark.parametrize("search_order,witness", [("bfs", 1), ("dfs", 2)])
-    def test_queue_overflow_precedes_the_state_limit(self, search_order, witness):
+    @pytest.mark.parametrize("search,witness", [("bfs", 1), ("dfs", 2)])
+    def test_queue_overflow_precedes_the_state_limit(self, search, witness):
         # the successor over the bound would be the fourth state stored; the
         # overflow is still reported, from the same source state as unlimited
         model = ring_model(RingConfig(size=3, variant=UNORDERED, queue_capacity=1))
-        unlimited = explore(model, ExploreConfig(search_order=search_order))
-        limited = explore(model, ExploreConfig(search_order=search_order, max_states=3))
+        unlimited = explore(model, ExploreConfig(search=search))
+        limited = explore(model, ExploreConfig(search=search, max_states=3))
         for result in (unlimited, limited):
             assert result.verdict is Verdict.QUEUE_OVERFLOW
             assert result.witness == witness
@@ -119,15 +119,17 @@ class TestExplore:
 
     def test_config_validation(self):
         model = barrier_model(BarrierConfig(size=1))
-        with pytest.raises(ValueError):
-            explore(model, ExploreConfig(search_order="sideways"))
+        with pytest.raises(ValueError, match="unknown search order 'given'; choose from bfs, dfs"):
+            explore(model, ExploreConfig(search="given"))
+        with pytest.raises(TypeError):  # the library name is `search`, as the flag's
+            ExploreConfig(search_order="dfs")
         with pytest.raises(ValueError):
             explore(model, ExploreConfig(max_states=0))
         with pytest.raises(ValueError):
             explore(model, ExploreConfig(max_seconds=0))
 
     @pytest.mark.parametrize("options", [
-        {"search_order": "sideways"},
+        {"search": "sideways"},
         {"max_states": 0},
         {"max_seconds": 0},
         {"max_seconds": -1.0},
@@ -200,7 +202,7 @@ class TestExplore:
         # frontier empties, and the violation found first is still reported
         model = ring_model(RingConfig(size=4, variant=UNORDERED))
         strict = dataclasses.replace(model, terminal_postcondition=lambda s: False)
-        result = explore(strict, ExploreConfig(search_order="dfs", max_states=28))
+        result = explore(strict, ExploreConfig(search="dfs", max_states=28))
         assert result.verdict is Verdict.POSTCONDITION_VIOLATED
         assert result.terminal_states == [result.witness]
 
@@ -245,11 +247,11 @@ class TestSearchProperties:
 
     def test_accounting_identity(self, cfg, model):
         check_accounting(explore(model))
-        check_accounting(explore(model, ExploreConfig(search_order="dfs")))
+        check_accounting(explore(model, ExploreConfig(search="dfs")))
 
     def test_bfs_and_dfs_store_the_same_set(self, cfg, model):
         bfs = explore(model)
-        dfs = explore(model, ExploreConfig(search_order="dfs"))
+        dfs = explore(model, ExploreConfig(search="dfs"))
         assert set(bfs.states) == set(dfs.states)
         assert bfs.stats.states_stored == dfs.stats.states_stored
         assert bfs.stats.states_matched == dfs.stats.states_matched
@@ -290,7 +292,7 @@ def test_search_never_calls_replace(model, monkeypatch):
 
 # The benchmark's workloads (perfbench/workloads.json), pinned here so that a
 # count drift fails the tests without running the benchmark.
-@pytest.mark.parametrize("model,search_order,counts", [
+@pytest.mark.parametrize("model,search,counts", [
     (barrier_model(BarrierConfig(size=12, variant=LEADER_LAST)), "bfs",
      (8203, 40962, 49164, 1, 1579)),
     (ring_model(RingConfig(size=5, variant=UNORDERED)), "bfs",
@@ -298,8 +300,8 @@ def test_search_never_calls_replace(model, monkeypatch):
     (barrier_model(BarrierConfig(size=12, variant=LEADER_FIRST)), "dfs",
      (8203, 40962, 49164, 1, 67)),
 ], ids=["barrier-n12", "ring-unordered-n5", "barrier-n12-leader-first-dfs"])
-def test_benchmark_workload_counts(model, search_order, counts):
-    result = explore(model, ExploreConfig(search_order=search_order))
+def test_benchmark_workload_counts(model, search, counts):
+    result = explore(model, ExploreConfig(search=search))
     st = result.stats
     assert result.verdict is Verdict.VERIFIED
     assert (st.states_stored, st.states_matched, st.transitions_fired,

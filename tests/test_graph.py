@@ -32,7 +32,7 @@ def reference_dot(result, edges) -> str:
 
 
 def _run(model, order):
-    return explore_logged(model, ExploreConfig(search_order=order))
+    return explore_logged(model, ExploreConfig(search=order))
 
 
 @pytest.mark.parametrize("order", ["bfs", "dfs"])

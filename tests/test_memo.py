@@ -124,7 +124,7 @@ def test_ring_splice_to_an_unset_neighbor_is_out_of_range():
 ])
 def test_warm_memo_search_repeats_the_cold_one(build, search, tmp_path):
     model = build()
-    config = ExploreConfig(search_order=search)
+    config = ExploreConfig(search=search)
     runs = []
     for k in range(2):
         result, log, _ = explore_logged(model, config)

@@ -48,7 +48,7 @@ def measure(path):
     """The figures the tests check, taken in this process; the graph goes to `path`."""
     plain, _, without = _retained(False)
     logged, log, with_edges = _retained(True)
-    graph_run, graph_log, _ = explore_logged(MODEL, ExploreConfig(search_order="dfs"))
+    graph_run, graph_log, _ = explore_logged(MODEL, ExploreConfig(search="dfs"))
     gc.collect()
     tracemalloc.start()
     try:
