@@ -6,11 +6,11 @@ decides a verdict and whether a search config (`ExploreConfig`) is valid.
 Outputs, all optional and all deterministic for a given configuration:
   --stats   tab-separated statistics row (problem, method-config, model size,
             time (s), memory (MB), states stored, states matched)
-  --trace   counterexample trace when a property is violated: human-readable
-            lines at the given path, plus a machine-readable JSON twin at
-            <path>.json that the `replay` subcommand verifies step by step,
-            checking each step as `explore` checks a successor, and then
-            confirms its verdict by running `explore` from the last state
+  --trace   counterexample trace when a property is violated: one JSON file
+            at the given path, which the `replay` subcommand verifies step
+            by step, checking each step as `explore` checks a successor and
+            printing it as a readable line once it holds, and then confirms
+            its verdict by running `explore` from the last state
   --graph   DOT state graph: a node per stored state, an edge per fired
             transition as the search's `observe` hook logs it; streamed
 
@@ -33,8 +33,8 @@ from pathlib import Path
 from typing import Optional
 
 from .barrier import BarrierConfig, barrier_model
-from .engine import (ExplorationResult, ExploreConfig, ModelConfig, TraceStep, Verdict,
-                     explore, reconstruct_trace)
+from .engine import (ExplorationResult, ExploreConfig, ModelConfig, Verdict, explore,
+                     reconstruct_trace)
 from .ring import RingConfig, ring_model
 from .state import ModelError, State, render_state, state_checker
 
@@ -146,29 +146,18 @@ def _step_record(i: int, rule: Optional[str], pid: Optional[int], state: State) 
         for proc in state]}}
 
 
-def write_trace(path, steps: list[TraceStep], verdict: Verdict, header: dict) -> None:
-    """Human-readable trace of the witness path `steps` at `path`,
-    machine-readable twin at `path`.json."""
-    lines = [
-        "# counterexample trace",
-        "# " + " ".join(f"{k}={v}" for k, v in header.items()),
-        f"# verdict={verdict.value}",
-    ]
-    for i, step in enumerate(steps):
-        applied = "<initial>" if step.rule is None else f"{step.rule} @{step.pid}"
-        lines.append(f"step {i:<3d} {applied:<28s} {render_state(step.state)}")
-    _write_text(path, (line + "\n" for line in lines))
-    doc = dict(header, verdict=verdict.value, steps=[
-        _step_record(i, step.rule, step.pid, step.state) for i, step in enumerate(steps)])
-    _write_text(str(path) + ".json", [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
-
-
 def encode_header(model_name: str, cfg: ModelConfig) -> dict:
     """`run`'s trace header for `cfg`: the model, then each config field not
     None, in field order. Replay builds the config from the rest of a header
     and accepts the header only if it is this one."""
     values = ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
     return {"model": model_name, **{k: v for k, v in values if v is not None}}
+
+
+def _header_line(model_name: str, cfg: ModelConfig) -> str:
+    """`cfg`'s trace header as `k=v` pairs: `run`'s first stdout line, less
+    its search order, and `replay`'s second."""
+    return " ".join(f"{k}={v}" for k, v in encode_header(model_name, cfg).items())
 
 
 def _first_difference(recorded: dict, expected: dict) -> Optional[str]:
@@ -202,12 +191,10 @@ def _build_model(model_name: str, options: dict):
 
 
 def _cmd_run(args) -> int:
-    twin = None if args.trace is None else args.trace + ".json"
     # refused before the search, which would run for nothing: two outputs on
     # one file (each would overwrite the other), a directory, a missing parent
     seen: dict[str, str] = {}
-    for flag, path in (("--stats", args.stats), ("--trace", args.trace),
-                       ("--trace's .json twin", twin), ("--graph", args.graph)):
+    for flag, path in (("--stats", args.stats), ("--trace", args.trace), ("--graph", args.graph)):
         if path is not None:
             real = os.path.realpath(path)
             other = seen.setdefault(real, flag)
@@ -227,8 +214,7 @@ def _cmd_run(args) -> int:
     result = explore(model, config)
     st = result.stats
 
-    print(f"model={args.model} size={cfg.size} variant={cfg.variant} search={config.search}"
-          + (f" mutation={cfg.mutation}" if cfg.mutation else ""))
+    print(f"{_header_line(args.model, cfg)} search={config.search}")
     print(f"verdict: {result.verdict.value}")
     print(f"states stored: {st.states_stored}  states matched: {st.states_matched}  "
           f"transitions: {st.transitions_fired}  peak frontier: {st.max_frontier}")
@@ -243,8 +229,10 @@ def _cmd_run(args) -> int:
         write_stats(args.stats, result, args.model, method_config, cfg.size)
     if args.trace is not None:
         if steps is not None:
-            write_trace(args.trace, steps, result.verdict, encode_header(args.model, cfg))
-            print(f"trace written to {args.trace} (replayable: {args.trace}.json)")
+            doc = dict(encode_header(args.model, cfg), verdict=result.verdict.value, steps=[
+                _step_record(i, step.rule, step.pid, step.state) for i, step in enumerate(steps)])
+            _write_text(args.trace, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+            print(f"trace written to {args.trace}")
         else:
             print("no trace written: run produced no witness")
     if args.graph is not None:
@@ -277,6 +265,7 @@ def _cmd_replay(args) -> int:
         raise UsageError(f"malformed trace {args.trace}: no witness for verdict "
                          f"{reprlib.repr(verdict)}")
 
+    print(f"# counterexample trace\n# {_header_line(model_name, cfg)}\n# verdict={verdict}")
     state = model.initial_state
     try:
         check = state_checker(state, model.queue_capacity)
@@ -313,6 +302,8 @@ def _cmd_replay(args) -> int:
             print(f"replay mismatch at step {i}: recorded {reprlib.repr(key)} "
                   f"is not the replayed one")
             return EXIT_VIOLATION
+        applied = "<initial>" if rule_name is None else f"{rule_name} @{pid}"
+        print(f"step {i:<3d} {applied:<28s} {render_state(state)}")
     # The last state witnesses the verdict exactly when `explore` from there
     # reports it at that state (witness 0). Its moves store at most rules x
     # processes new states, so the limit never cuts them short but bounds the
@@ -354,8 +345,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--stats", help="write tab-separated statistics here")
 
     replay = sub.add_parser("replay",
-                            help="re-check a machine-readable trace step by step")
-    replay.add_argument("trace", help="path to a <trace>.json file")
+                            help="re-check a trace step by step, printing each step that holds")
+    replay.add_argument("trace", help="path to a trace that run --trace wrote")
     return parser
 
 
@@ -377,8 +368,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.close(devnull)
         print("error: cannot write to stdout: its reader has closed it", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:
-        pass  # leaving the handler drops the traceback, and the search's states with it
+    except (MemoryError, SystemError) as err:
+        # on 3.13 a MemoryError inside a C call can surface as the cause of a SystemError
+        if not (isinstance(err, MemoryError) or isinstance(err.__cause__, MemoryError)):
+            raise
+        # leaving the handler drops the traceback, and the search's states with it
     print(f"error: out of memory after {time.perf_counter() - started:.1f} s", file=sys.stderr)
     return EXIT_LIMIT
 

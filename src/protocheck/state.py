@@ -196,6 +196,8 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
     typed as its stored twin. Each append is kept per (target process,
     message). Sharing is per effect and per append, not per equal value.
     Value-keyed: id-keyed memos, and per-pid effect dicts, measured no faster.
+    The effect checks live here: checking every successor in the search loop
+    instead, matched ones too, measured 1.17-1.45x slower.
     `__wrapped__` is `step`, for a reference applier such as `tests/oracle.py`."""
     effects: dict = {}
     appends: dict = {}

@@ -90,15 +90,14 @@ def test_criterion_3_ring_verification_and_topology_counts():
 
 def test_criterion_4_counterexample_soundness(tmp_path):
     with gate("criterion 4: seeded bug caught, trace replays, depth minimal"):
-        trace = tmp_path / "trace.txt"
+        trace = tmp_path / "trace.json"
         code = cli.main(["run", "--model", "barrier", "--size", "3",
                          "--mutation", RELEASE_ON_BARRIER_IN,
                          "--trace", str(trace)])
         assert code == 1
-        machine = tmp_path / "trace.txt.json"
-        assert cli.main(["replay", str(machine)]) == 0
+        assert cli.main(["replay", str(trace)]) == 0
 
-        steps = json.loads(machine.read_text())["steps"]
+        steps = json.loads(trace.read_text())["steps"]
         model = barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN))
         assert len(steps) - 1 == oracle.min_violation_depth(model, 6) == 3
 
@@ -116,14 +115,13 @@ def test_criterion_5_determinism(tmp_path):
             assert code == 0
             code = cli.main(["run", "--model", "barrier", "--size", "3",
                              "--mutation", RELEASE_ON_BARRIER_IN,
-                             "--trace", str(d / "trace.txt"),
+                             "--trace", str(d / "trace.json"),
                              "--stats", str(d / "mutation-stats.tsv")])
             assert code == 1
             dirs.append(d)
         a, b = dirs
         assert (a / "graph.dot").read_bytes() == (b / "graph.dot").read_bytes()
-        assert (a / "trace.txt").read_bytes() == (b / "trace.txt").read_bytes()
-        assert (a / "trace.txt.json").read_bytes() == (b / "trace.txt.json").read_bytes()
+        assert (a / "trace.json").read_bytes() == (b / "trace.json").read_bytes()
         for stats in ("stats.tsv", "mutation-stats.tsv"):
             assert _mask_timing((a / stats).read_text()) == \
                 _mask_timing((b / stats).read_text())

@@ -71,10 +71,10 @@ def test_barrier_n10_dfs_graph_has_a_line_per_state_and_transition(tmp_path):
 ], ids=["violation", "overflow"])
 def test_entry_point_exits_with_the_verdict_and_its_trace_replays(argv, code, tmp_path):
     # `python -m protocheck` runs __main__.py, which no in-process test imports
-    trace = tmp_path / "t.txt"
+    trace = tmp_path / "t.json"
     done = run_child("-m", "protocheck", "run", *argv, "--trace", str(trace))
     assert done.returncode == code, done.stderr
-    done = run_child("-m", "protocheck", "replay", f"{trace}.json")
+    done = run_child("-m", "protocheck", "replay", str(trace))
     assert done.returncode == 0, done.stdout + done.stderr
     assert "confirmed" in done.stdout
 
@@ -125,6 +125,28 @@ def test_running_out_of_memory_is_a_limit_not_a_traceback():
     assert re.fullmatch(r"error: out of memory after \d+\.\d s\n", done.stderr), done.stderr
 
 
+def test_a_system_error_from_a_memory_error_is_out_of_memory(monkeypatch, capsys):
+    # on 3.13 a MemoryError inside a C call can surface as a SystemError's
+    # cause, as in `passed.issuperset(map(id, state))`; any other SystemError
+    # is a bug and propagates
+    def failing(cause):
+        def explore(model, config):
+            raise SystemError("<built-in function id> returned a result with an "
+                              "exception set") from cause
+        return explore
+
+    argv = ("run", "--model", "barrier", "--size", "3")
+    monkeypatch.setattr(cli, "explore", failing(MemoryError()))
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: out of memory after \d+\.\d s\n", err), err
+    for cause in (None, ValueError("not memory")):
+        monkeypatch.setattr(cli, "explore", failing(cause))
+        with pytest.raises(SystemError):
+            run_cli(*argv)
+
+
 def test_installed_command_is_cli_main():
     # the `protocheck` command an install makes; no test installs the package
     try:
@@ -170,18 +192,20 @@ class TestRun:
         assert fields[6] == "10"
 
     def test_violation_writes_replayable_trace(self, tmp_path, capsys):
-        trace = tmp_path / "trace.txt"
+        trace = tmp_path / "trace.json"
         code = run_cli("run", "--model", "barrier", "--size", "3",
-                       "--mutation", "release_on_barrier_in", "--trace", str(trace))
+                       "--mutation", "release_on_barrier_in", "--trace", str(trace),
+                       "--stats", str(tmp_path / "s.tsv"))
         assert code == 1
         assert "verdict: invariant_violated" in capsys.readouterr().out
-        assert trace.exists()
-        doc = json.loads((tmp_path / "trace.txt.json").read_text())
+        # each output is the one file it names
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.tsv", "trace.json"]
+        doc = json.loads(trace.read_text())
         assert doc["verdict"] == "invariant_violated"
-        assert run_cli("replay", str(tmp_path / "trace.txt.json")) == 0
+        assert run_cli("replay", str(trace)) == 0
 
     def test_no_trace_for_verified_run(self, tmp_path, capsys):
-        trace = tmp_path / "trace.txt"
+        trace = tmp_path / "trace.json"
         assert run_cli("run", "--model", "barrier", "--size", "2",
                        "--trace", str(trace)) == 0
         assert "no trace written" in capsys.readouterr().out
@@ -302,10 +326,9 @@ class TestUsageErrors:
     # Outputs are written one after another, so two on one file would leave
     # only the last; the run is refused before anything is written.
     @pytest.mark.parametrize("outputs, flags", [
-        (["--trace", "s.txt", "--graph", "s.txt"], "--trace and --graph"),
-        (["--trace", "s2.txt", "--stats", "s2.txt.json"], "--stats and --trace's .json twin"),
+        (["--trace", "s.json", "--graph", "s.json"], "--trace and --graph"),
         (["--stats", "x", "--graph", "./x"], "--stats and --graph"),
-    ], ids=["trace-graph", "stats-trace-twin", "one-file-two-spellings"])
+    ], ids=["trace-graph", "one-file-two-spellings"])
     def test_outputs_sharing_a_file_are_a_usage_error(self, outputs, flags, tmp_path,
                                                       monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -321,14 +344,12 @@ class TestUsageErrors:
         ("--stats", "{tmp}"),  # an existing directory
         ("--graph", "/nonexistent-dir/graph.dot"),
         ("--graph", "{tmp}"),
-        ("--trace", "/nonexistent-dir/t.txt"),
+        ("--trace", "/nonexistent-dir/t.json"),
         ("--trace", "{tmp}"),
-        ("--trace", "{tmp}/twin.txt"),  # its .json twin is a directory
         ("--trace", ""),  # names the working directory
     ], ids=["stats", "stats-is-dir", "graph-missing-dir", "graph-is-dir",
-            "trace-missing-dir", "trace-is-dir", "trace-twin-is-dir", "trace-empty"])
+            "trace-missing-dir", "trace-is-dir", "trace-empty"])
     def test_unwritable_output_names_the_path(self, option, path, tmp_path, capsys):
-        (tmp_path / "twin.txt.json").mkdir()
         path = path.format(tmp=tmp_path)
         code = run_cli("run", "--model", "barrier", "--size", "3",
                        "--mutation", "release_on_barrier_in", option, path)
@@ -355,22 +376,29 @@ class TestUsageErrors:
 
 class TestReplay:
     def _violation_trace(self, tmp_path):
-        trace = tmp_path / "t.txt"
+        trace = tmp_path / "t.json"
         assert run_cli("run", "--model", "barrier", "--size", "3",
                        "--mutation", "release_on_barrier_in",
                        "--trace", str(trace)) == 1
-        return tmp_path / "t.txt.json"
+        return trace
 
     def test_round_trip(self, tmp_path):
         assert run_cli("replay", str(self._violation_trace(tmp_path))) == 0
 
     def test_tampered_state_detected(self, tmp_path, capsys):
         path = self._violation_trace(tmp_path)
+        capsys.readouterr()
+        assert run_cli("replay", str(path)) == 0
+        # three header lines, then steps 0-3, then `replay OK`
+        *verified, _, _ = capsys.readouterr().out.splitlines()
         doc = json.loads(path.read_text())
         doc["steps"][-1]["state"]["processes"][0]["client_barrier_in"] ^= 1
         path.write_text(json.dumps(doc))
         assert run_cli("replay", str(path)) == 1
-        assert "mismatch" in capsys.readouterr().out
+        # the steps verified before the mismatch are printed, and nothing after it
+        *out, last = capsys.readouterr().out.splitlines()
+        assert out == verified and len(out) == 6
+        assert last == "replay mismatch at step 3: recorded 'state' is not the replayed one"
 
     def test_tampered_rule_detected(self, tmp_path):
         path = self._violation_trace(tmp_path)
@@ -390,10 +418,10 @@ class TestReplay:
         assert "replay mismatch: the last state does not witness invariant_violated" in out
 
     def _overflow_trace(self, tmp_path, search="bfs"):
-        trace = tmp_path / "o.txt"
+        trace = tmp_path / "o.json"
         assert run_cli("run", "--model", "ring", "--size", "3", "--variant", "unordered",
                        "--queue-capacity", "1", "--search", search, "--trace", str(trace)) == 2
-        return tmp_path / "o.txt.json"
+        return trace
 
     def _dfs_overflow_trace(self, tmp_path):
         path = self._overflow_trace(tmp_path, "dfs")
@@ -411,10 +439,10 @@ class TestReplay:
             return replace(barrier_model(cfg), terminal_postcondition=lambda s: False)
 
         monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
-        trace = tmp_path / "p.txt"
+        trace = tmp_path / "p.json"
         assert run_cli("run", "--model", "barrier", "--size", "2",
                        "--trace", str(trace)) == 1
-        assert run_cli("replay", f"{trace}.json") == 0
+        assert run_cli("replay", str(trace)) == 0
         assert "postcondition_violated confirmed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("verdict,code", [
@@ -547,15 +575,24 @@ class TestReplay:
         captured = capsys.readouterr()
         assert named in (captured.out if code == 1 else captured.err)
         assert len(captured.out) + len(captured.err) < 1024
+        if code == 3:  # a usage error prints nothing of the trace
+            assert captured.out == ""
 
     @pytest.mark.parametrize("trace, cfg", [
         ("_violation_trace", BarrierConfig(size=3, mutation="release_on_barrier_in")),
         ("_overflow_trace", RingConfig(size=3, variant="unordered", queue_capacity=1)),
     ])
-    def test_run_writes_the_encoded_header(self, tmp_path, trace, cfg):
-        doc = json.loads(getattr(self, trace)(tmp_path).read_text())
+    def test_run_writes_the_encoded_header(self, tmp_path, capsys, trace, cfg):
+        path = getattr(self, trace)(tmp_path)
+        first = capsys.readouterr().out.splitlines()[0]
+        doc = json.loads(path.read_text())
         del doc["steps"], doc["verdict"]
         assert doc == cli.encode_header(doc["model"], cfg)
+        # run's first stdout line is the header replay prints, plus the search order
+        assert f" queue_capacity={cfg.queue_capacity} " in first
+        assert run_cli("replay", str(path)) == 0
+        header = capsys.readouterr().out.splitlines()[1]
+        assert first == header.removeprefix("# ") + " search=bfs"
 
     @pytest.mark.parametrize("trace", ["_violation_trace", "_overflow_trace"])
     def test_unallocatable_size_in_header_is_a_usage_error(self, tmp_path, capsys, trace):
@@ -721,12 +758,13 @@ def test_trace_header_builds_the_config_it_encodes(name, cfg):
 
 def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, _toy_model))
-    trace = tmp_path / "t.txt"
+    trace = tmp_path / "t.json"
     assert run_cli("run", "--model", "toy", "--size", "2", "--trace", str(trace)) == 1
     assert "model=toy size=2 variant=plain" in capsys.readouterr().out
-    assert trace.read_text().splitlines()[-1].endswith("(1,[t]) (1,[t])")
-    assert run_cli("replay", f"{trace}.json") == 0
-    assert "replay OK: 2 steps verified" in capsys.readouterr().out
+    assert run_cli("replay", str(trace)) == 0
+    *_, last_step, verdict = capsys.readouterr().out.splitlines()
+    assert last_step.endswith("(1,[t]) (1,[t])")
+    assert verdict.startswith("replay OK: 2 steps verified")
 
 
 def _toy_without_invariant(cfg):
@@ -808,12 +846,12 @@ def test_replay_confirms_verdicts_as_the_oracle_does(tmp_path, monkeypatch, caps
                             (config_class, _never_postcondition(build)))
     confirmed = dict.fromkeys(_VERDICTS, 0)
     refuted = dict.fromkeys(_VERDICTS, 0)
-    trace = tmp_path / "t.txt"
+    trace = tmp_path / "t.json"
     for name, n, variant, extra in _PROBE_RUNS:
         if run_cli("run", "--model", name, "--size", str(n), "--variant", variant,
                    "--search", search, "--trace", str(trace), *extra) == 0:
             continue  # verified: no trace
-        doc = json.loads(Path(f"{trace}.json").read_text())
+        doc = json.loads(trace.read_text())
         config_class, build = cli.MODELS[name]
         options = {"mutation": doc["mutation"]} if "mutation" in doc else {}
         model = build(config_class(size=n, variant=variant,

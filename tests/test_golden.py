@@ -1,8 +1,9 @@
 """Output bytes pinned against files in tests/golden/.
 
 Every file a run writes is compared byte for byte; its stdout and stats row
-are compared with the timing figures masked. To regenerate after an
-intended output change: `PYTHONPATH=src python tests/test_golden.py`.
+are compared with the timing figures masked. A trace's `.txt` file pins what
+`replay` prints for it, less its last line, `replay OK: ...`. To regenerate
+after an intended output change: `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import io
@@ -37,7 +38,7 @@ RUNS = {
     ),
 }
 
-_SUFFIX = {"trace": ".txt", "graph": ".dot", "stats": ".tsv"}
+_SUFFIX = {"trace": ".json", "graph": ".dot", "stats": ".tsv"}
 
 
 def _mask_timing(text: str) -> str:
@@ -48,7 +49,8 @@ def _mask_timing(text: str) -> str:
 
 
 def _run(name: str, out_dir: Path) -> tuple[int, dict[str, bytes]]:
-    """Run `name` writing into `out_dir`: its exit code and outputs by file name."""
+    """Run `name` writing into `out_dir`, and replay its trace: its exit code
+    and outputs by file name."""
     _, argv, outputs = RUNS[name]
     for opt in outputs:
         argv = argv + [f"--{opt}", str(out_dir / (name + _SUFFIX[opt]))]
@@ -56,6 +58,12 @@ def _run(name: str, out_dir: Path) -> tuple[int, dict[str, bytes]]:
         code = cli.main(["run"] + argv)
     files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     files[name + ".stdout"] = stdout.getvalue().replace(str(out_dir), "OUT").encode()
+    if "trace" in outputs:
+        with redirect_stdout(io.StringIO()) as replayed:
+            assert cli.main(["replay", str(out_dir / (name + ".json"))]) == 0
+        *lines, last = replayed.getvalue().splitlines(keepends=True)
+        assert last.startswith("replay OK: ")
+        files[name + ".txt"] = "".join(lines).encode()
     for file_name in (name + ".stdout", name + ".tsv"):
         if file_name in files:
             files[file_name] = _mask_timing(files[file_name].decode()).encode()
@@ -72,7 +80,7 @@ def test_outputs_match_golden_bytes(name, tmp_path):
         assert files[file_name] == (GOLDEN / file_name).read_bytes(), file_name
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.txt.json")))
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
 def test_committed_traces_replay(name, capsys):
     # traces an older commit wrote must stay replayable: the header keys and
     # the JSON state form are a file format

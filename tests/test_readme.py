@@ -1,7 +1,10 @@
-"""README's library examples run as written."""
+"""README's library examples and command lines run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from protocheck import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +20,16 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
         exec(compile(block, str(README), "exec"), namespace)
     assert capsys.readouterr().out == "Verdict.VERIFIED 2057\n"
     assert (tmp_path / "states.dot").read_text().startswith("digraph reachable {\n")
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # each `protocheck ...` line, continuations joined, through cli.main; the
+    # trace, graph and stats files land in tmp_path
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```$", section, re.M | re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert all(argv[0] == "protocheck" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    assert [cli.main(argv[1:]) for argv in commands] == [0, 0, 1, 0]
+    assert "replay OK: 3 steps verified, invariant_violated confirmed" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cex.json", "states.dot", "stats.tsv"]
