@@ -23,8 +23,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .engine import ModelConfig, ProtocolModel, TransitionRule
-from .state import (Message, MessageKindBase, Queue, State, memoized_apply, receive,
-                    render_queue)
+from .state import Message, MessageKindBase, Queue, State, memoized_apply, receive
 # Unused here: the benchmark harness wraps these state edits on this module by name.
 from .state import receive_message, replace_process, send_message  # noqa: F401
 
@@ -65,13 +64,6 @@ class BarrierProcessState(NamedTuple):
             raise ValueError("cannot hold barrier_in after the client request")
         if self.client_barrier_out and not self.client_barrier_in:
             raise ValueError("client released before it reached the barrier")
-
-    def render(self) -> str:
-        """`(in,out,holding,[queue])`, e.g. `(1,0,0,[bo])`."""
-        return (
-            f"({self.client_barrier_in},{self.client_barrier_out},"
-            f"{self.holding_barrier_in},{render_queue(self.queue)})"
-        )
 
 
 class BarrierConfig(ModelConfig):

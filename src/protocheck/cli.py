@@ -27,7 +27,6 @@ import time
 from array import array
 from collections.abc import Iterable
 from dataclasses import fields, replace
-from enum import Enum
 from itertools import chain, islice
 from pathlib import Path
 from typing import Optional
@@ -36,7 +35,8 @@ from .barrier import BarrierConfig, barrier_model
 from .engine import (ExplorationResult, ExploreConfig, ModelConfig, Verdict, explore,
                      reconstruct_trace)
 from .ring import RingConfig, ring_model
-from .state import ModelError, State, render_state, state_checker
+from .state import (ModelError, State, process_fields, render_process, render_state,
+                    state_checker)
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -77,12 +77,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _json_field(name: str, value):
-    if name == "queue":
-        return [m.render() for m in value]
-    return value.name.lower() if isinstance(value, Enum) else value
-
-
 def _write_text(path, chunks: Iterable[str]) -> None:
     """Write `chunks` to `path` in order, 32 joined to a block, each block
     passed straight to the file's byte buffer: memory is bounded by a block,
@@ -99,10 +93,11 @@ def _write_text(path, chunks: Iterable[str]) -> None:
 
 
 class _RenderMemo(dict):
-    """process -> its `render()`, made on the first lookup; keyed by value."""
+    """process -> its `render_process` text, made on the first lookup; keyed
+    by value."""
 
     def __missing__(self, proc) -> str:
-        text = self[proc] = proc.render()
+        text = self[proc] = render_process(proc)
         return text
 
 
@@ -139,11 +134,9 @@ def write_stats(path, result: ExplorationResult, problem: str, method_config: st
 
 def _step_record(i: int, rule: Optional[str], pid: Optional[int], state: State) -> dict:
     """Step `i` of a JSON trace: `state` reached by `rule` at `pid`, each
-    process as its fields, enums by lower-case name and the queue as rendered
-    messages."""
-    return {"step": i, "rule": rule, "pid": pid, "state": {"processes": [
-        {name: _json_field(name, value) for name, value in proc._asdict().items()}
-        for proc in state]}}
+    process as its `process_fields`."""
+    return {"step": i, "rule": rule, "pid": pid,
+            "state": {"processes": [process_fields(proc) for proc in state]}}
 
 
 def encode_header(model_name: str, cfg: ModelConfig) -> dict:

@@ -25,12 +25,11 @@ stores 10 * 2**(N-3) + 2 states for N = 3-8; unordered ends in (N-1)!
 terminal states for N = 1-5, one per ring topology.
 """
 
-from enum import Enum
+from enum import Enum, auto
 from typing import NamedTuple
 
 from .engine import ModelConfig, ProtocolModel, TransitionRule
-from .state import (Message, MessageKindBase, Queue, State, memoized_apply, receive,
-                    render_queue)
+from .state import Message, MessageKindBase, Queue, State, memoized_apply, receive
 # Unused here: the benchmark harness wraps these state edits on this module by name.
 from .state import receive_message, replace_process, send_message  # noqa: F401
 
@@ -39,8 +38,9 @@ ENTRY = 0
 ORDERED = "ordered"
 UNORDERED = "unordered"
 
-# Neighbor sentinel for processes that have not joined the ring yet.
-# Deliberately outside [0, N) so it can never collide with a real rank.
+# Neighbor sentinel for processes that have not joined the ring yet, written
+# as -1 in text and JSON alike. Deliberately outside [0, N) so it can never
+# collide with a real rank.
 UNSET = -1
 
 
@@ -66,22 +66,19 @@ def new_rhs(neighbor: int) -> Message:
 
 
 class RingStatus(Enum):
+    """Membership; text and JSON write a status by its lower-case name."""
+
     __hash__ = object.__hash__  # identity, as for MessageKindBase
 
-    # each value is the status's code in rendered text; JSON writes the name
-    OUTSIDE = "out"
-    INSERTING = "ins"
-    IN_RING = "ring"
+    OUTSIDE = auto()
+    INSERTING = auto()
+    IN_RING = auto()
 
 
 # Guards compare against module-level aliases (see `engine.TransitionRule`):
 # an Enum member lookup costs a dozen global lookups.
 _OUTSIDE, _IN_RING, _INSERTING = RingStatus.OUTSIDE, RingStatus.IN_RING, RingStatus.INSERTING
 _REQ, _RHS, _ACK = MessageKind.REQ_INSERT, MessageKind.NEW_RHS, MessageKind.INSERT_ACK
-
-
-def _render_neighbor(rank: int) -> str:
-    return "-" if rank == UNSET else str(rank)
 
 
 class RingProcessState(NamedTuple):
@@ -100,14 +97,6 @@ class RingProcessState(NamedTuple):
                 raise ValueError(f"ring neighbors are ints in [0, {n}) or unset, got {rank!r}")
         if self.status is _OUTSIDE and (self.lhs, self.rhs) != (UNSET, UNSET):
             raise ValueError("a process outside the ring has no neighbors")
-
-    def render(self) -> str:
-        """`(status,lhs/rhs,[queue])` with `-` for an unset neighbor, e.g.
-        `(ins,-/-,[ack(0,0)])`."""
-        return (
-            f"({self.status.value},{_render_neighbor(self.lhs)}/"
-            f"{_render_neighbor(self.rhs)},{render_queue(self.queue)})"
-        )
 
 
 class RingConfig(ModelConfig):

@@ -12,19 +12,19 @@ benchmark in `perfbench/` wraps on the protocol modules.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple whose
-last field is `queue`, with a `render()` method and a `check(n)` method. The
-engine keys its visited set by the state itself, so every process field must
-be hashable, compare by value and have a default of the one type it may
-hold; `render()` serves trace, DOT and JSON text only and is never called
-during a search. `check(n)` raises ValueError for an ill-formed process in a
-system of `n` processes.
+last field is `queue`, with a `check(n)` method, which raises ValueError for
+an ill-formed process in a system of `n` processes. The engine keys its
+visited set by the state itself, so every process field must be hashable,
+compare by value and have a default of the one type it may hold. A
+process's one external form is `process_fields`, which the JSON trace writes
+and `render_process` joins into trace and DOT text; neither is called during
+a search.
 
 A protocol's rule is a local guard, an optional gate on the whole state
 and a pure local step, which `memoized_apply` makes the rule's apply.
 """
 
 from enum import Enum
-from operator import methodcaller
 from typing import Callable, NamedTuple
 
 
@@ -75,13 +75,6 @@ class Message(NamedTuple):
 
 # A FIFO input queue: head at index 0, sends append at the tail.
 Queue = tuple[Message, ...]
-
-
-def render_queue(queue: Queue) -> str:
-    """`[m1 m2 ...]`, head first."""
-    if not queue:  # most queues, and the cheapest case to render
-        return "[]"
-    return "[" + " ".join([m.render() for m in queue]) + "]"
 
 
 # A system state: one process state per pid, all of one protocol variant.
@@ -231,9 +224,24 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
     return apply
 
 
-def render_state(state: State, text: Callable[[object], str] = methodcaller("render")) -> str:
+def process_fields(proc) -> dict:
+    """Field name -> value, in field order: an Enum by its lower-case name,
+    the queue as its rendered messages, head first, and anything else as is."""
+    values = {name: value.name.lower() if isinstance(value, Enum) else value
+              for name, value in zip(proc._fields, proc)}
+    values["queue"] = [m.render() for m in proc.queue]
+    return values
+
+
+def render_process(proc) -> str:
+    """`(v1,v2,...,[m1 m2 ...])`: `process_fields`' values, the queue last."""
+    *values, queue = process_fields(proc).values()
+    return "(" + ",".join([*map(str, values), "[" + " ".join(queue) + "]"]) + ")"
+
+
+def render_state(state: State, text: Callable[[object], str] = render_process) -> str:
     """Compact one-line rendering, for trace lines and DOT nodes alike: each
-    process's `text(proc)`, by default its `render()`, joined by spaces."""
+    process's `text(proc)`, by default `render_process`, joined by spaces."""
     return " ".join(map(text, state))
 
 

@@ -16,7 +16,8 @@ from protocheck.barrier import BarrierConfig, BarrierProcessState, barrier_model
 from protocheck.engine import (ExploreConfig, ModelConfig, ProtocolModel, TransitionRule,
                                Verdict, explore)
 from protocheck.ring import RingConfig, ring_model
-from protocheck.state import Message, MessageKindBase, memoized_apply, receive, render_queue
+from protocheck.state import Message, MessageKindBase, memoized_apply, receive
+from test_engine import instances
 
 NODE_RE = re.compile(r"^\s*s\d+ \[label=", re.M)
 EDGE_RE = re.compile(r"^\s*s\d+ -> s\d+ \[label=", re.M)
@@ -676,7 +677,31 @@ def test_render_state_is_compact():
     state = barrier_model(BarrierConfig(size=2)).initial_state
     assert cli.render_state(state) == "(0,0,0,[]) (0,0,0,[])"
     ring = ring_model(RingConfig(size=2)).initial_state
-    assert cli.render_state(ring) == "(ring,0/0,[]) (out,-/-,[])"
+    assert cli.render_state(ring) == "(in_ring,0,0,[]) (outside,-1,-1,[])"
+
+
+def _top_level_parts(text: str) -> list[str]:
+    """`text` split at each comma outside all parentheses and brackets."""
+    parts, depth, start = [], 0, 0
+    for i, char in enumerate(text):
+        depth += (char in "([") - (char in ")]")
+        if char == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
+
+
+@pytest.mark.parametrize("cfg, model", instances(5, 4, mutations=True))
+def test_text_and_json_agree_field_by_field(cfg, model):
+    # a process's text is its JSON fields joined: one name per value
+    for proc in {proc for state in oracle.enumerate_reachable(model) for proc in state}:
+        text = cli.render_state((proc,))
+        assert text[0] + text[-1] == "()", text
+        *values, queue = _top_level_parts(text[1:-1])
+        (record,) = cli._step_record(0, None, None, (proc,))["state"]["processes"]
+        *fields, messages = record.values()
+        assert values == [str(value) for value in fields], text
+        assert queue[0] + queue[-1] == "[]" and queue[1:-1].split() == messages, text
 
 
 class _Toy(MessageKindBase):
@@ -686,9 +711,6 @@ class _Toy(MessageKindBase):
 class _ToyProcess(NamedTuple):
     sent: int = 0
     queue: tuple = ()
-
-    def render(self):
-        return f"({self.sent},{render_queue(self.queue)})"
 
     def check(self, n):
         if self.sent not in (0, 1):
@@ -757,13 +779,16 @@ def test_trace_header_builds_the_config_it_encodes(name, cfg):
 
 
 def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys):
+    # the toy writes no text of its own: the process codec renders its fields
     monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, _toy_model))
-    trace = tmp_path / "t.json"
-    assert run_cli("run", "--model", "toy", "--size", "2", "--trace", str(trace)) == 1
+    trace, graph = tmp_path / "t.json", tmp_path / "g.dot"
+    assert run_cli("run", "--model", "toy", "--size", "2", "--trace", str(trace),
+                   "--graph", str(graph)) == 1
     assert "model=toy size=2 variant=plain" in capsys.readouterr().out
+    assert '  s0 [label="s0: (0,[]) (0,[])"];\n' in graph.read_text()
     assert run_cli("replay", str(trace)) == 0
     *_, last_step, verdict = capsys.readouterr().out.splitlines()
-    assert last_step.endswith("(1,[t]) (1,[t])")
+    assert last_step == "step 2   send @1                      (1,[t]) (1,[t])"
     assert verdict.startswith("replay OK: 2 steps verified")
 
 

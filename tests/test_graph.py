@@ -10,11 +10,12 @@ from collections import Counter
 
 import pytest
 
+import protocheck.state
 from protocheck import cli
-from protocheck.barrier import (LEADER_FIRST, RELEASE_ON_BARRIER_IN, BarrierConfig,
-                                BarrierProcessState, barrier_model)
+from protocheck.barrier import LEADER_FIRST, RELEASE_ON_BARRIER_IN, BarrierConfig, barrier_model
 from protocheck.engine import ExploreConfig, Verdict
 from protocheck.ring import UNORDERED, RingConfig, ring_model
+from protocheck.state import render_process
 from test_engine import explore_logged, instances
 
 
@@ -23,7 +24,7 @@ def reference_dot(result, edges) -> str:
     each edge from its decoded (source, rule name, pid, target) tuple."""
     lines = ["digraph reachable {\n"]
     for sid, state in enumerate(result.states):
-        label = " ".join(p.render() for p in state)
+        label = " ".join(render_process(p) for p in state)
         lines.append(f'  s{sid} [label="s{sid}: {label}"];\n')
     for src, rule, pid, dst in edges:
         lines.append(f'  s{src} -> s{dst} [label="{rule} @{pid}"];\n')
@@ -70,15 +71,16 @@ def graph_run():
 
 @pytest.fixture
 def renders(monkeypatch):
-    """Counter of `BarrierProcessState.render` calls, keyed by process value."""
+    """Counter of `render_process` calls, keyed by process value: counted
+    where each call reads the fields, so a call through any name counts."""
     calls = Counter()
-    render = BarrierProcessState.render
+    read = protocheck.state.process_fields
 
     def counted(proc):
         calls[proc] += 1
-        return render(proc)
+        return read(proc)
 
-    monkeypatch.setattr(BarrierProcessState, "render", counted)
+    monkeypatch.setattr(protocheck.state, "process_fields", counted)
     return calls
 
 

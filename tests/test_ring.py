@@ -71,7 +71,7 @@ def test_config_rejects_non_int_sizes(options):
 
 @pytest.mark.parametrize("lhs,rhs", [(True, 0), (0, True), (False, False), (1.0, 0)])
 def test_neighbors_are_ints_never_bools(lhs, rhs):
-    # (ring,True/0,[]) equals (ring,1/0,[]), so the two would share one visited key;
+    # (in_ring,True,0,[]) equals (in_ring,1,0,[]), so the two would share one visited key;
     # the checker pins each field to its default's type, int for both neighbors
     state_checker((R(RING, 1, 0),) * 2, 5)((R(RING, 1, 0),) * 2)
     field = "lhs" if type(lhs) is not int else "rhs"
