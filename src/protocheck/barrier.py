@@ -57,7 +57,7 @@ class BarrierProcessState(NamedTuple):
 
     def check(self, n: int) -> None:
         """Raise ValueError unless the bits are 0 or 1 and mutually consistent."""
-        if not {*self[:3]} <= {0, 1}:
+        if {self.client_barrier_in, self.client_barrier_out, self.holding_barrier_in} - {0, 1}:
             raise ValueError("barrier process fields are bits")
         if self.holding_barrier_in and self.client_barrier_in:
             # a held entry token is forwarded the moment the client asks
@@ -91,7 +91,7 @@ def rule_client_request(proc: BarrierProcessState, pid: int, n: int):
     non-leader that was holding the token forwards it now.
     """
     # the holding bit clears either way (the leader never holds the token)
-    out = BarrierProcessState(1, proc.client_barrier_out, 0, proc.queue)
+    out = proc._replace(client_barrier_in=1, holding_barrier_in=0)
     if pid == LEADER or proc.holding_barrier_in:
         return out, ((next_rank(pid, n), BARRIER_IN),)
     return out, ()
@@ -110,11 +110,9 @@ def rule_barrier_in_nonleader(proc: BarrierProcessState, pid: int, n: int,
     if proc.client_barrier_in:
         # the seeded bug releases the client here, see RELEASE_ON_BARRIER_IN
         released = 1 if release_on_forward else proc.client_barrier_out
-        return (BarrierProcessState(proc.client_barrier_in, released,
-                                    proc.holding_barrier_in, queue),
+        return (proc._replace(client_barrier_out=released, queue=queue),
                 ((next_rank(pid, n), BARRIER_IN),))
-    return BarrierProcessState(
-        proc.client_barrier_in, proc.client_barrier_out, 1, queue), ()
+    return proc._replace(holding_barrier_in=1, queue=queue), ()
 
 
 def barrier_in_leader_enabled(proc: BarrierProcessState, pid: int) -> bool:
@@ -130,8 +128,7 @@ def rule_barrier_in_leader(proc: BarrierProcessState, pid: int, n: int,
     round. Under leader_first the leader's own client goes through now."""
     _, queue = receive(proc, pid)
     released = 1 if variant == LEADER_FIRST else proc.client_barrier_out
-    return (BarrierProcessState(proc.client_barrier_in, released,
-                                proc.holding_barrier_in, queue),
+    return (proc._replace(client_barrier_out=released, queue=queue),
             ((next_rank(pid, n), BARRIER_OUT),))
 
 
@@ -148,9 +145,8 @@ def rule_barrier_out(proc: BarrierProcessState, pid: int, n: int,
     _, queue = receive(proc, pid)
     if pid == LEADER:
         released = 1 if variant == LEADER_LAST else proc.client_barrier_out
-        return BarrierProcessState(
-            proc.client_barrier_in, released, proc.holding_barrier_in, queue), ()
-    return (BarrierProcessState(proc.client_barrier_in, 1, proc.holding_barrier_in, queue),
+        return proc._replace(client_barrier_out=released, queue=queue), ()
+    return (proc._replace(client_barrier_out=1, queue=queue),
             ((next_rank(pid, n), BARRIER_OUT),))
 
 

@@ -248,7 +248,6 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     # would take a list successor, which as its own key fails as unhashable.
     encode, invariant = canonical_encode, model.invariant
     check = state_checker(init, model.queue_capacity)
-    check(init)
     visited[encode(init)] = 0
     if not invariant(init):
         return finish(Verdict.INVARIANT_VIOLATED, witness=0)

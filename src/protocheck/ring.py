@@ -106,7 +106,7 @@ class RingConfig(ModelConfig):
 def ring_initial_state(cfg: RingConfig) -> State:
     """The entry process alone in the ring, self-looped; everyone else out."""
     procs = [RingProcessState()] * cfg.size
-    procs[ENTRY] = RingProcessState(RingStatus.IN_RING, ENTRY, ENTRY)
+    procs[ENTRY] = RingProcessState(status=RingStatus.IN_RING, lhs=ENTRY, rhs=ENTRY)
     return tuple(procs)
 
 
@@ -121,8 +121,7 @@ def ordered_gate(state: State, pid: int) -> bool:
 
 def rule_begin_insert(proc: RingProcessState, pid: int):
     """An outside process starts joining: mark it and ask the entry."""
-    return (RingProcessState(RingStatus.INSERTING, proc.lhs, proc.rhs, proc.queue),
-            ((ENTRY, req_insert(pid)),))
+    return proc._replace(status=RingStatus.INSERTING), ((ENTRY, req_insert(pid)),)
 
 
 def req_insert_enabled(proc: RingProcessState, pid: int) -> bool:
@@ -142,7 +141,7 @@ def rule_handle_req_insert(proc: RingProcessState, pid: int):
     """
     head, queue = receive(proc, pid)
     (joiner,) = head.payload
-    return (RingProcessState(proc.status, joiner, proc.rhs, queue),
+    return (proc._replace(lhs=joiner, queue=queue),
             ((joiner, insert_ack(proc.lhs, pid)), (proc.lhs, new_rhs(joiner))))
 
 
@@ -155,7 +154,7 @@ def rule_handle_new_rhs(proc: RingProcessState, pid: int):
     """Repoint the right-hand side; the old link is dropped by overwrite."""
     head, queue = receive(proc, pid)
     (rhs,) = head.payload
-    return RingProcessState(proc.status, proc.lhs, rhs, queue), ()
+    return proc._replace(rhs=rhs, queue=queue), ()
 
 
 def insert_ack_enabled(proc: RingProcessState, pid: int) -> bool:
@@ -168,7 +167,7 @@ def rule_handle_insert_ack(proc: RingProcessState, pid: int):
     """The joiner adopts its neighbor pair and is in the ring."""
     head, queue = receive(proc, pid)
     lhs, rhs = head.payload
-    return RingProcessState(RingStatus.IN_RING, lhs, rhs, queue), ()
+    return proc._replace(status=RingStatus.IN_RING, lhs=lhs, rhs=rhs, queue=queue), ()
 
 
 def ring_invariant(state: State) -> bool:

@@ -11,14 +11,14 @@ object once. No successor is built with the state edits `replace_process`,
 benchmark in `perfbench/` wraps on the protocol modules.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
-as a `MessageKindBase` subclass and its process state as a NamedTuple whose
-last field is `queue`, with a `check(n)` method, which raises ValueError for
-an ill-formed process in a system of `n` processes. The engine keys its
-visited set by the state itself, so every process field must be hashable,
-compare by value and have a default of the one type it may hold. A
-process's one external form is `process_fields`, which the JSON trace writes
-and `render_process` joins into trace and DOT text; neither is called during
-a search.
+as a `MessageKindBase` subclass and its process state as a NamedTuple with a
+`queue` field anywhere and a `check(n)` method, which raises ValueError for
+an ill-formed process in a system of `n` processes. Code builds and reads a
+process by field name, never by position. The engine keys its visited set by
+the state itself, so every field must be hashable, compare by value and have
+a default of the one type it may hold. A process's one external form is
+`process_fields`, which the JSON trace writes and `render_process` joins into
+trace and DOT text; neither is called during a search.
 
 A protocol's rule is a local guard, an optional gate on the whole state
 and a pure local step, which `memoized_apply` makes the rule's apply.
@@ -93,9 +93,10 @@ def _check_like(pid: int, proc, like) -> None:
 
 def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None]:
     """The well-formedness check of one search from `initial`. It needs a
-    capacity of at least 1 and a first process whose type's last field is
-    `queue` and whose fields all have defaults (else ValueError), and pins
-    `n = len(initial)`, that type and its defaults' field types.
+    capacity of at least 1 and a first process whose type has a `queue`
+    field and a default for every field (else ValueError), pins
+    `n = len(initial)`, that type and its defaults' field types, and checks
+    `initial` before it returns, so a checker has passed its own state.
 
     `check(state)` raises ValueError unless `state` has `n` processes of the
     pinned types, each message with its kind's arity of `int` ids below `n`,
@@ -110,8 +111,8 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
     if not initial:
         raise ValueError("a system needs at least one process")
     first = type(initial[0])
-    if getattr(first, "_fields", ())[-1:] != ("queue",):
-        raise ValueError(f"the last field of {first.__name__} must be queue")
+    if "queue" not in getattr(first, "_fields", ()):
+        raise ValueError(f"{first.__name__} has no queue field")
     if len(first._field_defaults) != len(first._fields):
         raise ValueError(f"every field of {first.__name__} needs a default")
     pinned = first()
@@ -146,6 +147,7 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
             held.append(proc)
             passed.add(id(proc))
 
+    check(initial)
     return check
 
 
@@ -160,9 +162,7 @@ def send_message(state: State, to: int, message: Message) -> State:
     process; the queue bound and payloads are `state_checker`'s to check."""
     if not 0 <= to < len(state):
         raise ValueError(f"send target {to} out of range for {len(state)} processes")
-    proc = state[to]
-    # `queue` is the last field, so the rebuilt process copies the rest as is
-    return replace_process(state, to, proc._make(proc[:-1] + (proc.queue + (message,),)))
+    return replace_process(state, to, state[to]._replace(queue=state[to].queue + (message,)))
 
 
 def receive(proc, pid: int) -> tuple[Message, Queue]:
@@ -175,8 +175,7 @@ def receive(proc, pid: int) -> tuple[Message, Queue]:
 
 def receive_message(state: State, pid: int) -> State:
     """Remove the head of process `pid`'s queue, preserving FIFO order."""
-    proc = state[pid]
-    return replace_process(state, pid, proc._make(proc[:-1] + (receive(proc, pid)[1],)))
+    return replace_process(state, pid, state[pid]._replace(queue=receive(state[pid], pid)[1]))
 
 
 def memoized_apply(step: Callable) -> Callable[[State, int], State]:
@@ -215,8 +214,8 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
             target = procs[to]
             appended = appends.get((target, message))
             if appended is None:
-                appended = appends[target, message] = target._make(
-                    target[:-1] + (target.queue + (message,),))
+                appended = appends[target, message] = target._replace(
+                    queue=target.queue + (message,))
             procs[to] = appended
         return tuple(procs)
 
@@ -234,9 +233,10 @@ def process_fields(proc) -> dict:
 
 
 def render_process(proc) -> str:
-    """`(v1,v2,...,[m1 m2 ...])`: `process_fields`' values, the queue last."""
-    *values, queue = process_fields(proc).values()
-    return "(" + ",".join([*map(str, values), "[" + " ".join(queue) + "]"]) + ")"
+    """`(v1,v2,...)`: `process_fields`' values, with the queue as `[m1 m2 ...]`."""
+    values = process_fields(proc)
+    values["queue"] = "[" + " ".join(values["queue"]) + "]"
+    return "(" + ",".join(map(str, values.values())) + ")"
 
 
 def render_state(state: State, text: Callable[[object], str] = render_process) -> str:

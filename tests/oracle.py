@@ -17,30 +17,33 @@ from protocheck.ring import RingProcessState, RingStatus
 sys.setrecursionlimit(200_000)
 
 
+def _image(name, value):
+    """A field's plain image: the queue as (kind value, payload) pairs, an
+    Enum member by value, anything else as is."""
+    if name == "queue":
+        return tuple((m.kind.value, m.payload) for m in value)
+    return value.value if isinstance(value, Enum) else value
+
+
 def snapshot(state):
     """Plain-tuple image of a state; injective with respect to structure.
-    Each process is its class name, then its fields with Enum members by
-    value, then its queue as (kind value, payload) pairs; no protocol is
-    named, so any process NamedTuple with `queue` last has an image."""
-    procs = []
-    for p in state:
-        fields = tuple(v.value if isinstance(v, Enum) else v for v in p[:-1])
-        queue = tuple((m.kind.value, m.payload) for m in p.queue)
-        procs.append((type(p).__name__, *fields, queue))
-    return tuple(procs)
+    Each process is its class name, then each field's image in field order;
+    no protocol is named, so any process NamedTuple with a `queue` field, in
+    any position, has an image."""
+    return tuple((type(p).__name__, *map(_image, p._fields, p)) for p in state)
 
 
 def apply_step(rule, state, pid):
     """The successor from the rule's own uncached local step, never its
     memoized `apply`: the new process at `pid`, then each message sent
-    appended to its target's queue, with the queue as the last field."""
+    appended to its target's `queue` field, the others kept as they are."""
     new_proc, sends = rule.apply.__wrapped__(state[pid], pid)
     procs = list(state)
     procs[pid] = new_proc
     for to, message in sends:
         assert 0 <= to < len(procs), to
         target = procs[to]
-        procs[to] = type(target)(*target[:-1], target.queue + (message,))
+        procs[to] = target._replace(queue=target.queue + (message,))
     return tuple(procs)
 
 

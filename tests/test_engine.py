@@ -1,5 +1,6 @@
 import dataclasses
 from array import array
+from inspect import getclosurevars
 
 import pytest
 
@@ -273,21 +274,39 @@ def test_search_never_renders(model, monkeypatch):
     assert set(result.states) == set(oracle.enumerate_reachable(model))
 
 
-@pytest.mark.parametrize("model", [
-    barrier_model(BarrierConfig(size=4)),
-    ring_model(RingConfig(size=4, variant=UNORDERED)),
-])
-def test_search_never_calls_replace(model, monkeypatch):
-    # rules and state edits build each process with its constructor or
-    # `_make`; the Python-level `_replace` stays off the hot path
-    def refuse(self, **fields):
-        raise AssertionError("a process was built with _replace")
+def _memo_entries(model):
+    """The number of effects and appends that the rules' memos hold."""
+    return sum(len(getclosurevars(rule.apply).nonlocals[memo])
+               for rule in model.rules for memo in ("effects", "appends"))
 
+
+@pytest.mark.parametrize("build", [
+    lambda: barrier_model(BarrierConfig(size=4)),
+    lambda: ring_model(RingConfig(size=4, variant=UNORDERED)),
+], ids=["barrier", "ring"])
+def test_processes_are_built_only_on_a_memo_miss(build, monkeypatch):
+    # a step or an append builds a process with `_replace`, which goes through
+    # `_make`: a cold search builds at most one process per memo entry, and a
+    # search whose memos are warm builds none
+    built = []
+
+    def counted(make):
+        return staticmethod(lambda iterable: built.append(make) or make(iterable))
+
+    def refuse(iterable):
+        raise AssertionError("a process was built on a memo hit")
+
+    model = build()
+    with monkeypatch.context() as patch:
+        for cls in (BarrierProcessState, RingProcessState):
+            patch.setattr(cls, "_make", counted(cls._make))
+        cold = explore(model)
+    assert cold.verdict is Verdict.VERIFIED
+    assert 0 < len(built) <= _memo_entries(model)
     for cls in (BarrierProcessState, RingProcessState):
-        monkeypatch.setattr(cls, "_replace", refuse)
-    result = explore(model)
-    assert result.verdict is Verdict.VERIFIED
-    assert set(result.states) == set(oracle.enumerate_reachable(model))
+        monkeypatch.setattr(cls, "_make", staticmethod(refuse))
+    warm = explore(model)
+    assert warm.states == cold.states and warm.stats.states_matched == cold.stats.states_matched
 
 
 # The benchmark's workloads (perfbench/workloads.json), pinned here so that a

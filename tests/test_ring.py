@@ -73,10 +73,10 @@ def test_config_rejects_non_int_sizes(options):
 def test_neighbors_are_ints_never_bools(lhs, rhs):
     # (in_ring,True,0,[]) equals (in_ring,1,0,[]), so the two would share one visited key;
     # the checker pins each field to its default's type, int for both neighbors
-    state_checker((R(RING, 1, 0),) * 2, 5)((R(RING, 1, 0),) * 2)
+    state_checker((R(RING, 1, 0),) * 2, 5)
     field = "lhs" if type(lhs) is not int else "rhs"
     with pytest.raises(ValueError, match=f"process 1: {field} must be of type int"):
-        state_checker((R(RING, 1, 0),) * 2, 5)((R(RING, 1, 0), R(RING, lhs, rhs)))
+        state_checker((R(RING, 1, 0), R(RING, lhs, rhs)), 5)
 
 
 @pytest.mark.parametrize("lhs,rhs", [(99, 0), (0, -5), (2, 1), (1, -2)])
@@ -89,9 +89,8 @@ def test_neighbors_are_pids_or_unset(lhs, rhs):
 def test_the_state_checker_range_checks_neighbors():
     state = (R(RING, 99, 0), R(RING, 0, -5))
     with pytest.raises(ValueError, match=r"ints in \[0, 2\)"):
-        state_checker(state, 5)(state)
-    state = (R(RING, 0, 0), R())
-    state_checker(state, 5)(state)  # the outsider's neighbors are UNSET
+        state_checker(state, 5)
+    state_checker((R(RING, 0, 0), R()), 5)  # the outsider's neighbors are UNSET
 
 
 class TestInitialState:
