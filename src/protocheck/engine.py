@@ -115,15 +115,24 @@ class ProtocolModel:
 
 @dataclass
 class RunStats:
-    """Counts and timing of one run. `peak_memory_estimate` is a rough figure
-    in bytes, a fixed cost per stored state, not a measurement."""
+    """What one search measured: the states it stored and matched, its peak
+    frontier and its time. The other figures are derived from these."""
 
-    states_stored: int = 0
-    states_matched: int = 0
-    transitions_fired: int = 0
-    max_frontier: int = 0
-    elapsed: float = 0.0
-    peak_memory_estimate: int = 0
+    states_stored: int
+    states_matched: int
+    max_frontier: int
+    elapsed: float
+
+    @property
+    def transitions_fired(self) -> int:
+        """Each fired transition stored or matched a state; the initial state was not fired."""
+        return self.states_stored - 1 + self.states_matched
+
+    @property
+    def peak_memory_estimate(self) -> int:
+        """A rough figure in bytes, not a measurement: 112 B of bookkeeping per
+        stored state (dict slot, list slots, object headers), the states left out."""
+        return 112 * self.states_stored
 
 
 @dataclass(frozen=True)
@@ -156,11 +165,6 @@ class ExploreConfig:
             raise ValueError("observe must be callable")
 
 
-# Rough per-stored-state bookkeeping cost (dict slot, list slots, object
-# headers), the whole memory estimate; the states themselves are left out.
-_STATE_OVERHEAD = 112
-
-
 @dataclass
 class ExplorationResult:
     """What a search found, indexed by state id (the order of storing).
@@ -170,8 +174,10 @@ class ExplorationResult:
     the rule that generated it, and the pid; all three are -1 for the initial
     state, id 0. A state's depth is the length of its parent chain, the
     shortest distance only under BFS. Fired transitions go only to
-    `ExploreConfig.observe`. `initial_count` is always 1.
+    `ExploreConfig.observe`. A search starts from one initial state.
     """
+
+    initial_count: ClassVar[int] = 1
 
     verdict: Verdict
     stats: RunStats
@@ -180,7 +186,6 @@ class ExplorationResult:
     states: list[State]
     parents: array
     rule_names: tuple[str, ...]
-    initial_count: int = 1
 
 
 @dataclass(frozen=True)
@@ -230,10 +235,7 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
             observe(fired_edges)
         return ExplorationResult(
             verdict=verdict,
-            stats=RunStats(states_stored=len(states), states_matched=matched,
-                           transitions_fired=len(states) - 1 + matched,
-                           max_frontier=max_frontier, elapsed=time.perf_counter() - start,
-                           peak_memory_estimate=_STATE_OVERHEAD * len(states)),
+            stats=RunStats(len(states), matched, max_frontier, time.perf_counter() - start),
             witness=witness,
             terminal_states=terminal,
             states=states,

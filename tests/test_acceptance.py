@@ -23,7 +23,7 @@ from protocheck.barrier import (
 )
 from protocheck.engine import ExploreConfig, Verdict, explore
 from protocheck.ring import ORDERED, RingConfig, UNORDERED, ring_model
-from test_engine import instances
+from test_engine import check_accounting, instances
 from test_golden import _mask_timing
 
 TIME_BUDGET_S = 600.0
@@ -129,18 +129,15 @@ def test_criterion_5_determinism(tmp_path):
 
 def test_criterion_6_accounting_and_search_invariance():
     with gate("criterion 6: accounting identity, BFS set == DFS set"):
+        # check_accounting counts fired transitions apart from the search's
+        # own counts: the edges the observer saw and the oracle's moves
         for case in instances(3, 4):
             _, model = case.values
-            bfs = explore(model)
-            dfs = explore(model, ExploreConfig(search="dfs"))
-            for result in (bfs, dfs):
-                st = result.stats
-                assert st.transitions_fired == \
-                    st.states_stored - result.initial_count + st.states_matched
+            bfs, dfs = (check_accounting(model, ExploreConfig(search))
+                        for search in ExploreConfig.SEARCHES)
             assert set(bfs.states) == set(dfs.states)
         # the identity also holds on runs cut short by violations
-        mutated = explore(barrier_model(BarrierConfig(size=3,
-                                                      mutation=RELEASE_ON_BARRIER_IN)))
-        st = mutated.stats
-        assert st.transitions_fired == \
-            st.states_stored - mutated.initial_count + st.states_matched
+        mutated = barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN))
+        for search in ExploreConfig.SEARCHES:
+            result = check_accounting(mutated, ExploreConfig(search))
+            assert result.verdict is Verdict.INVARIANT_VIOLATED

@@ -15,8 +15,10 @@ from protocheck.barrier import (
     barrier_model,
 )
 from protocheck.engine import (
+    ExplorationResult,
     ExploreConfig,
     ProtocolModel,
+    RunStats,
     TransitionRule,
     Verdict,
     explore,
@@ -53,9 +55,19 @@ def instances(barrier_n, ring_n, mutations=False):
     return cases
 
 
-def check_accounting(result):
-    st = result.stats
-    assert st.transitions_fired == st.states_stored - result.initial_count + st.states_matched
+def check_accounting(model, config=ExploreConfig()):
+    """The result of searching `model` under `config`, once its derived
+    transition count has been checked against two counts the search does not
+    keep: the edges its observer saw and, on a verified run, the oracle's
+    moves summed over every reachable state, as a full search expands each
+    state once."""
+    result, log, _ = explore_logged(model, config)
+    fired = result.stats.transitions_fired
+    assert len(log) == 4 * fired
+    if result.verdict is Verdict.VERIFIED:
+        assert fired == sum(len(oracle.successors(model, s))
+                            for s in oracle.enumerate_reachable(model))
+    return result
 
 
 class TestExplore:
@@ -87,10 +99,9 @@ class TestExplore:
 
     def test_queue_overflow_is_a_verdict(self):
         model = ring_model(RingConfig(size=3, variant=UNORDERED, queue_capacity=1))
-        result = explore(model)
+        result = check_accounting(model)
         assert result.verdict is Verdict.QUEUE_OVERFLOW
         assert result.witness is not None
-        check_accounting(result)
 
     @pytest.mark.parametrize("search,witness", [("bfs", 1), ("dfs", 2)])
     def test_queue_overflow_precedes_the_state_limit(self, search, witness):
@@ -105,11 +116,10 @@ class TestExplore:
             assert result.stats.states_stored == 3
 
     def test_state_limit(self):
-        result = explore(barrier_model(BarrierConfig(size=3)),
-                         ExploreConfig(max_states=5))
+        result = check_accounting(barrier_model(BarrierConfig(size=3)),
+                                  ExploreConfig(max_states=5))
         assert result.verdict is Verdict.LIMIT_EXCEEDED
         assert result.stats.states_stored == 5
-        check_accounting(result)
 
     def test_time_limit(self):
         result = explore(barrier_model(BarrierConfig(size=3)),
@@ -246,9 +256,9 @@ class TestSearchProperties:
         assert all(model.terminal_postcondition(result.states[t])
                    for t in result.terminal_states)
 
-    def test_accounting_identity(self, cfg, model):
-        check_accounting(explore(model))
-        check_accounting(explore(model, ExploreConfig(search="dfs")))
+    @pytest.mark.parametrize("search", ExploreConfig.SEARCHES)
+    def test_accounting_identity(self, cfg, model, search):
+        check_accounting(model, ExploreConfig(search))
 
     def test_bfs_and_dfs_store_the_same_set(self, cfg, model):
         bfs = explore(model)
@@ -339,9 +349,10 @@ def test_bfs_depths_are_shortest_paths(model):
         assert len(reconstruct_trace(result, sid)) - 1 == expected[state]
 
 
-def test_accounting_holds_on_violation_runs():
+@pytest.mark.parametrize("search", ExploreConfig.SEARCHES)
+def test_accounting_holds_on_violation_runs(search):
     model = barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN))
-    check_accounting(explore(model))
+    assert check_accounting(model, ExploreConfig(search)).verdict is Verdict.INVARIANT_VIOLATED
 
 
 def test_stats_deterministic_across_runs():
@@ -350,6 +361,28 @@ def test_stats_deterministic_across_runs():
     b = explore(model).stats
     assert dataclasses.replace(a, elapsed=0.0) == dataclasses.replace(b, elapsed=0.0)
     assert a.peak_memory_estimate > 0
+
+
+def test_run_stats_hold_only_what_the_search_measured():
+    # the derived figures are read-only properties: no caller can set one
+    # that disagrees with the counts it is derived from
+    fields = dataclasses.fields(RunStats)
+    assert [f.name for f in fields] == ["states_stored", "states_matched", "max_frontier",
+                                        "elapsed"]
+    assert all(f.default is f.default_factory is dataclasses.MISSING for f in fields)
+    assert "initial_count" not in {f.name for f in dataclasses.fields(ExplorationResult)}
+    result = explore(barrier_model(BarrierConfig(size=3)))
+    st = result.stats
+    assert (result.initial_count, st.transitions_fired, st.peak_memory_estimate) == \
+        (1, 18 - 1 + 10, 112 * 18)
+    with pytest.raises(TypeError):
+        RunStats(18, 10, 5, 0.0, transitions_fired=27)
+    with pytest.raises(TypeError):
+        dataclasses.replace(result, initial_count=1)
+    with pytest.raises(AttributeError):
+        st.transitions_fired = 27
+    with pytest.raises(AttributeError):
+        st.peak_memory_estimate = 0
 
 
 class TestTrace:
