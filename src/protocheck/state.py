@@ -3,12 +3,11 @@
 A system state is the plain tuple of its process states, one per pid. Every
 value here is a tuple, never changed once built, so states can be shared
 freely between the search engine, the visited set, and reconstructed traces.
-Successors are made by `memoized_apply`, which shares every process a rule
-does not change, by identity. Construction checks nothing, not even the
-queue bound; a search's one `state_checker` checks all of it, each process
-object once. No successor is built with the state edits `replace_process`,
-`send_message` and `receive_message`; they stay only as the names the
-benchmark in `perfbench/` wraps on the protocol modules.
+`memoized_apply` is the one way to build a successor, in the search and in
+replay: it shares every process a rule does not change, by identity, and a
+step takes its queue head with `receive`. Construction checks nothing, not
+even the queue bound; a search's one `state_checker` checks all of it, each
+process object once.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple with a
@@ -151,31 +150,12 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
     return check
 
 
-def replace_process(state: State, pid: int, proc) -> State:
-    """New state with process `pid` swapped out; everything else shared."""
-    return state[:pid] + (proc,) + state[pid + 1:]
-
-
-def send_message(state: State, to: int, message: Message) -> State:
-    """Append `message` at the tail of process `to`'s input queue. A target
-    out of range is a ValueError, as a negative one would index another
-    process; the queue bound and payloads are `state_checker`'s to check."""
-    if not 0 <= to < len(state):
-        raise ValueError(f"send target {to} out of range for {len(state)} processes")
-    return replace_process(state, to, state[to]._replace(queue=state[to].queue + (message,)))
-
-
 def receive(proc, pid: int) -> tuple[Message, Queue]:
     """The head of process `pid`'s queue and the rest of it, in FIFO order.
     An empty queue raises EmptyQueueError: the consuming rule's guard lied."""
     if not proc.queue:
         raise EmptyQueueError(f"process {pid}: receive on an empty queue")
     return proc.queue[0], proc.queue[1:]
-
-
-def receive_message(state: State, pid: int) -> State:
-    """Remove the head of process `pid`'s queue, preserving FIFO order."""
-    return replace_process(state, pid, state[pid]._replace(queue=receive(state[pid], pid)[1]))
 
 
 def memoized_apply(step: Callable) -> Callable[[State, int], State]:

@@ -10,8 +10,10 @@ the well-formedness check runs less often: each process object is checked
 once per search, by identity.
 """
 
+import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +33,10 @@ from protocheck.engine import (ExploreConfig, ProtocolModel, TransitionRule, Ver
 from protocheck.ring import (ORDERED, UNORDERED, RingConfig, RingProcessState, RingStatus,
                              req_insert, ring_model)
 from protocheck.state import QueueOverflowError, state_checker
+from test_cli import run_child
 from test_engine import explore_logged
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 
 def _counted(fn, calls, key):
@@ -78,6 +83,30 @@ def test_call_counts_are_fixed_by_the_search(model, monkeypatch):
         "invariant": st.states_stored,
         "encode": st.transitions_fired + 1,
     })
+
+
+@pytest.mark.parametrize("model, argv", [
+    (barrier_model(BarrierConfig(size=4)), ("--model", "barrier", "--size", "4")),
+    # not ring `ordered`: the traced rebuild of each rule drops its gate
+    (ring_model(RingConfig(size=3, variant=UNORDERED)),
+     ("--model", "ring", "--size", "3", "--variant", "unordered")),
+], ids=["barrier-4", "ring-unordered-3"])
+def test_a_traced_benchmark_round_counts_as_explore_does(model, argv):
+    # a traced round wraps names on `barrier` and `ring` by getattr, so it
+    # fails here, not only in the benchmark, once a name it wraps is gone
+    child = run_child(str(CHILD), "traced", "--", "run", *argv)
+    assert child.returncode == 0, child.stderr
+    record = json.loads(child.stdout.splitlines()[-1])
+    result = explore(model)
+    st = result.stats
+    assert record["rc"] == 0
+    assert record["counts"] == {
+        "verdict": result.verdict.value, "initial": result.initial_count,
+        "stored": st.states_stored, "matched": st.states_matched,
+        "fired": st.transitions_fired, "terminal": len(result.terminal_states),
+        "max_frontier": st.max_frontier,
+    }
+    assert record["layers"]["state.edit"][0] == 0
 
 
 def test_each_process_object_is_checked_once_per_search(monkeypatch):

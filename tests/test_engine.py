@@ -244,6 +244,8 @@ class TestSearchProperties:
         enumerated = oracle.enumerate_reachable(model)
         assert result.stats.states_stored == len(enumerated)
         assert set(result.states) == set(enumerated)
+        assert ({result.states[t] for t in result.terminal_states}
+                == set(oracle.terminal_states(model, enumerated)))
 
     def test_store_once(self, cfg, model):
         result = explore(model)

@@ -27,9 +27,8 @@ from protocheck.state import (
     Message,
     QueueOverflowError,
     canonical_encode,
-    receive_message,
-    replace_process,
-    send_message,
+    memoized_apply,
+    receive,
     state_checker,
 )
 
@@ -40,6 +39,23 @@ def B(ci=0, co=0, h=0, q=()):
 
 def sys_state(*procs):
     return procs
+
+
+def put(state, pid, new):
+    """`state` with process `pid` replaced by `new`, by the search's apply."""
+    return memoized_apply(lambda proc, _: (new, ()))(state, pid)
+
+
+def send(state, to, message):
+    """`state` after process 0 sends `message` to process `to`, by the
+    search's apply and its memoized append."""
+    return memoized_apply(lambda proc, _: (proc, ((to, message),)))(state, 0)
+
+
+def queued(proc, *messages):
+    """`proc` with `messages` at its queue's tail, built by hand, past the
+    checks `memoized_apply` makes, for `state_checker` to judge."""
+    return proc._replace(queue=proc.queue + messages)
 
 
 CAPACITY = 8
@@ -131,7 +147,7 @@ class TestProcessStateInvariants:
             check(sys_state(B()))
 
     def test_a_process_type_without_a_queue_field_is_refused(self):
-        # state edits replace a process's `queue` field, wherever it is
+        # a send replaces a process's `queue` field, wherever it is
         with pytest.raises(ValueError, match="_NoQueue has no queue field"):
             state_checker(sys_state(_NoQueue()), CAPACITY)
         state_checker(sys_state(_QueueFirst()), CAPACITY)
@@ -144,72 +160,63 @@ class TestProcessStateInvariants:
 
 class TestSend:
     def test_appends_to_target_tail_only(self):
-        s = sys_state(B(), B(), B())
-        out = send_message(s, 1, BARRIER_IN)
-        assert out[1].queue == (BARRIER_IN,)
-        assert out[0].queue == ()
-        assert out[2].queue == ()
+        s = sys_state(B(), B(q=[BARRIER_IN]), B())
+        out = send(s, 1, BARRIER_OUT)
+        assert out[1].queue == (BARRIER_IN, BARRIER_OUT)
+        assert out[0] is s[0] and out[2] is s[2]
 
     def test_delivery_into_release_round(self):
         # delivering barrier_out to process 0 of (1,0,0,[]) (1,1,0,[]) (1,1,0,[])
         s = sys_state(B(1, 0, 0), B(1, 1, 0), B(1, 1, 0))
-        out = send_message(s, 0, BARRIER_OUT)
+        out = send(s, 0, BARRIER_OUT)
         assert out == sys_state(B(1, 0, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
 
     def test_send_is_pure(self):
-        s = sys_state(B(), B())
-        send_message(s, 0, BARRIER_IN)
-        assert s == sys_state(B(), B())
+        s = sys_state(B(), B(q=[BARRIER_OUT]))
+        send(s, 1, BARRIER_IN)
+        assert s == sys_state(B(), B(q=[BARRIER_OUT]))
 
+
+class TestQueueChecks:
     def test_full_queue_overflows(self):
-        # a queue at the bound is well formed; a send past it goes through,
-        # and the state it builds fails the bound check
+        # a queue at the bound is well formed; one message past it is not
         s = sys_state(B(), B(q=[BARRIER_IN, BARRIER_OUT]))
         state_checker(s, 2)
         with pytest.raises(QueueOverflowError):
-            state_checker(send_message(s, 1, BARRIER_IN), 2)
-
-    def test_target_out_of_range(self):
-        s = sys_state(B(), B())
-        with pytest.raises(ValueError):
-            send_message(s, 2, BARRIER_IN)
+            state_checker(sys_state(s[0], queued(s[1], BARRIER_IN)), 2)
 
     def test_payload_id_out_of_range(self):
-        s = sys_state(RingProcessState(), RingProcessState())
-        state_checker(send_message(s, 0, req_insert(1)), CAPACITY)
+        ring0 = RingProcessState()
+        state_checker(sys_state(queued(ring0, req_insert(1)), ring0), CAPACITY)
         for rank in (2, -1):
             with pytest.raises(ValueError):
-                state_checker(send_message(s, 0, req_insert(rank)), CAPACITY)
+                state_checker(sys_state(queued(ring0, req_insert(rank)), ring0), CAPACITY)
 
     @pytest.mark.parametrize("rank", [True, False, 1.0])
     def test_payload_id_is_an_int_never_a_bool(self, rank):
         # req(True) equals req(1), so the two would share one visited key
-        s = sys_state(RingProcessState(), RingProcessState())
+        ring0 = RingProcessState()
         with pytest.raises(ValueError, match="not an int"):
-            state_checker(send_message(s, 0, req_insert(rank)), CAPACITY)
+            state_checker(sys_state(queued(ring0, req_insert(rank)), ring0), CAPACITY)
 
 
 class TestReceive:
     def test_removes_head_only(self):
-        s = sys_state(B(1, 0, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
-        out = receive_message(s, 0)
-        assert out == sys_state(B(1, 0, 0), B(1, 1, 0), B(1, 1, 0))
+        proc = B(1, 0, 0, [BARRIER_OUT, BARRIER_IN])
+        assert receive(proc, 0) == (BARRIER_OUT, (BARRIER_IN,))
 
     def test_fifo_remainder_preserved(self):
         a, b, c = req_insert(0), new_rhs(1), insert_ack(0, 1)
-        s = sys_state(B(q=[a, b, c]), B())
-        out = receive_message(s, 0)
-        assert out[0].queue == (b, c)
+        assert receive(B(q=[a, b, c]), 0)[1] == (b, c)
 
     def test_empty_queue_is_an_error(self):
-        s = sys_state(B())
         with pytest.raises(EmptyQueueError):
-            receive_message(s, 0)
+            receive(B(), 0)
 
     def test_receive_is_pure(self):
-        s = sys_state(B(q=[BARRIER_IN]))
-        receive_message(s, 0)
-        assert s == sys_state(B(q=[BARRIER_IN]))
+        proc = B(q=[BARRIER_IN, BARRIER_OUT])
+        receive(proc, 0)
+        assert proc == B(q=[BARRIER_IN, BARRIER_OUT])
 
 
 _messages = st.one_of(
@@ -226,11 +233,13 @@ def test_fifo_property(msgs):
     # whatever is sent to one process comes back out in send order
     s = sys_state(B(), B())
     for m in msgs:
-        s = send_message(s, 0, m)
+        s = send(s, 1, m)
+    proc = s[1]
     received = []
-    while s[0].queue:
-        received.append(s[0].queue[0])
-        s = receive_message(s, 0)
+    while proc.queue:
+        head, rest = receive(proc, 1)
+        received.append(head)
+        proc = proc._replace(queue=rest)
     assert received == msgs
 
 
@@ -255,8 +264,8 @@ class TestCanonicalEncode:
 
     def test_distinguishes_payloads(self):
         a = sys_state(RingProcessState(), RingProcessState())
-        assert canonical_encode(send_message(a, 0, req_insert(0))) != canonical_encode(
-            send_message(a, 0, req_insert(1))
+        assert canonical_encode(send(a, 1, req_insert(0))) != canonical_encode(
+            send(a, 1, req_insert(1))
         )
 
     def test_injective_on_reachable_barrier_n2(self):
@@ -314,7 +323,7 @@ def test_key_is_injective_on_constructible_states(data):
     # besides the drawn states, every state one process edit away from the first
     first = states[0]
     for pid, proc in enumerate(first):
-        states += [replace_process(first, pid, p._replace(queue=proc.queue)) for p in pool]
+        states += [put(first, pid, p._replace(queue=proc.queue)) for p in pool]
     keys = [canonical_encode(s) for s in states]
     for a, key_a in zip(states, keys):
         for b, key_b in zip(states, keys):
