@@ -213,33 +213,6 @@ class TestRun:
         assert "no trace written" in capsys.readouterr().out
         assert not trace.exists()
 
-    def test_graph_counts_match_statistics(self, tmp_path):
-        graph = tmp_path / "g.dot"
-        assert run_cli("run", "--model", "ring", "--size", "2",
-                       "--variant", "ordered", "--graph", str(graph)) == 0
-        text = graph.read_text()
-        expected = explore(ring_model(RingConfig(size=2, variant="ordered")))
-        assert len(NODE_RE.findall(text)) == expected.stats.states_stored == 6
-        assert len(EDGE_RE.findall(text)) == expected.stats.transitions_fired == 6
-
-    def test_graph_single_node_for_singleton_barrier(self, tmp_path):
-        graph = tmp_path / "g.dot"
-        assert run_cli("run", "--model", "barrier", "--size", "1",
-                       "--graph", str(graph)) == 0
-        assert len(NODE_RE.findall(graph.read_text())) == 4
-
-    def test_limit_exceeded_exit_code(self):
-        assert run_cli("run", "--model", "barrier", "--size", "3",
-                       "--max-states", "5") == 2
-
-    def test_queue_overflow_exit_code(self):
-        assert run_cli("run", "--model", "ring", "--size", "3",
-                       "--variant", "unordered", "--queue-capacity", "1") == 2
-
-    def test_dfs_also_verifies(self):
-        assert run_cli("run", "--model", "ring", "--size", "4",
-                       "--variant", "unordered", "--search", "dfs") == 0
-
 
 def test_unset_search_flags_take_the_explore_config_defaults(monkeypatch):
     seen = []
@@ -360,6 +333,23 @@ class TestUsageErrors:
         assert out == ""
         assert path in err
         assert "Traceback" not in err
+
+    # /dev/full opens for writing and fails the first write: the search has
+    # run and its result is printed, then the output is refused
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("option, extra, verdict", [
+        ("--stats", [], "verified"),
+        ("--graph", [], "verified"),
+        ("--trace", ["--mutation", "release_on_barrier_in"], "invariant_violated"),
+    ], ids=["stats", "graph", "trace"])
+    def test_an_output_failing_after_the_search_is_a_usage_error(self, option, extra,
+                                                                 verdict, capsys):
+        assert run_cli("run", "--model", "barrier", "--size", "3", *extra,
+                       option, "/dev/full") == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1] == f"verdict: {verdict}"
+        assert out.splitlines()[2].startswith("states stored: ")
+        assert err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
 
     def test_replay_missing_file(self):
         assert run_cli("replay", "/nonexistent-dir/trace.json") == 3
@@ -641,15 +631,11 @@ class TestReplay:
         assert run_cli("replay", str(path)) == 3
         assert "cannot read trace" in capsys.readouterr().err
 
-    def test_deeply_nested_trace_is_a_usage_error(self, tmp_path):
-        # parsed in a new interpreter: oracle.py raises this process's
-        # recursion limit, so a parse this deep here could overflow the C stack
+    def test_deeply_nested_trace_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)
-        done = run_child("-m", "protocheck", "replay", str(path))
-        assert done.returncode == 3
-        assert "cannot read trace" in done.stderr
-        assert "Traceback" not in done.stderr
+        assert run_cli("replay", str(path)) == 3
+        assert "cannot read trace" in capsys.readouterr().err
 
     def test_malformed_step_list(self, tmp_path):
         path = self._violation_trace(tmp_path)
@@ -763,6 +749,33 @@ def test_every_registered_config_is_a_model_config(name):
     assert config_class(size=3, queue_capacity=1).queue_capacity == 1
     # an explicit bound, as every built config has, survives a new size
     assert replace(config_class(size=3), size=4).queue_capacity == 5
+
+
+@pytest.mark.parametrize("options, match", [
+    ({"size": 0}, "at least 1"),
+    ({"size": 3, "variant": "sideways"}, "unknown variant 'sideways'"),
+    ({"size": 3, "mutation": "made_up"}, "unknown mutation 'made_up'"),
+    ({"size": 3, "queue_capacity": 0}, "queue capacity must be positive"),
+    ({"size": True}, "must be ints"),  # True == 1 would build a one-process model
+    ({"size": 3.0}, "must be ints"),
+    ({"size": "3"}, "must be ints"),
+    ({"size": 3, "queue_capacity": True}, "must be ints"),
+    ({"size": 3, "queue_capacity": 1.5}, "must be ints"),
+    ({"size": 3, "queue_capacity": 2.0}, "must be ints"),
+], ids=["size-0", "variant", "mutation", "capacity-0", "bool-size", "float-size", "str-size",
+        "bool-capacity", "float-capacity", "integral-float-capacity"])
+@pytest.mark.parametrize("name", sorted(cli.MODELS))
+def test_every_registered_config_refuses_what_no_model_takes(name, options, match):
+    with pytest.raises(ValueError, match=match):
+        cli.MODELS[name][0](**options)
+
+
+@pytest.mark.parametrize("name", sorted(cli.MODELS))
+def test_two_builds_of_every_registered_variant_start_alike(name):
+    config_class, build = cli.MODELS[name]
+    for variant in config_class.VARIANTS:
+        first, second = (build(config_class(size=4, variant=variant)) for _ in range(2))
+        assert first.initial_state == second.initial_state
 
 
 def test_a_config_class_without_variants_is_refused():

@@ -42,31 +42,15 @@ def fire(rule, state, pid):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RingConfig(size=0)
-    with pytest.raises(ValueError):
-        RingConfig(size=3, variant="diagonal")
+    # the default first; `test_cli.py` checks what every registered config refuses
+    assert RingConfig.VARIANTS == (ORDERED, UNORDERED)
     assert RingConfig.MUTATIONS == ()
-    with pytest.raises(ValueError, match="unknown mutation"):
-        RingConfig(size=3, mutation="release_on_barrier_in")
-    assert RingConfig(size=4).queue_capacity == 6
 
 
 def test_config_takes_no_entry():
     # the entry is the constant ENTRY: asking for one fails loudly
     with pytest.raises(TypeError, match="entry"):
         RingConfig(size=3, entry=ENTRY)
-
-
-@pytest.mark.parametrize("options", [
-    {"size": True},
-    {"size": 3.0},
-    {"size": 3, "queue_capacity": True},
-    {"size": 3, "queue_capacity": 2.0},
-])
-def test_config_rejects_non_int_sizes(options):
-    with pytest.raises(ValueError, match="must be ints"):
-        RingConfig(**options)
 
 
 @pytest.mark.parametrize("lhs,rhs", [(True, 0), (0, True), (False, False), (1.0, 0)])
@@ -106,11 +90,6 @@ class TestInitialState:
     def test_entry_self_looped_others_outside(self):
         state = ring_initial_state(RingConfig(size=3))
         assert state == (R(RING, 0, 0), R(), R())
-
-    def test_encoding_deterministic_across_builds(self):
-        a = ring_initial_state(RingConfig(size=4, variant=UNORDERED))
-        b = ring_initial_state(RingConfig(size=4, variant=UNORDERED))
-        assert a == b
 
 
 def guard(rule, **options):
