@@ -80,14 +80,23 @@ Queue = tuple[Message, ...]
 State = tuple
 
 
-def _check_like(pid: int, proc, like) -> None:
-    """Raise ValueError unless process `pid` has `like`'s class and field types."""
+def _check_like(pid: int, proc, like, sent: tuple = ()) -> None:
+    """Raise ValueError unless process `pid` has `like`'s class and field
+    types and queues, like `sent`, only `Message`s of `int` payload ids: all
+    that `==` cannot tell apart (`True == 1`, `1.0 == 1`, a plain tuple equal
+    to a `Message`), so equal processes that pass are the same process."""
     if type(proc) is not type(like):
         raise ValueError(f"process {pid}: all processes must be the same protocol variant")
     for name, value, expected in zip(proc._fields, proc, like):
         if type(value) is not type(expected):
             raise ValueError(f"process {pid}: {name} must be of type "
                              f"{type(expected).__name__}, got {value!r}")
+    for message in proc.queue + sent:
+        if type(message) is not Message:
+            raise ValueError(f"process {pid}: {message!r} is not a Message")
+        for rank in message.payload:
+            if type(rank) is not int:
+                raise ValueError(f"process {pid}: payload id {rank!r} is not an int")
 
 
 def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None]:
@@ -97,13 +106,14 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
     `n = len(initial)`, that type and its defaults' field types, and checks
     `initial` before it returns, so a checker has passed its own state.
 
-    `check(state)` raises ValueError unless `state` has `n` processes of the
-    pinned types, each message with its kind's arity of `int` ids below `n`,
-    and each process passing `check(n)`; QueueOverflowError for a queue over
-    `queue_capacity`, the only place that bound is enforced. Either error
-    names the first failing pid. `check` checks each process object once: a
-    set keeps the `id` of each that passed (and a list holds the object, so
-    its id is never reused); by identity, not value, since `True == 1`.
+    `check(state)` raises ValueError unless `state` has `n` processes that
+    pass `_check_like` against the pinned defaults and `check(n)`, with each
+    message of its kind's arity of ids below `n`; QueueOverflowError for a
+    queue over `queue_capacity`, the only place that bound is enforced.
+    Either error names the first failing pid. `check` checks each process
+    object once: a set keeps the `id` of each that passed (and a list holds
+    the object, so its id is never reused); by identity, not value, since
+    `True == 1`.
     """
     if queue_capacity < 1:
         raise ValueError("queue capacity must be positive")
@@ -136,9 +146,9 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
                     raise ValueError(f"process {pid}: {kind.name.lower()} carries "
                                      f"{kind.arity} id(s), got {len(payload)}")
                 for rank in payload:
-                    if type(rank) is not int or not 0 <= rank < n:
-                        raise ValueError(f"process {pid}: payload id {rank!r} is not an int "
-                                         f"in [0, {n})")
+                    if not 0 <= rank < n:
+                        raise ValueError(f"process {pid}: payload id {rank!r} is not in "
+                                         f"[0, {n})")
             try:
                 proc.check(n)
             except ValueError as err:
@@ -162,8 +172,8 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
     """The state-level apply of a rule whose local step `step(proc, pid)`
     gives process `pid`'s new state and its sends, `((target, message), ...)`,
     appended in order. Each effect is kept per (pid, process) for the apply's
-    lifetime once its new process keeps the class and field types of the one
-    it replaces and its sends have targets in range and `int` payload ids
+    lifetime once `_check_like` passes its new process, against the one it
+    replaces, with the messages it sends, and its send targets are in range
     (else ValueError, keeping nothing), so a matched successor is as well
     typed as its stored twin. Each append is kept per (target process,
     message). Sharing is per effect and per append, not per equal value.
@@ -179,14 +189,12 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
         effect = effects.get((pid, proc))
         if effect is None:
             effect = step(proc, pid)
-            _check_like(pid, effect[0], proc)
-            for to, message in effect[1]:
+            # the sends here, as `appends` may hold a twin's append under its equal
+            _check_like(pid, effect[0], proc, tuple(message for _, message in effect[1]))
+            for to, _ in effect[1]:
                 if not 0 <= to < len(state):
                     raise ValueError(
                         f"send target {to} out of range for {len(state)} processes")
-                for rank in message.payload:
-                    if type(rank) is not int:
-                        raise ValueError(f"process {pid}: sent payload id {rank!r} is not an int")
             effects[pid, proc] = effect
         procs = list(state)
         procs[pid], sends = effect
@@ -228,9 +236,9 @@ def render_state(state: State, text: Callable[[object], str] = render_process) -
 def canonical_encode(state: State) -> State:
     """The visited-set key: the identity, as the state is its own key.
 
-    Equal states are the same state only with one type per field, as
-    `True == 1` and `1.0 == 1` render differently: its default's type, which
-    `state_checker` enforces on every stored state and `memoized_apply` on
+    Equal states are the same state only with one type per value, as
+    `True == 1` and `1.0 == 1` render differently: `_check_like` enforces
+    it, from `state_checker` on every stored state and `memoized_apply` on
     every effect. The engine calls this on the initial state and per fired
     transition, as the hook a benchmark can wrap to time the key layer.
     """

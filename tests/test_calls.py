@@ -28,10 +28,8 @@ from protocheck.barrier import (
     BarrierProcessState,
     barrier_model,
 )
-from protocheck.engine import (ExploreConfig, ProtocolModel, TransitionRule, Verdict,
-                               explore)
-from protocheck.ring import (ORDERED, UNORDERED, RingConfig, RingProcessState, RingStatus,
-                             req_insert, ring_model)
+from protocheck.engine import ExploreConfig, Verdict, explore
+from protocheck.ring import ORDERED, UNORDERED, RingConfig, ring_model
 from protocheck.state import QueueOverflowError, state_checker
 from test_cli import run_child
 from test_engine import explore_logged
@@ -126,58 +124,6 @@ def test_each_process_object_is_checked_once_per_search(monkeypatch):
     # and none is skipped: every process of every stored state was checked
     assert {id(proc) for state in result.states for proc in state} <= ids.keys()
     assert len(checked) < result.stats.states_stored
-
-
-def test_the_memo_is_keyed_by_identity_not_value():
-    # (True, 0, 0, ()) equals (1, 0, 0, ()), which passed its check first
-    # in the same search; the bool bit must still be caught
-    def enabled(proc, pid):
-        return proc.client_barrier_in == 0
-
-    def gate(s, pid):  # pid 0 asks first, then pid 1
-        return s[0].client_barrier_in == pid
-
-    def ask(s, pid):
-        if pid == 0:
-            return BarrierProcessState(1, 0, 0, ()), s[1]
-        return s[0], BarrierProcessState(True, 0, 0, ())
-
-    model = ProtocolModel(
-        queue_capacity=2,
-        initial_state=(BarrierProcessState(),) * 2,
-        rules=(TransitionRule("ask", enabled, ask, gate),),
-        invariant=lambda s: True,
-        terminal_postcondition=lambda s: True,
-    )
-    with pytest.raises(ValueError, match="process 1: client_barrier_in must be of type int"):
-        explore(model)
-
-
-@pytest.mark.parametrize("twin,match", [
-    (lambda v: RingProcessState(RingStatus.IN_RING, v, 0), "process 1: lhs must be of type int"),
-    (lambda v: RingProcessState(RingStatus.IN_RING, 0, v), "process 1: rhs must be of type int"),
-    (lambda v: RingProcessState(queue=(req_insert(v),)), "process 1: payload id True is not"),
-], ids=["lhs", "rhs", "payload"])
-def test_a_bool_is_caught_after_its_int_twin_passed(twin, match):
-    # pid 0 builds the process with 1, then pid 1 its equal twin with True
-    def enabled(proc, pid):
-        return proc == RingProcessState()
-
-    def gate(s, pid):
-        return (s[0] == RingProcessState()) == (pid == 0)
-
-    def build(s, pid):
-        return (twin(1), s[1]) if pid == 0 else (s[0], twin(True))
-
-    model = ProtocolModel(
-        queue_capacity=2,
-        initial_state=(RingProcessState(),) * 2,
-        rules=(TransitionRule("build", enabled, build, gate),),
-        invariant=lambda s: True,
-        terminal_postcondition=lambda s: True,
-    )
-    with pytest.raises(ValueError, match=match):
-        explore(model)
 
 
 def test_the_checker_adds_what_passes_and_skips_what_it_passed(monkeypatch):

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import pytest
 
 import oracle
-from protocheck import cli
+from protocheck import barrier, cli
 from protocheck.barrier import BarrierConfig, BarrierProcessState, barrier_model
 from protocheck.engine import (ExploreConfig, ModelConfig, ProtocolModel, TransitionRule,
                                Verdict, explore)
@@ -487,22 +487,27 @@ class TestReplay:
         assert ("replay mismatch: a successor of the last state fails: no successor here"
                 in capsys.readouterr().out)
 
-    def test_ill_formed_step_is_a_mismatch(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("step, named", [
+        # client_request releases the client instead of recording its request
+        (lambda proc, pid: (proc._replace(client_barrier_out=1), ()),
+         "process 0: client released before it reached the barrier"),
+        # it queues a plain tuple equal to BARRIER_IN, which has no `render`
+        (lambda proc, pid: (proc._replace(queue=((barrier.MessageKind.BARRIER_IN, ()),)), ()),
+         "process 0: (<MessageKind.BARRIER_IN: ('bi', 0)>, ()) is not a Message"),
+    ], ids=["released", "plain-tuple"])
+    def test_ill_formed_step_is_a_mismatch(self, tmp_path, monkeypatch, capsys, step, named):
         path = self._violation_trace(tmp_path)
 
         def build(cfg):
-            # client_request releases the client instead of recording its request
-            release = memoized_apply(lambda proc, pid: (proc._replace(client_barrier_out=1), ()))
             model = barrier_model(cfg)
             request = model.rule_named("client_request")
-            return replace(model, rules=(
-                TransitionRule(request.name, request.enabled, release),) + model.rules[1:])
+            return replace(model, rules=(TransitionRule(
+                request.name, request.enabled, memoized_apply(step)),) + model.rules[1:])
 
         monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
         assert run_cli("replay", str(path)) == 1
         out = capsys.readouterr().out
-        assert "replay mismatch at step 1: client_request at pid 0 fails" in out
-        assert "client released before it reached the barrier" in out
+        assert f"replay mismatch at step 1: client_request at pid 0 fails: {named}\n" in out
 
     # Each edit to a written trace, the exit code replay gives for it and what
     # its message names. Replay accepts exactly the document `run` writes for
@@ -868,23 +873,6 @@ def test_a_registered_step_protocol_agrees_with_the_oracle(tmp_path, monkeypatch
     text = graph.read_text()
     assert len(NODE_RE.findall(text)) == count
     assert len(EDGE_RE.findall(text)) == fired
-
-
-@pytest.mark.parametrize("send", [
-    lambda s, pid: s[:pid] + (s[pid]._replace(sent=True),) + s[pid + 1:],
-    memoized_apply(lambda proc, pid: (proc._replace(sent=True), ())),
-], ids=["hand-written", "memoized"])
-def test_a_registered_protocol_gets_its_field_types_checked(monkeypatch, send):
-    # `_ToyProcess.check` tests no type; the engine still pins `sent` to its
-    # default's, so True is rejected in the state it stores or in the effect
-    def build(cfg):
-        rule = TransitionRule("send", lambda proc, pid: not proc.sent, send)
-        return replace(_toy_model(cfg), rules=(rule,))
-
-    monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, build))
-    config_class, factory = cli.MODELS["toy"]
-    with pytest.raises(ValueError, match="process 0: sent must be of type int, got True"):
-        explore(factory(config_class(size=2)))
 
 
 def _never_postcondition(build):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from protocheck import barrier, ring
 from protocheck.barrier import BARRIER_IN, BARRIER_OUT, BarrierProcessState
+from protocheck.engine import ProtocolModel, TransitionRule, explore
 from protocheck.ring import (
     UNSET,
     RingProcessState,
@@ -117,14 +118,6 @@ class TestProcessStateInvariants:
         with pytest.raises(ValueError):
             BarrierProcessState(client_barrier_out=1).check(1)
 
-    @pytest.mark.parametrize("proc", [B(True, 0, 0), B(1, True, 0), B(0, 0, True)],
-                             ids=["in", "out", "holding"])
-    def test_barrier_bits_are_ints_not_bools(self, proc):
-        # well formed with 1 for True; but True == 1 would merge visited keys
-        state_checker(sys_state(B(*(int(bit) for bit in proc[:3]))), CAPACITY)
-        with pytest.raises(ValueError):
-            state_checker(sys_state(proc), CAPACITY)
-
     def test_outside_process_has_no_neighbors(self):
         with pytest.raises(ValueError):
             RingProcessState(status=RingStatus.OUTSIDE, lhs=0, rhs=0).check(1)
@@ -185,12 +178,76 @@ class TestQueueChecks:
             with pytest.raises(ValueError):
                 state_checker(sys_state(queued(ring0, req_insert(rank)), ring0), CAPACITY)
 
-    @pytest.mark.parametrize("rank", [True, False, 1.0])
-    def test_payload_id_is_an_int_never_a_bool(self, rank):
-        # req(True) equals req(1), so the two would share one visited key
-        ring0 = RingProcessState()
-        with pytest.raises(ValueError, match="not an int"):
-            state_checker(sys_state(queued(ring0, req_insert(rank)), ring0), CAPACITY)
+
+# The twin table: one row per way a process can equal one of other types,
+# each with an effect `make(proc, pid, v)` that puts `v` into a process, a
+# message it queues or a message it sends itself, and its (value, twin)
+# pairs. A twin must be refused wherever it is made, or the visited set would
+# keep whichever of the two a search met first.
+_INT_TWINS = [(1, True), (0, False), (1, 1.0)]
+_PLAIN_REQ = (ring.MessageKind.REQ_INSERT, (1,))  # equals req_insert(1), hashes alike
+_TWIN_ROWS = [
+    ("barrier-field", B(), lambda proc, pid, v: (B(1, v, 0), ()), _INT_TWINS,
+     "client_barrier_out must be of type int"),
+    ("ring-neighbor", RingProcessState(),
+     lambda proc, pid, v: (RingProcessState(RingStatus.IN_RING, v, 0), ()), _INT_TWINS,
+     "lhs must be of type int"),
+    ("queued-payload", RingProcessState(),
+     lambda proc, pid, v: (queued(proc, req_insert(v)), ()), _INT_TWINS, "payload id"),
+    ("queued-message", RingProcessState(), lambda proc, pid, m: (queued(proc, m), ()),
+     [(req_insert(1), _PLAIN_REQ)], "is not a Message"),
+    ("sent-payload", RingProcessState(),
+     lambda proc, pid, v: (proc, ((pid, req_insert(v)),)), _INT_TWINS, "payload id"),
+    ("sent-message", RingProcessState(), lambda proc, pid, m: (proc, ((pid, m),)),
+     [(req_insert(1), _PLAIN_REQ)], "is not a Message"),
+]
+
+
+@pytest.mark.parametrize("way", ["value-first", "twin-first", "by-hand"])
+@pytest.mark.parametrize("proc, make, value, twin, named", [
+    pytest.param(proc, make, value, twin, named,
+                 id=f"{row}-{'tuple' if twin is _PLAIN_REQ else twin}")
+    for row, proc, make, pairs, named in _TWIN_ROWS for value, twin in pairs])
+def test_a_twin_is_refused_however_it_is_made(way, proc, make, value, twin, named):
+    initial = (proc, proc)
+    if way == "by-hand":
+        # pid 0 makes the value, then pid 1 the twin beside it in a new state,
+        # unchecked until stored: a checker memo keyed by value would pass it
+        def by_hand(state, pid):
+            new, sends = make(state[pid], pid, twin if pid else value)
+            procs = list(state)
+            procs[pid] = new
+            for to, message in sends:
+                procs[to] = queued(procs[to], message)
+            return tuple(procs)
+
+        rules = (TransitionRule("by_hand", lambda p, pid: p == proc, by_hand,
+                                lambda s, pid: (s[0] == proc) == (pid == 0)),)
+        pid = 1
+    else:
+        # two rules fire at pid 0 of the initial state and their successors
+        # are equal, so whichever comes second is matched, never stored
+        order = (value, twin) if way == "value-first" else (twin, value)
+        rules = tuple(TransitionRule(f"r{k}", lambda p, pid: pid == 0,
+                                     memoized_apply(lambda p, pid, v=v: make(p, pid, v)),
+                                     lambda s, pid: s == initial)
+                      for k, v in enumerate(order))
+        pid = 0
+    model = ProtocolModel(queue_capacity=2, initial_state=initial, rules=rules,
+                          invariant=lambda s: True, terminal_postcondition=lambda s: True)
+    with pytest.raises(ValueError, match=f"process {pid}: .*{named}"):
+        explore(model)
+
+
+@pytest.mark.parametrize("twin", [req_insert(True), _PLAIN_REQ], ids=["payload", "message"])
+def test_a_twin_sent_by_the_rule_that_sent_its_equal_is_refused(twin):
+    # pids 0 and 1 send to pid 2 of one state, so the twin's append would be
+    # found under its equal's in the rule's append memo
+    apply = memoized_apply(lambda proc, pid: (proc, ((2, twin if pid else req_insert(1)),)))
+    state = (RingProcessState(),) * 3
+    apply(state, 0)
+    with pytest.raises(ValueError, match="process 1: "):
+        apply(state, 1)
 
 
 class TestReceive:
@@ -307,18 +364,19 @@ def test_key_is_injective_on_constructible_states(data):
 
 
 # Processes as a rule might build them, well formed or not: bits that are
-# bools, every status and neighbor, any message kind with any payload (wrong
-# arities, ids out of range) and queues up to one message over the bound.
+# bools, every status and neighbor, plain tuples for messages, any message
+# kind with any payload (wrong arities, ids out of range or bools) and queues
+# up to one message over the bound.
 # Half the draws come from the well-formed pools, so that a well-formed edit
 # often precedes an ill-formed one.
 _EDIT_POOLS = (
     [BarrierProcessState(*bits) for bits in product((0, 1, False, True), repeat=3)],
     [RingProcessState(*v) for v in product(RingStatus, (UNSET, 0, 1, 3), (UNSET, 0, 1))],
 )
-_any_messages = st.one_of(_messages, st.builds(
+_any_messages = st.one_of(_messages, _messages.map(tuple), st.builds(
     Message,
     st.sampled_from(list(barrier.MessageKind) + list(ring.MessageKind)),
-    st.lists(st.integers(-1, 3), max_size=3).map(tuple),
+    st.lists(st.integers(-1, 3) | st.booleans(), max_size=3).map(tuple),
 ))
 
 
