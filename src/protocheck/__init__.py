@@ -17,7 +17,6 @@ from .state import (
     EmptyQueueError,
     Message,
     MessageKindBase,
-    ModelError,
     QueueOverflowError,
     memoized_apply,
     receive,
@@ -31,7 +30,6 @@ __all__ = [
     "Message",
     "MessageKindBase",
     "ModelConfig",
-    "ModelError",
     "ProtocolModel",
     "QueueOverflowError",
     "RunStats",

@@ -35,8 +35,7 @@ from .barrier import BarrierConfig, barrier_model
 from .engine import (ExplorationResult, ExploreConfig, ModelConfig, Verdict, explore,
                      reconstruct_trace)
 from .ring import RingConfig, ring_model
-from .state import (ModelError, State, process_fields, render_process, render_state,
-                    state_checker)
+from .state import State, process_fields, render_process, render_state, state_checker
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -262,7 +261,7 @@ def _cmd_replay(args) -> int:
     state = model.initial_state
     try:
         check = state_checker(state, model.queue_capacity)
-    except (ModelError, ValueError) as err:
+    except ValueError as err:
         print(f"replay mismatch at step 0: the model's initial state fails: {err}")
         return EXIT_VIOLATION
     rule_name = pid = None  # the initial state is reached by no rule
@@ -286,7 +285,7 @@ def _cmd_replay(args) -> int:
                 # trace's effects, each computed by the step and checked
                 state = rule.apply(state, pid)
                 check(state)
-            except (ModelError, ValueError) as err:
+            except ValueError as err:
                 print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")
                 return EXIT_VIOLATION
         key = _first_difference(step, _step_record(i, rule_name, pid, state))
@@ -303,7 +302,7 @@ def _cmd_replay(args) -> int:
     probe = ExploreConfig(max_states=1 + len(model.rules) * len(state))
     try:
         found = explore(replace(model, initial_state=state), probe)
-    except (ModelError, ValueError) as err:
+    except ValueError as err:
         print(f"replay mismatch: a successor of the last state fails: {err}")
         return EXIT_VIOLATION
     if found.verdict.value != verdict or found.witness != 0:

@@ -211,9 +211,9 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     The search stops at the first invariant or postcondition violation, at a
     limit, or at the fixed point. A new successor over the queue bound is
     reported as its own verdict, with the state it was generated from as
-    witness; any exception out of a rule, or an ill-formed state
-    (`state_checker`, the initial state included), is a modeling bug and
-    propagates. `replay` confirms a trace's verdict with this search too.
+    witness. Every other error propagates, such as a `ValueError` out of a
+    rule or `state_checker` (the initial state included): a modeling bug.
+    `replay` confirms a trace's verdict with this search too.
     """
     start = time.perf_counter()
     rule_names = tuple(rule.name for rule in model.rules)

@@ -7,7 +7,7 @@ freely between the search engine, the visited set, and reconstructed traces.
 replay: it shares every process a rule does not change, by identity, and a
 step takes its queue head with `receive`. Construction checks nothing, not
 even the queue bound; a search's one `state_checker` checks all of it, each
-process object once.
+process object once. Every error of a broken model is a ValueError.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple with a
@@ -27,11 +27,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 
-class ModelError(Exception):
-    """Base class for errors raised by state operations."""
-
-
-class QueueOverflowError(ModelError):
+class QueueOverflowError(ValueError):
     """A queue holds more messages than the model's queue capacity.
 
     The engine surfaces this as its own verdict: it means the model's
@@ -39,16 +35,18 @@ class QueueOverflowError(ModelError):
     """
 
 
-class EmptyQueueError(ModelError):
+class EmptyQueueError(ValueError):
     """Receive from an empty queue. Always a broken transition-rule guard."""
 
 
 class MessageKindBase(Enum):
     """Base of a protocol's message kinds, declared as `NAME = (code, arity)`.
 
-    The short code names the kind in every rendering, so codes must be
-    distinct within a protocol and free of the characters `()[], `. The arity
-    is the fixed number of process ids the kind carries.
+    The short code names the kind in every rendering, so it must be a
+    non-empty str, free of the characters `()[], ` and distinct within the
+    protocol. The arity is the fixed number of process ids the kind carries,
+    an int of at least 0. A member that breaks either raises ValueError as
+    the protocol module declares it.
     """
 
     # Members are singletons compared by identity; hash them the same way
@@ -56,6 +54,13 @@ class MessageKindBase(Enum):
     __hash__ = object.__hash__
 
     def __init__(self, code: str, arity: int):
+        # members are made in declaration order: `__members__` holds the earlier ones
+        if (type(code) is not str or not code or not set(code).isdisjoint("()[], ")
+                or any(code == kind.code for kind in type(self).__members__.values())):
+            raise ValueError(f"{self.name}: code {code!r} must be a non-empty str free of "
+                             f"'()[], ' and unlike every earlier kind's")
+        if type(arity) is not int or arity < 0:
+            raise ValueError(f"{self.name}: arity {arity!r} must be an int of at least 0")
         self.code = code
         self.arity = arity
 
@@ -82,9 +87,10 @@ State = tuple
 
 def _check_like(pid: int, proc, like, sent: tuple = ()) -> None:
     """Raise ValueError unless process `pid` has `like`'s class and field
-    types and queues, like `sent`, only `Message`s of `int` payload ids: all
-    that `==` cannot tell apart (`True == 1`, `1.0 == 1`, a plain tuple equal
-    to a `Message`), so equal processes that pass are the same process."""
+    types and queues, like `sent`, only `Message`s of a `MessageKindBase` and
+    a tuple of `int` ids. So it refuses whatever would crash a later read,
+    and all that `==` cannot tell apart (`True == 1`, `1.0 == 1`, a plain
+    tuple equal to a `Message`): equal processes that pass are the same."""
     if type(proc) is not type(like):
         raise ValueError(f"process {pid}: all processes must be the same protocol variant")
     for name, value, expected in zip(proc._fields, proc, like):
@@ -92,7 +98,8 @@ def _check_like(pid: int, proc, like, sent: tuple = ()) -> None:
             raise ValueError(f"process {pid}: {name} must be of type "
                              f"{type(expected).__name__}, got {value!r}")
     for message in proc.queue + sent:
-        if type(message) is not Message:
+        if (type(message) is not Message or not isinstance(message.kind, MessageKindBase)
+                or type(message.payload) is not tuple):
             raise ValueError(f"process {pid}: {message!r} is not a Message")
         for rank in message.payload:
             if type(rank) is not int:

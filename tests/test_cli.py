@@ -494,7 +494,14 @@ class TestReplay:
         # it queues a plain tuple equal to BARRIER_IN, which has no `render`
         (lambda proc, pid: (proc._replace(queue=((barrier.MessageKind.BARRIER_IN, ()),)), ()),
          "process 0: (<MessageKind.BARRIER_IN: ('bi', 0)>, ()) is not a Message"),
-    ], ids=["released", "plain-tuple"])
+        # a message of the wrong shape is refused before its payload is read
+        (lambda proc, pid: (proc._replace(queue=(Message(barrier.MessageKind.BARRIER_IN, 5),)),
+                            ()),
+         "process 0: Message(kind=<MessageKind.BARRIER_IN: ('bi', 0)>, payload=5) "
+         "is not a Message"),
+        (lambda proc, pid: (proc._replace(queue=(Message("bi", ()),)), ()),
+         "process 0: Message(kind='bi', payload=()) is not a Message"),
+    ], ids=["released", "plain-tuple", "payload-not-a-tuple", "kind-not-a-kind"])
     def test_ill_formed_step_is_a_mismatch(self, tmp_path, monkeypatch, capsys, step, named):
         path = self._violation_trace(tmp_path)
 
@@ -807,53 +814,41 @@ def test_trace_header_builds_the_config_it_encodes(name, cfg):
     assert cli.MODELS[name][0](**options) == cfg
 
 
-def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys):
+# The toy in two field layouts, each with its process type, its first state's
+# DOT label and its last replayed state: nothing reads a field by position, so
+# each renders its queue where its field is.
+_TOY_LAYOUTS = {"queue-last": (_ToyProcess, "(0,[]) (0,[])", "(1,[t]) (1,[t])"),
+                "queue-first": (_QueueFirstToyProcess, "([],0) ([],0)", "([t],1) ([t],1)")}
+
+
+@pytest.mark.parametrize("layout", _TOY_LAYOUTS)
+def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys, layout):
     # the toy writes no text of its own: the process codec renders its fields
-    monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, _toy_model))
+    process, label, last = _TOY_LAYOUTS[layout]
+    monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, partial(_toy_model, process=process)))
     trace, graph = tmp_path / "t.json", tmp_path / "g.dot"
     assert run_cli("run", "--model", "toy", "--size", "2", "--trace", str(trace),
                    "--graph", str(graph)) == 1
     assert "model=toy size=2 variant=plain" in capsys.readouterr().out
-    assert '  s0 [label="s0: (0,[]) (0,[])"];\n' in graph.read_text()
-    assert run_cli("replay", str(trace)) == 0
-    *_, last_step, verdict = capsys.readouterr().out.splitlines()
-    assert last_step == "step 2   send @1                      (1,[t]) (1,[t])"
-    assert verdict.startswith("replay OK: 2 steps verified")
-
-
-def test_a_protocol_with_its_queue_first_runs_replays_and_agrees_with_the_oracle(
-        tmp_path, monkeypatch, capsys):
-    # nothing reads a field by position: the queue renders where its field is
-    monkeypatch.setitem(cli.MODELS, "toy",
-                        (_ToyConfig, partial(_toy_model, process=_QueueFirstToyProcess)))
-    trace, graph = tmp_path / "t.json", tmp_path / "g.dot"
-    assert run_cli("run", "--model", "toy", "--size", "2", "--trace", str(trace),
-                   "--graph", str(graph)) == 1
-    assert '  s0 [label="s0: ([],0) ([],0)"];\n' in graph.read_text()
+    assert f'  s0 [label="s0: {label}"];\n' in graph.read_text()
     step = json.loads(trace.read_text())["steps"][-1]["state"]["processes"]
+    # the trace sorts its keys, so both layouts write them in one order
     assert step == [{"queue": ["t"], "sent": 1}] * 2 and list(step[0]) == ["queue", "sent"]
-    capsys.readouterr()
     assert run_cli("replay", str(trace)) == 0
     *_, last_step, verdict = capsys.readouterr().out.splitlines()
-    assert last_step == "step 2   send @1                      ([t],1) ([t],1)"
+    assert last_step == f"step 2   send @1                      {last}"
     assert verdict.startswith("replay OK: 2 steps verified")
-    model = replace(_toy_model(_ToyConfig(size=3), _QueueFirstToyProcess),
-                    invariant=lambda s: True)
-    result = explore(model)
-    assert result.verdict is Verdict.VERIFIED and result.stats.states_stored == 27
-    assert ({oracle.snapshot(s) for s in result.states}
-            == {oracle.snapshot(s) for s in oracle.enumerate_reachable(model)})
-
-
-def _toy_without_invariant(cfg):
-    return replace(_toy_model(cfg), invariant=lambda s: True)
 
 
 @pytest.mark.parametrize("n, count", [(1, 3), (2, 9), (3, 27)])
+@pytest.mark.parametrize("layout", _TOY_LAYOUTS)
 def test_a_registered_step_protocol_agrees_with_the_oracle(tmp_path, monkeypatch, capsys,
-                                                          n, count):
+                                                          layout, n, count):
     # the toy's rules are local steps, so the oracle applies them itself
-    model = _toy_without_invariant(_ToyConfig(size=n))
+    def build(cfg):
+        return replace(_toy_model(cfg, _TOY_LAYOUTS[layout][0]), invariant=lambda s: True)
+
+    model = build(_ToyConfig(size=n))
     reachable = oracle.enumerate_reachable(model)
     snapshots = {oracle.snapshot(s) for s in reachable}
     assert len(snapshots) == count
@@ -864,7 +859,7 @@ def test_a_registered_step_protocol_agrees_with_the_oracle(tmp_path, monkeypatch
         assert {oracle.snapshot(s) for s in result.states} == snapshots
     # every stored state is expanded, so each of its oracle moves is fired once
     fired = sum(len(oracle.successors(model, s)) for s in reachable)
-    monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, _toy_without_invariant))
+    monkeypatch.setitem(cli.MODELS, "toy", (_ToyConfig, build))
     graph = tmp_path / "g.dot"
     assert run_cli("run", "--model", "toy", "--size", str(n), "--search", "dfs",
                    "--graph", str(graph)) == 0
