@@ -14,7 +14,6 @@ from .engine import (
     reconstruct_trace,
 )
 from .state import (
-    EmptyQueueError,
     Message,
     MessageKindBase,
     QueueOverflowError,
@@ -24,7 +23,6 @@ from .state import (
 )
 
 __all__ = [
-    "EmptyQueueError",
     "ExplorationResult",
     "ExploreConfig",
     "Message",

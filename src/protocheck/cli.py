@@ -15,7 +15,7 @@ Outputs, all optional and all deterministic for a given configuration:
             transition as the search's `observe` hook logs it; streamed
 
 Exit status: 0 verified, 1 property violated, 2 limit exceeded, queue
-overflow or out of memory, 3 usage error or unwritable output.
+overflow or out of memory, 3 usage error, unwritable output or a ValueError.
 """
 
 import argparse
@@ -165,7 +165,7 @@ def _first_difference(recorded: dict, expected: dict) -> Optional[str]:
 
 def _build_model(model_name: str, options: dict):
     """(config, model) for `options`, a map from config field to value taken
-    verbatim; a bad model name, config or size is a usage error."""
+    verbatim: a bad model name, option or size is a usage error or ValueError."""
     if model_name not in MODELS:
         raise UsageError(f"unknown model {reprlib.repr(model_name)}")
     config_class, build = MODELS[model_name]
@@ -175,8 +175,6 @@ def _build_model(model_name: str, options: dict):
     try:
         cfg = config_class(**options)
         return cfg, build(cfg)
-    except ValueError as err:
-        raise UsageError(str(err))
     except (MemoryError, OverflowError):
         raise UsageError(f"out of memory for a {model_name} model of size "
                          f"{reprlib.repr(options['size'])}")
@@ -195,12 +193,9 @@ def _cmd_run(args) -> int:
             if os.path.isdir(real) or not os.path.isdir(os.path.dirname(real)):
                 raise UsageError(f"cannot write {path}: it is a directory, or its parent is not")
     edges = array("q")  # 64-bit ids hold any id a search can store
-    try:
-        config = ExploreConfig(search=args.search, max_states=args.max_states,
-                               max_seconds=args.max_seconds,
-                               observe=None if args.graph is None else edges.fromlist)
-    except ValueError as err:
-        raise UsageError(str(err))
+    config = ExploreConfig(search=args.search, max_states=args.max_states,
+                           max_seconds=args.max_seconds,
+                           observe=None if args.graph is None else edges.fromlist)
     cfg, model = _build_model(args.model, {f.name: getattr(args, f.name)
                                            for f in fields(ModelConfig)})
     result = explore(model, config)
@@ -349,7 +344,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = _cmd_run(args) if args.command == "run" else _cmd_replay(args)
         sys.stdout.flush()  # a closed reader shows here, not in the exit flush
         return code
-    except UsageError as err:
+    except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -211,8 +211,8 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     The search stops at the first invariant or postcondition violation, at a
     limit, or at the fixed point. A new successor over the queue bound is
     reported as its own verdict, with the state it was generated from as
-    witness. Every other error propagates, such as a `ValueError` out of a
-    rule or `state_checker` (the initial state included): a modeling bug.
+    witness. Every other error of the model is a `ValueError`, out of a rule,
+    `state_checker` (the initial state included) or an unhashable successor.
     `replay` confirms a trace's verdict with this search too.
     """
     start = time.perf_counter()
@@ -278,7 +278,11 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
                     continue
                 fired = True
                 succ = apply(state, pid)
-                tid = reserve(encode(succ), fresh_id)
+                try:
+                    tid = reserve(encode(succ), fresh_id)
+                except TypeError as err:  # unhashable: the check, else the rule, says why
+                    check(succ)
+                    raise ValueError(f"{rule_names[r]} at pid {pid}: {err}") from err
                 if tid != fresh_id:  # most transitions match a stored state
                     matched += 1
                     if observe is not None:

@@ -35,10 +35,6 @@ class QueueOverflowError(ValueError):
     """
 
 
-class EmptyQueueError(ValueError):
-    """Receive from an empty queue. Always a broken transition-rule guard."""
-
-
 class MessageKindBase(Enum):
     """Base of a protocol's message kinds, declared as `NAME = (code, arity)`.
 
@@ -169,9 +165,9 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
 
 def receive(proc, pid: int) -> tuple[Message, Queue]:
     """The head of process `pid`'s queue and the rest of it, in FIFO order.
-    An empty queue raises EmptyQueueError: the consuming rule's guard lied."""
+    An empty queue raises ValueError: the consuming rule's guard lied."""
     if not proc.queue:
-        raise EmptyQueueError(f"process {pid}: receive on an empty queue")
+        raise ValueError(f"process {pid}: receive on an empty queue")
     return proc.queue[0], proc.queue[1:]
 
 
@@ -179,14 +175,14 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
     """The state-level apply of a rule whose local step `step(proc, pid)`
     gives process `pid`'s new state and its sends, `((target, message), ...)`,
     appended in order. Each effect is kept per (pid, process) for the apply's
-    lifetime once `_check_like` passes its new process, against the one it
-    replaces, with the messages it sends, and its send targets are in range
-    (else ValueError, keeping nothing), so a matched successor is as well
-    typed as its stored twin. Each append is kept per (target process,
-    message). Sharing is per effect and per append, not per equal value.
-    Value-keyed: id-keyed memos, and per-pid effect dicts, measured no faster.
-    The effect checks live here: checking every successor in the search loop
-    instead, matched ones too, measured 1.17-1.45x slower.
+    lifetime once it has that shape, `_check_like` passes its new process,
+    against the one it replaces, with the messages it sends, and its send
+    targets are ints in range (else ValueError naming the pid, keeping nothing),
+    so a matched successor is as well typed as its stored twin. Each append
+    is kept per (target process, message): sharing is per effect and per
+    append, not per equal value; id-keyed memos and per-pid dicts measured no
+    faster. Checking every successor in the search loop instead, matched
+    ones too, measured 1.17-1.45x slower.
     `__wrapped__` is `step`, for a reference applier such as `tests/oracle.py`."""
     effects: dict = {}
     appends: dict = {}
@@ -196,12 +192,18 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
         effect = effects.get((pid, proc))
         if effect is None:
             effect = step(proc, pid)
+            try:
+                new, sends = effect
+                sent = tuple(message for _, message in sends)
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"process {pid}: a step gives (process, ((target, message), "
+                                 f"...)), not {effect!r}") from err
             # the sends here, as `appends` may hold a twin's append under its equal
-            _check_like(pid, effect[0], proc, tuple(message for _, message in effect[1]))
-            for to, _ in effect[1]:
-                if not 0 <= to < len(state):
-                    raise ValueError(
-                        f"send target {to} out of range for {len(state)} processes")
+            _check_like(pid, new, proc, sent)
+            for to, _ in sends:
+                if type(to) is not int or not 0 <= to < len(state):
+                    raise ValueError(f"process {pid}: send target {to!r} out of range for "
+                                     f"{len(state)} processes")
             effects[pid, proc] = effect
         procs = list(state)
         procs[pid], sends = effect

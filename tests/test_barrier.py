@@ -23,10 +23,6 @@ def B(ci=0, co=0, h=0, q=()):
     return BarrierProcessState(ci, co, h, tuple(q))
 
 
-def sys_state(*procs):
-    return procs
-
-
 def fire(rule, s, pid, **options):
     """`rule` applied at `pid` in a model of `s`'s size built with `options`."""
     return barrier_model(BarrierConfig(size=len(s), **options)).rule_named(rule).apply(s, pid)
@@ -41,7 +37,7 @@ def test_config_validation():
 class TestInitialState:
     def test_n3_all_zero(self):
         s = barrier_initial_state(BarrierConfig(size=3))
-        assert s == sys_state(B(), B(), B())
+        assert s == (B(), B(), B())
         assert barrier_model(BarrierConfig(size=3)).queue_capacity == 5
 
     def test_n1(self):
@@ -58,7 +54,7 @@ class TestClientRequest:
         assert out[2].queue == ()
 
     def test_holder_forwards_on_request(self):
-        s = sys_state(B(1, 0, 0), B(0, 0, 1), B())
+        s = (B(1, 0, 0), B(0, 0, 1), B())
         out = fire("client_request", s, 1)
         assert out[1] == B(1, 0, 0)
         assert out[2].queue == (BARRIER_IN,)
@@ -82,25 +78,25 @@ class TestClientRequest:
 
 class TestBarrierInNonleader:
     def test_forwards_when_client_already_asked(self):
-        s = sys_state(B(1, 0, 0), B(1, 0, 0, [BARRIER_IN]), B())
+        s = (B(1, 0, 0), B(1, 0, 0, [BARRIER_IN]), B())
         out = fire("barrier_in_nonleader", s, 1)
         assert out[1].queue == ()
         assert out[2].queue == (BARRIER_IN,)
 
     def test_holds_when_client_has_not_asked(self):
-        s = sys_state(B(1, 0, 0), B(0, 0, 0, [BARRIER_IN]), B())
+        s = (B(1, 0, 0), B(0, 0, 0, [BARRIER_IN]), B())
         out = fire("barrier_in_nonleader", s, 1)
         assert out[1] == B(0, 0, 1)
         assert out[2].queue == ()
 
     def test_forward_wraps_back_to_leader(self):
-        s = sys_state(B(1, 0, 0), B(1, 0, 0), B(1, 0, 0, [BARRIER_IN]))
+        s = (B(1, 0, 0), B(1, 0, 0), B(1, 0, 0, [BARRIER_IN]))
         out = fire("barrier_in_nonleader", s, 2)
         assert out[0].queue == (BARRIER_IN,)
         assert next_rank(2, 3) == 0
 
     def test_seeded_bug_releases_on_forward(self):
-        s = sys_state(B(1, 0, 0), B(1, 0, 0, [BARRIER_IN]), B())
+        s = (B(1, 0, 0), B(1, 0, 0, [BARRIER_IN]), B())
         out = fire("barrier_in_nonleader", s, 1, mutation=RELEASE_ON_BARRIER_IN)
         assert out[1].client_barrier_out == 1
         assert out[2].queue == (BARRIER_IN,)
@@ -108,19 +104,19 @@ class TestBarrierInNonleader:
 
 class TestBarrierInLeader:
     def test_leader_last_starts_release_round(self):
-        s = sys_state(B(1, 0, 0, [BARRIER_IN]), B(1, 0, 0), B(1, 0, 0))
+        s = (B(1, 0, 0, [BARRIER_IN]), B(1, 0, 0), B(1, 0, 0))
         out = fire("barrier_in_leader", s, 0, variant=LEADER_LAST)
         assert out[0] == B(1, 0, 0)
         assert out[1].queue == (BARRIER_OUT,)
 
     def test_leader_first_also_releases_its_client(self):
-        s = sys_state(B(1, 0, 0, [BARRIER_IN]), B(1, 0, 0), B(1, 0, 0))
+        s = (B(1, 0, 0, [BARRIER_IN]), B(1, 0, 0), B(1, 0, 0))
         out = fire("barrier_in_leader", s, 0, variant=LEADER_FIRST)
         assert out[0] == B(1, 1, 0)
         assert out[1].queue == (BARRIER_OUT,)
 
     def test_singleton_sends_release_to_itself(self):
-        s = sys_state(B(1, 0, 0, [BARRIER_IN]))
+        s = (B(1, 0, 0, [BARRIER_IN]),)
         out = fire("barrier_in_leader", s, 0, variant=LEADER_LAST)
         assert out[0] == B(1, 0, 0, [BARRIER_OUT])
 
@@ -128,23 +124,23 @@ class TestBarrierInLeader:
 class TestBarrierOut:
     def test_leader_last_final_release(self):
         # the closing move of a full n=3 round: the leader is released last
-        s = sys_state(B(1, 0, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
+        s = (B(1, 0, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
         out = fire("barrier_out", s, 0, variant=LEADER_LAST)
-        assert out == sys_state(B(1, 1, 0), B(1, 1, 0), B(1, 1, 0))
+        assert out == (B(1, 1, 0), B(1, 1, 0), B(1, 1, 0))
 
     def test_nonleader_releases_and_forwards(self):
-        s = sys_state(B(1, 0, 0), B(1, 0, 0, [BARRIER_OUT]), B(1, 0, 0))
+        s = (B(1, 0, 0), B(1, 0, 0, [BARRIER_OUT]), B(1, 0, 0))
         out = fire("barrier_out", s, 1, variant=LEADER_LAST)
         assert out[1] == B(1, 1, 0)
         assert out[2].queue == (BARRIER_OUT,)
 
     def test_leader_first_consumes_without_change(self):
-        s = sys_state(B(1, 1, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
+        s = (B(1, 1, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
         out = fire("barrier_out", s, 0, variant=LEADER_FIRST)
-        assert out == sys_state(B(1, 1, 0), B(1, 1, 0), B(1, 1, 0))
+        assert out == (B(1, 1, 0), B(1, 1, 0), B(1, 1, 0))
 
     def test_singleton_consumes_own_release(self):
-        s = sys_state(B(1, 0, 0, [BARRIER_OUT]))
+        s = (B(1, 0, 0, [BARRIER_OUT]),)
         out = fire("barrier_out", s, 0, variant=LEADER_LAST)
         assert out[0] == B(1, 1, 0)
 
@@ -154,7 +150,7 @@ class TestInvariant:
         assert barrier_invariant(barrier_initial_state(BarrierConfig(size=3)))
 
     def test_release_before_everyone_arrived_violates(self):
-        assert not barrier_invariant(sys_state(B(1, 1, 0), B(0, 0, 0)))
+        assert not barrier_invariant((B(1, 1, 0), B(0, 0, 0)))
 
     def test_holds_on_every_reachable_state(self):
         for state in oracle.enumerate_reachable(barrier_model(BarrierConfig(size=3))):
@@ -163,12 +159,10 @@ class TestInvariant:
 
 class TestPostcondition:
     def test_everyone_released_nothing_pending(self):
-        assert barrier_postcondition(sys_state(B(1, 1, 0), B(1, 1, 0), B(1, 1, 0)))
+        assert barrier_postcondition((B(1, 1, 0), B(1, 1, 0), B(1, 1, 0)))
 
     def test_pending_message_fails(self):
-        assert not barrier_postcondition(
-            sys_state(B(1, 1, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
-        )
+        assert not barrier_postcondition((B(1, 1, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0)))
 
     def test_terminals_of_leader_first_n5(self):
         result = explore(barrier_model(BarrierConfig(size=5, variant=LEADER_FIRST)))

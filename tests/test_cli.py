@@ -16,7 +16,7 @@ from protocheck import barrier, cli
 from protocheck.barrier import BarrierConfig, BarrierProcessState, barrier_model
 from protocheck.engine import (ExploreConfig, ModelConfig, ProtocolModel, TransitionRule,
                                Verdict, explore)
-from protocheck.ring import RingConfig, ring_model
+from protocheck.ring import RingConfig, RingProcessState, RingStatus, req_insert, ring_model
 from protocheck.state import Message, MessageKindBase, memoized_apply, receive
 from test_engine import instances
 
@@ -366,6 +366,10 @@ class TestUsageErrors:
             assert "Traceback" not in err
 
 
+def _no_successor(state, pid):
+    raise ValueError("no successor here")
+
+
 class TestReplay:
     def _violation_trace(self, tmp_path):
         trace = tmp_path / "t.json"
@@ -468,53 +472,29 @@ class TestReplay:
         assert run_cli("replay", str(path)) == 1
         assert "replay mismatch at step 2" in capsys.readouterr().out
 
+    # a list successor passes the check, as each of its processes has passed
+    @pytest.mark.parametrize("apply, message", [
+        (_no_successor, "no successor here"),
+        (lambda state, pid: list(state), "fail at pid 0: unhashable type: 'list'"),
+    ], ids=["raises", "unhashable"])
     def test_failing_successor_of_the_last_state_is_a_mismatch(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, monkeypatch, capsys, apply, message):
         path = self._overflow_trace(tmp_path)
-
-        def fail(state, pid):
-            raise ValueError("no successor here")
 
         def build(cfg):
             # no step names `fail`; put first, the probe search fires it
             # before any move that overflows
             model = ring_model(cfg)
-            rule = TransitionRule("fail", lambda proc, pid: True, fail)
+            rule = TransitionRule("fail", lambda proc, pid: True, apply)
             return replace(model, rules=(rule,) + model.rules)
 
         monkeypatch.setitem(cli.MODELS, "ring", (RingConfig, build))
+        capsys.readouterr()
         assert run_cli("replay", str(path)) == 1
-        assert ("replay mismatch: a successor of the last state fails: no successor here"
-                in capsys.readouterr().out)
-
-    @pytest.mark.parametrize("step, named", [
-        # client_request releases the client instead of recording its request
-        (lambda proc, pid: (proc._replace(client_barrier_out=1), ()),
-         "process 0: client released before it reached the barrier"),
-        # it queues a plain tuple equal to BARRIER_IN, which has no `render`
-        (lambda proc, pid: (proc._replace(queue=((barrier.MessageKind.BARRIER_IN, ()),)), ()),
-         "process 0: (<MessageKind.BARRIER_IN: ('bi', 0)>, ()) is not a Message"),
-        # a message of the wrong shape is refused before its payload is read
-        (lambda proc, pid: (proc._replace(queue=(Message(barrier.MessageKind.BARRIER_IN, 5),)),
-                            ()),
-         "process 0: Message(kind=<MessageKind.BARRIER_IN: ('bi', 0)>, payload=5) "
-         "is not a Message"),
-        (lambda proc, pid: (proc._replace(queue=(Message("bi", ()),)), ()),
-         "process 0: Message(kind='bi', payload=()) is not a Message"),
-    ], ids=["released", "plain-tuple", "payload-not-a-tuple", "kind-not-a-kind"])
-    def test_ill_formed_step_is_a_mismatch(self, tmp_path, monkeypatch, capsys, step, named):
-        path = self._violation_trace(tmp_path)
-
-        def build(cfg):
-            model = barrier_model(cfg)
-            request = model.rule_named("client_request")
-            return replace(model, rules=(TransitionRule(
-                request.name, request.enabled, memoized_apply(step)),) + model.rules[1:])
-
-        monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
-        assert run_cli("replay", str(path)) == 1
-        out = capsys.readouterr().out
-        assert f"replay mismatch at step 1: client_request at pid 0 fails: {named}\n" in out
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == (
+            f"replay mismatch: a successor of the last state fails: {message}")
+        assert err == ""
 
     # Each edit to a written trace, the exit code replay gives for it and what
     # its message names. Replay accepts exactly the document `run` writes for
@@ -656,6 +636,89 @@ class TestReplay:
         path.write_text(json.dumps(doc))
         assert run_cli("replay", str(path)) == 3
 
+
+# Each way a rule can break a model, run through `explore`, `run` and
+# `replay`: the golden trace whose step-1 rule the row's apply replaces (a
+# memoized local step, or a hand-written state-level apply) and the exact
+# message. Barrier's step 1 is `client_request @0`, ring's `begin_insert @1`,
+# each the first transition its search fires.
+_B, _R = "barrier_n3_release_on_barrier_in", "ring_unordered_n3_cap1"
+_BI = barrier.MessageKind.BARRIER_IN
+_NO_EFFECT = "process 0: a step gives (process, ((target, message), ...)), not "
+_B0 = repr(BarrierProcessState())
+
+
+def _queue(*messages):
+    """A memoized step that puts `messages` in its own process's queue."""
+    return memoized_apply(lambda p, pid: (p._replace(queue=messages), ()))
+
+
+_BROKEN_RULES = {
+    "released": (_B, memoized_apply(lambda p, pid: (p._replace(client_barrier_out=1), ())),
+                 "process 0: client released before it reached the barrier"),
+    # a plain tuple equal to a message, which has no `render`
+    "plain-tuple": (_B, _queue((_BI, ())),
+                    "process 0: (<MessageKind.BARRIER_IN: ('bi', 0)>, ()) is not a Message"),
+    # a message of the wrong shape is refused before its payload is read
+    "payload-not-a-tuple": (_B, _queue(Message(_BI, 5)), "process 0: Message(kind=<MessageKind"
+                            ".BARRIER_IN: ('bi', 0)>, payload=5) is not a Message"),
+    "kind-not-a-kind": (_B, _queue(Message("bi", ())),
+                        "process 0: Message(kind='bi', payload=()) is not a Message"),
+    "wrong-arity": (_B, _queue(Message(_BI, (1,))),
+                    "process 0: barrier_in carries 0 id(s), got 1"),
+    "guard-lies": (_B, memoized_apply(lambda p, pid: (p._replace(queue=receive(p, pid)[1]), ())),
+                   "process 0: receive on an empty queue"),
+    # hashed before it is checked, as every matched successor is
+    "unhashable": (_B, lambda s, pid: (s[0]._replace(queue=(Message(_BI, [5]),)),) + s[1:],
+                   "process 0: Message(kind=<MessageKind.BARRIER_IN: ('bi', 0)>, payload=[5]) "
+                   "is not a Message"),
+    # pids 1 and 2 are the initial state's, passed: only the pinned type catches pid 0
+    "other-process-type": (_B, lambda s, pid: (RingProcessState(),) + s[1:],
+                           "process 0: all processes must be the same protocol variant"),
+    "process-dropped": (_B, lambda s, pid: s[:1], "a rule changed the process count from 3 to 1"),
+    "effect-none": (_B, memoized_apply(lambda p, pid: None), _NO_EFFECT + "None"),
+    "effect-not-a-pair": (_B, memoized_apply(lambda p, pid: (p,)), _NO_EFFECT + f"({_B0},)"),
+    "sends-not-a-tuple": (_B, memoized_apply(lambda p, pid: (p, None)),
+                          _NO_EFFECT + f"({_B0}, None)"),
+    "send-not-a-pair": (_B, memoized_apply(lambda p, pid: (p, (1,))),
+                        _NO_EFFECT + f"({_B0}, (1,))"),
+    "neighbor-out-of-range": (_R, memoized_apply(
+        lambda p, pid: (p._replace(status=RingStatus.INSERTING, lhs=3), ())),
+        "process 1: ring neighbors are ints in [0, 3) or unset, got 3"),
+    "payload-out-of-range": (_R, memoized_apply(lambda p, pid: (p, ((0, req_insert(5)),))),
+                             "process 0: payload id 5 is not in [0, 3)"),
+    "send-target-out-of-range": (_R, memoized_apply(lambda p, pid: (p, ((3, req_insert(pid)),))),
+                                 "process 1: send target 3 out of range for 3 processes"),
+    "send-target-not-an-int": (_R, memoized_apply(lambda p, pid: (p, ((None, req_insert(pid)),))),
+                               "process 1: send target None out of range for 3 processes"),
+}
+
+
+@pytest.mark.parametrize("golden, apply, message", _BROKEN_RULES.values(), ids=_BROKEN_RULES)
+def test_a_broken_rule_fails_explore_run_and_replay(golden, apply, message, monkeypatch,
+                                                    capsys):
+    path = Path(__file__).resolve().parent / "golden" / f"{golden}.json"
+    doc = json.loads(path.read_text())
+    name, step = doc.pop("model"), doc.pop("steps")[1]
+    del doc["verdict"]  # the rest is the config
+    config_class, build = cli.MODELS[name]
+
+    def broken(cfg):
+        model = build(cfg)
+        return replace(model, rules=tuple(
+            replace(r, apply=apply) if r.name == step["rule"] else r for r in model.rules))
+
+    with pytest.raises(ValueError) as raised:
+        explore(broken(config_class(**doc)))
+    assert str(raised.value) == message
+    monkeypatch.setitem(cli.MODELS, name, (config_class, broken))
+    flags = (f"--{k.replace('_', '-')}={v}" for k, v in doc.items())
+    assert run_cli("run", "--model", name, *flags) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")  # no traceback, no counts
+    assert run_cli("replay", str(path)) == 1
+    out, err = capsys.readouterr()
+    assert (out.splitlines()[-1], err) == (f"replay mismatch at step 1: {step['rule']} at pid "
+                                           f"{step['pid']} fails: {message}", "")
 
 def test_rules_sharing_a_name_are_a_usage_error(monkeypatch, capsys):
     # `replay` finds a trace's rules by name: this model's witness would fail

@@ -19,13 +19,12 @@ from protocheck.engine import (
     ExploreConfig,
     ProtocolModel,
     RunStats,
-    TransitionRule,
     Verdict,
     explore,
     reconstruct_trace,
 )
 from protocheck.ring import ORDERED, RingConfig, RingProcessState, UNORDERED, ring_model
-from protocheck.state import EmptyQueueError, Message, memoized_apply, receive
+from protocheck.state import Message
 
 
 def explore_logged(model, config=ExploreConfig()):
@@ -163,36 +162,6 @@ class TestExplore:
         with pytest.raises(ValueError, match="queue capacity must be positive"):
             explore(model)
 
-    def test_rule_that_swaps_in_another_process_type_aborts_the_run(self):
-        # pid 1 is the initial state's own, already passed object; only the
-        # type pinned from the initial state catches the new pid 0
-        model = barrier_model(BarrierConfig(size=2))
-        swap = dataclasses.replace(model, rules=(TransitionRule(
-            "swap", lambda proc, pid: pid == 0 and type(proc) is BarrierProcessState,
-            lambda s, pid: (RingProcessState(),) + s[1:]),))
-        with pytest.raises(ValueError, match="same protocol variant"):
-            explore(swap)
-
-    def test_rule_that_drops_a_process_aborts_the_run(self):
-        model = barrier_model(BarrierConfig(size=2))
-        shrink = dataclasses.replace(model, rules=(TransitionRule(
-            "shrink", lambda proc, pid: pid == 0, lambda s, pid: s[:1]),))
-        with pytest.raises(ValueError, match="process count"):
-            explore(shrink)
-
-    def test_broken_guard_aborts_the_run(self):
-        # a rule whose guard lies gets its EmptyQueueError propagated
-        broken = ProtocolModel(
-            queue_capacity=2,
-            initial_state=(BarrierProcessState(),),
-            rules=(TransitionRule("consume", lambda proc, pid: True, memoized_apply(
-                lambda proc, pid: (proc._replace(queue=receive(proc, pid)[1]), ()))),),
-            invariant=lambda s: True,
-            terminal_postcondition=lambda s: True,
-        )
-        with pytest.raises(EmptyQueueError):
-            explore(broken)
-
     def test_postcondition_violation_reported_at_terminal(self):
         model = barrier_model(BarrierConfig(size=2))
         strict = dataclasses.replace(model, terminal_postcondition=lambda s: False)
@@ -209,25 +178,6 @@ class TestExplore:
         result = explore(strict, ExploreConfig(search="dfs", max_states=28))
         assert result.verdict is Verdict.POSTCONDITION_VIOLATED
         assert result.terminal_states == [result.witness]
-
-    def test_ill_formed_successor_aborts_the_run(self):
-        # a rule that releases a client which never asked builds a state
-        # the barrier process's check() rejects
-        release = memoized_apply(lambda proc, pid: (proc._replace(client_barrier_out=1), ()))
-        model = barrier_model(BarrierConfig(size=2))
-        broken = dataclasses.replace(model, rules=(TransitionRule(
-            "release", lambda proc, pid: not proc.client_barrier_out, release),))
-        with pytest.raises(ValueError):
-            explore(broken)
-
-    def test_out_of_range_neighbor_aborts_the_run(self):
-        # a joiner that links itself to a process one past the last of two
-        overshoot = memoized_apply(lambda proc, pid: (proc._replace(lhs=2), ()))
-        model = ring_model(RingConfig(size=2))
-        broken = dataclasses.replace(model, rules=(TransitionRule(
-            "overshoot", lambda proc, pid: proc.lhs != 2, overshoot),))
-        with pytest.raises(ValueError, match=r"ints in \[0, 2\) or unset, got 2"):
-            explore(broken)
 
 
 @pytest.mark.parametrize("cfg, model", instances(3, 4))

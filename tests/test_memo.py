@@ -24,7 +24,7 @@ from protocheck.ring import (
     req_insert,
     ring_model,
 )
-from protocheck.state import EmptyQueueError, memoized_apply
+from protocheck.state import memoized_apply
 from test_engine import explore_logged, instances
 
 
@@ -63,7 +63,7 @@ _IDLE_RING = (RingProcessState(RingStatus.IN_RING, 0, 0),
 def test_consuming_step_on_an_empty_queue_raises(model, rule, state, pid):
     apply = model.rule_named(rule).apply
     for _ in range(2):
-        with pytest.raises(EmptyQueueError):
+        with pytest.raises(ValueError, match="receive on an empty queue"):
             apply(state, pid)
 
 

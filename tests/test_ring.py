@@ -32,10 +32,6 @@ def R(status=OUT, lhs=-1, rhs=-1, q=()):
     return RingProcessState(status, lhs, rhs, tuple(q))
 
 
-def sys_state(*procs):
-    return procs
-
-
 def fire(rule, state, pid):
     """`rule` applied at `pid` in a model of `state`'s size."""
     return ring_model(RingConfig(size=len(state))).rule_named(rule).apply(state, pid)
@@ -121,83 +117,82 @@ class TestHandleReqInsert:
     def test_singleton_splice(self):
         # entry alone in the ring: it plays both the left and the right
         # roles, so the repoint message goes to its own queue
-        state = sys_state(R(RING, 0, 0, [req_insert(1)]), R(INS))
+        state = (R(RING, 0, 0, [req_insert(1)]), R(INS))
         out = fire("handle_req_insert", state, 0)
         assert out[0] == R(RING, 1, 0, [new_rhs(1)])
         assert out[1] == R(INS, q=[insert_ack(0, 0)])
 
     def test_second_splice_targets_old_left_neighbor(self):
         # ring of 0 and 1 settled; 2 asks; hand-traced expected state
-        state = sys_state(R(RING, 1, 1, [req_insert(2)]), R(RING, 0, 0), R(INS))
+        state = (R(RING, 1, 1, [req_insert(2)]), R(RING, 0, 0), R(INS))
         out = fire("handle_req_insert", state, 0)
         assert out[0] == R(RING, 2, 1)
         assert out[1] == R(RING, 0, 0, [new_rhs(2)])
         assert out[2] == R(INS, q=[insert_ack(1, 0)])
 
     def test_guard_refuses_non_entry_processes(self):
-        state = sys_state(R(RING, 0, 0), R(INS, q=[req_insert(2)]), R(INS))
+        state = (R(RING, 0, 0), R(INS, q=[req_insert(2)]), R(INS))
         assert not guard("handle_req_insert", size=3)(state, 1)
 
 
 class TestHandleNewRhs:
     def test_repoints_right_neighbor(self):
-        state = sys_state(R(RING, 1, 0, [new_rhs(1)]), R(INS, q=[insert_ack(0, 0)]))
+        state = (R(RING, 1, 0, [new_rhs(1)]), R(INS, q=[insert_ack(0, 0)]))
         out = fire("handle_new_rhs", state, 0)
         assert out[0] == R(RING, 1, 1)
 
     def test_only_the_head_is_handled(self):
-        state = sys_state(R(RING, 1, 1, [new_rhs(2), req_insert(1)]), R(), R())
+        state = (R(RING, 1, 1, [new_rhs(2), req_insert(1)]), R(), R())
         out = fire("handle_new_rhs", state, 0)
         assert out[0].rhs == 2
         assert out[0].queue[0] == req_insert(1)
 
     def test_old_link_dropped_by_overwrite(self):
-        state = sys_state(R(RING, 0, 1, [new_rhs(2)]), R(RING, 0, 0), R(INS))
+        state = (R(RING, 0, 1, [new_rhs(2)]), R(RING, 0, 0), R(INS))
         out = fire("handle_new_rhs", state, 0)
         assert out[0].rhs == 2  # previous value gone
 
 
 class TestHandleInsertAck:
     def test_joiner_adopts_neighbors_and_joins(self):
-        state = sys_state(R(RING, 1, 0, [new_rhs(1)]), R(INS, q=[insert_ack(0, 0)]))
+        state = (R(RING, 1, 0, [new_rhs(1)]), R(INS, q=[insert_ack(0, 0)]))
         out = fire("handle_insert_ack", state, 1)
         assert out[1] == R(RING, 0, 0)
 
     def test_second_joiner(self):
-        state = sys_state(R(RING, 2, 1), R(RING, 0, 0, [new_rhs(2)]),
-                          R(INS, q=[insert_ack(1, 0)]))
+        state = (R(RING, 2, 1), R(RING, 0, 0, [new_rhs(2)]), R(INS, q=[insert_ack(1, 0)]))
         out = fire("handle_insert_ack", state, 2)
         assert out[2] == R(RING, 1, 0)
 
     def test_guard_requires_inserting_status(self):
-        state = sys_state(R(RING, 0, 0, [insert_ack(0, 0)]), R())
+        state = (R(RING, 0, 0, [insert_ack(0, 0)]), R())
         assert not insert_ack_enabled(state[0], 0)
 
 
 class TestPostcondition:
     def test_singleton_self_loop(self):
-        assert ring_postcondition(sys_state(R(RING, 0, 0)))
+        assert ring_postcondition((R(RING, 0, 0),))
 
     def test_proper_three_ring(self):
-        state = sys_state(R(RING, 2, 1), R(RING, 0, 2), R(RING, 1, 0))
+        state = (R(RING, 2, 1), R(RING, 0, 2), R(RING, 1, 0))
         assert ring_postcondition(state)
 
     def test_two_disjoint_cycles_fail(self):
         # consistent neighbor pointers, but two components instead of one
-        state = sys_state(R(RING, 1, 1), R(RING, 0, 0), R(RING, 3, 3), R(RING, 2, 2))
+        state = (R(RING, 1, 1), R(RING, 0, 0), R(RING, 3, 3), R(RING, 2, 2))
         assert not ring_postcondition(state)
 
     def test_pending_message_fails(self):
-        state = sys_state(R(RING, 1, 1, [new_rhs(1)]), R(RING, 0, 0))
+        state = (R(RING, 1, 1, [new_rhs(1)]), R(RING, 0, 0))
         assert not ring_postcondition(state)
 
     def test_inconsistent_neighbors_fail(self):
-        state = sys_state(R(RING, 1, 1), R(RING, 1, 0))
+        state = (R(RING, 1, 1), R(RING, 1, 0))
         assert not ring_postcondition(state)
 
     def test_unset_left_neighbor_fails(self):
         # every rhs is a pid, but pid 1's right-hand side points back at no one
-        state = sys_state(R(RING, -1, 1), R(RING, 0, 0))
+        state = (R(RING, -1, 1), R(RING, 0, 0))
         assert not ring_postcondition(state)
 
 

@@ -19,7 +19,6 @@ from protocheck.ring import (
     req_insert,
 )
 from protocheck.state import (
-    EmptyQueueError,
     Message,
     MessageKindBase,
     QueueOverflowError,
@@ -32,10 +31,6 @@ from protocheck.state import (
 
 def B(ci=0, co=0, h=0, q=()):
     return BarrierProcessState(ci, co, h, tuple(q))
-
-
-def sys_state(*procs):
-    return procs
 
 
 def put(state, pid, new):
@@ -96,7 +91,7 @@ class TestMessage:
     )
     def test_wrong_arity_rejected(self, kind, payload):
         with pytest.raises(ValueError):
-            state_checker(sys_state(B(q=[Message(kind, payload)])), CAPACITY)
+            state_checker((B(q=[Message(kind, payload)]),), CAPACITY)
 
 
 class _QueueFirst(NamedTuple):
@@ -144,58 +139,58 @@ class TestProcessStateInvariants:
 
     def test_mixed_protocol_variants_rejected(self):
         with pytest.raises(ValueError):
-            state_checker(sys_state(B(), RingProcessState()), CAPACITY)
+            state_checker((B(), RingProcessState()), CAPACITY)
 
     def test_process_count_is_pinned_by_the_initial_state(self):
-        check = state_checker(sys_state(B(), B()), CAPACITY)
+        check = state_checker((B(), B()), CAPACITY)
         with pytest.raises(ValueError, match="process count"):
-            check(sys_state(B()))
+            check((B(),))
 
     def test_a_process_type_without_a_queue_field_is_refused(self):
         # a send replaces a process's `queue` field, wherever it is
         with pytest.raises(ValueError, match="_NoQueue has no queue field"):
-            state_checker(sys_state(_NoQueue()), CAPACITY)
-        state_checker(sys_state(_QueueFirst()), CAPACITY)
+            state_checker((_NoQueue(),), CAPACITY)
+        state_checker((_QueueFirst(),), CAPACITY)
 
     def test_every_field_has_a_default(self):
         # the defaults pin each field's type
         with pytest.raises(ValueError, match="every field of _NoDefault needs a default"):
-            state_checker(sys_state(_NoDefault(0)), CAPACITY)
+            state_checker((_NoDefault(0),), CAPACITY)
 
 
 class TestSend:
     def test_appends_to_target_tail_only(self):
-        s = sys_state(B(), B(q=[BARRIER_IN]), B())
+        s = (B(), B(q=[BARRIER_IN]), B())
         out = send(s, 1, BARRIER_OUT)
         assert out[1].queue == (BARRIER_IN, BARRIER_OUT)
         assert out[0] is s[0] and out[2] is s[2]
 
     def test_delivery_into_release_round(self):
         # delivering barrier_out to process 0 of (1,0,0,[]) (1,1,0,[]) (1,1,0,[])
-        s = sys_state(B(1, 0, 0), B(1, 1, 0), B(1, 1, 0))
+        s = (B(1, 0, 0), B(1, 1, 0), B(1, 1, 0))
         out = send(s, 0, BARRIER_OUT)
-        assert out == sys_state(B(1, 0, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
+        assert out == (B(1, 0, 0, [BARRIER_OUT]), B(1, 1, 0), B(1, 1, 0))
 
     def test_send_is_pure(self):
-        s = sys_state(B(), B(q=[BARRIER_OUT]))
+        s = (B(), B(q=[BARRIER_OUT]))
         send(s, 1, BARRIER_IN)
-        assert s == sys_state(B(), B(q=[BARRIER_OUT]))
+        assert s == (B(), B(q=[BARRIER_OUT]))
 
 
 class TestQueueChecks:
     def test_full_queue_overflows(self):
         # a queue at the bound is well formed; one message past it is not
-        s = sys_state(B(), B(q=[BARRIER_IN, BARRIER_OUT]))
+        s = (B(), B(q=[BARRIER_IN, BARRIER_OUT]))
         state_checker(s, 2)
         with pytest.raises(QueueOverflowError):
-            state_checker(sys_state(s[0], queued(s[1], BARRIER_IN)), 2)
+            state_checker((s[0], queued(s[1], BARRIER_IN)), 2)
 
     def test_payload_id_out_of_range(self):
         ring0 = RingProcessState()
-        state_checker(sys_state(queued(ring0, req_insert(1)), ring0), CAPACITY)
+        state_checker((queued(ring0, req_insert(1)), ring0), CAPACITY)
         for rank in (2, -1):
             with pytest.raises(ValueError):
-                state_checker(sys_state(queued(ring0, req_insert(rank)), ring0), CAPACITY)
+                state_checker((queued(ring0, req_insert(rank)), ring0), CAPACITY)
 
 
 # The twin table: one row per way a process can equal one of other types,
@@ -301,7 +296,7 @@ class TestReceive:
         assert receive(B(q=[a, b, c]), 0)[1] == (b, c)
 
     def test_empty_queue_is_an_error(self):
-        with pytest.raises(EmptyQueueError):
+        with pytest.raises(ValueError, match="receive on an empty queue"):
             receive(B(), 0)
 
     def test_receive_is_pure(self):
@@ -322,7 +317,7 @@ _messages = st.one_of(
 @given(st.lists(_messages, max_size=12))
 def test_fifo_property(msgs):
     # whatever is sent to one process comes back out in send order
-    s = sys_state(B(), B())
+    s = (B(), B())
     for m in msgs:
         s = send(s, 1, m)
     proc = s[1]
@@ -336,16 +331,16 @@ def test_fifo_property(msgs):
 
 class TestCanonicalEncode:
     def test_the_state_is_its_own_key(self):
-        s = sys_state(B(1, 0, 0, [BARRIER_IN]), B())
+        s = (B(1, 0, 0, [BARRIER_IN]), B())
         assert canonical_encode(s) is s
 
     def test_distinguishes_queue_order(self):
-        a = sys_state(B(q=[BARRIER_IN, BARRIER_OUT]))
-        b = sys_state(B(q=[BARRIER_OUT, BARRIER_IN]))
+        a = (B(q=[BARRIER_IN, BARRIER_OUT]),)
+        b = (B(q=[BARRIER_OUT, BARRIER_IN]),)
         assert canonical_encode(a) != canonical_encode(b)
 
     def test_distinguishes_payloads(self):
-        a = sys_state(RingProcessState(), RingProcessState())
+        a = (RingProcessState(), RingProcessState())
         assert canonical_encode(send(a, 1, req_insert(0))) != canonical_encode(
             send(a, 1, req_insert(1))
         )
@@ -353,13 +348,13 @@ class TestCanonicalEncode:
     def test_ring_neighbor_sentinel_encodes_distinctly(self):
         out = RingProcessState()
         ring0 = RingProcessState(status=RingStatus.IN_RING, lhs=0, rhs=0)
-        assert canonical_encode(sys_state(out)) != canonical_encode(sys_state(ring0))
+        assert canonical_encode((out,)) != canonical_encode((ring0,))
         assert UNSET not in range(0, 8)
 
     def test_ring_statuses_encode_distinctly(self):
         # a joiner awaiting its ack and an unlinked ring member differ
-        inserting = sys_state(RingProcessState(RingStatus.INSERTING))
-        in_ring = sys_state(RingProcessState(RingStatus.IN_RING))
+        inserting = (RingProcessState(RingStatus.INSERTING),)
+        in_ring = (RingProcessState(RingStatus.IN_RING),)
         assert inserting != in_ring
         assert canonical_encode(inserting) != canonical_encode(in_ring)
 
@@ -381,7 +376,7 @@ def _constructible(cls, field_values):
 def _system_states(procs):
     proc = st.builds(lambda p, q: p._replace(queue=tuple(q)),
                      st.sampled_from(procs), st.lists(_messages, max_size=3))
-    return st.lists(proc, min_size=1, max_size=3).map(lambda ps: sys_state(*ps))
+    return st.lists(proc, min_size=1, max_size=3).map(tuple)
 
 
 _PROCESS_POOLS = (
