@@ -212,7 +212,7 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     limit, or at the fixed point. A new successor over the queue bound is
     reported as its own verdict, with the state it was generated from as
     witness. Every other error of the model is a `ValueError`, out of a rule,
-    `state_checker` (the initial state included) or an unhashable successor.
+    `state_checker` (the initial state included) or an unhashable state.
     `replay` confirms a trace's verdict with this search too.
     """
     start = time.perf_counter()
@@ -250,7 +250,10 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     # would take a list successor, which as its own key fails as unhashable.
     encode, invariant = canonical_encode, model.invariant
     check = state_checker(init, model.queue_capacity)
-    visited[encode(init)] = 0
+    try:
+        visited[encode(init)] = 0
+    except TypeError as err:
+        raise ValueError(f"the initial state: {err}") from err
     if not invariant(init):
         return finish(Verdict.INVARIANT_VIOLATED, witness=0)
 

@@ -5,9 +5,10 @@ value here is a tuple, never changed once built, so states can be shared
 freely between the search engine, the visited set, and reconstructed traces.
 `memoized_apply` is the one way to build a successor, in the search and in
 replay: it shares every process a rule does not change, by identity, and a
-step takes its queue head with `receive`. Construction checks nothing, not
-even the queue bound; a search's one `state_checker` checks all of it, each
-process object once. Every error of a broken model is a ValueError.
+step takes its queue head with `receive`. `_check_like` alone checks what a
+step makes, on each new effect and process object; `check(n)` and the queue
+bound run once per stored process object, in a search's one `state_checker`.
+Every error of a broken model is a ValueError.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple with a
@@ -81,25 +82,38 @@ Queue = tuple[Message, ...]
 State = tuple
 
 
-def _check_like(pid: int, proc, like, sent: tuple = ()) -> None:
-    """Raise ValueError unless process `pid` has `like`'s class and field
-    types and queues, like `sent`, only `Message`s of a `MessageKindBase` and
-    a tuple of `int` ids. So it refuses whatever would crash a later read,
-    and all that `==` cannot tell apart (`True == 1`, `1.0 == 1`, a plain
-    tuple equal to a `Message`): equal processes that pass are the same."""
+def _check_like(pid: int, proc, like, n: int, sends: tuple = ()) -> None:
+    """The one check of what a step makes: ValueError unless process `pid` of
+    `n` has `like`'s class and field types, each send of `sends` (read once;
+    TypeError if not a pair) an `int` target below `n`, and each message sent
+    or queued is a `Message` of a `MessageKindBase` with its kind's arity of
+    `int` ids below `n`. So it refuses whatever would crash a later read, and
+    all that `==` cannot tell apart (`True == 1`, `1.0 == 1`, a plain tuple
+    equal to a `Message`): equal processes that pass are the same."""
     if type(proc) is not type(like):
         raise ValueError(f"process {pid}: all processes must be the same protocol variant")
     for name, value, expected in zip(proc._fields, proc, like):
         if type(value) is not type(expected):
             raise ValueError(f"process {pid}: {name} must be of type "
                              f"{type(expected).__name__}, got {value!r}")
-    for message in proc.queue + sent:
+    messages = list(proc.queue)
+    for send in sends:
+        if type(send) is not tuple or len(send) != 2:
+            raise TypeError(f"send {send!r} is not a (target, message) pair")
+        to, message = send
+        if type(to) is not int or not 0 <= to < n:
+            raise ValueError(f"process {pid}: send target {to!r} out of range for {n} processes")
+        messages.append(message)
+    for message in messages:
         if (type(message) is not Message or not isinstance(message.kind, MessageKindBase)
                 or type(message.payload) is not tuple):
             raise ValueError(f"process {pid}: {message!r} is not a Message")
+        if len(message.payload) != message.kind.arity:
+            raise ValueError(f"process {pid}: {message.kind.name.lower()} carries "
+                             f"{message.kind.arity} id(s), got {len(message.payload)}")
         for rank in message.payload:
-            if type(rank) is not int:
-                raise ValueError(f"process {pid}: payload id {rank!r} is not an int")
+            if type(rank) is not int or not 0 <= rank < n:
+                raise ValueError(f"process {pid}: payload id {rank!r} is not an int in [0, {n})")
 
 
 def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None]:
@@ -109,14 +123,13 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
     `n = len(initial)`, that type and its defaults' field types, and checks
     `initial` before it returns, so a checker has passed its own state.
 
-    `check(state)` raises ValueError unless `state` has `n` processes that
-    pass `_check_like` against the pinned defaults and `check(n)`, with each
-    message of its kind's arity of ids below `n`; QueueOverflowError for a
-    queue over `queue_capacity`, the only place that bound is enforced.
-    Either error names the first failing pid. `check` checks each process
-    object once: a set keeps the `id` of each that passed (and a list holds
-    the object, so its id is never reused); by identity, not value, since
-    `True == 1`.
+    `check(state)` raises ValueError unless `state` is a tuple of `n`
+    processes that pass `_check_like` against the pinned defaults and
+    `check(n)`; QueueOverflowError for a queue over `queue_capacity`. Either
+    error names the first failing pid. `check(n)` and the bound run here
+    only, once per process object: a set keeps the `id` of each that passed
+    (and a list holds the object, so its id is never reused); by identity,
+    not value, since `True == 1`.
     """
     if queue_capacity < 1:
         raise ValueError("queue capacity must be positive")
@@ -133,6 +146,8 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
     held: list = []
 
     def check(state: State) -> None:
+        if type(state) is not tuple:
+            raise ValueError(f"a state must be a tuple, not {type(state).__name__}")
         if len(state) != n:
             raise ValueError(f"a rule changed the process count from {n} to {len(state)}")
         if passed.issuperset(map(id, state)):  # most states: one test, no Python loop
@@ -140,18 +155,10 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
         for pid, proc in enumerate(state):
             if id(proc) in passed:
                 continue
-            _check_like(pid, proc, pinned)
+            _check_like(pid, proc, pinned, n)
             if len(proc.queue) > queue_capacity:
                 raise QueueOverflowError(f"queue of process {pid} is over capacity "
                                          f"{queue_capacity}")
-            for kind, payload in proc.queue:
-                if len(payload) != kind.arity:
-                    raise ValueError(f"process {pid}: {kind.name.lower()} carries "
-                                     f"{kind.arity} id(s), got {len(payload)}")
-                for rank in payload:
-                    if not 0 <= rank < n:
-                        raise ValueError(f"process {pid}: payload id {rank!r} is not in "
-                                         f"[0, {n})")
             try:
                 proc.check(n)
             except ValueError as err:
@@ -173,16 +180,15 @@ def receive(proc, pid: int) -> tuple[Message, Queue]:
 
 def memoized_apply(step: Callable) -> Callable[[State, int], State]:
     """The state-level apply of a rule whose local step `step(proc, pid)`
-    gives process `pid`'s new state and its sends, `((target, message), ...)`,
-    appended in order. Each effect is kept per (pid, process) for the apply's
-    lifetime once it has that shape, `_check_like` passes its new process,
-    against the one it replaces, with the messages it sends, and its send
-    targets are ints in range (else ValueError naming the pid, keeping nothing),
-    so a matched successor is as well typed as its stored twin. Each append
-    is kept per (target process, message): sharing is per effect and per
-    append, not per equal value; id-keyed memos and per-pid dicts measured no
-    faster. Checking every successor in the search loop instead, matched
-    ones too, measured 1.17-1.45x slower.
+    gives process `pid`'s new state and its sends, a tuple `((target,
+    message), ...)` appended in order. Each effect is kept per (pid, process)
+    for the apply's lifetime once it is such a pair and `_check_like` passes
+    its new process, against the one it replaces, with its sends (else
+    ValueError naming the pid, keeping nothing), so a matched successor is as
+    well typed as its stored twin. Each append is kept per (target process,
+    message): sharing is per effect and per append, not per equal value;
+    id-keyed memos and per-pid dicts measured no faster. Checking every
+    successor in the search loop instead measured 1.17-1.45x slower.
     `__wrapped__` is `step`, for a reference applier such as `tests/oracle.py`."""
     effects: dict = {}
     appends: dict = {}
@@ -193,17 +199,13 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
         if effect is None:
             effect = step(proc, pid)
             try:
-                new, sends = effect
-                sent = tuple(message for _, message in sends)
-            except (TypeError, ValueError) as err:
+                if type(effect) is not tuple or len(effect) != 2 or type(effect[1]) is not tuple:
+                    raise TypeError("not a pair of a process and a tuple")
+                # the sends here, as `appends` may hold a twin's append under its equal
+                _check_like(pid, effect[0], proc, len(state), effect[1])
+            except TypeError as err:
                 raise ValueError(f"process {pid}: a step gives (process, ((target, message), "
                                  f"...)), not {effect!r}") from err
-            # the sends here, as `appends` may hold a twin's append under its equal
-            _check_like(pid, new, proc, sent)
-            for to, _ in sends:
-                if type(to) is not int or not 0 <= to < len(state):
-                    raise ValueError(f"process {pid}: send target {to!r} out of range for "
-                                     f"{len(state)} processes")
             effects[pid, proc] = effect
         procs = list(state)
         procs[pid], sends = effect

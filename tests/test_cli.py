@@ -472,10 +472,9 @@ class TestReplay:
         assert run_cli("replay", str(path)) == 1
         assert "replay mismatch at step 2" in capsys.readouterr().out
 
-    # a list successor passes the check, as each of its processes has passed
     @pytest.mark.parametrize("apply, message", [
         (_no_successor, "no successor here"),
-        (lambda state, pid: list(state), "fail at pid 0: unhashable type: 'list'"),
+        (lambda state, pid: list(state), "a state must be a tuple, not list"),
     ], ids=["raises", "unhashable"])
     def test_failing_successor_of_the_last_state_is_a_mismatch(
             self, tmp_path, monkeypatch, capsys, apply, message):
@@ -640,8 +639,9 @@ class TestReplay:
 # Each way a rule can break a model, run through `explore`, `run` and
 # `replay`: the golden trace whose step-1 rule the row's apply replaces (a
 # memoized local step, or a hand-written state-level apply) and the exact
-# message. Barrier's step 1 is `client_request @0`, ring's `begin_insert @1`,
-# each the first transition its search fires.
+# message, with any object's address left out. Barrier's step 1 is
+# `client_request @0`, ring's `begin_insert @1`, each the first transition its
+# search fires.
 _B, _R = "barrier_n3_release_on_barrier_in", "ring_unordered_n3_cap1"
 _BI = barrier.MessageKind.BARRIER_IN
 _NO_EFFECT = "process 0: a step gives (process, ((target, message), ...)), not "
@@ -672,6 +672,7 @@ _BROKEN_RULES = {
     "unhashable": (_B, lambda s, pid: (s[0]._replace(queue=(Message(_BI, [5]),)),) + s[1:],
                    "process 0: Message(kind=<MessageKind.BARRIER_IN: ('bi', 0)>, payload=[5]) "
                    "is not a Message"),
+    "state-a-list": (_B, lambda s, pid: list(s), "a state must be a tuple, not list"),
     # pids 1 and 2 are the initial state's, passed: only the pinned type catches pid 0
     "other-process-type": (_B, lambda s, pid: (RingProcessState(),) + s[1:],
                            "process 0: all processes must be the same protocol variant"),
@@ -685,8 +686,17 @@ _BROKEN_RULES = {
     "neighbor-out-of-range": (_R, memoized_apply(
         lambda p, pid: (p._replace(status=RingStatus.INSERTING, lhs=3), ())),
         "process 1: ring neighbors are ints in [0, 3) or unset, got 3"),
+    # a message is refused where it is sent, before it is queued
     "payload-out-of-range": (_R, memoized_apply(lambda p, pid: (p, ((0, req_insert(5)),))),
-                             "process 0: payload id 5 is not in [0, 3)"),
+                             "process 1: payload id 5 is not an int in [0, 3)"),
+    "sent-wrong-arity": (_R, memoized_apply(
+        lambda p, pid: (p, ((0, Message(req_insert(1).kind, (1, 2))),))),
+        "process 1: req_insert carries 1 id(s), got 2"),
+    # sends are a tuple: a generator, spent by its first read, would send nothing
+    "sends-a-generator": (_R, memoized_apply(
+        lambda p, pid: (p, ((t, req_insert(pid)) for t in (0, 9)))),
+        f"process 1: a step gives (process, ((target, message), ...)), not "
+        f"({RingProcessState()!r}, <generator object <lambda>.<locals>.<genexpr>>)"),
     "send-target-out-of-range": (_R, memoized_apply(lambda p, pid: (p, ((3, req_insert(pid)),))),
                                  "process 1: send target 3 out of range for 3 processes"),
     "send-target-not-an-int": (_R, memoized_apply(lambda p, pid: (p, ((None, req_insert(pid)),))),
@@ -708,17 +718,55 @@ def test_a_broken_rule_fails_explore_run_and_replay(golden, apply, message, monk
         return replace(model, rules=tuple(
             replace(r, apply=apply) if r.name == step["rule"] else r for r in model.rules))
 
+    def text(out_and_err):
+        return tuple(re.sub(r" at 0x[0-9a-f]+>", ">", part) for part in out_and_err)
+
     with pytest.raises(ValueError) as raised:
         explore(broken(config_class(**doc)))
-    assert str(raised.value) == message
+    assert text([str(raised.value)]) == (message,)
     monkeypatch.setitem(cli.MODELS, name, (config_class, broken))
     flags = (f"--{k.replace('_', '-')}={v}" for k, v in doc.items())
     assert run_cli("run", "--model", name, *flags) == 3
-    assert capsys.readouterr() == ("", f"error: {message}\n")  # no traceback, no counts
+    assert text(capsys.readouterr()) == ("", f"error: {message}\n")  # no traceback, no counts
     assert run_cli("replay", str(path)) == 1
     out, err = capsys.readouterr()
-    assert (out.splitlines()[-1], err) == (f"replay mismatch at step 1: {step['rule']} at pid "
-                                           f"{step['pid']} fails: {message}", "")
+    assert text([out.splitlines()[-1], err]) == (f"replay mismatch at step 1: {step['rule']} at "
+                                                 f"pid {step['pid']} fails: {message}", "")
+
+class _Tagged(NamedTuple):
+    queue: tuple = ()
+    tags: tuple = ()  # a tuple, so `([1],)` passes the type check and is unhashable
+
+    def check(self, n):
+        pass
+
+
+def test_an_unhashable_initial_state_fails_explore_run_and_replay(tmp_path, monkeypatch,
+                                                                   capsys):
+    message = "the initial state: unhashable type: 'list'"
+
+    def build(cfg):
+        return ProtocolModel(queue_capacity=1, initial_state=(_Tagged(tags=([1],)),) * cfg.size,
+                             rules=(), invariant=lambda s: True,
+                             terminal_postcondition=lambda s: True)
+
+    cfg = BarrierConfig(size=2)
+    with pytest.raises(ValueError) as raised:
+        explore(build(cfg))
+    assert str(raised.value) == message
+    monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
+    assert run_cli("run", "--model", "barrier", "--size", "2") == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # a trace of the initial state alone, which replay's last-state probe searches from
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(dict(
+        cli.encode_header("barrier", cfg), verdict="invariant_violated",
+        steps=[cli._step_record(0, None, None, build(cfg).initial_state)])))
+    assert run_cli("replay", str(path)) == 1
+    out, err = capsys.readouterr()
+    assert (out.splitlines()[-1], err) == (
+        f"replay mismatch: a successor of the last state fails: {message}", "")
+
 
 def test_rules_sharing_a_name_are_a_usage_error(monkeypatch, capsys):
     # `replay` finds a trace's rules by name: this model's witness would fail

@@ -305,16 +305,14 @@ class TestReceive:
         assert proc == B(q=[BARRIER_IN, BARRIER_OUT])
 
 
-_messages = st.one_of(
-    st.just(BARRIER_IN),
-    st.just(BARRIER_OUT),
-    st.builds(req_insert, st.integers(0, 1)),
-    st.builds(new_rhs, st.integers(0, 1)),
-    st.builds(insert_ack, st.integers(0, 1), st.integers(0, 1)),
-)
+def _messages(n):
+    """Messages of every kind, with ids below `n`."""
+    ids = st.integers(0, n - 1)
+    return st.one_of(st.just(BARRIER_IN), st.just(BARRIER_OUT), st.builds(req_insert, ids),
+                     st.builds(new_rhs, ids), st.builds(insert_ack, ids, ids))
 
 
-@given(st.lists(_messages, max_size=12))
+@given(st.lists(_messages(2), max_size=12))
 def test_fifo_property(msgs):
     # whatever is sent to one process comes back out in send order
     s = (B(), B())
@@ -374,9 +372,14 @@ def _constructible(cls, field_values):
 
 
 def _system_states(procs):
-    proc = st.builds(lambda p, q: p._replace(queue=tuple(q)),
-                     st.sampled_from(procs), st.lists(_messages, max_size=3))
-    return st.lists(proc, min_size=1, max_size=3).map(tuple)
+    """States of one to three processes drawn from `procs`, each queue up to
+    three messages with ids below the state's process count, as a search
+    stores them."""
+    def of_size(n):
+        proc = st.builds(lambda p, q: p._replace(queue=tuple(q)),
+                         st.sampled_from(procs), st.lists(_messages(n), max_size=3))
+        return st.lists(proc, min_size=n, max_size=n).map(tuple)
+    return st.integers(1, 3).flatmap(of_size)
 
 
 _PROCESS_POOLS = (
@@ -409,7 +412,7 @@ _EDIT_POOLS = (
     [BarrierProcessState(*bits) for bits in product((0, 1, False, True), repeat=3)],
     [RingProcessState(*v) for v in product(RingStatus, (UNSET, 0, 1, 3), (UNSET, 0, 1))],
 )
-_any_messages = st.one_of(_messages, _messages.map(tuple), st.builds(
+_any_messages = st.one_of(_messages(2), _messages(2).map(tuple), st.builds(
     Message,
     st.sampled_from(list(barrier.MessageKind) + list(ring.MessageKind)),
     st.lists(st.integers(-1, 3) | st.booleans(), max_size=3).map(tuple),
