@@ -82,7 +82,7 @@ def _write_text(path, chunks: Iterable[str]) -> None:
     not by the text. An `OSError` is a usage error naming the path."""
     chunks = iter(chunks)
     try:
-        with open(path, "w") as out:
+        with open(path, "w", encoding="utf-8") as out:
             out.reconfigure(write_through=True)  # else the text layer holds 8 KB more
             # an empty batch ends the stream; an empty joined block may not
             while block := list(islice(chunks, 32)):
@@ -92,8 +92,7 @@ def _write_text(path, chunks: Iterable[str]) -> None:
 
 
 class _RenderMemo(dict):
-    """process -> its `render_process` text, made on the first lookup; keyed
-    by value."""
+    """process -> its `render_process` text, made on the first lookup; keyed by value."""
 
     def __missing__(self, proc) -> str:
         text = self[proc] = render_process(proc)
@@ -230,7 +229,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_replay(args) -> int:
     try:
-        doc = json.loads(Path(args.trace).read_text())
+        doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as err:
         raise UsageError(f"cannot read trace {args.trace}: {err}")
     try:
@@ -298,7 +297,7 @@ def _cmd_replay(args) -> int:
     try:
         found = explore(replace(model, initial_state=state), probe)
     except ValueError as err:
-        print(f"replay mismatch: a successor of the last state fails: {err}")
+        print(f"replay mismatch: the search from the last state fails: {err}")
         return EXIT_VIOLATION
     if found.verdict.value != verdict or found.witness != 0:
         print(f"replay mismatch: the last state does not witness {verdict}")

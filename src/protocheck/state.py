@@ -15,10 +15,10 @@ as a `MessageKindBase` subclass and its process state as a NamedTuple with a
 `queue` field anywhere and a `check(n)` method, which raises ValueError for
 an ill-formed process in a system of `n` processes. Code builds and reads a
 process by field name, never by position. The engine keys its visited set by
-the state itself, so every field must be hashable, compare by value and have
-a default of the one type it may hold. A process's one external form is
-`process_fields`, which the JSON trace writes and `render_process` joins into
-trace and DOT text; neither is called during a search.
+the state itself, so each field holds only its default's type: exactly an
+`int` or an `Enum` member, and `()` for `queue`. A process's one external
+form is `process_fields`, which the JSON trace writes and `render_process`
+joins into trace and DOT text; neither is called during a search.
 
 A protocol's rule is a local guard, an optional gate on the whole state
 and a pure local step, which `memoized_apply` makes the rule's apply.
@@ -87,9 +87,8 @@ def _check_like(pid: int, proc, like, n: int, sends: tuple = ()) -> None:
     `n` has `like`'s class and field types, each send of `sends` (read once;
     TypeError if not a pair) an `int` target below `n`, and each message sent
     or queued is a `Message` of a `MessageKindBase` with its kind's arity of
-    `int` ids below `n`. So it refuses whatever would crash a later read, and
-    all that `==` cannot tell apart (`True == 1`, `1.0 == 1`, a plain tuple
-    equal to a `Message`): equal processes that pass are the same."""
+    `int` ids below `n`. On `state_checker`'s defaults, what passes hashes and
+    has no twin `==` cannot tell apart (`True == 1`, a tuple equal to a `Message`)."""
     if type(proc) is not type(like):
         raise ValueError(f"process {pid}: all processes must be the same protocol variant")
     for name, value, expected in zip(proc._fields, proc, like):
@@ -118,10 +117,10 @@ def _check_like(pid: int, proc, like, n: int, sends: tuple = ()) -> None:
 
 def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None]:
     """The well-formedness check of one search from `initial`. It needs a
-    capacity of at least 1 and a first process whose type has a `queue`
-    field and a default for every field (else ValueError), pins
-    `n = len(initial)`, that type and its defaults' field types, and checks
-    `initial` before it returns, so a checker has passed its own state.
+    capacity of at least 1 and a first process whose type defaults `queue` to
+    `()` and every other field to exactly an `int` or an `Enum` member (else
+    ValueError), pins `n = len(initial)`, that type and its defaults' types,
+    and checks `initial` before it returns, so a checker has passed its own state.
 
     `check(state)` raises ValueError unless `state` is a tuple of `n`
     processes that pass `_check_like` against the pinned defaults and
@@ -138,8 +137,14 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
     first = type(initial[0])
     if "queue" not in getattr(first, "_fields", ()):
         raise ValueError(f"{first.__name__} has no queue field")
-    if len(first._field_defaults) != len(first._fields):
-        raise ValueError(f"every field of {first.__name__} needs a default")
+    for name in first._fields:  # the defaults close the domain: each value has one type
+        if name not in first._field_defaults:
+            raise ValueError(f"{first.__name__}.{name} has no default")
+        default = first._field_defaults[name]
+        if not (type(default) is tuple and not default if name == "queue"
+                else type(default) is int or isinstance(default, Enum)):
+            raise ValueError(f"{first.__name__}.{name} defaults to {default!r}; a field must "
+                             f"default to an int or an Enum member, and queue to ()")
     pinned = first()
     n = len(initial)
     passed: set[int] = set()
@@ -224,7 +229,7 @@ def memoized_apply(step: Callable) -> Callable[[State, int], State]:
 
 def process_fields(proc) -> dict:
     """Field name -> value, in field order: an Enum by its lower-case name,
-    the queue as its rendered messages, head first, and anything else as is."""
+    the queue as its rendered messages, head first, and an `int` as is."""
     values = {name: value.name.lower() if isinstance(value, Enum) else value
               for name, value in zip(proc._fields, proc)}
     values["queue"] = [m.render() for m in proc.queue]
@@ -247,10 +252,10 @@ def render_state(state: State, text: Callable[[object], str] = render_process) -
 def canonical_encode(state: State) -> State:
     """The visited-set key: the identity, as the state is its own key.
 
-    Equal states are the same state only with one type per value, as
-    `True == 1` and `1.0 == 1` render differently: `_check_like` enforces
-    it, from `state_checker` on every stored state and `memoized_apply` on
-    every effect. The engine calls this on the initial state and per fired
-    transition, as the hook a benchmark can wrap to time the key layer.
+    Injective, as each value has its default's type (an `int`, an `Enum`
+    member or a queue of `Message`s), so `True == 1` twins never merge:
+    `_check_like` enforces it, in `state_checker` and `memoized_apply`. The
+    engine calls this on the initial state and per fired transition, as the
+    hook a benchmark can wrap to time the key layer.
     """
     return state

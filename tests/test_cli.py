@@ -98,6 +98,33 @@ def test_a_closed_stdout_is_a_usage_error(unbuffered, monkeypatch):
     assert "Traceback" not in done.stderr and "Exception" not in done.stderr
 
 
+# Barrier with its barrier_in code outside ASCII, which the DOT text holds as
+# is and the JSON trace as an escape.
+_NON_ASCII_CODE = """
+import sys
+from protocheck import barrier, cli
+barrier.MessageKind.BARRIER_IN.code = "\\u2192"
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_output_files_do_not_depend_on_the_locale(tmp_path, monkeypatch):
+    # the C locale, neither coerced nor in UTF-8 mode, encodes as ASCII
+    monkeypatch.setenv("LC_ALL", "C")
+    monkeypatch.setenv("PYTHONCOERCECLOCALE", "0")
+    written = []
+    for utf8 in "0", "1":
+        monkeypatch.setenv("PYTHONUTF8", utf8)
+        graph, trace = tmp_path / f"g{utf8}.dot", tmp_path / f"t{utf8}.json"
+        done = run_child("-c", _NON_ASCII_CODE, "run", "--model", "barrier", "--size", "3",
+                         "--mutation", "release_on_barrier_in", "--graph", str(graph),
+                         "--trace", str(trace))
+        assert done.returncode == 1, done.stderr
+        written.append((graph.read_bytes(), trace.read_bytes()))
+    assert written[0] == written[1]
+    assert "[\u2192]".encode() in written[0][0]
+
+
 # Imports first, so that startup never meets the limit, then caps the address
 # space at 40 MB over what the interpreter has mapped: ring unordered N=7
 # needs far more. Exit 77 means the hard limit is too low to test here.
@@ -492,7 +519,7 @@ class TestReplay:
         assert run_cli("replay", str(path)) == 1
         out, err = capsys.readouterr()
         assert out.splitlines()[-1] == (
-            f"replay mismatch: a successor of the last state fails: {message}")
+            f"replay mismatch: the search from the last state fails: {message}")
         assert err == ""
 
     # Each edit to a written trace, the exit code replay gives for it and what
@@ -733,39 +760,61 @@ def test_a_broken_rule_fails_explore_run_and_replay(golden, apply, message, monk
     assert text([out.splitlines()[-1], err]) == (f"replay mismatch at step 1: {step['rule']} at "
                                                  f"pid {step['pid']} fails: {message}", "")
 
-class _Tagged(NamedTuple):
-    queue: tuple = ()
-    tags: tuple = ()  # a tuple, so `([1],)` passes the type check and is unhashable
 
-    def check(self, n):
-        pass
+# A field type whose values `==` merges though they differ, as (its default,
+# a value, the value's twin): a model's rules `one` and `two` set `x` from the
+# default to the value and to the twin, and its invariant fails only at the
+# twin, whose state a search keyed by value takes for `one`'s. The pin refuses
+# each type before any search.
+_TWINS = {
+    "tuple": ((), (1,), (True,)),
+    "float": (1.0, 0.0, -0.0),
+    "frozenset": (frozenset(), frozenset({1}), frozenset({True})),
+}
 
 
-def test_an_unhashable_initial_state_fails_explore_run_and_replay(tmp_path, monkeypatch,
-                                                                   capsys):
-    message = "the initial state: unhashable type: 'list'"
+def _twin_model(default, value, twin, cfg):
+    class _Twin(NamedTuple):
+        queue: tuple = ()
+        x: object = default
 
-    def build(cfg):
-        return ProtocolModel(queue_capacity=1, initial_state=(_Tagged(tags=([1],)),) * cfg.size,
-                             rules=(), invariant=lambda s: True,
-                             terminal_postcondition=lambda s: True)
+        def check(self, n):
+            pass
 
-    cfg = BarrierConfig(size=2)
+    def rule(name, new):
+        return TransitionRule(name, lambda proc, pid: proc.x == default,
+                              memoized_apply(lambda proc, pid: (proc._replace(x=new), ())))
+
+    return ProtocolModel(queue_capacity=cfg.queue_capacity, initial_state=(_Twin(),) * cfg.size,
+                         rules=(rule("one", value), rule("two", twin)),
+                         invariant=lambda s: all(repr(p.x) != repr(twin) for p in s),
+                         terminal_postcondition=lambda s: True)
+
+
+@pytest.mark.parametrize("default, value, twin", _TWINS.values(), ids=_TWINS)
+def test_a_field_with_twin_values_fails_explore_run_and_replay(default, value, twin, tmp_path,
+                                                                monkeypatch, capsys):
+    build = partial(_twin_model, default, value, twin)
+    message = (f"_Twin.x defaults to {default!r}; a field must default to an int or an Enum "
+               f"member, and queue to ()")
+    cfg = BarrierConfig(size=1)
     with pytest.raises(ValueError) as raised:
         explore(build(cfg))
     assert str(raised.value) == message
     monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
-    assert run_cli("run", "--model", "barrier", "--size", "2") == 3
+    assert run_cli("run", "--model", "barrier", "--size", "1") == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    # a trace of the initial state alone, which replay's last-state probe searches from
+    # the trace to the violation that a search keying by value would miss
+    (proc,) = build(cfg).initial_state
     path = tmp_path / "t.json"
     path.write_text(json.dumps(dict(
         cli.encode_header("barrier", cfg), verdict="invariant_violated",
-        steps=[cli._step_record(0, None, None, build(cfg).initial_state)])))
+        steps=[cli._step_record(0, None, None, (proc,)),
+               cli._step_record(1, "two", 0, (proc._replace(x=twin),))]), default=sorted))
     assert run_cli("replay", str(path)) == 1
     out, err = capsys.readouterr()
     assert (out.splitlines()[-1], err) == (
-        f"replay mismatch: a successor of the last state fails: {message}", "")
+        f"replay mismatch at step 0: the model's initial state fails: {message}", "")
 
 
 def test_rules_sharing_a_name_are_a_usage_error(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import re
+from collections import namedtuple
 from enum import Enum
 from itertools import product
 from typing import NamedTuple
@@ -117,6 +118,29 @@ class _NoDefault(NamedTuple):
         pass
 
 
+def _defaulting(**defaults):
+    """A process of a new type `_Proc` whose fields, in order, default to `defaults`."""
+    base = namedtuple("_Proc", defaults, defaults=tuple(defaults.values()))
+    return type("_Proc", (base,), {"__slots__": (), "check": lambda self, n: None})()
+
+
+# A process type and what `state_checker` says of it: None where it is taken.
+# The defaults close the domain: each field holds exactly an int or an Enum
+# member, the queue a tuple of messages, so equal states are the same.
+_DOMAIN = {
+    "missing": (_NoDefault(0), "_NoDefault.bit has no default"),
+    "none": (_defaulting(x=None, queue=()), "_Proc.x defaults to None;"),
+    "float": (_defaulting(x=0.0, queue=()), "_Proc.x defaults to 0.0;"),
+    "bool": (_defaulting(x=False, queue=()), "_Proc.x defaults to False;"),
+    "str": (_defaulting(x="", queue=()), "_Proc.x defaults to '';"),
+    "tuple": (_defaulting(x=(), queue=()), "_Proc.x defaults to ();"),
+    "frozenset": (_defaulting(x=frozenset(), queue=()), "_Proc.x defaults to frozenset();"),
+    "queue-none": (_defaulting(x=0, queue=None), "_Proc.queue defaults to None;"),
+    "int": (_defaulting(x=0, queue=()), None),
+    "enum": (_defaulting(x=RingStatus.OUTSIDE, queue=()), None),
+}
+
+
 class TestProcessStateInvariants:
     @pytest.mark.parametrize("bits", [(2, 0, 0), (1, 2, 0), (0, 0, 2)],
                              ids=["in", "out", "holding"])
@@ -152,10 +176,13 @@ class TestProcessStateInvariants:
             state_checker((_NoQueue(),), CAPACITY)
         state_checker((_QueueFirst(),), CAPACITY)
 
-    def test_every_field_has_a_default(self):
-        # the defaults pin each field's type
-        with pytest.raises(ValueError, match="every field of _NoDefault needs a default"):
-            state_checker((_NoDefault(0),), CAPACITY)
+    @pytest.mark.parametrize("proc, refused", _DOMAIN.values(), ids=_DOMAIN)
+    def test_each_field_defaults_to_an_int_or_an_enum_member(self, proc, refused):
+        if refused is None:
+            state_checker((proc,), CAPACITY)
+        else:
+            with pytest.raises(ValueError, match=re.escape(refused)):
+                state_checker((proc,), CAPACITY)
 
 
 class TestSend:
