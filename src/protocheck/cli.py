@@ -14,8 +14,8 @@ Outputs, all optional and all deterministic for a given configuration:
   --graph   DOT state graph: a node per stored state, an edge per fired
             transition as the search's `observe` hook logs it; streamed
 
-Exit status: 0 verified, 1 property violated, 2 limit exceeded, queue
-overflow or out of memory, 3 usage error, unwritable output or a ValueError.
+Exit status: 0 verified or replay OK, 1 violation or replay mismatch, 2 limit,
+queue overflow or out of memory at any stage, 3 any other error.
 """
 
 import argparse
@@ -40,7 +40,7 @@ from .state import State, process_fields, render_process, render_state, state_ch
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
 EXIT_LIMIT = 2
-EXIT_USAGE = 3
+EXIT_ERROR = 3
 
 _VERDICT_EXIT = {
     Verdict.VERIFIED: EXIT_VERIFIED,
@@ -66,20 +66,16 @@ STATS_COLUMNS = ("problem", "method-config", "model size", "time (s)", "memory (
                  "states stored", "states matched")
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse would sys.exit(2); usage problems must exit 3 instead
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _write_text(path, chunks: Iterable[str]) -> None:
     """Write `chunks` to `path` in order, 32 joined to a block, each block
     passed straight to the file's byte buffer: memory is bounded by a block,
-    not by the text. An `OSError` is a usage error naming the path."""
+    not by the text. An `OSError` is a `ValueError` naming the path."""
     chunks = iter(chunks)
     try:
         with open(path, "w", encoding="utf-8") as out:
@@ -88,7 +84,7 @@ def _write_text(path, chunks: Iterable[str]) -> None:
             while block := list(islice(chunks, 32)):
                 out.write("".join(block))
     except OSError as err:
-        raise UsageError(f"cannot write {path}: {err}")
+        raise ValueError(f"cannot write {path}: {err}")
 
 
 class _RenderMemo(dict):
@@ -164,19 +160,15 @@ def _first_difference(recorded: dict, expected: dict) -> Optional[str]:
 
 def _build_model(model_name: str, options: dict):
     """(config, model) for `options`, a map from config field to value taken
-    verbatim: a bad model name, option or size is a usage error or ValueError."""
+    verbatim: a bad model name, option or size is a `ValueError`."""
     if model_name not in MODELS:
-        raise UsageError(f"unknown model {reprlib.repr(model_name)}")
+        raise ValueError(f"unknown model {reprlib.repr(model_name)}")
     config_class, build = MODELS[model_name]
     unknown = sorted(options.keys() - {f.name for f in fields(config_class)})
     if unknown:
-        raise UsageError(f"the {model_name} model takes no {reprlib.repr(unknown[0])}")
-    try:
-        cfg = config_class(**options)
-        return cfg, build(cfg)
-    except (MemoryError, OverflowError):
-        raise UsageError(f"out of memory for a {model_name} model of size "
-                         f"{reprlib.repr(options['size'])}")
+        raise ValueError(f"the {model_name} model takes no {reprlib.repr(unknown[0])}")
+    cfg = config_class(**options)
+    return cfg, build(cfg)
 
 
 def _cmd_run(args) -> int:
@@ -188,9 +180,9 @@ def _cmd_run(args) -> int:
             real = os.path.realpath(path)
             other = seen.setdefault(real, flag)
             if other != flag:
-                raise UsageError(f"{other} and {flag} both write {path}")
+                raise ValueError(f"{other} and {flag} both write {path}")
             if os.path.isdir(real) or not os.path.isdir(os.path.dirname(real)):
-                raise UsageError(f"cannot write {path}: it is a directory, or its parent is not")
+                raise ValueError(f"cannot write {path}: it is a directory, or its parent is not")
     edges = array("q")  # 64-bit ids hold any id a search can store
     config = ExploreConfig(search=args.search, max_states=args.max_states,
                            max_seconds=args.max_seconds,
@@ -231,24 +223,24 @@ def _cmd_replay(args) -> int:
     try:
         doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as err:
-        raise UsageError(f"cannot read trace {args.trace}: {err}")
+        raise ValueError(f"cannot read trace {args.trace}: {err}")
     try:
         steps, verdict = doc["steps"], doc["verdict"]
         header = {k: v for k, v in doc.items() if k not in ("steps", "verdict")}
         model_name = header["model"]
         cfg, model = _build_model(model_name, {k: v for k, v in header.items() if k != "model"})
     except (KeyError, TypeError, ValueError) as err:
-        raise UsageError(f"malformed trace {args.trace}: {err}")
+        raise ValueError(f"malformed trace {args.trace}: {err}")
     key = _first_difference(header, encode_header(model_name, cfg))
     if key is not None:
-        raise UsageError(f"malformed trace {args.trace}: header key {reprlib.repr(key)} "
+        raise ValueError(f"malformed trace {args.trace}: header key {reprlib.repr(key)} "
                          f"is not what run writes for its config")
     if not isinstance(steps, list) or not steps or not all(
         isinstance(s, dict) for s in steps
     ):
-        raise UsageError(f"malformed trace {args.trace}: bad step list")
+        raise ValueError(f"malformed trace {args.trace}: bad step list")
     if verdict not in _WITNESSED:
-        raise UsageError(f"malformed trace {args.trace}: no witness for verdict "
+        raise ValueError(f"malformed trace {args.trace}: no witness for verdict "
                          f"{reprlib.repr(verdict)}")
 
     print(f"# counterexample trace\n# {_header_line(model_name, cfg)}\n# verdict={verdict}")
@@ -337,26 +329,30 @@ def _build_parser() -> _Parser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     started = time.perf_counter()
+    if hasattr(sys.stdout, "reconfigure"):  # UTF-8 as the output files; argv paths round-trip
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         code = _cmd_run(args) if args.command == "run" else _cmd_replay(args)
         sys.stdout.flush()  # a closed reader shows here, not in the exit flush
         return code
-    except (UsageError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_ERROR
     except BrokenPipeError:
         # the reader has gone: stdout goes to devnull, so the exit flush is quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print("error: cannot write to stdout: its reader has closed it", file=sys.stderr)
-        return EXIT_USAGE
-    except (MemoryError, SystemError) as err:
-        # on 3.13 a MemoryError inside a C call can surface as the cause of a SystemError
+        return EXIT_ERROR
+    except Exception as err:
+        # on 3.13 a MemoryError inside a C call can surface as the cause of a SystemError;
+        # any other error is a bug: its traceback, and never a verdict's exit code
         if not (isinstance(err, MemoryError) or isinstance(err.__cause__, MemoryError)):
-            raise
+            sys.excepthook(*sys.exc_info())
+            return EXIT_ERROR
         # leaving the handler drops the traceback, and the search's states with it
     print(f"error: out of memory after {time.perf_counter() - started:.1f} s", file=sys.stderr)
     return EXIT_LIMIT

@@ -10,6 +10,7 @@ fully deterministic, so all counts are reproducible run to run.
 """
 
 import reprlib
+import sys
 import time
 from array import array
 from collections import deque
@@ -77,6 +78,8 @@ class ModelConfig:
             raise ValueError("process count and queue capacity must be ints")
         if self.size < 1:
             raise ValueError("process count must be at least 1")
+        if self.size > sys.maxsize:  # the most processes a tuple can hold
+            raise ValueError(f"process count must be at most {sys.maxsize}")
         if self.variant not in self.VARIANTS:
             raise ValueError(f"unknown variant {reprlib.repr(self.variant)}; "
                              f"choose from {', '.join(self.VARIANTS)}")

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import re
+import reprlib
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -22,21 +23,31 @@ from test_engine import instances
 
 NODE_RE = re.compile(r"^\s*s\d+ \[label=", re.M)
 EDGE_RE = re.compile(r"^\s*s\d+ -> s\d+ \[label=", re.M)
+_VIOLATING = ["--model", "barrier", "--size", "3", "--mutation", "release_on_barrier_in"]
 
 
 def run_cli(*args):
     return cli.main(list(args))
 
 
-def run_child(*args, stdout=subprocess.PIPE):
+def run_child(*args, stdout=subprocess.PIPE, text=True):
     """`python *args` in a new interpreter, with this checkout's `src` first
-    on PYTHONPATH: the finished process, its output captured as text, or its
-    stdout sent to `stdout` instead."""
+    on PYTHONPATH: the finished process, its output captured as text (as
+    bytes if not `text`), or its stdout sent to `stdout` instead."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env)
+                          text=text, env=env)
+
+
+def _mask_time(text: str) -> str:
+    """`text` with the seconds of `out of memory after <t> s` masked, as
+    tests/test_golden.py masks the elapsed time."""
+    return re.sub(r"out of memory after \d+\.\d s", "out of memory after <t> s", text)
+
+
+_OUT_OF_MEMORY_LINE = "error: out of memory after <t> s"
 
 
 # The north-star instances: their counts anchor every change to the search.
@@ -109,7 +120,8 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 def test_output_files_do_not_depend_on_the_locale(tmp_path, monkeypatch):
-    # the C locale, neither coerced nor in UTF-8 mode, encodes as ASCII
+    # the C locale, neither coerced nor in UTF-8 mode, encodes as ASCII;
+    # standard output is UTF-8 whatever the locale, as the files are
     monkeypatch.setenv("LC_ALL", "C")
     monkeypatch.setenv("PYTHONCOERCECLOCALE", "0")
     written = []
@@ -120,9 +132,17 @@ def test_output_files_do_not_depend_on_the_locale(tmp_path, monkeypatch):
                          "--mutation", "release_on_barrier_in", "--graph", str(graph),
                          "--trace", str(trace))
         assert done.returncode == 1, done.stderr
-        written.append((graph.read_bytes(), trace.read_bytes()))
+        replayed = run_child("-c", _NON_ASCII_CODE, "replay", str(trace), text=False)
+        assert replayed.returncode == 0, replayed.stderr
+        written.append((graph.read_bytes(), trace.read_bytes(), replayed.stdout))
     assert written[0] == written[1]
-    assert "[\u2192]".encode() in written[0][0]
+    assert "[\u2192]".encode() in written[0][0] and "[\u2192]".encode() in written[0][2]
+    # a path from argv that the locale cannot decode is printed as its bytes
+    monkeypatch.setenv("PYTHONUTF8", "0")
+    trace = os.fsencode(tmp_path / "t\u00e9.json")
+    done = run_child("-m", "protocheck", "run", *_VIOLATING, "--trace", trace, text=False)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[-1] == b"trace written to " + trace
 
 
 # Imports first, so that startup never meets the limit, then caps the address
@@ -150,14 +170,13 @@ def test_running_out_of_memory_is_a_limit_not_a_traceback():
     if done.returncode == 77:
         pytest.skip("the hard address-space limit is too low")
     assert done.returncode == 2, done.stderr
-    assert done.stdout == ""
-    assert re.fullmatch(r"error: out of memory after \d+\.\d s\n", done.stderr), done.stderr
+    assert (done.stdout, _mask_time(done.stderr)) == ("", _OUT_OF_MEMORY_LINE + "\n")
 
 
 def test_a_system_error_from_a_memory_error_is_out_of_memory(monkeypatch, capsys):
     # on 3.13 a MemoryError inside a C call can surface as a SystemError's
     # cause, as in `passed.issuperset(map(id, state))`; any other SystemError
-    # is a bug and propagates
+    # is a bug: its traceback, and exit 3
     def failing(cause):
         def explore(model, config):
             raise SystemError("<built-in function id> returned a result with an "
@@ -168,12 +187,15 @@ def test_a_system_error_from_a_memory_error_is_out_of_memory(monkeypatch, capsys
     monkeypatch.setattr(cli, "explore", failing(MemoryError()))
     assert run_cli(*argv) == 2
     out, err = capsys.readouterr()
-    assert out == ""
-    assert re.fullmatch(r"error: out of memory after \d+\.\d s\n", err), err
+    assert (out, _mask_time(err)) == ("", _OUT_OF_MEMORY_LINE + "\n")
     for cause in (None, ValueError("not memory")):
         monkeypatch.setattr(cli, "explore", failing(cause))
-        with pytest.raises(SystemError):
-            run_cli(*argv)
+        assert run_cli(*argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback (most recent call last):\n" in err
+        assert err.endswith("\nSystemError: <built-in function id> returned a result with an "
+                            "exception set\n")
 
 
 def test_installed_command_is_cli_main():
@@ -284,125 +306,200 @@ def test_run_help_lists_each_models_mutations(capsys):
         assert f"(default: {value})" in out
 
 
-class TestUsageErrors:
-    def test_size_zero(self, capsys):
-        assert run_cli("run", "--model", "barrier", "--size", "0") == 3
-        assert "error" in capsys.readouterr().err
+_NO_DIR = "error: cannot write {path}: it is a directory, or its parent is not"
 
-    def test_unknown_variant(self):
-        assert run_cli("run", "--model", "ring", "--size", "3",
-                       "--variant", "leader_last") == 3
 
-    def test_mutation_on_ring(self, capsys):
-        # ring declares no MUTATIONS, so its inherited `mutation` takes only None
-        assert run_cli("run", "--model", "ring", "--size", "3",
-                       "--mutation", "release_on_barrier_in") == 3
-        assert "unknown mutation 'release_on_barrier_in'" in capsys.readouterr().err
+# Each way `run` is refused, in the working directory `{tmp}`: its argv, exit
+# code and whole standard error; each prints nothing on standard output and
+# writes no file. An unwritable output is refused before the model is built
+# (a search would run for nothing), and two outputs on one file before
+# anything is written (each would overwrite the other); the run is a
+# violation, so --trace would be written.
+_REFUSALS = {
+    "size-zero": (["run", "--model", "barrier", "--size", "0"], 3,
+                  "error: process count must be at least 1"),
+    # past sys.maxsize, which no tuple of processes can hold
+    **{f"{model}-size-2**63": (["run", "--model", model, "--size", str(2**63)], 3,
+                               "error: process count must be at most 9223372036854775807")
+       for model in ("barrier", "ring")},
+    # the initial state's allocation fails before it touches memory (a size
+    # near a machine's memory could succeed and exhaust it)
+    "barrier-size-2**62": (["run", "--model", "barrier", "--size", str(2**62)], 2,
+                           _OUT_OF_MEMORY_LINE),
+    "ring-size-2**62": (["run", "--model", "ring", "--size", str(2**62)], 2,
+                        _OUT_OF_MEMORY_LINE),
+    "unknown-variant": (["run", "--model", "ring", "--size", "3", "--variant", "leader_last"], 3,
+                        "error: unknown variant 'leader_last'; choose from ordered, unordered"),
+    # ring declares no MUTATIONS, so its inherited `mutation` takes only None
+    "mutation-on-ring": (["run", "--model", "ring", "--size", "3",
+                          "--mutation", "release_on_barrier_in"], 3,
+                         "error: unknown mutation 'release_on_barrier_in'"),
+    "unknown-mutation": (["run", "--model", "barrier", "--size", "3", "--mutation", "nope"], 3,
+                         "error: unknown mutation 'nope'"),
+    "no-subcommand": ([], 3, "error: the following arguments are required: command"),
+    "max-states-0": (["run", "--model", "barrier", "--size", "2", "--max-states", "0"], 3,
+                     "error: limits must be positive"),
+    "max-seconds-0": (["run", "--model", "barrier", "--size", "2", "--max-seconds", "0"], 3,
+                      "error: limits must be positive"),
+    # NaN compares false against everything, so it used to mean no limit
+    "max-seconds-nan": (["run", "--model", "barrier", "--size", "2", "--max-seconds", "nan"], 3,
+                        "error: limits must be positive"),
+    # refused by the config, before a search's checker would raise it
+    "queue-capacity-0": (["run", "--model", "barrier", "--size", "3", "--queue-capacity", "0"],
+                         3, "error: queue capacity must be positive"),
+    "queue-capacity--1": (["run", "--model", "barrier", "--size", "3", "--queue-capacity", "-1"],
+                          3, "error: queue capacity must be positive"),
+    "trace-graph": (["run", *_VIOLATING, "--trace", "s.json", "--graph", "s.json"], 3,
+                    "error: --trace and --graph both write s.json"),
+    "one-file-two-spellings": (["run", *_VIOLATING, "--stats", "x", "--graph", "./x"], 3,
+                               "error: --stats and --graph both write ./x"),
+    **{name: (["run", *_VIOLATING, option, path], 3, _NO_DIR.format(path=path))
+       for name, option, path in [
+           ("stats-missing-dir", "--stats", "/nonexistent-dir/stats.tsv"),
+           ("stats-is-dir", "--stats", "{tmp}"),
+           ("graph-missing-dir", "--graph", "/nonexistent-dir/graph.dot"),
+           ("graph-is-dir", "--graph", "{tmp}"),
+           ("trace-missing-dir", "--trace", "/nonexistent-dir/t.json"),
+           ("trace-is-dir", "--trace", "{tmp}"),
+           ("trace-empty", "--trace", ""),  # names the working directory
+       ]},
+    "replay-missing-file": (["replay", "/nonexistent-dir/trace.json"], 3,
+                            "error: cannot read trace /nonexistent-dir/trace.json: [Errno 2] "
+                            "No such file or directory: '/nonexistent-dir/trace.json'"),
+}
 
-    def test_unknown_mutation(self):
-        assert run_cli("run", "--model", "barrier", "--size", "3",
-                       "--mutation", "nope") == 3
 
-    def test_missing_subcommand(self):
-        assert run_cli() == 3
+@pytest.mark.parametrize("argv, code, err", _REFUSALS.values(), ids=_REFUSALS)
+def test_a_refused_run_prints_one_exact_line(argv, code, err, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == code
+    out, got = capsys.readouterr()
+    assert (out, _mask_time(got)) == ("", err.format(tmp=tmp_path) + "\n")
+    assert list(tmp_path.iterdir()) == []
 
-    def test_nonpositive_limits(self):
-        assert run_cli("run", "--model", "barrier", "--size", "2",
-                       "--max-states", "0") == 3
-        assert run_cli("run", "--model", "barrier", "--size", "2",
-                       "--max-seconds", "0") == 3
 
-    def test_nan_time_limit(self, capsys):
-        # NaN compares false against everything, so it used to mean no limit
-        assert run_cli("run", "--model", "barrier", "--size", "2",
-                       "--max-seconds", "nan") == 3
-        assert "limits must be positive" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("capacity", ["0", "-1"])
-    def test_nonpositive_queue_capacity(self, capacity, capsys):
-        # refused by the config, before a search's checker would raise it
-        assert run_cli("run", "--model", "barrier", "--size", "3",
-                       "--queue-capacity", capacity) == 3
-        assert "queue capacity must be positive" in capsys.readouterr().err
-
-    # Outputs are written one after another, so two on one file would leave
-    # only the last; the run is refused before anything is written.
-    @pytest.mark.parametrize("outputs, flags", [
-        (["--trace", "s.json", "--graph", "s.json"], "--trace and --graph"),
-        (["--stats", "x", "--graph", "./x"], "--stats and --graph"),
-    ], ids=["trace-graph", "one-file-two-spellings"])
-    def test_outputs_sharing_a_file_are_a_usage_error(self, outputs, flags, tmp_path,
-                                                      monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert run_cli("run", "--model", "barrier", "--size", "3",
-                       "--mutation", "release_on_barrier_in", *outputs) == 3
-        assert f"{flags} both write" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    # Refused before the model is built: a search would run for nothing. The
-    # run is a violation, so --trace would be written.
-    @pytest.mark.parametrize("option, path", [
-        ("--stats", "/nonexistent-dir/stats.tsv"),
-        ("--stats", "{tmp}"),  # an existing directory
-        ("--graph", "/nonexistent-dir/graph.dot"),
-        ("--graph", "{tmp}"),
-        ("--trace", "/nonexistent-dir/t.json"),
-        ("--trace", "{tmp}"),
-        ("--trace", ""),  # names the working directory
-    ], ids=["stats", "stats-is-dir", "graph-missing-dir", "graph-is-dir",
-            "trace-missing-dir", "trace-is-dir", "trace-empty"])
-    def test_unwritable_output_names_the_path(self, option, path, tmp_path, capsys):
-        path = path.format(tmp=tmp_path)
-        code = run_cli("run", "--model", "barrier", "--size", "3",
-                       "--mutation", "release_on_barrier_in", option, path)
-        assert code == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert path in err
-        assert "Traceback" not in err
-
-    # /dev/full opens for writing and fails the first write: the search has
-    # run and its result is printed, then the output is refused
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("option, extra, verdict", [
-        ("--stats", [], "verified"),
-        ("--graph", [], "verified"),
-        ("--trace", ["--mutation", "release_on_barrier_in"], "invariant_violated"),
-    ], ids=["stats", "graph", "trace"])
-    def test_an_output_failing_after_the_search_is_a_usage_error(self, option, extra,
-                                                                 verdict, capsys):
-        assert run_cli("run", "--model", "barrier", "--size", "3", *extra,
-                       option, "/dev/full") == 3
-        out, err = capsys.readouterr()
-        assert out.splitlines()[1] == f"verdict: {verdict}"
-        assert out.splitlines()[2].startswith("states stored: ")
-        assert err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
-
-    def test_replay_missing_file(self):
-        assert run_cli("replay", "/nonexistent-dir/trace.json") == 3
-
-    # 2**62 processes: the initial state's allocation fails before it touches
-    # memory (a size near a machine's memory could succeed and exhaust it);
-    # 2**63 does not even fit a sequence length (OverflowError)
-    @pytest.mark.parametrize("model", ["barrier", "ring"])
-    def test_unallocatable_size_is_a_usage_error(self, model, capsys):
-        for size in (2**62, 2**63):
-            assert run_cli("run", "--model", model, "--size", str(size)) == 3
-            err = capsys.readouterr().err
-            assert f"out of memory for a {model} model of size {size}" in err
-            assert "Traceback" not in err
+# /dev/full opens for writing and fails the first write: the search has run
+# and its result is printed, then the output is refused
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("option, extra, verdict", [
+    ("--stats", [], "verified"),
+    ("--graph", [], "verified"),
+    ("--trace", ["--mutation", "release_on_barrier_in"], "invariant_violated"),
+], ids=["stats", "graph", "trace"])
+def test_an_output_failing_after_the_search_is_an_error(option, extra, verdict, capsys):
+    assert run_cli("run", "--model", "barrier", "--size", "3", *extra,
+                   option, "/dev/full") == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == f"verdict: {verdict}"
+    assert out.splitlines()[2].startswith("states stored: ")
+    assert err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
 
 
 def _no_successor(state, pid):
     raise ValueError("no successor here")
 
 
+def _parse_error(text: str) -> str:
+    """The message of the error `json.loads` raises for `text`, as this
+    Python words it."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as err:
+        return str(err)
+    raise AssertionError(f"{reprlib.repr(text)} parses")
+
+
+_MALFORMED = "error: malformed trace {path}: "
+_NOT_WRITTEN = "header key {!r} is not what run writes for its config"
+_HUGE = reprlib.repr("x" * 10**6)
+_HUGE_INT = '{"model": "barrier", "size": 1' + "0" * 5000 + "}"  # past int's digit limit
+_DEEP = "[" * 200_000 + "]" * 200_000  # past the recursion limit
+
+# Each edit to a written trace (or the raw contents of the file), the exit
+# code replay gives for it and its whole line: the last line on standard
+# output for a mismatch, else standard error, `{path}` the trace's path.
+# Replay accepts exactly the document `run` writes for the decoded config: a
+# header edit is an error, a step edit a mismatch.
+_EDITS = {
+    # `true` and `1.0` each equal an int in Python but are not one
+    "bool-pid": ("_violation_trace", lambda doc: doc["steps"][2].update(pid=True), 1,
+                 "replay mismatch at step 2: bad pid True"),
+    "step-99": ("_violation_trace", lambda doc: doc["steps"][1].update(step=99), 1,
+                "replay mismatch at step 1: recorded 'step' is not the replayed one"),
+    "step-true": ("_violation_trace", lambda doc: doc["steps"][1].update(step=True), 1,
+                  "replay mismatch at step 1: recorded 'step' is not the replayed one"),
+    "pid-on-step-0": ("_violation_trace", lambda doc: doc["steps"][0].update(pid=7), 1,
+                      "replay mismatch at step 0: recorded 'pid' is not the replayed one"),
+    "state-true": ("_violation_trace", lambda doc: doc["steps"][1]["state"]["processes"][0]
+                   .update(client_barrier_in=True), 1,
+                   "replay mismatch at step 1: recorded 'state' is not the replayed one"),
+    "state-float": ("_violation_trace", lambda doc: doc["steps"][1]["state"]["processes"][0]
+                    .update(client_barrier_in=1.0), 1,
+                    "replay mismatch at step 1: recorded 'state' is not the replayed one"),
+    "extra-step-key": ("_violation_trace", lambda doc: doc["steps"][1].update(extra=0), 1,
+                       "replay mismatch at step 1: recorded 'extra' is not the replayed one"),
+    "bool-capacity": ("_overflow_trace", lambda doc: doc.update(queue_capacity=True), 3,
+                      _MALFORMED + "process count and queue capacity must be ints"),
+    "barrier-entry": ("_violation_trace", lambda doc: doc.update(entry=0), 3,
+                      _MALFORMED + "the barrier model takes no 'entry'"),
+    "header-n": ("_violation_trace", lambda doc: doc.update(n=3), 3,
+                 _MALFORMED + "the barrier model takes no 'n'"),
+    "no-size": ("_violation_trace", lambda doc: doc.pop("size"), 3, _MALFORMED
+                + "ModelConfig.__init__() missing 1 required positional argument: 'size'"),
+    "no-variant": ("_violation_trace", lambda doc: doc.pop("variant"), 3,
+                   _MALFORMED + _NOT_WRITTEN.format("variant")),
+    "no-capacity": ("_violation_trace", lambda doc: doc.pop("queue_capacity"), 3,
+                    _MALFORMED + _NOT_WRITTEN.format("queue_capacity")),
+    # every ring trace written while the ring model took an entry
+    "ring-entry": ("_overflow_trace", lambda doc: doc.update(entry=0), 3,
+                   _MALFORMED + "the ring model takes no 'entry'"),
+    "unknown-model": ("_overflow_trace",
+                      lambda doc: doc.update(model="nosuch", variant="ordered"), 3,
+                      _MALFORMED + "unknown model 'nosuch'"),
+    # a null never means "the default"
+    "null-variant": ("_violation_trace", lambda doc: doc.update(variant=None), 3,
+                     _MALFORMED + _NOT_WRITTEN.format("variant")),
+    "null-capacity": ("_violation_trace", lambda doc: doc.update(queue_capacity=None), 3,
+                      _MALFORMED + _NOT_WRITTEN.format("queue_capacity")),
+    "null-mutation": ("_violation_trace", lambda doc: doc.update(mutation=None), 3,
+                      _MALFORMED + _NOT_WRITTEN.format("mutation")),
+    # a value or key from the trace is echoed shortened, a short one whole
+    "typo-variant": ("_violation_trace", lambda doc: doc.update(variant="leader_lsat"), 3,
+                     _MALFORMED + "unknown variant 'leader_lsat'; "
+                     "choose from leader_last, leader_first"),
+    "huge-variant": ("_violation_trace", lambda doc: doc.update(variant="x" * 10**6), 3,
+                     _MALFORMED + f"unknown variant {_HUGE}; choose from leader_last, "
+                     "leader_first"),
+    "huge-rule": ("_violation_trace", lambda doc: doc["steps"][1].update(rule="x" * 10**6), 1,
+                  f"replay mismatch at step 1: unknown rule {_HUGE}"),
+    "huge-header-key": ("_violation_trace", lambda doc: doc.update({"x" * 10**6: 0}), 3,
+                        _MALFORMED + f"the barrier model takes no {_HUGE}"),
+    # past sys.maxsize; below it, the initial state's allocation fails
+    # before it touches memory
+    **{f"{trace[1:-6]}-size-2**{power}": (trace, lambda doc, power=power: doc.update(
+        size=2**power), code, line) for trace in ("_violation_trace", "_overflow_trace")
+       for power, code, line in [
+           (63, 3, _MALFORMED + "process count must be at most 9223372036854775807"),
+           (62, 2, _OUT_OF_MEMORY_LINE)]},
+    # the replayed guard holds, the gate does not: the witness is not ordered's
+    "gate-refuses-step": ("_dfs_overflow_trace", lambda doc: doc.update(variant="ordered"), 1,
+                          "replay mismatch at step 1: begin_insert not enabled at pid 2"),
+    "step-not-a-dict": ("_violation_trace", lambda doc: doc.update(steps=["not a step"]), 3,
+                        _MALFORMED + "bad step list"),
+    "no-steps": (None, b'{"model": "barrier"}', 3, _MALFORMED + "'steps'"),
+    "not-utf8": (None, b'{"model": "barrier\xff"}', 3, "error: cannot read trace {path}: "
+                 "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
+    "huge-int": (None, _HUGE_INT.encode(), 3,
+                 "error: cannot read trace {path}: " + _parse_error(_HUGE_INT)),
+    "deeply-nested": (None, _DEEP.encode(), 3,
+                      "error: cannot read trace {path}: " + _parse_error(_DEEP)),
+}
+
+
 class TestReplay:
     def _violation_trace(self, tmp_path):
         trace = tmp_path / "t.json"
-        assert run_cli("run", "--model", "barrier", "--size", "3",
-                       "--mutation", "release_on_barrier_in",
-                       "--trace", str(trace)) == 1
+        assert run_cli("run", *_VIOLATING, "--trace", str(trace)) == 1
         return trace
 
     def test_round_trip(self, tmp_path):
@@ -482,14 +579,6 @@ class TestReplay:
         path.write_text(json.dumps(doc))
         assert run_cli("replay", str(path)) == code
 
-    def test_unknown_model_is_a_usage_error(self, tmp_path, capsys):
-        path = self._overflow_trace(tmp_path)
-        doc = json.loads(path.read_text())
-        doc["model"], doc["variant"] = "nosuch", "ordered"
-        path.write_text(json.dumps(doc))
-        assert run_cli("replay", str(path)) == 3
-        assert "nosuch" in capsys.readouterr().err
-
     def test_failing_step_is_a_mismatch(self, tmp_path, capsys):
         path = self._overflow_trace(tmp_path)
         doc = json.loads(path.read_text())
@@ -522,71 +611,24 @@ class TestReplay:
             f"replay mismatch: the search from the last state fails: {message}")
         assert err == ""
 
-    # Each edit to a written trace, the exit code replay gives for it and what
-    # its message names. Replay accepts exactly the document `run` writes for
-    # the decoded config: a header edit is a usage error, a step edit a mismatch.
-    @pytest.mark.parametrize("trace, edit, code, named", [
-        # `true` and `1.0` each equal an int in Python but are not one
-        ("_violation_trace", lambda doc: doc["steps"][2].update(pid=True), 1,
-         "replay mismatch at step 2: bad pid True"),
-        ("_violation_trace", lambda doc: doc["steps"][1].update(step=99), 1,
-         "replay mismatch at step 1: recorded 'step'"),
-        ("_violation_trace", lambda doc: doc["steps"][1].update(step=True), 1,
-         "replay mismatch at step 1: recorded 'step'"),
-        ("_violation_trace", lambda doc: doc["steps"][0].update(pid=7), 1,
-         "replay mismatch at step 0: recorded 'pid'"),
-        ("_violation_trace", lambda doc: doc["steps"][1]["state"]["processes"][0].update(
-            client_barrier_in=True), 1, "replay mismatch at step 1: recorded 'state'"),
-        ("_violation_trace", lambda doc: doc["steps"][1]["state"]["processes"][0].update(
-            client_barrier_in=1.0), 1, "replay mismatch at step 1: recorded 'state'"),
-        ("_violation_trace", lambda doc: doc["steps"][1].update(extra=0), 1,
-         "replay mismatch at step 1: recorded 'extra'"),
-        ("_overflow_trace", lambda doc: doc.update(queue_capacity=True), 3, "must be ints"),
-        ("_violation_trace", lambda doc: doc.update(entry=0), 3,
-         "the barrier model takes no 'entry'"),
-        ("_violation_trace", lambda doc: doc.update(n=3), 3, "the barrier model takes no 'n'"),
-        ("_violation_trace", lambda doc: doc.pop("size"), 3, "'size'"),
-        ("_violation_trace", lambda doc: doc.pop("variant"), 3, "header key 'variant'"),
-        ("_violation_trace", lambda doc: doc.pop("queue_capacity"), 3,
-         "header key 'queue_capacity'"),
-        # every ring trace written while the ring model took an entry
-        ("_overflow_trace", lambda doc: doc.update(entry=0), 3,
-         "the ring model takes no 'entry'"),
-        # a null never means "the default"
-        ("_violation_trace", lambda doc: doc.update(variant=None), 3, "header key 'variant'"),
-        ("_violation_trace", lambda doc: doc.update(queue_capacity=None), 3,
-         "header key 'queue_capacity'"),
-        ("_violation_trace", lambda doc: doc.update(mutation=None), 3,
-         "header key 'mutation'"),
-        # a value or key from the trace is echoed shortened, a short one whole
-        ("_violation_trace", lambda doc: doc.update(variant="leader_lsat"), 3,
-         "unknown variant 'leader_lsat'; choose from leader_last, leader_first"),
-        ("_violation_trace", lambda doc: doc.update(variant="x" * 10**6), 3,
-         "unknown variant 'xxx"),
-        ("_violation_trace", lambda doc: doc["steps"][1].update(rule="x" * 10**6), 1,
-         "replay mismatch at step 1: unknown rule 'xxx"),
-        ("_violation_trace", lambda doc: doc.update({"x" * 10**6: 0}), 3,
-         "the barrier model takes no 'xxx"),
-        # the replayed guard holds, the gate does not: the witness is not ordered's
-        ("_dfs_overflow_trace", lambda doc: doc.update(variant="ordered"), 1,
-         "replay mismatch at step 1: begin_insert not enabled at pid 2"),
-    ], ids=["bool-pid", "step-99", "step-true", "pid-on-step-0", "state-true", "state-float",
-            "extra-step-key", "bool-capacity", "barrier-entry", "header-n", "no-size",
-            "no-variant", "no-capacity", "ring-entry", "null-variant", "null-capacity",
-            "null-mutation", "typo-variant", "huge-variant", "huge-rule", "huge-header-key",
-            "gate-refuses-step"])
-    def test_edited_trace_is_rejected(self, tmp_path, capsys, trace, edit, code, named):
-        path = getattr(self, trace)(tmp_path)
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
+    @pytest.mark.parametrize("trace, edit, code, line", _EDITS.values(), ids=_EDITS)
+    def test_edited_trace_is_rejected(self, tmp_path, capsys, trace, edit, code, line):
+        if trace is None:
+            path = tmp_path / "t.json"
+            path.write_bytes(edit)
+        else:
+            path = getattr(self, trace)(tmp_path)
+            doc = json.loads(path.read_text())
+            edit(doc)
+            path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run_cli("replay", str(path)) == code
-        captured = capsys.readouterr()
-        assert named in (captured.out if code == 1 else captured.err)
-        assert len(captured.out) + len(captured.err) < 1024
-        if code == 3:  # a usage error prints nothing of the trace
-            assert captured.out == ""
+        out, err = capsys.readouterr()
+        assert len(out) + len(err) < 1024
+        if code == 1:  # the steps verified before the mismatch, then its line
+            assert (out.splitlines()[-1], err) == (line, "")
+        else:  # an error prints nothing of the trace
+            assert (out, _mask_time(err)) == ("", line.format(path=path) + "\n")
 
     @pytest.mark.parametrize("trace, cfg", [
         ("_violation_trace", BarrierConfig(size=3, mutation="release_on_barrier_in")),
@@ -604,20 +646,6 @@ class TestReplay:
         header = capsys.readouterr().out.splitlines()[1]
         assert first == header.removeprefix("# ") + " search=bfs"
 
-    @pytest.mark.parametrize("trace", ["_violation_trace", "_overflow_trace"])
-    def test_unallocatable_size_in_header_is_a_usage_error(self, tmp_path, capsys, trace):
-        path = getattr(self, trace)(tmp_path)
-        doc = json.loads(path.read_text())
-        # see TestUsageErrors.test_unallocatable_size_is_a_usage_error
-        for size in (2**62, 2**63):
-            doc["size"] = size
-            path.write_text(json.dumps(doc))
-            capsys.readouterr()
-            assert run_cli("replay", str(path)) == 3
-            err = capsys.readouterr().err
-            assert f"out of memory for a {doc['model']} model of size {size}" in err
-            assert "Traceback" not in err
-
     def test_ill_formed_initial_state_is_a_mismatch_at_step_0(
             self, tmp_path, monkeypatch, capsys):
         path = self._violation_trace(tmp_path)
@@ -633,34 +661,6 @@ class TestReplay:
         out = capsys.readouterr().out
         assert "replay mismatch at step 0: " in out
         assert "process 0: client_barrier_in must be of type int, got False" in out
-
-    def test_malformed_document(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"model": "barrier"}))
-        assert run_cli("replay", str(path)) == 3
-
-    @pytest.mark.parametrize("content", [
-        b'{"model": "barrier\xff"}',  # not UTF-8
-        b'{"model": "barrier", "size": 1' + b"0" * 5000 + b"}",  # past int's digit limit
-    ], ids=["not-utf8", "huge-int"])
-    def test_unreadable_trace_is_a_usage_error(self, tmp_path, capsys, content):
-        path = tmp_path / "bad.json"
-        path.write_bytes(content)
-        assert run_cli("replay", str(path)) == 3
-        assert "cannot read trace" in capsys.readouterr().err
-
-    def test_deeply_nested_trace_is_a_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "deep.json"
-        path.write_text("[" * 200_000 + "]" * 200_000)
-        assert run_cli("replay", str(path)) == 3
-        assert "cannot read trace" in capsys.readouterr().err
-
-    def test_malformed_step_list(self, tmp_path):
-        path = self._violation_trace(tmp_path)
-        doc = json.loads(path.read_text())
-        doc["steps"] = ["not a step"]
-        path.write_text(json.dumps(doc))
-        assert run_cli("replay", str(path)) == 3
 
 
 # Each way a rule can break a model, run through `explore`, `run` and
@@ -759,6 +759,32 @@ def test_a_broken_rule_fails_explore_run_and_replay(golden, apply, message, monk
     out, err = capsys.readouterr()
     assert text([out.splitlines()[-1], err]) == (f"replay mismatch at step 1: {step['rule']} at "
                                                  f"pid {step['pid']} fails: {message}", "")
+
+
+def _crash(state, pid):
+    return state[len(state)]
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_a_crash_is_an_error_not_a_verdict(command, monkeypatch, capsys):
+    # a bug in a model is no verdict and no mismatch: Python's traceback, exit 3
+    path = Path(__file__).resolve().parent / "golden" / f"{_B}.json"
+    doc = json.loads(path.read_text())
+    step = doc["steps"][1]
+
+    def crashing(cfg):
+        model = barrier_model(cfg)
+        return replace(model, rules=tuple(
+            replace(r, apply=_crash) if r.name == step["rule"] else r for r in model.rules))
+
+    monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, crashing))
+    argv = {"run": ["--model", "barrier", "--size", str(doc["size"]),
+                    "--mutation", doc["mutation"]],
+            "replay": [str(path)]}[command]
+    assert run_cli(command, *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.splitlines()[-1] == "IndexError: tuple index out of range"
 
 
 # A field type whose values `==` merges though they differ, as (its default,
@@ -925,6 +951,7 @@ def test_every_registered_config_is_a_model_config(name):
 
 @pytest.mark.parametrize("options, match", [
     ({"size": 0}, "at least 1"),
+    ({"size": 2**63}, "at most 9223372036854775807"),  # no tuple holds more
     ({"size": 3, "variant": "sideways"}, "unknown variant 'sideways'"),
     ({"size": 3, "mutation": "made_up"}, "unknown mutation 'made_up'"),
     ({"size": 3, "queue_capacity": 0}, "queue capacity must be positive"),
@@ -934,8 +961,8 @@ def test_every_registered_config_is_a_model_config(name):
     ({"size": 3, "queue_capacity": True}, "must be ints"),
     ({"size": 3, "queue_capacity": 1.5}, "must be ints"),
     ({"size": 3, "queue_capacity": 2.0}, "must be ints"),
-], ids=["size-0", "variant", "mutation", "capacity-0", "bool-size", "float-size", "str-size",
-        "bool-capacity", "float-capacity", "integral-float-capacity"])
+], ids=["size-0", "size-2**63", "variant", "mutation", "capacity-0", "bool-size", "float-size",
+        "str-size", "bool-capacity", "float-capacity", "integral-float-capacity"])
 @pytest.mark.parametrize("name", sorted(cli.MODELS))
 def test_every_registered_config_refuses_what_no_model_takes(name, options, match):
     with pytest.raises(ValueError, match=match):
