@@ -35,7 +35,8 @@ from .barrier import BarrierConfig, barrier_model
 from .engine import (ExplorationResult, ExploreConfig, ModelConfig, Verdict, explore,
                      reconstruct_trace)
 from .ring import RingConfig, ring_model
-from .state import State, process_fields, render_process, render_state, state_checker
+from .state import (QueueOverflowError, State, process_fields, render_process, render_state,
+                    state_checker)
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -159,16 +160,15 @@ def _first_difference(recorded: dict, expected: dict) -> Optional[str]:
 
 
 def _build_model(model_name: str, options: dict):
-    """(config, model) for `options`, a map from config field to value taken
-    verbatim: a bad model name, option or size is a `ValueError`."""
+    """(config, model factory) for `options`, a map from config field to value
+    taken verbatim: a bad model name, option or size is a `ValueError`."""
     if model_name not in MODELS:
         raise ValueError(f"unknown model {reprlib.repr(model_name)}")
     config_class, build = MODELS[model_name]
     unknown = sorted(options.keys() - {f.name for f in fields(config_class)})
     if unknown:
         raise ValueError(f"the {model_name} model takes no {reprlib.repr(unknown[0])}")
-    cfg = config_class(**options)
-    return cfg, build(cfg)
+    return config_class(**options), build
 
 
 def _cmd_run(args) -> int:
@@ -187,9 +187,9 @@ def _cmd_run(args) -> int:
     config = ExploreConfig(search=args.search, max_states=args.max_states,
                            max_seconds=args.max_seconds,
                            observe=None if args.graph is None else edges.fromlist)
-    cfg, model = _build_model(args.model, {f.name: getattr(args, f.name)
+    cfg, build = _build_model(args.model, {f.name: getattr(args, f.name)
                                            for f in fields(ModelConfig)})
-    result = explore(model, config)
+    result = explore(build(cfg), config)
     st = result.stats
 
     print(f"{_header_line(args.model, cfg)} search={config.search}")
@@ -228,7 +228,7 @@ def _cmd_replay(args) -> int:
         steps, verdict = doc["steps"], doc["verdict"]
         header = {k: v for k, v in doc.items() if k not in ("steps", "verdict")}
         model_name = header["model"]
-        cfg, model = _build_model(model_name, {k: v for k, v in header.items() if k != "model"})
+        cfg, build = _build_model(model_name, {k: v for k, v in header.items() if k != "model"})
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"malformed trace {args.trace}: {err}")
     key = _first_difference(header, encode_header(model_name, cfg))
@@ -243,13 +243,12 @@ def _cmd_replay(args) -> int:
         raise ValueError(f"malformed trace {args.trace}: no witness for verdict "
                          f"{reprlib.repr(verdict)}")
 
-    print(f"# counterexample trace\n# {_header_line(model_name, cfg)}\n# verdict={verdict}")
+    # a new model, whose memos hold only this trace's effects. One that breaks
+    # is an error, as in `run`: a mismatch blames only the trace
+    model = build(cfg)
     state = model.initial_state
-    try:
-        check = state_checker(state, model.queue_capacity)
-    except ValueError as err:
-        print(f"replay mismatch at step 0: the model's initial state fails: {err}")
-        return EXIT_VIOLATION
+    check = state_checker(state, model.queue_capacity)
+    print(f"# counterexample trace\n# {_header_line(model_name, cfg)}\n# verdict={verdict}")
     rule_name = pid = None  # the initial state is reached by no rule
     for i, step in enumerate(steps):
         if i:
@@ -266,12 +265,10 @@ def _cmd_replay(args) -> int:
             if not rule.enabled_at(state, pid):
                 print(f"replay mismatch at step {i}: {rule.name} not enabled at pid {pid}")
                 return EXIT_VIOLATION
+            state = rule.apply(state, pid)
             try:
-                # the model is built for this replay: its memos hold only this
-                # trace's effects, each computed by the step and checked
-                state = rule.apply(state, pid)
                 check(state)
-            except ValueError as err:
+            except QueueOverflowError as err:  # no search stores such a state
                 print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")
                 return EXIT_VIOLATION
         key = _first_difference(step, _step_record(i, rule_name, pid, state))
@@ -286,11 +283,7 @@ def _cmd_replay(args) -> int:
     # processes new states, so the limit never cuts them short but bounds the
     # probe's work; a verdict at any deeper state is no witness.
     probe = ExploreConfig(max_states=1 + len(model.rules) * len(state))
-    try:
-        found = explore(replace(model, initial_state=state), probe)
-    except ValueError as err:
-        print(f"replay mismatch: the search from the last state fails: {err}")
-        return EXIT_VIOLATION
+    found = explore(replace(model, initial_state=state), probe)
     if found.verdict.value != verdict or found.witness != 0:
         print(f"replay mismatch: the last state does not witness {verdict}")
         return EXIT_VIOLATION

@@ -97,7 +97,7 @@ def test_criterion_4_counterexample_soundness(tmp_path):
         assert code == 1
         assert cli.main(["replay", str(trace)]) == 0
 
-        steps = json.loads(trace.read_text())["steps"]
+        steps = json.loads(trace.read_text(encoding="utf-8"))["steps"]
         model = barrier_model(BarrierConfig(size=3, mutation=RELEASE_ON_BARRIER_IN))
         assert len(steps) - 1 == oracle.min_violation_depth(model, 6) == 3
 
@@ -123,8 +123,8 @@ def test_criterion_5_determinism(tmp_path):
         assert (a / "graph.dot").read_bytes() == (b / "graph.dot").read_bytes()
         assert (a / "trace.json").read_bytes() == (b / "trace.json").read_bytes()
         for stats in ("stats.tsv", "mutation-stats.tsv"):
-            assert _mask_timing((a / stats).read_text()) == \
-                _mask_timing((b / stats).read_text())
+            assert _mask_timing((a / stats).read_text(encoding="utf-8")) == \
+                _mask_timing((b / stats).read_text(encoding="utf-8"))
 
 
 def test_criterion_6_accounting_and_search_invariance():

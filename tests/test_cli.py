@@ -20,6 +20,7 @@ from protocheck.engine import (ExploreConfig, ModelConfig, ProtocolModel, Transi
 from protocheck.ring import RingConfig, RingProcessState, RingStatus, req_insert, ring_model
 from protocheck.state import Message, MessageKindBase, memoized_apply, receive
 from test_engine import instances
+from test_golden import GOLDEN, _mask_timing
 
 NODE_RE = re.compile(r"^\s*s\d+ \[label=", re.M)
 EDGE_RE = re.compile(r"^\s*s\d+ -> s\d+ \[label=", re.M)
@@ -32,19 +33,13 @@ def run_cli(*args):
 
 def run_child(*args, stdout=subprocess.PIPE, text=True):
     """`python *args` in a new interpreter, with this checkout's `src` first
-    on PYTHONPATH: the finished process, its output captured as text (as
-    bytes if not `text`), or its stdout sent to `stdout` instead."""
+    on PYTHONPATH: the finished process, its output captured as UTF-8 text
+    (as bytes if not `text`), or its stdout sent to `stdout` instead."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
-                          text=text, env=env)
-
-
-def _mask_time(text: str) -> str:
-    """`text` with the seconds of `out of memory after <t> s` masked, as
-    tests/test_golden.py masks the elapsed time."""
-    return re.sub(r"out of memory after \d+\.\d s", "out of memory after <t> s", text)
+                          encoding="utf-8" if text else None, env=env)
 
 
 _OUT_OF_MEMORY_LINE = "error: out of memory after <t> s"
@@ -73,7 +68,7 @@ def test_barrier_n10_dfs_graph_has_a_line_per_state_and_transition(tmp_path):
     graph = tmp_path / "b10.dot"
     assert run_cli("run", "--model", "barrier", "--size", "10", "--search", "dfs",
                    "--graph", str(graph)) == 0
-    text = graph.read_text()
+    text = graph.read_text(encoding="utf-8")
     assert len(EDGE_RE.findall(text)) == 10250
     assert len(NODE_RE.findall(text)) == 2057
 
@@ -93,7 +88,7 @@ def test_entry_point_exits_with_the_verdict_and_its_trace_replays(argv, code, tm
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-def test_a_closed_stdout_is_a_usage_error(unbuffered, monkeypatch):
+def test_a_closed_stdout_is_an_error(unbuffered, monkeypatch):
     # a verified model whose reader has gone: each write to the pipe fails,
     # at the first print when unbuffered, else at the flush before exit
     monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
@@ -151,7 +146,7 @@ def test_output_files_do_not_depend_on_the_locale(tmp_path, monkeypatch):
 _OUT_OF_MEMORY = """
 import resource, sys
 import protocheck.cli as cli
-with open("/proc/self/status") as status:
+with open("/proc/self/status", encoding="utf-8") as status:
     mapped = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
 limit = (mapped + 40 * 1024) * 1024
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -170,7 +165,7 @@ def test_running_out_of_memory_is_a_limit_not_a_traceback():
     if done.returncode == 77:
         pytest.skip("the hard address-space limit is too low")
     assert done.returncode == 2, done.stderr
-    assert (done.stdout, _mask_time(done.stderr)) == ("", _OUT_OF_MEMORY_LINE + "\n")
+    assert (done.stdout, _mask_timing(done.stderr)) == ("", _OUT_OF_MEMORY_LINE + "\n")
 
 
 def test_a_system_error_from_a_memory_error_is_out_of_memory(monkeypatch, capsys):
@@ -187,7 +182,7 @@ def test_a_system_error_from_a_memory_error_is_out_of_memory(monkeypatch, capsys
     monkeypatch.setattr(cli, "explore", failing(MemoryError()))
     assert run_cli(*argv) == 2
     out, err = capsys.readouterr()
-    assert (out, _mask_time(err)) == ("", _OUT_OF_MEMORY_LINE + "\n")
+    assert (out, _mask_timing(err)) == ("", _OUT_OF_MEMORY_LINE + "\n")
     for cause in (None, ValueError("not memory")):
         monkeypatch.setattr(cli, "explore", failing(cause))
         assert run_cli(*argv) == 3
@@ -233,7 +228,7 @@ class TestRun:
         stats = tmp_path / "stats.tsv"
         assert run_cli("run", "--model", "barrier", "--size", "3",
                        "--stats", str(stats)) == 0
-        header, row = stats.read_text().splitlines()
+        header, row = stats.read_text(encoding="utf-8").splitlines()
         assert header.split("\t") == list(cli.STATS_COLUMNS)
         fields = row.split("\t")
         assert fields[0] == "barrier"
@@ -251,7 +246,7 @@ class TestRun:
         assert "verdict: invariant_violated" in capsys.readouterr().out
         # each output is the one file it names
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.tsv", "trace.json"]
-        doc = json.loads(trace.read_text())
+        doc = json.loads(trace.read_text(encoding="utf-8"))
         assert doc["verdict"] == "invariant_violated"
         assert run_cli("replay", str(trace)) == 0
 
@@ -289,7 +284,7 @@ def test_write_text_writes_every_chunk_across_blocks(chunks, tmp_path):
     # chunks go out 32 to a block; a block of only empty ones must not end it
     path = tmp_path / "out.txt"
     cli._write_text(path, (chunk for chunk in chunks))
-    assert path.read_text() == "".join(chunks)
+    assert path.read_text(encoding="utf-8") == "".join(chunks)
 
 
 def test_run_help_lists_each_models_mutations(capsys):
@@ -374,7 +369,7 @@ def test_a_refused_run_prints_one_exact_line(argv, code, err, tmp_path, monkeypa
     monkeypatch.chdir(tmp_path)
     assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == code
     out, got = capsys.readouterr()
-    assert (out, _mask_time(got)) == ("", err.format(tmp=tmp_path) + "\n")
+    assert (out, _mask_timing(got)) == ("", err.format(tmp=tmp_path) + "\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -393,10 +388,6 @@ def test_an_output_failing_after_the_search_is_an_error(option, extra, verdict, 
     assert out.splitlines()[1] == f"verdict: {verdict}"
     assert out.splitlines()[2].startswith("states stored: ")
     assert err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
-
-
-def _no_successor(state, pid):
-    raise ValueError("no successor here")
 
 
 def _parse_error(text: str) -> str:
@@ -511,9 +502,9 @@ class TestReplay:
         assert run_cli("replay", str(path)) == 0
         # three header lines, then steps 0-3, then `replay OK`
         *verified, _, _ = capsys.readouterr().out.splitlines()
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc["steps"][-1]["state"]["processes"][0]["client_barrier_in"] ^= 1
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("replay", str(path)) == 1
         # the steps verified before the mismatch are printed, and nothing after it
         *out, last = capsys.readouterr().out.splitlines()
@@ -522,17 +513,17 @@ class TestReplay:
 
     def test_tampered_rule_detected(self, tmp_path):
         path = self._violation_trace(tmp_path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc["steps"][1]["rule"] = "barrier_out"  # not enabled at step 1
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("replay", str(path)) == 1
 
     def test_truncated_trace_is_a_mismatch(self, tmp_path, capsys):
         # every kept step replays, but the last state violates no invariant
         path = self._violation_trace(tmp_path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         del doc["steps"][-1]
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("replay", str(path)) == 1
         out = capsys.readouterr().out
         assert "replay mismatch: the last state does not witness invariant_violated" in out
@@ -545,7 +536,7 @@ class TestReplay:
 
     def _dfs_overflow_trace(self, tmp_path):
         path = self._overflow_trace(tmp_path, "dfs")
-        step = json.loads(path.read_text())["steps"][1]
+        step = json.loads(path.read_text(encoding="utf-8"))["steps"][1]
         # local to pid 2, but ring ordered's gate refuses it: pid 1 is not in
         assert (step["rule"], step["pid"]) == ("begin_insert", 2)
         return path
@@ -574,42 +565,21 @@ class TestReplay:
     ])
     def test_recorded_verdict_is_confirmed(self, tmp_path, verdict, code):
         path = self._violation_trace(tmp_path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc["verdict"] = verdict
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("replay", str(path)) == code
 
     def test_failing_step_is_a_mismatch(self, tmp_path, capsys):
         path = self._overflow_trace(tmp_path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         # a second join request overflows the entry's queue of capacity 1
         doc["steps"].append(dict(doc["steps"][-1], step=2, pid=2))
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("replay", str(path)) == 1
-        assert "replay mismatch at step 2" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("apply, message", [
-        (_no_successor, "no successor here"),
-        (lambda state, pid: list(state), "a state must be a tuple, not list"),
-    ], ids=["raises", "unhashable"])
-    def test_failing_successor_of_the_last_state_is_a_mismatch(
-            self, tmp_path, monkeypatch, capsys, apply, message):
-        path = self._overflow_trace(tmp_path)
-
-        def build(cfg):
-            # no step names `fail`; put first, the probe search fires it
-            # before any move that overflows
-            model = ring_model(cfg)
-            rule = TransitionRule("fail", lambda proc, pid: True, apply)
-            return replace(model, rules=(rule,) + model.rules)
-
-        monkeypatch.setitem(cli.MODELS, "ring", (RingConfig, build))
-        capsys.readouterr()
-        assert run_cli("replay", str(path)) == 1
-        out, err = capsys.readouterr()
-        assert out.splitlines()[-1] == (
-            f"replay mismatch: the search from the last state fails: {message}")
-        assert err == ""
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "replay mismatch at step 2: begin_insert at pid 2 fails: queue of process 0 is "
+            "over capacity 1")
 
     @pytest.mark.parametrize("trace, edit, code, line", _EDITS.values(), ids=_EDITS)
     def test_edited_trace_is_rejected(self, tmp_path, capsys, trace, edit, code, line):
@@ -618,9 +588,9 @@ class TestReplay:
             path.write_bytes(edit)
         else:
             path = getattr(self, trace)(tmp_path)
-            doc = json.loads(path.read_text())
+            doc = json.loads(path.read_text(encoding="utf-8"))
             edit(doc)
-            path.write_text(json.dumps(doc))
+            path.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert run_cli("replay", str(path)) == code
         out, err = capsys.readouterr()
@@ -628,7 +598,7 @@ class TestReplay:
         if code == 1:  # the steps verified before the mismatch, then its line
             assert (out.splitlines()[-1], err) == (line, "")
         else:  # an error prints nothing of the trace
-            assert (out, _mask_time(err)) == ("", line.format(path=path) + "\n")
+            assert (out, _mask_timing(err)) == ("", line.format(path=path) + "\n")
 
     @pytest.mark.parametrize("trace, cfg", [
         ("_violation_trace", BarrierConfig(size=3, mutation="release_on_barrier_in")),
@@ -637,7 +607,7 @@ class TestReplay:
     def test_run_writes_the_encoded_header(self, tmp_path, capsys, trace, cfg):
         path = getattr(self, trace)(tmp_path)
         first = capsys.readouterr().out.splitlines()[0]
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         del doc["steps"], doc["verdict"]
         assert doc == cli.encode_header(doc["model"], cfg)
         # run's first stdout line is the header replay prints, plus the search order
@@ -646,33 +616,34 @@ class TestReplay:
         header = capsys.readouterr().out.splitlines()[1]
         assert first == header.removeprefix("# ") + " search=bfs"
 
-    def test_ill_formed_initial_state_is_a_mismatch_at_step_0(
-            self, tmp_path, monkeypatch, capsys):
-        path = self._violation_trace(tmp_path)
 
-        def build(cfg):
-            # bools: equal to the recorded zeros, but not the ints the defaults pin
-            model = barrier_model(cfg)
-            initial = (BarrierProcessState(False, False, False),) * cfg.size
-            return replace(model, initial_state=initial)
-
-        monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
-        assert run_cli("replay", str(path)) == 1
-        out = capsys.readouterr().out
-        assert "replay mismatch at step 0: " in out
-        assert "process 0: client_barrier_in must be of type int, got False" in out
-
-
-# Each way a rule can break a model, run through `explore`, `run` and
-# `replay`: the golden trace whose step-1 rule the row's apply replaces (a
-# memoized local step, or a hand-written state-level apply) and the exact
-# message, with any object's address left out. Barrier's step 1 is
-# `client_request @0`, ring's `begin_insert @1`, each the first transition its
-# search fires.
+# Each way a model can break, run through `explore`, `run` and `replay`: a
+# golden trace, an edit of the model its config builds, and the error that
+# building or exploring the edited model raises, with its exact message (any
+# object's address left out). Most edits give the rule of the trace's step 1
+# another apply, a memoized local step or a hand-written state-level one:
+# barrier's step 1 is `client_request @0`, ring's `begin_insert @1`, each the
+# first transition its search fires.
 _B, _R = "barrier_n3_release_on_barrier_in", "ring_unordered_n3_cap1"
 _BI = barrier.MessageKind.BARRIER_IN
 _NO_EFFECT = "process 0: a step gives (process, ((target, message), ...)), not "
 _B0 = repr(BarrierProcessState())
+
+
+def _with_apply(rule, apply):
+    """An edit that gives the model's rule named `rule` `apply` instead of its own."""
+    return lambda model: replace(model, rules=tuple(
+        replace(r, apply=apply) if r.name == rule else r for r in model.rules))
+
+
+_B1, _R1 = partial(_with_apply, "client_request"), partial(_with_apply, "begin_insert")
+
+
+def _fail_first(apply):
+    """An edit that puts first a rule `fail`, enabled everywhere, that
+    `apply`s: no step names it, and a search fires it before any other move."""
+    return lambda model: replace(model, rules=(
+        TransitionRule("fail", lambda proc, pid: True, apply),) + model.rules)
 
 
 def _queue(*messages):
@@ -680,126 +651,19 @@ def _queue(*messages):
     return memoized_apply(lambda p, pid: (p._replace(queue=messages), ()))
 
 
-_BROKEN_RULES = {
-    "released": (_B, memoized_apply(lambda p, pid: (p._replace(client_barrier_out=1), ())),
-                 "process 0: client released before it reached the barrier"),
-    # a plain tuple equal to a message, which has no `render`
-    "plain-tuple": (_B, _queue((_BI, ())),
-                    "process 0: (<MessageKind.BARRIER_IN: ('bi', 0)>, ()) is not a Message"),
-    # a message of the wrong shape is refused before its payload is read
-    "payload-not-a-tuple": (_B, _queue(Message(_BI, 5)), "process 0: Message(kind=<MessageKind"
-                            ".BARRIER_IN: ('bi', 0)>, payload=5) is not a Message"),
-    "kind-not-a-kind": (_B, _queue(Message("bi", ())),
-                        "process 0: Message(kind='bi', payload=()) is not a Message"),
-    "wrong-arity": (_B, _queue(Message(_BI, (1,))),
-                    "process 0: barrier_in carries 0 id(s), got 1"),
-    "guard-lies": (_B, memoized_apply(lambda p, pid: (p._replace(queue=receive(p, pid)[1]), ())),
-                   "process 0: receive on an empty queue"),
-    # hashed before it is checked, as every matched successor is
-    "unhashable": (_B, lambda s, pid: (s[0]._replace(queue=(Message(_BI, [5]),)),) + s[1:],
-                   "process 0: Message(kind=<MessageKind.BARRIER_IN: ('bi', 0)>, payload=[5]) "
-                   "is not a Message"),
-    "state-a-list": (_B, lambda s, pid: list(s), "a state must be a tuple, not list"),
-    # pids 1 and 2 are the initial state's, passed: only the pinned type catches pid 0
-    "other-process-type": (_B, lambda s, pid: (RingProcessState(),) + s[1:],
-                           "process 0: all processes must be the same protocol variant"),
-    "process-dropped": (_B, lambda s, pid: s[:1], "a rule changed the process count from 3 to 1"),
-    "effect-none": (_B, memoized_apply(lambda p, pid: None), _NO_EFFECT + "None"),
-    "effect-not-a-pair": (_B, memoized_apply(lambda p, pid: (p,)), _NO_EFFECT + f"({_B0},)"),
-    "sends-not-a-tuple": (_B, memoized_apply(lambda p, pid: (p, None)),
-                          _NO_EFFECT + f"({_B0}, None)"),
-    "send-not-a-pair": (_B, memoized_apply(lambda p, pid: (p, (1,))),
-                        _NO_EFFECT + f"({_B0}, (1,))"),
-    "neighbor-out-of-range": (_R, memoized_apply(
-        lambda p, pid: (p._replace(status=RingStatus.INSERTING, lhs=3), ())),
-        "process 1: ring neighbors are ints in [0, 3) or unset, got 3"),
-    # a message is refused where it is sent, before it is queued
-    "payload-out-of-range": (_R, memoized_apply(lambda p, pid: (p, ((0, req_insert(5)),))),
-                             "process 1: payload id 5 is not an int in [0, 3)"),
-    "sent-wrong-arity": (_R, memoized_apply(
-        lambda p, pid: (p, ((0, Message(req_insert(1).kind, (1, 2))),))),
-        "process 1: req_insert carries 1 id(s), got 2"),
-    # sends are a tuple: a generator, spent by its first read, would send nothing
-    "sends-a-generator": (_R, memoized_apply(
-        lambda p, pid: (p, ((t, req_insert(pid)) for t in (0, 9)))),
-        f"process 1: a step gives (process, ((target, message), ...)), not "
-        f"({RingProcessState()!r}, <generator object <lambda>.<locals>.<genexpr>>)"),
-    "send-target-out-of-range": (_R, memoized_apply(lambda p, pid: (p, ((3, req_insert(pid)),))),
-                                 "process 1: send target 3 out of range for 3 processes"),
-    "send-target-not-an-int": (_R, memoized_apply(lambda p, pid: (p, ((None, req_insert(pid)),))),
-                               "process 1: send target None out of range for 3 processes"),
-}
-
-
-@pytest.mark.parametrize("golden, apply, message", _BROKEN_RULES.values(), ids=_BROKEN_RULES)
-def test_a_broken_rule_fails_explore_run_and_replay(golden, apply, message, monkeypatch,
-                                                    capsys):
-    path = Path(__file__).resolve().parent / "golden" / f"{golden}.json"
-    doc = json.loads(path.read_text())
-    name, step = doc.pop("model"), doc.pop("steps")[1]
-    del doc["verdict"]  # the rest is the config
-    config_class, build = cli.MODELS[name]
-
-    def broken(cfg):
-        model = build(cfg)
-        return replace(model, rules=tuple(
-            replace(r, apply=apply) if r.name == step["rule"] else r for r in model.rules))
-
-    def text(out_and_err):
-        return tuple(re.sub(r" at 0x[0-9a-f]+>", ">", part) for part in out_and_err)
-
-    with pytest.raises(ValueError) as raised:
-        explore(broken(config_class(**doc)))
-    assert text([str(raised.value)]) == (message,)
-    monkeypatch.setitem(cli.MODELS, name, (config_class, broken))
-    flags = (f"--{k.replace('_', '-')}={v}" for k, v in doc.items())
-    assert run_cli("run", "--model", name, *flags) == 3
-    assert text(capsys.readouterr()) == ("", f"error: {message}\n")  # no traceback, no counts
-    assert run_cli("replay", str(path)) == 1
-    out, err = capsys.readouterr()
-    assert text([out.splitlines()[-1], err]) == (f"replay mismatch at step 1: {step['rule']} at "
-                                                 f"pid {step['pid']} fails: {message}", "")
+def _no_successor(state, pid):
+    raise ValueError("no successor here")
 
 
 def _crash(state, pid):
     return state[len(state)]
 
 
-@pytest.mark.parametrize("command", ["run", "replay"])
-def test_a_crash_is_an_error_not_a_verdict(command, monkeypatch, capsys):
-    # a bug in a model is no verdict and no mismatch: Python's traceback, exit 3
-    path = Path(__file__).resolve().parent / "golden" / f"{_B}.json"
-    doc = json.loads(path.read_text())
-    step = doc["steps"][1]
-
-    def crashing(cfg):
-        model = barrier_model(cfg)
-        return replace(model, rules=tuple(
-            replace(r, apply=_crash) if r.name == step["rule"] else r for r in model.rules))
-
-    monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, crashing))
-    argv = {"run": ["--model", "barrier", "--size", str(doc["size"]),
-                    "--mutation", doc["mutation"]],
-            "replay": [str(path)]}[command]
-    assert run_cli(command, *argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("Traceback (most recent call last):\n")
-    assert err.splitlines()[-1] == "IndexError: tuple index out of range"
-
-
-# A field type whose values `==` merges though they differ, as (its default,
-# a value, the value's twin): a model's rules `one` and `two` set `x` from the
-# default to the value and to the twin, and its invariant fails only at the
-# twin, whose state a search keyed by value takes for `one`'s. The pin refuses
-# each type before any search.
-_TWINS = {
-    "tuple": ((), (1,), (True,)),
-    "float": (1.0, 0.0, -0.0),
-    "frozenset": (frozenset(), frozenset({1}), frozenset({True})),
-}
-
-
-def _twin_model(default, value, twin, cfg):
+def _twins(default, value, twin):
+    """An edit to a model of `_Twin` processes, whose field `x` takes values
+    that `==` merges though they differ: its rules `one` and `two` set `x`
+    from `default` to `value` and to `twin`, and its invariant fails only at
+    the twin, whose state a search keyed by value takes for `one`'s."""
     class _Twin(NamedTuple):
         queue: tuple = ()
         x: object = default
@@ -811,51 +675,130 @@ def _twin_model(default, value, twin, cfg):
         return TransitionRule(name, lambda proc, pid: proc.x == default,
                               memoized_apply(lambda proc, pid: (proc._replace(x=new), ())))
 
-    return ProtocolModel(queue_capacity=cfg.queue_capacity, initial_state=(_Twin(),) * cfg.size,
-                         rules=(rule("one", value), rule("two", twin)),
-                         invariant=lambda s: all(repr(p.x) != repr(twin) for p in s),
-                         terminal_postcondition=lambda s: True)
+    return lambda model: replace(
+        model, initial_state=(_Twin(),) * len(model.initial_state),
+        rules=(rule("one", value), rule("two", twin)),
+        invariant=lambda s: all(repr(p.x) != repr(twin) for p in s))
 
 
-@pytest.mark.parametrize("default, value, twin", _TWINS.values(), ids=_TWINS)
-def test_a_field_with_twin_values_fails_explore_run_and_replay(default, value, twin, tmp_path,
-                                                                monkeypatch, capsys):
-    build = partial(_twin_model, default, value, twin)
-    message = (f"_Twin.x defaults to {default!r}; a field must default to an int or an Enum "
-               f"member, and queue to ()")
-    cfg = BarrierConfig(size=1)
-    with pytest.raises(ValueError) as raised:
-        explore(build(cfg))
-    assert str(raised.value) == message
-    monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
-    assert run_cli("run", "--model", "barrier", "--size", "1") == 3
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    # the trace to the violation that a search keying by value would miss
-    (proc,) = build(cfg).initial_state
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(dict(
-        cli.encode_header("barrier", cfg), verdict="invariant_violated",
-        steps=[cli._step_record(0, None, None, (proc,)),
-               cli._step_record(1, "two", 0, (proc._replace(x=twin),))]), default=sorted))
-    assert run_cli("replay", str(path)) == 1
-    out, err = capsys.readouterr()
-    assert (out.splitlines()[-1], err) == (
-        f"replay mismatch at step 0: the model's initial state fails: {message}", "")
+# (default, value, twin) of each field type that the pin refuses before any search
+_TWINS = {
+    "tuple": ((), (1,), (True,)),
+    "float": (1.0, 0.0, -0.0),
+    "frozenset": (frozenset(), frozenset({1}), frozenset({True})),
+}
 
-
-def test_rules_sharing_a_name_are_a_usage_error(monkeypatch, capsys):
+_BROKEN_MODELS = {
+    "released": (_B, _B1(memoized_apply(lambda p, pid: (p._replace(client_barrier_out=1), ()))),
+                 ValueError, "process 0: client released before it reached the barrier"),
+    # a plain tuple equal to a message, which has no `render`
+    "plain-tuple": (_B, _B1(_queue((_BI, ()))), ValueError,
+                    "process 0: (<MessageKind.BARRIER_IN: ('bi', 0)>, ()) is not a Message"),
+    # a message of the wrong shape is refused before its payload is read
+    "payload-not-a-tuple": (_B, _B1(_queue(Message(_BI, 5))), ValueError,
+                            "process 0: Message(kind=<MessageKind.BARRIER_IN: ('bi', 0)>, "
+                            "payload=5) is not a Message"),
+    "kind-not-a-kind": (_B, _B1(_queue(Message("bi", ()))), ValueError,
+                        "process 0: Message(kind='bi', payload=()) is not a Message"),
+    "wrong-arity": (_B, _B1(_queue(Message(_BI, (1,)))), ValueError,
+                    "process 0: barrier_in carries 0 id(s), got 1"),
+    "guard-lies": (_B, _B1(memoized_apply(
+        lambda p, pid: (p._replace(queue=receive(p, pid)[1]), ()))), ValueError,
+        "process 0: receive on an empty queue"),
+    # hashed before it is checked, as every matched successor is
+    "unhashable": (_B, _B1(lambda s, pid: (s[0]._replace(queue=(Message(_BI, [5]),)),) + s[1:]),
+                   ValueError, "process 0: Message(kind=<MessageKind.BARRIER_IN: ('bi', 0)>, "
+                   "payload=[5]) is not a Message"),
+    "state-a-list": (_B, _B1(lambda s, pid: list(s)), ValueError,
+                     "a state must be a tuple, not list"),
+    # pids 1 and 2 are the initial state's, passed: only the pinned type catches pid 0
+    "other-process-type": (_B, _B1(lambda s, pid: (RingProcessState(),) + s[1:]), ValueError,
+                           "process 0: all processes must be the same protocol variant"),
+    "process-dropped": (_B, _B1(lambda s, pid: s[:1]), ValueError,
+                        "a rule changed the process count from 3 to 1"),
+    "effect-none": (_B, _B1(memoized_apply(lambda p, pid: None)), ValueError,
+                    _NO_EFFECT + "None"),
+    "effect-not-a-pair": (_B, _B1(memoized_apply(lambda p, pid: (p,))), ValueError,
+                          _NO_EFFECT + f"({_B0},)"),
+    "sends-not-a-tuple": (_B, _B1(memoized_apply(lambda p, pid: (p, None))), ValueError,
+                          _NO_EFFECT + f"({_B0}, None)"),
+    "send-not-a-pair": (_B, _B1(memoized_apply(lambda p, pid: (p, (1,)))), ValueError,
+                        _NO_EFFECT + f"({_B0}, (1,))"),
+    "neighbor-out-of-range": (_R, _R1(memoized_apply(
+        lambda p, pid: (p._replace(status=RingStatus.INSERTING, lhs=3), ()))), ValueError,
+        "process 1: ring neighbors are ints in [0, 3) or unset, got 3"),
+    # a message is refused where it is sent, before it is queued
+    "payload-out-of-range": (_R, _R1(memoized_apply(lambda p, pid: (p, ((0, req_insert(5)),)))),
+                             ValueError, "process 1: payload id 5 is not an int in [0, 3)"),
+    "sent-wrong-arity": (_R, _R1(memoized_apply(
+        lambda p, pid: (p, ((0, Message(req_insert(1).kind, (1, 2))),)))), ValueError,
+        "process 1: req_insert carries 1 id(s), got 2"),
+    # sends are a tuple: a generator, spent by its first read, would send nothing
+    "sends-a-generator": (_R, _R1(memoized_apply(
+        lambda p, pid: (p, ((t, req_insert(pid)) for t in (0, 9))))), ValueError,
+        f"process 1: a step gives (process, ((target, message), ...)), not "
+        f"({RingProcessState()!r}, <generator object <lambda>.<locals>.<genexpr>>)"),
+    "send-target-out-of-range": (_R, _R1(memoized_apply(
+        lambda p, pid: (p, ((3, req_insert(pid)),)))), ValueError,
+        "process 1: send target 3 out of range for 3 processes"),
+    "send-target-not-an-int": (_R, _R1(memoized_apply(
+        lambda p, pid: (p, ((None, req_insert(pid)),)))), ValueError,
+        "process 1: send target None out of range for 3 processes"),
+    # a bug in a model is no verdict and no mismatch: Python's traceback
+    "crash": (_B, _B1(_crash), IndexError, "tuple index out of range"),
+    # `replay` breaks in the last state's search, `run` at its first move
+    "probe-raises": (_R, _fail_first(_no_successor), ValueError, "no successor here"),
+    "probe-unhashable": (_R, _fail_first(lambda s, pid: list(s)), ValueError,
+                         "a state must be a tuple, not list"),
+    # bools: equal to the recorded zeros, but not the ints the defaults pin
+    "bool-initial": (_B, lambda model: replace(model, initial_state=(
+        BarrierProcessState(False, False, False),) * len(model.initial_state)), ValueError,
+        "process 0: client_barrier_in must be of type int, got False"),
     # `replay` finds a trace's rules by name: this model's witness would fail
     # at its third step, where the first rule named `step` is not enabled
-    def build(cfg):
-        model = barrier_model(cfg)
-        renamed = {"client_request", "barrier_in_nonleader"}
-        return replace(model, rules=tuple(replace(r, name="step") if r.name in renamed else r
-                                          for r in model.rules))
+    "rules-share-a-name": (_B, lambda model: replace(model, rules=tuple(
+        replace(r, name="step") if r.name in ("client_request", "barrier_in_nonleader") else r
+        for r in model.rules)), ValueError, "two rules are named 'step'"),
+    **{f"twin-{name}": (_B, _twins(*values), ValueError,
+                        f"_Twin.x defaults to {values[0]!r}; a field must default to an int "
+                        f"or an Enum member, and queue to ()") for name, values in _TWINS.items()},
+}
 
-    monkeypatch.setitem(cli.MODELS, "barrier", (BarrierConfig, build))
-    assert run_cli("run", "--model", "barrier", "--size", "3",
-                   "--mutation", "release_on_barrier_in") == 3
-    assert "two rules are named 'step'" in capsys.readouterr().err
+
+@pytest.mark.parametrize("golden, edit, error, message", _BROKEN_MODELS.values(),
+                         ids=_BROKEN_MODELS)
+def test_a_broken_model_fails_explore_run_and_replay(golden, edit, error, message,
+                                                     monkeypatch, capsys):
+    # `run` and `replay` each exit 3 and end standard error with one line: a
+    # ValueError's `error: ` line, no traceback, else its traceback's last
+    path = GOLDEN / f"{golden}.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    name = doc.pop("model")
+    del doc["steps"], doc["verdict"]  # the rest is the config
+    config_class, build = cli.MODELS[name]
+
+    def broken(cfg):
+        return edit(build(cfg))
+
+    def text(s):
+        return re.sub(r" at 0x[0-9a-f]+>", ">", s)
+
+    with pytest.raises(error) as raised:
+        explore(broken(config_class(**doc)))
+    assert text(str(raised.value)) == message
+    last = f"error: {message}" if error is ValueError else f"{error.__name__}: {message}"
+    monkeypatch.setitem(cli.MODELS, name, (config_class, broken))
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in doc.items()]
+    # `run` prints nothing on standard output; `replay` the start of what it
+    # prints for the sound model, the steps verified before the model broke
+    replayed = (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
+    for argv, printed in (["run", "--model", name, *flags], ""), (["replay", str(path)], replayed):
+        assert run_cli(*argv) == 3
+        out, err = capsys.readouterr()
+        *traceback, end = text(err).splitlines()
+        assert (traceback[:1], end) == (
+            [] if error is ValueError else ["Traceback (most recent call last):"], last)
+        assert printed.startswith(out)
 
 
 def test_render_state_is_compact():
@@ -1017,8 +960,8 @@ def test_a_registered_protocol_runs_and_replays(tmp_path, monkeypatch, capsys, l
     assert run_cli("run", "--model", "toy", "--size", "2", "--trace", str(trace),
                    "--graph", str(graph)) == 1
     assert "model=toy size=2 variant=plain" in capsys.readouterr().out
-    assert f'  s0 [label="s0: {label}"];\n' in graph.read_text()
-    step = json.loads(trace.read_text())["steps"][-1]["state"]["processes"]
+    assert f'  s0 [label="s0: {label}"];\n' in graph.read_text(encoding="utf-8")
+    step = json.loads(trace.read_text(encoding="utf-8"))["steps"][-1]["state"]["processes"]
     # the trace sorts its keys, so both layouts write them in one order
     assert step == [{"queue": ["t"], "sent": 1}] * 2 and list(step[0]) == ["queue", "sent"]
     assert run_cli("replay", str(trace)) == 0
@@ -1052,7 +995,7 @@ def test_a_registered_step_protocol_agrees_with_the_oracle(tmp_path, monkeypatch
                    "--graph", str(graph)) == 0
     out = capsys.readouterr().out
     assert f"states stored: {count} " in out and f"transitions: {fired} " in out
-    text = graph.read_text()
+    text = graph.read_text(encoding="utf-8")
     assert len(NODE_RE.findall(text)) == count
     assert len(EDGE_RE.findall(text)) == fired
 
@@ -1094,7 +1037,7 @@ def test_replay_confirms_verdicts_as_the_oracle_does(tmp_path, monkeypatch, caps
         if run_cli("run", "--model", name, "--size", str(n), "--variant", variant,
                    "--search", search, "--trace", str(trace), *extra) == 0:
             continue  # verified: no trace
-        doc = json.loads(trace.read_text())
+        doc = json.loads(trace.read_text(encoding="utf-8"))
         config_class, build = cli.MODELS[name]
         options = {"mutation": doc["mutation"]} if "mutation" in doc else {}
         model = build(config_class(size=n, variant=variant,
@@ -1107,7 +1050,7 @@ def test_replay_confirms_verdicts_as_the_oracle_does(tmp_path, monkeypatch, caps
                 expected = oracle.witnesses(model, state, verdict)
                 probe = tmp_path / "p.json"
                 probe.write_text(json.dumps(dict(doc, steps=doc["steps"][:k + 1],
-                                                 verdict=verdict)))
+                                                 verdict=verdict)), encoding="utf-8")
                 capsys.readouterr()
                 assert run_cli("replay", str(probe)) == (0 if expected else 1), (
                     name, n, variant, extra, k, verdict, capsys.readouterr().out)

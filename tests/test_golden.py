@@ -42,7 +42,9 @@ _SUFFIX = {"trace": ".json", "graph": ".dot", "stats": ".tsv"}
 
 
 def _mask_timing(text: str) -> str:
-    text = re.sub(r"elapsed: \d+\.\d+ s", "elapsed: <t> s", text)
+    """`text` with every measured time masked as `<t>`: the `elapsed:` and
+    `out of memory after` seconds, and the stats row's time column."""
+    text = re.sub(r"(elapsed:|out of memory after) \d+\.\d+ s", r"\1 <t> s", text)
     # the stats row's "time (s)" column
     return re.sub(r"^([^\t\n]*\t[^\t\n]*\t[^\t\n]*\t)\d+\.\d+\t", r"\1<t>\t", text,
                   flags=re.M)

@@ -56,7 +56,7 @@ def measure(path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     return {"stored": plain.stats.states_stored, "fired": logged.stats.transitions_fired,
             "logged_ids": len(log), "edge_log_bytes": with_edges - without, "export_peak": peak,
             "size": path.stat().st_size,
