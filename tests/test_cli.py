@@ -750,6 +750,7 @@ _BROKEN_MODELS = {
     "probe-raises": (_R, _fail_first(_no_successor), ValueError, "no successor here"),
     "probe-unhashable": (_R, _fail_first(lambda s, pid: list(s)), ValueError,
                          "a state must be a tuple, not list"),
+    "probe-crash": (_R, _fail_first(_crash), IndexError, "tuple index out of range"),
     # bools: equal to the recorded zeros, but not the ints the defaults pin
     "bool-initial": (_B, lambda model: replace(model, initial_state=(
         BarrierProcessState(False, False, False),) * len(model.initial_state)), ValueError,
