@@ -35,8 +35,8 @@ from .barrier import BarrierConfig, barrier_model
 from .engine import (ExplorationResult, ExploreConfig, ModelConfig, Verdict, explore,
                      reconstruct_trace)
 from .ring import RingConfig, ring_model
-from .state import (QueueOverflowError, State, process_fields, render_process, render_state,
-                    state_checker)
+from .state import (QueueOverflowError, State, checked_applies, process_fields, render_process,
+                    render_state)
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -243,11 +243,11 @@ def _cmd_replay(args) -> int:
         raise ValueError(f"malformed trace {args.trace}: no witness for verdict "
                          f"{reprlib.repr(verdict)}")
 
-    # a new model, whose memos hold only this trace's effects. One that breaks
-    # is an error, as in `run`: a mismatch blames only the trace
+    # the model and its rules' applies, checked as a search checks them. One
+    # that breaks is an error, as in `run`: a mismatch blames only the trace
     model = build(cfg)
     state = model.initial_state
-    check = state_checker(state, model.queue_capacity)
+    applies = checked_applies(state, model.queue_capacity, [rule.apply for rule in model.rules])
     print(f"# counterexample trace\n# {_header_line(model_name, cfg)}\n# verdict={verdict}")
     rule_name = pid = None  # the initial state is reached by no rule
     for i, step in enumerate(steps):
@@ -265,9 +265,8 @@ def _cmd_replay(args) -> int:
             if not rule.enabled_at(state, pid):
                 print(f"replay mismatch at step {i}: {rule.name} not enabled at pid {pid}")
                 return EXIT_VIOLATION
-            state = rule.apply(state, pid)
             try:
-                check(state)
+                state = applies[model.rules.index(rule)](state, pid)
             except QueueOverflowError as err:  # no search stores such a state
                 print(f"replay mismatch at step {i}: {rule.name} at pid {pid} fails: {err}")
                 return EXIT_VIOLATION

@@ -2,11 +2,11 @@
 
 The search derives every state reachable from the initial state through the
 model's guarded transition rules, deduplicating by the state itself (the
-tuple of process states); no state is rendered during a search. Each new
-state is checked the moment it is generated, by the search's one
-`state_checker` and then against the invariant; each terminal state against
-the postcondition the moment it is popped. Exploration is sequential and
-fully deterministic, so all counts are reproducible run to run.
+tuple of process states); no state is rendered during a search. Each
+process is checked where a rule's step makes it, in the search's own memos
+(`state.checked_applies`), each new state then against the invariant, and
+each terminal state against the postcondition the moment it is popped.
+Exploration is sequential and deterministic, so counts repeat run to run.
 """
 
 import reprlib
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, ClassVar, Optional
 
-from .state import QueueOverflowError, State, canonical_encode, state_checker
+from .state import QueueOverflowError, State, canonical_encode, checked_applies
 
 
 class Verdict(Enum):
@@ -212,11 +212,11 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     violating witness is found at minimal distance from the initial state.
 
     The search stops at the first invariant or postcondition violation, at a
-    limit, or at the fixed point. A new successor over the queue bound is
+    limit, or at the fixed point. A successor over the queue bound is
     reported as its own verdict, with the state it was generated from as
     witness. Every other error of the model is a `ValueError`, out of a rule
-    or `state_checker` (the initial state included), which passes only states that hash.
-    `replay` confirms a trace's verdict with this search too.
+    or the checks of `state.checked_applies`, which pass only states that
+    hash. `replay` confirms a trace's verdict with this search too.
     """
     start = time.perf_counter()
     rule_names = tuple(rule.name for rule in model.rules)
@@ -246,20 +246,19 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
             rule_names=rule_names,
         )
 
-    # `visited` maps each state to its id, reserved with one setdefault, so
-    # each state is stored once. The key is read from the module per call, so a
-    # wrapper set on `canonical_encode` sees every call; `tuple` in its place
-    # measured only 0.4% faster, and would key a list successor as a tuple.
+    # `visited` maps each state to its id, reserved by one setdefault. The key
+    # is read from the module per call, so a wrapper on `canonical_encode` sees
+    # every call; `tuple` in its place measured only 0.4% faster.
     encode, invariant = canonical_encode, model.invariant
-    check = state_checker(init, model.queue_capacity)
-    visited[encode(init)] = 0  # the checker has passed it, so it hashes
+    applies = checked_applies(init, model.queue_capacity, [rule.apply for rule in model.rules])
+    visited[encode(init)] = 0  # `checked_applies` has checked it, so it hashes
     if not invariant(init):
         return finish(Verdict.INVARIANT_VIOLATED, witness=0)
 
     # looked up once here, not per (state, rule, pid); the loop inlines `enabled_at`.
     # The guards stay a Python loop: on 3.11, with guards written in Python,
     # `map` or `itertools.compress` over them measured 25-35% slower.
-    rules = [(r, rule.enabled, rule.gate, rule.apply) for r, rule in enumerate(model.rules)]
+    rules = [(r, rule.enabled, rule.gate, applies[r]) for r, rule in enumerate(model.rules)]
     pids = range(len(init))
     pop = frontier.popleft if config.search == "bfs" else frontier.pop
     reserve, push = visited.setdefault, frontier.append
@@ -279,21 +278,16 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
                 if not enabled(state[pid], pid) or gate is not None and not gate(state, pid):
                     continue
                 fired = True
-                succ = apply(state, pid)
                 try:
-                    tid = reserve(encode(succ), fresh_id)
-                except TypeError:  # only an ill-formed state is unhashable: the check says why
-                    check(succ)
-                    raise
+                    succ = apply(state, pid)
+                except QueueOverflowError:  # a new successor: no stored state is over it
+                    return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
+                tid = reserve(encode(succ), fresh_id)
                 if tid != fresh_id:  # most transitions match a stored state
                     matched += 1
                     if observe is not None:
                         fired_edges += (sid, r, pid, tid)
                     continue
-                try:
-                    check(succ)
-                except QueueOverflowError:
-                    return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
                 if fresh_id >= max_states:
                     return finish(Verdict.LIMIT_EXCEEDED)
                 add_state(succ)

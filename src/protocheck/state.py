@@ -3,12 +3,12 @@
 A system state is the plain tuple of its process states, one per pid. Every
 value here is a tuple, never changed once built, so states can be shared
 freely between the search engine, the visited set, and reconstructed traces.
-`memoized_apply` is the one way to build a successor, in the search and in
-replay: it shares every process a rule does not change, by identity, and a
-step takes its queue head with `receive`. `_check_like` alone checks what a
-step makes, on each new effect and process object; `check(n)` and the queue
-bound run once per stored process object, in a search's one `state_checker`.
-Every error of a broken model is a ValueError.
+`memoized_apply` is the one way to build a successor: it shares every
+process a rule does not change, by identity, and a step takes its queue head
+with `receive`. A search and replay apply each step through new memos
+(`checked_applies`), which check each process once, where they make it:
+`_check_like` on its types and messages, then `check_process` on its queue
+bound and `check(n)`. Every error of a broken model is a ValueError.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple with a
@@ -25,7 +25,7 @@ and a pure local step, which `memoized_apply` makes the rule's apply.
 """
 
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 
 class QueueOverflowError(ValueError):
@@ -115,21 +115,28 @@ def _check_like(pid: int, proc, like, n: int, sends: tuple = ()) -> None:
                 raise ValueError(f"process {pid}: payload id {rank!r} is not an int in [0, {n})")
 
 
-def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None]:
+def check_process(pid: int, proc, n: int, queue_capacity: int) -> None:
+    """After `_check_like`: QueueOverflowError for a queue over `queue_capacity`,
+    else the ValueError of `proc.check(n)`, each naming process `pid`."""
+    if len(proc.queue) > queue_capacity:
+        raise QueueOverflowError(f"queue of process {pid} is over capacity {queue_capacity}")
+    try:
+        proc.check(n)
+    except ValueError as err:
+        raise ValueError(f"process {pid}: {err}") from err
+
+
+def state_checker(initial: State, queue_capacity: int) -> Callable[[State], State]:
     """The well-formedness check of one search from `initial`. It needs a
     capacity of at least 1 and a first process whose type defaults `queue` to
     `()` and every other field to exactly an `int` or an `Enum` member (else
     ValueError), pins `n = len(initial)`, that type and its defaults' types,
-    and checks `initial` before it returns, so a checker has passed its own state.
-
-    `check(state)` raises ValueError unless `state` is a tuple of `n`
-    processes that pass `_check_like` against the pinned defaults and
-    `check(n)`; QueueOverflowError for a queue over `queue_capacity`. Either
-    error names the first failing pid. `check(n)` and the bound run here
-    only, once per process object: a set keeps the `id` of each that passed
-    (and a list holds the object, so its id is never reused); by identity,
-    not value, since `True == 1`.
-    """
+    and checks `initial` before it returns, so a checker has passed its own
+    state. `check(state)` returns `state` if it is a tuple of `n` processes
+    that pass `_check_like` against the pinned defaults and `check_process`,
+    else raises its error for the first failing pid. It checks each process
+    object once: a set keeps the `id` of each that passed (and a list holds
+    the object, so its id is never reused); by identity, since `True == 1`."""
     if queue_capacity < 1:
         raise ValueError("queue capacity must be positive")
     if not initial:
@@ -156,20 +163,15 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], None
         if len(state) != n:
             raise ValueError(f"a rule changed the process count from {n} to {len(state)}")
         if passed.issuperset(map(id, state)):  # most states: one test, no Python loop
-            return
+            return state
         for pid, proc in enumerate(state):
             if id(proc) in passed:
                 continue
             _check_like(pid, proc, pinned, n)
-            if len(proc.queue) > queue_capacity:
-                raise QueueOverflowError(f"queue of process {pid} is over capacity "
-                                         f"{queue_capacity}")
-            try:
-                proc.check(n)
-            except ValueError as err:
-                raise ValueError(f"process {pid}: {err}") from err
+            check_process(pid, proc, n, queue_capacity)
             held.append(proc)
             passed.add(id(proc))
+        return state
 
     check(initial)
     return check
@@ -183,48 +185,66 @@ def receive(proc, pid: int) -> tuple[Message, Queue]:
     return proc.queue[0], proc.queue[1:]
 
 
-def memoized_apply(step: Callable) -> Callable[[State, int], State]:
+class memoized_apply:
     """The state-level apply of a rule whose local step `step(proc, pid)`
     gives process `pid`'s new state and its sends, a tuple `((target,
-    message), ...)` appended in order. Each effect is kept per (pid, process)
-    for the apply's lifetime once it is such a pair and `_check_like` passes
-    its new process, against the one it replaces, with its sends (else
-    ValueError naming the pid, keeping nothing), so a matched successor is as
-    well typed as its stored twin. Each append is kept per (target process,
-    message): sharing is per effect and per append, not per equal value;
-    id-keyed memos and per-pid dicts measured no faster. Checking every
-    successor in the search loop instead measured 1.17-1.45x slower.
-    `__wrapped__` is `step`, for a reference applier such as `tests/oracle.py`."""
-    effects: dict = {}
-    appends: dict = {}
+    message), ...)` appended in order. It keeps each effect per (pid, process)
+    once it is such a pair and `_check_like` passes its new process, against
+    the one it replaces, with its sends, and each append per (target process,
+    message); what fails is a ValueError naming the pid, and is not kept. So
+    a matched successor is as well typed as its stored twin. With a
+    `queue_capacity`, `check_process` passes each process before it is kept,
+    as in a search: 1.14x the transitions/s of checking each new state in the
+    search loop (ring unordered N=5). `__wrapped__` is `step`."""
 
-    def apply(state: State, pid: int) -> State:
-        proc = state[pid]
-        effect = effects.get((pid, proc))
-        if effect is None:
-            effect = step(proc, pid)
-            try:
-                if type(effect) is not tuple or len(effect) != 2 or type(effect[1]) is not tuple:
-                    raise TypeError("not a pair of a process and a tuple")
-                # the sends here, as `appends` may hold a twin's append under its equal
-                _check_like(pid, effect[0], proc, len(state), effect[1])
-            except TypeError as err:
-                raise ValueError(f"process {pid}: a step gives (process, ((target, message), "
-                                 f"...)), not {effect!r}") from err
-            effects[pid, proc] = effect
-        procs = list(state)
-        procs[pid], sends = effect
-        for to, message in sends:
-            target = procs[to]
-            appended = appends.get((target, message))
-            if appended is None:
-                appended = appends[target, message] = target._replace(
-                    queue=target.queue + (message,))
-            procs[to] = appended
-        return tuple(procs)
+    def __init__(self, step: Callable, queue_capacity: Optional[int] = None):
+        effects, appends = {}, {}
 
-    apply.__wrapped__ = step
-    return apply
+        def apply(state: State, pid: int) -> State:
+            proc = state[pid]
+            effect = effects.get((pid, proc))
+            if effect is None:
+                effect = step(proc, pid)
+                try:
+                    if (type(effect) is not tuple or len(effect) != 2
+                            or type(effect[1]) is not tuple):
+                        raise TypeError("not a pair of a process and a tuple")
+                    # the sends here, as `appends` may hold a twin's append under its equal
+                    _check_like(pid, effect[0], proc, len(state), effect[1])
+                except TypeError as err:
+                    raise ValueError(f"process {pid}: a step gives (process, ((target, "
+                                     f"message), ...)), not {effect!r}") from err
+                if queue_capacity:
+                    check_process(pid, effect[0], len(state), queue_capacity)
+                effects[pid, proc] = effect
+            procs = list(state)
+            procs[pid], sends = effect
+            for to, message in sends:
+                target = procs[to]
+                appended = appends.get((target, message))
+                if appended is None:
+                    appended = target._replace(queue=target.queue + (message,))
+                    if queue_capacity:
+                        check_process(to, appended, len(state), queue_capacity)
+                    appends[target, message] = appended
+                procs[to] = appended
+            return tuple(procs)
+
+        self.__wrapped__, self._apply = step, apply
+
+    def __call__(self, state: State, pid: int) -> State:
+        return self._apply(state, pid)
+
+
+def checked_applies(initial: State, queue_capacity: int, applies) -> list[Callable]:
+    """Each of `applies` as one search from `initial` applies it: a
+    `memoized_apply` (known by its type, which no wrapper copies) as a new
+    memo of its step that checks each process once, where it makes it; any
+    other apply followed by the search's `state_checker` on each state."""
+    check = state_checker(initial, queue_capacity)
+    return [memoized_apply(apply.__wrapped__, queue_capacity)._apply
+            if type(apply) is memoized_apply
+            else lambda state, pid, apply=apply: check(apply(state, pid)) for apply in applies]
 
 
 def process_fields(proc) -> dict:
@@ -251,11 +271,8 @@ def render_state(state: State, text: Callable[[object], str] = render_process) -
 
 def canonical_encode(state: State) -> State:
     """The visited-set key: the identity, as the state is its own key.
-
-    Injective, as each value has its default's type (an `int`, an `Enum`
-    member or a queue of `Message`s), so `True == 1` twins never merge:
-    `_check_like` enforces it, in `state_checker` and `memoized_apply`. The
-    engine calls this on the initial state and per fired transition, as the
-    hook a benchmark can wrap to time the key layer.
-    """
+    Injective, as each value has its default's type (an `int`, an `Enum` member
+    or a queue of `Message`s), so `True == 1` twins never merge: `_check_like`
+    enforces it wherever a process is checked. The engine calls this on the
+    initial state and per fired transition, as the hook a benchmark wraps."""
     return state

@@ -6,10 +6,14 @@ times, applies once per fired transition, the invariant once per stored
 state and the visited-set key once per fired transition plus the initial
 state; a gate once per (stored state, pid) where its rule's guard holds.
 Pinned here so that a break fails the tests, not only the benchmark. Only
-the well-formedness check runs less often: each process object is checked
-once per search, by identity.
+the well-formedness check runs less often: each process is checked once per
+search, where the search's memo of a step makes it. An apply that is no
+step memo, as the counting wrappers here and the benchmark's traced rounds
+make, is checked by the search's `state_checker` on each state it gives,
+once per process object, by identity.
 """
 
+import functools
 import json
 from collections import Counter
 from dataclasses import replace
@@ -31,7 +35,7 @@ from protocheck.barrier import (
 from protocheck.engine import ExploreConfig, Verdict, explore
 from protocheck.ring import ORDERED, UNORDERED, RingConfig, ring_model
 from protocheck.state import QueueOverflowError, state_checker
-from test_cli import run_child
+from test_cli import run_child, stepless
 from test_engine import explore_logged
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
@@ -44,6 +48,13 @@ def _counted(fn, calls, key):
     return wrapper
 
 
+def _counted_wraps(fn, calls, key):
+    """`_counted` as `functools.wraps` makes it: it copies `fn`'s `__dict__`
+    and sets `__wrapped__`, yet it is no step memo, so a search checks its states."""
+    return functools.wraps(fn)(_counted(fn, calls, key))
+
+
+@pytest.mark.parametrize("counted", [_counted, _counted_wraps], ids=["plain", "functools-wraps"])
 @pytest.mark.parametrize("model", [
     barrier_model(BarrierConfig(size=6, variant=LEADER_LAST)),
     barrier_model(BarrierConfig(size=6, variant=LEADER_FIRST)),
@@ -51,21 +62,21 @@ def _counted(fn, calls, key):
     ring_model(RingConfig(size=4, variant=UNORDERED)),
 ], ids=["barrier-leader_last-6", "barrier-leader_first-6", "ring-ordered-4",
         "ring-unordered-4"])
-def test_call_counts_are_fixed_by_the_search(model, monkeypatch):
+def test_call_counts_are_fixed_by_the_search(model, counted, monkeypatch):
     plain = explore(model).stats
     calls = Counter()
     # `replace` keeps each rule's gate; a positional rebuild would drop it
-    counted = replace(
+    traced = replace(
         model,
-        rules=tuple(replace(rule, enabled=_counted(rule.enabled, calls, "guard"),
-                            apply=_counted(rule.apply, calls, "apply"),
-                            gate=rule.gate and _counted(rule.gate, calls, "gate"))
+        rules=tuple(replace(rule, enabled=counted(rule.enabled, calls, "guard"),
+                            apply=counted(rule.apply, calls, "apply"),
+                            gate=rule.gate and counted(rule.gate, calls, "gate"))
                     for rule in model.rules),
-        invariant=_counted(model.invariant, calls, "invariant"),
+        invariant=counted(model.invariant, calls, "invariant"),
     )
     monkeypatch.setattr(engine, "canonical_encode",
-                        _counted(engine.canonical_encode, calls, "encode"))
-    result = explore(counted)
+                        counted(engine.canonical_encode, calls, "encode"))
+    result = explore(traced)
     st = result.stats
     assert result.verdict is Verdict.VERIFIED
     assert replace(st, elapsed=0.0) == replace(plain, elapsed=0.0)
@@ -183,3 +194,7 @@ def test_fired_count_matches_the_edge_log_on_every_exit(model, config, verdict):
     result, _, edges = explore_logged(model, config)
     assert result.verdict is verdict
     assert result.stats.transitions_fired == len(edges) > 0
+    # applies with no step memo, whose states the search checks, stop alike
+    other = explore(stepless(model), config)
+    assert (other.verdict, other.witness) == (verdict, result.witness)
+    assert replace(other.stats, elapsed=0.0) == replace(result.stats, elapsed=0.0)

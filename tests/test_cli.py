@@ -639,6 +639,14 @@ def _with_apply(rule, apply):
 _B1, _R1 = partial(_with_apply, "client_request"), partial(_with_apply, "begin_insert")
 
 
+def stepless(model):
+    """`model` with each rule's apply behind a plain function, which carries
+    no step, as in the benchmark's traced rounds: a search then checks each
+    state the apply gives, not each process a step memo makes."""
+    return replace(model, rules=tuple(
+        replace(r, apply=lambda s, p, apply=r.apply: apply(s, p)) for r in model.rules))
+
+
 def _fail_first(apply):
     """An edit that puts first a rule `fail`, enabled everywhere, that
     `apply`s: no step names it, and a search fires it before any other move."""
@@ -784,9 +792,10 @@ def test_a_broken_model_fails_explore_run_and_replay(golden, edit, error, messag
     def text(s):
         return re.sub(r" at 0x[0-9a-f]+>", ">", s)
 
-    with pytest.raises(error) as raised:
-        explore(broken(config_class(**doc)))
-    assert text(str(raised.value)) == message
+    for searched in broken, lambda cfg: stepless(broken(cfg)):  # both ways to check
+        with pytest.raises(error) as raised:
+            explore(searched(config_class(**doc)))
+        assert text(str(raised.value)) == message
     last = f"error: {message}" if error is ValueError else f"{error.__name__}: {message}"
     monkeypatch.setitem(cli.MODELS, name, (config_class, broken))
     flags = [f"--{k.replace('_', '-')}={v}" for k, v in doc.items()]

@@ -229,39 +229,37 @@ def test_search_never_renders(model, monkeypatch):
     assert set(result.states) == set(oracle.enumerate_reachable(model))
 
 
-def _memo_entries(model):
-    """The number of effects and appends that the rules' memos hold."""
-    return sum(len(getclosurevars(rule.apply).nonlocals[memo])
-               for rule in model.rules for memo in ("effects", "appends"))
-
-
 @pytest.mark.parametrize("build", [
     lambda: barrier_model(BarrierConfig(size=4)),
     lambda: ring_model(RingConfig(size=4, variant=UNORDERED)),
 ], ids=["barrier", "ring"])
 def test_processes_are_built_only_on_a_memo_miss(build, monkeypatch):
     # a step or an append builds a process with `_replace`, which goes through
-    # `_make`: a cold search builds at most one process per memo entry, and a
-    # search whose memos are warm builds none
-    built = []
-
-    def counted(make):
-        return staticmethod(lambda iterable: built.append(make) or make(iterable))
-
-    def refuse(iterable):
-        raise AssertionError("a process was built on a memo hit")
-
+    # `_make`: a search builds at most one process per entry of its own memos,
+    # and a second search of the model, with new memos, builds as many
     model = build()
-    with monkeypatch.context() as patch:
-        for cls in (BarrierProcessState, RingProcessState):
-            patch.setattr(cls, "_make", counted(cls._make))
-        cold = explore(model)
-    assert cold.verdict is Verdict.VERIFIED
-    assert 0 < len(built) <= _memo_entries(model)
-    for cls in (BarrierProcessState, RingProcessState):
-        monkeypatch.setattr(cls, "_make", staticmethod(refuse))
-    warm = explore(model)
-    assert warm.states == cold.states and warm.stats.states_matched == cold.stats.states_matched
+    checked = protocheck.engine.checked_applies
+    searches = []
+    for _ in range(2):
+        built, memos = [], []  # the processes made, and the search's checked applies
+        with monkeypatch.context() as patch:
+            for cls in (BarrierProcessState, RingProcessState):
+                make = cls._make
+                patch.setattr(cls, "_make", staticmethod(
+                    lambda iterable, make=make: built.append(make) or make(iterable)))
+            patch.setattr(protocheck.engine, "checked_applies",
+                          lambda *args: memos.extend(checked(*args)) or memos)
+            result = explore(model)
+        assert result.verdict is Verdict.VERIFIED
+        assert len(memos) == len(model.rules)
+        entries = sum(len(getclosurevars(apply).nonlocals[memo])
+                      for apply in memos for memo in ("effects", "appends"))
+        assert 0 < len(built) <= entries
+        # the model's own memos, for calls made outside a search, stay empty
+        assert not any(getclosurevars(rule.apply._apply).nonlocals[memo]
+                       for rule in model.rules for memo in ("effects", "appends"))
+        searches.append((len(built), result.states))
+    assert searches[0] == searches[1]
 
 
 # The benchmark's workloads (perfbench/workloads.json), pinned here so that a

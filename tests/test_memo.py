@@ -1,6 +1,7 @@
 """The memoized rule applies: each agrees with the rule's uncached local step,
 hands back one object per equal (pid, process), keeps nothing for a step
-that fails, and leaves a second search on the same model unchanged. That an
+that fails, and leaves a search unchanged however warm the model's own memos
+are, since each search makes its own. That an
 effect typed unlike its default fails in either rule order is
 `test_state.py`'s twin table."""
 
@@ -95,12 +96,16 @@ def test_ring_splice_to_an_unset_neighbor_is_out_of_range():
 ], ids=["barrier-6-bfs", "barrier-leader_first-6-dfs", "ring-unordered-4-bfs",
         "ring-unordered-4-dfs"])
 def test_warm_memo_search_repeats_the_cold_one(build, search, tmp_path):
+    # a search makes its own memos, so the model's, warmed between the two
+    # searches by applying each fired transition outside a search, change nothing
     model = build()
     config = ExploreConfig(search=search)
     runs = []
     for k in range(2):
-        result, log, _ = explore_logged(model, config)
+        result, log, edges = explore_logged(model, config)
         cli.export_state_graph(result, log, tmp_path / f"{k}.dot")
         runs.append((replace(result.stats, elapsed=0.0), result.parents,
                      result.terminal_states, (tmp_path / f"{k}.dot").read_bytes()))
+        for src, name, pid, _ in edges:
+            model.rule_named(name).apply(result.states[src], pid)
     assert runs[0] == runs[1]

@@ -31,9 +31,8 @@ def _retained(observed):
     """(result, log, bytes still allocated by the search while both live):
     a fresh log per search, fed by `observe` if `observed`, else left empty.
 
-    A first search warms the rules' memos, which live as long as the model,
-    so that neither measured search counts them."""
-    explore(MODEL)
+    A search makes its rules' memos and drops them when it returns, so
+    neither figure counts them, and no first search is needed to warm them."""
     gc.collect()  # empties the free lists, which would hide reused blocks
     tracemalloc.start()
     try:
