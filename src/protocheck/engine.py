@@ -2,11 +2,16 @@
 
 The search derives every state reachable from the initial state through the
 model's guarded transition rules, deduplicating by the state itself (the
-tuple of process states); no state is rendered during a search. Each
+tuple of process states); no state is rendered during a search. A state's
+moves come from a per-search move table, one dict per pid keyed by the
+process there, so a guard is asked once per (pid, process) where every
+rule's apply is a step memo, else once per (state, rule, pid). Each
 process is checked where a rule's step makes it, in the search's own memos
 (`state.checked_applies`), each new state then against the invariant, and
 each terminal state against the postcondition the moment it is popped.
 Exploration is sequential and deterministic, so counts repeat run to run.
+`replay` and `tests/oracle.py` never read the table: they call each rule's
+`enabled_at`.
 """
 
 import reprlib
@@ -16,9 +21,11 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Any, Callable, ClassVar, Optional
 
-from .state import QueueOverflowError, State, canonical_encode, checked_applies
+from .state import (QueueOverflowError, State, canonical_encode, checked_applies,
+                    memoized_apply)
 
 
 class Verdict(Enum):
@@ -38,9 +45,11 @@ class TransitionRule:
     whole state (only ring `ordered`'s `begin_insert` has one). `apply` may
     only be invoked where `enabled_at` holds; all three are pure and
     deterministic. A protocol's `apply` is a local step made state-level by
-    `state.memoized_apply`. Guards run stored x rules x N times a search, so
-    they are plain functions that compare with module-level Enum aliases; on
-    barrier, putting the most often false test first measured faster.
+    `state.memoized_apply`. `explore` asks each guard once per distinct
+    (pid, process) when every rule's apply is such a memo, else stored x
+    rules x N times a search; guards are plain functions that compare with
+    module-level Enum aliases, and on barrier, putting the most often false
+    test first measured faster.
     """
 
     name: str
@@ -203,6 +212,24 @@ class TraceStep:
     state: State
 
 
+class _MoveTable(dict):
+    """One search's moves at one pid, keyed by the process there: the codes
+    `r * N + pid`, ascending, of the rules `r` whose guard holds for it. A
+    miss asks every rule's guard, and the answer is kept only if `keep`."""
+
+    __slots__ = ("pid", "guards", "keep")
+
+    def __init__(self, pid: int, guards: list, keep: bool):
+        self.pid, self.guards, self.keep = pid, guards, keep
+
+    def __missing__(self, proc) -> tuple[int, ...]:
+        pid = self.pid
+        codes = tuple([code for code, enabled in self.guards if enabled(proc, pid)])
+        if self.keep:
+            self[proc] = codes
+        return codes
+
+
 def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> ExplorationResult:
     """Derive and store every reachable state of `model`.
 
@@ -210,6 +237,19 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     declaration order and pids in ascending order; this fixes the traversal
     (and therefore the statistics) but never the reachable set. Under BFS a
     violating witness is found at minimal distance from the initial state.
+
+    A popped state's moves are the codes its processes have in the move
+    table, one `_MoveTable` per pid, sorted: rule first, then pid. A gate is
+    tested per (state, pid) where its guard holds. A guard reads only its
+    process and pid, and `_check_like` leaves no twins among the processes
+    a search holds, so an answer may be kept per process value. The table
+    keeps its answers only when every rule's apply is a `memoized_apply`:
+    any other apply (a hand-written one, or the benchmark's traced
+    wrappers) makes it ask every guard per state, as the traced rounds'
+    call identities expect. ROADMAP item 2 deletes that branch once the
+    wrappers go. A state's guards are all asked before its first move
+    fires, so a guard's error can surface before a lower rule's move in the
+    same state fires; no sound model's verdict depends on it.
 
     The search stops at the first invariant or postcondition violation, at a
     limit, or at the fixed point. A successor over the queue bound is
@@ -255,11 +295,14 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     if not invariant(init):
         return finish(Verdict.INVARIANT_VIOLATED, witness=0)
 
-    # looked up once here, not per (state, rule, pid); the loop inlines `enabled_at`.
-    # The guards stay a Python loop: on 3.11, with guards written in Python,
-    # `map` or `itertools.compress` over them measured 25-35% slower.
-    rules = [(r, rule.enabled, rule.gate, applies[r]) for r, rule in enumerate(model.rules)]
-    pids = range(len(init))
+    # code r * N + pid -> what firing rule r at pid needs, looked up once here
+    n = len(init)
+    moves = [(r, pid, rule.gate, applies[r]) for r, rule in enumerate(model.rules)
+             for pid in range(n)]
+    keep = all(type(rule.apply) is memoized_apply for rule in model.rules)
+    tables = [_MoveTable(pid, [(r * n + pid, rule.enabled) for r, rule in enumerate(model.rules)],
+                         keep) for pid in range(n)]
+    getitem, move = dict.__getitem__, moves.__getitem__
     pop = frontier.popleft if config.search == "bfs" else frontier.pop
     reserve, push = visited.setdefault, frontier.append
     add_state, add_parent = states.append, parents.extend
@@ -273,31 +316,31 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
         sid = pop()
         state = states[sid]
         fired = False
-        for r, enabled, gate, apply in rules:
-            for pid in pids:
-                if not enabled(state[pid], pid) or gate is not None and not gate(state, pid):
-                    continue
-                fired = True
-                try:
-                    succ = apply(state, pid)
-                except QueueOverflowError:  # a new successor: no stored state is over it
-                    return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
-                tid = reserve(encode(succ), fresh_id)
-                if tid != fresh_id:  # most transitions match a stored state
-                    matched += 1
-                    if observe is not None:
-                        fired_edges += (sid, r, pid, tid)
-                    continue
-                if fresh_id >= max_states:
-                    return finish(Verdict.LIMIT_EXCEEDED)
-                add_state(succ)
-                add_parent((sid, r, pid))
-                push(fresh_id)
-                fresh_id += 1
+        codes = sorted(chain.from_iterable(map(getitem, tables, state)))
+        for r, pid, gate, apply in map(move, codes):
+            if gate is not None and not gate(state, pid):
+                continue
+            fired = True
+            try:
+                succ = apply(state, pid)
+            except QueueOverflowError:  # a new successor: no stored state is over it
+                return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
+            tid = reserve(encode(succ), fresh_id)
+            if tid != fresh_id:  # most transitions match a stored state
+                matched += 1
                 if observe is not None:
                     fired_edges += (sid, r, pid, tid)
-                if not invariant(succ):
-                    return finish(Verdict.INVARIANT_VIOLATED, witness=tid)
+                continue
+            if fresh_id >= max_states:
+                return finish(Verdict.LIMIT_EXCEEDED)
+            add_state(succ)
+            add_parent((sid, r, pid))
+            push(fresh_id)
+            fresh_id += 1
+            if observe is not None:
+                fired_edges += (sid, r, pid, tid)
+            if not invariant(succ):
+                return finish(Verdict.INVARIANT_VIOLATED, witness=tid)
         if fired_edges:
             observe(fired_edges)
             fired_edges.clear()

@@ -1,16 +1,18 @@
 """What the search loop calls, and how often.
 
-The call counts are the benchmark's contract (perfbench/run.py checks them
-on its traced rounds): per verified search, guards run stored x rules x N
-times, applies once per fired transition, the invariant once per stored
-state and the visited-set key once per fired transition plus the initial
-state; a gate once per (stored state, pid) where its rule's guard holds.
-Pinned here so that a break fails the tests, not only the benchmark. Only
-the well-formedness check runs less often: each process is checked once per
-search, where the search's memo of a step makes it. An apply that is no
-step memo, as the counting wrappers here and the benchmark's traced rounds
-make, is checked by the search's `state_checker` on each state it gives,
-once per process object, by identity.
+Per verified search, applies run once per fired transition, the invariant
+once per stored state and the visited-set key once per fired transition
+plus the initial state; a gate once per (stored state, pid) where its rule's
+guard holds. Guards depend on the applies. Where every rule's apply is a
+step memo, the search's move table asks each guard once per distinct (pid,
+process) among the stored states. Where any is not, as the counting
+wrappers here and the benchmark's traced rounds make, the table keeps
+nothing and guards run stored x rules x N times: the benchmark's contract
+(perfbench/run.py checks it on its traced rounds), pinned here so that a
+break fails the tests, not only the benchmark. The well-formedness check
+runs once per process: where the search's memo of a step makes it, or, for
+an apply that is no step memo, by the search's `state_checker` on each
+state it gives, once per process object, by identity.
 """
 
 import functools
@@ -54,7 +56,8 @@ def _counted_wraps(fn, calls, key):
     return functools.wraps(fn)(_counted(fn, calls, key))
 
 
-@pytest.mark.parametrize("counted", [_counted, _counted_wraps], ids=["plain", "functools-wraps"])
+@pytest.mark.parametrize("counted", [_counted, _counted_wraps, None],
+                         ids=["plain", "functools-wraps", "step-memo"])
 @pytest.mark.parametrize("model", [
     barrier_model(BarrierConfig(size=6, variant=LEADER_LAST)),
     barrier_model(BarrierConfig(size=6, variant=LEADER_FIRST)),
@@ -66,16 +69,21 @@ def test_call_counts_are_fixed_by_the_search(model, counted, monkeypatch):
     plain = explore(model).stats
     calls = Counter()
     # `replace` keeps each rule's gate; a positional rebuild would drop it
+    wrap = counted or _counted
     traced = replace(
         model,
-        rules=tuple(replace(rule, enabled=counted(rule.enabled, calls, "guard"),
-                            apply=counted(rule.apply, calls, "apply"),
-                            gate=rule.gate and counted(rule.gate, calls, "gate"))
+        rules=tuple(replace(rule, enabled=wrap(rule.enabled, calls, "guard"),
+                            apply=counted(rule.apply, calls, "apply") if counted else rule.apply,
+                            gate=rule.gate and wrap(rule.gate, calls, "gate"))
                     for rule in model.rules),
-        invariant=counted(model.invariant, calls, "invariant"),
+        invariant=wrap(model.invariant, calls, "invariant"),
     )
+    if counted is None:  # the rules keep their step memos: count where the search makes them
+        real_checked_applies = engine.checked_applies
+        monkeypatch.setattr(engine, "checked_applies", lambda *args: [
+            _counted(apply, calls, "apply") for apply in real_checked_applies(*args)])
     monkeypatch.setattr(engine, "canonical_encode",
-                        counted(engine.canonical_encode, calls, "encode"))
+                        wrap(engine.canonical_encode, calls, "encode"))
     result = explore(traced)
     st = result.stats
     assert result.verdict is Verdict.VERIFIED
@@ -85,8 +93,12 @@ def test_call_counts_are_fixed_by_the_search(model, counted, monkeypatch):
     hits = sum(rule.enabled(state[pid], pid)
                for rule in gated for state in result.states for pid in range(n))
     assert (hits > 0) == bool(gated)  # only ring ordered has a gate
+    # with step memos the move table asks the guards once per distinct
+    # (pid, process); with any other apply, once per (state, pid)
+    asked = (sum(len({state[pid] for state in result.states}) for pid in range(n))
+             if counted is None else st.states_stored * n)
     assert calls == Counter({
-        "guard": st.states_stored * len(model.rules) * n,
+        "guard": asked * len(model.rules),
         "gate": hits,
         "apply": st.transitions_fired,
         "invariant": st.states_stored,

@@ -667,6 +667,13 @@ def _crash(state, pid):
     return state[len(state)]
 
 
+def _guard_raises(proc, pid):
+    """barrier_in_nonleader's guard, but raising where a client asked and a message waits."""
+    if proc.client_barrier_in and proc.queue:
+        raise ValueError("a guard fails where a client asked and a message waits")
+    return barrier.barrier_in_nonleader_enabled(proc, pid)
+
+
 def _twins(default, value, twin):
     """An edit to a model of `_Twin` processes, whose field `x` takes values
     that `==` merges though they differ: its rules `one` and `two` set `x`
@@ -759,6 +766,11 @@ _BROKEN_MODELS = {
     "probe-unhashable": (_R, _fail_first(lambda s, pid: list(s)), ValueError,
                          "a state must be a tuple, not list"),
     "probe-crash": (_R, _fail_first(_crash), IndexError, "tuple index out of range"),
+    # a reachable process where a guard raises: `replay` meets it at step 3
+    "guard-raises": (_B, lambda model: replace(model, rules=tuple(
+        replace(r, enabled=_guard_raises) if r.name == "barrier_in_nonleader" else r
+        for r in model.rules)), ValueError,
+        "a guard fails where a client asked and a message waits"),
     # bools: equal to the recorded zeros, but not the ints the defaults pin
     "bool-initial": (_B, lambda model: replace(model, initial_state=(
         BarrierProcessState(False, False, False),) * len(model.initial_state)), ValueError,
