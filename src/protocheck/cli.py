@@ -247,7 +247,7 @@ def _cmd_replay(args) -> int:
     # that breaks is an error, as in `run`: a mismatch blames only the trace
     model = build(cfg)
     state = model.initial_state
-    applies = checked_applies(state, model.queue_capacity, [rule.apply for rule in model.rules])
+    applies, _ = checked_applies(state, model.queue_capacity, [rule.apply for rule in model.rules])
     print(f"# counterexample trace\n# {_header_line(model_name, cfg)}\n# verdict={verdict}")
     rule_name = pid = None  # the initial state is reached by no rule
     for i, step in enumerate(steps):

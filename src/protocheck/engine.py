@@ -24,8 +24,7 @@ from enum import Enum
 from itertools import chain
 from typing import Any, Callable, ClassVar, Optional
 
-from .state import (QueueOverflowError, State, canonical_encode, checked_applies,
-                    memoized_apply)
+from .state import QueueOverflowError, State, canonical_encode, checked_applies
 
 
 class Verdict(Enum):
@@ -47,9 +46,10 @@ class TransitionRule:
     deterministic. A protocol's `apply` is a local step made state-level by
     `state.memoized_apply`. `explore` asks each guard once per distinct
     (pid, process) when every rule's apply is such a memo, else stored x
-    rules x N times a search; guards are plain functions that compare with
-    module-level Enum aliases, and on barrier, putting the most often false
-    test first measured faster.
+    rules x N times a search. Only there, with a hand-written apply as in
+    the benchmark's traced rounds, does a guard's cost show: plain functions
+    comparing with module-level Enum aliases, and on barrier the most often
+    false test first, measured faster.
     """
 
     name: str
@@ -115,6 +115,11 @@ class ProtocolModel:
 
     def __post_init__(self):
         names = [rule.name for rule in self.rules]  # a trace names its rules
+        for name in names:  # each is a DOT label and part of one line of replay's output
+            if (type(name) is not str or not set(name).isdisjoint('"\\')
+                    or name.splitlines() not in ([], [name])):
+                raise ValueError(f"rule name {reprlib.repr(name)} must be a str free of "
+                                 f"'\"', '\\' and line breaks")
         if len(set(names)) < len(names):
             raise ValueError(f"two rules are named {max(names, key=names.count)!r}")
 
@@ -242,14 +247,14 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     table, one `_MoveTable` per pid, sorted: rule first, then pid. A gate is
     tested per (state, pid) where its guard holds. A guard reads only its
     process and pid, and `_check_like` leaves no twins among the processes
-    a search holds, so an answer may be kept per process value. The table
-    keeps its answers only when every rule's apply is a `memoized_apply`:
-    any other apply (a hand-written one, or the benchmark's traced
-    wrappers) makes it ask every guard per state, as the traced rounds'
-    call identities expect. ROADMAP item 2 deletes that branch once the
-    wrappers go. A state's guards are all asked before its first move
-    fires, so a guard's error can surface before a lower rule's move in the
-    same state fires; no sound model's verdict depends on it.
+    a search holds, so an answer may be kept per process value. It is kept
+    only when `checked_applies` finds every apply a step memo: any other (a
+    hand-written one, or the benchmark's traced wrappers) makes the table
+    ask every guard per state, as the traced rounds' call identities expect;
+    ROADMAP item 2 deletes that branch once the wrappers go. A state's
+    guards are all asked before its first move fires, so a guard's error can
+    surface before a lower rule's move in the same state fires; no sound
+    model's verdict depends on it.
 
     The search stops at the first invariant or postcondition violation, at a
     limit, or at the fixed point. A successor over the queue bound is
@@ -290,7 +295,7 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     # is read from the module per call, so a wrapper on `canonical_encode` sees
     # every call; `tuple` in its place measured only 0.4% faster.
     encode, invariant = canonical_encode, model.invariant
-    applies = checked_applies(init, model.queue_capacity, [rule.apply for rule in model.rules])
+    applies, keep = checked_applies(init, model.queue_capacity, [r.apply for r in model.rules])
     visited[encode(init)] = 0  # `checked_applies` has checked it, so it hashes
     if not invariant(init):
         return finish(Verdict.INVARIANT_VIOLATED, witness=0)
@@ -299,7 +304,6 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     n = len(init)
     moves = [(r, pid, rule.gate, applies[r]) for r, rule in enumerate(model.rules)
              for pid in range(n)]
-    keep = all(type(rule.apply) is memoized_apply for rule in model.rules)
     tables = [_MoveTable(pid, [(r * n + pid, rule.enabled) for r, rule in enumerate(model.rules)],
                          keep) for pid in range(n)]
     getitem, move = dict.__getitem__, moves.__getitem__
@@ -356,9 +360,10 @@ def reconstruct_trace(result: ExplorationResult, target: int) -> list[TraceStep]
 
     Each step's state equals the named rule applied at the named pid to the
     previous step's state; the first step is the initial state, with no rule.
+    A `target` that is no stored state's `int` id, or is a `bool`, is a KeyError.
     """
-    if not 0 <= target < len(result.states):
-        raise KeyError(f"unknown state id {target}")
+    if type(target) is not int or not 0 <= target < len(result.states):
+        raise KeyError(f"unknown state id {target!r}")
     parents = result.parents
     steps: list[TraceStep] = []
     sid = target

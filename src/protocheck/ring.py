@@ -75,8 +75,8 @@ class RingStatus(Enum):
     IN_RING = auto()
 
 
-# Guards compare against module-level aliases (see `engine.TransitionRule`):
-# an Enum member lookup costs a dozen global lookups.
+# Guards compare against module-level aliases (`engine.TransitionRule` says
+# where that shows): an Enum member lookup costs a dozen global lookups.
 _OUTSIDE, _IN_RING, _INSERTING = RingStatus.OUTSIDE, RingStatus.IN_RING, RingStatus.INSERTING
 _REQ, _RHS, _ACK = MessageKind.REQ_INSERT, MessageKind.NEW_RHS, MessageKind.INSERT_ACK
 

@@ -6,9 +6,9 @@ freely between the search engine, the visited set, and reconstructed traces.
 `memoized_apply` is the one way to build a successor: it shares every
 process a rule does not change, by identity, and a step takes its queue head
 with `receive`. A search and replay apply each step through new memos
-(`checked_applies`), which check each process once, where they make it:
-`_check_like` on its types and messages, then `check_process` on its queue
-bound and `check(n)`. Every error of a broken model is a ValueError.
+(`checked_applies`), and each process is checked once, where it is made, by
+one call of `_check_like`: its types and messages, then its queue bound and
+`check(n)`. Every error of a broken model is a ValueError.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple with a
@@ -40,10 +40,10 @@ class MessageKindBase(Enum):
     """Base of a protocol's message kinds, declared as `NAME = (code, arity)`.
 
     The short code names the kind in every rendering, so it must be a
-    non-empty str, free of the characters `()[], ` and distinct within the
-    protocol. The arity is the fixed number of process ids the kind carries,
-    an int of at least 0. A member that breaks either raises ValueError as
-    the protocol module declares it.
+    non-empty str, free of the characters `()[],"\\` and whitespace, and
+    distinct within the protocol. The arity is the fixed number of process
+    ids the kind carries, an int of at least 0. A member that breaks either
+    raises ValueError as the protocol module declares it.
     """
 
     # Members are singletons compared by identity; hash them the same way
@@ -52,10 +52,10 @@ class MessageKindBase(Enum):
 
     def __init__(self, code: str, arity: int):
         # members are made in declaration order: `__members__` holds the earlier ones
-        if (type(code) is not str or not code or not set(code).isdisjoint("()[], ")
+        if (type(code) is not str or code.split() != [code] or not set(code).isdisjoint('()[],"\\')
                 or any(code == kind.code for kind in type(self).__members__.values())):
             raise ValueError(f"{self.name}: code {code!r} must be a non-empty str free of "
-                             f"'()[], ' and unlike every earlier kind's")
+                             f"'()[],\"\\' and whitespace, and unlike every earlier kind's")
         if type(arity) is not int or arity < 0:
             raise ValueError(f"{self.name}: arity {arity!r} must be an int of at least 0")
         self.code = code
@@ -82,13 +82,16 @@ Queue = tuple[Message, ...]
 State = tuple
 
 
-def _check_like(pid: int, proc, like, n: int, sends: tuple = ()) -> None:
-    """The one check of what a step makes: ValueError unless process `pid` of
-    `n` has `like`'s class and field types, each send of `sends` (read once;
-    TypeError if not a pair) an `int` target below `n`, and each message sent
-    or queued is a `Message` of a `MessageKindBase` with its kind's arity of
-    `int` ids below `n`. On `state_checker`'s defaults, what passes hashes and
-    has no twin `==` cannot tell apart (`True == 1`, a tuple equal to a `Message`)."""
+def _check_like(pid: int, proc, like, n: int, queue_capacity: Optional[int] = None,
+                sends: tuple = ()) -> None:
+    """The one check of a made process `pid` of `n`, each error naming `pid`:
+    ValueError unless it has `like`'s class and field types, each (target,
+    message) pair of `sends` an `int` target below `n`, and each message
+    sent or queued is a `Message` of a `MessageKindBase` with its kind's
+    arity of `int` ids below `n`; then, given a search's `queue_capacity`,
+    QueueOverflowError for a queue over it, else `proc.check(n)`'s
+    ValueError. On `state_checker`'s defaults, what passes hashes and has no
+    twin `==` cannot tell apart (`True == 1`, a tuple equal to a `Message`)."""
     if type(proc) is not type(like):
         raise ValueError(f"process {pid}: all processes must be the same protocol variant")
     for name, value, expected in zip(proc._fields, proc, like):
@@ -96,10 +99,7 @@ def _check_like(pid: int, proc, like, n: int, sends: tuple = ()) -> None:
             raise ValueError(f"process {pid}: {name} must be of type "
                              f"{type(expected).__name__}, got {value!r}")
     messages = list(proc.queue)
-    for send in sends:
-        if type(send) is not tuple or len(send) != 2:
-            raise TypeError(f"send {send!r} is not a (target, message) pair")
-        to, message = send
+    for to, message in sends:
         if type(to) is not int or not 0 <= to < n:
             raise ValueError(f"process {pid}: send target {to!r} out of range for {n} processes")
         messages.append(message)
@@ -113,17 +113,13 @@ def _check_like(pid: int, proc, like, n: int, sends: tuple = ()) -> None:
         for rank in message.payload:
             if type(rank) is not int or not 0 <= rank < n:
                 raise ValueError(f"process {pid}: payload id {rank!r} is not an int in [0, {n})")
-
-
-def check_process(pid: int, proc, n: int, queue_capacity: int) -> None:
-    """After `_check_like`: QueueOverflowError for a queue over `queue_capacity`,
-    else the ValueError of `proc.check(n)`, each naming process `pid`."""
-    if len(proc.queue) > queue_capacity:
-        raise QueueOverflowError(f"queue of process {pid} is over capacity {queue_capacity}")
-    try:
-        proc.check(n)
-    except ValueError as err:
-        raise ValueError(f"process {pid}: {err}") from err
+    if queue_capacity is not None:
+        if len(proc.queue) > queue_capacity:
+            raise QueueOverflowError(f"queue of process {pid} is over capacity {queue_capacity}")
+        try:
+            proc.check(n)
+        except ValueError as err:
+            raise ValueError(f"process {pid}: {err}") from err
 
 
 def state_checker(initial: State, queue_capacity: int) -> Callable[[State], State]:
@@ -133,7 +129,7 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], Stat
     ValueError), pins `n = len(initial)`, that type and its defaults' types,
     and checks `initial` before it returns, so a checker has passed its own
     state. `check(state)` returns `state` if it is a tuple of `n` processes
-    that pass `_check_like` against the pinned defaults and `check_process`,
+    that pass `_check_like` against the pinned defaults and the capacity,
     else raises its error for the first failing pid. It checks each process
     object once: a set keeps the `id` of each that passed (and a list holds
     the object, so its id is never reused); by identity, since `True == 1`."""
@@ -157,7 +153,7 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], Stat
     passed: set[int] = set()
     held: list = []
 
-    def check(state: State) -> None:
+    def check(state: State) -> State:
         if type(state) is not tuple:
             raise ValueError(f"a state must be a tuple, not {type(state).__name__}")
         if len(state) != n:
@@ -165,12 +161,10 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], Stat
         if passed.issuperset(map(id, state)):  # most states: one test, no Python loop
             return state
         for pid, proc in enumerate(state):
-            if id(proc) in passed:
-                continue
-            _check_like(pid, proc, pinned, n)
-            check_process(pid, proc, n, queue_capacity)
-            held.append(proc)
-            passed.add(id(proc))
+            if id(proc) not in passed:
+                _check_like(pid, proc, pinned, n, queue_capacity)
+                held.append(proc)
+                passed.add(id(proc))
         return state
 
     check(initial)
@@ -185,66 +179,66 @@ def receive(proc, pid: int) -> tuple[Message, Queue]:
     return proc.queue[0], proc.queue[1:]
 
 
-class memoized_apply:
+def _step_memo(step: Callable, queue_capacity: Optional[int] = None) -> Callable:
     """The state-level apply of a rule whose local step `step(proc, pid)`
     gives process `pid`'s new state and its sends, a tuple `((target,
-    message), ...)` appended in order. It keeps each effect per (pid, process)
-    once it is such a pair and `_check_like` passes its new process, against
-    the one it replaces, with its sends, and each append per (target process,
-    message); what fails is a ValueError naming the pid, and is not kept. So
-    a matched successor is as well typed as its stored twin. With a
-    `queue_capacity`, `check_process` passes each process before it is kept,
-    as in a search: 1.14x the transitions/s of checking each new state in the
-    search loop (ring unordered N=5). `__wrapped__` is `step`."""
+    message), ...)` appended in order. It keeps each effect per (pid,
+    process) and each append per (target process, message) once the process
+    it makes passes `_check_like`, the effect's with its sends; what fails
+    raises and is not kept. So a matched successor is as well typed as its
+    stored twin. With a search's `queue_capacity`: 1.14x the transitions/s
+    of checking each new state in the search loop (ring unordered N=5)."""
+    effects, appends = {}, {}
 
-    def __init__(self, step: Callable, queue_capacity: Optional[int] = None):
-        effects, appends = {}, {}
+    def apply(state: State, pid: int) -> State:
+        proc = state[pid]
+        effect = effects.get((pid, proc))
+        if effect is None:
+            effect = step(proc, pid)
+            if (type(effect) is not tuple or len(effect) != 2 or type(effect[1]) is not tuple
+                    or any(type(send) is not tuple or len(send) != 2 for send in effect[1])):
+                raise ValueError(f"process {pid}: a step gives (process, ((target, "
+                                 f"message), ...)), not {effect!r}")
+            # the sends here, as `appends` may hold a twin's append under its equal
+            _check_like(pid, effect[0], proc, len(state), queue_capacity, effect[1])
+            effects[pid, proc] = effect
+        procs = list(state)
+        procs[pid], sends = effect
+        for to, message in sends:
+            target = procs[to]
+            appended = appends.get((target, message))
+            if appended is None:
+                appended = target._replace(queue=target.queue + (message,))
+                _check_like(to, appended, target, len(state), queue_capacity)
+                appends[target, message] = appended
+            procs[to] = appended
+        return tuple(procs)
 
-        def apply(state: State, pid: int) -> State:
-            proc = state[pid]
-            effect = effects.get((pid, proc))
-            if effect is None:
-                effect = step(proc, pid)
-                try:
-                    if (type(effect) is not tuple or len(effect) != 2
-                            or type(effect[1]) is not tuple):
-                        raise TypeError("not a pair of a process and a tuple")
-                    # the sends here, as `appends` may hold a twin's append under its equal
-                    _check_like(pid, effect[0], proc, len(state), effect[1])
-                except TypeError as err:
-                    raise ValueError(f"process {pid}: a step gives (process, ((target, "
-                                     f"message), ...)), not {effect!r}") from err
-                if queue_capacity:
-                    check_process(pid, effect[0], len(state), queue_capacity)
-                effects[pid, proc] = effect
-            procs = list(state)
-            procs[pid], sends = effect
-            for to, message in sends:
-                target = procs[to]
-                appended = appends.get((target, message))
-                if appended is None:
-                    appended = target._replace(queue=target.queue + (message,))
-                    if queue_capacity:
-                        check_process(to, appended, len(state), queue_capacity)
-                    appends[target, message] = appended
-                procs[to] = appended
-            return tuple(procs)
+    return apply
 
-        self.__wrapped__, self._apply = step, apply
+
+class memoized_apply:
+    """A rule's apply: a `_step_memo` of `step`, with no queue bound and no
+    `check(n)`. A search makes its own of `__wrapped__` (`checked_applies`)."""
+
+    def __init__(self, step: Callable):
+        self.__wrapped__, self._apply = step, _step_memo(step)
 
     def __call__(self, state: State, pid: int) -> State:
         return self._apply(state, pid)
 
 
-def checked_applies(initial: State, queue_capacity: int, applies) -> list[Callable]:
-    """Each of `applies` as one search from `initial` applies it: a
-    `memoized_apply` (known by its type, which no wrapper copies) as a new
-    memo of its step that checks each process once, where it makes it; any
-    other apply followed by the search's `state_checker` on each state."""
+def checked_applies(initial: State, queue_capacity: int, applies) -> tuple[list, bool]:
+    """One search's applies from `initial`, and whether each is a step memo.
+    A `memoized_apply` (known by its type, which no wrapper copies) becomes
+    a new `_step_memo` of its step with the queue bound; any other apply is
+    followed by the search's `state_checker`, which has checked `initial`,
+    on each state it gives."""
     check = state_checker(initial, queue_capacity)
-    return [memoized_apply(apply.__wrapped__, queue_capacity)._apply
-            if type(apply) is memoized_apply
-            else lambda state, pid, apply=apply: check(apply(state, pid)) for apply in applies]
+    memos = [type(apply) is memoized_apply for apply in applies]
+    return [_step_memo(apply.__wrapped__, queue_capacity) if memo
+            else lambda state, pid, apply=apply: check(apply(state, pid))
+            for apply, memo in zip(applies, memos)], all(memos)
 
 
 def process_fields(proc) -> dict:

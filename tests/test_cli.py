@@ -739,6 +739,8 @@ _BROKEN_MODELS = {
                           _NO_EFFECT + f"({_B0}, None)"),
     "send-not-a-pair": (_B, _B1(memoized_apply(lambda p, pid: (p, (1,)))), ValueError,
                         _NO_EFFECT + f"({_B0}, (1,))"),
+    "queue-not-a-tuple": (_B, _B1(memoized_apply(lambda p, pid: (p._replace(queue=[]), ()))),
+                          ValueError, "process 0: queue must be of type tuple, got []"),
     "neighbor-out-of-range": (_R, _R1(memoized_apply(
         lambda p, pid: (p._replace(status=RingStatus.INSERTING, lhs=3), ()))), ValueError,
         "process 1: ring neighbors are ints in [0, 3) or unset, got 3"),

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from array import array
 from inspect import getclosurevars
 
@@ -240,6 +241,12 @@ def test_processes_are_built_only_on_a_memo_miss(build, monkeypatch):
     model = build()
     checked = protocheck.engine.checked_applies
     searches = []
+
+    def checked_memos(*args):
+        applies, all_memos = checked(*args)
+        memos.extend(applies)
+        return applies, all_memos
+
     for _ in range(2):
         built, memos = [], []  # the processes made, and the search's checked applies
         with monkeypatch.context() as patch:
@@ -247,8 +254,7 @@ def test_processes_are_built_only_on_a_memo_miss(build, monkeypatch):
                 make = cls._make
                 patch.setattr(cls, "_make", staticmethod(
                     lambda iterable, make=make: built.append(make) or make(iterable)))
-            patch.setattr(protocheck.engine, "checked_applies",
-                          lambda *args: memos.extend(checked(*args)) or memos)
+            patch.setattr(protocheck.engine, "checked_applies", checked_memos)
             result = explore(model)
         assert result.verdict is Verdict.VERIFIED
         assert len(memos) == len(model.rules)
@@ -353,10 +359,12 @@ class TestTrace:
         for step in trace[:-1]:
             assert model.invariant(step.state)
 
-    def test_unknown_state_id_rejected(self):
-        result = explore(barrier_model(BarrierConfig(size=1)))
-        with pytest.raises(KeyError):
-            reconstruct_trace(result, 99)
+    @pytest.mark.parametrize("sid", [99, -1, True, 1.0])
+    def test_unknown_state_id_rejected(self, sid):
+        # `True` and `1.0` equal the stored id 1, but are no state id
+        result = explore(barrier_model(BarrierConfig(size=2)))
+        with pytest.raises(KeyError, match=re.escape(f"unknown state id {sid!r}")):
+            reconstruct_trace(result, sid)
 
 
 @pytest.mark.parametrize("model", [
@@ -409,6 +417,15 @@ def test_rules_sharing_a_name_are_rejected():
                   for r in model.rules)
     with pytest.raises(ValueError, match="'step'"):
         dataclasses.replace(model, rules=rules)
+
+
+@pytest.mark.parametrize("name", ['a"b', "a\\b", "a\nb", "a\r", None, 1])
+def test_a_rule_name_is_one_line_of_plain_text(name):
+    # a rule name is a DOT label, `label="..."`, and part of one replay line
+    model = barrier_model(BarrierConfig(size=2))
+    with pytest.raises(ValueError, match=re.escape(
+            f"rule name {name!r} must be a str free of '\"', '\\' and line breaks")):
+        dataclasses.replace(model, rules=(dataclasses.replace(model.rules[0], name=name),))
 
 
 def test_package_root_names_only_the_protocol_free_core():

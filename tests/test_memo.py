@@ -1,9 +1,10 @@
 """The memoized rule applies: each agrees with the rule's uncached local step,
 hands back one object per equal (pid, process), keeps nothing for a step
-that fails, and leaves a search unchanged however warm the model's own memos
-are, since each search makes its own. That an
-effect typed unlike its default fails in either rule order is
-`test_state.py`'s twin table."""
+that raises, and leaves a search unchanged however warm the model's own memos
+are, since each search makes its own. That an ill-formed effect, send or
+append is refused, and kept by no memo, is `test_state.py`'s table of what
+is ill formed; that an effect typed unlike its default fails in either rule
+order is its twin table."""
 
 from dataclasses import replace
 
@@ -22,10 +23,8 @@ from protocheck.ring import (
     RingConfig,
     RingProcessState,
     RingStatus,
-    req_insert,
     ring_model,
 )
-from protocheck.state import memoized_apply
 from test_engine import explore_logged, instances
 
 
@@ -66,26 +65,6 @@ def test_consuming_step_on_an_empty_queue_raises(model, rule, state, pid):
     for _ in range(2):
         with pytest.raises(ValueError, match="receive on an empty queue"):
             apply(state, pid)
-
-
-@pytest.mark.parametrize("target", [-1, 3])
-def test_out_of_range_send_target_keeps_no_effect(target):
-    apply = memoized_apply(lambda proc, pid: (proc, ((target, req_insert(pid)),)))
-    state = (RingProcessState(),) * 3
-    # a kept effect would come back on the second call, unchecked
-    for _ in range(2):
-        with pytest.raises(ValueError, match="out of range"):
-            apply(state, 0)
-
-
-def test_ring_splice_to_an_unset_neighbor_is_out_of_range():
-    # an entry without a left neighbor would repoint process -1
-    state = (RingProcessState(RingStatus.IN_RING, -1, 0, (req_insert(1),)),
-             RingProcessState(RingStatus.INSERTING))
-    apply = ring_model(RingConfig(size=2)).rule_named("handle_req_insert").apply
-    for _ in range(2):
-        with pytest.raises(ValueError, match="out of range"):
-            apply(state, 0)
 
 
 @pytest.mark.parametrize("build, search", [

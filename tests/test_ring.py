@@ -21,7 +21,6 @@ from protocheck.ring import (
     ring_model,
     ring_postcondition,
 )
-from protocheck.state import state_checker
 
 OUT = RingStatus.OUTSIDE
 INS = RingStatus.INSERTING
@@ -54,13 +53,6 @@ def test_neighbors_are_pids_or_unset(lhs, rhs):
     # well typed, but naming a process that does not exist among N=2
     with pytest.raises(ValueError, match="ints"):
         R(RING, lhs, rhs).check(2)
-
-
-def test_the_state_checker_range_checks_neighbors():
-    state = (R(RING, 99, 0), R(RING, 0, -5))
-    with pytest.raises(ValueError, match=r"ints in \[0, 2\)"):
-        state_checker(state, 5)
-    state_checker((R(RING, 0, 0), R()), 5)  # the outsider's neighbors are UNSET
 
 
 class TestInitialState:

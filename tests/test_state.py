@@ -2,7 +2,7 @@ import re
 from collections import namedtuple
 from enum import Enum
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +24,7 @@ from protocheck.state import (
     MessageKindBase,
     QueueOverflowError,
     canonical_encode,
+    checked_applies,
     memoized_apply,
     receive,
     state_checker,
@@ -52,6 +53,8 @@ def queued(proc, *messages):
 
 
 CAPACITY = 8
+# a code is written in traces and inside a DOT label's quotes, on one line
+_NOT_IN_CODES = '()[], "\\\n\t'
 
 
 class TestMessage:
@@ -63,13 +66,13 @@ class TestMessage:
         ({"A": ("", 0)}, "A: code ''"),
         ({"A": (7, 0)}, "A: code 7"),
         ({"A": (None, 0)}, "A: code None"),
-        *[({"A": (f"a{c}b", 0)}, f"A: code 'a{re.escape(c)}b'") for c in "()[], "],
+        *[({"A": (f"a{c}b", 0)}, f"A: code {re.escape(repr(f'a{c}b'))}") for c in _NOT_IN_CODES],
         ({"A": ("a", 0), "B": ("b", 1), "C": ("a", 2)}, "C: code 'a'"),
         ({"A": ("a", -1)}, "A: arity -1"),
         ({"A": ("a", True)}, "A: arity True"),
         ({"A": ("a", 1.0)}, "A: arity 1.0"),
         ({"A": ("a", "1")}, "A: arity '1'"),
-    ], ids=["empty", "int", "none", *(f"holds-{c!r}" for c in "()[], "), "code-taken",
+    ], ids=["empty", "int", "none", *(f"holds-{c!r}" for c in _NOT_IN_CODES), "code-taken",
             "arity-negative", "arity-bool", "arity-float", "arity-str"])
     def test_a_kind_is_checked_when_it_is_declared(self, members, named):
         with pytest.raises(ValueError, match=named):
@@ -79,20 +82,6 @@ class TestMessage:
         assert req_insert(2).payload == (2,)
         assert new_rhs(1).payload == (1,)
         assert insert_ack(0, 3).payload == (0, 3)
-
-    @pytest.mark.parametrize(
-        "kind,payload",
-        [
-            (barrier.MessageKind.BARRIER_IN, (1,)),
-            (ring.MessageKind.REQ_INSERT, ()),
-            (ring.MessageKind.REQ_INSERT, (1, 2)),
-            (ring.MessageKind.INSERT_ACK, (1,)),
-            (ring.MessageKind.NEW_RHS, (1, 2)),
-        ],
-    )
-    def test_wrong_arity_rejected(self, kind, payload):
-        with pytest.raises(ValueError):
-            state_checker((B(q=[Message(kind, payload)]),), CAPACITY)
 
 
 class _QueueFirst(NamedTuple):
@@ -204,22 +193,6 @@ class TestSend:
         assert s == (B(), B(q=[BARRIER_OUT]))
 
 
-class TestQueueChecks:
-    def test_full_queue_overflows(self):
-        # a queue at the bound is well formed; one message past it is not
-        s = (B(), B(q=[BARRIER_IN, BARRIER_OUT]))
-        state_checker(s, 2)
-        with pytest.raises(QueueOverflowError):
-            state_checker((s[0], queued(s[1], BARRIER_IN)), 2)
-
-    def test_payload_id_out_of_range(self):
-        ring0 = RingProcessState()
-        state_checker((queued(ring0, req_insert(1)), ring0), CAPACITY)
-        for rank in (2, -1):
-            with pytest.raises(ValueError):
-                state_checker((queued(ring0, req_insert(rank)), ring0), CAPACITY)
-
-
 # The twin table: one row per way a process can equal one of other types,
 # each with an effect `make(proc, pid, v)` that puts `v` into a process, a
 # message it queues or a message it sends itself, and its (value, twin)
@@ -291,26 +264,77 @@ def test_a_twin_sent_by_the_rule_that_sent_its_equal_is_refused(twin):
         apply(state, 1)
 
 
-@pytest.mark.parametrize("way, pid", [("queued", 1), ("sent", 1), ("by-hand", 0)])
-@pytest.mark.parametrize("message", [Message(barrier.MessageKind.BARRIER_IN, 5),
-                                     Message("bi", ())],
-                         ids=["payload-not-a-tuple", "kind-not-a-kind"])
-def test_a_message_of_the_wrong_shape_is_refused_however_it_is_made(message, way, pid):
-    # pid 1 makes the message: a memoized step's error names its maker, the
-    # checker's names the process whose queue holds it, here pid 0
-    if way == "queued":
-        apply = memoized_apply(lambda proc, _: (queued(proc, message), ()))
-    elif way == "sent":
-        apply = memoized_apply(lambda proc, _: (proc, ((0, message),)))
+# The one check of what is made: one row per way the process at pid k of 3,
+# `queued(before, *sent)`, is ill formed, the others default; one column per
+# maker, each checked where it makes it: the initial state, a step's effect,
+# a send (the step at k keeps `before` and sends `sent` to `to`, else to k)
+# and a hand-written apply fired at the next pid, checked by `state_checker`.
+# A row with a `to` is the send's own fault. Each raises `error` with `text`.
+class _Ill(NamedTuple):
+    before: object
+    sent: tuple
+    error: type
+    text: str
+    to: Optional[int] = None
+
+
+_BI_KIND = barrier.MessageKind.BARRIER_IN
+_ILL_FORMED = {
+    "released": _Ill(B(0, 1, 0), (), ValueError,
+                     "process {k}: client released before it reached the barrier"),
+    "over-capacity": _Ill(B(q=[BARRIER_IN, BARRIER_OUT]), (BARRIER_IN,), QueueOverflowError,
+                          "queue of process {k} is over capacity 2"),
+    **{f"neighbor-{rank}": _Ill(RingProcessState(RingStatus.IN_RING, rank, 0), (), ValueError,
+                                f"process {{k}}: ring neighbors are ints in [0, 3) or unset, "
+                                f"got {rank}") for rank in (99, -5)},
+    # a message of the wrong shape is refused before its payload is read
+    "payload-not-a-tuple": _Ill(B(), (Message(_BI_KIND, 5),), ValueError,
+                                "process {k}: Message(kind=<MessageKind.BARRIER_IN: "
+                                "('bi', 0)>, payload=5) is not a Message"),
+    "kind-not-a-kind": _Ill(B(), (Message("bi", ()),), ValueError,
+                            "process {k}: Message(kind='bi', payload=()) is not a Message"),
+    **{f"{kind.name.lower()}-carries-{len(payload)}": _Ill(
+        B(), (Message(kind, payload),), ValueError,
+        f"process {{k}}: {kind.name.lower()} carries {kind.arity} id(s), got {len(payload)}")
+       for kind, payload in [(_BI_KIND, (1,)), (ring.MessageKind.REQ_INSERT, ()),
+                             (ring.MessageKind.REQ_INSERT, (1, 2)),
+                             (ring.MessageKind.INSERT_ACK, (1,)),
+                             (ring.MessageKind.NEW_RHS, (1, 2))]},
+    **{f"payload-id-{rank}": _Ill(RingProcessState(), (req_insert(rank),), ValueError,
+                                  f"process {{k}}: payload id {rank} is not an int in [0, 3)")
+       for rank in (3, -1)},
+    # a negative target would index from the end: ring's `handle_req_insert`
+    # sends one at an entry with no left neighbor
+    **{f"send-target-{to}": _Ill(RingProcessState(), (req_insert(0),), ValueError,
+                                 f"process {{k}}: send target {to} out of range for 3 "
+                                 f"processes", to) for to in (3, UNSET)},
+}
+
+
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("ill, maker", [
+    pytest.param(ill, maker, id=f"{row}-{maker}") for row, ill in _ILL_FORMED.items()
+    for maker in ("initial", "effect", "send", "by-hand")
+    if (ill.sent if maker == "send" else ill.to is None)])
+def test_what_is_ill_formed_is_refused_wherever_it_is_made(ill, maker, k):
+    before, sent, error, text, to = ill
+    others = (type(before)(),) * 3
+    made = others[:k] + (queued(before, *sent),) + others[k + 1:]
+    if maker == "initial":
+        calls = [lambda: checked_applies(made, 2, [])]
     else:
-        def apply(state, _):
-            return (queued(state[0], message),) + state[1:]
-    model = ProtocolModel(queue_capacity=2, initial_state=(B(), B()),
-                          rules=(TransitionRule("make", lambda proc, p: p == 1, apply),),
-                          invariant=lambda s: True, terminal_postcondition=lambda s: True)
-    with pytest.raises(ValueError, match=f"^process {pid}: {re.escape(repr(message))} "
-                                         f"is not a Message$"):
-        explore(model)
+        start = made[:k] + (before,) + made[k + 1:] if maker == "send" else others
+        apply = {"effect": memoized_apply(lambda proc, pid: (made[pid], ())),
+                 "send": memoized_apply(lambda proc, pid: (before, tuple(
+                     (pid if to is None else to, message) for message in sent))),
+                 "by-hand": lambda state, pid: made}[maker]
+        (applied,), _ = checked_applies(start, 2, [apply])
+        fired = (k + 1) % 3 if maker == "by-hand" else k
+        calls = [lambda: applied(start, fired)] * 2  # a memo keeps nothing that failed
+    for call in calls:
+        with pytest.raises(error) as raised:
+            call()
+        assert (type(raised.value), str(raised.value)) == (error, text.format(k=k))
 
 
 class TestReceive:
