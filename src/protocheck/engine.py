@@ -39,17 +39,14 @@ class Verdict(Enum):
 class TransitionRule:
     """A guarded successor function, parameterized by process id.
 
-    The guard `enabled(proc, pid)` reads only the process at `pid`; an
-    optional `gate(state, pid)`, tested where the guard holds, reads the
+    The guard `enabled(proc, pid)` is a `bool` of the process at `pid`; an
+    optional `gate(state, pid)`, tested where the guard holds, a `bool` of the
     whole state (only ring `ordered`'s `begin_insert` has one). `apply` may
     only be invoked where `enabled_at` holds; all three are pure and
     deterministic. A protocol's `apply` is a local step made state-level by
     `state.memoized_apply`. `explore` asks each guard once per distinct
     (pid, process) when every rule's apply is such a memo, else stored x
-    rules x N times a search. Only there, with a hand-written apply as in
-    the benchmark's traced rounds, does a guard's cost show: plain functions
-    comparing with module-level Enum aliases, and on barrier the most often
-    false test first, measured faster.
+    rules x N times a search.
     """
 
     name: str
@@ -116,10 +113,10 @@ class ProtocolModel:
     def __post_init__(self):
         names = [rule.name for rule in self.rules]  # a trace names its rules
         for name in names:  # each is a DOT label and part of one line of replay's output
-            if (type(name) is not str or not set(name).isdisjoint('"\\')
-                    or name.splitlines() not in ([], [name])):
-                raise ValueError(f"rule name {reprlib.repr(name)} must be a str free of "
-                                 f"'\"', '\\' and line breaks")
+            if (type(name) is not str or not name or not name.isprintable()
+                    or not set(name).isdisjoint('"\\')):
+                raise ValueError(f"rule name {reprlib.repr(name)} must be a non-empty printable "
+                                 f"str free of '\"' and '\\'")
         if len(set(names)) < len(names):
             raise ValueError(f"two rules are named {max(names, key=names.count)!r}")
 

@@ -40,10 +40,10 @@ class MessageKindBase(Enum):
     """Base of a protocol's message kinds, declared as `NAME = (code, arity)`.
 
     The short code names the kind in every rendering, so it must be a
-    non-empty str, free of the characters `()[],"\\` and whitespace, and
-    distinct within the protocol. The arity is the fixed number of process
-    ids the kind carries, an int of at least 0. A member that breaks either
-    raises ValueError as the protocol module declares it.
+    non-empty printable str, free of the characters `()[],"\\` and
+    whitespace, and distinct within the protocol. The arity is the fixed
+    number of process ids the kind carries, an int of at least 0. A member
+    that breaks either raises ValueError as the protocol module declares it.
     """
 
     # Members are singletons compared by identity; hash them the same way
@@ -52,10 +52,11 @@ class MessageKindBase(Enum):
 
     def __init__(self, code: str, arity: int):
         # members are made in declaration order: `__members__` holds the earlier ones
-        if (type(code) is not str or code.split() != [code] or not set(code).isdisjoint('()[],"\\')
+        if (type(code) is not str or not code.isprintable() or code.split() != [code]
+                or not set(code).isdisjoint('()[],"\\')
                 or any(code == kind.code for kind in type(self).__members__.values())):
-            raise ValueError(f"{self.name}: code {code!r} must be a non-empty str free of "
-                             f"'()[],\"\\' and whitespace, and unlike every earlier kind's")
+            raise ValueError(f"{self.name}: code {code!r} must be a non-empty printable str free "
+                             f"of '()[],\"\\' and whitespace, and unlike every earlier kind's")
         if type(arity) is not int or arity < 0:
             raise ValueError(f"{self.name}: arity {arity!r} must be an int of at least 0")
         self.code = code
@@ -125,14 +126,15 @@ def _check_like(pid: int, proc, like, n: int, queue_capacity: Optional[int] = No
 def state_checker(initial: State, queue_capacity: int) -> Callable[[State], State]:
     """The well-formedness check of one search from `initial`. It needs a
     capacity of at least 1 and a first process whose type defaults `queue` to
-    `()` and every other field to exactly an `int` or an `Enum` member (else
-    ValueError), pins `n = len(initial)`, that type and its defaults' types,
-    and checks `initial` before it returns, so a checker has passed its own
-    state. `check(state)` returns `state` if it is a tuple of `n` processes
-    that pass `_check_like` against the pinned defaults and the capacity,
-    else raises its error for the first failing pid. It checks each process
-    object once: a set keeps the `id` of each that passed (and a list holds
-    the object, so its id is never reused); by identity, since `True == 1`."""
+    `()` and every other field to exactly an `int` or a member of an `Enum`
+    whose members' lower-case names differ (else ValueError), pins
+    `n = len(initial)`, that type and its defaults' types, and checks
+    `initial` before it returns, so a checker has passed its own state.
+    `check(state)` returns `state` if it is a tuple of `n` processes that
+    pass `_check_like` against the pinned defaults and the capacity, else
+    raises its error for the first failing pid. It checks each process object
+    once: a set keeps the `id` of each that passed (and a list holds the
+    object, so its id is never reused); by identity, since `True == 1`."""
     if queue_capacity < 1:
         raise ValueError("queue capacity must be positive")
     if not initial:
@@ -148,6 +150,11 @@ def state_checker(initial: State, queue_capacity: int) -> Callable[[State], Stat
                 else type(default) is int or isinstance(default, Enum)):
             raise ValueError(f"{first.__name__}.{name} defaults to {default!r}; a field must "
                              f"default to an int or an Enum member, and queue to ()")
+        written: dict = {}  # `process_fields` writes a member by its lower-case name
+        for member in type(default) if isinstance(default, Enum) else ():
+            if written.setdefault(member.name.lower(), member) is not member:
+                raise ValueError(f"{first.__name__}.{name}: {written[member.name.lower()]!r} "
+                                 f"and {member!r} both write as {member.name.lower()!r}")
     pinned = first()
     n = len(initial)
     passed: set[int] = set()

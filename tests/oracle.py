@@ -1,7 +1,8 @@
 """Independent brute-force machinery used to cross-check the search engine.
 
 Everything here deliberately avoids the engine and the rules' memoized
-applies, stepping each rule's local step itself: reachability is naive
+applies, stepping each rule's local step itself, through `__wrapped__`, so
+it walks any protocol whose rules are memoized steps: reachability is naive
 recursion over a linear-scan visited list, shortest depths come from
 relaxation to a fixed point, minimal violation depths from exhaustive path
 enumeration, and expected ring topologies from direct combinatorial

@@ -1,5 +1,10 @@
 """Acceptance gate: one test per criterion, one printed pass/fail line each.
 
+The criteria: the engine agrees with the brute-force enumerator; barrier
+N=10 and ring N=7 and N=5 verify within budget, with (N-1)! ring topologies;
+every counterexample replays; output bytes repeat run to run; and the
+accounting identity and the BFS/DFS stored set hold.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 print. Scale targets are property-based: absolute stored-state counts at
 publication scale are not reproducible across tools, so equivalence against

@@ -1,3 +1,6 @@
+"""The barrier model: each rule, the invariant and the postcondition on
+hand-worked states, and properties of its reachable states and traces."""
+
 import pytest
 
 import oracle

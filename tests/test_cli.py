@@ -1,3 +1,29 @@
+"""The command line: `run`, `replay`, their outputs, refusals and exit codes.
+
+It pins the counts of the north-star instances the benchmark does not run
+as the exact line `run` prints, and runs the `python -m protocheck` entry
+point in a child interpreter: a seeded bug exits 1, a queue overflow 2, and
+each trace replays (0). It states the config contract once, for every
+protocol in `cli.MODELS`: each config class refuses size 0 and 2**63, an
+unknown variant or mutation, capacity 0, and a `bool`, `float` or `str` size
+or capacity, and two builds of each variant give equal initial states. Two
+tables pin every way `run` and `replay` refuse an input to its exit code and
+its whole line; `--stats`, `--graph` and `--trace` written to `/dev/full`
+print the verdict and counts, then exit 3 with one `error: cannot write ...`
+line; a run under an ASCII locale writes the bytes a UTF-8 run writes.
+
+The broken-model table (`_BROKEN_MODELS`) holds each way a model breaks,
+mostly as the apply that replaces the rule of step 1 of a golden trace, with
+the exact error: each row must make `explore` raise it, also with every
+apply behind a plain function that carries no step memo (`stepless`), and
+`run` and `replay` exit 3 with the same last line on standard error, one
+`error:` line for a ValueError and a traceback for any other. A toy step
+protocol, registered in two field layouts, its `queue` last and first
+(`_TOY_LAYOUTS`), must run, write a DOT graph and a trace that show the
+queue where its field is, replay, and store the enumerator's sets under BFS
+and DFS. The text of every reachable process splits into its JSON record's
+values, paired by field name."""
+
 import importlib
 import json
 import os
@@ -674,6 +700,10 @@ def _guard_raises(proc, pid):
     return barrier.barrier_in_nonleader_enabled(proc, pid)
 
 
+def _gate_raises(state, pid):
+    raise ValueError("a gate fails wherever it is asked")
+
+
 def _twins(default, value, twin):
     """An edit to a model of `_Twin` processes, whose field `x` takes values
     that `==` merges though they differ: its rules `one` and `two` set `x`
@@ -773,6 +803,10 @@ _BROKEN_MODELS = {
         replace(r, enabled=_guard_raises) if r.name == "barrier_in_nonleader" else r
         for r in model.rules)), ValueError,
         "a guard fails where a client asked and a message waits"),
+    # `explore` asks a gate in its loop, `replay` through `enabled_at` at step 1
+    "gate-raises": (_R, lambda model: replace(model, rules=tuple(
+        replace(r, gate=_gate_raises) if r.name == "begin_insert" else r
+        for r in model.rules)), ValueError, "a gate fails wherever it is asked"),
     # bools: equal to the recorded zeros, but not the ints the defaults pin
     "bool-initial": (_B, lambda model: replace(model, initial_state=(
         BarrierProcessState(False, False, False),) * len(model.initial_state)), ValueError,

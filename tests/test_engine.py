@@ -1,3 +1,16 @@
+"""The search engine: verdicts, limits, traces and the observer's edges.
+
+Each model is checked against the independent enumerator of `oracle.py`:
+stored-state sets, BFS depths and minimal counterexample depths. The derived
+`transitions_fired` is checked against counts taken apart from it
+(`check_accounting`, under BFS and DFS, on the small instances and on a run
+cut short by the seeded bug): the edges the `observe` callback saw, four
+ids each, and on a verified run the enumerator's moves summed over every
+reachable state. A search builds at most one process per entry of its own
+memos, a second search of the model as many, and the model's own memos stay
+empty. The benchmark's workload counts are pinned here. Every sweep over
+small instances takes them from one list, `instances`."""
+
 import dataclasses
 import re
 from array import array
@@ -419,12 +432,13 @@ def test_rules_sharing_a_name_are_rejected():
         dataclasses.replace(model, rules=rules)
 
 
-@pytest.mark.parametrize("name", ['a"b', "a\\b", "a\nb", "a\r", None, 1])
+@pytest.mark.parametrize("name", ['a"b', "a\\b", "a\nb", "a\r", None, 1, "", "a\x00b",
+                                  "\x1b[31mred"])
 def test_a_rule_name_is_one_line_of_plain_text(name):
     # a rule name is a DOT label, `label="..."`, and part of one replay line
     model = barrier_model(BarrierConfig(size=2))
     with pytest.raises(ValueError, match=re.escape(
-            f"rule name {name!r} must be a str free of '\"', '\\' and line breaks")):
+            f"rule name {name!r} must be a non-empty printable str free of '\"' and '\\'")):
         dataclasses.replace(model, rules=(dataclasses.replace(model.rules[0], name=name),))
 
 

@@ -2,7 +2,9 @@
 
 `cli.export_state_graph` renders each distinct process once per export and
 joins the cached texts per node. Its bytes must equal those of rendering
-every process of every node afresh, on full runs and on runs cut short.
+every process of every node afresh, on full runs and on runs cut short:
+barrier N <= 6 in both variants, with and without the seeded bug, and ring
+N <= 4 in both variants, under BFS and DFS.
 """
 
 import weakref

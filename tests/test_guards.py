@@ -1,16 +1,16 @@
 """Every guard, gate, invariant and postcondition against a plain reference
 predicate.
 
-Guards and properties are written for speed (see `engine.TransitionRule`),
-and `tests/oracle.py` calls the model's own guards, so a rewrite that flips
-a truth value would go unseen there. The predicates below restate each body
+`tests/oracle.py` calls the model's own guards, so a rewrite that flips a
+truth value would go unseen there. The predicates below restate each body
 plainly: a local one per guard, on the process and pid, and one on the
 state per gate. The reachable states are walked through these predicates
 and each rule's uncached step, never through the guards under test, and at
 every state and pid each guard, each gate where its guard holds, the
 invariant and the postcondition must return a `bool` equal to its
 predicate's; the postcondition at every reachable state, not only the
-terminal ones.
+terminal ones. The states are those of barrier N <= 5 in both variants and
+under the seeded bug, and of ring N <= 4 in both variants.
 """
 
 from collections import deque

@@ -2,7 +2,9 @@
 
 The laws are measured, not derived from the engine's history: each was read
 off full searches and is checked here by fresh ones. They judge any rewrite
-of the search loop at every size they cover, not only the pinned ones.
+of the search loop at every size they cover, not only the pinned ones:
+barrier's stored and matched states at N = 1-10, ring `ordered`'s stored
+states at N = 3-8 and ring `unordered`'s (N-1)! terminal states at N = 1-5.
 
 Run as a script, `python tests/test_laws.py N ... [--ring-ordered N ...]
 [--ring-unordered N ...]` checks the barrier laws (both variants), ring

@@ -1,4 +1,5 @@
-"""The memoized rule applies: each agrees with the rule's uncached local step,
+"""The memoized rule applies: each agrees with the rule's uncached local step
+on every fired edge (N <= 5, every variant and mutation),
 hands back one object per equal (pid, process), keeps nothing for a step
 that raises, and leaves a search unchanged however warm the model's own memos
 are, since each search makes its own. That an ill-formed effect, send or

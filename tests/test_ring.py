@@ -1,3 +1,7 @@
+"""The ring insertion model: each rule, the `ordered` gate and the
+postcondition on hand-worked states, and properties of its reachable states
+and terminal topologies."""
+
 import itertools
 import math
 

@@ -1,3 +1,20 @@
+"""Messages, queues, the process domain and the checks of a made process.
+
+Message kinds are checked where they are declared, and a process type's
+field defaults where a checker is built (`_DOMAIN`). The table of what is
+ill formed makes each ill-formed process (a bad field, a queue over the
+bound, a message of the wrong shape, arity or ids) or send target with each
+maker that can make it: the initial state, a step's effect, a send and its
+append, and a hand-written apply; each must raise its error type with its
+whole message, naming the pid, and a memo must keep nothing that failed. The
+twin table makes each value that equals one of another type (a `bool` or
+`float` for an `int` in a barrier field, a ring neighbor or a queued or sent
+payload id, and a plain tuple for a queued or sent message) in three ways: by
+a memoized effect after its well-typed equal, so that its successor is
+matched, by one before it, and by a hand-written apply beside a process
+equal to it that already passed; each must fail naming the pid. The
+visited-set key is checked injective on constructible states."""
+
 import re
 from collections import namedtuple
 from enum import Enum
@@ -53,8 +70,8 @@ def queued(proc, *messages):
 
 
 CAPACITY = 8
-# a code is written in traces and inside a DOT label's quotes, on one line
-_NOT_IN_CODES = '()[], "\\\n\t'
+# a code is written in traces and inside a DOT label's quotes, on one line, in print
+_NOT_IN_CODES = '()[], "\\\n\t\x00\x1b\xad'
 
 
 class TestMessage:
@@ -67,13 +84,15 @@ class TestMessage:
         ({"A": (7, 0)}, "A: code 7"),
         ({"A": (None, 0)}, "A: code None"),
         *[({"A": (f"a{c}b", 0)}, f"A: code {re.escape(repr(f'a{c}b'))}") for c in _NOT_IN_CODES],
+        # a zero-width space, which `str.split` does not take for whitespace
+        ({"A": ("\u200b", 0)}, f"A: code {re.escape(repr(chr(0x200b)))}"),
         ({"A": ("a", 0), "B": ("b", 1), "C": ("a", 2)}, "C: code 'a'"),
         ({"A": ("a", -1)}, "A: arity -1"),
         ({"A": ("a", True)}, "A: arity True"),
         ({"A": ("a", 1.0)}, "A: arity 1.0"),
         ({"A": ("a", "1")}, "A: arity '1'"),
-    ], ids=["empty", "int", "none", *(f"holds-{c!r}" for c in _NOT_IN_CODES), "code-taken",
-            "arity-negative", "arity-bool", "arity-float", "arity-str"])
+    ], ids=["empty", "int", "none", *(f"holds-{c!r}" for c in _NOT_IN_CODES), "zero-width-space",
+            "code-taken", "arity-negative", "arity-bool", "arity-float", "arity-str"])
     def test_a_kind_is_checked_when_it_is_declared(self, members, named):
         with pytest.raises(ValueError, match=named):
             Enum("Kinds", members, type=MessageKindBase)
@@ -127,6 +146,11 @@ _DOMAIN = {
     "queue-none": (_defaulting(x=0, queue=None), "_Proc.queue defaults to None;"),
     "int": (_defaulting(x=0, queue=()), None),
     "enum": (_defaulting(x=RingStatus.OUTSIDE, queue=()), None),
+    # a member is written by its lower-case name: two alike would write alike
+    "enum-names-alike": (_defaulting(x=Enum("Mode", "ON On").On, queue=()),
+                         "_Proc.x: <Mode.ON: 1> and <Mode.On: 2> both write as 'on'"),
+    # an alias is its member, and so is written by the member's name
+    "enum-alias": (_defaulting(x=Enum("Mode", {"ON": 1, "on": 1}).on, queue=()), None),
 }
 
 
