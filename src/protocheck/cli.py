@@ -89,10 +89,15 @@ def _write_text(path, chunks: Iterable[str]) -> None:
 
 
 class _RenderMemo(dict):
-    """process -> its `render_process` text, made on the first lookup; keyed by value."""
+    """index -> the `render_process` text of `procs[index]`, made on the first lookup."""
 
-    def __missing__(self, proc) -> str:
-        text = self[proc] = render_process(proc)
+    __slots__ = ("procs",)
+
+    def __init__(self, procs: list):
+        self.procs = procs
+
+    def __missing__(self, index: int) -> str:
+        text = self[index] = render_process(self.procs[index])
         return text
 
 
@@ -103,14 +108,16 @@ def export_state_graph(result: ExplorationResult, edges: Iterable[int], path) ->
     transition in firing order, labeled with the rule name and pid. `edges`
     holds four ids per transition (source id, rule index, pid, target id), as
     the search's `ExploreConfig.observe` batches them. Lines are made as
-    `_write_text` takes them, 32 to a block, never held whole; each distinct
-    process is rendered once per call, and each edge label once per (rule,
-    pid), before the first edge.
+    `_write_text` takes them, 32 to a block, never held whole. A node's
+    label joins the texts of its key's indices, each (pid, index) rendered
+    once per call, one `_RenderMemo` per pid; each edge label is made once
+    per (rule, pid), before the first edge.
     """
-    text = _RenderMemo().__getitem__
-    nodes = (f'  s{sid} [label="s{sid}: {render_state(state, text)}"];\n'
-             for sid, state in enumerate(result.states))
-    n = len(result.states[0])
+    states, getitem = result.states, dict.__getitem__
+    memos = [_RenderMemo(procs) for procs in states.procs]
+    nodes = (f'  s{sid} [label="s{sid}: {" ".join(map(getitem, memos, key))}"];\n'
+             for sid, key in enumerate(states.keys))
+    n = len(memos)
     tails = [f' [label="{rule} @{pid}"];\n' for rule in result.rule_names for pid in range(n)]
     ids = iter(edges)  # zip draws from its arguments in order, four ids per edge
     lines = (f'  s{src} -> s{dst}{tails[rule * n + pid]}'

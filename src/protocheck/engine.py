@@ -1,17 +1,22 @@
 """Exhaustive reachability search over a protocol model.
 
 The search derives every state reachable from the initial state through the
-model's guarded transition rules, deduplicating by the state itself (the
-tuple of process states); no state is rendered during a search. A state's
-moves come from a per-search move table, one dict per pid keyed by the
-process there, so a guard is asked once per (pid, process) where every
-rule's apply is a step memo, else once per (state, rule, pid). Each
-process is checked where a rule's step makes it, in the search's own memos
-(`state.checked_applies`), each new state then against the invariant, and
-each terminal state against the postcondition the moment it is popped.
-Exploration is sequential and deterministic, so counts repeat run to run.
-`replay` and `tests/oracle.py` never read the table: they call each rule's
-`enabled_at`.
+model's guarded transition rules, deduplicating by each state's key: the
+tuple of its processes' indices in the search's process table
+(`state.ProcessTable`), which holds each distinct process once per pid. No
+state is rendered during a search, and one is decoded into its processes
+only for the model's own functions. The visited set, the move table and
+the step memos are all keyed by these small ints. A state's moves come from
+the move table, one dict per pid keyed by the index there, so a guard is
+asked once per (pid, process) where every rule's apply is a step memo, else
+once per (state, rule, pid). A step memo's move is made on keys: its effect
+at a pid, then each send's append at its target, each looked up by index.
+Each process is checked once, where a rule's step makes it, before the
+table takes it (`state.checked_applies`), each new state then against the
+invariant, and each terminal state against the postcondition the moment it
+is popped. Exploration is sequential and deterministic, so counts repeat
+run to run. `replay` and `tests/oracle.py` never read the tables: they call
+each rule's `enabled_at`.
 """
 
 import reprlib
@@ -19,12 +24,13 @@ import sys
 import time
 from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from typing import Any, Callable, ClassVar, Optional
 
-from .state import QueueOverflowError, State, canonical_encode, checked_applies
+from .state import QueueOverflowError, State, StepMemo, canonical_encode, checked_applies
 
 
 class Verdict(Enum):
@@ -183,10 +189,12 @@ class ExploreConfig:
 class ExplorationResult:
     """What a search found, indexed by state id (the order of storing).
 
-    `parents` packs three ids per stored state in one `array('q')`: the id
-    of the state it was first generated from, the index in `rule_names` of
-    the rule that generated it, and the pid; all three are -1 for the initial
-    state, id 0. A state's depth is the length of its parent chain, the
+    `states` is a read-only sequence of the stored states, each decoded from
+    its key when read, into the search's own process objects. `parents`
+    packs three ids per stored state in one `array('q')`: the id of the
+    state it was first generated from, the index in `rule_names` of the rule
+    that generated it, and the pid; all three are -1 for the initial state,
+    id 0. A state's depth is the length of its parent chain, the
     shortest distance only under BFS. Fired transitions go only to
     `ExploreConfig.observe`. A search starts from one initial state.
     """
@@ -197,7 +205,7 @@ class ExplorationResult:
     stats: RunStats
     witness: Optional[int]
     terminal_states: list[int]
-    states: list[State]
+    states: Sequence[State]
     parents: array
     rule_names: tuple[str, ...]
 
@@ -214,21 +222,39 @@ class TraceStep:
     state: State
 
 
+class _States(Sequence):
+    """The stored states by id, read-only: `keys[sid]` is state `sid`'s key,
+    decoded on access into a tuple of the process objects in `procs`, the
+    search's `ProcessTable.procs`."""
+
+    __slots__ = ("keys", "procs")
+
+    def __init__(self, keys: list[tuple], procs: list[list]):
+        self.keys, self.procs = keys, procs
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, sid: int) -> State:
+        return tuple(map(list.__getitem__, self.procs, self.keys[sid]))
+
+
 class _MoveTable(dict):
-    """One search's moves at one pid, keyed by the process there: the codes
-    `r * N + pid`, ascending, of the rules `r` whose guard holds for it. A
-    miss asks every rule's guard, and the answer is kept only if `keep`."""
+    """One search's moves at one pid, keyed by the index of the process
+    there in `procs`: the codes `r * N + pid`, ascending, of the rules `r`
+    whose guard holds for it. A miss asks every rule's guard, and the answer
+    is kept only if `keep`."""
 
-    __slots__ = ("pid", "guards", "keep")
+    __slots__ = ("pid", "procs", "guards", "keep")
 
-    def __init__(self, pid: int, guards: list, keep: bool):
-        self.pid, self.guards, self.keep = pid, guards, keep
+    def __init__(self, pid: int, procs: list, guards: list, keep: bool):
+        self.pid, self.procs, self.guards, self.keep = pid, procs, guards, keep
 
-    def __missing__(self, proc) -> tuple[int, ...]:
-        pid = self.pid
+    def __missing__(self, index: int) -> tuple[int, ...]:
+        pid, proc = self.pid, self.procs[index]
         codes = tuple([code for code, enabled in self.guards if enabled(proc, pid)])
         if self.keep:
-            self[proc] = codes
+            self[index] = codes
         return codes
 
 
@@ -240,18 +266,24 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     (and therefore the statistics) but never the reachable set. Under BFS a
     violating witness is found at minimal distance from the initial state.
 
-    A popped state's moves are the codes its processes have in the move
-    table, one `_MoveTable` per pid, sorted: rule first, then pid. A gate is
-    tested per (state, pid) where its guard holds. A guard reads only its
-    process and pid, and `_check_like` leaves no twins among the processes
-    a search holds, so an answer may be kept per process value. It is kept
-    only when `checked_applies` finds every apply a step memo: any other (a
+    A state is kept as its key, the tuple of its processes' indices in the
+    search's `ProcessTable` (`state.canonical_encode`), and decoded only for
+    the model's own functions: the invariant on each new state, the
+    postcondition on each terminal one, and the gates and any apply that is
+    no step memo on a popped one, decoded at most once, when first needed.
+    A popped state's moves are the codes its indices have in the move table,
+    one `_MoveTable` per pid, sorted: rule first, then pid. A gate is tested
+    per (state, pid) where its guard holds. A step memo's move is applied
+    here, on keys: its effect at `pid`, then each send's append at its
+    target, each looked up by index. A guard reads only its process and
+    pid, so an answer may be kept per index. It is kept only when
+    `checked_applies` makes every apply a step memo: any other (a
     hand-written one, or the benchmark's traced wrappers) makes the table
-    ask every guard per state, as the traced rounds' call identities expect;
-    ROADMAP item 2 deletes that branch once the wrappers go. A state's
-    guards are all asked before its first move fires, so a guard's error can
-    surface before a lower rule's move in the same state fires; no sound
-    model's verdict depends on it.
+    ask every guard per state, as the traced rounds' call identities
+    expect; ROADMAP item 2 deletes that branch once the wrappers go. A
+    state's guards are all asked before its first move fires, so a guard's
+    error can surface before a lower rule's move in the same state fires;
+    no sound model's verdict depends on it.
 
     The search stops at the first invariant or postcondition violation, at a
     limit, or at the fixed point. A successor over the queue bound is
@@ -263,10 +295,8 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
     start = time.perf_counter()
     rule_names = tuple(rule.name for rule in model.rules)
     init = model.initial_state
-    # the initial state is stored as id 0, with no parent
-    states: list[State] = [init]
-    parents = array("q", (-1, -1, -1))
-    visited: dict[State, int] = {}
+    keys: list[tuple] = []  # the stored states' keys, by id
+    parents = array("q", (-1, -1, -1))  # the initial state is id 0, with no parent
     terminal: list[int] = []
     observe = config.observe
     # the edges fired from the state being expanded, passed to `observe` as a
@@ -280,53 +310,70 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
             observe(fired_edges)
         return ExplorationResult(
             verdict=verdict,
-            stats=RunStats(len(states), matched, max_frontier, time.perf_counter() - start),
+            stats=RunStats(len(keys), matched, max_frontier, time.perf_counter() - start),
             witness=witness,
             terminal_states=terminal,
-            states=states,
+            states=_States(keys, table.procs),
             parents=parents,
             rule_names=rule_names,
         )
 
-    # `visited` maps each state to its id, reserved by one setdefault. The key
-    # is read from the module per call, so a wrapper on `canonical_encode` sees
-    # every call; `tuple` in its place measured only 0.4% faster.
+    # `visited` maps each key to its id, reserved by one setdefault. The
+    # encoder is read from the module per call, so a wrapper on
+    # `canonical_encode` sees every call.
     encode, invariant = canonical_encode, model.invariant
-    applies, keep = checked_applies(init, model.queue_capacity, [r.apply for r in model.rules])
-    visited[encode(init)] = 0  # `checked_applies` has checked it, so it hashes
+    applies, table = checked_applies(init, model.queue_capacity, [r.apply for r in model.rules])
+    keys.append(encode(init, table))  # `checked_applies` has checked it
+    visited: dict[tuple, int] = {keys[0]: 0}
     if not invariant(init):
         return finish(Verdict.INVARIANT_VIOLATED, witness=0)
 
-    # code r * N + pid -> what firing rule r at pid needs, looked up once here
+    # code r * N + pid -> what firing rule r at pid needs, looked up once
+    # here: a step memo's effects at pid, else the apply itself
     n = len(init)
-    moves = [(r, pid, rule.gate, applies[r]) for r, rule in enumerate(model.rules)
-             for pid in range(n)]
-    tables = [_MoveTable(pid, [(r * n + pid, rule.enabled) for r, rule in enumerate(model.rules)],
-                         keep) for pid in range(n)]
-    getitem, move = dict.__getitem__, moves.__getitem__
+    moves = [(r, pid, rule.gate, apply.effects[pid] if type(apply) is StepMemo else None, apply)
+             for r, (rule, apply) in enumerate(zip(model.rules, applies)) for pid in range(n)]
+    keep = all(type(apply) is StepMemo for apply in applies)
+    tables = [_MoveTable(pid, procs, [(r * n + pid, rule.enabled)
+                                      for r, rule in enumerate(model.rules)], keep)
+              for pid, procs in enumerate(table.procs)]
+    getitem, move, decode = dict.__getitem__, moves.__getitem__, table.decode
     pop = frontier.popleft if config.search == "bfs" else frontier.pop
     reserve, push = visited.setdefault, frontier.append
-    add_state, add_parent = states.append, parents.extend
+    add_key, add_parent = keys.append, parents.extend
     max_states, max_seconds, clock = config.max_states, config.max_seconds, time.perf_counter
-    fresh_id = 1  # the id the next new state gets: len(states), kept by hand
+    fresh_id = 1  # the id the next new state gets: len(keys), kept by hand
     while frontier:
         if len(frontier) > max_frontier:
             max_frontier = len(frontier)
         if clock() - start > max_seconds:
             return finish(Verdict.LIMIT_EXCEEDED)
         sid = pop()
-        state = states[sid]
+        key = keys[sid]
+        state = None  # decoded once, where a gate or an apply first needs it
         fired = False
-        codes = sorted(chain.from_iterable(map(getitem, tables, state)))
-        for r, pid, gate, apply in map(move, codes):
-            if gate is not None and not gate(state, pid):
-                continue
+        codes = sorted(chain.from_iterable(map(getitem, tables, key)))
+        for r, pid, gate, effects, apply in map(move, codes):
+            if gate is not None:
+                if state is None:
+                    state = decode(key)
+                if not gate(state, pid):
+                    continue
             fired = True
             try:
-                succ = apply(state, pid)
+                if effects is not None:
+                    succ = list(key)
+                    succ[pid], sends = effects[key[pid]]
+                    for to, appends in sends:
+                        succ[to] = appends[succ[to]]
+                    succ = tuple(succ)
+                else:
+                    if state is None:
+                        state = decode(key)
+                    succ = encode(apply(state, pid), table)
             except QueueOverflowError:  # a new successor: no stored state is over it
                 return finish(Verdict.QUEUE_OVERFLOW, witness=sid)
-            tid = reserve(encode(succ), fresh_id)
+            tid = reserve(succ, fresh_id)
             if tid != fresh_id:  # most transitions match a stored state
                 matched += 1
                 if observe is not None:
@@ -334,20 +381,20 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
                 continue
             if fresh_id >= max_states:
                 return finish(Verdict.LIMIT_EXCEEDED)
-            add_state(succ)
+            add_key(succ)
             add_parent((sid, r, pid))
             push(fresh_id)
             fresh_id += 1
             if observe is not None:
                 fired_edges += (sid, r, pid, tid)
-            if not invariant(succ):
+            if not invariant(decode(succ)):
                 return finish(Verdict.INVARIANT_VIOLATED, witness=tid)
         if fired_edges:
             observe(fired_edges)
             fired_edges.clear()
         if not fired:
             terminal.append(sid)
-            if not model.terminal_postcondition(state):
+            if not model.terminal_postcondition(decode(key) if state is None else state):
                 return finish(Verdict.POSTCONDITION_VIOLATED, witness=sid)
     return finish(Verdict.VERIFIED)
 

@@ -2,29 +2,34 @@
 
 A system state is the plain tuple of its process states, one per pid. Every
 value here is a tuple, never changed once built, so states can be shared
-freely between the search engine, the visited set, and reconstructed traces.
-`memoized_apply` is the one way to build a successor: it shares every
-process a rule does not change, by identity, and a step takes its queue head
-with `receive`. A search and replay apply each step through new memos
-(`checked_applies`), and each process is checked once, where it is made, by
-one call of `_check_like`: its types and messages, then its queue bound and
-`check(n)`. Every error of a broken model is a ValueError.
+freely between the search engine, reconstructed traces and output. A search
+holds each distinct process once per pid, in its `ProcessTable`, and a state
+as its key, the tuple of its processes' indices there (`canonical_encode`).
+A step memo (`StepMemo`, which `checked_applies` makes of each
+`memoized_apply`) keeps each effect of a rule per (pid, index), and the
+table each append per (target pid, message, index), so a successor's key is
+made from keys, with no process hashed. A step takes its queue head with
+`receive`. Each process is checked once, where it is made and before the
+table takes it, by one call of `_check_like`: its types and messages, then
+its queue bound and `check(n)`; an append needs only `_check_bound`. Every
+error of a broken model is a ValueError.
 
 Nothing here knows a protocol. A protocol module declares its message kinds
 as a `MessageKindBase` subclass and its process state as a NamedTuple with a
 `queue` field anywhere and a `check(n)` method, which raises ValueError for
 an ill-formed process in a system of `n` processes. Code builds and reads a
-process by field name, never by position. The engine keys its visited set by
-the state itself, so each field holds only its default's type: exactly an
-`int` or an `Enum` member, and `()` for `queue`. A process's one external
-form is `process_fields`, which the JSON trace writes and `render_process`
-joins into trace and DOT text; neither is called during a search.
+process by field name, never by position. The table takes processes by
+value, so each field holds only its default's type: exactly an `int` or an
+`Enum` member, and `()` for `queue`. A process's one external form is
+`process_fields`, which the JSON trace writes and `render_process` joins
+into trace and DOT text; neither is called during a search.
 
 A protocol's rule is a local guard, an optional gate on the whole state
 and a pure local step, which `memoized_apply` makes the rule's apply.
 """
 
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 
@@ -90,9 +95,9 @@ def _check_like(pid: int, proc, like, n: int, queue_capacity: Optional[int] = No
     message) pair of `sends` an `int` target below `n`, and each message
     sent or queued is a `Message` of a `MessageKindBase` with its kind's
     arity of `int` ids below `n`; then, given a search's `queue_capacity`,
-    QueueOverflowError for a queue over it, else `proc.check(n)`'s
-    ValueError. On `state_checker`'s defaults, what passes hashes and has no
-    twin `==` cannot tell apart (`True == 1`, a tuple equal to a `Message`)."""
+    `_check_bound`. On `state_checker`'s defaults, what passes hashes and
+    has no twin `==` cannot tell apart (`True == 1`, a tuple equal to a
+    `Message`)."""
     if type(proc) is not type(like):
         raise ValueError(f"process {pid}: all processes must be the same protocol variant")
     for name, value, expected in zip(proc._fields, proc, like):
@@ -115,12 +120,20 @@ def _check_like(pid: int, proc, like, n: int, queue_capacity: Optional[int] = No
             if type(rank) is not int or not 0 <= rank < n:
                 raise ValueError(f"process {pid}: payload id {rank!r} is not an int in [0, {n})")
     if queue_capacity is not None:
-        if len(proc.queue) > queue_capacity:
-            raise QueueOverflowError(f"queue of process {pid} is over capacity {queue_capacity}")
-        try:
-            proc.check(n)
-        except ValueError as err:
-            raise ValueError(f"process {pid}: {err}") from err
+        _check_bound(pid, proc, n, queue_capacity)
+
+
+def _check_bound(pid: int, proc, n: int, queue_capacity: int) -> None:
+    """What a search adds to `_check_like`: QueueOverflowError for a queue
+    over `queue_capacity`, else `proc.check(n)`'s ValueError, naming `pid`.
+    All an append needs: its target passed `_check_like` before the table
+    took it, and its message passed with the sends of the effect that sent it."""
+    if len(proc.queue) > queue_capacity:
+        raise QueueOverflowError(f"queue of process {pid} is over capacity {queue_capacity}")
+    try:
+        proc.check(n)
+    except ValueError as err:
+        raise ValueError(f"process {pid}: {err}") from err
 
 
 def state_checker(initial: State, queue_capacity: int) -> Callable[[State], State]:
@@ -186,66 +199,154 @@ def receive(proc, pid: int) -> tuple[Message, Queue]:
     return proc.queue[0], proc.queue[1:]
 
 
-def _step_memo(step: Callable, queue_capacity: Optional[int] = None) -> Callable:
-    """The state-level apply of a rule whose local step `step(proc, pid)`
-    gives process `pid`'s new state and its sends, a tuple `((target,
-    message), ...)` appended in order. It keeps each effect per (pid,
-    process) and each append per (target process, message) once the process
-    it makes passes `_check_like`, the effect's with its sends; what fails
-    raises and is not kept. So a matched successor is as well typed as its
-    stored twin. With a search's `queue_capacity`: 1.14x the transitions/s
-    of checking each new state in the search loop (ring unordered N=5)."""
-    effects, appends = {}, {}
+def _effect(step: Callable, proc, pid: int) -> tuple:
+    """`step(proc, pid)`, refused (ValueError) unless it is a pair
+    `(process, ((target, message), ...))` whose sends are a tuple of pairs."""
+    effect = step(proc, pid)
+    if (type(effect) is not tuple or len(effect) != 2 or type(effect[1]) is not tuple
+            or any(type(send) is not tuple or len(send) != 2 for send in effect[1])):
+        raise ValueError(f"process {pid}: a step gives (process, ((target, "
+                         f"message), ...)), not {effect!r}")
+    return effect
 
-    def apply(state: State, pid: int) -> State:
+
+class memoized_apply:
+    """A rule's apply for calls outside a search: its local step, kept as
+    `__wrapped__`, made state-level. It keeps each effect per (pid, process)
+    and each append per (target process, message) once the process it makes
+    passes `_check_like`, the effect's with its sends, and shares every
+    process a rule does not change, by identity. It knows no queue bound and
+    no `check(n)`: a search makes a `StepMemo` of `__wrapped__` instead."""
+
+    def __init__(self, step: Callable):
+        self.__wrapped__ = step
+        self.effects: dict = {}
+        self.appends: dict = {}
+
+    def __call__(self, state: State, pid: int) -> State:
         proc = state[pid]
-        effect = effects.get((pid, proc))
+        effect = self.effects.get((pid, proc))
         if effect is None:
-            effect = step(proc, pid)
-            if (type(effect) is not tuple or len(effect) != 2 or type(effect[1]) is not tuple
-                    or any(type(send) is not tuple or len(send) != 2 for send in effect[1])):
-                raise ValueError(f"process {pid}: a step gives (process, ((target, "
-                                 f"message), ...)), not {effect!r}")
+            effect = _effect(self.__wrapped__, proc, pid)
             # the sends here, as `appends` may hold a twin's append under its equal
-            _check_like(pid, effect[0], proc, len(state), queue_capacity, effect[1])
-            effects[pid, proc] = effect
+            _check_like(pid, effect[0], proc, len(state), sends=effect[1])
+            self.effects[pid, proc] = effect
         procs = list(state)
         procs[pid], sends = effect
         for to, message in sends:
             target = procs[to]
-            appended = appends.get((target, message))
+            appended = self.appends.get((target, message))
             if appended is None:
                 appended = target._replace(queue=target.queue + (message,))
-                _check_like(to, appended, target, len(state), queue_capacity)
-                appends[target, message] = appended
+                _check_like(to, appended, target, len(state))
+                self.appends[target, message] = appended
             procs[to] = appended
         return tuple(procs)
 
-    return apply
+
+class ProcessTable:
+    """One search's processes, each distinct one held once per pid, as
+    SPIN's collapse compression holds them: `procs[pid]` lists them by
+    index and `index[pid]` maps each back to its index, by value. A state's
+    key is the tuple of its processes' indices (`canonical_encode`). `check`
+    is the search's `state_checker`, which has checked the initial state.
+    The table makes the search's memoized moves: a step's effect at a pid
+    (`effect`) and a message's append at a pid (`append`), each from and to
+    indices; `appends` holds the append memo of each (pid, message)."""
+
+    def __init__(self, initial: State, queue_capacity: int):
+        self.check = state_checker(initial, queue_capacity)
+        self.n, self.queue_capacity = len(initial), queue_capacity
+        self.procs: list[list] = [[] for _ in initial]
+        self.index: list[dict] = [{} for _ in initial]
+        self.appends: dict = {}
+
+    def intern(self, pid: int, proc) -> int:
+        """The index at `pid` of `proc`, which must have passed `_check_like`:
+        a new one, the count taken so far, on first sight."""
+        index = self.index[pid]
+        i = index.get(proc)
+        if i is None:
+            procs = self.procs[pid]
+            i = index[proc] = len(procs)
+            procs.append(proc)
+        return i
+
+    def decode(self, key) -> State:
+        """The state of `key`, made of the table's own process objects."""
+        return tuple(map(list.__getitem__, self.procs, key))
+
+    def effect(self, step: Callable, pid: int, index: int) -> tuple:
+        """`step`'s effect on process `index` at `pid`: the index of the
+        process it makes, taken once it passes `_check_like` with the sends,
+        and ((target, the append memo of its message there), ...) for the
+        sends, in order."""
+        proc = self.procs[pid][index]
+        new, sends = _effect(step, proc, pid)
+        _check_like(pid, new, proc, self.n, self.queue_capacity, sends)
+        return self.intern(pid, new), tuple([(to, self.appended(to, message))
+                                             for to, message in sends])
+
+    def appended(self, pid: int, message: Message) -> "_Memo":
+        """The memo of `message`'s appends at `pid`: index -> index."""
+        memo = self.appends.get((pid, message))
+        if memo is None:
+            memo = self.appends[pid, message] = _Memo(partial(self.append, pid, message))
+        return memo
+
+    def append(self, pid: int, message: Message, index: int) -> int:
+        """The index of process `index` at `pid` with `message` at its
+        queue's tail, taken once it passes `_check_bound`."""
+        target = self.procs[pid][index]
+        appended = target._replace(queue=target.queue + (message,))
+        _check_bound(pid, appended, self.n, self.queue_capacity)
+        return self.intern(pid, appended)
 
 
-class memoized_apply:
-    """A rule's apply: a `_step_memo` of `step`, with no queue bound and no
-    `check(n)`. A search makes its own of `__wrapped__` (`checked_applies`)."""
+class _Memo(dict):
+    """index -> `make(index)`, made on the first lookup and kept once made;
+    what raises is not kept."""
 
-    def __init__(self, step: Callable):
-        self.__wrapped__, self._apply = step, _step_memo(step)
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], object]):
+        self.make = make
+
+    def __missing__(self, index: int):
+        made = self[index] = self.make(index)
+        return made
+
+
+class StepMemo:
+    """A rule's apply in one search: `effects[pid]` memoizes its step's
+    `ProcessTable.effect` at `pid`, by index. `explore` applies a move to
+    keys in its own loop; a call applies one to a state whose processes the
+    table's checker passes, as `replay` does."""
+
+    __slots__ = ("table", "effects")
+
+    def __init__(self, table: ProcessTable, step: Callable):
+        self.table = table
+        self.effects = [_Memo(partial(table.effect, step, pid)) for pid in range(table.n)]
 
     def __call__(self, state: State, pid: int) -> State:
-        return self._apply(state, pid)
+        table = self.table
+        key = list(canonical_encode(table.check(state), table))
+        key[pid], sends = self.effects[pid][key[pid]]
+        for to, appends in sends:
+            key[to] = appends[key[to]]
+        return table.decode(key)
 
 
-def checked_applies(initial: State, queue_capacity: int, applies) -> tuple[list, bool]:
-    """One search's applies from `initial`, and whether each is a step memo.
-    A `memoized_apply` (known by its type, which no wrapper copies) becomes
-    a new `_step_memo` of its step with the queue bound; any other apply is
-    followed by the search's `state_checker`, which has checked `initial`,
-    on each state it gives."""
-    check = state_checker(initial, queue_capacity)
-    memos = [type(apply) is memoized_apply for apply in applies]
-    return [_step_memo(apply.__wrapped__, queue_capacity) if memo
-            else lambda state, pid, apply=apply: check(apply(state, pid))
-            for apply, memo in zip(applies, memos)], all(memos)
+def checked_applies(initial: State, queue_capacity: int, applies) -> tuple[list, ProcessTable]:
+    """One search's applies from `initial`, and the `ProcessTable` they
+    share, whose checker has checked `initial`. A `memoized_apply` (known
+    by its type, which no wrapper copies) becomes a `StepMemo` of its step;
+    any other apply is followed by the table's checker on each state it gives."""
+    table = ProcessTable(initial, queue_capacity)
+    return [StepMemo(table, apply.__wrapped__) if type(apply) is memoized_apply
+            else lambda state, pid, apply=apply: table.check(apply(state, pid))
+            for apply in applies], table
 
 
 def process_fields(proc) -> dict:
@@ -264,16 +365,25 @@ def render_process(proc) -> str:
     return "(" + ",".join(map(str, values.values())) + ")"
 
 
-def render_state(state: State, text: Callable[[object], str] = render_process) -> str:
-    """Compact one-line rendering, for trace lines and DOT nodes alike: each
-    process's `text(proc)`, by default `render_process`, joined by spaces."""
-    return " ".join(map(text, state))
+def render_state(state: State) -> str:
+    """Compact one-line rendering for trace lines: each process's
+    `render_process`, joined by spaces, as a DOT node label joins them."""
+    return " ".join(map(render_process, state))
 
 
-def canonical_encode(state: State) -> State:
-    """The visited-set key: the identity, as the state is its own key.
-    Injective, as each value has its default's type (an `int`, an `Enum` member
-    or a queue of `Message`s), so `True == 1` twins never merge: `_check_like`
-    enforces it wherever a process is checked. The engine calls this on the
-    initial state and per fired transition, as the hook a benchmark wraps."""
-    return state
+def canonical_encode(state: State, table: ProcessTable) -> tuple:
+    """The visited-set key of `state`, whose processes passed the table's
+    checks: the tuple of each one's index in `table` at its pid, interned
+    on first sight. `explore` calls it on the initial state and on each
+    state an apply that is no step memo gives, as the hook a benchmark
+    wraps; a step memo's move makes its successor's key from keys.
+
+    The key is injective by construction. At each pid the table gives each
+    distinct process its own index and maps the index back, so two states
+    have one key exactly when they are equal at every pid, and `decode`
+    inverts it. Equal means alike, as the table takes only a process that
+    passed `_check_like`, which leaves no twins (`True` for `1`, a plain
+    tuple for a `Message`). An index is an exact `int`, so the key has no
+    width to outgrow."""
+    key = tuple(map(dict.get, table.index, state))
+    return key if None not in key else tuple(map(table.intern, range(len(state)), state))

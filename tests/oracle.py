@@ -54,6 +54,11 @@ def successors(model, state):
     return out
 
 
+def over_capacity(model, state):
+    """Whether some queue of `state` holds more than the model's queue capacity."""
+    return any(len(p.queue) > model.queue_capacity for p in state)
+
+
 def witnesses(model, state, verdict):
     """Whether `state`, the last of a trace, witnesses `verdict`: an invariant
     violation is the state itself, a postcondition violation a terminal
@@ -65,13 +70,16 @@ def witnesses(model, state, verdict):
     if verdict == "postcondition_violated":
         return not succs and not model.terminal_postcondition(state)
     assert verdict == "queue_overflow", verdict
-    return any(len(p.queue) > model.queue_capacity for _, _, succ in succs for p in succ)
+    return any(over_capacity(model, succ) for _, _, succ in succs)
 
 
-def enumerate_reachable(model):
-    """All reachable states, by naive recursion with a linear-scan visited list.
-    The recursion is as deep as the longest path of first visits, which
-    stays far below Python's default limit: 33 frames at barrier N=10."""
+def enumerate_reachable(model, limit=None):
+    """All reachable states, by naive recursion with a linear-scan visited list,
+    or None once more than `limit` are found, if a `limit` is given. A state
+    over the queue capacity is an overflow, not a state: it is neither kept
+    nor expanded. The recursion is as deep as the longest path of first
+    visits, which stays far below Python's default limit: 33 frames at
+    barrier N=10."""
     states = []
     snaps = []
 
@@ -83,15 +91,24 @@ def enumerate_reachable(model):
 
     def visit(state):
         snap = snapshot(state)
-        if seen(snap):
+        if over_capacity(model, state) or seen(snap):
             return
+        if limit is not None and len(snaps) == limit:
+            raise _TooMany
         snaps.append(snap)
         states.append(state)
         for _, _, succ in successors(model, state):
             visit(succ)
 
-    visit(model.initial_state)
+    try:
+        visit(model.initial_state)
+    except _TooMany:
+        return None
     return states
+
+
+class _TooMany(Exception):
+    """More reachable states than `enumerate_reachable`'s limit."""
 
 
 def terminal_states(model, states=None):
@@ -122,6 +139,8 @@ def depth_map(model):
             if depths[i] is inf:
                 continue
             for _, _, succ in successors(model, state):
+                if over_capacity(model, succ):
+                    continue
                 j = index_of(succ)
                 if depths[i] + 1 < depths[j]:
                     depths[j] = depths[i] + 1

@@ -1,18 +1,22 @@
 """What the search loop calls, and how often.
 
-Per verified search, applies run once per fired transition, the invariant
-once per stored state and the visited-set key once per fired transition
-plus the initial state; a gate once per (stored state, pid) where its rule's
-guard holds. Guards depend on the applies. Where every rule's apply is a
-step memo, the search's move table asks each guard once per distinct (pid,
-process) among the stored states. Where any is not, as the counting
+Per verified search, the invariant runs once per stored state and a gate
+once per (stored state, pid) where its rule's guard holds, on one decoded
+tuple per popped state. Guards depend on the applies. Where every rule's
+apply is a step memo, the search's move table asks each guard once per
+distinct (pid, process) among the stored states, each step runs once per
+distinct (rule, pid, process) it fires at, and the visited-set key is
+encoded once, for the initial state: a step memo's move makes its
+successor's key. Where any apply is not a step memo, as the counting
 wrappers here and the benchmark's traced rounds make, the table keeps
-nothing and guards run stored x rules x N times: the benchmark's contract
-(perfbench/run.py checks it on its traced rounds), pinned here so that a
-break fails the tests, not only the benchmark. The well-formedness check
-runs once per process: where the search's memo of a step makes it, or, for
-an apply that is no step memo, by the search's `state_checker` on each
-state it gives, once per process object, by identity.
+nothing and guards run stored x rules x N times, each apply once per fired
+transition and the key's encoder once per fired transition plus the
+initial state: the benchmark's contract (perfbench/run.py checks it on its
+traced rounds), pinned here so that a break fails the tests, not only the
+benchmark. The well-formedness check runs once per process: where the
+search's memo of a step makes it, or, for an apply that is no step memo,
+by the search's `state_checker` on each state it gives, once per process
+object, by identity.
 """
 
 import functools
@@ -34,7 +38,7 @@ from protocheck.barrier import (
 )
 from protocheck.engine import ExploreConfig, Verdict, explore
 from protocheck.ring import ORDERED, UNORDERED, RingConfig, ring_model
-from protocheck.state import state_checker
+from protocheck.state import memoized_apply, state_checker
 from test_cli import run_child, stepless
 from test_engine import explore_logged
 
@@ -68,22 +72,19 @@ def test_call_counts_are_fixed_by_the_search(model, counted, monkeypatch):
     calls = Counter()
     # `replace` keeps each rule's gate; a positional rebuild would drop it
     wrap = counted or _counted
+
+    def apply(rule):  # a step memo counts its step's runs, as the search's memos make them
+        if counted is None:
+            return memoized_apply(_counted(rule.apply.__wrapped__, calls, "step"))
+        return counted(rule.apply, calls, "apply")
+
     traced = replace(
         model,
-        rules=tuple(replace(rule, enabled=wrap(rule.enabled, calls, "guard"),
-                            apply=counted(rule.apply, calls, "apply") if counted else rule.apply,
+        rules=tuple(replace(rule, enabled=wrap(rule.enabled, calls, "guard"), apply=apply(rule),
                             gate=rule.gate and wrap(rule.gate, calls, "gate"))
                     for rule in model.rules),
         invariant=wrap(model.invariant, calls, "invariant"),
     )
-    if counted is None:  # the rules keep their step memos: count where the search makes them
-        real_checked_applies = engine.checked_applies
-
-        def checked_applies(*args):
-            applies, all_memos = real_checked_applies(*args)
-            return [_counted(apply, calls, "apply") for apply in applies], all_memos
-
-        monkeypatch.setattr(engine, "checked_applies", checked_applies)
     monkeypatch.setattr(engine, "canonical_encode",
                         wrap(engine.canonical_encode, calls, "encode"))
     result = explore(traced)
@@ -95,17 +96,31 @@ def test_call_counts_are_fixed_by_the_search(model, counted, monkeypatch):
     hits = sum(rule.enabled(state[pid], pid)
                for rule in gated for state in result.states for pid in range(n))
     assert (hits > 0) == bool(gated)  # only ring ordered has a gate
-    # with step memos the move table asks the guards once per distinct
-    # (pid, process); with any other apply, once per (state, pid)
-    asked = (sum(len({state[pid] for state in result.states}) for pid in range(n))
-             if counted is None else st.states_stored * n)
-    assert calls == Counter({
-        "guard": asked * len(model.rules),
-        "gate": hits,
-        "apply": st.transitions_fired,
-        "invariant": st.states_stored,
-        "encode": st.transitions_fired + 1,
-    })
+    if counted is None:
+        # the move table asks the guards once per distinct (pid, process)
+        asked = sum(len({state[pid] for state in result.states}) for pid in range(n))
+        steps = len({(r, pid, state[pid]) for state in result.states
+                     for r, rule in enumerate(model.rules) for pid in range(n)
+                     if rule.enabled_at(state, pid)})
+        expected = {"step": steps, "encode": 1}
+    else:  # any other apply: once per (state, pid)
+        asked = st.states_stored * n
+        expected = {"apply": st.transitions_fired, "encode": st.transitions_fired + 1}
+    assert calls == Counter({"guard": asked * len(model.rules), "gate": hits,
+                             "invariant": st.states_stored, **expected})
+
+
+def test_a_popped_state_is_decoded_once_for_its_gates():
+    # ring `ordered` gates `begin_insert` at each pid whose guard holds: every
+    # gate asked at one popped state reads the one tuple decoded for it
+    model = ring_model(RingConfig(size=5, variant=ORDERED))
+    asked = []  # holding each tuple keeps its id from being reused
+    gate = model.rules[0].gate
+    traced = replace(model, rules=(replace(
+        model.rules[0], gate=lambda state, pid: asked.append(state) or gate(state, pid)),
+        *model.rules[1:]))
+    assert explore(traced).verdict is Verdict.VERIFIED
+    assert len({id(state) for state in asked}) == len(set(asked)) < len(asked)
 
 
 @pytest.mark.parametrize("model, argv", [

@@ -12,9 +12,9 @@ empty. The benchmark's workload counts are pinned here. Every sweep over
 small instances takes them from one list, `instances`."""
 
 import dataclasses
+import operator
 import re
 from array import array
-from inspect import getclosurevars
 
 import pytest
 
@@ -227,6 +227,21 @@ class TestSearchProperties:
         assert bfs.stats.states_matched == dfs.stats.states_matched
 
 
+def test_the_stored_states_are_a_read_only_sequence():
+    # each decoded on access from its key, into the search's own process objects
+    result = explore(ring_model(RingConfig(size=3, variant=UNORDERED)))
+    states = result.states
+    assert not hasattr(states, "append") and not hasattr(states, "__setitem__")
+    listed = list(states)
+    assert len(states) == len(listed) == result.stats.states_stored
+    assert [states[sid] for sid in range(len(states))] == listed and states[-1] == listed[-1]
+    assert all(states.index(state) == sid and state in states
+               for sid, state in enumerate(listed))
+    assert states[5] is not states[5] and all(map(operator.is_, states[5], states[5]))
+    with pytest.raises(IndexError):
+        states[len(states)]
+
+
 @pytest.mark.parametrize("model", [
     barrier_model(BarrierConfig(size=4)),
     ring_model(RingConfig(size=4, variant=UNORDERED)),
@@ -256,12 +271,13 @@ def test_processes_are_built_only_on_a_memo_miss(build, monkeypatch):
     searches = []
 
     def checked_memos(*args):
-        applies, all_memos = checked(*args)
+        applies, table = checked(*args)
         memos.extend(applies)
-        return applies, all_memos
+        tables.append(table)
+        return applies, table
 
     for _ in range(2):
-        built, memos = [], []  # the processes made, and the search's checked applies
+        built, memos, tables = [], [], []  # the processes made, the search's applies and table
         with monkeypatch.context() as patch:
             for cls in (BarrierProcessState, RingProcessState):
                 make = cls._make
@@ -270,14 +286,13 @@ def test_processes_are_built_only_on_a_memo_miss(build, monkeypatch):
             patch.setattr(protocheck.engine, "checked_applies", checked_memos)
             result = explore(model)
         assert result.verdict is Verdict.VERIFIED
-        assert len(memos) == len(model.rules)
-        entries = sum(len(getclosurevars(apply).nonlocals[memo])
-                      for apply in memos for memo in ("effects", "appends"))
+        assert len(memos) == len(model.rules) and len(tables) == 1
+        entries = (sum(len(effects) for memo in memos for effects in memo.effects)
+                   + sum(map(len, tables[0].appends.values())))
         assert 0 < len(built) <= entries
         # the model's own memos, for calls made outside a search, stay empty
-        assert not any(getclosurevars(rule.apply._apply).nonlocals[memo]
-                       for rule in model.rules for memo in ("effects", "appends"))
-        searches.append((len(built), result.states))
+        assert not any(rule.apply.effects or rule.apply.appends for rule in model.rules)
+        searches.append((len(built), list(result.states)))
     assert searches[0] == searches[1]
 
 

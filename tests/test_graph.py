@@ -1,10 +1,10 @@
 """The DOT writer against a plain reference writer.
 
-`cli.export_state_graph` renders each distinct process once per export and
-joins the cached texts per node. Its bytes must equal those of rendering
-every process of every node afresh, on full runs and on runs cut short:
-barrier N <= 6 in both variants, with and without the seeded bug, and ring
-N <= 4 in both variants, under BFS and DFS.
+`cli.export_state_graph` renders each distinct (pid, process) once per
+export and joins the cached texts of each node's key. Its bytes must equal
+those of rendering every process of every node afresh, on full runs and on
+runs cut short: barrier N <= 6 in both variants, with and without the
+seeded bug, and ring N <= 4 in both variants, under BFS and DFS.
 """
 
 import weakref
@@ -86,44 +86,29 @@ def renders(monkeypatch):
     return calls
 
 
-def test_each_distinct_process_is_rendered_once_per_export(graph_run, renders, tmp_path):
+def test_each_distinct_process_is_rendered_once_per_pid_per_export(graph_run, renders, tmp_path):
     result, log = graph_run
-    distinct = {proc for state in result.states for proc in state}
+    n = len(result.states[0])
+    per_pid = Counter(proc for pid in range(n) for proc in {state[pid] for state in result.states})
     cli.export_state_graph(result, log, tmp_path / "a.dot")
-    assert renders.keys() == distinct
-    assert set(renders.values()) == {1}
+    assert renders == per_pid
     # stored states share their processes: far fewer renders than slots
-    assert len(distinct) < len(result.states)
-    # a second export renders afresh, into a memo of its own, to the same bytes
+    assert sum(per_pid.values()) < len(result.states)
+    # a second export renders afresh, into memos of its own, to the same bytes
     cli.export_state_graph(result, log, tmp_path / "b.dot")
-    assert set(renders.values()) == {2}
+    assert renders == per_pid + per_pid
     assert (tmp_path / "a.dot").read_bytes() == (tmp_path / "b.dot").read_bytes()
 
 
-def test_each_node_is_labeled_through_render_state(graph_run, monkeypatch, tmp_path):
-    # the benchmark's traced layer times `cli.render_state`: one call per node
-    calls = []
-    render_state = cli.render_state
-
-    def counted(state, *args):
-        calls.append(state)
-        return render_state(state, *args)
-
-    monkeypatch.setattr(cli, "render_state", counted)
-    result, log = graph_run
-    cli.export_state_graph(result, log, tmp_path / "g.dot")
-    assert calls == result.states
-
-
-def test_the_memo_does_not_outlive_the_export(graph_run, monkeypatch, tmp_path):
+def test_the_memos_do_not_outlive_the_export(graph_run, monkeypatch, tmp_path):
     made = []
 
     class Spy(cli._RenderMemo):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, procs):
+            super().__init__(procs)
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(cli, "_RenderMemo", Spy)
     cli.export_state_graph(*graph_run, tmp_path / "g.dot")
-    assert len(made) == 1
-    assert made[0]() is None  # freed on return, with no collection needed
+    assert len(made) == len(graph_run[0].states[0])  # one per pid
+    assert all(ref() is None for ref in made)  # freed on return, with no collection needed

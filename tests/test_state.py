@@ -12,8 +12,10 @@ twin table makes each value that equals one of another type (a `bool` or
 payload id, and a plain tuple for a queued or sent message) in three ways: by
 a memoized effect after its well-typed equal, so that its successor is
 matched, by one before it, and by a hand-written apply beside a process
-equal to it that already passed; each must fail naming the pid. The
-visited-set key is checked injective on constructible states."""
+equal to it that already passed; each must fail naming the pid. An append
+that overflows or fails its target's `check(n)` names the target's pid, not
+its sender's. The visited-set key is checked injective on constructible
+states, and to decode to the state it encodes."""
 
 import re
 from collections import namedtuple
@@ -39,6 +41,7 @@ from protocheck.ring import (
 from protocheck.state import (
     Message,
     MessageKindBase,
+    ProcessTable,
     QueueOverflowError,
     canonical_encode,
     checked_applies,
@@ -361,6 +364,38 @@ def test_what_is_ill_formed_is_refused_wherever_it_is_made(ill, maker, k):
         assert (type(raised.value), str(raised.value)) == (error, text.format(k=k))
 
 
+class _Picky(NamedTuple):
+    """A process whose `check` refuses a queued `barrier_out`."""
+
+    queue: tuple = ()
+
+    def check(self, n):
+        if BARRIER_OUT in self.queue:
+            raise ValueError("barrier_out is refused here")
+
+
+# What an append alone can break, its target having passed and its message
+# with its sender's effect: the queue bound, then the target's `check(n)`.
+_BAD_APPENDS = {
+    "overflow": (B(q=[BARRIER_IN]), BARRIER_IN, QueueOverflowError,
+                 "queue of process {to} is over capacity 1"),
+    "check": (_Picky(), BARRIER_OUT, ValueError, "process {to}: barrier_out is refused here"),
+}
+
+
+@pytest.mark.parametrize("to", range(3))
+@pytest.mark.parametrize("proc, message, error, text", _BAD_APPENDS.values(), ids=_BAD_APPENDS)
+def test_an_append_fails_naming_its_target(proc, message, error, text, to):
+    # the process at `to` + 1 sends, so the sender's pid is not the target's
+    initial = (proc,) * 3
+    (applied,), _ = checked_applies(initial, 1, [memoized_apply(
+        lambda proc, pid: (proc, ((to, message),)))])
+    for _ in range(2):  # a memo keeps nothing that failed
+        with pytest.raises(error) as raised:
+            applied(initial, (to + 1) % 3)
+        assert (type(raised.value), str(raised.value)) == (error, text.format(to=to))
+
+
 class TestReceive:
     def test_removes_head_only(self):
         proc = B(1, 0, 0, [BARRIER_OUT, BARRIER_IN])
@@ -402,26 +437,42 @@ def test_fifo_property(msgs):
     assert received == msgs
 
 
+def _keys(*states):
+    """Each state's key in one table, whose initial state is the first
+    state's count of default processes."""
+    table = ProcessTable(tuple(type(proc)() for proc in states[0]), CAPACITY)
+    return [canonical_encode(state, table) for state in states]
+
+
 class TestCanonicalEncode:
-    def test_the_state_is_its_own_key(self):
+    def test_a_key_is_its_processes_indices_per_pid(self):
         s = (B(1, 0, 0, [BARRIER_IN]), B())
-        assert canonical_encode(s) is s
+        table = ProcessTable(s, CAPACITY)
+        assert canonical_encode(s, table) == (0, 0)
+        swapped = (B(), B(1, 0, 0, [BARRIER_IN]))
+        assert canonical_encode(swapped, table) == (1, 1)  # each pid has its own indices
+        assert table.decode((0, 0)) == s and table.decode((1, 1)) == swapped
+        # an equal process gets the index of the one the table took first
+        again = (B(1, 0, 0, [BARRIER_IN]), B())
+        assert canonical_encode(again, table) == (0, 0)
+        assert [a is b for a, b in zip(table.decode((0, 0)), s)] == [True, True]
 
     def test_distinguishes_queue_order(self):
         a = (B(q=[BARRIER_IN, BARRIER_OUT]),)
         b = (B(q=[BARRIER_OUT, BARRIER_IN]),)
-        assert canonical_encode(a) != canonical_encode(b)
+        key_a, key_b = _keys(a, b)
+        assert key_a != key_b
 
     def test_distinguishes_payloads(self):
         a = (RingProcessState(), RingProcessState())
-        assert canonical_encode(send(a, 1, req_insert(0))) != canonical_encode(
-            send(a, 1, req_insert(1))
-        )
+        key_0, key_1 = _keys(send(a, 1, req_insert(0)), send(a, 1, req_insert(1)))
+        assert key_0 != key_1
 
     def test_ring_neighbor_sentinel_encodes_distinctly(self):
         out = RingProcessState()
         ring0 = RingProcessState(status=RingStatus.IN_RING, lhs=0, rhs=0)
-        assert canonical_encode((out,)) != canonical_encode((ring0,))
+        key_out, key_ring0 = _keys((out,), (ring0,))
+        assert key_out != key_ring0
         assert UNSET not in range(0, 8)
 
     def test_ring_statuses_encode_distinctly(self):
@@ -429,7 +480,8 @@ class TestCanonicalEncode:
         inserting = (RingProcessState(RingStatus.INSERTING),)
         in_ring = (RingProcessState(RingStatus.IN_RING),)
         assert inserting != in_ring
-        assert canonical_encode(inserting) != canonical_encode(in_ring)
+        key_inserting, key_in_ring = _keys(inserting, in_ring)
+        assert key_inserting != key_in_ring
 
 
 def _constructible(cls, field_values):
@@ -471,8 +523,11 @@ def test_key_is_injective_on_constructible_states(data):
     first = states[0]
     for pid, proc in enumerate(first):
         states += [put(first, pid, p._replace(queue=proc.queue)) for p in pool]
-    keys = [canonical_encode(s) for s in states]
+    tables = {}  # one table per process count, as a search has one
+    keys = [canonical_encode(s, tables.setdefault(len(s), ProcessTable(
+        tuple(type(p)() for p in s), CAPACITY))) for s in states]
     for a, key_a in zip(states, keys):
+        assert tables[len(a)].decode(key_a) == a
         for b, key_b in zip(states, keys):
             assert (key_a == key_b) == (a == b)
 
