@@ -35,8 +35,7 @@ from .barrier import BarrierConfig, barrier_model
 from .engine import (ExplorationResult, ExploreConfig, ModelConfig, Verdict, explore,
                      reconstruct_trace)
 from .ring import RingConfig, ring_model
-from .state import (QueueOverflowError, State, checked_applies, process_fields, render_process,
-                    render_state)
+from .state import QueueOverflowError, State, checked_applies, process_fields, render_state
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -88,19 +87,6 @@ def _write_text(path, chunks: Iterable[str]) -> None:
         raise ValueError(f"cannot write {path}: {err}")
 
 
-class _RenderMemo(dict):
-    """index -> the `render_process` text of `procs[index]`, made on the first lookup."""
-
-    __slots__ = ("procs",)
-
-    def __init__(self, procs: list):
-        self.procs = procs
-
-    def __missing__(self, index: int) -> str:
-        text = self[index] = render_process(self.procs[index])
-        return text
-
-
 def export_state_graph(result: ExplorationResult, edges: Iterable[int], path) -> None:
     """Write the stored-state graph in DOT form, streamed in blocks of lines.
 
@@ -109,15 +95,15 @@ def export_state_graph(result: ExplorationResult, edges: Iterable[int], path) ->
     holds four ids per transition (source id, rule index, pid, target id), as
     the search's `ExploreConfig.observe` batches them. Lines are made as
     `_write_text` takes them, 32 to a block, never held whole. A node's
-    label joins the texts of its key's indices, each (pid, index) rendered
-    once per call, one `_RenderMemo` per pid; each edge label is made once
-    per (rule, pid), before the first edge.
+    label is one `render_state` of its key, through the table's `texts()`,
+    so each (pid, process) is rendered once per call; each edge label is
+    made once per (rule, pid), before the first edge.
     """
-    states, getitem = result.states, dict.__getitem__
-    memos = [_RenderMemo(procs) for procs in states.procs]
-    nodes = (f'  s{sid} [label="s{sid}: {" ".join(map(getitem, memos, key))}"];\n'
+    states = result.states
+    texts = states.table.texts()
+    nodes = (f'  s{sid} [label="s{sid}: {render_state(key, texts)}"];\n'
              for sid, key in enumerate(states.keys))
-    n = len(memos)
+    n = len(texts)
     tails = [f' [label="{rule} @{pid}"];\n' for rule in result.rule_names for pid in range(n)]
     ids = iter(edges)  # zip draws from its arguments in order, four ids per edge
     lines = (f'  s{src} -> s{dst}{tails[rule * n + pid]}'

@@ -30,7 +30,8 @@ from enum import Enum
 from itertools import chain
 from typing import Any, Callable, ClassVar, Optional
 
-from .state import QueueOverflowError, State, StepMemo, canonical_encode, checked_applies
+from .state import (ProcessTable, QueueOverflowError, State, StepMemo, canonical_encode,
+                    checked_applies)
 
 
 class Verdict(Enum):
@@ -185,6 +186,23 @@ class ExploreConfig:
             raise ValueError("observe must be callable")
 
 
+class StoredStates(Sequence):
+    """A search's stored states by id, read-only: `keys[sid]` is state
+    `sid`'s key in `table`, the search's `ProcessTable`, which decodes it on
+    access into the table's own process objects."""
+
+    __slots__ = ("keys", "table")
+
+    def __init__(self, keys: list[tuple], table: ProcessTable):
+        self.keys, self.table = keys, table
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, sid: int) -> State:
+        return self.table.decode(self.keys[sid])
+
+
 @dataclass
 class ExplorationResult:
     """What a search found, indexed by state id (the order of storing).
@@ -205,7 +223,7 @@ class ExplorationResult:
     stats: RunStats
     witness: Optional[int]
     terminal_states: list[int]
-    states: Sequence[State]
+    states: StoredStates
     parents: array
     rule_names: tuple[str, ...]
 
@@ -220,23 +238,6 @@ class TraceStep:
     rule: Optional[str]
     pid: Optional[int]
     state: State
-
-
-class _States(Sequence):
-    """The stored states by id, read-only: `keys[sid]` is state `sid`'s key,
-    decoded on access into a tuple of the process objects in `procs`, the
-    search's `ProcessTable.procs`."""
-
-    __slots__ = ("keys", "procs")
-
-    def __init__(self, keys: list[tuple], procs: list[list]):
-        self.keys, self.procs = keys, procs
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, sid: int) -> State:
-        return tuple(map(list.__getitem__, self.procs, self.keys[sid]))
 
 
 class _MoveTable(dict):
@@ -313,7 +314,7 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
             stats=RunStats(len(keys), matched, max_frontier, time.perf_counter() - start),
             witness=witness,
             terminal_states=terminal,
-            states=_States(keys, table.procs),
+            states=StoredStates(keys, table),
             parents=parents,
             rule_names=rule_names,
         )
@@ -361,7 +362,7 @@ def explore(model: ProtocolModel, config: ExploreConfig = ExploreConfig()) -> Ex
                     continue
             fired = True
             try:
-                if effects is not None:
+                if effects is not None:  # `StepMemo.move`, inlined
                     succ = list(key)
                     succ[pid], sends = effects[key[pid]]
                     for to, appends in sends:

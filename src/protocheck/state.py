@@ -216,7 +216,10 @@ class memoized_apply:
     and each append per (target process, message) once the process it makes
     passes `_check_like`, the effect's with its sends, and shares every
     process a rule does not change, by identity. It knows no queue bound and
-    no `check(n)`: a search makes a `StepMemo` of `__wrapped__` instead."""
+    no `check(n)`: a search makes a `StepMemo` of `__wrapped__` instead. The
+    memo is for the callers that apply one edge at a time, the oracle and
+    the benchmark's traced rounds: over barrier N=12's 49,164 fired edges it
+    takes 50 ms, against 233 ms without it."""
 
     def __init__(self, step: Callable):
         self.__wrapped__ = step
@@ -276,6 +279,13 @@ class ProcessTable:
         """The state of `key`, made of the table's own process objects."""
         return tuple(map(list.__getitem__, self.procs, key))
 
+    def texts(self) -> list["_Memo"]:
+        """Fresh memos, one per pid, of index -> the `render_process` text of
+        the process there, each made on the first lookup: what `render_state`
+        looks a key's texts up in."""
+        return [_Memo(lambda index, procs=procs: render_process(procs[index]))
+                for procs in self.procs]
+
     def effect(self, step: Callable, pid: int, index: int) -> tuple:
         """`step`'s effect on process `index` at `pid`: the index of the
         process it makes, taken once it passes `_check_like` with the sends,
@@ -319,9 +329,9 @@ class _Memo(dict):
 
 class StepMemo:
     """A rule's apply in one search: `effects[pid]` memoizes its step's
-    `ProcessTable.effect` at `pid`, by index. `explore` applies a move to
-    keys in its own loop; a call applies one to a state whose processes the
-    table's checker passes, as `replay` does."""
+    `ProcessTable.effect` at `pid`, by index. `move` applies it to a key,
+    as `explore` does in its own loop; a call applies it to a state whose
+    processes the table's checker passes, as `replay` does."""
 
     __slots__ = ("table", "effects")
 
@@ -329,13 +339,18 @@ class StepMemo:
         self.table = table
         self.effects = [_Memo(partial(table.effect, step, pid)) for pid in range(table.n)]
 
+    def move(self, key: tuple, pid: int) -> tuple:
+        """The successor's key: the effect at `pid`, then each send's append
+        at its target, each looked up by index."""
+        succ = list(key)
+        succ[pid], sends = self.effects[pid][key[pid]]
+        for to, appends in sends:
+            succ[to] = appends[succ[to]]
+        return tuple(succ)
+
     def __call__(self, state: State, pid: int) -> State:
         table = self.table
-        key = list(canonical_encode(table.check(state), table))
-        key[pid], sends = self.effects[pid][key[pid]]
-        for to, appends in sends:
-            key[to] = appends[key[to]]
-        return table.decode(key)
+        return table.decode(self.move(canonical_encode(table.check(state), table), pid))
 
 
 def checked_applies(initial: State, queue_capacity: int, applies) -> tuple[list, ProcessTable]:
@@ -365,10 +380,13 @@ def render_process(proc) -> str:
     return "(" + ",".join(map(str, values.values())) + ")"
 
 
-def render_state(state: State) -> str:
-    """Compact one-line rendering for trace lines: each process's
-    `render_process`, joined by spaces, as a DOT node label joins them."""
-    return " ".join(map(render_process, state))
+def render_state(state: State, texts: Optional[list] = None) -> str:
+    """Compact one-line rendering, for trace lines and DOT nodes alike: each
+    process's `render_process`, joined by spaces. Given a table's `texts()`,
+    `state` is a key, and each process's text is looked up by its index."""
+    if texts is None:
+        return " ".join(map(render_process, state))
+    return " ".join(map(dict.__getitem__, texts, state))
 
 
 def canonical_encode(state: State, table: ProcessTable) -> tuple:

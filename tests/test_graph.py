@@ -100,15 +100,31 @@ def test_each_distinct_process_is_rendered_once_per_pid_per_export(graph_run, re
     assert (tmp_path / "a.dot").read_bytes() == (tmp_path / "b.dot").read_bytes()
 
 
+def test_each_node_is_labeled_through_render_state(graph_run, monkeypatch, tmp_path):
+    # the benchmark's traced layer times `cli.render_state`: one call per node
+    calls = []
+    render_state = cli.render_state
+
+    def counted(key, *args):
+        calls.append(key)
+        return render_state(key, *args)
+
+    monkeypatch.setattr(cli, "render_state", counted)
+    result, log = graph_run
+    cli.export_state_graph(result, log, tmp_path / "g.dot")
+    assert list(map(result.states.table.decode, calls)) == list(result.states)
+
+
 def test_the_memos_do_not_outlive_the_export(graph_run, monkeypatch, tmp_path):
     made = []
 
-    class Spy(cli._RenderMemo):
-        def __init__(self, procs):
-            super().__init__(procs)
+    class Spy(protocheck.state._Memo):
+        def __init__(self, make):
+            super().__init__(make)
             made.append(weakref.ref(self))
 
-    monkeypatch.setattr(cli, "_RenderMemo", Spy)
+    # the search is over: only the export's `ProcessTable.texts` makes memos now
+    monkeypatch.setattr(protocheck.state, "_Memo", Spy)
     cli.export_state_graph(*graph_run, tmp_path / "g.dot")
     assert len(made) == len(graph_run[0].states[0])  # one per pid
     assert all(ref() is None for ref in made)  # freed on return, with no collection needed
